@@ -121,21 +121,28 @@ def cmd_lambda_table(args) -> int:
     return EXIT_OK
 
 
+def _floats(texts, where):
+    try:
+        return [float(t) for t in texts]
+    except ValueError:
+        raise ConfigError(f"bad number in {where!r}") from None
+
+
 def parse_grid(spec: str, d: int):
     """Grid spec "x1:lo:hi:step,y1:lo:hi:step,x2:0.3"; unlisted coordinates 0."""
     axes = {}
     for chunk in spec.split(","):
         parts = chunk.strip().split(":")
         name = parts[0].strip()
-        if name[0] not in "xy" or not name[1:].isdigit():
+        if name[:1] not in ("x", "y") or not name[1:].isdigit():
             raise ConfigError(f"bad grid coordinate {name!r}")
         idx = int(name[1:]) - 1
         if not 0 <= idx < d:
             raise ConfigError(f"coordinate {name} out of range for dimension {d}")
         if len(parts) == 2:
-            values = [float(parts[1])]
+            values = _floats(parts[1:], chunk)
         elif len(parts) == 4:
-            lo, hi, step = (float(t) for t in parts[1:])
+            lo, hi, step = _floats(parts[1:], chunk)
             if step <= 0 or hi < lo:
                 raise ConfigError(f"bad range in {chunk!r}")
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -161,8 +168,8 @@ def cmd_kernel_grid(args) -> int:
     bundle = _load_bundle(args.context)
     d = bundle.group.dimension
     degree = args.degree if args.degree is not None else (14 if d <= 2 else 10)
-    ev = make_evaluator(bundle.ctx, degree, exact_tables=False)
     xs, ys = parse_grid(args.grid, d)
+    ev = make_evaluator(bundle.ctx, degree, exact_tables=False)
     tol = args.tol
     worst = None
     for x in xs:
@@ -208,8 +215,8 @@ def cmd_kernel_grid(args) -> int:
 def cmd_ek_eval(args) -> int:
     bundle = _load_bundle(args.context)
     d = bundle.group.dimension
-    x = tuple(float(t) for t in args.x.split(","))
-    y = tuple(float(t) for t in args.y.split(","))
+    x = tuple(_floats(args.x.split(","), args.x))
+    y = tuple(_floats(args.y.split(","), args.y))
     if len(x) != d or len(y) != d:
         print(f"points must have dimension {d}", file=sys.stderr)
         return EXIT_CONFIG

@@ -136,15 +136,6 @@ class ComplexRational:
         return f"ComplexRational({self.re!r}, {self.im!r})"
 
 
-def conjugate_scalar(c):
-    """Complex conjugate for any scalar the exact layer handles."""
-    if isinstance(c, ComplexRational):
-        return c.conjugate()
-    if isinstance(c, complex):
-        return c.conjugate()
-    return c
-
-
 def abs_squared(c):
     """|c|^2, exact (Fraction) for exact inputs."""
     if isinstance(c, ComplexRational):
@@ -176,12 +167,6 @@ def imag_part(c):
     if isinstance(c, complex):
         return c.imag
     return Fraction(0) if isinstance(c, (int, Fraction)) else 0.0
-
-
-def to_complex(c):
-    if isinstance(c, ComplexRational):
-        return complex(c)
-    return complex(c)
 
 
 # -- parsing / formatting ----------------------------------------------------

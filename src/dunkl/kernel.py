@@ -95,49 +95,20 @@ def make_evaluator(
 ) -> KernelEvaluator:
     """Precompute the per-degree tables up to the truncation degree.
 
-    With exact_tables=False the V table is built by the same recursion in
-    float arithmetic (the lam coefficients stay exact); this is the fast
-    path for large grids and high truncation degrees.
+    With exact_tables=False the V table comes from the same recursion run
+    on the context's float shadow (lam_n coefficients as complex floats);
+    this is the fast path for large grids and high truncation degrees.
     """
     ctx.prepare(n_trunc)
     d = ctx.dimension
+    source = ctx if exact_tables else ctx.float_shadow(n_trunc)
+    one = 1 if exact_tables else 1.0
     vk = {}
     heat_mono = {}
-    if exact_tables:
-        for n in range(n_trunc + 1):
-            for nu in monomial_basis(d, n):
-                vk[nu] = _vk_monomial(ctx, nu)
-                heat_mono[nu] = heat_half(Polynomial.monomial(d, nu))
-    else:
-        lam_float = {
-            n: tuple(complex(c) for c in ctx.h_cache[n].coefficients)
-            if hasattr(ctx.h_cache[n], "coefficients")
-            else None
-            for n in range(1, n_trunc + 1)
-        }
-        vk[(0,) * d] = Polynomial.constant(d, 1.0)
-        heat_mono[(0,) * d] = Polynomial.constant(d, 1.0)
-        for n in range(1, n_trunc + 1):
-            for nu in monomial_basis(d, n):
-                acc = Polynomial.zero(d)
-                for j in range(d):
-                    if nu[j] == 0:
-                        continue
-                    lower = nu[:j] + (nu[j] - 1,) + nu[j + 1 :]
-                    acc = acc + Polynomial.variable(d, j) * vk[lower] * float(nu[j])
-                lams = lam_float[n]
-                if lams is None:
-                    h = ctx.h_cache[n]
-                    out = h.apply(ctx.group, acc.to_float())
-                else:
-                    out = Polynomial.zero(d)
-                    for idx, c in enumerate(lams):
-                        if c:
-                            out = out + act_on_polynomial(
-                                ctx.group.elements[idx], acc
-                            ) * c
-                vk[nu] = out
-                heat_mono[nu] = heat_half(Polynomial.monomial(d, nu, 1.0))
+    for n in range(n_trunc + 1):
+        for nu in monomial_basis(d, n):
+            vk[nu] = _vk_monomial(source, nu)
+            heat_mono[nu] = heat_half(Polynomial.monomial(d, nu, one))
     return KernelEvaluator(ctx, n_trunc, exact_tables, vk, heat_mono, mode)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exact import SingularMatrixError, invert_matrix, solve_columns
@@ -82,7 +82,8 @@ class GroupAlgebraElement:
 
 @dataclass(frozen=True)
 class DegreeInverse:
-    """Fallback realization of H_n: the inverse of W_n on the monomial basis."""
+    """Dense inverse of a degree-preserving map on the monomial basis of P_n:
+    the fallback realization of H_n = W_n^{-1}, and V^{-1} on P_n."""
 
     degree: int
     basis: tuple  # exponent multi-indices spanning P_n
@@ -137,6 +138,21 @@ class DunklContext:
         estimate_delta(self, n_max)
         self.prepared_to = n_max
         return self
+
+    def float_shadow(self, n_max):
+        """This context prepared to n_max, with each lam_n table as complex
+        floats and a vk_cache of its own.  _vk_monomial on the shadow is the
+        floating V recursion; fallback degrees keep their exact rows."""
+        self.prepare(n_max)
+        h_cache = {}
+        for n in range(1, n_max + 1):
+            h = self.h_cache[n]
+            if isinstance(h, GroupAlgebraElement):
+                h = GroupAlgebraElement(tuple(complex(c) for c in h.coefficients))
+            h_cache[n] = h
+        d = self.dimension
+        unit = {(0,) * d: Polynomial.constant(d, 1.0)}
+        return replace(self, h_cache=h_cache, vk_cache=unit, inverse_cache={})
 
 
 def make_context(group, positives, k) -> DunklContext:
@@ -289,27 +305,25 @@ def solve_H(ctx: DunklContext, n):
         sol = solve_columns(matrix, [rhs])[0]
         result = GroupAlgebraElement(tuple(sol))
     except SingularMatrixError:
-        result = _solve_H_on_basis(ctx, n)
+        d = ctx.dimension
+        try:
+            result = _degree_inverse(
+                d, n, lambda nu: _apply_W(ctx, n, Polynomial.monomial(d, nu))
+            )
+        except SingularMatrixError:
+            raise NotInMStarError(n) from None
         ctx.fallback_degrees.append(n)
     _verify_H(ctx, n, result)
     ctx.h_cache[n] = result
     return result
 
 
-def _solve_H_on_basis(ctx, n):
-    d = ctx.dimension
-    basis = monomial_basis(d, n)
-    cols = []
-    for nu in basis:
-        w = _apply_W(ctx, n, Polynomial.monomial(d, nu))
-        cols.append([w.terms.get(mu, 0) for mu in basis])
-    # cols[j][i] = coefficient of basis[i] in W(basis[j]); rows index mu
-    w_matrix = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
-    try:
-        inv = invert_matrix(w_matrix)
-    except SingularMatrixError:
-        raise NotInMStarError(n) from None
-    return DegreeInverse(n, tuple(basis), tuple(tuple(r) for r in inv))
+def _degree_inverse(d, n, image) -> DegreeInverse:
+    """Inverse of the degree-preserving map x^nu -> image(nu) on P_n, from its
+    dense matrix on the monomial basis (rows index the output monomial)."""
+    basis = tuple(monomial_basis(d, n))
+    matrix = [[image(nu).terms.get(mu, 0) for nu in basis] for mu in basis]
+    return DegreeInverse(n, basis, tuple(tuple(r) for r in invert_matrix(matrix)))
 
 
 def _verify_H(ctx, n, h):
@@ -367,31 +381,12 @@ def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:
         if n == 0:
             out = out + comp
             continue
-        basis, inv = _vk_degree_inverse(ctx, n)
-        coeffs = [comp.terms.get(nu, 0) for nu in basis]
-        terms = {}
-        for i, nu in enumerate(basis):
-            val = 0
-            for j, c in enumerate(coeffs):
-                if c:
-                    val = val + inv[i][j] * c
-            if val:
-                terms[nu] = val
-        out = out + Polynomial(q.dim, terms)
+        inv = ctx.inverse_cache.get(n)
+        if inv is None:
+            inv = _degree_inverse(q.dim, n, lambda nu: _vk_monomial(ctx, nu))
+            ctx.inverse_cache[n] = inv
+        out = out + inv.apply(ctx.group, comp)
     return out
-
-
-def _vk_degree_inverse(ctx, n):
-    cached = ctx.inverse_cache.get(n)
-    if cached is not None:
-        return cached
-    basis = monomial_basis(ctx.dimension, n)
-    matrix = [
-        [_vk_monomial(ctx, nu).terms.get(mu, 0) for nu in basis] for mu in basis
-    ]
-    inv = invert_matrix(matrix)
-    ctx.inverse_cache[n] = (tuple(basis), tuple(tuple(r) for r in inv))
-    return ctx.inverse_cache[n]
 
 
 # -- growth estimate -----------------------------------------------------------------

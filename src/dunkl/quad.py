@@ -10,7 +10,6 @@ per-axis degree <= 2q - 1 exactly, hence every monomial of total degree
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -218,7 +217,3 @@ def export_rule_csv(rule: QuadratureRule, path):
     with open(path, "w") as fh:
         fh.write(text)
     return text
-
-
-def tensor_indices(d, q):
-    return itertools.product(range(q), repeat=d)

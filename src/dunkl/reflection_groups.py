@@ -531,7 +531,3 @@ def _scalars_agree(a, b):
     if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
         return abs(complex(a) - complex(b)) <= FLOAT_MATCH_TOL
     return a == b
-
-
-def orbit_norms(system: RootSystem, orbits):
-    return tuple(float(dot(system.roots[orb[0]], system.roots[orb[0]])) for orb in orbits)

@@ -41,15 +41,18 @@ from .operators import (
     dunkl_apply,
     dunkl_kernel,
     en_expansion_oracle,
+    homogeneous_kernel,
     homogeneous_kernel_bivariate,
     intertwine,
     intertwine_inverse,
     make_context,
     monomial_basis,
+    operator_A,
     solve_H,
 )
 from .poly import (
     Polynomial,
+    _multi_factorial,
     fischer,
     fischer_via_gaussian,
     heat_half,
@@ -209,7 +212,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
     for n in range(1, 6):
         for nu in monomial_basis(d, n)[: 2 * d]:
             mono = Polynomial.monomial(d, nu)
-            w1 = mono * (n + ctx.gamma) - _operator_a(ctx, mono)
+            w1 = mono * (n + ctx.gamma) - operator_A(ctx, mono)
             w2 = Polynomial.zero(d)
             for j in range(d):
                 ej = tuple(1 if t == j else 0 for t in range(d))
@@ -224,7 +227,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
         h = solve_H(ctx, n)
         for nu in monomial_basis(d, n):
             mono = Polynomial.monomial(d, nu)
-            back = h.apply(group, mono) * (n + ctx.gamma) - _operator_a(
+            back = h.apply(group, mono) * (n + ctx.gamma) - operator_A(
                 ctx, h.apply(group, mono)
             )
             checked += 1
@@ -272,16 +275,17 @@ def suite_exact(bundle: ContextBundle, seed=0):
     fails = checked = 0
     x = _rand_point(rng, d)
     for n in range(0, 5):
-        base = en_poly_exact(ctx, n, x)
+        base = homogeneous_kernel(ctx, n, x).poly_in_y
         for gi in range(order):
             g = group.elements[gi]
             ginv = group.elements[group.inverse_index(gi)]
             checked += 1
-            if en_poly_exact(ctx, n, mat_vec(g, x)) != act_on_polynomial(ginv, base):
+            moved = homogeneous_kernel(ctx, n, mat_vec(g, x)).poly_in_y
+            if moved != act_on_polynomial(ginv, base):
                 fails += 1
         lam = Fraction(3, 2)
         checked += 1
-        scaled = en_poly_exact(ctx, n, tuple(lam * t for t in x))
+        scaled = homogeneous_kernel(ctx, n, tuple(lam * t for t in x)).poly_in_y
         if scaled != base * lam**n:
             fails += 1
         checked += 1
@@ -300,7 +304,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
             if n >= 1 and not isinstance(h, GroupAlgebraElement):
                 continue
             checked += 1
-            if en_expansion_oracle(ctx, n, x) != en_poly_exact(ctx, n, x):
+            if en_expansion_oracle(ctx, n, x) != homogeneous_kernel(ctx, n, x).poly_in_y:
                 fails += 1
     results.append(_exact_row("en-product-expansion-oracle", fails, checked))
 
@@ -332,7 +336,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
             c = ev.vk[nu].evaluate(xq)
             if c:
                 hermite_n = hermite_n + c * ev.heat_mono[nu].evaluate(yq) * Fraction(
-                    1, _nu_factorial(nu)
+                    1, _multi_factorial(nu)
                 )
         if series_n != hermite_n:
             fails += 1
@@ -341,28 +345,6 @@ def suite_exact(bundle: ContextBundle, seed=0):
     rep = symmetry_scan(ev, [xq])
     results.append(_exact_row("kernel-equivariance-parity", len(rep.failures), rep.checked))
     return results
-
-
-def _nu_factorial(nu):
-    out = 1
-    for e in nu:
-        out *= math.factorial(e)
-    return out
-
-
-def _operator_a(ctx, p):
-    out = Polynomial.zero(p.dim)
-    for _, ka, mat, _ in ctx.reflections:
-        if ka == 0:
-            continue
-        out = out + act_on_polynomial(mat, p) * ka
-    return out
-
-
-def en_poly_exact(ctx, n, x):
-    from .operators import homogeneous_kernel
-
-    return homogeneous_kernel(ctx, n, x).poly_in_y
 
 
 # -- series suite -------------------------------------------------------------------

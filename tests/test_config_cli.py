@@ -247,6 +247,23 @@ def test_cli_ek_eval(tmp_path, capsys):
     ) == 2
 
 
+def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    ctx_path = tmp_path / "z21.ctx.json"
+    main(["build", "--config", str(cfg), "--out", str(ctx_path)])
+    capsys.readouterr()
+    for command, options in (
+        ("ek-eval", ["--x", "a,b", "--y", "0.25"]),
+        ("ek-eval", ["--x", "0.5", "--y", "1e"]),
+        ("kernel-grid", ["--grid", "x1:zz"]),
+        ("kernel-grid", ["--grid", "x1:0:1:q,y1:0"]),
+        ("kernel-grid", ["--grid", ":1"]),
+    ):
+        assert main([command, "--context", str(ctx_path)] + options) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys):
     cfg = write_config(tmp_path)
     ctx_path = tmp_path / "z21.ctx.json"

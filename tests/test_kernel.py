@@ -353,6 +353,17 @@ def test_float_tables_match_exact():
     assert abs(a - b) < 1e-11
 
 
+def test_float_tables_match_exact_through_fallback_degree():
+    # k = -1 makes the group-algebra system singular at degree 2, so the
+    # float recursion passes through the dense inverse on P_2
+    ev_exact = make_ev("Z2^d", Fraction(-1), 6, d=1)
+    ev_float = make_ev("Z2^d", Fraction(-1), 6, exact_tables=False, d=1)
+    assert ev_float.ctx.fallback_degrees == [2]
+    x = (0.7,)
+    for nu, p in ev_float.vk.items():
+        assert abs(complex(p.evaluate(x)) - complex(ev_exact.vk[nu].evaluate(x))) <= 1e-12
+
+
 def test_lk_polynomial_is_truncated_kernel(ev_b2):
     x = (0.3, 0.1)
     p = lk_polynomial(ev_b2, x)
