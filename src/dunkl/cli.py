@@ -59,10 +59,17 @@ def _write(path, text):
         sys.stdout.write(text)
 
 
+def _at_least(value, low, option):
+    if value < low:
+        raise ConfigError(f"{option} must be at least {low}, got {value}")
+    return value
+
+
 def cmd_build(args) -> int:
     cfg = load_config(args.config)
     bundle = build_bundle(cfg)
     degree = args.degree if args.degree is not None else bundle.degree
+    _at_least(degree, 1, "--degree")
     try:
         bundle.ctx.prepare(degree)
     except NotInMStarError as exc:
@@ -107,6 +114,7 @@ def cmd_intertwine(args) -> int:
 def cmd_lambda_table(args) -> int:
     bundle = _load_bundle(args.context)
     degree = args.degree if args.degree is not None else bundle.degree
+    _at_least(degree, 0, "--degree")
     bundle.ctx.prepare(degree)
     lines = ["n,element,re,im"]
     for n in range(1, degree + 1):
@@ -168,6 +176,7 @@ def cmd_kernel_grid(args) -> int:
     bundle = _load_bundle(args.context)
     d = bundle.group.dimension
     degree = args.degree if args.degree is not None else (14 if d <= 2 else 10)
+    _at_least(degree, 0, "--degree")
     xs, ys = parse_grid(args.grid, d)
     ev = make_evaluator(bundle.ctx, degree, exact_tables=False)
     tol = args.tol
@@ -246,7 +255,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_quadrature(args) -> int:
-    rule = gauss_rule(args.dim, args.points_per_axis)
+    rule = gauss_rule(
+        _at_least(args.dim, 1, "--dim"), _at_least(args.points_per_axis, 1, "--points-per-axis")
+    )
     text = export_rule_csv(rule, None)
     _write(args.out, text)
     return EXIT_OK

@@ -22,7 +22,14 @@ from .exact import (
     parse_scalar,
     scalar_to_json,
 )
-from .operators import DunklContext, GroupAlgebraElement, estimate_delta, make_context, solve_H
+from .operators import (
+    DunklContext,
+    GroupAlgebraElement,
+    estimate_delta,
+    make_context,
+    solve_H,
+    solves_row_identity,
+)
 from .poly import Polynomial
 from .reflection_groups import (
     MultiplicityFunction,
@@ -149,24 +156,45 @@ def save_context(bundle: ContextBundle, path):
 
 
 def load_context(path) -> ContextBundle:
-    """Load either a raw config or a cached context (detected by 'lambdas')."""
+    """Load either a raw config or a cached context (detected by 'lambdas').
+
+    A cache must carry its config, group order, degree and lambda tables,
+    each lam_n with one entry per group element that satisfies the row
+    identity of solve_H exactly; anything else raises ConfigError.
+    """
     data = load_config(path)
-    if "lambdas" not in data:
+    if not isinstance(data, dict) or "lambdas" not in data:
         bundle = build_bundle(data)
         bundle.ctx.prepare(bundle.degree)
         return bundle
+    missing = [key for key in ("config", "group_order", "degree") if key not in data]
+    if missing:
+        raise ConfigError(f"cached context {path} lacks {', '.join(missing)}")
     bundle = build_bundle(data["config"])
     ctx = bundle.ctx
     if bundle.group.order != data["group_order"]:
         raise ConfigError("cached context does not match the rebuilt group")
-    for n_str, coeffs in data["lambdas"].items():
-        n = int(n_str)
-        ctx.h_cache[n] = GroupAlgebraElement(
-            tuple(parse_scalar(c) for c in coeffs)
-        )
-    degree = int(data["degree"])
-    for n in data.get("fallback_degrees", []):
-        solve_H(ctx, int(n))
+    try:
+        degree = int(data["degree"])
+        tables = {
+            int(n): [parse_scalar(c) for c in coeffs]
+            for n, coeffs in dict(data["lambdas"]).items()
+        }
+        fallback = [int(n) for n in data.get("fallback_degrees", [])]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed cached context {path}: {exc}") from None
+    for n, coeffs in sorted(tables.items()):
+        if n < 1 or len(coeffs) != bundle.group.order:
+            raise ConfigError(
+                f"cached lambda_{n} is not a table of |G| = {bundle.group.order} entries"
+            )
+        if not solves_row_identity(ctx, n, coeffs):
+            raise ConfigError(f"cached lambda_{n} does not invert (n + gamma) e - a")
+        ctx.h_cache[n] = GroupAlgebraElement(tuple(coeffs))
+    if any(n < 1 for n in fallback):
+        raise ConfigError(f"cached fallback degrees {fallback} are not all >= 1")
+    for n in fallback:
+        solve_H(ctx, n)
     if degree >= 1:
         estimate_delta(ctx, degree)
     ctx.prepared_to = degree

@@ -18,8 +18,9 @@ degree from V(1) = 1 and
     V p = H_n( sum_j x_j V(d_j p) ),     H_n = W_n^{-1},  p in P_n,
 
 which makes T_xi V = V d_xi an exact identity of rational polynomials.  H_n
-is realized in the group algebra (an |G| x |G| linear solve for coefficients
-lam_n(g) with H_n = sum_g lam_n(g) L_g) whenever that system is nonsingular,
+is realized in the group algebra (coefficients lam_n(g) with
+H_n = sum_g lam_n(g) L_g; lam_n is a class function, found by one linear
+solve with a row per conjugacy class) whenever that system is nonsingular,
 with a dense inverse on the monomial basis of P_n as fallback; either way
 the composition W_n H_n is verified to be the identity on a basis.
 
@@ -279,10 +280,19 @@ def solve_H(ctx: DunklContext, n):
     """Realize H_n = ((n + gamma) - A)^{-1} on P_n.
 
     Primary path: solve ((n+gamma) e - a) h = e in the group algebra, where
-    a = sum k(a) s_a; the |G| x |G| system is degree-independent.  If that
-    system is singular, invert W_n on the monomial basis instead.  If W_n
-    itself is singular the weight is inadmissible at this degree.  The
-    result is always verified to invert W_n on a monomial basis.
+    a = sum k(a) s_a.  Since a is central, h is a class function, and the
+    row identity of each element h,
+
+        (n + gamma) lam(h) - sum_{a in R+} k(a) lam(h s_a) = [h = e],
+
+    depends only on the conjugacy class of h: one row per class gives a
+    (#classes) x (#classes) system whose solution, spread over the elements,
+    is lam_n.  A central element is invertible in the group algebra iff it
+    is invertible on the centre, so that system is singular exactly when
+    the group-algebra route fails; then W_n is inverted on the monomial
+    basis instead.  If W_n itself is singular the weight is inadmissible at
+    this degree.  The result is always verified to invert W_n on a monomial
+    basis.
     """
     if n < 1:
         raise ValueError("H_n is defined for degrees n >= 1")
@@ -290,20 +300,17 @@ def solve_H(ctx: DunklContext, n):
     if cached is not None:
         return cached
     group = ctx.group
-    size = group.order
-    shift = n + ctx.gamma
+    reps = group.class_representatives
     zero = Fraction(0) if ctx.is_exact else 0.0
-    matrix = [[zero] * size for _ in range(size)]
-    for h in range(size):
-        matrix[h][h] = matrix[h][h] + shift
-        for _, ka, _, sidx in ctx.reflections:
-            g = group.multiply(h, sidx)
-            matrix[h][g] = matrix[h][g] - ka
-    rhs = [zero] * size
-    rhs[group.identity_index] = rhs[group.identity_index] + 1
+    matrix = [[zero] * len(reps) for _ in reps]
+    for row, h in zip(matrix, reps):
+        for g, coeff in _w_row(ctx, n, h):
+            row[group.class_of[g]] += coeff
+    rhs = [zero] * len(reps)
+    rhs[group.class_of[group.identity_index]] += 1
     try:
         sol = solve_columns(matrix, [rhs])[0]
-        result = GroupAlgebraElement(tuple(sol))
+        result = GroupAlgebraElement(tuple(sol[c] for c in group.class_of))
     except SingularMatrixError:
         d = ctx.dimension
         try:
@@ -316,6 +323,26 @@ def solve_H(ctx: DunklContext, n):
     _verify_H(ctx, n, result)
     ctx.h_cache[n] = result
     return result
+
+
+def _w_row(ctx, n, h):
+    """The pairs (g, coefficient of lam(g)) in the row identity of element h."""
+    yield h, n + ctx.gamma
+    for _, ka, _, sidx in ctx.reflections:
+        yield ctx.group.multiply(h, sidx), -ka
+
+
+def solves_row_identity(ctx: DunklContext, n, coefficients) -> bool:
+    """Whether lam = coefficients satisfies the row identity of solve_H at
+    every element: exactly in an exact context, within 1e-8 in a floating
+    one.  Costs |G| |R+| multiplications."""
+    group = ctx.group
+    for h in range(group.order):
+        value = sum(coeff * coefficients[g] for g, coeff in _w_row(ctx, n, h))
+        gap = value - (1 if h == group.identity_index else 0)
+        if (gap != 0) if ctx.is_exact else (abs(complex(gap)) > 1e-8):
+            return False
+    return True
 
 
 def _degree_inverse(d, n, image) -> DegreeInverse:

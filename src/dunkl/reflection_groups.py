@@ -100,10 +100,19 @@ class ReflectionGroup:
     identity_index: int
     cayley: tuple
     arithmetic_mode: str  # "exact" | "floating"
+    class_of: tuple  # conjugacy class index of each element, identity's is 0
 
     @property
     def order(self):
         return len(self.elements)
+
+    @property
+    def class_representatives(self):
+        """The first element of each conjugacy class, in class order."""
+        reps = {}
+        for i, c in enumerate(self.class_of):
+            reps.setdefault(c, i)
+        return tuple(reps[c] for c in range(len(reps)))
 
     def multiply(self, i, j):
         return self.cayley[i][j]
@@ -329,47 +338,93 @@ def select_positive(system: RootSystem) -> PositiveSystem:
 # -- group generation -------------------------------------------------------------------
 
 def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGroup:
-    """Close the generating reflections under composition and build the table."""
+    """Close the generating reflections under composition and build the table.
+
+    An element of a reflection group is fixed by how it permutes the roots,
+    so closure and the Cayley table compose root-index permutations.  The
+    elements are found breadth first as products g s with a generator s, and
+    each new element's matrix is that one product.
+    """
     system = positive.base
     d = system.dimension
     exact = system.is_exact
     mode = "exact" if exact else "floating"
-    identity = mat_identity(d, exact=exact)
-    generators = [reflection_matrix(a) for a in positive.positives]
+    generators = [
+        (reflection_matrix(a), _root_permutation(a, system.roots, exact))
+        for a in positive.positives
+    ]
 
-    elements = [identity]
-    index = {_dedup_key(identity, exact): 0}
-    frontier = [identity]
+    start = tuple(range(len(system.roots)))
+    elements = [mat_identity(d, exact=exact)]
+    perms = [start]
+    index = {start: 0}
+    frontier = [0]
     while frontier:
         nxt = []
-        for g in frontier:
-            for s in generators:
-                prod = mat_mul(g, s)
-                key = _dedup_key(prod, exact)
-                if key not in index:
+        for gi in frontier:
+            g, pg = elements[gi], perms[gi]
+            for s, ps in generators:
+                prod = tuple(pg[r] for r in ps)  # (g s)(root_r) = g(s(root_r))
+                if prod not in index:
                     if len(elements) >= element_cap:
                         raise GroupClosureError(
                             "not a finite reflection group at this tolerance "
                             f"(closure exceeded {element_cap} elements)"
                         )
-                    index[key] = len(elements)
-                    elements.append(prod)
-                    nxt.append(prod)
+                    index[prod] = len(elements)
+                    nxt.append(len(elements))
+                    elements.append(mat_mul(g, s))
+                    perms.append(prod)
         frontier = nxt
 
-    n = len(elements)
-    cayley = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            key = _dedup_key(mat_mul(elements[i], elements[j]), exact)
-            if key not in index:
-                raise GroupClosureError("composition left the generated set")
-            row.append(index[key])
-        cayley.append(tuple(row))
-    group = ReflectionGroup(d, tuple(elements), 0, tuple(cayley), mode)
+    cayley = tuple(
+        tuple(index[tuple(pi[r] for r in pj)] for pj in perms) for pi in perms
+    )
+    class_of = _conjugacy_classes(cayley, [index[ps] for _, ps in generators])
+    group = ReflectionGroup(d, tuple(elements), 0, cayley, mode, class_of)
     _validate_group(group)
     return group
+
+
+def _root_permutation(alpha, roots, exact):
+    """The j with s_alpha(roots[i]) = roots[j], for each i; float images are
+    matched to the nearest root within DEDUP_TOL."""
+    images = [reflect(alpha, r) for r in roots]
+    if exact:
+        where = {r: j for j, r in enumerate(roots)}
+        found = [where.get(img) for img in images]
+    else:
+        found = []
+        for img in images:
+            gap, j = min(
+                (max(abs(float(a) - float(b)) for a, b in zip(img, r)), j)
+                for j, r in enumerate(roots)
+            )
+            found.append(j if gap <= DEDUP_TOL else None)
+    if None in found:
+        raise GroupClosureError(f"the reflection in {alpha} does not permute the roots")
+    return tuple(found)
+
+
+def _conjugacy_classes(cayley, generators):
+    """Class index of each element: orbits under conjugation by the
+    generating reflections (each its own inverse), numbered by first member."""
+    class_of = [None] * len(cayley)
+    count = 0
+    for x in range(len(cayley)):
+        if class_of[x] is not None:
+            continue
+        class_of[x] = count
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for s in generators:
+                z = cayley[cayley[s][y]][s]
+                if class_of[z] is None:
+                    class_of[z] = count
+                    stack.append(z)
+        count += 1
+    return tuple(class_of)
 
 
 def _validate_group(group: ReflectionGroup):

@@ -252,16 +252,41 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
     ctx_path = tmp_path / "z21.ctx.json"
     main(["build", "--config", str(cfg), "--out", str(ctx_path)])
     capsys.readouterr()
-    for command, options in (
-        ("ek-eval", ["--x", "a,b", "--y", "0.25"]),
-        ("ek-eval", ["--x", "0.5", "--y", "1e"]),
-        ("kernel-grid", ["--grid", "x1:zz"]),
-        ("kernel-grid", ["--grid", "x1:0:1:q,y1:0"]),
-        ("kernel-grid", ["--grid", ":1"]),
+    cache = json.loads(ctx_path.read_text())
+    lam3 = cache["lambdas"]["3"]
+
+    def with_lambda(n, table):
+        return {**cache, "lambdas": {**cache["lambdas"], n: table}}
+
+    broken = {
+        "tampered": with_lambda("3", ["1/7"] + lam3[1:]),  # a wrong entry
+        "truncated": with_lambda("3", lam3[:-1]),  # fewer than |G| entries
+        "bad_degree_key": with_lambda("x", lam3),
+        "bare": {"lambdas": {}},
+        "no_degree": {key: v for key, v in cache.items() if key != "degree"},
+    }
+    for name, data in broken.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    ctx = str(ctx_path)
+    for argv in (
+        ["ek-eval", "--context", ctx, "--x", "a,b", "--y", "0.25"],
+        ["ek-eval", "--context", ctx, "--x", "0.5", "--y", "1e"],
+        ["kernel-grid", "--context", ctx, "--grid", "x1:zz"],
+        ["kernel-grid", "--context", ctx, "--grid", "x1:0:1:q,y1:0"],
+        ["kernel-grid", "--context", ctx, "--grid", ":1"],
+        ["kernel-grid", "--context", ctx, "--grid", "x1:0:1:0.5", "--degree", "-1"],
+        ["lambda-table", "--context", ctx, "--degree", "-1"],
+        ["build", "--config", str(cfg), "--out", str(tmp_path / "x.json"), "--degree", "-1"],
+        ["export-quadrature", "--dim", "2", "--points-per-axis", "0"],
+        ["export-quadrature", "--dim", "0", "--points-per-axis", "3"],
+    ) + tuple(
+        ["intertwine", "--context", str(tmp_path / f"{name}.json"), "--poly", "x1^3"]
+        for name in broken
     ):
-        assert main([command, "--context", str(ctx_path)] + options) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err and "Traceback" not in err
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dunkl.exact import ComplexRational
+from dunkl.exact import ComplexRational, SingularMatrixError, scalar_to_json, solve_columns
 from dunkl.operators import (
     DegreeInverse,
     GroupAlgebraElement,
@@ -161,6 +161,63 @@ def test_h_inverts_w(b2, a2):
                     ctx, h.apply(ctx.group, mono)
                 )
                 assert back == mono
+
+
+def _group_algebra_solve(ctx, n):
+    """Reference: lam_n from the |G| x |G| system with one row identity per
+    element, the solve that the class-algebra one replaced."""
+    group = ctx.group
+    zero = Fraction(0) if ctx.is_exact else 0.0
+    matrix = [[zero] * group.order for _ in range(group.order)]
+    for h in range(group.order):
+        matrix[h][h] = matrix[h][h] + (n + ctx.gamma)
+        for _, ka, _, sidx in ctx.reflections:
+            g = group.multiply(h, sidx)
+            matrix[h][g] = matrix[h][g] - ka
+    rhs = [zero] * group.order
+    rhs[group.identity_index] = rhs[group.identity_index] + 1
+    return tuple(solve_columns(matrix, [rhs])[0])
+
+
+@pytest.mark.parametrize("name", ["b2", "a2", "b3"])
+def test_class_solve_matches_group_algebra_solve(name, b2, a2):
+    ctx = {"b2": b2, "a2": a2}.get(name) or context(
+        "B", {(1, 0, 0): Fraction(1, 2), (1, 1, 0): Fraction(1)}, d=3
+    )
+    for n in range(1, 7):
+        got = solve_H(ctx, n).coefficients
+        want = _group_algebra_solve(ctx, n)
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in want]
+        assert [scalar_to_json(c) for c in got] == [scalar_to_json(c) for c in want]
+
+
+def test_class_solve_matches_group_algebra_solve_floating():
+    ctx = context("I2", 0.5, m=5)
+    assert not ctx.is_exact
+    for n in range(1, 7):
+        got = solve_H(ctx, n).coefficients
+        want = _group_algebra_solve(ctx, n)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+
+
+def test_class_solve_falls_back_where_group_algebra_solve_is_singular():
+    ctx = context("Z2^d", Fraction(-1), d=1)
+    with pytest.raises(SingularMatrixError):
+        _group_algebra_solve(ctx, 2)
+    assert isinstance(solve_H(ctx, 2), DegreeInverse)
+    assert ctx.fallback_degrees == [2]
+    for n in (1, 3):
+        assert solve_H(ctx, n).coefficients == _group_algebra_solve(ctx, n)
+
+
+def test_d4_class_solve_passes_verification():
+    ctx = context("D", Fraction(1, 2), d=4)
+    assert ctx.group.order == 192
+    assert len(ctx.group.class_representatives) == 13
+    ctx.prepare(3)  # solve_H checks W_n H_n = id on every monomial of P_n
+    assert ctx.fallback_degrees == []
+    assert all(isinstance(ctx.h_cache[n], GroupAlgebraElement) for n in (1, 2, 3))
 
 
 def test_not_in_m_star_reports_degree():

@@ -8,11 +8,15 @@ from dunkl.reflection_groups import (
     GroupClosureError,
     MultiplicityError,
     UnsupportedFamilyError,
+    _root_permutation,
     act_on_polynomial,
     build_root_system,
     generate_group,
+    mat_identity,
+    mat_mul,
     mat_vec,
     reflect,
+    reflection_matrix,
     root_orbits,
     select_positive,
     validate_multiplicity,
@@ -122,6 +126,83 @@ def test_cayley_is_group():
                 assert group.multiply(group.multiply(a, b), c) == group.multiply(
                     a, group.multiply(b, c)
                 )
+
+
+def _matrix_closure(pos):
+    """Reference: breadth-first closure and Cayley table by exact (or rounded
+    float) matrix products, the algorithm that root permutations replaced."""
+    exact = pos.base.is_exact
+
+    def key(m):
+        return m if exact else tuple(tuple(round(float(e) / 1e-10) for e in r) for r in m)
+
+    generators = [reflection_matrix(a) for a in pos.positives]
+    elements = [mat_identity(pos.base.dimension, exact=exact)]
+    index = {key(elements[0]): 0}
+    frontier = list(elements)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in generators:
+                prod = mat_mul(g, s)
+                if key(prod) not in index:
+                    index[key(prod)] = len(elements)
+                    elements.append(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    cayley = tuple(tuple(index[key(mat_mul(a, b))] for b in elements) for a in elements)
+    return tuple(elements), cayley
+
+
+@pytest.mark.parametrize(
+    "family, kw",
+    [("B", dict(d=2)), ("A", dict(d=3)), ("B", dict(d=3)), ("Z2^d", dict(d=2)), ("I2", dict(m=5))],
+)
+def test_permutation_closure_matches_matrix_closure(family, kw):
+    _, pos, group = make(family, **kw)
+    elements, cayley = _matrix_closure(pos)
+    assert group.elements == elements  # same matrices in the same order
+    assert group.cayley == cayley
+
+
+def test_float_root_images_matched_within_tolerance():
+    system = build_root_system("I2", m=5)
+    alpha = system.roots[1]
+    perm = _root_permutation(alpha, system.roots, exact=False)
+    assert sorted(perm) == list(range(10))
+    assert perm[1] == 6  # s_alpha(alpha) = -alpha, at angle pi/5 + pi
+    nudged = list(system.roots)
+    nudged[3] = (nudged[3][0] + 1e-6, nudged[3][1])
+    with pytest.raises(GroupClosureError):
+        _root_permutation(alpha, nudged, exact=False)
+
+
+def _conjugacy_classes(group):
+    classes = []
+    for x in range(group.order):
+        cls = frozenset(
+            group.multiply(group.multiply(g, x), group.inverse_index(g))
+            for g in range(group.order)
+        )
+        if cls not in classes:
+            classes.append(cls)
+    return classes
+
+
+@pytest.mark.parametrize(
+    "family, kw, count",
+    [("B", dict(d=2), 5), ("A", dict(d=3), 3), ("B", dict(d=3), 10), ("Z2^d", dict(d=2), 4),
+     ("I2", dict(m=5), 4)],
+)
+def test_class_index_is_conjugacy_class(family, kw, count):
+    _, _, group = make(family, **kw)
+    classes = _conjugacy_classes(group)
+    assert len(classes) == count == len(group.class_representatives)
+    assert group.class_of[group.identity_index] == 0
+    for cls in classes:
+        assert len({group.class_of[g] for g in cls}) == 1
+    for c, rep in enumerate(group.class_representatives):
+        assert group.class_of[rep] == c
 
 
 def test_act_on_polynomial_examples():
