@@ -73,7 +73,7 @@ def orbit_labels(system, group, orbits):
 
 
 def _resolve_k(k_field, system, group, positives):
-    orbits = root_orbits(group, system)
+    orbits = root_orbits(system)
     if isinstance(k_field, dict) and not ("re" in k_field or "im" in k_field):
         labels = orbit_labels(system, group, orbits)
         values = []
@@ -95,6 +95,13 @@ def _resolve_k(k_field, system, group, positives):
     return validate_multiplicity(group, positives, parse_scalar(k_field))
 
 
+def _int_field(cfg, key, default):
+    try:
+        return int(cfg.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {key!r} must be an integer, got {cfg[key]!r}") from None
+
+
 def build_bundle(cfg: dict) -> ContextBundle:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -108,7 +115,7 @@ def build_bundle(cfg: dict) -> ContextBundle:
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
     positives = select_positive(system)
-    group = generate_group(positives, element_cap=int(cfg.get("element_cap", 4096)))
+    group = generate_group(positives, element_cap=_int_field(cfg, "element_cap", 4096))
     if "k" not in cfg:
         raise ConfigError("config needs a weight 'k'")
     try:
@@ -118,7 +125,7 @@ def build_bundle(cfg: dict) -> ContextBundle:
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
     ctx = make_context(group, positives, k)
-    degree = int(cfg.get("N", 8))
+    degree = _int_field(cfg, "N", 8)
     name = cfg.get("name") or f"{system.family_tag}{system.dimension}"
     return ContextBundle(name, cfg, system, positives, group, k, ctx, degree)
 

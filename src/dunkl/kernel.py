@@ -199,23 +199,37 @@ def _norm(v):
 
 # -- truncation control -----------------------------------------------------------
 
-def _tail_term(u, v, d, n):
-    """(delta |G| |x|)^n * sum_m d^m/(2^m m!) |y|^{n-2m}/(n-2m)!, in logs."""
+def _tail_terms(u, v, d):
+    """n -> (delta |G| |x|)^n * sum_m d^m/(2^m m!) |y|^{n-2m}/(n-2m)!, in logs.
+
+    The logarithms and the lgamma table are computed once for all n, and
+    each term takes the same float operations in the same order as a term
+    computed on its own, so its value does not depend on which n came first.
+    """
     if u == 0.0:
-        return 0.0
-    log_u_n = n * math.log(u)
-    total = 0.0
-    for m in range(n // 2 + 1):
-        r = n - 2 * m
-        if v == 0.0 and r > 0:
-            continue
-        lt = log_u_n + m * math.log(d) - m * math.log(2.0) - math.lgamma(m + 1)
-        if r > 0:
-            lt += r * math.log(v) - math.lgamma(r + 1)
-        if lt > 690.0:
-            return math.inf
-        total += math.exp(lt)
-    return total
+        return lambda n: 0.0
+    log_u, log_d, log_2 = math.log(u), math.log(d), math.log(2.0)
+    log_v = math.log(v) if v != 0.0 else None
+    lgammas = []  # lgammas[i] = lgamma(i + 1)
+
+    def term(n):
+        while len(lgammas) <= n:
+            lgammas.append(math.lgamma(len(lgammas) + 1))
+        log_u_n = n * log_u
+        total = 0.0
+        for m in range(n // 2 + 1):
+            r = n - 2 * m
+            if log_v is None and r > 0:
+                continue
+            lt = log_u_n + m * log_d - m * log_2 - lgammas[m]
+            if r > 0:
+                lt += r * log_v - lgammas[r]
+            if lt > 690.0:
+                return math.inf
+            total += math.exp(lt)
+        return total
+
+    return term
 
 
 def tail_bound(ev: KernelEvaluator, x_norm, y_norm, n_trunc=None) -> TailBound:
@@ -231,12 +245,13 @@ def tail_bound(ev: KernelEvaluator, x_norm, y_norm, n_trunc=None) -> TailBound:
     d = ev.dimension
     u = ctx.delta_hat * ctx.group.order * x_norm
     v = y_norm
+    tail_term = _tail_terms(u, v, d)
     total = 0.0
     prev = math.inf
     converged = u == 0.0
     n = n_trunc + 1
     while n < n_trunc + 1202:
-        a_n = _tail_term(u, v, d, n)
+        a_n = tail_term(n)
         if math.isinf(a_n):
             total = math.inf
             break
@@ -347,40 +362,35 @@ def convolution_check(ev: KernelEvaluator, x, y, rule: QuadratureRule):
     return abs(complex(lhs) - rhs)
 
 
-def _truncate_total_degree(p: Polynomial, deg):
-    return Polynomial(p.dim, {nu: c for nu, c in p.terms.items() if sum(nu) <= deg})
-
-
 def gaussian_taylor(d, y, sign, deg) -> Polynomial:
     """Degree-``deg`` Taylor polynomial of u -> e^{|y|^2/2} e^{-|u + sign*y|^2/2}.
 
-    The constant Gaussian factor e^{-|y|^2/2} is left out so the coefficients
+    The function is e^{-|u|^2/2 - sign <u, y>}, a product over the
+    coordinates of the Hermite generating function e^{z t - t^2/2} =
+    sum_n He_n(z) t^n / n!, so the coefficient of u^nu is
+
+        prod_j He_{nu_j}(-sign y_j) / nu_j!,
+
+    with the probabilists' Hermite polynomials He_0 = 1, He_1(z) = z,
+    He_{n+1}(z) = z He_n(z) - n He_{n-1}(z), evaluated exactly.  The
+    constant Gaussian factor e^{-|y|^2/2} is left out so the coefficients
     stay rational for rational y; callers multiply it back in float.
     """
-    pairing = Polynomial(
-        d,
-        {
-            tuple(1 if l == j else 0 for l in range(d)): y[j]
-            for j in range(d)
-            if y[j]
-        },
-    )
-    norm_sq = Polynomial.zero(d)
+    factors = []  # factors[j][e] = He_e(-sign y_j) / e!
     for j in range(d):
-        norm_sq = norm_sq + Polynomial.variable(d, j) ** 2
-    series_pair = Polynomial.constant(d, Fraction(1))
-    power = Polynomial.constant(d, Fraction(1))
-    for j in range(1, deg + 1):
-        power = _truncate_total_degree(power * pairing, deg)
-        series_pair = series_pair + power * Fraction((-sign) ** j, math.factorial(j))
-    series_gauss = Polynomial.constant(d, Fraction(1))
-    power = Polynomial.constant(d, Fraction(1))
-    for m in range(1, deg // 2 + 1):
-        power = _truncate_total_degree(power * norm_sq, deg)
-        series_gauss = series_gauss + power * Fraction(
-            (-1) ** m, 2**m * math.factorial(m)
-        )
-    return _truncate_total_degree(series_pair * series_gauss, deg)
+        z = -sign * y[j]
+        he = [Fraction(1), z]
+        for n in range(1, deg):
+            he.append(z * he[n] - n * he[n - 1])
+        factors.append([he[e] * Fraction(1, math.factorial(e)) for e in range(deg + 1)])
+    terms = {}
+    for n in range(deg + 1):
+        for nu in monomial_basis(d, n):
+            c = factors[0][nu[0]]
+            for j in range(1, d):
+                c = c * factors[j][nu[j]]
+            terms[nu] = c
+    return Polynomial(d, terms)
 
 
 def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
@@ -416,18 +426,21 @@ def _gaussian_taylor_tail(ev, x_norm, y_norm, deg):
     u = ev.ctx.delta_hat * ev.ctx.group.order * x_norm
     if u == 0.0:
         return 0.0
+    log_u, log_2 = math.log(u), math.log(2.0)
+    log_y = math.log(y_norm) if y_norm > 0 else None
+    lgammas = [math.lgamma(i + 1) for i in range(deg + 600)]
     total = 0.0
     for n in range(deg + 1, deg + 600):
         s_n = 0.0
         for m in range(n // 2 + 1):
             j = n - 2 * m
-            lt = -math.lgamma(m + 1) - m * math.log(2.0) - math.lgamma(j + 1)
-            if y_norm > 0:
-                lt += j * math.log(y_norm)
+            lt = -lgammas[m] - m * log_2 - lgammas[j]
+            if log_y is not None:
+                lt += j * log_y
             elif j > 0:
                 continue
             s_n += math.exp(lt)
-        log_a = n * math.log(u) - math.lgamma(n + 1)
+        log_a = n * log_u - lgammas[n]
         a_n = math.exp(log_a) * s_n if log_a < 690 else math.inf
         total += a_n
         if a_n <= total * 1e-16:

@@ -22,7 +22,10 @@ is realized in the group algebra (coefficients lam_n(g) with
 H_n = sum_g lam_n(g) L_g; lam_n is a class function, found by one linear
 solve with a row per conjugacy class) whenever that system is nonsingular,
 with a dense inverse on the monomial basis of P_n as fallback; either way
-the composition W_n H_n is verified to be the identity on a basis.
+the composition W_n H_n is verified to be the identity on a basis.  The
+verified columns H_n x^nu, one per basis monomial of P_n, are kept on the
+context, and H_n is applied to a polynomial through them: a sparse
+column mat-vec over the monomials of its argument.
 
 The homogeneous kernel pieces
 
@@ -113,6 +116,7 @@ class DunklContext:
     h_cache: dict = field(default_factory=dict)
     vk_cache: dict = field(default_factory=dict)
     inverse_cache: dict = field(default_factory=dict)
+    h_columns: dict = field(default_factory=dict)  # n -> {nu: H_n x^nu}
     delta_hat: float | None = None
     delta_table: list = field(default_factory=list)
     fallback_degrees: list = field(default_factory=list)
@@ -141,19 +145,18 @@ class DunklContext:
         return self
 
     def float_shadow(self, n_max):
-        """This context prepared to n_max, with each lam_n table as complex
-        floats and a vk_cache of its own.  _vk_monomial on the shadow is the
-        floating V recursion; fallback degrees keep their exact rows."""
+        """This context prepared to n_max, with complex-float copies of the
+        columns of each H_n and a vk_cache of its own.  _vk_monomial on the
+        shadow is the floating V recursion, fallback degrees included."""
         self.prepare(n_max)
-        h_cache = {}
+        h_columns = {}
         for n in range(1, n_max + 1):
-            h = self.h_cache[n]
-            if isinstance(h, GroupAlgebraElement):
-                h = GroupAlgebraElement(tuple(complex(c) for c in h.coefficients))
-            h_cache[n] = h
+            h_columns[n] = {
+                nu: col.map_coefficients(complex) for nu, col in columns_of_H(self, n).items()
+            }
         d = self.dimension
         unit = {(0,) * d: Polynomial.constant(d, 1.0)}
-        return replace(self, h_cache=h_cache, vk_cache=unit, inverse_cache={})
+        return replace(self, h_columns=h_columns, vk_cache=unit, inverse_cache={})
 
 
 def make_context(group, positives, k) -> DunklContext:
@@ -320,7 +323,7 @@ def solve_H(ctx: DunklContext, n):
         except SingularMatrixError:
             raise NotInMStarError(n) from None
         ctx.fallback_degrees.append(n)
-    _verify_H(ctx, n, result)
+    ctx.h_columns[n] = _verify_H(ctx, n, result)
     ctx.h_cache[n] = result
     return result
 
@@ -353,11 +356,18 @@ def _degree_inverse(d, n, image) -> DegreeInverse:
     return DegreeInverse(n, basis, tuple(tuple(r) for r in invert_matrix(matrix)))
 
 
-def _verify_H(ctx, n, h):
+def _columns(ctx, n, h):
+    """H_n x^nu for each basis monomial nu of P_n."""
     d = ctx.dimension
-    for nu in monomial_basis(d, n):
-        mono = Polynomial.monomial(d, nu)
-        back = _apply_W(ctx, n, h.apply(ctx.group, mono))
+    return {nu: h.apply(ctx.group, Polynomial.monomial(d, nu)) for nu in monomial_basis(d, n)}
+
+
+def _verify_H(ctx, n, h):
+    """Check W_n H_n x^nu = x^nu on the monomial basis; return the columns."""
+    columns = _columns(ctx, n, h)
+    for nu, column in columns.items():
+        mono = Polynomial.monomial(ctx.dimension, nu)
+        back = _apply_W(ctx, n, column)
         if ctx.is_exact:
             if back != mono:
                 raise NotInMStarError(n)
@@ -365,10 +375,34 @@ def _verify_H(ctx, n, h):
             gap = _coeff_scale(back - mono)
             if gap > 1e-8:
                 raise NotInMStarError(n)
+    return columns
+
+
+def columns_of_H(ctx: DunklContext, n):
+    """The columns of H_n on P_n: those verified by solve_H, or, for a lam_n
+    loaded from a cache, built the same way on first use."""
+    if n not in ctx.h_columns:
+        h = solve_H(ctx, n)  # keeps the columns it verifies
+        if n not in ctx.h_columns:
+            ctx.h_columns[n] = _columns(ctx, n, h)
+    return ctx.h_columns[n]
 
 
 def apply_H(ctx: DunklContext, n, p: Polynomial) -> Polynomial:
-    return solve_H(ctx, n).apply(ctx.group, p)
+    """H_n p for p in P_n, as the sum of p's coefficients times the columns."""
+    columns = columns_of_H(ctx, n)
+    return _combination(p.dim, ((columns[nu], c) for nu, c in p.terms.items()))
+
+
+def _combination(dim, pairs):
+    """The sum of q * c over the (polynomial q, scalar c) pairs, gathered in
+    one dict."""
+    terms = {}
+    for q, c in pairs:
+        for mu, a in q.terms.items():
+            prev = terms.get(mu)
+            terms[mu] = a * c if prev is None else prev + a * c
+    return Polynomial(dim, terms)
 
 
 # -- the intertwining operator -----------------------------------------------------
@@ -382,23 +416,24 @@ def _vk_monomial(ctx: DunklContext, nu):
     if n == 0:
         result = Polynomial.constant(d, Fraction(1) if ctx.is_exact else 1.0)
     else:
-        acc = Polynomial.zero(d)
+        # sum_j x_j V(d_j x^nu) = sum_j nu_j x_j V(x^(nu - e_j)), gathered in one dict
+        acc = {}
         for j in range(d):
             if nu[j] == 0:
                 continue
             lower = nu[:j] + (nu[j] - 1,) + nu[j + 1 :]
-            acc = acc + Polynomial.variable(d, j) * _vk_monomial(ctx, lower) * nu[j]
-        result = apply_H(ctx, n, acc)
+            for mu, a in _vk_monomial(ctx, lower).terms.items():
+                raised = mu[:j] + (mu[j] + 1,) + mu[j + 1 :]
+                prev = acc.get(raised)
+                acc[raised] = a * nu[j] if prev is None else prev + a * nu[j]
+        result = apply_H(ctx, n, Polynomial(d, acc))
     ctx.vk_cache[nu] = result
     return result
 
 
 def intertwine(ctx: DunklContext, p: Polynomial) -> Polynomial:
     """V p, computed degree by degree; exact and degree preserving."""
-    out = Polynomial.zero(p.dim)
-    for nu, c in p.terms.items():
-        out = out + _vk_monomial(ctx, nu) * c
-    return out
+    return _combination(p.dim, ((_vk_monomial(ctx, nu), c) for nu, c in p.terms.items()))
 
 
 def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:

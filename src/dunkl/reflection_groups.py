@@ -502,33 +502,30 @@ def act_on_polynomial(g, p):
 
 # -- multiplicity functions -----------------------------------------------------------------
 
-def root_orbits(group: ReflectionGroup, system: RootSystem):
-    """Orbits of the root list under the group, as tuples of root indices."""
-    exact = system.is_exact
-    key_to_idx = {_root_key(r, exact): i for i, r in enumerate(system.roots)}
+def root_orbits(system: RootSystem):
+    """Orbits of the root list under the group, as tuples of root indices.
+
+    The group is generated by the root reflections, so the orbit of a root
+    is its closure under the root permutations of the reflections.
+    """
+    roots = system.roots
+    perms = [_root_permutation(a, roots, system.is_exact) for a in roots]
     seen = set()
     orbits = []
-    for i, root in enumerate(system.roots):
+    for i in range(len(roots)):
         if i in seen:
             continue
-        orbit = set()
-        stack = [root]
+        orbit = {i}
+        stack = [i]
         while stack:
             r = stack.pop()
-            idx = key_to_idx[_root_key(r, exact)]
-            if idx in orbit:
-                continue
-            orbit.add(idx)
-            for g in group.elements:
-                img = mat_vec(g, r)
-                j = key_to_idx.get(_root_key(img, exact))
-                if j is None:
-                    raise MultiplicityError("group action does not preserve the roots")
-                if j not in orbit:
-                    stack.append(system.roots[j])
+            for perm in perms:
+                if perm[r] not in orbit:
+                    orbit.add(perm[r])
+                    stack.append(perm[r])
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=lambda orb: (float(dot(system.roots[orb[0]], system.roots[orb[0]])), orb))
+    orbits.sort(key=lambda orb: (float(dot(roots[orb[0]], roots[orb[0]])), orb))
     return tuple(orbits)
 
 
@@ -541,7 +538,7 @@ def validate_multiplicity(group, positive: PositiveSystem, values) -> Multiplici
     an orbit raise MultiplicityError.
     """
     system = positive.base
-    orbits = root_orbits(group, system)
+    orbits = root_orbits(system)
     per_orbit = [None] * len(orbits)
 
     if isinstance(values, (list, tuple)):

@@ -267,6 +267,10 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
     }
     for name, data in broken.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    good = json.loads(cfg.read_text())
+    bad_configs = {"bad_n": {**good, "N": "x"}, "bad_cap": {**good, "element_cap": "lots"}}
+    for name, data in bad_configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
     ctx = str(ctx_path)
     for argv in (
         ["ek-eval", "--context", ctx, "--x", "a,b", "--y", "0.25"],
@@ -279,6 +283,9 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         ["build", "--config", str(cfg), "--out", str(tmp_path / "x.json"), "--degree", "-1"],
         ["export-quadrature", "--dim", "2", "--points-per-axis", "0"],
         ["export-quadrature", "--dim", "0", "--points-per-axis", "3"],
+    ) + tuple(
+        ["build", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / "y.json")]
+        for name in bad_configs
     ) + tuple(
         ["intertwine", "--context", str(tmp_path / f"{name}.json"), "--poly", "x1^3"]
         for name in broken

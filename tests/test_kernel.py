@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from dunkl.kernel import (
     certified_radius,
     convolution_check,
     derivative_relation_check,
+    _gaussian_taylor_tail,
+    _tail_terms,
     fourier_check,
     gaussian_image_check,
+    gaussian_taylor,
     heat_image,
     lk_eval,
     lk_eval_hermite,
@@ -369,3 +374,109 @@ def test_lk_polynomial_is_truncated_kernel(ev_b2):
     p = lk_polynomial(ev_b2, x)
     y = (0.2, -0.6)
     assert abs(complex(p.evaluate(y)) - complex(lk_series_value(ev_b2, x, y))) < 1e-14
+
+
+def _truncate_total_degree(p, deg):
+    return Polynomial(p.dim, {nu: c for nu, c in p.terms.items() if sum(nu) <= deg})
+
+
+def _gaussian_taylor_by_products(d, y, sign, deg):
+    """Reference: the two truncated exponential series multiplied out, the
+    routine that the Hermite product formula replaced."""
+    pairing = Polynomial(
+        d, {tuple(1 if l == j else 0 for l in range(d)): y[j] for j in range(d) if y[j]}
+    )
+    norm_sq = Polynomial.zero(d)
+    for j in range(d):
+        norm_sq = norm_sq + Polynomial.variable(d, j) ** 2
+    series_pair = Polynomial.constant(d, Fraction(1))
+    power = Polynomial.constant(d, Fraction(1))
+    for j in range(1, deg + 1):
+        power = _truncate_total_degree(power * pairing, deg)
+        series_pair = series_pair + power * Fraction((-sign) ** j, math.factorial(j))
+    series_gauss = Polynomial.constant(d, Fraction(1))
+    power = Polynomial.constant(d, Fraction(1))
+    for m in range(1, deg // 2 + 1):
+        power = _truncate_total_degree(power * norm_sq, deg)
+        series_gauss = series_gauss + power * Fraction((-1) ** m, 2**m * math.factorial(m))
+    return _truncate_total_degree(series_pair * series_gauss, deg)
+
+
+TAYLOR_POINTS = [
+    (Fraction(-3, 4),),
+    (Fraction(0),),
+    (Fraction(9, 10), Fraction(-1, 3)),
+    (Fraction(0), Fraction(1, 3)),
+    (Fraction(1, 2), Fraction(0), Fraction(-1, 4)),
+]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("y", TAYLOR_POINTS, ids=str)
+def test_gaussian_taylor_matches_series_product(y, sign):
+    d = len(y)
+    degrees = (0, 1, 2, 20) + ((36,) if d == 2 else ())
+    for deg in degrees:
+        got = gaussian_taylor(d, y, sign, deg)
+        want = _gaussian_taylor_by_products(d, y, sign, deg)
+        assert got.terms == want.terms
+        assert all(type(got.terms[nu]) is type(c) for nu, c in want.terms.items())
+
+
+def _tail_term_per_call(u, v, d, n):
+    """Reference: one tail term with its logs and lgammas computed inline."""
+    if u == 0.0:
+        return 0.0
+    log_u_n = n * math.log(u)
+    total = 0.0
+    for m in range(n // 2 + 1):
+        r = n - 2 * m
+        if v == 0.0 and r > 0:
+            continue
+        lt = log_u_n + m * math.log(d) - m * math.log(2.0) - math.lgamma(m + 1)
+        if r > 0:
+            lt += r * math.log(v) - math.lgamma(r + 1)
+        if lt > 690.0:
+            return math.inf
+        total += math.exp(lt)
+    return total
+
+
+def _gaussian_taylor_tail_per_call(u, y_norm, deg):
+    """Reference: the Taylor-tail bound with its logs and lgammas inline."""
+    if u == 0.0:
+        return 0.0
+    total = 0.0
+    for n in range(deg + 1, deg + 600):
+        s_n = 0.0
+        for m in range(n // 2 + 1):
+            j = n - 2 * m
+            lt = -math.lgamma(m + 1) - m * math.log(2.0) - math.lgamma(j + 1)
+            if y_norm > 0:
+                lt += j * math.log(y_norm)
+            elif j > 0:
+                continue
+            s_n += math.exp(lt)
+        log_a = n * math.log(u) - math.lgamma(n + 1)
+        a_n = math.exp(log_a) * s_n if log_a < 690 else math.inf
+        total += a_n
+        if a_n <= total * 1e-16:
+            break
+    return total
+
+
+def test_tail_terms_bit_identical_to_per_call_logs():
+    rng = random.Random(5)
+    cases = [(0.0, 1.0, 2, 3), (1.5, 0.0, 3, 0)]
+    cases += [
+        (rng.uniform(0.0, 40.0), rng.uniform(0.0, 5.0), rng.randint(1, 4), rng.randint(0, 40))
+        for _ in range(200)
+    ]
+    for u, v, d, n0 in cases:
+        term = _tail_terms(u, v, d)
+        for n in range(n0, n0 + 60):
+            assert term(n) == _tail_term_per_call(u, v, d, n), (u, v, d, n)
+        # delta_hat |G| |x| = u * 1 * 1.0 = u
+        ev = SimpleNamespace(ctx=SimpleNamespace(delta_hat=u, group=SimpleNamespace(order=1)))
+        for deg in (n0, n0 + 7):
+            assert _gaussian_taylor_tail(ev, 1.0, v, deg) == _gaussian_taylor_tail_per_call(u, v, deg)

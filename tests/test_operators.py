@@ -1,13 +1,16 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from dunkl.config import build_bundle, load_context, polynomial_to_literal, save_context
 from dunkl.exact import ComplexRational, SingularMatrixError, scalar_to_json, solve_columns
 from dunkl.operators import (
     DegreeInverse,
     GroupAlgebraElement,
     NotInMStarError,
+    apply_H,
     dunkl_apply,
     dunkl_kernel,
     en_expansion_oracle,
@@ -235,6 +238,73 @@ def test_group_algebra_singular_falls_back_when_w_invertible():
     mono = Polynomial.monomial(1, (2,))
     back = h.apply(ctx.group, mono) * (2 + ctx.gamma) - operator_A(ctx, h.apply(ctx.group, mono))
     assert back == mono
+
+
+APPLY_H_SYSTEMS = {
+    "b2": ({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}}, 6),
+    "a2": ({"family": "A", "d": 3, "k": "1"}, 5),
+    "b3": ({"family": "B", "d": 3, "k": {"short": "1/2", "long": "1"}}, 4),
+    "z21_fallback": ({"family": "Z2^d", "d": 1, "k": "-1"}, 6),
+    "b2_complex": (
+        {"family": "B", "d": 2, "k": {"short": {"re": "1/2", "im": "1/3"}, "long": "3/2"}},
+        5,
+    ),
+}
+
+
+def _random_homogeneous(rng, d, n, coeff):
+    return Polynomial(
+        d, {nu: coeff(rng) for nu in monomial_basis(d, n) if rng.random() < 0.7}
+    )
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["prepared", "loaded"])
+@pytest.mark.parametrize("name", sorted(APPLY_H_SYSTEMS))
+def test_apply_h_columns_match_group_algebra_apply(name, loaded, tmp_path):
+    cfg, degree = APPLY_H_SYSTEMS[name]
+    bundle = build_bundle({**cfg, "N": degree})
+    bundle.ctx.prepare(degree)
+    if loaded:
+        path = tmp_path / f"{name}.ctx.json"
+        save_context(bundle, path)
+        bundle = load_context(path)
+        # lam_n tables read from the file come without columns
+        assert set(bundle.ctx.h_columns) == set(bundle.ctx.fallback_degrees)
+    ctx = bundle.ctx
+    if name == "z21_fallback":
+        assert ctx.fallback_degrees == [2]
+    rng = random.Random(11)
+    z = ComplexRational(Fraction(2, 3), Fraction(-1, 5))
+    d = ctx.dimension
+    for n in range(1, degree + 1):
+        h = solve_H(ctx, n)
+        samples = [Polynomial.monomial(d, nu) for nu in monomial_basis(d, n)]
+        samples += [
+            _random_homogeneous(rng, d, n, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 7))),
+            _random_homogeneous(rng, d, n, lambda r: z * r.randint(-3, 3)),
+        ]
+        for p in samples:
+            got = apply_H(ctx, n, p)
+            want = h.apply(ctx.group, p)
+            assert got == want
+            assert polynomial_to_literal(got) == polynomial_to_literal(want)
+
+
+def test_float_shadow_has_complex_columns_of_its_own():
+    ctx = context("Z2^d", Fraction(-1), d=1)
+    b2_ctx = context("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, d=2)
+    for exact in (ctx, b2_ctx):
+        shadow = exact.float_shadow(6)
+        assert shadow.h_columns is not exact.h_columns
+        for n in range(1, 7):
+            for nu, column in shadow.h_columns[n].items():
+                exact_column = exact.h_columns[n][nu]
+                assert column is not exact_column
+                assert column.terms.keys() == exact_column.terms.keys()
+                for mu, c in column.terms.items():
+                    assert type(c) is complex
+                    assert c == complex(exact_column.terms[mu])
+    assert ctx.fallback_degrees == [2]
 
 
 # -- the intertwining operator --------------------------------------------------------

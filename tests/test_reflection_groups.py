@@ -8,6 +8,7 @@ from dunkl.reflection_groups import (
     GroupClosureError,
     MultiplicityError,
     UnsupportedFamilyError,
+    _root_key,
     _root_permutation,
     act_on_polynomial,
     build_root_system,
@@ -246,14 +247,41 @@ def test_action_composition_matches_cayley():
 
 def test_orbits():
     system, pos, group = make("B", d=2)
-    orbits = root_orbits(group, system)
+    orbits = root_orbits(system)
     assert len(orbits) == 2
     sizes = sorted(len(o) for o in orbits)
     assert sizes == [4, 4]
     system, pos, group = make("A", d=3)
-    assert len(root_orbits(group, system)) == 1
+    assert len(root_orbits(system)) == 1
     system, pos, group = make("Z2^d", d=2)
-    assert len(root_orbits(group, system)) == 2
+    assert len(root_orbits(system)) == 2
+
+
+def _orbits_under_group(group, system):
+    """Reference: orbits from the image of each root under every element,
+    the routine that closing under the root reflections replaced."""
+    exact = system.is_exact
+    key_to_idx = {_root_key(r, exact): i for i, r in enumerate(system.roots)}
+    seen = set()
+    orbits = []
+    for i in range(len(system.roots)):
+        if i in seen:
+            continue
+        orbit = {key_to_idx[_root_key(mat_vec(g, system.roots[i]), exact)] for g in group.elements}
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return sorted(orbits)
+
+
+@pytest.mark.parametrize(
+    "family, kw",
+    [("B", {"d": 2}), ("B", {"d": 3}), ("A", {"d": 3}), ("D", {"d": 4}), ("I2", {"m": 5}),
+     ("Z2^d", {"d": 2})],
+    ids=["b2", "b3", "a3", "d4", "i2_5", "z2_2"],
+)
+def test_reflection_closed_orbits_match_group_orbits(family, kw):
+    system, pos, group = make(family, **kw)
+    assert sorted(root_orbits(system)) == _orbits_under_group(group, system)
 
 
 def test_multiplicity_gamma_examples():
