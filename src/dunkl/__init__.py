@@ -3,7 +3,6 @@
 from .exact import ComplexRational
 from .poly import (
     HermiteData,
-    NormalizedMonomial,
     Polynomial,
     directional_derivative,
     evaluate,
@@ -60,13 +59,11 @@ from .kernel import (
     symmetry_scan,
 )
 from .quad import (
-    BoxGrid,
     GaussianWeighted,
     QuadratureRule,
     fourier_quadrature,
     gauss_rule,
     integrate,
-    monte_carlo,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

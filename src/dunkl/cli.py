@@ -17,7 +17,6 @@ import sys
 
 from .config import (
     ConfigError,
-    ContextBundle,
     build_bundle,
     literal_to_polynomial,
     load_config,
@@ -28,7 +27,6 @@ from .config import (
 from .exact import format_rational, imag_part, real_part
 from .kernel import lk_grid, make_evaluator, tail_bound
 from .operators import (
-    GroupAlgebraElement,
     NotInMStarError,
     TruncationError,
     dunkl_kernel,
@@ -45,10 +43,6 @@ EXIT_CONFIG = 2
 
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
-
-
-def _out_stream(path):
-    return open(path, "w") if path else sys.stdout
 
 
 def _write(path, text):
@@ -83,7 +77,7 @@ def cmd_build(args) -> int:
     else:
         print(f"gamma = {format_rational(real_part(gamma))}")
     for n in range(1, degree + 1):
-        path = "group-algebra" if isinstance(ctx.h_cache[n], GroupAlgebraElement) else "matrix-fallback"
+        path = "matrix-fallback" if ctx.h_cache[n] is None else "group-algebra"
         print(f"  degree {n}: invertible ({path})")
     print(f"delta_hat = {_fmt(ctx.delta_hat)} (from degrees 1..{degree})")
     print("n * max |lambda_n(g)| table:")
@@ -99,12 +93,8 @@ def _cache_dir():
     return os.environ.get("DUNKL_CACHE_DIR", ".")
 
 
-def _load_bundle(path) -> ContextBundle:
-    return load_context(path)
-
-
 def cmd_intertwine(args) -> int:
-    bundle = _load_bundle(args.context)
+    bundle = load_context(args.context)
     p = literal_to_polynomial(args.poly, bundle.group.dimension)
     bundle.ctx.prepare(max(p.degree, 1))
     print(polynomial_to_literal(intertwine(bundle.ctx, p)))
@@ -112,14 +102,14 @@ def cmd_intertwine(args) -> int:
 
 
 def cmd_lambda_table(args) -> int:
-    bundle = _load_bundle(args.context)
+    bundle = load_context(args.context)
     degree = args.degree if args.degree is not None else bundle.degree
     _at_least(degree, 0, "--degree")
     bundle.ctx.prepare(degree)
     lines = ["n,element,re,im"]
     for n in range(1, degree + 1):
         h = bundle.ctx.h_cache[n]
-        if not isinstance(h, GroupAlgebraElement):
+        if h is None:
             continue
         for idx, c in enumerate(h.coefficients):
             lines.append(
@@ -173,7 +163,7 @@ def _product(axes):
 
 
 def cmd_kernel_grid(args) -> int:
-    bundle = _load_bundle(args.context)
+    bundle = load_context(args.context)
     d = bundle.group.dimension
     degree = args.degree if args.degree is not None else (14 if d <= 2 else 10)
     _at_least(degree, 0, "--degree")
@@ -222,7 +212,7 @@ def cmd_kernel_grid(args) -> int:
 
 
 def cmd_ek_eval(args) -> int:
-    bundle = _load_bundle(args.context)
+    bundle = load_context(args.context)
     d = bundle.group.dimension
     x = tuple(_floats(args.x.split(","), args.x))
     y = tuple(_floats(args.y.split(","), args.y))
@@ -244,7 +234,7 @@ def cmd_ek_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    bundle = _load_bundle(args.context)
+    bundle = load_context(args.context)
     report = run_suite(bundle, args.suite, seed=args.seed)
     text = json.dumps(report.to_json(), indent=1, sort_keys=True) + "\n"
     _write(args.out, text)

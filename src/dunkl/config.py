@@ -144,7 +144,7 @@ def save_context(bundle: ContextBundle, path):
     ctx = bundle.ctx
     lambdas = {}
     for n, h in sorted(ctx.h_cache.items()):
-        if isinstance(h, GroupAlgebraElement):
+        if h is not None:
             lambdas[str(n)] = [scalar_to_json(c) for c in h.coefficients]
     payload = {
         "config": bundle.config,
@@ -244,9 +244,16 @@ def polynomial_to_literal(p: Polynomial) -> str:
 
 
 def literal_to_polynomial(text: str, dim: int) -> Polynomial:
+    """Read a literal as polynomial_to_literal writes it; a malformed one
+    raises ConfigError."""
     terms = {}
     for sign, chunk in _split_terms(text):
-        coeff, nu = _parse_term(chunk, dim)
+        try:
+            coeff, nu = _parse_term(chunk, dim)
+        except ConfigError:
+            raise
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"cannot parse term {chunk!r} of {text!r}: {exc}") from None
         if sign < 0:
             coeff = -coeff
         terms[nu] = terms.get(nu, 0) + coeff

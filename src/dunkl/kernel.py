@@ -64,7 +64,7 @@ class KernelEvaluator:
 
     Together with a quadrature rule this realizes the measure
     e^{-|z|^2/2} L(x, z) dz: the density is never materialized beyond the
-    (evaluator, rule) pair.  ``mode`` picks the default evaluation path.
+    (evaluator, rule) pair.
     """
 
     ctx: DunklContext
@@ -72,7 +72,6 @@ class KernelEvaluator:
     exact_tables: bool
     vk: dict  # nu -> V(x^nu), polynomial in x
     heat_mono: dict  # nu -> e^{-Lap/2} x^nu, polynomial in y
-    mode: str = "series"  # "series" | "hermite"
     _heat_images: dict = field(default_factory=dict)  # (x, n) -> polynomial in y
     _lk_polys: dict = field(default_factory=dict)  # x -> truncated kernel in y
     _tail_cache: dict = field(default_factory=dict)
@@ -90,14 +89,13 @@ class KernelEvaluator:
         return out
 
 
-def make_evaluator(
-    ctx: DunklContext, n_trunc, exact_tables=True, mode="series"
-) -> KernelEvaluator:
+def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=True) -> KernelEvaluator:
     """Precompute the per-degree tables up to the truncation degree.
 
     With exact_tables=False the V table comes from the same recursion run
-    on the context's float shadow (lam_n coefficients as complex floats);
-    this is the fast path for large grids and high truncation degrees.
+    on the context's float shadow (complex-float copies of the columns of
+    each H_n, fallback degrees included); this is the fast path for large
+    grids and high truncation degrees.
     """
     ctx.prepare(n_trunc)
     d = ctx.dimension
@@ -109,7 +107,7 @@ def make_evaluator(
         for nu in monomial_basis(d, n):
             vk[nu] = _vk_monomial(source, nu)
             heat_mono[nu] = heat_half(Polynomial.monomial(d, nu, one))
-    return KernelEvaluator(ctx, n_trunc, exact_tables, vk, heat_mono, mode)
+    return KernelEvaluator(ctx, n_trunc, exact_tables, vk, heat_mono)
 
 
 # -- the two evaluation paths ---------------------------------------------------
@@ -178,8 +176,8 @@ class LkValue:
 
 
 def lk_eval(ev: KernelEvaluator, x, y, tol=None) -> LkValue:
-    """Kernel value along the evaluator's default path, with its tail bound;
-    rejects points whose bound cannot meet tol at this truncation degree."""
+    """Kernel value along the series path, with its tail bound; rejects
+    points whose bound cannot meet tol at this truncation degree."""
     xf = [complex(t) for t in x]
     yf = [complex(t) for t in y]
     tb = tail_bound(ev, _norm(xf), _norm(yf))
@@ -188,8 +186,6 @@ def lk_eval(ev: KernelEvaluator, x, y, tol=None) -> LkValue:
             f"tail bound {tb.value:.3g} at |x|={tb.x_norm:.3g} exceeds tol={tol:.3g}; "
             f"certified radius for this tol is {certified_radius(ev, tol, tb.y_norm):.4g}"
         )
-    if ev.mode == "hermite":
-        return LkValue(lk_eval_hermite(ev, x, y), tb)
     return LkValue(lk_series_value(ev, x, y), tb)
 
 

@@ -84,38 +84,15 @@ class GroupAlgebraElement:
         return out
 
 
-@dataclass(frozen=True)
-class DegreeInverse:
-    """Dense inverse of a degree-preserving map on the monomial basis of P_n:
-    the fallback realization of H_n = W_n^{-1}, and V^{-1} on P_n."""
-
-    degree: int
-    basis: tuple  # exponent multi-indices spanning P_n
-    inverse_rows: tuple  # rows of W_n^{-1} in that basis
-
-    def apply(self, group, p: Polynomial) -> Polynomial:
-        coeffs = [p.terms.get(nu, 0) for nu in self.basis]
-        terms = {}
-        for i, nu in enumerate(self.basis):
-            val = 0
-            row = self.inverse_rows[i]
-            for j, c in enumerate(coeffs):
-                if c:
-                    val = val + row[j] * c
-            if val:
-                terms[nu] = val
-        return Polynomial(len(self.basis[0]), terms)
-
-
 @dataclass(eq=False)
 class DunklContext:
     group: ReflectionGroup
     positives: PositiveSystem
     k: MultiplicityFunction
     reflections: tuple = field(default=())  # (alpha, k(alpha), matrix, group index)
-    h_cache: dict = field(default_factory=dict)
+    h_cache: dict = field(default_factory=dict)  # n -> lam_n, or None at a fallback degree
     vk_cache: dict = field(default_factory=dict)
-    inverse_cache: dict = field(default_factory=dict)
+    inverse_cache: dict = field(default_factory=dict)  # n -> {nu: V^{-1} x^nu}
     h_columns: dict = field(default_factory=dict)  # n -> {nu: H_n x^nu}
     delta_hat: float | None = None
     delta_table: list = field(default_factory=list)
@@ -146,8 +123,10 @@ class DunklContext:
 
     def float_shadow(self, n_max):
         """This context prepared to n_max, with complex-float copies of the
-        columns of each H_n and a vk_cache of its own.  _vk_monomial on the
-        shadow is the floating V recursion, fallback degrees included."""
+        columns of each H_n and degree caches of its own.  _vk_monomial on
+        the shadow is the floating V recursion, fallback degrees included.
+        h_cache is copied so that a degree the shadow solves past n_max never
+        leaves the exact context a fallback entry without its columns."""
         self.prepare(n_max)
         h_columns = {}
         for n in range(1, n_max + 1):
@@ -156,7 +135,14 @@ class DunklContext:
             }
         d = self.dimension
         unit = {(0,) * d: Polynomial.constant(d, 1.0)}
-        return replace(self, h_columns=h_columns, vk_cache=unit, inverse_cache={})
+        return replace(
+            self,
+            h_cache=dict(self.h_cache),
+            h_columns=h_columns,
+            vk_cache=unit,
+            inverse_cache={},
+            fallback_degrees=list(self.fallback_degrees),
+        )
 
 
 def make_context(group, positives, k) -> DunklContext:
@@ -293,15 +279,14 @@ def solve_H(ctx: DunklContext, n):
     is lam_n.  A central element is invertible in the group algebra iff it
     is invertible on the centre, so that system is singular exactly when
     the group-algebra route fails; then W_n is inverted on the monomial
-    basis instead.  If W_n itself is singular the weight is inadmissible at
-    this degree.  The result is always verified to invert W_n on a monomial
-    basis.
+    basis instead, and the result is None.  If W_n itself is singular the
+    weight is inadmissible at this degree.  Either way the columns H_n x^nu
+    are verified to invert W_n on the monomial basis and kept in h_columns.
     """
     if n < 1:
         raise ValueError("H_n is defined for degrees n >= 1")
-    cached = ctx.h_cache.get(n)
-    if cached is not None:
-        return cached
+    if n in ctx.h_cache:
+        return ctx.h_cache[n]
     group = ctx.group
     reps = group.class_representatives
     zero = Fraction(0) if ctx.is_exact else 0.0
@@ -313,17 +298,21 @@ def solve_H(ctx: DunklContext, n):
     rhs[group.class_of[group.identity_index]] += 1
     try:
         sol = solve_columns(matrix, [rhs])[0]
-        result = GroupAlgebraElement(tuple(sol[c] for c in group.class_of))
     except SingularMatrixError:
         d = ctx.dimension
         try:
-            result = _degree_inverse(
+            columns = _inverse_columns(
                 d, n, lambda nu: _apply_W(ctx, n, Polynomial.monomial(d, nu))
             )
         except SingularMatrixError:
             raise NotInMStarError(n) from None
+        result = None
         ctx.fallback_degrees.append(n)
-    ctx.h_columns[n] = _verify_H(ctx, n, result)
+    else:
+        result = GroupAlgebraElement(tuple(sol[c] for c in group.class_of))
+        columns = _columns(ctx, n, result)
+    _verify_H(ctx, n, columns)
+    ctx.h_columns[n] = columns
     ctx.h_cache[n] = result
     return result
 
@@ -348,12 +337,17 @@ def solves_row_identity(ctx: DunklContext, n, coefficients) -> bool:
     return True
 
 
-def _degree_inverse(d, n, image) -> DegreeInverse:
-    """Inverse of the degree-preserving map x^nu -> image(nu) on P_n, from its
-    dense matrix on the monomial basis (rows index the output monomial)."""
-    basis = tuple(monomial_basis(d, n))
+def _inverse_columns(d, n, image):
+    """{nu: M^{-1} x^nu} for the degree-preserving map M: x^nu -> image(nu)
+    on P_n, read off the rows of its inverted dense matrix on the monomial
+    basis (rows index the output monomial)."""
+    basis = monomial_basis(d, n)
     matrix = [[image(nu).terms.get(mu, 0) for nu in basis] for mu in basis]
-    return DegreeInverse(n, basis, tuple(tuple(r) for r in invert_matrix(matrix)))
+    rows = invert_matrix(matrix)
+    return {
+        nu: Polynomial(d, {mu: row[j] for mu, row in zip(basis, rows)})
+        for j, nu in enumerate(basis)
+    }
 
 
 def _columns(ctx, n, h):
@@ -362,9 +356,8 @@ def _columns(ctx, n, h):
     return {nu: h.apply(ctx.group, Polynomial.monomial(d, nu)) for nu in monomial_basis(d, n)}
 
 
-def _verify_H(ctx, n, h):
-    """Check W_n H_n x^nu = x^nu on the monomial basis; return the columns."""
-    columns = _columns(ctx, n, h)
+def _verify_H(ctx, n, columns):
+    """Check W_n H_n x^nu = x^nu on the monomial basis."""
     for nu, column in columns.items():
         mono = Polynomial.monomial(ctx.dimension, nu)
         back = _apply_W(ctx, n, column)
@@ -375,12 +368,12 @@ def _verify_H(ctx, n, h):
             gap = _coeff_scale(back - mono)
             if gap > 1e-8:
                 raise NotInMStarError(n)
-    return columns
 
 
 def columns_of_H(ctx: DunklContext, n):
     """The columns of H_n on P_n: those verified by solve_H, or, for a lam_n
-    loaded from a cache, built the same way on first use."""
+    loaded from a cache, built the same way on first use.  A fallback degree
+    always has its columns, since no lam_n exists to rebuild them from."""
     if n not in ctx.h_columns:
         h = solve_H(ctx, n)  # keeps the columns it verifies
         if n not in ctx.h_columns:
@@ -443,11 +436,11 @@ def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:
         if n == 0:
             out = out + comp
             continue
-        inv = ctx.inverse_cache.get(n)
-        if inv is None:
-            inv = _degree_inverse(q.dim, n, lambda nu: _vk_monomial(ctx, nu))
-            ctx.inverse_cache[n] = inv
-        out = out + inv.apply(ctx.group, comp)
+        columns = ctx.inverse_cache.get(n)
+        if columns is None:
+            columns = _inverse_columns(q.dim, n, lambda nu: _vk_monomial(ctx, nu))
+            ctx.inverse_cache[n] = columns
+        out = out + _combination(q.dim, ((columns[nu], c) for nu, c in comp.terms.items()))
     return out
 
 
@@ -474,7 +467,7 @@ def estimate_delta(ctx: DunklContext, n_max) -> DeltaEstimate:
     excluded = []
     for n in range(1, n_max + 1):
         h = solve_H(ctx, n)
-        if isinstance(h, GroupAlgebraElement):
+        if h is not None:
             row = n * max(abs(complex(c)) for c in h.coefficients)
             table.append((n, row))
         else:
@@ -488,14 +481,7 @@ def estimate_delta(ctx: DunklContext, n_max) -> DeltaEstimate:
 
 # -- homogeneous kernel pieces and the generalized exponential -------------------------
 
-@dataclass(frozen=True)
-class HomogeneousKernel:
-    degree: int
-    x: tuple
-    poly_in_y: Polynomial
-
-
-def homogeneous_kernel(ctx: DunklContext, n, x) -> HomogeneousKernel:
+def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
     """E_n(x, .) as a polynomial in y for fixed numeric x."""
     d = ctx.dimension
     terms = {}
@@ -503,7 +489,7 @@ def homogeneous_kernel(ctx: DunklContext, n, x) -> HomogeneousKernel:
         val = _vk_monomial(ctx, nu).evaluate(x)
         if val:
             terms[nu] = val * Fraction(1, _multi_factorial(nu))
-    return HomogeneousKernel(n, tuple(x), Polynomial(d, terms))
+    return Polynomial(d, terms)
 
 
 def homogeneous_kernel_bivariate(ctx: DunklContext, n) -> Polynomial:
@@ -540,7 +526,7 @@ def en_expansion_oracle(ctx: DunklContext, n, x) -> Polynomial:
     tables = []
     for i in range(1, n + 1):
         h = solve_H(ctx, i)
-        if not isinstance(h, GroupAlgebraElement):
+        if h is None:
             raise ValueError("expansion oracle needs the group-algebra realization")
         tables.append(h.coefficients)
     out = Polynomial.zero(d)

@@ -370,34 +370,6 @@ def fischer_via_gaussian(p: Polynomial, q: Polynomial, rule):
 
 
 @dataclass(frozen=True)
-class NormalizedMonomial:
-    """x^nu scaled by 1/sqrt(nu!); the squared scale is kept exact."""
-
-    nu: tuple
-    scale_sq: Fraction
-
-    @classmethod
-    def from_index(cls, nu):
-        nu = tuple(nu)
-        return cls(nu, Fraction(1, _multi_factorial(nu)))
-
-    @property
-    def dim(self):
-        return len(self.nu)
-
-    @property
-    def unscaled(self) -> Polynomial:
-        return Polynomial.monomial(self.dim, self.nu)
-
-    @property
-    def scale(self) -> float:
-        return math.sqrt(float(self.scale_sq))
-
-    def float_poly(self) -> Polynomial:
-        return Polynomial.monomial(self.dim, self.nu, self.scale)
-
-
-@dataclass(frozen=True)
 class HermiteData:
     """Hermite polynomial H_nu = e^{-Laplacian/2}(x^nu / sqrt(nu!)).
 

@@ -10,7 +10,6 @@ per-axis degree <= 2q - 1 exactly, hence every monomial of total degree
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,36 +72,6 @@ def integrate(f, rule: QuadratureRule):
 
 
 @dataclass(frozen=True)
-class MonteCarloResult:
-    value: float
-    standard_error: float
-    n_samples: int
-    seed: int
-
-
-def monte_carlo(f, d: int, n_samples: int, seed: int) -> MonteCarloResult:
-    """Plain Monte Carlo under the standard normal, Philox counter-based RNG.
-
-    The counter-based generator makes the stream splittable, so a parallel
-    driver stays deterministic under the same seed.
-    """
-    if n_samples < 2:
-        raise ValueError("need at least two samples for a standard error")
-    rng = np.random.Generator(np.random.Philox(seed))
-    samples = rng.standard_normal((n_samples, d))
-    if hasattr(f, "evaluate_many"):
-        vals = np.real(np.asarray(f.evaluate_many(samples)))
-    else:
-        vals = f(samples)
-        vals = np.asarray(vals, dtype=float)
-        if vals.shape != (n_samples,):
-            vals = np.array([float(f(z)) for z in samples])
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-    return MonteCarloResult(mean, se, n_samples, seed)
-
-
-@dataclass(frozen=True)
 class GaussianWeighted:
     """Marks an integrand of the form e^{-|z|^2/2} * factor(z).
 
@@ -113,76 +82,30 @@ class GaussianWeighted:
     factor: object  # Polynomial-like or callable
 
 
-@dataclass(frozen=True)
-class BoxGrid:
-    lows: tuple
-    highs: tuple
-    points_per_axis: int
-
-
-def fourier_quadrature(f, y, rule_or_grid):
+def fourier_quadrature(f, y, rule):
     """(2 pi)^{-d/2} * integral of f(z) e^{-i<y,z>} dz.
 
-    With a GaussianWeighted integrand and a QuadratureRule the Gaussian is
-    absorbed into dgamma and the oscillatory factor is evaluated on the rule;
-    the returned bound is then zero (the rule's polynomial-exactness applies).
-    A bare callable needs a BoxGrid; trapezoid integration is used and the
-    reported bound is a heuristic boundary-mass indicator, not a certificate.
+    The integrand must be GaussianWeighted: the Gaussian is absorbed into
+    dgamma and the oscillatory factor is evaluated on the rule; the returned
+    bound is then zero (the rule's polynomial-exactness applies).  A bare
+    callable has no certified decay and is refused.
 
     Returns (value, truncation_bound).
     """
-    y = np.asarray(y, dtype=float)
-    if isinstance(f, GaussianWeighted) and isinstance(rule_or_grid, QuadratureRule):
-        rule = rule_or_grid
-        phases = np.exp(-1j * rule.nodes @ y)
-        factor = f.factor
-        if hasattr(factor, "evaluate_many"):
-            vals = np.asarray(factor.evaluate_many(rule.nodes))
-        else:
-            vals = np.asarray(factor(rule.nodes))
-            if vals.shape != (len(rule.nodes),):
-                vals = np.array([factor(z) for z in rule.nodes])
-        return complex(np.dot(rule.weights, vals * phases)), 0.0
-    if isinstance(rule_or_grid, BoxGrid):
-        fn = f.factor if isinstance(f, GaussianWeighted) else f
-        gaussian_weighted = isinstance(f, GaussianWeighted)
-        grid = rule_or_grid
-        d = len(grid.lows)
-        axes = [
-            np.linspace(grid.lows[i], grid.highs[i], grid.points_per_axis)
-            for i in range(d)
-        ]
-        steps = [ax[1] - ax[0] for ax in axes]
-        mesh = np.stack(
-            [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1
+    if not isinstance(f, GaussianWeighted):
+        raise UncertifiedDecayError(
+            "integrand without certified decay: wrap it in GaussianWeighted"
         )
-        if hasattr(fn, "evaluate_many"):
-            vals = np.asarray(fn.evaluate_many(mesh))
-        else:
-            vals = np.array([fn(z) for z in mesh])
-        if gaussian_weighted:
-            vals = vals * np.exp(-0.5 * np.sum(mesh**2, axis=1))
-        # trapezoid end-weights per axis
-        wts = np.ones(len(mesh))
-        shape = (grid.points_per_axis,) * d
-        for i in range(d):
-            idx = np.unravel_index(np.arange(len(mesh)), shape)[i]
-            edge = (idx == 0) | (idx == shape[i] - 1)
-            wts[edge] *= 0.5
-        cell = float(np.prod(steps))
-        c0 = (2.0 * math.pi) ** (d / 2.0)
-        phases = np.exp(-1j * mesh @ y)
-        value = complex(np.sum(wts * vals * phases)) * cell / c0
-        boundary = np.zeros(len(mesh), dtype=bool)
-        idxs = np.unravel_index(np.arange(len(mesh)), shape)
-        for i in range(d):
-            boundary |= (idxs[i] == 0) | (idxs[i] == shape[i] - 1)
-        bound = float(np.sum(np.abs(vals[boundary])) * cell / c0)
-        return value, bound
-    raise UncertifiedDecayError(
-        "integrand without certified decay: wrap it in GaussianWeighted or "
-        "supply a BoxGrid"
-    )
+    y = np.asarray(y, dtype=float)
+    phases = np.exp(-1j * rule.nodes @ y)
+    factor = f.factor
+    if hasattr(factor, "evaluate_many"):
+        vals = np.asarray(factor.evaluate_many(rule.nodes))
+    else:
+        vals = np.asarray(factor(rule.nodes))
+        if vals.shape != (len(rule.nodes),):
+            vals = np.array([factor(z) for z in rule.nodes])
+    return complex(np.dot(rule.weights, vals * phases)), 0.0
 
 
 def gaussian_moment(nu) -> int:

@@ -289,6 +289,11 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
     ) + tuple(
         ["intertwine", "--context", str(tmp_path / f"{name}.json"), "--poly", "x1^3"]
         for name in broken
+    ) + tuple(
+        ["intertwine", "--context", ctx, "--poly", literal]
+        for literal in (
+            "2 x1^2", "x1^a", "x1^", "(1,2", "3/0 * x1", "(1/2) x1", "*x1", "x1 * x2"
+        )
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

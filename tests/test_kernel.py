@@ -130,15 +130,6 @@ def test_lk_eval_rejects_outside_certified_radius(ev_z21):
     assert val.tail.value < 1e-8
 
 
-def test_lk_eval_hermite_mode():
-    ev = make_ev("Z2^d", Fraction(1, 2), 12, d=1, exact_tables=True)
-    ev_h = make_evaluator(ev.ctx, 12, mode="hermite")
-    x, y = (0.3,), (0.8,)
-    assert abs(
-        complex(lk_eval(ev_h, x, y).value) - complex(lk_eval_hermite(ev_h, x, y))
-    ) == 0.0
-
-
 def test_tail_bound_monotone_and_dominates(ev_b2):
     xn, yn = 0.4, 0.9
     prev = math.inf

@@ -5,9 +5,14 @@ from fractions import Fraction
 import pytest
 
 from dunkl.config import build_bundle, load_context, polynomial_to_literal, save_context
-from dunkl.exact import ComplexRational, SingularMatrixError, scalar_to_json, solve_columns
+from dunkl.exact import (
+    ComplexRational,
+    SingularMatrixError,
+    invert_matrix,
+    scalar_to_json,
+    solve_columns,
+)
 from dunkl.operators import (
-    DegreeInverse,
     GroupAlgebraElement,
     NotInMStarError,
     apply_H,
@@ -25,6 +30,7 @@ from dunkl.operators import (
     monomial_basis,
     operator_A,
     solve_H,
+    _vk_monomial,
 )
 from dunkl.poly import Polynomial, fischer, sphere_sup_norm
 from dunkl.reflection_groups import (
@@ -208,7 +214,7 @@ def test_class_solve_falls_back_where_group_algebra_solve_is_singular():
     ctx = context("Z2^d", Fraction(-1), d=1)
     with pytest.raises(SingularMatrixError):
         _group_algebra_solve(ctx, 2)
-    assert isinstance(solve_H(ctx, 2), DegreeInverse)
+    assert solve_H(ctx, 2) is None
     assert ctx.fallback_degrees == [2]
     for n in (1, 3):
         assert solve_H(ctx, n).coefficients == _group_algebra_solve(ctx, n)
@@ -230,14 +236,38 @@ def test_not_in_m_star_reports_degree():
     assert err.value.degree == 1
 
 
+def _dense_H(ctx, n, p):
+    """Reference for H_n on P_n: W_n's matrix on the monomial basis, inverted
+    by invert_matrix and applied to p row by row."""
+    d = ctx.dimension
+    basis = monomial_basis(d, n)
+    images = [euler_W(ctx, n, Polynomial.monomial(d, nu)) for nu in basis]
+    rows = invert_matrix([[w.terms.get(mu, 0) for w in images] for mu in basis])
+    coeffs = [p.terms.get(nu, 0) for nu in basis]
+    terms = {}
+    for mu, row in zip(basis, rows):
+        val = 0
+        for r, c in zip(row, coeffs):
+            if c:
+                val = val + r * c
+        terms[mu] = val
+    return Polynomial(d, terms)
+
+
 def test_group_algebra_singular_falls_back_when_w_invertible():
     # k = -1/2 kills degree 1 but degree 2 is fine: W_2 x^2 = (2 - 1/2) x^2 - (-1/2) x^2 = 2 x^2
     ctx = context("Z2^d", Fraction(-1, 2), d=1)
-    h = solve_H(ctx, 2)
-    assert isinstance(h, (GroupAlgebraElement, DegreeInverse))
+    solve_H(ctx, 2)
     mono = Polynomial.monomial(1, (2,))
-    back = h.apply(ctx.group, mono) * (2 + ctx.gamma) - operator_A(ctx, h.apply(ctx.group, mono))
-    assert back == mono
+    column = apply_H(ctx, 2, mono)
+    assert column == _dense_H(ctx, 2, mono) == Polynomial.monomial(1, (2,), Fraction(1, 2))
+    assert column * (2 + ctx.gamma) - operator_A(ctx, column) == mono
+    # and through a fallback degree: k = -1 makes lam_2 singular, W_2 = 2 id
+    ctx = context("Z2^d", Fraction(-1), d=1)
+    assert solve_H(ctx, 2) is None
+    column, want = apply_H(ctx, 2, mono), _dense_H(ctx, 2, mono)
+    assert column == want == Polynomial.monomial(1, (2,), Fraction(1, 2))
+    assert polynomial_to_literal(column) == polynomial_to_literal(want)
 
 
 APPLY_H_SYSTEMS = {
@@ -245,11 +275,15 @@ APPLY_H_SYSTEMS = {
     "a2": ({"family": "A", "d": 3, "k": "1"}, 5),
     "b3": ({"family": "B", "d": 3, "k": {"short": "1/2", "long": "1"}}, 4),
     "z21_fallback": ({"family": "Z2^d", "d": 1, "k": "-1"}, 6),
+    "b2_fallback": ({"family": "B", "d": 2, "k": {"short": "-3/4", "long": "1/2"}}, 5),
     "b2_complex": (
         {"family": "B", "d": 2, "k": {"short": {"re": "1/2", "im": "1/3"}, "long": "3/2"}},
         5,
     ),
 }
+
+
+FALLBACK_DEGREES = {"z21_fallback": [2], "b2_fallback": [1, 3]}
 
 
 def _random_homogeneous(rng, d, n, coeff):
@@ -271,8 +305,7 @@ def test_apply_h_columns_match_group_algebra_apply(name, loaded, tmp_path):
         # lam_n tables read from the file come without columns
         assert set(bundle.ctx.h_columns) == set(bundle.ctx.fallback_degrees)
     ctx = bundle.ctx
-    if name == "z21_fallback":
-        assert ctx.fallback_degrees == [2]
+    assert ctx.fallback_degrees == FALLBACK_DEGREES.get(name, [])
     rng = random.Random(11)
     z = ComplexRational(Fraction(2, 3), Fraction(-1, 5))
     d = ctx.dimension
@@ -285,7 +318,7 @@ def test_apply_h_columns_match_group_algebra_apply(name, loaded, tmp_path):
         ]
         for p in samples:
             got = apply_H(ctx, n, p)
-            want = h.apply(ctx.group, p)
+            want = _dense_H(ctx, n, p) if h is None else h.apply(ctx.group, p)
             assert got == want
             assert polynomial_to_literal(got) == polynomial_to_literal(want)
 
@@ -304,6 +337,17 @@ def test_float_shadow_has_complex_columns_of_its_own():
                 for mu, c in column.terms.items():
                     assert type(c) is complex
                     assert c == complex(exact_column.terms[mu])
+    assert ctx.fallback_degrees == [2]
+
+
+def test_float_shadow_past_its_degree_leaves_exact_context_whole():
+    # the shadow solves the fallback degree 2 on its own; the exact context must
+    # still realize it through its own columns afterwards
+    ctx = context("Z2^d", Fraction(-1), d=1)
+    shadow = ctx.float_shadow(1)
+    assert _vk_monomial(shadow, (2,)) == Polynomial.monomial(1, (2,), -1.0)
+    assert 2 not in ctx.h_cache and ctx.fallback_degrees == []
+    assert intertwine(ctx, Polynomial.monomial(1, (2,))) == Polynomial.monomial(1, (2,), -1)
     assert ctx.fallback_degrees == [2]
 
 
@@ -371,14 +415,35 @@ def test_intertwine_inverse_rank_one(z21):
     assert intertwine_inverse(z21, one) == one
 
 
+@pytest.mark.parametrize("loaded", [False, True], ids=["prepared", "loaded"])
+@pytest.mark.parametrize("name", sorted(FALLBACK_DEGREES))
+def test_intertwine_inverse_roundtrip_through_fallback_degree(name, loaded, tmp_path):
+    cfg, degree = APPLY_H_SYSTEMS[name]
+    bundle = build_bundle({**cfg, "N": degree})
+    bundle.ctx.prepare(degree)
+    if loaded:
+        path = tmp_path / f"{name}.ctx.json"
+        save_context(bundle, path)
+        bundle = load_context(path)
+    ctx = bundle.ctx
+    assert ctx.fallback_degrees == FALLBACK_DEGREES[name]
+    d = ctx.dimension
+    rng = random.Random(5)
+    for n in range(1, degree + 1):
+        p = _random_homogeneous(rng, d, n, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 7)))
+        p = p + Polynomial.monomial(d, (n,) + (0,) * (d - 1)) + Fraction(2, 3)
+        assert intertwine_inverse(ctx, intertwine(ctx, p)) == p
+        assert intertwine(ctx, intertwine_inverse(ctx, p)) == p
+    assert set(ctx.inverse_cache) == set(range(1, degree + 1))
+
+
 # -- homogeneous kernel pieces ----------------------------------------------------------
 
 def test_homogeneous_kernel_examples(b2):
     x = (Fraction(1, 2), Fraction(-1, 3))
-    e0 = homogeneous_kernel(b2, 0, x)
-    assert e0.poly_in_y == Polynomial.constant(2, Fraction(1))
+    assert homogeneous_kernel(b2, 0, x) == Polynomial.constant(2, Fraction(1))
     for n in (1, 2, 3):
-        en = homogeneous_kernel(b2, n, x).poly_in_y
+        en = homogeneous_kernel(b2, n, x)
         assert en.evaluate((0, 0)) == 0
         assert en.is_homogeneous() and en.degree == n
 
@@ -387,7 +452,7 @@ def test_homogeneous_kernel_zero_weight_closed_form():
     ctx = context("Z2^d", Fraction(0), d=2)
     x = (Fraction(2), Fraction(1, 3))
     for n in (1, 2, 3):
-        en = homogeneous_kernel(ctx, n, x).poly_in_y
+        en = homogeneous_kernel(ctx, n, x)
         form = x[0] * Polynomial.variable(2, 0) + x[1] * Polynomial.variable(2, 1)
         assert en == form**n * Fraction(1, math.factorial(n))
 
@@ -396,13 +461,13 @@ def test_en_equivariance_and_homogeneity(b2):
     x = (Fraction(1, 3), Fraction(2, 5))
     lam = Fraction(3, 2)
     for n in range(0, 5):
-        base = homogeneous_kernel(b2, n, x).poly_in_y
-        scaled = homogeneous_kernel(b2, n, tuple(lam * t for t in x)).poly_in_y
+        base = homogeneous_kernel(b2, n, x)
+        scaled = homogeneous_kernel(b2, n, tuple(lam * t for t in x))
         assert scaled == base * lam**n
         for gi in range(b2.group.order):
             g = b2.group.elements[gi]
             ginv = b2.group.elements[b2.group.inverse_index(gi)]
-            lhs = homogeneous_kernel(b2, n, mat_vec(g, x)).poly_in_y
+            lhs = homogeneous_kernel(b2, n, mat_vec(g, x))
             assert lhs == base.substitute_linear(ginv)
 
 
@@ -417,14 +482,14 @@ def test_en_expansion_oracle_matches(b2, z21):
     for ctx, d in ((z21, 1), (b2, 2)):
         x = tuple(Fraction(1, 2) for _ in range(d))
         for n in range(0, 4):
-            assert en_expansion_oracle(ctx, n, x) == homogeneous_kernel(ctx, n, x).poly_in_y
+            assert en_expansion_oracle(ctx, n, x) == homogeneous_kernel(ctx, n, x)
 
 
 def test_vk_as_fischer_coefficient(b2):
     # V(x^nu)(x) = [E_n(x, .), y^nu] for |nu| = n
     x = (Fraction(1, 4), Fraction(-2, 3))
     for n in (1, 2, 3):
-        en = homogeneous_kernel(b2, n, x).poly_in_y
+        en = homogeneous_kernel(b2, n, x)
         for nu in monomial_basis(2, n):
             assert fischer(en, Polynomial.monomial(2, nu)) == b2.vk_cache[nu].evaluate(x)
 
@@ -495,8 +560,7 @@ def test_fallback_degrees_excluded_from_delta():
     # at k = -1 the rank-one group-algebra system is singular at degree 2
     # while W_2 = 2 id is invertible, so the matrix fallback must kick in
     ctx = context("Z2^d", Fraction(-1), d=1)
-    h2 = solve_H(ctx, 2)
-    assert isinstance(h2, DegreeInverse)
+    assert solve_H(ctx, 2) is None
     assert isinstance(solve_H(ctx, 1), GroupAlgebraElement)
     est = estimate_delta(ctx, 4)
     assert est.excluded_degrees == (2,)

@@ -214,12 +214,12 @@ def test_sphere_sup_norm_rejects_inhomogeneous():
 
 
 def test_normalized_monomial_orthonormal():
-    from dunkl.poly import NormalizedMonomial
+    from dunkl.poly import _multi_factorial
 
-    phi = NormalizedMonomial.from_index((2, 1))
-    psi = NormalizedMonomial.from_index((1, 2))
-    # [phi_nu, phi_mu] = delta via the exact squared scales
-    self_pair = fischer(phi.unscaled, phi.unscaled) * phi.scale_sq
-    cross_pair = fischer(phi.unscaled, psi.unscaled)
+    phi = Polynomial.monomial(2, (2, 1))
+    psi = Polynomial.monomial(2, (1, 2))
+    # [x^nu / sqrt(nu!), x^mu / sqrt(mu!)] = delta via the exact squared scale 1/nu!
+    self_pair = fischer(phi, phi) * Fraction(1, _multi_factorial((2, 1)))
+    cross_pair = fischer(phi, psi)
     assert self_pair == 1
     assert cross_pair == 0

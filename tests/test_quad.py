@@ -5,7 +5,6 @@ import pytest
 
 from dunkl.poly import Polynomial, hermite
 from dunkl.quad import (
-    BoxGrid,
     GaussianWeighted,
     QuadratureRule,
     UncertifiedDecayError,
@@ -13,7 +12,6 @@ from dunkl.quad import (
     gauss_rule,
     gaussian_moment,
     integrate,
-    monte_carlo,
 )
 
 
@@ -75,23 +73,6 @@ def test_moment_sweep_and_symmetry():
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def test_monte_carlo_examples():
-    res = monte_carlo(lambda z: np.ones(len(z)), 1, 100, seed=7)
-    assert res.value == 1.0 and res.standard_error == 0.0
-    res = monte_carlo(lambda z: z[:, 0] ** 2, 1, 1_000_000, seed=42)
-    assert abs(res.value - 1.0) <= 4 * res.standard_error
-    x = np.array([0.3, -0.7])
-    res = monte_carlo(lambda z: np.exp(z @ x), 2, 400_000, seed=11)
-    want = math.exp(float(x @ x) / 2)
-    assert abs(res.value - want) <= 4 * res.standard_error
-
-
-def test_monte_carlo_deterministic():
-    a = monte_carlo(lambda z: z[:, 0] ** 4, 1, 5000, seed=3)
-    b = monte_carlo(lambda z: z[:, 0] ** 4, 1, 5000, seed=3)
-    assert a.value == b.value and a.standard_error == b.standard_error
-
-
 def test_fourier_gaussian_self_transform():
     rule = gauss_rule(1, 40)
     one = Polynomial.constant(1, 1.0)
@@ -115,15 +96,6 @@ def test_fourier_first_moment():
         val, _ = fourier_quadrature(GaussianWeighted(z1), (y,), rule)
         want = -1j * y * math.exp(-y * y / 2)
         assert abs(val - want) < 1e-10
-
-
-def test_fourier_box_grid_path():
-    grid = BoxGrid((-8.0,), (8.0,), 400)
-    val, bound = fourier_quadrature(
-        lambda z: math.exp(-float(z[0]) ** 2 / 2), (1.0,), grid
-    )
-    assert abs(val - math.exp(-0.5)) < 1e-6
-    assert bound < 1e-10
 
 
 def test_fourier_uncertified_decay_rejected():

@@ -70,3 +70,16 @@ def test_report_json_shape(z21_bundle):
         }
         assert isinstance(row["passed"], bool)
         assert isinstance(row["max_residual"], float)
+
+
+def test_all_suites_pass_through_fallback_degree():
+    # k = -1 on Z2^1: lam_2 is singular, so degree 2 is realized by the matrix fallback
+    bundle = build_bundle({"family": "Z2^d", "d": 1, "k": "-1", "N": 6})
+    bundle.ctx.prepare(6)
+    assert bundle.ctx.fallback_degrees == [2]
+    report = run_suite(bundle, "all")
+    assert report.passed, [r.identity for r in report.results if not r.passed]
+    by_name = {r.identity: r for r in report.results}
+    # the product-expansion oracle needs lam_i for every i <= n: only n = 0, 1 qualify
+    assert by_name["en-product-expansion-oracle"].note == "2 exact comparisons"
+    assert by_name["h-inverts-w"].note == "6 exact comparisons"
