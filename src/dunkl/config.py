@@ -58,7 +58,7 @@ class ContextBundle:
     degree: int
 
 
-def orbit_labels(system, group, orbits):
+def orbit_labels(system, orbits):
     """Canonical names for the root orbits.
 
     One orbit is "all"; exactly two with distinct lengths are "short" and
@@ -72,10 +72,10 @@ def orbit_labels(system, group, orbits):
     return tuple(f"orbit{i}" for i in range(len(orbits)))
 
 
-def _resolve_k(k_field, system, group, positives):
+def _resolve_k(k_field, system, positives):
     orbits = root_orbits(system)
     if isinstance(k_field, dict) and not ("re" in k_field or "im" in k_field):
-        labels = orbit_labels(system, group, orbits)
+        labels = orbit_labels(system, orbits)
         values = []
         for i, label in enumerate(labels):
             if label in k_field:
@@ -87,12 +87,10 @@ def _resolve_k(k_field, system, group, positives):
         extras = set(k_field) - set(labels) - {f"orbit{i}" for i in range(len(labels))}
         if extras:
             raise ConfigError(f"unknown orbit labels in k: {sorted(extras)}")
-        return validate_multiplicity(group, positives, values)
+        return validate_multiplicity(positives, values, orbits)
     if isinstance(k_field, list):
-        return validate_multiplicity(
-            group, positives, [parse_scalar(v) for v in k_field]
-        )
-    return validate_multiplicity(group, positives, parse_scalar(k_field))
+        return validate_multiplicity(positives, [parse_scalar(v) for v in k_field], orbits)
+    return validate_multiplicity(positives, parse_scalar(k_field), orbits)
 
 
 def _int_field(cfg, key, default):
@@ -119,7 +117,7 @@ def build_bundle(cfg: dict) -> ContextBundle:
     if "k" not in cfg:
         raise ConfigError("config needs a weight 'k'")
     try:
-        k = _resolve_k(cfg["k"], system, group, positives)
+        k = _resolve_k(cfg["k"], system, positives)
     except ConfigError:
         raise
     except Exception as exc:

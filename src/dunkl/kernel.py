@@ -508,23 +508,20 @@ def symmetry_scan(ev: KernelEvaluator, sample_points) -> SymmetryReport:
     group = ev.ctx.group
     failures = []
     checked = 0
-    minus_eye = tuple(
-        tuple(-1 if i == j else 0 for j in range(ev.dimension))
-        for i in range(ev.dimension)
-    )
     for x in sample_points:
         for n in range(ev.n_trunc + 1):
             base = heat_image(ev, n, x)
             for gi in range(group.order):
-                g = group.elements[gi]
-                ginv = group.elements[group.inverse_index(gi)]
-                lhs = heat_image(ev, n, mat_vec(g, x))
-                rhs = act_on_polynomial(ginv, base)
+                lhs = heat_image(ev, n, mat_vec(group.elements[gi], x))
+                rhs = act_on_polynomial(group, group.inverse_index(gi), base)
                 checked += 1
                 if not _polys_match(lhs, rhs, ev.exact_tables):
                     failures.append(("equivariance", tuple(x), gi, n))
+            # p(-x): -I need not be a group element
             lhs = heat_image(ev, n, tuple(-t for t in x))
-            rhs = act_on_polynomial(minus_eye, base)
+            rhs = Polynomial(
+                ev.dimension, {nu: -c if sum(nu) & 1 else c for nu, c in base.terms.items()}
+            )
             checked += 1
             if not _polys_match(lhs, rhs, ev.exact_tables):
                 failures.append(("parity", tuple(x), None, n))

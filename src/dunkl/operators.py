@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exact import SingularMatrixError, invert_matrix, solve_columns
-from .poly import Polynomial, _multi_factorial, directional_derivative
+from .poly import Polynomial, _multi_factorial, combination, directional_derivative
 from .reflection_groups import (
     MultiplicityFunction,
     PositiveSystem,
@@ -76,12 +76,10 @@ class GroupAlgebraElement:
     coefficients: tuple  # scalar per group element index
 
     def apply(self, group: ReflectionGroup, p: Polynomial) -> Polynomial:
-        out = Polynomial.zero(p.dim)
-        for idx, c in enumerate(self.coefficients):
-            if not c:
-                continue
-            out = out + act_on_polynomial(group.elements[idx], p) * c
-        return out
+        return combination(
+            p.dim,
+            ((act_on_polynomial(group, idx, p), c) for idx, c in enumerate(self.coefficients) if c),
+        )
 
 
 @dataclass(eq=False)
@@ -89,7 +87,7 @@ class DunklContext:
     group: ReflectionGroup
     positives: PositiveSystem
     k: MultiplicityFunction
-    reflections: tuple = field(default=())  # (alpha, k(alpha), matrix, group index)
+    reflections: tuple = field(default=())  # (alpha, k(alpha), group index)
     h_cache: dict = field(default_factory=dict)  # n -> lam_n, or None at a fallback degree
     vk_cache: dict = field(default_factory=dict)
     inverse_cache: dict = field(default_factory=dict)  # n -> {nu: V^{-1} x^nu}
@@ -98,6 +96,7 @@ class DunklContext:
     delta_table: list = field(default_factory=list)
     fallback_degrees: list = field(default_factory=list)
     prepared_to: int = 0
+    complex_columns: bool = False  # a float shadow: columns kept as complex floats
 
     @property
     def dimension(self):
@@ -125,14 +124,11 @@ class DunklContext:
         """This context prepared to n_max, with complex-float copies of the
         columns of each H_n and degree caches of its own.  _vk_monomial on
         the shadow is the floating V recursion, fallback degrees included.
-        h_cache is copied so that a degree the shadow solves past n_max never
-        leaves the exact context a fallback entry without its columns."""
+        A degree past n_max is solved exactly on the shadow and its columns
+        kept as complex floats too; h_cache is copied so that such a degree
+        never leaves the exact context a fallback entry without its columns."""
         self.prepare(n_max)
-        h_columns = {}
-        for n in range(1, n_max + 1):
-            h_columns[n] = {
-                nu: col.map_coefficients(complex) for nu, col in columns_of_H(self, n).items()
-            }
+        h_columns = {n: _complex_columns(columns_of_H(self, n)) for n in range(1, n_max + 1)}
         d = self.dimension
         unit = {(0,) * d: Polynomial.constant(d, 1.0)}
         return replace(
@@ -142,15 +138,15 @@ class DunklContext:
             vk_cache=unit,
             inverse_cache={},
             fallback_degrees=list(self.fallback_degrees),
+            complex_columns=True,
         )
 
 
 def make_context(group, positives, k) -> DunklContext:
     refl = []
     for alpha in positives.positives:
-        mat = reflection_matrix(alpha)
-        idx = group.element_index(mat)
-        refl.append((alpha, k.value(alpha), mat, idx))
+        idx = group.element_index(reflection_matrix(alpha))
+        refl.append((alpha, k.value(alpha), idx))
     return DunklContext(group=group, positives=positives, k=k, reflections=tuple(refl))
 
 
@@ -200,13 +196,13 @@ def dunkl_apply(ctx: DunklContext, xi, p: Polynomial) -> Polynomial:
     """T_xi p."""
     out = directional_derivative(xi, p)
     float_tol = None if ctx.is_exact else 1e-10
-    for alpha, ka, mat, _ in ctx.reflections:
+    for alpha, ka, sidx in ctx.reflections:
         if ka == 0:
             continue
         pairing = dot(alpha, xi)
         if pairing == 0:
             continue
-        diff = p - act_on_polynomial(mat, p)
+        diff = p - act_on_polynomial(ctx.group, sidx, p)
         if not diff:
             continue
         out = out + divide_by_root_pairing(diff, alpha, float_tol) * (ka * pairing)
@@ -215,12 +211,9 @@ def dunkl_apply(ctx: DunklContext, xi, p: Polynomial) -> Polynomial:
 
 def operator_A(ctx: DunklContext, p: Polynomial) -> Polynomial:
     """A p = sum over positive roots of k(a) * (p o s_a); degree preserving."""
-    out = Polynomial.zero(p.dim)
-    for _, ka, mat, _ in ctx.reflections:
-        if ka == 0:
-            continue
-        out = out + act_on_polynomial(mat, p) * ka
-    return out
+    return combination(
+        p.dim, ((act_on_polynomial(ctx.group, sidx, p), ka) for _, ka, sidx in ctx.reflections if ka)
+    )
 
 
 def euler_W(ctx: DunklContext, n, p: Polynomial) -> Polynomial:
@@ -320,7 +313,7 @@ def solve_H(ctx: DunklContext, n):
 def _w_row(ctx, n, h):
     """The pairs (g, coefficient of lam(g)) in the row identity of element h."""
     yield h, n + ctx.gamma
-    for _, ka, _, sidx in ctx.reflections:
+    for _, ka, sidx in ctx.reflections:
         yield ctx.group.multiply(h, sidx), -ka
 
 
@@ -378,24 +371,19 @@ def columns_of_H(ctx: DunklContext, n):
         h = solve_H(ctx, n)  # keeps the columns it verifies
         if n not in ctx.h_columns:
             ctx.h_columns[n] = _columns(ctx, n, h)
+        if ctx.complex_columns:
+            ctx.h_columns[n] = _complex_columns(ctx.h_columns[n])
     return ctx.h_columns[n]
+
+
+def _complex_columns(columns):
+    return {nu: col.map_coefficients(complex) for nu, col in columns.items()}
 
 
 def apply_H(ctx: DunklContext, n, p: Polynomial) -> Polynomial:
     """H_n p for p in P_n, as the sum of p's coefficients times the columns."""
     columns = columns_of_H(ctx, n)
-    return _combination(p.dim, ((columns[nu], c) for nu, c in p.terms.items()))
-
-
-def _combination(dim, pairs):
-    """The sum of q * c over the (polynomial q, scalar c) pairs, gathered in
-    one dict."""
-    terms = {}
-    for q, c in pairs:
-        for mu, a in q.terms.items():
-            prev = terms.get(mu)
-            terms[mu] = a * c if prev is None else prev + a * c
-    return Polynomial(dim, terms)
+    return combination(p.dim, ((columns[nu], c) for nu, c in p.terms.items()))
 
 
 # -- the intertwining operator -----------------------------------------------------
@@ -426,7 +414,7 @@ def _vk_monomial(ctx: DunklContext, nu):
 
 def intertwine(ctx: DunklContext, p: Polynomial) -> Polynomial:
     """V p, computed degree by degree; exact and degree preserving."""
-    return _combination(p.dim, ((_vk_monomial(ctx, nu), c) for nu, c in p.terms.items()))
+    return combination(p.dim, ((_vk_monomial(ctx, nu), c) for nu, c in p.terms.items()))
 
 
 def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:
@@ -440,7 +428,7 @@ def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:
         if columns is None:
             columns = _inverse_columns(q.dim, n, lambda nu: _vk_monomial(ctx, nu))
             ctx.inverse_cache[n] = columns
-        out = out + _combination(q.dim, ((columns[nu], c) for nu, c in comp.terms.items()))
+        out = out + combination(q.dim, ((columns[nu], c) for nu, c in comp.terms.items()))
     return out
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quad import QuadratureDegreeError
+from .quad import QuadratureDegreeError, integrate
 
 
 class NonHomogeneousError(ValueError):
@@ -299,6 +299,17 @@ def _to_float_scalar(c):
     return complex(c)
 
 
+def combination(dim, pairs):
+    """The sum of q * c over the (polynomial q, scalar c) pairs, gathered in
+    one dict."""
+    terms = {}
+    for q, c in pairs:
+        for mu, a in q.terms.items():
+            prev = terms.get(mu)
+            terms[mu] = a * c if prev is None else prev + a * c
+    return Polynomial(dim, terms)
+
+
 # -- calculus and pairings on polynomials ------------------------------------------
 
 def directional_derivative(xi, p: Polynomial) -> Polynomial:
@@ -364,9 +375,7 @@ def fischer_via_gaussian(p: Polynomial, q: Polynomial, rule):
         )
     hp = heat_half(p).to_float()
     hq = heat_half(q).to_float()
-    vals = hp.evaluate_many(rule.nodes) * hq.evaluate_many(rule.nodes)
-    out = complex(np.dot(rule.weights, vals))
-    return out.real if abs(out.imag) < 1e-300 else out
+    return integrate(lambda nodes: hp.evaluate_many(nodes) * hq.evaluate_many(nodes), rule)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ per-axis degree <= 2q - 1 exactly, hence every monomial of total degree
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,11 @@ def integrate(f, rule: QuadratureRule):
             vals = np.array([f(z) for z in rule.nodes])
     else:
         raise TypeError("integrand must be a polynomial or a callable")
-    out = complex(np.dot(rule.weights, vals))
-    return out.real if out.imag == 0.0 else out
+    # a correctly rounded sum: np.dot over 20^4 nodes is off by ~1e-11
+    terms = rule.weights * vals
+    re = math.fsum(terms.real.tolist())
+    im = math.fsum(terms.imag.tolist()) if terms.imag.any() else 0.0
+    return re if im == 0.0 else complex(re, im)
 
 
 @dataclass(frozen=True)

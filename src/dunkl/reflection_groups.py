@@ -9,7 +9,10 @@ realization exists.  Reflections act by
 
 and the group is the closure of {s_a : a positive} under composition.  The
 action on functions is (L_g f)(x) = f(g x), so composing actions reverses
-the matrix product: L_g L_h = L_{hg}.
+the matrix product: L_g L_h = L_{hg}.  Every exact group is a
+signed-permutation group, so L_g sends a monomial to plus or minus one
+monomial, and acting on a polynomial relabels its exponents; only floating
+I2(m) substitutes the matrix.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from fractions import Fraction
 import math
 
 from .exact import is_real_scalar
+from .poly import Polynomial, combination
 
 
 class UnsupportedFamilyError(ValueError):
@@ -101,6 +105,9 @@ class ReflectionGroup:
     cayley: tuple
     arithmetic_mode: str  # "exact" | "floating"
     class_of: tuple  # conjugacy class index of each element, identity's is 0
+    # per element (perm, signs) with row j of its matrix signs[j] e_{perm[j]};
+    # None unless every element is a signed permutation (floating I2(m))
+    signed_permutations: tuple | None = None
 
     @property
     def order(self):
@@ -343,7 +350,9 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
     An element of a reflection group is fixed by how it permutes the roots,
     so closure and the Cayley table compose root-index permutations.  The
     elements are found breadth first as products g s with a generator s, and
-    each new element's matrix is that one product.
+    each new element's matrix is that one product.  Every exact group here
+    (A, B, D, Z2^d, I2(m) for m in {1, 2, 4}) is a signed-permutation
+    group, and each element's signed permutation is read off its matrix.
     """
     system = positive.base
     d = system.dimension
@@ -381,7 +390,11 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
         tuple(index[tuple(pi[r] for r in pj)] for pj in perms) for pi in perms
     )
     class_of = _conjugacy_classes(cayley, [index[ps] for _, ps in generators])
-    group = ReflectionGroup(d, tuple(elements), 0, cayley, mode, class_of)
+    signed = [_signed_permutation(g) for g in elements] if exact else [None]
+    group = ReflectionGroup(
+        d, tuple(elements), 0, cayley, mode, class_of,
+        None if None in signed else tuple(signed),
+    )
     _validate_group(group)
     return group
 
@@ -404,6 +417,18 @@ def _root_permutation(alpha, roots, exact):
     if None in found:
         raise GroupClosureError(f"the reflection in {alpha} does not permute the roots")
     return tuple(found)
+
+
+def _signed_permutation(g):
+    """(perm, signs) with row j of g equal to signs[j] e_{perm[j]}, or None."""
+    perm, signs = [], []
+    for row in g:
+        support = [j for j, e in enumerate(row) if e != 0]
+        if len(support) != 1 or abs(row[support[0]]) != 1:
+            return None
+        perm.append(support[0])
+        signs.append(1 if row[support[0]] > 0 else -1)
+    return tuple(perm), tuple(signs)
 
 
 def _conjugacy_classes(cayley, generators):
@@ -445,59 +470,37 @@ def _validate_group(group: ReflectionGroup):
                     raise GroupClosureError("element is not orthogonal")
 
 
-_FORM_POWER_CACHE = {}
-_MONO_IMAGE_CACHE = {}
+_MONO_IMAGE_CACHE = {}  # (matrix, nu) -> x^nu o g, for groups without signed permutations
 
 
-def _form_power(matrix, i, e, dim):
-    """((M x)_i)^e, cached per matrix row and exponent."""
-    from .poly import Polynomial
+def act_on_polynomial(group: ReflectionGroup, i, p):
+    """(L_g p)(x) = p(g x) for g = group.elements[i]; degree preserving.
 
-    key = (matrix, i, e)
-    cached = _FORM_POWER_CACHE.get(key)
-    if cached is None:
-        if e == 1:
-            cached = Polynomial(
-                dim,
-                {
-                    tuple(1 if l == j else 0 for l in range(dim)): matrix[i][j]
-                    for j in range(dim)
-                    if matrix[i][j]
-                },
-            )
-        else:
-            cached = _form_power(matrix, i, e - 1, dim) * _form_power(matrix, i, 1, dim)
-        _FORM_POWER_CACHE[key] = cached
-    return cached
-
-
-def _monomial_image(matrix, nu, dim):
-    from .poly import Polynomial
-
-    key = (matrix, nu)
-    cached = _MONO_IMAGE_CACHE.get(key)
-    if cached is None:
-        cached = Polynomial.constant(dim, 1)
-        for i, e in enumerate(nu):
-            if e:
-                cached = cached * _form_power(matrix, i, e, dim)
-        _MONO_IMAGE_CACHE[key] = cached
-    return cached
-
-
-def act_on_polynomial(g, p):
-    """(L_g p)(x) = p(g x); exact substitution, degree preserving.
-
-    Monomial images under each matrix are cached, which makes the repeated
-    group-averaging in the degree recursions cheap.
+    On a signed-permutation group row j of g is s_j e_{pi(j)}, so x^nu goes
+    to the single monomial prod_j s_j^{nu_j} x^mu with mu_{pi(j)} = nu_j, and
+    a term c x^nu to +-c x^mu.
+    Floating I2(m) has no signed permutations: there the matrix is
+    substituted, with the monomial images cached in _MONO_IMAGE_CACHE.
     """
-    from .poly import Polynomial
-
-    g = tuple(tuple(row) for row in g)
-    out = Polynomial.zero(p.dim)
+    if group.signed_permutations is None:
+        g = group.elements[i]
+        for nu in p.terms:
+            if (g, nu) not in _MONO_IMAGE_CACHE:
+                _MONO_IMAGE_CACHE[g, nu] = Polynomial.monomial(p.dim, nu).substitute_linear(g)
+        return combination(p.dim, ((_MONO_IMAGE_CACHE[g, nu], c) for nu, c in p.terms.items()))
+    perm, signs = group.signed_permutations[i]
+    terms = {}
     for nu, c in p.terms.items():
-        out = out + _monomial_image(g, nu, p.dim) * c
-    return out
+        mu = [0] * p.dim
+        odd = 0
+        for e, j, s in zip(nu, perm, signs):
+            mu[j] = e
+            if s < 0:
+                odd ^= e & 1
+        if isinstance(c, int) and any(nu):
+            c = Fraction(c)  # an exact unit times c, as substituting g gives
+        terms[tuple(mu)] = -c if odd else c
+    return Polynomial(p.dim, terms)
 
 
 # -- multiplicity functions -----------------------------------------------------------------
@@ -529,16 +532,18 @@ def root_orbits(system: RootSystem):
     return tuple(orbits)
 
 
-def validate_multiplicity(group, positive: PositiveSystem, values) -> MultiplicityFunction:
+def validate_multiplicity(positive: PositiveSystem, values, orbits=None) -> MultiplicityFunction:
     """Build a G-invariant weight from per-root, per-orbit, or scalar data.
 
     ``values`` may be a single scalar (every orbit), a list with one scalar
     per orbit (canonical orbit order), or a mapping from root tuples to
     scalars covering at least one root per orbit.  Conflicting values inside
-    an orbit raise MultiplicityError.
+    an orbit raise MultiplicityError.  ``orbits`` are the root orbits of the
+    system if the caller has them already.
     """
     system = positive.base
-    orbits = root_orbits(system)
+    if orbits is None:
+        orbits = root_orbits(system)
     per_orbit = [None] * len(orbits)
 
     if isinstance(values, (list, tuple)):

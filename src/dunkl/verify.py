@@ -181,10 +181,8 @@ def suite_exact(bundle: ContextBundle, seed=0):
     for a in range(order):
         for b in range(order):
             checked += 1
-            lhs = act_on_polynomial(
-                group.elements[a], act_on_polynomial(group.elements[b], p)
-            )
-            rhs = act_on_polynomial(group.elements[group.multiply(b, a)], p)
+            lhs = act_on_polynomial(group, a, act_on_polynomial(group, b, p))
+            rhs = act_on_polynomial(group, group.multiply(b, a), p)
             if lhs != rhs:
                 fails += 1
     results.append(_exact_row("action-composition", fails, checked))
@@ -276,11 +274,9 @@ def suite_exact(bundle: ContextBundle, seed=0):
     for n in range(0, 5):
         base = homogeneous_kernel(ctx, n, x)
         for gi in range(order):
-            g = group.elements[gi]
-            ginv = group.elements[group.inverse_index(gi)]
             checked += 1
-            moved = homogeneous_kernel(ctx, n, mat_vec(g, x))
-            if moved != act_on_polynomial(ginv, base):
+            moved = homogeneous_kernel(ctx, n, mat_vec(group.elements[gi], x))
+            if moved != act_on_polynomial(group, group.inverse_index(gi), base):
                 fails += 1
         lam = Fraction(3, 2)
         checked += 1
@@ -583,7 +579,7 @@ def suite_signs(bundle: ContextBundle, seed=0):
     ctx = bundle.ctx
     d = ctx.dimension
     results = []
-    zero_k = validate_multiplicity(bundle.group, bundle.positives, Fraction(0))
+    zero_k = validate_multiplicity(bundle.positives, Fraction(0), bundle.k.orbits)
     zero_ctx = make_context(bundle.group, bundle.positives, zero_k)
     if d <= 2:
         n_trunc = max(bundle.degree, 18)

@@ -49,7 +49,7 @@ def make_ctx(family, k_values, **kw):
     system = build_root_system(family, **kw)
     pos = select_positive(system)
     group = generate_group(pos)
-    k = validate_multiplicity(group, pos, k_values)
+    k = validate_multiplicity(pos, k_values)
     return make_context(group, pos, k)
 
 

@@ -48,7 +48,7 @@ def make_ev(family, k_values, n_trunc, exact_tables=True, **kw):
     system = build_root_system(family, **kw)
     pos = select_positive(system)
     group = generate_group(pos)
-    k = validate_multiplicity(group, pos, k_values)
+    k = validate_multiplicity(pos, k_values)
     ctx = make_context(group, pos, k)
     return make_evaluator(ctx, n_trunc, exact_tables=exact_tables)
 

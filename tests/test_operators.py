@@ -46,7 +46,7 @@ def context(family, k_values, **kw):
     system = build_root_system(family, **kw)
     pos = select_positive(system)
     group = generate_group(pos)
-    k = validate_multiplicity(group, pos, k_values)
+    k = validate_multiplicity(pos, k_values)
     return make_context(group, pos, k)
 
 
@@ -180,7 +180,7 @@ def _group_algebra_solve(ctx, n):
     matrix = [[zero] * group.order for _ in range(group.order)]
     for h in range(group.order):
         matrix[h][h] = matrix[h][h] + (n + ctx.gamma)
-        for _, ka, _, sidx in ctx.reflections:
+        for _, ka, sidx in ctx.reflections:
             g = group.multiply(h, sidx)
             matrix[h][g] = matrix[h][g] - ka
     rhs = [zero] * group.order
@@ -338,6 +338,25 @@ def test_float_shadow_has_complex_columns_of_its_own():
                     assert type(c) is complex
                     assert c == complex(exact_column.terms[mu])
     assert ctx.fallback_degrees == [2]
+
+
+def test_float_shadow_solves_past_its_degree_in_floats():
+    # Z2^1 with k = -1 falls back at degree 2; B2 takes its degree 2 from lam_2,
+    # and its degree 3 from the lam_3 that the exact context already holds
+    z21 = context("Z2^d", Fraction(-1), d=1)
+    b2_ctx = context("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, d=2)
+    b2_ctx.prepare(3)
+    for exact, nus in ((z21, [(2,)]), (b2_ctx, [(2, 0), (1, 2)])):
+        shadow = exact.float_shadow(1)
+        for nu in nus:
+            exact_v = _vk_monomial(exact, nu)
+            v = _vk_monomial(shadow, nu)
+            assert v.terms.keys() == exact_v.terms.keys()
+            for mu, c in v.terms.items():
+                assert type(c) is complex
+                assert abs(c - complex(exact_v.terms[mu])) < 1e-12
+            for column in shadow.h_columns[sum(nu)].values():
+                assert all(type(c) is complex for c in column.terms.values())
 
 
 def test_float_shadow_past_its_degree_leaves_exact_context_whole():

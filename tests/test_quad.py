@@ -35,6 +35,12 @@ def test_tensor_rule_2d():
     assert abs(integrate(p, rule) - 1.0) < 1e-13
 
 
+def test_integrate_sums_many_nodes_to_full_precision():
+    # the x1^11 moment vanishes; a plain dot product over the 20^4 nodes left 7.5e-12
+    rule = gauss_rule(4, 20)
+    assert abs(integrate(Polynomial.monomial(4, (11, 0, 0, 0), 1.0), rule)) < 1e-12
+
+
 def test_integrate_examples():
     rule = gauss_rule(1, 6)
     assert abs(integrate(Polynomial.constant(1, 1.0), rule) - 1.0) < 1e-14
