@@ -5,7 +5,8 @@ export-quadrature.  Output is plot-ready CSV or JSON on stdout (or --out);
 floats are printed with 17 significant digits so they round-trip.  Exit
 codes: 0 success, 1 verification failure, 2 configuration error.  The
 context cache directory defaults to DUNKL_CACHE_DIR (or the working
-directory).
+directory).  Only kernel-grid, verify and export-quadrature import the
+float layer and with it numpy; the exact commands never load it.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import os
 import sys
 
 from .config import (
+    SUITES,
     ConfigError,
     build_bundle,
     literal_to_polynomial,
@@ -25,16 +27,13 @@ from .config import (
     save_context,
 )
 from .exact import format_rational, imag_part, real_part
-from .kernel import lk_grid, make_evaluator, tail_bound
 from .operators import (
     NotInMStarError,
     TruncationError,
     dunkl_kernel,
     intertwine,
 )
-from .quad import export_rule_csv, gauss_rule
 from .reflection_groups import GroupClosureError, MultiplicityError
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -121,9 +120,15 @@ def cmd_lambda_table(args) -> int:
 
 def _floats(texts, where):
     try:
-        return [float(t) for t in texts]
+        values = [float(t) for t in texts]
     except ValueError:
         raise ConfigError(f"bad number in {where!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"non-finite number in {where!r}")
+    return values
+
+
+GRID_POINT_CAP = 1_000_000  # (x, y) pairs in one --grid
 
 
 def parse_grid(spec: str, d: int):
@@ -132,9 +137,10 @@ def parse_grid(spec: str, d: int):
     for chunk in spec.split(","):
         parts = chunk.strip().split(":")
         name = parts[0].strip()
-        if name[:1] not in ("x", "y") or not name[1:].isdigit():
+        if name[:1] not in ("x", "y") or not name[1:].isdecimal():
             raise ConfigError(f"bad grid coordinate {name!r}")
-        idx = int(name[1:]) - 1
+        # int() refuses 4300+ digits; any index that long is out of range
+        idx = int(name[1:]) - 1 if len(name) < 20 else d
         if not 0 <= idx < d:
             raise ConfigError(f"coordinate {name} out of range for dimension {d}")
         if len(parts) == 2:
@@ -143,13 +149,19 @@ def parse_grid(spec: str, d: int):
             lo, hi, step = _floats(parts[1:], chunk)
             if step <= 0 or hi < lo:
                 raise ConfigError(f"bad range in {chunk!r}")
-            count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+            span = (hi - lo) / step
+            if not span < GRID_POINT_CAP:
+                raise ConfigError(f"range {chunk!r} has more than {GRID_POINT_CAP} points")
+            count = int(math.floor(span + 1e-9)) + 1
             values = [lo + i * step for i in range(count)]
         else:
             raise ConfigError(f"bad grid chunk {chunk!r}")
         axes[(name[0], idx)] = values
     x_axes = [axes.get(("x", i), [0.0]) for i in range(d)]
     y_axes = [axes.get(("y", i), [0.0]) for i in range(d)]
+    pairs = math.prod(len(v) for v in x_axes + y_axes)
+    if pairs > GRID_POINT_CAP:
+        raise ConfigError(f"grid of {pairs} (x, y) pairs exceeds {GRID_POINT_CAP}")
     xs = _product(x_axes)
     ys = _product(y_axes)
     return xs, ys
@@ -163,6 +175,8 @@ def _product(axes):
 
 
 def cmd_kernel_grid(args) -> int:
+    from .kernel import certified_radius, lk_grid, make_evaluator, tail_bound
+
     bundle = load_context(args.context)
     d = bundle.group.dimension
     degree = args.degree if args.degree is not None else (14 if d <= 2 else 10)
@@ -179,8 +193,6 @@ def cmd_kernel_grid(args) -> int:
             if worst is None or tb.value > worst.value:
                 worst = tb
     if tol is not None and worst is not None and not worst.value < tol:
-        from .kernel import certified_radius
-
         radius = certified_radius(ev, tol, max(
             math.sqrt(sum(t * t for t in y)) for y in ys
         ))
@@ -234,6 +246,8 @@ def cmd_ek_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     bundle = load_context(args.context)
     report = run_suite(bundle, args.suite, seed=args.seed)
     text = json.dumps(report.to_json(), indent=1, sort_keys=True) + "\n"
@@ -245,6 +259,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_quadrature(args) -> int:
+    from .quad import export_rule_csv, gauss_rule
+
     rule = gauss_rule(
         _at_least(args.dim, 1, "--dim"), _at_least(args.points_per_axis, 1, "--points-per-axis")
     )

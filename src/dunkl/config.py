@@ -46,6 +46,10 @@ class ConfigError(ValueError):
     pass
 
 
+# the verify suites, here so the CLI parser names them without importing verify
+SUITES = ("exact", "series", "quadrature", "signs", "positivity", "all")
+
+
 @dataclass(eq=False)
 class ContextBundle:
     name: str

@@ -22,10 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .quad import QuadratureDegreeError, integrate
-
 
 class NonHomogeneousError(ValueError):
     pass
@@ -180,11 +176,6 @@ class Polynomial:
         degs = {sum(nu) for nu in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_part(self, n):
-        return Polynomial(
-            self.dim, {nu: c for nu, c in self.terms.items() if sum(nu) == n}
-        )
-
     def homogeneous_components(self):
         comps = {}
         for nu, c in self.terms.items():
@@ -271,18 +262,42 @@ class Polynomial:
         return total
 
     def evaluate_many(self, points):
-        """Vectorized float evaluation on an (n, dim) array."""
-        pts = np.asarray(points, dtype=complex)
+        """Vectorized float evaluation on an (n, dim) array; the values are
+        real when the points and every coefficient are, complex otherwise."""
+        import numpy as np
+
+        coeffs = [_to_float_scalar(c) for c in self.terms.values()]
+        pts = np.asarray(points)
+        real = pts.dtype.kind in "biuf" and not any(isinstance(c, complex) for c in coeffs)
+        dtype = float if real else complex
+        pts = np.asarray(pts, dtype=dtype)
         if pts.ndim == 1:
             pts = pts[None, :]
-        vals = np.zeros(pts.shape[0], dtype=complex)
-        for nu, c in self.terms.items():
-            term = np.full(pts.shape[0], _to_float_scalar(c), dtype=complex)
+        vals = np.zeros(pts.shape[0], dtype=dtype)
+        powers = {}
+        for nu, c in zip(self.terms, coeffs):
+            term = np.full(pts.shape[0], c, dtype=dtype)
             for i, e in enumerate(nu):
                 if e:
-                    term *= pts[:, i] ** e
+                    if (i, e) not in powers:
+                        powers[i, e] = _int_power(pts[:, i], e)
+                    term *= powers[i, e]
             vals += term
         return vals
+
+
+def _int_power(x, e):
+    """x**e for e >= 1 by repeated squaring, the products numpy's power
+    forms for a complex x, so a real evaluation is bit for bit the real part
+    of the complex one."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else out * x
+        e >>= 1
+        if not e:
+            return out
+        x = x * x
 
 
 def _is_zero(c):
@@ -368,6 +383,8 @@ def fischer_via_gaussian(p: Polynomial, q: Polynomial, rule):
 
     Exact (up to roundoff) when the rule integrates degree deg p + deg q.
     """
+    from .quad import QuadratureDegreeError, integrate
+
     need = max(p.degree, 0) + max(q.degree, 0)
     if rule.exact_degree < need:
         raise QuadratureDegreeError(
@@ -431,6 +448,8 @@ def sphere_sup_norm(p: Polynomial, n_samples=4096, ascent_steps=20) -> SupNormEs
     d = p.dim
     if not p.terms:
         return SupNormEstimate(0.0, 0)
+    import numpy as np
+
     pf = p.to_float()
     pts = _sphere_points(d, n_samples)
     vals = np.abs(pf.evaluate_many(pts))
@@ -460,6 +479,8 @@ def sphere_sup_norm(p: Polynomial, n_samples=4096, ascent_steps=20) -> SupNormEs
 
 
 def _sphere_points(d, n):
+    import numpy as np
+
     axes = []
     for i in range(d):
         e = np.zeros(d)
@@ -485,7 +506,3 @@ def _sphere_points(d, n):
         pts = rng.standard_normal((n, d))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return np.concatenate([pts, np.array(axes)], axis=0)
-
-
-def evaluate(p: Polynomial, z):
-    return p.evaluate(z)

@@ -71,7 +71,7 @@ def integrate(f, rule: QuadratureRule):
     # a correctly rounded sum: np.dot over 20^4 nodes is off by ~1e-11
     terms = rule.weights * vals
     re = math.fsum(terms.real.tolist())
-    im = math.fsum(terms.imag.tolist()) if terms.imag.any() else 0.0
+    im = math.fsum(terms.imag.tolist()) if np.iscomplexobj(terms) and terms.imag.any() else 0.0
     return re if im == 0.0 else complex(re, im)
 
 

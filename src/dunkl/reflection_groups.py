@@ -82,12 +82,12 @@ class RootSystem:
     dimension: int
     roots: tuple
     family_tag: str
+    # reflections[i][r] = j with s_{roots[i]}(roots[r]) = roots[j]
+    reflections: tuple = field(compare=False, repr=False)
 
     @property
     def is_exact(self):
-        return all(
-            isinstance(e, (int, Fraction)) for root in self.roots for e in root
-        )
+        return _is_exact(self.roots)
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,13 @@ def build_root_system(family_tag, d=None, m=None) -> RootSystem:
         tag = "I2(m)"
     else:
         raise UnsupportedFamilyError(f"unknown family {family_tag!r}")
-    system = RootSystem(d if d is not None else 2, tuple(roots), tag)
-    _validate_root_system(system)
-    return system
+    roots = tuple(roots)
+    table = _reflection_table(roots, _is_exact(roots))
+    return RootSystem(d if d is not None else 2, roots, tag, table)
+
+
+def _is_exact(roots):
+    return all(isinstance(e, (int, Fraction)) for root in roots for e in root)
 
 
 def _axis(d, i, sign):
@@ -258,32 +262,32 @@ def _dihedral_roots(m):
     ]
 
 
-def _validate_root_system(system: RootSystem):
-    exact = system.is_exact
-    roots = system.roots
+def _reflection_table(roots, exact):
+    """Each root's reflection as a root permutation, checking on the way
+    that the list is closed under negation and under every reflection.
+
+    s_{-a} = s_a, so the permutation is computed once per pair +-a: that
+    is |R|^2 / 2 reflections in all.
+    """
     for a in roots:
         if all(e == 0 for e in a):
             raise UnsupportedFamilyError("zero vector among the roots")
-    keys = _root_key_set(roots, exact)
-    for a in roots:
-        neg = tuple(-e for e in a)
-        if _root_key(neg, exact) not in keys:
+    find = _root_finder(roots, exact)
+    table = [None] * len(roots)
+    for i, a in enumerate(roots):
+        neg = find(tuple(-e for e in a))
+        if neg is None:
             raise UnsupportedFamilyError(f"root list not closed under negation at {a}")
-        for b in roots:
-            if _root_key(reflect(a, b), exact) not in keys:
-                raise UnsupportedFamilyError(
-                    f"root list not stable under the reflection in {a}"
-                )
-
-
-def _root_key(v, exact):
-    if exact:
-        return tuple(Fraction(e) for e in v)
-    return tuple(int(round(float(e) / FLOAT_MATCH_TOL)) for e in v)
-
-
-def _root_key_set(roots, exact):
-    return {_root_key(r, exact) for r in roots}
+        if table[neg] is not None:
+            table[i] = table[neg]
+            continue
+        try:
+            table[i] = _root_permutation(a, roots, exact)
+        except GroupClosureError:
+            raise UnsupportedFamilyError(
+                f"root list not stable under the reflection in {a}"
+            ) from None
+    return tuple(table)
 
 
 # -- reflections -------------------------------------------------------------------
@@ -359,7 +363,7 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
     exact = system.is_exact
     mode = "exact" if exact else "floating"
     generators = [
-        (reflection_matrix(a), _root_permutation(a, system.roots, exact))
+        (reflection_matrix(a), system.reflections[system.roots.index(a)])
         for a in positive.positives
     ]
 
@@ -400,23 +404,28 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
 
 
 def _root_permutation(alpha, roots, exact):
-    """The j with s_alpha(roots[i]) = roots[j], for each i; float images are
-    matched to the nearest root within DEDUP_TOL."""
-    images = [reflect(alpha, r) for r in roots]
-    if exact:
-        where = {r: j for j, r in enumerate(roots)}
-        found = [where.get(img) for img in images]
-    else:
-        found = []
-        for img in images:
-            gap, j = min(
-                (max(abs(float(a) - float(b)) for a, b in zip(img, r)), j)
-                for j, r in enumerate(roots)
-            )
-            found.append(j if gap <= DEDUP_TOL else None)
+    """The j with s_alpha(roots[i]) = roots[j], for each i."""
+    find = _root_finder(roots, exact)
+    found = tuple(find(reflect(alpha, r)) for r in roots)
     if None in found:
         raise GroupClosureError(f"the reflection in {alpha} does not permute the roots")
-    return tuple(found)
+    return found
+
+
+def _root_finder(roots, exact):
+    """A map from a vector to the index of the root equal to it, or None;
+    a float vector is matched to the nearest root within DEDUP_TOL."""
+    if exact:
+        return {r: j for j, r in enumerate(roots)}.get
+
+    def nearest(v):
+        gap, j = min(
+            (max(abs(float(a) - float(b)) for a, b in zip(v, r)), j)
+            for j, r in enumerate(roots)
+        )
+        return j if gap <= DEDUP_TOL else None
+
+    return nearest
 
 
 def _signed_permutation(g):
@@ -512,7 +521,7 @@ def root_orbits(system: RootSystem):
     is its closure under the root permutations of the reflections.
     """
     roots = system.roots
-    perms = [_root_permutation(a, roots, system.is_exact) for a in roots]
+    perms = system.reflections
     seen = set()
     orbits = []
     for i in range(len(roots)):

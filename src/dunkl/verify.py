@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import ContextBundle
+from .config import SUITES, ContextBundle
 from .kernel import (
     certified_radius,
     convolution_check,
@@ -72,8 +72,6 @@ from .reflection_groups import (
     reflect,
     validate_multiplicity,
 )
-
-SUITES = ("exact", "series", "quadrature", "signs", "positivity", "all")
 
 
 @dataclass

@@ -1,10 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from dunkl import cli
 from dunkl.cli import main, parse_grid
 from dunkl.config import (
     ConfigError,
@@ -52,6 +57,60 @@ def test_literal_parsing_examples():
         (1,): Fraction(-1),
         (2,): ComplexRational(Fraction(1, 2), Fraction(-1, 3)),
     }
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+exact_scalars = rationals | st.builds(ComplexRational, rationals, rationals)
+
+
+@st.composite
+def exact_polynomials(draw):
+    d = draw(st.integers(1, 3))
+    nus = st.tuples(*[st.integers(0, 5)] * d)
+    return Polynomial(d, draw(st.dictionaries(nus, exact_scalars, max_size=6)))
+
+
+@given(exact_polynomials())
+def test_literal_round_trip_property(p):
+    assert literal_to_polynomial(polynomial_to_literal(p), p.dim) == p
+
+
+@settings(max_examples=300)
+@given(
+    st.text(max_size=40) | st.text("x123^*/+-() ,.", max_size=30),
+    st.integers(1, 3),
+)
+@example("(1", 1)
+@example("x1^2^3", 1)
+@example("x\u00b2", 2)
+def test_literal_parser_raises_only_config_error(text, d):
+    try:
+        p = literal_to_polynomial(text, d)
+    except ConfigError:
+        return
+    assert isinstance(p, Polynomial) and p.dim == d
+
+
+@settings(max_examples=300)
+@given(
+    st.text(max_size=40) | st.text("xy12:.,-0", max_size=30),
+    st.integers(1, 3),
+)
+@example("x1:0:inf:1", 1)
+@example("x1:nan:1:1", 1)
+@example("y1:-1e308:1e308:1e-300", 1)
+@example("x1:0:99999999:0.000001", 1)
+@example("x1:0:40:1,y1:0:40:1", 1)
+@example("x\u00b2:0", 2)
+@example("x" + "1" * 5000 + ":0", 1)
+def test_grid_parser_raises_only_config_error(text, d):
+    # a small cap keeps the grids that do parse small
+    try:
+        with mock.patch.object(cli, "GRID_POINT_CAP", 1000):
+            xs, ys = parse_grid(text, d)
+    except ConfigError:
+        return
+    assert all(len(x) == d for x in xs) and all(len(y) == d for y in ys)
 
 
 def test_literal_rejects_garbage():
@@ -142,6 +201,10 @@ def test_parse_grid():
         parse_grid("q1:0:1:1", 1)
     with pytest.raises(ConfigError):
         parse_grid("x3:0:1:1", 2)
+    with pytest.raises(ConfigError, match="pairs exceeds"):
+        parse_grid("x1:0:999:1,y1:0:1000:1", 1)  # 1000 * 1001 pairs
+    with pytest.raises(ConfigError, match="non-finite"):
+        parse_grid("x1:0:inf:1", 1)
 
 
 # -- CLI ----------------------------------------------------------------------------------
@@ -275,6 +338,7 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
     for argv in (
         ["ek-eval", "--context", ctx, "--x", "a,b", "--y", "0.25"],
         ["ek-eval", "--context", ctx, "--x", "0.5", "--y", "1e"],
+        ["ek-eval", "--context", ctx, "--x", "nan", "--y", "0.25"],
         ["kernel-grid", "--context", ctx, "--grid", "x1:zz"],
         ["kernel-grid", "--context", ctx, "--grid", "x1:0:1:q,y1:0"],
         ["kernel-grid", "--context", ctx, "--grid", ":1"],
@@ -370,3 +434,47 @@ def test_cli_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "|G| = 2" in proc.stdout
+
+
+# -- the exact commands without numpy --------------------------------------------------
+
+B2_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "b2.json"
+NO_NUMPY = "import sys; sys.modules['numpy'] = None; "
+
+
+def _python(code, *args, cwd=None):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, cwd=cwd, env=env
+    )
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    proc = _python("import sys, dunkl.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_exact_commands_run_without_numpy(tmp_path):
+    """build, intertwine, lambda-table and ek-eval exit 0 with numpy blocked,
+    and print and cache byte for byte what a normal run does."""
+    commands = (
+        ["build", "--config", str(B2_CONFIG), "--out", "b2.ctx.json"],
+        ["intertwine", "--context", "b2.ctx.json", "--poly", "x1^3 x2 - 2/3 * x2^4 + x1"],
+        ["lambda-table", "--context", "b2.ctx.json"],
+        ["ek-eval", "--context", "b2.ctx.json", "--x", "0.1,0.2", "--y", "1,0.5"],
+    )
+    runs = {}
+    for label, prefix in (("blocked", NO_NUMPY), ("normal", "import sys; ")):
+        cwd = tmp_path / label
+        cwd.mkdir()
+        outs = []
+        for argv in commands:
+            proc = _python(prefix + "from dunkl.cli import main; sys.exit(main(sys.argv[1:]))",
+                           *argv, cwd=cwd)
+            assert proc.returncode == 0, (label, argv, proc.stderr)
+            outs.append(proc.stdout)
+        runs[label] = outs, (cwd / "b2.ctx.json").read_bytes()
+    assert runs["blocked"] == runs["normal"]

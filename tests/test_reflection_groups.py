@@ -11,7 +11,6 @@ from dunkl.reflection_groups import (
     GroupClosureError,
     MultiplicityError,
     UnsupportedFamilyError,
-    _root_key,
     _root_permutation,
     act_on_polynomial,
     build_root_system,
@@ -62,6 +61,33 @@ def test_unsupported_family():
         build_root_system("Z2^d", d=0)
     with pytest.raises(UnsupportedFamilyError):
         build_root_system("I2", m=1)
+
+
+def test_bad_root_lists_are_refused():
+    one, zero = Fraction(1), Fraction(0)
+    cases = {
+        "zero vector among the roots": [(zero, zero), (one, zero), (-one, zero)],
+        "not closed under negation at": [(one, zero), (zero, one), (zero, -one)],
+        "not stable under the reflection in": [(one, zero), (-one, zero), (one, one), (-one, -one)],
+    }
+    for message, roots in cases.items():
+        with pytest.raises(UnsupportedFamilyError, match=message):
+            reflection_groups._reflection_table(tuple(roots), exact=True)
+    nudged = list(build_root_system("I2", m=5).roots)
+    nudged[3] = (nudged[3][0] + 1e-6, nudged[3][1])
+    with pytest.raises(UnsupportedFamilyError, match="not stable under the reflection in"):
+        reflection_groups._reflection_table(tuple(nudged), exact=False)
+
+
+@pytest.mark.parametrize(
+    "family, kw",
+    [("B", dict(d=2)), ("A", dict(d=3)), ("D", dict(d=4)), ("I2", dict(m=4)), ("I2", dict(m=5))],
+)
+def test_reflection_table_matches_each_root_reflection(family, kw):
+    system = build_root_system(family, **kw)
+    assert system.reflections == tuple(
+        _root_permutation(a, system.roots, system.is_exact) for a in system.roots
+    )
 
 
 def test_reflect_examples():
@@ -330,6 +356,12 @@ def test_orbits():
     assert len(root_orbits(system)) == 1
     system, pos, group = make("Z2^d", d=2)
     assert len(root_orbits(system)) == 2
+
+
+def _root_key(v, exact):
+    if exact:
+        return tuple(Fraction(e) for e in v)
+    return tuple(int(round(float(e) / reflection_groups.FLOAT_MATCH_TOL)) for e in v)
 
 
 def _orbits_under_group(group, system):
