@@ -58,6 +58,12 @@ def _at_least(value, low, option):
     return value
 
 
+def _tolerance(value):
+    if value is not None and not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"--tol must be positive and finite, got {value}")
+    return value
+
+
 def cmd_build(args) -> int:
     cfg = load_config(args.config)
     bundle = build_bundle(cfg)
@@ -182,24 +188,25 @@ def cmd_kernel_grid(args) -> int:
     degree = args.degree if args.degree is not None else (14 if d <= 2 else 10)
     _at_least(degree, 0, "--degree")
     xs, ys = parse_grid(args.grid, d)
+    tol = _tolerance(args.tol)
     ev = make_evaluator(bundle.ctx, degree, exact_tables=False)
-    tol = args.tol
     worst = None
     for x in xs:
-        xn = math.sqrt(sum(t * t for t in x))
+        xn = math.hypot(*x)
         for y in ys:
-            yn = math.sqrt(sum(t * t for t in y))
-            tb = tail_bound(ev, xn, yn)
+            tb = tail_bound(ev, xn, math.hypot(*y))
             if worst is None or tb.value > worst.value:
                 worst = tb
-    if tol is not None and worst is not None and not worst.value < tol:
-        radius = certified_radius(ev, tol, max(
-            math.sqrt(sum(t * t for t in y)) for y in ys
-        ))
+    if not worst.value < (math.inf if tol is None else tol):
+        reason = "is not finite"
+        if tol is not None:
+            radius = certified_radius(ev, tol, max(math.hypot(*y) for y in ys))
+            reason = (
+                f"exceeds tol = {tol:.3g}; certified |x| radius at this truncation is "
+                f"{radius:.4g}"
+            )
         print(
-            f"refusing grid: tail bound {worst.value:.3g} at |x| = {worst.x_norm:.3g} "
-            f"exceeds tol = {tol:.3g}; certified |x| radius at this truncation is "
-            f"{radius:.4g}",
+            f"refusing grid: tail bound {worst.value:.3g} at |x| = {worst.x_norm:.3g} {reason}",
             file=sys.stderr,
         )
         return EXIT_CONFIG
@@ -212,10 +219,9 @@ def cmd_kernel_grid(args) -> int:
     )
     lines = [header]
     for i, x in enumerate(xs):
-        xn = math.sqrt(sum(t * t for t in x))
+        xn = math.hypot(*x)
         for j, y in enumerate(ys):
-            yn = math.sqrt(sum(t * t for t in y))
-            tb = tail_bound(ev, xn, yn)
+            tb = tail_bound(ev, xn, math.hypot(*y))
             v = values[i, j]
             coords = ",".join(_fmt(t) for t in x) + "," + ",".join(_fmt(t) for t in y)
             lines.append(f"{coords},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(tb.value)}")
@@ -228,12 +234,13 @@ def cmd_ek_eval(args) -> int:
     d = bundle.group.dimension
     x = tuple(_floats(args.x.split(","), args.x))
     y = tuple(_floats(args.y.split(","), args.y))
+    tol = _tolerance(args.tol)
     if len(x) != d or len(y) != d:
         print(f"points must have dimension {d}", file=sys.stderr)
         return EXIT_CONFIG
     bundle.ctx.prepare(max(bundle.degree, 1))
     try:
-        val = dunkl_kernel(bundle.ctx, x, y, tol=args.tol)
+        val = dunkl_kernel(bundle.ctx, x, y, tol=tol)
     except TruncationError as exc:
         print(f"ek-eval failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG

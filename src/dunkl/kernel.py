@@ -7,9 +7,12 @@ pieces E_n(x, .),
             = sum_nu V(phi_nu)(x) H_nu(y),          phi_nu = x^nu / sqrt(nu!),
 
 two rearrangements of one double sum that are evaluated along independent
-code paths (series: assemble E_n, then heat; Hermite: heat each monomial,
-then sum).  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy it represents the
-composition of the intertwining operator with the inverse half-heat flow:
+code paths (series: assemble E_n, then heat it with poly.heat_half;
+Hermite: sum the tabled heat images of the monomials, each the product
+prod_j He_{nu_j}(y_j) of probabilists' Hermite polynomials built from one
+integer coefficient table).  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy
+it represents the composition of the intertwining operator with the inverse
+half-heat flow:
 
     integral L(x, y) (e^{-Lap/2} p)(y) dgamma(y) = V(p)(x),
 
@@ -22,7 +25,14 @@ Truncation error is controlled by the per-term estimate
 
     |Lap^m E_n(x, .)(y)| <= d^m / (n-2m)! * (delta_hat |G| |x|)^n |y|^{n-2m},
 
-summed over the discarded degrees exactly as the estimate splits them.
+summed over m and over the discarded degrees n.  With u = delta_hat |G| |x|
+the degree-n sum is u^n [t^n] e^{|y| t + d t^2/2}, and these terms obey a
+positive three-term recurrence; operators._recurrence_tail seeds the first
+two discarded terms in logs, runs the recurrence forward, stops with a
+rigorous geometric remainder, and rounds the result outward by one relative
+factor, so the bound is never below the exact sum of the discarded terms.
+The Taylor tail of the Gaussian-image check and the generalized
+exponential's tail are two more cases of the same routine.
 """
 from __future__ import annotations
 
@@ -36,13 +46,15 @@ from .exact import abs_squared
 from .operators import (
     DunklContext,
     TruncationError,
+    _norm,
+    _recurrence_tail,
     _vk_monomial,
     dunkl_apply,
     evaluate_en,
     intertwine,
     monomial_basis,
 )
-from .poly import Polynomial, _multi_factorial, heat_half
+from .poly import Polynomial, _hermite_product, _multi_factorial, heat_half, hermite_table
 from .quad import GaussianWeighted, QuadratureRule, fourier_quadrature, integrate
 from .reflection_groups import act_on_polynomial, mat_vec
 
@@ -95,18 +107,21 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=True) -> KernelEvalu
     With exact_tables=False the V table comes from the same recursion run
     on the context's float shadow (complex-float copies of the columns of
     each H_n, fallback degrees included); this is the fast path for large
-    grids and high truncation degrees.
+    grids and high truncation degrees.  The heat table holds
+    e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j), whose integer coefficients the
+    float evaluator stores as floats.
     """
     ctx.prepare(n_trunc)
     d = ctx.dimension
     source = ctx if exact_tables else ctx.float_shadow(n_trunc)
     one = 1 if exact_tables else 1.0
+    table = hermite_table(n_trunc)
     vk = {}
     heat_mono = {}
     for n in range(n_trunc + 1):
         for nu in monomial_basis(d, n):
             vk[nu] = _vk_monomial(source, nu)
-            heat_mono[nu] = heat_half(Polynomial.monomial(d, nu, one))
+            heat_mono[nu] = _hermite_product(nu, table, one)
     return KernelEvaluator(ctx, n_trunc, exact_tables, vk, heat_mono)
 
 
@@ -189,44 +204,7 @@ def lk_eval(ev: KernelEvaluator, x, y, tol=None) -> LkValue:
     return LkValue(lk_series_value(ev, x, y), tb)
 
 
-def _norm(v):
-    return math.sqrt(sum(abs(t) ** 2 for t in v))
-
-
 # -- truncation control -----------------------------------------------------------
-
-def _tail_terms(u, v, d):
-    """n -> (delta |G| |x|)^n * sum_m d^m/(2^m m!) |y|^{n-2m}/(n-2m)!, in logs.
-
-    The logarithms and the lgamma table are computed once for all n, and
-    each term takes the same float operations in the same order as a term
-    computed on its own, so its value does not depend on which n came first.
-    """
-    if u == 0.0:
-        return lambda n: 0.0
-    log_u, log_d, log_2 = math.log(u), math.log(d), math.log(2.0)
-    log_v = math.log(v) if v != 0.0 else None
-    lgammas = []  # lgammas[i] = lgamma(i + 1)
-
-    def term(n):
-        while len(lgammas) <= n:
-            lgammas.append(math.lgamma(len(lgammas) + 1))
-        log_u_n = n * log_u
-        total = 0.0
-        for m in range(n // 2 + 1):
-            r = n - 2 * m
-            if log_v is None and r > 0:
-                continue
-            lt = log_u_n + m * log_d - m * log_2 - lgammas[m]
-            if r > 0:
-                lt += r * log_v - lgammas[r]
-            if lt > 690.0:
-                return math.inf
-            total += math.exp(lt)
-        return total
-
-    return term
-
 
 def tail_bound(ev: KernelEvaluator, x_norm, y_norm, n_trunc=None) -> TailBound:
     if n_trunc is None:
@@ -234,34 +212,14 @@ def tail_bound(ev: KernelEvaluator, x_norm, y_norm, n_trunc=None) -> TailBound:
     ctx = ev.ctx
     if ctx.delta_hat is None:
         raise ValueError("estimate_delta must run before tail bounds")
-    key = (n_trunc, round(x_norm, 12), round(y_norm, 12), ctx.delta_hat)
+    key = (n_trunc, x_norm, y_norm, ctx.delta_hat)
     cached = ev._tail_cache.get(key)
     if cached is not None:
         return cached
     d = ev.dimension
-    u = ctx.delta_hat * ctx.group.order * x_norm
-    v = y_norm
-    tail_term = _tail_terms(u, v, d)
-    total = 0.0
-    prev = math.inf
-    converged = u == 0.0
-    n = n_trunc + 1
-    while n < n_trunc + 1202:
-        a_n = tail_term(n)
-        if math.isinf(a_n):
-            total = math.inf
-            break
-        total += a_n
-        if a_n < prev and a_n <= total * 1e-17 + 1e-300:
-            converged = True
-            break
-        prev = a_n
-        n += 1
-    if not converged and not math.isinf(total):
-        total = math.inf
-    env_exp = (ctx.delta_hat * math.sqrt(d) * ctx.group.order * x_norm) ** 2 / 2.0 + (
-        ctx.delta_hat * ctx.group.order * x_norm * y_norm
-    )
+    total = _recurrence_tail(ctx.delta_hat * ctx.group.order * x_norm, y_norm, d, n_trunc)
+    scale = ctx.delta_hat * math.sqrt(d) * ctx.group.order * x_norm
+    env_exp = scale * scale / 2.0 + ctx.delta_hat * ctx.group.order * x_norm * y_norm
     envelope = math.exp(env_exp) if env_exp < 700 else math.inf
     tb = TailBound(n_trunc, x_norm, y_norm, total, envelope)
     ev._tail_cache[key] = tb
@@ -417,31 +375,10 @@ def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
 
 
 def _gaussian_taylor_tail(ev, x_norm, y_norm, deg):
-    """sum_{n > deg} (delta |G| |x|)^n / n! * s_n with s_n the sphere bound of
-    the degree-n Taylor part of the shifted Gaussian."""
+    """sum_{n > deg} (delta |G| |x|)^n / n! * s_n with s_n = [t^n] e^{|y| t + t^2/2}
+    the sphere bound of the degree-n Taylor part of the shifted Gaussian."""
     u = ev.ctx.delta_hat * ev.ctx.group.order * x_norm
-    if u == 0.0:
-        return 0.0
-    log_u, log_2 = math.log(u), math.log(2.0)
-    log_y = math.log(y_norm) if y_norm > 0 else None
-    lgammas = [math.lgamma(i + 1) for i in range(deg + 600)]
-    total = 0.0
-    for n in range(deg + 1, deg + 600):
-        s_n = 0.0
-        for m in range(n // 2 + 1):
-            j = n - 2 * m
-            lt = -lgammas[m] - m * log_2 - lgammas[j]
-            if log_y is not None:
-                lt += j * log_y
-            elif j > 0:
-                continue
-            s_n += math.exp(lt)
-        log_a = n * log_u - lgammas[n]
-        a_n = math.exp(log_a) * s_n if log_a < 690 else math.inf
-        total += a_n
-        if a_n <= total * 1e-16:
-            break
-    return total
+    return _recurrence_tail(u, y_norm, 1, deg, factorial=True)
 
 
 def fourier_check(ev: KernelEvaluator, x, y, rule: QuadratureRule):

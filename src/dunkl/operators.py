@@ -552,35 +552,130 @@ class KernelValue:
     last_term: float
 
 
+def _norm(v):
+    """Euclidean norm of a real or complex vector, without overflow."""
+    return math.hypot(*(abs(t) for t in v))
+
+
+def _tail_terms(u, v, d, factorial=False):
+    """n -> u^n [t^n] e^{v t + d t^2/2}, divided by n! when factorial, in logs.
+
+    The coefficient is sum_m d^m / (2^m m!) v^{n-2m} / (n-2m)!.  The
+    logarithms and the lgamma table are computed once for all n, and each
+    term takes the same float operations in the same order as a term
+    computed on its own, so its value does not depend on which n came first.
+    """
+    if u == 0.0:
+        return lambda n: 0.0
+    log_u, log_2 = math.log(u), math.log(2.0)
+    log_d = math.log(d) if d else 0.0
+    log_v = math.log(v) if v != 0.0 else None
+    lgammas = []  # lgammas[i] = lgamma(i + 1)
+
+    def term(n):
+        while len(lgammas) <= n:
+            lgammas.append(math.lgamma(len(lgammas) + 1))
+        log_u_n = n * log_u
+        if factorial:
+            log_u_n -= lgammas[n]
+        total = 0.0
+        for m in range(n // 2 + 1 if d else 1):
+            r = n - 2 * m
+            if log_v is None and r > 0:
+                continue
+            lt = log_u_n + m * log_d - m * log_2 - lgammas[m]
+            if r > 0:
+                lt += r * log_v - lgammas[r]
+            if lt > 690.0:
+                return math.inf
+            total += math.exp(lt)
+        return total
+
+    return term
+
+
+_TAIL_STEPS = 2000  # recurrence steps before a tail that has not settled reads inf
+_EPS = 2.0**-53  # unit roundoff
+
+
+def _recurrence_tail(u, v, d, n_trunc, factorial=False):
+    """sum_{n > n_trunc} a_n, a_n = u^n [t^n] e^{v t + d t^2/2} (over n! when
+    factorial), for u, v >= 0 and an integer d >= 0; never below the exact sum.
+
+    Since g = e^{v t + d t^2/2} has g' = (v + d t) g, the terms obey the
+    positive three-term recurrence a_n = alpha_n a_{n-1} + beta_n a_{n-2} with
+
+        alpha_n = u v / n,     beta_n = u^2 d / n                (plain),
+        alpha_n = u v / n^2,   beta_n = u^2 d / (n^2 (n - 1))    (factorial),
+
+    coefficients that decrease in n.  The first two discarded terms are
+    seeded in logs (_tail_terms), so a small u does not underflow, and the
+    recurrence runs forward from them: O(n_trunc) for the seeds plus one step
+    per summed term.  Once rho = alpha_{n+1} + beta_{n+1} < 1, every later
+    term is at most rho times the larger of its two predecessors, so
+    consecutive pairs shrink by rho and
+
+        sum_{k > n} a_k <= 2 max(a_n, a_{n-1}) rho / (1 - rho);
+
+    summation stops when that remainder is below 1e-17 of the total, and the
+    remainder is added.  A term that is not finite, or a remainder that does
+    not settle within _TAIL_STEPS steps, gives inf.
+
+    Rounding is folded in by one relative factor 1 + eps (16 S + n + 9 s + 64),
+    eps = 2^-53, with n the second seed's degree, s the number of recurrence
+    steps and S >= n (|log u| + |log v| + |log d| + 1) + 2 lgamma(n + 1) a
+    bound on the sum of the magnitudes of the parts of a seed's logarithm.
+    A seed's logarithm is a sum of at most seven parts, each a correctly
+    rounded log times an integer or an lgamma, so its absolute error is below
+    16 eps S; summing its n/2 + 1 exponentials adds n/2 eps; a recurrence step
+    adds under 8 eps to its term's relative error and its addition to the
+    total one more eps; the last 64 eps cover the remainder, which is at most
+    1e-17 of the total, and the final product.  So the result is never below
+    the tail in exact arithmetic (down to the float underflow threshold).
+    """
+    if u == 0.0:
+        return 0.0
+    seed = n = n_trunc + 2
+    term = _tail_terms(u, v, d, factorial)
+    prev, last = term(n - 1), term(n)
+    total = prev + last
+    if not math.isfinite(total):
+        return math.inf
+    uv, uud = u * v, u * u * d
+    for steps in range(_TAIL_STEPS):
+        k = n + 1
+        beta = uud / (k - 1) if factorial else uud
+        scale = k * k if factorial else k
+        rho = (uv + beta) / scale
+        if rho < 1.0:
+            rest = 2.0 * max(prev, last) * rho / (1.0 - rho)
+            if rest <= total * 1e-17:
+                break
+        prev, last = last, (uv * last + beta * prev) / scale
+        total += last
+        if total == math.inf:
+            return math.inf
+        n = k
+    else:
+        return math.inf
+    logs = abs(math.log(u)) + (abs(math.log(v)) if v else 0.0) + (math.log(d) if d else 0.0)
+    spread = seed * (logs + 1.0) + 2.0 * math.lgamma(seed + 1)
+    return (total + rest) * (1.0 + _EPS * (16.0 * spread + seed + 9.0 * steps + 64.0))
+
+
 def ek_tail_bound(ctx: DunklContext, x_norm, y_norm, n_trunc) -> float:
-    """Bound sum_{n > N} (delta_hat |G| |x|)^n |y|^n / n! by forward summation."""
+    """Bound sum_{n > N} (delta_hat |G| |x|)^n |y|^n / n!: the d = 0 case of
+    the kernel tail, sum_{n > N} u^n [t^n] e^{|y| t}."""
     if ctx.delta_hat is None:
         raise ValueError("estimate_delta must run before truncation bounds")
-    t = ctx.delta_hat * ctx.group.order * x_norm * y_norm
-    if t == 0:
-        return 0.0
-    total = 0.0
-    term = t ** (n_trunc + 1) / math.factorial(n_trunc + 1) if n_trunc < 170 else math.exp(
-        (n_trunc + 1) * math.log(t) - math.lgamma(n_trunc + 2)
-    )
-    n = n_trunc + 1
-    while term > 0 and n < n_trunc + 2000:
-        total += term
-        n += 1
-        term *= t / n
-        if term < total * 1e-18:
-            total += term * 2
-            break
-    return total
+    return _recurrence_tail(ctx.delta_hat * ctx.group.order * x_norm, y_norm, 0, n_trunc)
 
 
 def dunkl_kernel(ctx: DunklContext, x, y, tol, degree_cap=160) -> KernelValue:
     """Truncated generalized exponential sum_{n<=N} E_n(x, y) with a certified
     tail bound below tol; N is the smallest degree achieving the bound."""
-    xf = [complex(t) for t in x]
-    yf = [complex(t) for t in y]
-    x_norm = math.sqrt(sum(abs(t) ** 2 for t in xf))
-    y_norm = math.sqrt(sum(abs(t) ** 2 for t in yf))
+    x_norm = _norm([complex(t) for t in x])
+    y_norm = _norm([complex(t) for t in y])
     n_trunc = None
     for n in range(0, degree_cap + 1):
         if ek_tail_bound(ctx, x_norm, y_norm, n) < tol:

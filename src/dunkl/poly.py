@@ -11,7 +11,9 @@ which terminate because L^m p = 0 once 2m exceeds deg p, the Fischer pairing
 
     [p, q] = p(d/dx) q |_{x=0},    [x^a, x^b] = delta_ab * a!,
 
-its Gaussian-integral realization, and the associated Hermite polynomials.
+its Gaussian-integral realization, and the associated Hermite polynomials,
+built as products of one-variable probabilists' Hermite polynomials from an
+integer coefficient table.
 Normalized monomials x^a / sqrt(a!) carry an irrational scale; quantities
 built from them store the exact squared scale 1/a! and take a single square
 root at the float boundary.
@@ -426,8 +428,34 @@ class HermiteData:
 
 def hermite(nu) -> HermiteData:
     nu = tuple(nu)
-    mono = Polynomial.monomial(len(nu), nu)
-    return HermiteData(nu, heat_half(mono), Fraction(1, _multi_factorial(nu)))
+    table = hermite_table(max(nu, default=0))
+    return HermiteData(nu, _hermite_product(nu, table), Fraction(1, _multi_factorial(nu)))
+
+
+def hermite_table(n_max):
+    """table[n][e] = the integer coefficient of z^e in the probabilists'
+    Hermite polynomial He_n, for n <= n_max, from He_0 = 1, He_1 = z and
+    He_{n+1} = z He_n - n He_{n-1}."""
+    table = [[1], [0, 1]]
+    for n in range(1, n_max):
+        nxt = [0] + table[n]
+        for e, c in enumerate(table[n - 1]):
+            nxt[e] -= n * c
+        table.append(nxt)
+    return table[: n_max + 1]
+
+
+def _hermite_product(nu, table, one=1):
+    """e^{-Laplacian/2} x^nu = prod_j He_{nu_j}(x_j), since the half-heat
+    flow factors over the coordinates and sends z^n to He_n(z) in one
+    variable.  The coefficients are integers from the table, times one
+    (1.0 for a float polynomial), so each is rounded at most once."""
+    terms = {(): 1}
+    for e in nu:
+        terms = {
+            key + (f,): c * a for key, c in terms.items() for f, a in enumerate(table[e]) if a
+        }
+    return Polynomial(len(nu), {key: one * c for key, c in terms.items()})
 
 
 @dataclass(frozen=True)

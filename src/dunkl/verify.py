@@ -477,10 +477,10 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     results.append(CheckResult("rule-moment-exactness", worst, 1e-12, worst <= 1e-12))
 
-    node_set = {tuple(round(t, 10) for t in z) for z in rule.nodes}
-    missing = sum(
-        1 for z in rule.nodes if tuple(round(-t, 10) for t in z) not in node_set
-    )
+    # rounding to even is odd-symmetric, so the negated keys are the keys of -z
+    keys = np.round(rule.nodes, 10)
+    node_set = set(map(tuple, keys.tolist()))
+    missing = sum(1 for z in (-keys).tolist() if tuple(z) not in node_set)
     results.append(CheckResult("rule-negation-symmetry", missing, 0.0, missing == 0))
 
     worst = 0.0

@@ -343,6 +343,10 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         ["kernel-grid", "--context", ctx, "--grid", "x1:0:1:q,y1:0"],
         ["kernel-grid", "--context", ctx, "--grid", ":1"],
         ["kernel-grid", "--context", ctx, "--grid", "x1:0:1:0.5", "--degree", "-1"],
+        ["kernel-grid", "--context", ctx, "--grid", "x1:0:1:0.5", "--tol", "nan"],
+        ["ek-eval", "--context", ctx, "--x", "0.5", "--y", "0.25", "--tol", "0"],
+        ["ek-eval", "--context", ctx, "--x", "0.5", "--y", "0.25", "--tol=-1e-8"],
+        ["ek-eval", "--context", ctx, "--x", "0.5", "--y", "0.25", "--tol", "nan"],
         ["lambda-table", "--context", ctx, "--degree", "-1"],
         ["build", "--config", str(cfg), "--out", str(tmp_path / "x.json"), "--degree", "-1"],
         ["export-quadrature", "--dim", "2", "--points-per-axis", "0"],
@@ -362,6 +366,15 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert "configuration error" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+    # points whose tail bound is not finite are refused, not printed
+    for argv in (
+        ["ek-eval", "--context", ctx, "--x", "1e200", "--y", "0.25"],
+        ["kernel-grid", "--context", ctx, "--grid", "x1:0:1e200:1e200"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
 

@@ -1,17 +1,16 @@
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dunkl.kernel import (
     certified_radius,
     convolution_check,
     derivative_relation_check,
     _gaussian_taylor_tail,
-    _tail_terms,
     fourier_check,
     gaussian_image_check,
     gaussian_taylor,
@@ -31,6 +30,8 @@ from dunkl.kernel import (
 )
 from dunkl.operators import (
     TruncationError,
+    _recurrence_tail,
+    _tail_terms,
     intertwine,
     make_context,
 )
@@ -147,6 +148,12 @@ def test_tail_bound_monotone_and_dominates(ev_b2):
         for n in range(n0 + 1, ev_b2.n_trunc + 1)
     )
     assert removed <= tail_bound(ev_b2, math.hypot(*x), math.hypot(*y), n0).value
+
+
+def test_tail_bound_cache_keeps_nearby_norms_apart(ev_b2):
+    # the bound at a slightly larger |x| is larger, never a cached smaller one
+    near = tail_bound(ev_b2, 0.3, 1.0).value
+    assert tail_bound(ev_b2, 0.3 + 4e-13, 1.0).value > near
 
 
 def test_certified_radius_monotone(ev_b2):
@@ -433,29 +440,6 @@ def _tail_term_per_call(u, v, d, n):
     return total
 
 
-def _gaussian_taylor_tail_per_call(u, y_norm, deg):
-    """Reference: the Taylor-tail bound with its logs and lgammas inline."""
-    if u == 0.0:
-        return 0.0
-    total = 0.0
-    for n in range(deg + 1, deg + 600):
-        s_n = 0.0
-        for m in range(n // 2 + 1):
-            j = n - 2 * m
-            lt = -math.lgamma(m + 1) - m * math.log(2.0) - math.lgamma(j + 1)
-            if y_norm > 0:
-                lt += j * math.log(y_norm)
-            elif j > 0:
-                continue
-            s_n += math.exp(lt)
-        log_a = n * math.log(u) - math.lgamma(n + 1)
-        a_n = math.exp(log_a) * s_n if log_a < 690 else math.inf
-        total += a_n
-        if a_n <= total * 1e-16:
-            break
-    return total
-
-
 def test_tail_terms_bit_identical_to_per_call_logs():
     rng = random.Random(5)
     cases = [(0.0, 1.0, 2, 3), (1.5, 0.0, 3, 0)]
@@ -467,7 +451,58 @@ def test_tail_terms_bit_identical_to_per_call_logs():
         term = _tail_terms(u, v, d)
         for n in range(n0, n0 + 60):
             assert term(n) == _tail_term_per_call(u, v, d, n), (u, v, d, n)
-        # delta_hat |G| |x| = u * 1 * 1.0 = u
-        ev = SimpleNamespace(ctx=SimpleNamespace(delta_hat=u, group=SimpleNamespace(order=1)))
-        for deg in (n0, n0 + 7):
-            assert _gaussian_taylor_tail(ev, 1.0, v, deg) == _gaussian_taylor_tail_per_call(u, v, deg)
+
+
+def _exact_tail_terms(u, v, d, n_hi, factorial):
+    """u^n [t^n] e^{v t + d t^2/2} (over n! when factorial) for n <= n_hi, in
+    Fractions, from n c_n = v c_{n-1} + d c_{n-2}."""
+    c = [Fraction(1), v]
+    for n in range(2, n_hi + 1):
+        c.append((v * c[n - 1] + d * c[n - 2]) / n)
+    out = []
+    scale = Fraction(1)
+    for n in range(n_hi + 1):
+        out.append(scale * c[n])
+        scale *= u / (n + 1) if factorial else u
+    return out
+
+
+EIGHTHS = st.integers(0, 24).map(lambda a: Fraction(a, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    u=EIGHTHS.filter(bool),
+    v=EIGHTHS,
+    d=st.integers(0, 4),
+    n_trunc=st.integers(0, 30),
+    factorial=st.booleans(),
+)
+@example(u=Fraction(3), v=Fraction(0), d=4, n_trunc=13, factorial=False)
+@example(u=Fraction(1, 8), v=Fraction(0), d=1, n_trunc=21, factorial=True)
+def test_recurrence_tail_brackets_exact_sum(u, v, d, n_trunc, factorial):
+    # u in (0, 3], v in [0, 3], at eighths: the 200 discarded degrees hold the whole
+    # tail to far below 1e-12, so the routine must lie in [S, (1 + 1e-12) S]
+    terms = _exact_tail_terms(u, v, d, n_trunc + 200, factorial)
+    partial = sum(terms[n_trunc + 1 :])
+    got = _recurrence_tail(float(u), float(v), d, n_trunc, factorial)
+    assert partial <= Fraction(got) <= partial * (1 + Fraction(1, 10**12)), (got, float(partial))
+
+
+@pytest.mark.parametrize("y_norm", [0.0, 1e-9, 0.5])
+def test_tail_bounds_positive_and_monotone_at_every_parity(ev_b2, y_norm):
+    # the first discarded degree alternates in parity; at |y| = 0 the odd
+    # degrees vanish, and the tail must still count the even ones after them.
+    # Consecutive tails then agree in exact arithmetic, and their outward
+    # rounding factors differ by far less than 1e-12.
+    tails = [tail_bound(ev_b2, 0.2, y_norm, n).value for n in range(10, 22)]
+    assert all(a * (1 + 1e-12) >= b > 0.0 for a, b in zip(tails, tails[1:]))
+    taylor = [_gaussian_taylor_tail(ev_b2, 0.1, y_norm, n) for n in range(10, 26)]
+    assert all(a * (1 + 1e-12) >= b > 0.0 for a, b in zip(taylor, taylor[1:]))
+    if y_norm == 1e-9:
+        assert all(
+            tail_bound(ev_b2, 0.2, 0.0, n).value <= tb for n, tb in zip(range(10, 22), tails)
+        )
+        assert all(
+            _gaussian_taylor_tail(ev_b2, 0.1, 0.0, n) <= tb for n, tb in zip(range(10, 26), taylor)
+        )

@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 from dunkl.poly import (
     NonHomogeneousError,
     Polynomial,
+    _hermite_product,
     directional_derivative,
     fischer,
     fischer_via_gaussian,
     heat_half,
     hermite,
+    hermite_table,
     inverse_heat_half,
     laplacian,
     sphere_sup_norm,
 )
+from dunkl.operators import monomial_basis
 from dunkl.quad import QuadratureDegreeError, gauss_rule
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -163,6 +166,19 @@ def test_hermite_examples():
     assert abs(h2.evaluate((2.0,)) - 3 / math.sqrt(2)) < 1e-14
     want = math.exp(-2.0) * 3 / math.sqrt(2)
     assert abs(h2.evaluate_windowed((2.0,)) - want) < 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hermite_product_is_heat_half_of_monomial(d):
+    # every degree to 30, up to a dozen monomials of each
+    table = hermite_table(30)
+    for n in range(31):
+        basis = monomial_basis(d, n)
+        for nu in basis[:: max(1, len(basis) // 12)]:
+            exact = _hermite_product(nu, table)
+            assert exact == heat_half(Polynomial.monomial(d, nu)), nu
+            floats = _hermite_product(nu, table, 1.0)
+            assert floats.terms == {mu: float(c) for mu, c in exact.terms.items()}
 
 
 def test_hermite_gram_identity_to_degree_five():
