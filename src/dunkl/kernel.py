@@ -6,11 +6,13 @@ pieces E_n(x, .),
     L(x, y) = sum_n (e^{-Lap/2} E_n(x, .))(y)
             = sum_nu V(phi_nu)(x) H_nu(y),          phi_nu = x^nu / sqrt(nu!),
 
-two rearrangements of one double sum that are evaluated along independent
-code paths (series: assemble E_n, then heat it with poly.heat_half;
-Hermite: sum the tabled heat images of the monomials, each the product
-prod_j He_{nu_j}(y_j) of probabilists' Hermite polynomials built from one
-integer coefficient table).  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy
+two rearrangements of one double sum.  Both read the coefficients of
+E_n(x, .) from operators.homogeneous_kernel, the one place the V table is
+turned into them, and differ only in the heat step (series: heat E_n with
+poly.heat_half; Hermite: contract its coefficients with the tabled heat
+images of the monomials, each the product prod_j He_{nu_j}(y_j) of
+probabilists' Hermite polynomials built from one integer coefficient
+table).  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy
 it represents the composition of the intertwining operator with the inverse
 half-heat flow:
 
@@ -51,11 +53,12 @@ from .operators import (
     _vk_monomial,
     dunkl_apply,
     evaluate_en,
+    homogeneous_kernel,
     intertwine,
     monomial_basis,
 )
 from .poly import Polynomial, _hermite_product, _multi_factorial, heat_half, hermite_table
-from .quad import GaussianWeighted, QuadratureRule, fourier_quadrature, integrate
+from .quad import GaussianWeighted, QuadratureRule, _node_values, fourier_quadrature, integrate
 from .reflection_groups import act_on_polynomial, mat_vec
 
 
@@ -82,8 +85,8 @@ class KernelEvaluator:
     ctx: DunklContext
     n_trunc: int
     exact_tables: bool
-    vk: dict  # nu -> V(x^nu), polynomial in x
-    heat_mono: dict  # nu -> e^{-Lap/2} x^nu, polynomial in y
+    source: DunklContext  # whose V table is read: ctx, or its float shadow
+    heat_mono: dict  # nu -> e^{-Lap/2} x^nu, polynomial in y, by degree
     _heat_images: dict = field(default_factory=dict)  # (x, n) -> polynomial in y
     _lk_polys: dict = field(default_factory=dict)  # x -> truncated kernel in y
     _tail_cache: dict = field(default_factory=dict)
@@ -93,21 +96,15 @@ class KernelEvaluator:
     def dimension(self):
         return self.ctx.dimension
 
-    @property
-    def indices(self):
-        out = []
-        for n in range(self.n_trunc + 1):
-            out.extend(monomial_basis(self.dimension, n))
-        return out
-
 
 def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=True) -> KernelEvaluator:
     """Precompute the per-degree tables up to the truncation degree.
 
-    With exact_tables=False the V table comes from the same recursion run
-    on the context's float shadow (complex-float copies of the columns of
-    each H_n, fallback degrees included); this is the fast path for large
-    grids and high truncation degrees.  The heat table holds
+    The V table is filled on ``source``: the context itself, or with
+    exact_tables=False its float shadow, where the same recursion runs on
+    complex-float copies of the columns of each H_n, fallback degrees
+    included; this is the fast path for large grids and high truncation
+    degrees.  The heat table holds
     e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j), whose integer coefficients the
     float evaluator stores as floats.
     """
@@ -116,33 +113,22 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=True) -> KernelEvalu
     source = ctx if exact_tables else ctx.float_shadow(n_trunc)
     one = 1 if exact_tables else 1.0
     table = hermite_table(n_trunc)
-    vk = {}
     heat_mono = {}
     for n in range(n_trunc + 1):
         for nu in monomial_basis(d, n):
-            vk[nu] = _vk_monomial(source, nu)
+            _vk_monomial(source, nu)
             heat_mono[nu] = _hermite_product(nu, table, one)
-    return KernelEvaluator(ctx, n_trunc, exact_tables, vk, heat_mono)
+    return KernelEvaluator(ctx, n_trunc, exact_tables, source, heat_mono)
 
 
 # -- the two evaluation paths ---------------------------------------------------
 
-def en_polynomial(ev: KernelEvaluator, n, x) -> Polynomial:
-    """E_n(x, .) in y: sum over |nu| = n of V(x^nu)(x) y^nu / nu!."""
-    d = ev.dimension
-    terms = {}
-    for nu in monomial_basis(d, n):
-        c = ev.vk[nu].evaluate(x)
-        if c:
-            terms[nu] = c * Fraction(1, _multi_factorial(nu))
-    return Polynomial(d, terms)
-
-
 def heat_image(ev: KernelEvaluator, n, x) -> Polynomial:
+    """Series path, degree n: e^{-Lap/2} E_n(x, .) as a polynomial in y."""
     key = (tuple(x), n)
     cached = ev._heat_images.get(key)
     if cached is None:
-        cached = heat_half(en_polynomial(ev, n, x))
+        cached = heat_half(homogeneous_kernel(ev.source, n, x))
         ev._heat_images[key] = cached
     return cached
 
@@ -166,22 +152,20 @@ def lk_series_value(ev: KernelEvaluator, x, y):
     return total
 
 
+def hermite_piece(ev: KernelEvaluator, n, x, y):
+    """Hermite path, degree n: the coefficients V(x^nu)(x) / nu! of E_n(x, .)
+    contracted with the tabled e^{-Lap/2} y^nu, so no square roots enter."""
+    total = 0
+    for nu, c in homogeneous_kernel(ev.source, n, x).terms.items():
+        total = total + c * ev.heat_mono[nu].evaluate(y)
+    return total
+
+
 def lk_eval_hermite(ev: KernelEvaluator, x, y, n_trunc=None):
-    """Hermite path: sum_nu V(phi_nu)(x) H_nu(y) with the 1/nu! scales paired
-    exactly, so no square roots enter."""
+    """Hermite path: sum_nu V(phi_nu)(x) H_nu(y)."""
     if n_trunc is None:
         n_trunc = ev.n_trunc
-    total = 0
-    d = ev.dimension
-    for n in range(n_trunc + 1):
-        for nu in monomial_basis(d, n):
-            c = ev.vk[nu].evaluate(x)
-            if not c:
-                continue
-            total = total + c * ev.heat_mono[nu].evaluate(y) * Fraction(
-                1, _multi_factorial(nu)
-            )
-    return total
+    return sum(hermite_piece(ev, n, x, y) for n in range(n_trunc + 1))
 
 
 @dataclass(frozen=True)
@@ -252,39 +236,24 @@ def lk_mass(ev: KernelEvaluator, x, rule: QuadratureRule):
 def phi_x_apply(ev: KernelEvaluator, x, f, rule: QuadratureRule):
     """The extended functional: integral of L^(N)(x, y) f(y) dgamma(y)."""
     lk_vals = lk_polynomial(ev, x).to_float().evaluate_many(rule.nodes)
-    if hasattr(f, "evaluate_many"):
-        f_vals = np.asarray(f.evaluate_many(rule.nodes))
-    elif isinstance(f, Polynomial):
-        f_vals = f.to_float().evaluate_many(rule.nodes)
-    else:
-        f_vals = np.asarray([f(z) for z in rule.nodes])
-    out = complex(np.dot(rule.weights, lk_vals * f_vals))
+    out = complex(np.dot(rule.weights, lk_vals * _node_values(f, rule.nodes)))
     return out.real if out.imag == 0.0 else out
 
 
-def phi_x_norm(ev: KernelEvaluator, x, rule: QuadratureRule, n_trunc=None):
+def phi_x_norm(ev: KernelEvaluator, x, rule: QuadratureRule):
     """Norm of the represented functional on L^2(dgamma), by two routes.
 
-    Route 1 sums the squared V(phi_nu)(x) coefficients (1/nu! carried
-    exactly); route 2 integrates |L^(N)(x, .)|^2 by quadrature.  At matching
-    truncation the routes agree up to roundoff.
+    Route 1 sums |c_nu|^2 nu! = |V(phi_nu)(x)|^2 over the coefficients c_nu
+    of each E_n(x, .); route 2 integrates |L^(N)(x, .)|^2 by quadrature.
+    At matching truncation the routes agree up to roundoff.
     """
-    if n_trunc is None:
-        n_trunc = ev.n_trunc
-    _require_degree(rule, 2 * n_trunc)
-    d = ev.dimension
+    _require_degree(rule, 2 * ev.n_trunc)
     coeff_sq = 0.0
-    for n in range(n_trunc + 1):
-        for nu in monomial_basis(d, n):
-            c = ev.vk[nu].evaluate(x)
-            if c:
-                coeff_sq += float(abs_squared(c) * Fraction(1, _multi_factorial(nu)))
+    for n in range(ev.n_trunc + 1):
+        for nu, c in homogeneous_kernel(ev.source, n, x).terms.items():
+            coeff_sq += float(abs_squared(c) * _multi_factorial(nu))
     series_route = math.sqrt(coeff_sq)
-    terms = {}
-    for n in range(n_trunc + 1):
-        for nu, c in heat_image(ev, n, x).terms.items():
-            terms[nu] = terms.get(nu, 0) + c
-    vals = Polynomial(d, terms).to_float().evaluate_many(rule.nodes)
+    vals = lk_polynomial(ev, x).to_float().evaluate_many(rule.nodes)
     quad_route = math.sqrt(float(np.dot(rule.weights, np.abs(vals) ** 2)))
     return series_route, quad_route
 
@@ -393,8 +362,8 @@ def fourier_check(ev: KernelEvaluator, x, y, rule: QuadratureRule):
     for label, c in (("plus", 1j), ("minus", -1j)):
         combined = Polynomial.zero(ev.dimension)
         for n in range(ev.n_trunc + 1):
-            combined = combined + en_polynomial(ev, n, x).to_float() * (c**n)
-        value, _ = fourier_quadrature(GaussianWeighted(combined), y, rule)
+            combined = combined + homogeneous_kernel(ev.source, n, x).to_float() * (c**n)
+        value = fourier_quadrature(GaussianWeighted(combined), y, rule)
         out[label] = abs(value - target)
     return out
 
@@ -405,10 +374,10 @@ def derivative_relation_check(ev: KernelEvaluator, x, y, j):
         d/dy_j [L(x, y) e^{-|y|^2/2}] = +- T_j^x [L(., y)](x) e^{-|y|^2/2},
 
     with the y-side differentiated symbolically per term and the x-side
-    assembled from the V table and hit with the Dunkl operator exactly.
+    L(., y) = V(sum_nu He_nu(y) x^nu / nu!) hit with the Dunkl operator
+    exactly.
     The orientation follows the same convention fork as the Fourier and
     Gaussian-image identities; the k = 0 closed form singles one out."""
-    d = ev.dimension
     window = math.exp(-float(_norm([complex(t) for t in y])) ** 2 / 2.0)
     deriv = 0
     value = 0
@@ -417,13 +386,11 @@ def derivative_relation_check(ev: KernelEvaluator, x, y, j):
         deriv = deriv + g_n.partial(j).evaluate(y)
         value = value + g_n.evaluate(y)
     lhs = window * (complex(deriv) - complex(y[j]) * complex(value))
-    q = Polynomial.zero(d)
-    for n in range(ev.n_trunc + 1):
-        for nu in monomial_basis(d, n):
-            w = ev.heat_mono[nu].evaluate(y)
-            if w:
-                q = q + ev.vk[nu] * (w * Fraction(1, _multi_factorial(nu)))
-    e_j = tuple(1 if i == j else 0 for i in range(d))
+    weights = {
+        nu: h.evaluate(y) * Fraction(1, _multi_factorial(nu)) for nu, h in ev.heat_mono.items()
+    }
+    q = intertwine(ev.source, Polynomial(ev.dimension, weights))
+    e_j = tuple(1 if i == j else 0 for i in range(ev.dimension))
     rhs = window * complex(dunkl_apply(ev.ctx, e_j, q).evaluate(x))
     return {"plus": abs(lhs - rhs), "minus": abs(lhs + rhs)}
 
@@ -505,8 +472,8 @@ def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
 
 def _float_tables(ev: KernelEvaluator):
     if ev._float_tables is None:
-        order = ev.indices
-        vk_f = [ev.vk[nu].to_float() for nu in order]
+        order = list(ev.heat_mono)
+        vk_f = [_vk_monomial(ev.source, nu).to_float() for nu in order]
         heat_f = [ev.heat_mono[nu].to_float() for nu in order]
         scales = np.array([1.0 / _multi_factorial(nu) for nu in order])
         ev._float_tables = (order, vk_f, heat_f, scales)

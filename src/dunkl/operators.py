@@ -152,12 +152,14 @@ def make_context(group, positives, k) -> DunklContext:
 
 # -- the operators -------------------------------------------------------------
 
-def divide_by_root_pairing(p: Polynomial, alpha, float_tol=None):
+def divide_by_root_pairing(p: Polynomial, alpha):
     """Exact division of p by the linear form <alpha, x>.
 
     Terms are eliminated level by level in the exponent of a pivot variable;
-    whatever survives at level zero is the remainder, which must vanish (up
-    to float_tol in the floating layer).
+    whatever survives at level zero is the remainder.  An exact remainder
+    coefficient must be 0; a float or complex one may be up to 1e-10 times
+    the largest coefficient of p (at least 1), so float data divide on an
+    exact context too.
     """
     d = p.dim
     pivot = next(i for i, a in enumerate(alpha) if a != 0)
@@ -181,11 +183,10 @@ def divide_by_root_pairing(p: Polynomial, alpha, float_tol=None):
                     continue
                 key = qnu[:j] + (qnu[j] + 1,) + qnu[j + 1 :]
                 lower[key] = lower.get(key, 0) - qc * aj
-    residue = levels.get(0, {})
-    scale = max((abs(complex(c)) for c in p.terms.values()), default=0.0)
-    tol = 0.0 if float_tol is None else float_tol * max(scale, 1.0)
-    for nu, c in residue.items():
-        if c and abs(complex(c)) > tol:
+    residue = [c for c in levels.get(0, {}).values() if c]
+    if residue:
+        tol = 1e-10 * max(_coeff_scale(p), 1.0)
+        if any(not isinstance(c, (float, complex)) or abs(c) > tol for c in residue):
             raise ExactDivisionError(
                 "difference term not divisible by the root pairing (internal bug)"
             )
@@ -195,7 +196,6 @@ def divide_by_root_pairing(p: Polynomial, alpha, float_tol=None):
 def dunkl_apply(ctx: DunklContext, xi, p: Polynomial) -> Polynomial:
     """T_xi p."""
     out = directional_derivative(xi, p)
-    float_tol = None if ctx.is_exact else 1e-10
     for alpha, ka, sidx in ctx.reflections:
         if ka == 0:
             continue
@@ -205,7 +205,7 @@ def dunkl_apply(ctx: DunklContext, xi, p: Polynomial) -> Polynomial:
         diff = p - act_on_polynomial(ctx.group, sidx, p)
         if not diff:
             continue
-        out = out + divide_by_root_pairing(diff, alpha, float_tol) * (ka * pairing)
+        out = out + divide_by_root_pairing(diff, alpha) * (ka * pairing)
     return out
 
 
@@ -696,15 +696,4 @@ def dunkl_kernel(ctx: DunklContext, x, y, tol, degree_cap=160) -> KernelValue:
 
 def evaluate_en(ctx: DunklContext, n, x, y):
     """E_n(x, y) for numeric (exact or floating) points."""
-    d = ctx.dimension
-    total = 0
-    for nu in monomial_basis(d, n):
-        c = _vk_monomial(ctx, nu).evaluate(x)
-        if not c:
-            continue
-        mono = 1
-        for i, e in enumerate(nu):
-            if e:
-                mono = mono * y[i] ** e
-        total = total + c * mono * Fraction(1, _multi_factorial(nu))
-    return total
+    return homogeneous_kernel(ctx, n, x).evaluate(y)

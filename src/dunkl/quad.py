@@ -53,21 +53,28 @@ def gauss_rule(d: int, q: int) -> QuadratureRule:
     return QuadratureRule(d, nodes, weights, 2 * q - 1)
 
 
-def integrate(f, rule: QuadratureRule):
-    """Weighted node sum; exact for polynomials within rule.exact_degree.
-
-    ``f`` may be a Polynomial-like object (anything with evaluate_many), a
-    vectorized callable on an (n, d) array, or a pointwise callable.
-    """
+def _node_values(f, nodes):
+    """f on an (n, d) array of nodes.  ``f`` may be a Polynomial-like object
+    (anything with evaluate_many), a vectorized callable on the array, or a
+    pointwise callable, which is called once per node when the array call
+    fails or does not give one value per node."""
     if hasattr(f, "evaluate_many"):
-        vals = np.asarray(f.evaluate_many(rule.nodes))
-    elif callable(f):
-        vals = f(rule.nodes)
-        vals = np.asarray(vals)
-        if vals.shape != (len(rule.nodes),):
-            vals = np.array([f(z) for z in rule.nodes])
-    else:
+        return np.asarray(f.evaluate_many(nodes))
+    if not callable(f):
         raise TypeError("integrand must be a polynomial or a callable")
+    try:
+        vals = np.asarray(f(nodes))
+    except (TypeError, ValueError, IndexError):
+        vals = None
+    if vals is None or vals.shape != (len(nodes),):
+        vals = np.array([f(z) for z in nodes])
+    return vals
+
+
+def integrate(f, rule: QuadratureRule):
+    """Weighted node sum of f (see _node_values); exact for polynomials
+    within rule.exact_degree."""
+    vals = _node_values(f, rule.nodes)
     # a correctly rounded sum: np.dot over 20^4 nodes is off by ~1e-11
     terms = rule.weights * vals
     re = math.fsum(terms.real.tolist())
@@ -90,11 +97,9 @@ def fourier_quadrature(f, y, rule):
     """(2 pi)^{-d/2} * integral of f(z) e^{-i<y,z>} dz.
 
     The integrand must be GaussianWeighted: the Gaussian is absorbed into
-    dgamma and the oscillatory factor is evaluated on the rule; the returned
-    bound is then zero (the rule's polynomial-exactness applies).  A bare
-    callable has no certified decay and is refused.
-
-    Returns (value, truncation_bound).
+    dgamma and the oscillatory factor is evaluated on the rule, so the rule's
+    polynomial exactness applies.  A bare callable has no certified decay
+    and is refused.
     """
     if not isinstance(f, GaussianWeighted):
         raise UncertifiedDecayError(
@@ -102,14 +107,7 @@ def fourier_quadrature(f, y, rule):
         )
     y = np.asarray(y, dtype=float)
     phases = np.exp(-1j * rule.nodes @ y)
-    factor = f.factor
-    if hasattr(factor, "evaluate_many"):
-        vals = np.asarray(factor.evaluate_many(rule.nodes))
-    else:
-        vals = np.asarray(factor(rule.nodes))
-        if vals.shape != (len(rule.nodes),):
-            vals = np.array([factor(z) for z in rule.nodes])
-    return complex(np.dot(rule.weights, vals * phases)), 0.0
+    return complex(np.dot(rule.weights, _node_values(f.factor, rule.nodes) * phases))
 
 
 def gaussian_moment(nu) -> int:

@@ -428,7 +428,7 @@ def test_criterion_14_term_bounds(b2_ev):
     for n, row in ctx.delta_table:
         print(f"  {n:3d}  {row:.6f}")
         assert row <= ctx.delta_hat
-    from dunkl.kernel import en_polynomial
+    from dunkl.operators import homogeneous_kernel
 
     rng = np.random.default_rng(140)
     u_scale = ctx.delta_hat * ctx.group.order
@@ -437,7 +437,7 @@ def test_criterion_14_term_bounds(b2_ev):
         y = tuple(rng.uniform(-1.0, 1.0, 2))
         xn, yn = math.hypot(*x), math.hypot(*y)
         for n in range(0, 15):
-            lap = en_polynomial(b2_ev, n, x).to_float()
+            lap = homogeneous_kernel(ctx, n, x).to_float()
             for m in range(n // 2 + 1):
                 got = abs(complex(lap.evaluate(y)))
                 bound = (

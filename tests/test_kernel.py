@@ -32,6 +32,7 @@ from dunkl.operators import (
     TruncationError,
     _recurrence_tail,
     _tail_terms,
+    _vk_monomial,
     intertwine,
     make_context,
 )
@@ -312,6 +313,17 @@ def test_derivative_relation_at_x_zero(ev_z21):
     assert res["minus"] < 1e-10
 
 
+def test_derivative_relation_float_point_on_exact_evaluator(ev_b2):
+    # float points put float coefficients into T_j on the exact context
+    got = derivative_relation_check(ev_b2, (0.3, -0.2), (0.5, 0.4), 0)
+    want = derivative_relation_check(
+        ev_b2, (Fraction(3, 10), Fraction(-1, 5)), (Fraction(1, 2), Fraction(2, 5)), 0
+    )
+    assert want["minus"] < 1e-9
+    for side in ("plus", "minus"):
+        assert abs(got[side] - want[side]) <= 1e-9
+
+
 def test_derivative_relation_b2(ev_b2):
     worst = 0.0
     x = (Fraction(1, 4), Fraction(-1, 5))
@@ -350,10 +362,8 @@ def test_float_tables_match_exact():
     ev_float = make_ev(
         "B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 8, exact_tables=False, d=2
     )
-    x, y = (0.35, -0.6), (0.8, 0.25)
-    a = complex(lk_series_value(ev_exact, x, y))
-    b = complex(lk_series_value(ev_float, x, y))
-    assert abs(a - b) < 1e-11
+    assert ev_exact.source is ev_exact.ctx and ev_float.source is not ev_float.ctx
+    _assert_evaluators_agree(ev_exact, ev_float, (0.35, -0.6), (0.8, 0.25), 1e-11)
 
 
 def test_float_tables_match_exact_through_fallback_degree():
@@ -363,8 +373,23 @@ def test_float_tables_match_exact_through_fallback_degree():
     ev_float = make_ev("Z2^d", Fraction(-1), 6, exact_tables=False, d=1)
     assert ev_float.ctx.fallback_degrees == [2]
     x = (0.7,)
-    for nu, p in ev_float.vk.items():
-        assert abs(complex(p.evaluate(x)) - complex(ev_exact.vk[nu].evaluate(x))) <= 1e-12
+    for nu in ev_float.heat_mono:
+        a = _vk_monomial(ev_float.source, nu).evaluate(x)
+        assert abs(complex(a) - complex(_vk_monomial(ev_exact.ctx, nu).evaluate(x))) <= 1e-12
+    _assert_evaluators_agree(ev_exact, ev_float, x, (-0.45,), 1e-12)
+
+
+def _assert_evaluators_agree(ev_exact, ev_float, x, y, tol):
+    """Both kernel paths, both functional-norm routes and the Fourier check
+    give the same numbers on exact and float tables."""
+    rule = gauss_rule(len(x), 20)
+    for path in (lk_series_value, lk_eval_hermite):
+        assert abs(complex(path(ev_exact, x, y)) - complex(path(ev_float, x, y))) < tol
+    for a, b in zip(phi_x_norm(ev_exact, x, rule), phi_x_norm(ev_float, x, rule)):
+        assert abs(a - b) < tol
+    fa, fb = fourier_check(ev_exact, x, y, rule), fourier_check(ev_float, x, y, rule)
+    for side in ("plus", "minus"):
+        assert abs(fa[side] - fb[side]) < tol
 
 
 def test_lk_polynomial_is_truncated_kernel(ev_b2):

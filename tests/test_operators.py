@@ -13,9 +13,11 @@ from dunkl.exact import (
     solve_columns,
 )
 from dunkl.operators import (
+    ExactDivisionError,
     GroupAlgebraElement,
     NotInMStarError,
     apply_H,
+    divide_by_root_pairing,
     dunkl_apply,
     dunkl_kernel,
     en_expansion_oracle,
@@ -90,6 +92,30 @@ def test_dunkl_commutativity(b2):
     assert dunkl_apply(b2, e1, dunkl_apply(b2, e2, p)) == dunkl_apply(
         b2, e2, dunkl_apply(b2, e1, p)
     )
+
+
+def test_dunkl_apply_float_coefficients_on_exact_context(b2):
+    terms = {
+        (3, 0): Fraction(1, 10),
+        (1, 2): Fraction(7, 10),
+        (0, 3): Fraction(3, 10),
+        (2, 1): Fraction(1, 3),
+    }
+    exact = dunkl_apply(b2, (1, 0), Polynomial(2, terms))
+    got = dunkl_apply(b2, (1, 0), Polynomial(2, {nu: float(c) for nu, c in terms.items()}))
+    assert max(abs(complex(c)) for c in (got - exact).terms.values()) <= 1e-12
+
+
+def test_root_pairing_remainder_tolerance_follows_coefficient_type():
+    alpha = (Fraction(1), Fraction(-1))
+    p = Polynomial(2, {(1, 0): 1, (0, 1): -1})  # x1 - x2
+    assert divide_by_root_pairing(p, alpha) == Polynomial.constant(2, 1)
+    # a remainder of 1e-12: fatal when exact, roundoff when float
+    with pytest.raises(ExactDivisionError):
+        divide_by_root_pairing(p + Fraction(1, 10**12), alpha)
+    assert divide_by_root_pairing(p + 1e-12, alpha) == Polynomial.constant(2, 1)
+    with pytest.raises(ExactDivisionError):
+        divide_by_root_pairing(p + 1e-3, alpha)
 
 
 def test_dunkl_commutativity_a2(a2):

@@ -83,15 +83,14 @@ def test_fourier_gaussian_self_transform():
     rule = gauss_rule(1, 40)
     one = Polynomial.constant(1, 1.0)
     for y in (0.0, 0.8, 2.5, 4.0):
-        val, bound = fourier_quadrature(GaussianWeighted(one), (y,), rule)
-        assert bound == 0.0
+        val = fourier_quadrature(GaussianWeighted(one), (y,), rule)
         assert abs(val - math.exp(-y * y / 2)) < 1e-10
 
 
 def test_fourier_at_zero_is_plain_integral():
     rule = gauss_rule(1, 20)
     z1 = Polynomial.monomial(1, (2,), 1.0)
-    val, _ = fourier_quadrature(GaussianWeighted(z1), (0.0,), rule)
+    val = fourier_quadrature(GaussianWeighted(z1), (0.0,), rule)
     assert abs(val - 1.0) < 1e-12
 
 
@@ -99,7 +98,7 @@ def test_fourier_first_moment():
     rule = gauss_rule(1, 40)
     z1 = Polynomial.monomial(1, (1,), 1.0)
     for y in (0.5, 1.5):
-        val, _ = fourier_quadrature(GaussianWeighted(z1), (y,), rule)
+        val = fourier_quadrature(GaussianWeighted(z1), (y,), rule)
         want = -1j * y * math.exp(-y * y / 2)
         assert abs(val - want) < 1e-10
 

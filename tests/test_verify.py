@@ -1,7 +1,7 @@
 import pytest
 
 from dunkl.config import build_bundle
-from dunkl.verify import run_suite, suite_positivity, suite_signs
+from dunkl.verify import run_suite, suite_exact, suite_positivity, suite_signs
 
 
 @pytest.fixture(scope="module")
@@ -81,5 +81,22 @@ def test_all_suites_pass_through_fallback_degree():
     assert report.passed, [r.identity for r in report.results if not r.passed]
     by_name = {r.identity: r for r in report.results}
     # the product-expansion oracle needs lam_i for every i <= n: only n = 0, 1 qualify
-    assert by_name["en-product-expansion-oracle"].note == "2 exact comparisons"
+    assert by_name["en-product-expansion-oracle"].note == (
+        "2 exact comparisons; degrees [2, 3] skipped: the expansion multiplies lam_i "
+        "for every i <= n, and degree 2 is a fallback degree with no lam table"
+    )
     assert by_name["h-inverts-w"].note == "6 exact comparisons"
+
+
+def test_product_expansion_oracle_names_skipped_degrees():
+    # B2 with k short -3/4, long 1/2 falls back at degrees 1 and 3, so the
+    # oracle compares degree 0 only and has to say so
+    bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "-3/4", "long": "1/2"}, "N": 5})
+    bundle.ctx.prepare(5)
+    assert bundle.ctx.fallback_degrees == [1, 3]
+    row = next(r for r in suite_exact(bundle) if r.identity == "en-product-expansion-oracle")
+    assert (row.passed, row.tolerance, row.max_residual) == (True, 0.0, 0.0)
+    assert row.note == (
+        "1 exact comparisons; degrees [1, 2, 3] skipped: the expansion multiplies lam_i "
+        "for every i <= n, and degree 1 is a fallback degree with no lam table"
+    )
