@@ -44,7 +44,7 @@ def main():
     if bundle.ctx.fallback_degrees:
         print(
             f"# degrees realized by the matrix fallback (no coefficient table): "
-            f"{sorted(set(bundle.ctx.fallback_degrees))}",
+            f"{bundle.ctx.fallback_degrees}",
             file=sys.stderr,
         )
     return 0

@@ -268,11 +268,13 @@ def cmd_verify(args) -> int:
 def cmd_export_quadrature(args) -> int:
     from .quad import export_rule_csv, gauss_rule
 
-    rule = gauss_rule(
-        _at_least(args.dim, 1, "--dim"), _at_least(args.points_per_axis, 1, "--points-per-axis")
-    )
-    text = export_rule_csv(rule, None)
-    _write(args.out, text)
+    d = _at_least(args.dim, 1, "--dim")
+    q = _at_least(args.points_per_axis, 1, "--points-per-axis")
+    try:
+        rule = gauss_rule(d, q)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    _write(args.out, export_rule_csv(rule))
     return EXIT_OK
 
 

@@ -54,7 +54,6 @@ SUITES = ("exact", "series", "quadrature", "signs", "positivity", "all")
 class ContextBundle:
     name: str
     config: dict
-    system: object
     positives: object
     group: object
     k: MultiplicityFunction
@@ -117,7 +116,7 @@ def build_bundle(cfg: dict) -> ContextBundle:
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
     positives = select_positive(system)
-    group = generate_group(positives, element_cap=_int_field(cfg, "element_cap", 4096))
+    group = generate_group(positives)
     if "k" not in cfg:
         raise ConfigError("config needs a weight 'k'")
     try:
@@ -128,8 +127,10 @@ def build_bundle(cfg: dict) -> ContextBundle:
         raise ConfigError(str(exc)) from exc
     ctx = make_context(group, positives, k)
     degree = _int_field(cfg, "N", 8)
+    if degree < 1:
+        raise ConfigError(f"config field 'N' must be at least 1, got {degree}")
     name = cfg.get("name") or f"{system.family_tag}{system.dimension}"
-    return ContextBundle(name, cfg, system, positives, group, k, ctx, degree)
+    return ContextBundle(name, cfg, positives, group, k, ctx, degree)
 
 
 def load_config(path) -> dict:
@@ -154,7 +155,7 @@ def save_context(bundle: ContextBundle, path):
         "group_order": bundle.group.order,
         "gamma": scalar_to_json(ctx.gamma),
         "lambdas": lambdas,
-        "fallback_degrees": sorted(set(ctx.fallback_degrees)),
+        "fallback_degrees": ctx.fallback_degrees,
         "delta_hat": ctx.delta_hat,
         "delta_table": [[n, v] for n, v in ctx.delta_table],
     }
@@ -192,6 +193,8 @@ def load_context(path) -> ContextBundle:
         fallback = [int(n) for n in data.get("fallback_degrees", [])]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed cached context {path}: {exc}") from None
+    if degree < 1:
+        raise ConfigError(f"cached context {path} has degree {degree}, not >= 1")
     for n, coeffs in sorted(tables.items()):
         if n < 1 or len(coeffs) != bundle.group.order:
             raise ConfigError(
@@ -204,8 +207,7 @@ def load_context(path) -> ContextBundle:
         raise ConfigError(f"cached fallback degrees {fallback} are not all >= 1")
     for n in fallback:
         solve_H(ctx, n)
-    if degree >= 1:
-        estimate_delta(ctx, degree)
+    estimate_delta(ctx, degree)
     ctx.prepared_to = degree
     bundle.degree = degree
     return bundle

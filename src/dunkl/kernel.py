@@ -70,7 +70,6 @@ class TailBound:
     x_norm: float
     y_norm: float
     value: float
-    envelope: float
 
 
 @dataclass(eq=False)
@@ -200,12 +199,8 @@ def tail_bound(ev: KernelEvaluator, x_norm, y_norm, n_trunc=None) -> TailBound:
     cached = ev._tail_cache.get(key)
     if cached is not None:
         return cached
-    d = ev.dimension
-    total = _recurrence_tail(ctx.delta_hat * ctx.group.order * x_norm, y_norm, d, n_trunc)
-    scale = ctx.delta_hat * math.sqrt(d) * ctx.group.order * x_norm
-    env_exp = scale * scale / 2.0 + ctx.delta_hat * ctx.group.order * x_norm * y_norm
-    envelope = math.exp(env_exp) if env_exp < 700 else math.inf
-    tb = TailBound(n_trunc, x_norm, y_norm, total, envelope)
+    u = ctx.delta_hat * ctx.group.order * x_norm
+    tb = TailBound(n_trunc, x_norm, y_norm, _recurrence_tail(u, y_norm, ev.dimension, n_trunc))
     ev._tail_cache[key] = tb
     return tb
 

@@ -94,7 +94,6 @@ class DunklContext:
     h_columns: dict = field(default_factory=dict)  # n -> {nu: H_n x^nu}
     delta_hat: float | None = None
     delta_table: list = field(default_factory=list)
-    fallback_degrees: list = field(default_factory=list)
     prepared_to: int = 0
     complex_columns: bool = False  # a float shadow: columns kept as complex floats
 
@@ -109,6 +108,11 @@ class DunklContext:
     @property
     def is_exact(self):
         return self.group.arithmetic_mode == "exact"
+
+    @property
+    def fallback_degrees(self):
+        """The solved degrees whose H_n is a dense inverse, not a lam_n table."""
+        return sorted(n for n, h in self.h_cache.items() if h is None)
 
     def prepare(self, n_max):
         """Fill the degree caches and the growth table up to n_max."""
@@ -137,7 +141,6 @@ class DunklContext:
             h_columns=h_columns,
             vk_cache=unit,
             inverse_cache={},
-            fallback_degrees=list(self.fallback_degrees),
             complex_columns=True,
         )
 
@@ -216,29 +219,6 @@ def operator_A(ctx: DunklContext, p: Polynomial) -> Polynomial:
     )
 
 
-def euler_W(ctx: DunklContext, n, p: Polynomial) -> Polynomial:
-    """W_n p = (n + gamma) p - A p for homogeneous p, cross-checked against
-    the Euler form sum_j x_j T_j p."""
-    if p and (not p.is_homogeneous() or p.degree != n):
-        raise ValueError(f"expected a homogeneous polynomial of degree {n}")
-    direct = p * (n + ctx.gamma) - operator_A(ctx, p)
-    euler = Polynomial.zero(p.dim)
-    for j in range(ctx.dimension):
-        xj = Polynomial.variable(p.dim, j)
-        ej = tuple(1 if i == j else 0 for i in range(ctx.dimension))
-        euler = euler + xj * dunkl_apply(ctx, ej, p)
-    if ctx.is_exact:
-        if direct != euler:
-            raise AssertionError("the two Euler-operator forms disagree (internal bug)")
-    else:
-        gap = max(
-            (abs(complex(c)) for c in (direct - euler).terms.values()), default=0.0
-        )
-        if gap > 1e-8 * max(1.0, _coeff_scale(direct)):
-            raise AssertionError("the two Euler-operator forms disagree (internal bug)")
-    return direct
-
-
 def _coeff_scale(p):
     return max((abs(complex(c)) for c in p.terms.values()), default=0.0)
 
@@ -300,7 +280,6 @@ def solve_H(ctx: DunklContext, n):
         except SingularMatrixError:
             raise NotInMStarError(n) from None
         result = None
-        ctx.fallback_degrees.append(n)
     else:
         result = GroupAlgebraElement(tuple(sol[c] for c in group.class_of))
         columns = _columns(ctx, n, result)
@@ -434,37 +413,24 @@ def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:
 
 # -- growth estimate -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeltaEstimate:
-    value: float
-    n_max: int
-    table: tuple  # (n, n * max_g |lam_n(g)|)
-    excluded_degrees: tuple  # degrees realized by the fallback path
-
-
-def estimate_delta(ctx: DunklContext, n_max) -> DeltaEstimate:
+def estimate_delta(ctx: DunklContext, n_max) -> float:
     """delta_hat = max over computed degrees of n * max_g |lam_n(g)|.
 
     An empirical lower envelope for the growth constant in |lam_n(g)| <=
     delta/n; by construction |lam_n(g)| <= delta_hat/n holds for every
     computed degree, so truncation bounds built from delta_hat are valid on
     the computed range.  Fallback degrees carry no lam table and are
-    excluded (and reported).
+    excluded (ctx.fallback_degrees lists them).  Fills ctx.delta_hat and
+    ctx.delta_table and returns delta_hat.
     """
     table = []
-    excluded = []
     for n in range(1, n_max + 1):
         h = solve_H(ctx, n)
         if h is not None:
-            row = n * max(abs(complex(c)) for c in h.coefficients)
-            table.append((n, row))
-        else:
-            excluded.append(n)
-    value = max((row for _, row in table), default=1.0)
-    ctx.delta_hat = value
+            table.append((n, n * max(abs(complex(c)) for c in h.coefficients)))
+    ctx.delta_hat = max((row for _, row in table), default=1.0)
     ctx.delta_table = table
-    est = DeltaEstimate(value, n_max, tuple(table), tuple(excluded))
-    return est
+    return ctx.delta_hat
 
 
 # -- homogeneous kernel pieces and the generalized exponential -------------------------

@@ -14,19 +14,11 @@ which terminate because L^m p = 0 once 2m exceeds deg p, the Fischer pairing
 its Gaussian-integral realization, and the associated Hermite polynomials,
 built as products of one-variable probabilists' Hermite polynomials from an
 integer coefficient table.
-Normalized monomials x^a / sqrt(a!) carry an irrational scale; quantities
-built from them store the exact squared scale 1/a! and take a single square
-root at the float boundary.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-class NonHomogeneousError(ValueError):
-    pass
 
 
 def _multi_factorial(nu):
@@ -173,10 +165,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(nu) for nu in self.terms)
-
-    def is_homogeneous(self):
-        degs = {sum(nu) for nu in self.terms}
-        return len(degs) <= 1
 
     def homogeneous_components(self):
         comps = {}
@@ -339,10 +327,6 @@ def directional_derivative(xi, p: Polynomial) -> Polynomial:
     return out
 
 
-def laplacian(p: Polynomial) -> Polynomial:
-    return p.laplacian()
-
-
 def _heat(p: Polynomial, sign: int) -> Polynomial:
     out = p
     power = p
@@ -397,39 +381,12 @@ def fischer_via_gaussian(p: Polynomial, q: Polynomial, rule):
     return integrate(lambda nodes: hp.evaluate_many(nodes) * hq.evaluate_many(nodes), rule)
 
 
-@dataclass(frozen=True)
-class HermiteData:
-    """Hermite polynomial H_nu = e^{-Laplacian/2}(x^nu / sqrt(nu!)).
-
-    ``unscaled`` is the exact-rational polynomial e^{-Laplacian/2} x^nu, so
-    H_nu = sqrt(scale_sq) * unscaled with scale_sq = 1/nu!.  The Gaussian-
-    windowed value h_nu(z) = e^{-|z|^2/2} H_nu(z) is exposed as a method.
-    """
-
-    nu: tuple
-    unscaled: Polynomial
-    scale_sq: Fraction
-
-    @property
-    def degree(self):
-        return sum(self.nu)
-
-    def polynomial(self) -> Polynomial:
-        """H_nu with its irrational scale, as a float polynomial."""
-        return self.unscaled.to_float() * math.sqrt(float(self.scale_sq))
-
-    def evaluate(self, z):
-        return self.unscaled.evaluate(z) * math.sqrt(float(self.scale_sq))
-
-    def evaluate_windowed(self, z):
-        w = math.exp(-sum(float(t) ** 2 for t in z) / 2.0)
-        return self.evaluate(z) * w
-
-
-def hermite(nu) -> HermiteData:
+def hermite(nu) -> Polynomial:
+    """H_nu = e^{-Laplacian/2}(x^nu / sqrt(nu!)) as a float polynomial: the
+    integer product prod_j He_{nu_j}(x_j) times the one square root of 1/nu!."""
     nu = tuple(nu)
-    table = hermite_table(max(nu, default=0))
-    return HermiteData(nu, _hermite_product(nu, table), Fraction(1, _multi_factorial(nu)))
+    scale = math.sqrt(float(Fraction(1, _multi_factorial(nu))))
+    return _hermite_product(nu, hermite_table(max(nu, default=0)), 1.0) * scale
 
 
 def hermite_table(n_max):
@@ -456,81 +413,3 @@ def _hermite_product(nu, table, one=1):
             key + (f,): c * a for key, c in terms.items() for f, a in enumerate(table[e]) if a
         }
     return Polynomial(len(nu), {key: one * c for key, c in terms.items()})
-
-
-@dataclass(frozen=True)
-class SupNormEstimate:
-    value: float
-    samples: int
-
-
-def sphere_sup_norm(p: Polynomial, n_samples=4096, ascent_steps=20) -> SupNormEstimate:
-    """Lower estimate of sup_{|x|=1} |p(x)| for homogeneous p.
-
-    Quasi-uniform sphere samples plus projected local ascent; by construction
-    the value never exceeds the true supremum, which makes it conservative in
-    the inequality checks that consume it.
-    """
-    if not p.is_homogeneous():
-        raise NonHomogeneousError("sphere sup norm needs a homogeneous polynomial")
-    d = p.dim
-    if not p.terms:
-        return SupNormEstimate(0.0, 0)
-    import numpy as np
-
-    pf = p.to_float()
-    pts = _sphere_points(d, n_samples)
-    vals = np.abs(pf.evaluate_many(pts))
-    best_idx = int(np.argmax(vals))
-    best_x = pts[best_idx]
-    best = float(vals[best_idx])
-    grads = [pf.partial(j) for j in range(d)]
-    x = best_x.astype(float)
-    step = 0.5
-    for _ in range(ascent_steps):
-        v = pf.evaluate_many(x[None, :])[0]
-        g = np.array([gj.evaluate_many(x[None, :])[0] for gj in grads])
-        direction = np.real(np.conj(v) * g)
-        nrm = np.linalg.norm(direction)
-        if nrm == 0:
-            break
-        cand = x + step * direction / nrm
-        cand /= np.linalg.norm(cand)
-        cv = abs(pf.evaluate_many(cand[None, :])[0])
-        if cv > best:
-            best = float(cv)
-            x = cand
-            step *= 1.2
-        else:
-            step *= 0.5
-    return SupNormEstimate(best, len(pts))
-
-
-def _sphere_points(d, n):
-    import numpy as np
-
-    axes = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        axes.extend([e, -e])
-    if d == 1:
-        pts = np.array([[1.0], [-1.0]])
-    elif d == 2:
-        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    elif d == 3:
-        # Fibonacci spiral
-        idx = np.arange(n) + 0.5
-        phi = np.arccos(1.0 - 2.0 * idx / n)
-        golden = np.pi * (1.0 + 5.0**0.5)
-        theta = golden * idx
-        pts = np.stack(
-            [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)],
-            axis=1,
-        )
-    else:
-        rng = np.random.default_rng(20389)
-        pts = rng.standard_normal((n, d))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return np.concatenate([pts, np.array(axes)], axis=0)

@@ -41,7 +41,7 @@ def gauss_rule(d: int, q: int) -> QuadratureRule:
     if q < 1:
         raise ValueError("need at least one point per axis")
     if q**d > _NODE_CAP:
-        raise MemoryError(f"{q}^{d} nodes exceed the cap of {_NODE_CAP}")
+        raise ValueError(f"{q}^{d} nodes exceed the cap of {_NODE_CAP}")
     x, w = hermegauss(q)
     w = w / w.sum()
     grids = np.meshgrid(*([x] * d), indexing="ij")
@@ -130,15 +130,10 @@ def _double_factorial(n):
     return out
 
 
-def export_rule_csv(rule: QuadratureRule, path):
+def export_rule_csv(rule: QuadratureRule) -> str:
     header = ",".join(f"z{i + 1}" for i in range(rule.dimension)) + ",weight"
     lines = [header]
     for node, w in zip(rule.nodes, rule.weights):
         coords = ",".join(f"{float(c):.17g}" for c in node)
         lines.append(f"{coords},{float(w):.17g}")
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        return text
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"

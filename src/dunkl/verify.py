@@ -472,7 +472,7 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
     worst = 0.0
     for n in range(0, min(rule.exact_degree, 12) + 1):
         for nu in monomial_basis(d, n)[: 3 * d]:
-            got = integrate(_float_monomial(d, nu), rule)
+            got = integrate(Polynomial.monomial(d, nu, 1.0), rule)
             want = gaussian_moment(nu)
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     results.append(CheckResult("rule-moment-exactness", worst, 1e-12, worst <= 1e-12))
@@ -510,7 +510,7 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
 
     worst = 0.0
     hs = [hermite(nu) for n in range(0, 5) for nu in monomial_basis(d, n)]
-    vals = np.stack([h.polynomial().evaluate_many(rule.nodes) for h in hs])
+    vals = np.stack([h.evaluate_many(rule.nodes) for h in hs])
     gram = (vals * rule.weights[None, :]) @ vals.T
     worst = float(np.max(np.abs(gram - np.eye(len(hs)))))
     results.append(CheckResult("hermite-orthonormality", worst, 1e-10, worst <= 1e-10))
@@ -558,10 +558,6 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
         worst = max(worst, abs(got - want))
     results.append(CheckResult("gaussian-self-transform", worst, 1e-10, worst <= 1e-10))
     return results
-
-
-def _float_monomial(d, nu):
-    return Polynomial.monomial(d, nu, 1.0)
 
 
 # -- signs suite ------------------------------------------------------------------------

@@ -327,11 +327,12 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         "bad_degree_key": with_lambda("x", lam3),
         "bare": {"lambdas": {}},
         "no_degree": {key: v for key, v in cache.items() if key != "degree"},
+        "zero_degree": {**cache, "degree": 0},
     }
     for name, data in broken.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     good = json.loads(cfg.read_text())
-    bad_configs = {"bad_n": {**good, "N": "x"}, "bad_cap": {**good, "element_cap": "lots"}}
+    bad_configs = {"bad_n": {**good, "N": "x"}, "zero_n": {**good, "N": 0}}
     for name, data in bad_configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     ctx = str(ctx_path)
@@ -351,6 +352,10 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         ["build", "--config", str(cfg), "--out", str(tmp_path / "x.json"), "--degree", "-1"],
         ["export-quadrature", "--dim", "2", "--points-per-axis", "0"],
         ["export-quadrature", "--dim", "0", "--points-per-axis", "3"],
+        ["export-quadrature", "--dim", "5", "--points-per-axis", "30"],
+        ["export-quadrature", "--dim", "2000", "--points-per-axis", "2"],
+        ["verify", "--context", str(tmp_path / "zero_degree.json"), "--suite", "series"],
+        ["verify", "--context", str(tmp_path / "zero_n.json"), "--suite", "series"],
     ) + tuple(
         ["build", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / "y.json")]
         for name in bad_configs

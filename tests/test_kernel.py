@@ -134,11 +134,14 @@ def test_lk_eval_rejects_outside_certified_radius(ev_z21):
 
 def test_tail_bound_monotone_and_dominates(ev_b2):
     xn, yn = 0.4, 0.9
+    # the whole series sum_n u^n [t^n] e^{|y| t + d t^2/2} is e^{u^2 d/2 + u |y|}
+    u = ev_b2.ctx.delta_hat * ev_b2.ctx.group.order * xn
+    envelope = math.exp(u * u * ev_b2.dimension / 2.0 + u * yn)
     prev = math.inf
     for n in range(6, ev_b2.n_trunc + 1):
         tb = tail_bound(ev_b2, xn, yn, n)
         assert 0.0 <= tb.value <= prev + 1e-300
-        assert tb.value <= tb.envelope
+        assert tb.value <= envelope
         prev = tb.value
     # the discarded computed terms never exceed the bound
     x = (0.3, 0.2)

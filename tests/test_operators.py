@@ -21,8 +21,8 @@ from dunkl.operators import (
     dunkl_apply,
     dunkl_kernel,
     en_expansion_oracle,
+    _apply_W,
     estimate_delta,
-    euler_W,
     evaluate_en,
     homogeneous_kernel,
     homogeneous_kernel_bivariate,
@@ -34,7 +34,7 @@ from dunkl.operators import (
     solve_H,
     _vk_monomial,
 )
-from dunkl.poly import Polynomial, fischer, sphere_sup_norm
+from dunkl.poly import Polynomial, fischer
 from dunkl.reflection_groups import (
     build_root_system,
     generate_group,
@@ -142,23 +142,23 @@ def test_operator_a_examples(z21):
 def test_euler_w_examples(z21):
     ctx0 = context("Z2^d", Fraction(0), d=2)
     p = Polynomial.monomial(2, (2, 1))
-    assert euler_W(ctx0, 3, p) == 3 * p
+    assert _apply_W(ctx0, 3, p) == 3 * p
     x = x_var()
-    assert euler_W(z21, 1, x) == 2 * x  # (1 + 2 k0) x
+    assert _apply_W(z21, 1, x) == 2 * x  # (1 + 2 k0) x
     # degree zero: (0 + gamma) - A kills constants
     c = Polynomial.constant(1, Fraction(5))
-    assert euler_W(z21, 0, c) == Polynomial.zero(1)
-
-
-def test_euler_w_rejects_inhomogeneous(z21):
-    with pytest.raises(ValueError):
-        euler_W(z21, 2, x_var() + 1)
+    assert _apply_W(z21, 0, c) == Polynomial.zero(1)
 
 
 def test_euler_w_matches_dunkl_form(b2):
+    # W_n = (n + gamma) - A is the Euler form sum_j x_j T_j on P_n
     for n in (1, 2, 3, 4):
         for nu in monomial_basis(2, n):
-            euler_W(b2, n, Polynomial.monomial(2, nu))  # internal cross-check
+            p = Polynomial.monomial(2, nu)
+            euler = Polynomial.zero(2)
+            for j, ej in enumerate(((1, 0), (0, 1))):
+                euler = euler + Polynomial.variable(2, j) * dunkl_apply(b2, ej, p)
+            assert _apply_W(b2, n, p) == euler
 
 
 # -- the degree inverses -----------------------------------------------------------
@@ -267,7 +267,7 @@ def _dense_H(ctx, n, p):
     by invert_matrix and applied to p row by row."""
     d = ctx.dimension
     basis = monomial_basis(d, n)
-    images = [euler_W(ctx, n, Polynomial.monomial(d, nu)) for nu in basis]
+    images = [_apply_W(ctx, n, Polynomial.monomial(d, nu)) for nu in basis]
     rows = invert_matrix([[w.terms.get(mu, 0) for w in images] for mu in basis])
     coeffs = [p.terms.get(nu, 0) for nu in basis]
     terms = {}
@@ -490,7 +490,7 @@ def test_homogeneous_kernel_examples(b2):
     for n in (1, 2, 3):
         en = homogeneous_kernel(b2, n, x)
         assert en.evaluate((0, 0)) == 0
-        assert en.is_homogeneous() and en.degree == n
+        assert {sum(nu) for nu in en.terms} == {n}
 
 
 def test_homogeneous_kernel_zero_weight_closed_form():
@@ -583,22 +583,21 @@ def test_en_per_degree_symmetry_numeric(b2):
 
 def test_estimate_delta_zero_weight():
     ctx = context("B", Fraction(0), d=2)
-    est = estimate_delta(ctx, 6)
-    assert est.value == 1.0
-    assert all(abs(row - 1.0) < 1e-15 for _, row in est.table)
+    assert estimate_delta(ctx, 6) == ctx.delta_hat == 1.0
+    assert [n for n, _ in ctx.delta_table] == list(range(1, 7))
+    assert all(abs(row - 1.0) < 1e-15 for _, row in ctx.delta_table)
 
 
 def test_estimate_delta_rank_one(z21):
-    est = estimate_delta(z21, 1)
-    assert abs(est.value - 0.75) < 1e-15
-    est = estimate_delta(z21, 20)
-    rows = dict(est.table)
+    assert abs(estimate_delta(z21, 1) - 0.75) < 1e-15
+    estimate_delta(z21, 20)
+    rows = dict(z21.delta_table)
     assert abs(rows[1] - 0.75) < 1e-15
     # n * max |lam| = (n + k0)/(n + 2 k0), increasing toward 1
     for n in (2, 5, 20):
         want = float((n + Fraction(1, 2)) / (n + 1))
         assert abs(rows[n] - want) < 1e-15
-    assert est.value == max(rows.values())
+    assert z21.delta_hat == max(rows.values())
 
 
 def test_fallback_degrees_excluded_from_delta():
@@ -607,8 +606,9 @@ def test_fallback_degrees_excluded_from_delta():
     ctx = context("Z2^d", Fraction(-1), d=1)
     assert solve_H(ctx, 2) is None
     assert isinstance(solve_H(ctx, 1), GroupAlgebraElement)
-    est = estimate_delta(ctx, 4)
-    assert est.excluded_degrees == (2,)
+    estimate_delta(ctx, 4)
+    assert ctx.fallback_degrees == [2]
+    assert [n for n, _ in ctx.delta_table] == [1, 3, 4]
     # the intertwining identity holds exactly through the fallback degree
     x = x_var()
     p = x * x * x
@@ -616,7 +616,8 @@ def test_fallback_degrees_excluded_from_delta():
 
 
 def test_intertwine_norm_bound(b2):
-    # |V p (x)| <= (delta |G| |x|)^n / n! * sup-norm estimate, with 5% slack
+    # |V p (x)| <= (delta |G| |x|)^n / n! * sup_{|z|=1} |p(z)|, with 5% slack;
+    # on the unit sphere c z^nu peaks at |c| prod_j (nu_j / n)^(nu_j / 2)
     estimate_delta(b2, 8)
     x = (0.6, -0.3)
     xn = math.hypot(*x)
@@ -624,9 +625,6 @@ def test_intertwine_norm_bound(b2):
         p = Polynomial.monomial(2, nu, scale)
         n = sum(nu)
         got = abs(complex(intertwine(b2, p).evaluate(x)))
-        bound = (
-            (b2.delta_hat * b2.group.order * xn) ** n
-            / math.factorial(n)
-            * sphere_sup_norm(p).value
-        )
+        sup = float(scale) * math.prod((e / n) ** (e / 2) for e in nu)
+        bound = (b2.delta_hat * b2.group.order * xn) ** n / math.factorial(n) * sup
         assert got <= bound * 1.05 + 1e-12

@@ -50,11 +50,8 @@ def test_integrate_examples():
 def test_hermite_pairs_delta():
     rule = gauss_rule(1, 8)
     h2, h3 = hermite((2,)), hermite((3,))
-    p22 = integrate(lambda z: h2.polynomial().evaluate_many(z) ** 2, rule)
-    p23 = integrate(
-        lambda z: h2.polynomial().evaluate_many(z) * h3.polynomial().evaluate_many(z),
-        rule,
-    )
+    p22 = integrate(lambda z: h2.evaluate_many(z) ** 2, rule)
+    p23 = integrate(lambda z: h2.evaluate_many(z) * h3.evaluate_many(z), rule)
     assert abs(p22 - 1.0) < 1e-12
     assert abs(p23) < 1e-12
 
