@@ -58,7 +58,15 @@ from .operators import (
     monomial_basis,
 )
 from .poly import Polynomial, _hermite_product, _multi_factorial, heat_half, hermite_table
-from .quad import GaussianWeighted, QuadratureRule, _node_values, fourier_quadrature, integrate
+from .quad import (
+    QuadratureRule,
+    _node_values,
+    fourier_quadrature,
+    gauss_rule,
+    gaussian_integral,
+    gaussian_moment,
+    integrate,
+)
 from .reflection_groups import act_on_polynomial, mat_vec
 
 
@@ -74,12 +82,8 @@ class TailBound:
 
 @dataclass(eq=False)
 class KernelEvaluator:
-    """Per-degree tables for one context and truncation degree.
-
-    Together with a quadrature rule this realizes the measure
-    e^{-|z|^2/2} L(x, z) dz: the density is never materialized beyond the
-    (evaluator, rule) pair.
-    """
+    """Per-degree tables for one context and truncation degree, from which
+    the truncated kernel L^(N)(x, .) is built as a polynomial in y."""
 
     ctx: DunklContext
     n_trunc: int
@@ -221,56 +225,58 @@ def certified_radius(ev: KernelEvaluator, tol, y_norm, hi=16.0) -> float:
 
 # -- integrals against dgamma ---------------------------------------------------------
 
-def lk_mass(ev: KernelEvaluator, x, rule: QuadratureRule):
-    """integral of L^(N)(x, .) dgamma; every positive-degree term has zero
-    Gaussian mean, so the value is 1 up to quadrature roundoff."""
-    _require_degree(rule, ev.n_trunc)
-    return integrate(lk_polynomial(ev, x).to_float(), rule)
+def lk_mass(ev: KernelEvaluator, x):
+    """integral of L^(N)(x, .) dgamma, the series-path polynomial integrated
+    from the Gaussian moments; the integral of e^{-Lap/2} E_n(x, .) is
+    E_n(x, 0), so the value is 1 up to roundoff, and exactly 1 on exact data."""
+    return gaussian_integral(lk_polynomial(ev, x))
 
 
 def phi_x_apply(ev: KernelEvaluator, x, f, rule: QuadratureRule):
-    """The extended functional: integral of L^(N)(x, y) f(y) dgamma(y)."""
-    lk_vals = lk_polynomial(ev, x).to_float().evaluate_many(rule.nodes)
-    out = complex(np.dot(rule.weights, lk_vals * _node_values(f, rule.nodes)))
-    return out.real if out.imag == 0.0 else out
+    """The extended functional: integral of L^(N)(x, y) f(y) dgamma(y) on the
+    rule, for any f, polynomial or not (see quad._node_values)."""
+    lk = lk_polynomial(ev, x).to_float()
+    return integrate(lambda nodes: lk.evaluate_many(nodes) * _node_values(f, nodes), rule)
 
 
-def phi_x_norm(ev: KernelEvaluator, x, rule: QuadratureRule):
+def phi_x_norm(ev: KernelEvaluator, x):
     """Norm of the represented functional on L^2(dgamma), by two routes.
 
     Route 1 sums |c_nu|^2 nu! = |V(phi_nu)(x)|^2 over the coefficients c_nu
-    of each E_n(x, .); route 2 integrates |L^(N)(x, .)|^2 by quadrature.
-    At matching truncation the routes agree up to roundoff.
+    of each E_n(x, .); route 2 integrates L^(N)(x, .) times its conjugate
+    from the Gaussian moments, pairing only monomials whose exponents agree
+    in parity in every coordinate (the other moments vanish).  At matching
+    truncation the routes agree up to roundoff.
     """
-    _require_degree(rule, 2 * ev.n_trunc)
     coeff_sq = 0.0
     for n in range(ev.n_trunc + 1):
         for nu, c in homogeneous_kernel(ev.source, n, x).terms.items():
             coeff_sq += float(abs_squared(c) * _multi_factorial(nu))
     series_route = math.sqrt(coeff_sq)
-    vals = lk_polynomial(ev, x).to_float().evaluate_many(rule.nodes)
-    quad_route = math.sqrt(float(np.dot(rule.weights, np.abs(vals) ** 2)))
-    return series_route, quad_route
-
-
-def _require_degree(rule, need):
-    if rule.exact_degree < need:
-        from .quad import QuadratureDegreeError
-
-        raise QuadratureDegreeError(
-            f"rule exact to degree {rule.exact_degree}, need {need}"
-        )
+    lk = lk_polynomial(ev, x)
+    moments = np.array([float(gaussian_moment((e,))) for e in range(2 * lk.degree + 1)])
+    classes = {}
+    for nu, c in lk.terms.items():
+        classes.setdefault(tuple(e & 1 for e in nu), []).append((nu, complex(c)))
+    sq = 0.0
+    for members in classes.values():
+        exps = np.array([nu for nu, _ in members])
+        coeffs = np.array([c for _, c in members])
+        gram = np.prod(moments[exps[:, None, :] + exps[None, :, :]], axis=2)
+        sq += float((coeffs.conj() @ gram @ coeffs).real)
+    return series_route, math.sqrt(sq)
 
 
 # -- identity checks ----------------------------------------------------------------
 
-def convolution_check(ev: KernelEvaluator, x, y, rule: QuadratureRule):
+def convolution_check(ev: KernelEvaluator, x, y):
     """Residual of E(x, y) = integral of L(x, y + u) dgamma(u).
 
-    Exact per truncation degree once the rule integrates degree n_trunc, so
-    the residual is truncation tail plus roundoff.
+    The right side is integrated on a Gauss-Hermite rule exact to degree N,
+    not in closed form, which would be heat_half undoing the heat step that
+    built L; the residual is truncation tail plus roundoff.
     """
-    _require_degree(rule, ev.n_trunc)
+    rule = gauss_rule(ev.dimension, (ev.n_trunc + 2) // 2)
     lhs = 0
     for n in range(ev.n_trunc + 1):
         lhs = lhs + evaluate_en(ev.ctx, n, x, y)
@@ -345,21 +351,21 @@ def _gaussian_taylor_tail(ev, x_norm, y_norm, deg):
     return _recurrence_tail(u, y_norm, 1, deg, factorial=True)
 
 
-def fourier_check(ev: KernelEvaluator, x, y, rule: QuadratureRule):
+def fourier_check(ev: KernelEvaluator, x, y):
     """Both sign conventions of the Fourier representation.
 
-    Compares the transform of e^{-|z|^2/2} E(+-i x, z), computed by Gaussian
-    quadrature of the truncated series, against e^{-|y|^2/2} L(x, y)."""
+    Compares the transform of e^{-|z|^2/2} E(+-i x, z), the truncated series
+    transformed term by term in closed form (quad.fourier_quadrature),
+    against e^{-|y|^2/2} L(x, y)."""
     y_norm = _norm([complex(t) for t in y])
     window = math.exp(-(y_norm**2) / 2.0)
     target = window * complex(lk_series_value(ev, x, y))
+    pieces = [
+        fourier_quadrature(homogeneous_kernel(ev.source, n, x), y) for n in range(ev.n_trunc + 1)
+    ]
     out = {}
     for label, c in (("plus", 1j), ("minus", -1j)):
-        combined = Polynomial.zero(ev.dimension)
-        for n in range(ev.n_trunc + 1):
-            combined = combined + homogeneous_kernel(ev.source, n, x).to_float() * (c**n)
-        value = fourier_quadrature(GaussianWeighted(combined), y, rule)
-        out[label] = abs(value - target)
+        out[label] = abs(sum(c**n * piece for n, piece in enumerate(pieces)) - target)
     return out
 
 

@@ -364,21 +364,12 @@ def fischer(p: Polynomial, q: Polynomial):
     return total
 
 
-def fischer_via_gaussian(p: Polynomial, q: Polynomial, rule):
-    """[p, q] as the Gaussian integral of the two half-heat images.
+def fischer_via_gaussian(p: Polynomial, q: Polynomial):
+    """[p, q] as the Gaussian integral of the two half-heat images, taken in
+    closed form from the moments of dgamma; exact on exact coefficients."""
+    from .quad import gaussian_integral
 
-    Exact (up to roundoff) when the rule integrates degree deg p + deg q.
-    """
-    from .quad import QuadratureDegreeError, integrate
-
-    need = max(p.degree, 0) + max(q.degree, 0)
-    if rule.exact_degree < need:
-        raise QuadratureDegreeError(
-            f"rule exact to degree {rule.exact_degree}, need {need}"
-        )
-    hp = heat_half(p).to_float()
-    hq = heat_half(q).to_float()
-    return integrate(lambda nodes: hp.evaluate_many(nodes) * hq.evaluate_many(nodes), rule)
+    return gaussian_integral(heat_half(p) * heat_half(q))
 
 
 def hermite(nu) -> Polynomial:

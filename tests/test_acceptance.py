@@ -239,17 +239,16 @@ def test_criterion_05_gaussian_pairing_formula():
 
 # -- 6 -----------------------------------------------------------------------------
 
-def test_criterion_06_unit_mass(b2_ev, rule2):
+def test_criterion_06_unit_mass(b2_ev):
     rng = np.random.default_rng(60)
     worst = 0.0
     for _ in range(10):
         x = tuple(rng.uniform(-1.5, 1.5, 2))
-        worst = max(worst, abs(complex(lk_mass(b2_ev, x, rule2)) - 1))
+        worst = max(worst, abs(complex(lk_mass(b2_ev, x)) - 1))
     ev1 = make_evaluator(make_ctx("Z2^d", Fraction(1, 2), d=1), 24)
-    rule1 = gauss_rule(1, 40)
     for _ in range(10):
         x = (rng.uniform(-1.5, 1.5),)
-        worst = max(worst, abs(complex(lk_mass(ev1, x, rule1)) - 1))
+        worst = max(worst, abs(complex(lk_mass(ev1, x)) - 1))
     assert worst <= 1e-12
     report(6, "unit-mass", f"20 random x, worst |mass - 1| = {worst:.2e}")
 
@@ -277,7 +276,7 @@ def test_criterion_07_two_path_grid(b2_ev):
 
 # -- 8 -----------------------------------------------------------------------------
 
-def test_criterion_08_convolution_identity(b2_ev, rule2):
+def test_criterion_08_convolution_identity(b2_ev):
     radius = certified_radius(b2_ev, 1e-6, 1.0)
     assert radius > 0
     rng = np.random.default_rng(80)
@@ -288,7 +287,7 @@ def test_criterion_08_convolution_identity(b2_ev, rule2):
         x = (scale * math.cos(theta), scale * math.sin(theta))
         y = tuple(rng.uniform(-0.7, 0.7, 2))
         assert tail_bound(b2_ev, math.hypot(*x), math.hypot(*y)).value < 1e-6
-        worst = max(worst, convolution_check(b2_ev, x, y, rule2))
+        worst = max(worst, convolution_check(b2_ev, x, y))
     assert worst <= 1e-6
     report(
         8,
@@ -319,16 +318,16 @@ def test_criterion_09_reconstruction(b2_ev, rule2):
 
 # -- 10 ----------------------------------------------------------------------------
 
-def test_criterion_10_functional_norm(b2_ev, rule2):
+def test_criterion_10_functional_norm(b2_ev):
     rng = np.random.default_rng(100)
     worst = 0.0
     for _ in range(3):
         x = tuple(rng.uniform(-0.8, 0.8, 2))
-        s_route, q_route = phi_x_norm(b2_ev, x, rule2)
+        s_route, q_route = phi_x_norm(b2_ev, x)
         worst = max(worst, abs(s_route - q_route) / s_route)
     assert worst <= 1e-6
     ev0 = make_evaluator(make_ctx("Z2^d", Fraction(0), d=1), 12)
-    s_route, q_route = phi_x_norm(ev0, (1.0,), gauss_rule(1, 40))
+    s_route, q_route = phi_x_norm(ev0, (1.0,))
     err = abs(s_route**2 - math.e)
     assert err <= 1e-6
     assert abs(q_route**2 - math.e) <= 1e-6
@@ -395,18 +394,17 @@ def test_criterion_12_equivariance_and_parity(b2_ctx):
 def test_criterion_13_sign_conventions():
     x = (Fraction(3, 5),)
     y = (Fraction(9, 10),)
-    rule1 = gauss_rule(1, 40)
     ctx0 = make_ctx("Z2^d", Fraction(0), d=1)
     ev0 = make_evaluator(ctx0, 30)
     gauss0 = gaussian_image_check(ev0, x, y, taylor_degree=48)
-    four0 = fourier_check(ev0, x, y, rule1)
+    four0 = fourier_check(ev0, x, y)
     assert gauss0["minus"] <= 1e-8 and gauss0["plus"] >= 0.1
     assert four0["plus"] <= 1e-8 and four0["minus"] >= 0.1
 
     ctx = make_ctx("Z2^d", Fraction(1, 2), d=1)
     ev = make_evaluator(ctx, 30)
     gauss = gaussian_image_check(ev, x, y, taylor_degree=48)
-    four = fourier_check(ev, x, y, rule1)
+    four = fourier_check(ev, x, y)
     assert gauss["minus"] <= 1e-6 and gauss["minus"] < gauss["plus"]
     assert four["plus"] <= 1e-6 and four["plus"] < four["minus"]
     report(

@@ -496,3 +496,15 @@ def test_exact_commands_run_without_numpy(tmp_path):
             outs.append(proc.stdout)
         runs[label] = outs, (cwd / "b2.ctx.json").read_bytes()
     assert runs["blocked"] == runs["normal"]
+
+
+def test_quadrature_suite_runs_in_six_dimensions():
+    """verify --suite quadrature on Z2^6 exits 0: the suite's one rule has
+    5^6 nodes, and every polynomial integral is taken in closed form."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "z26.json"
+    proc = _python("import sys; from dunkl.cli import main; sys.exit(main(sys.argv[1:]))",
+                   "verify", "--context", str(config), "--suite", "quadrature")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["passed"] and len(report["results"]) == 9

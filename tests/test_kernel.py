@@ -167,18 +167,18 @@ def test_certified_radius_monotone(ev_b2):
     assert tail_bound(ev_b2, r_tight * 0.99, 1.0).value < 1e-8
 
 
-def test_mass_identity(ev_b2, ev_z21, rule1, rule2):
+def test_mass_identity(ev_b2, ev_z21):
     rng = np.random.default_rng(3)
     for _ in range(5):
         x2 = tuple(rng.uniform(-1.5, 1.5, 2))
-        assert abs(complex(lk_mass(ev_b2, x2, rule2)) - 1) < 1e-12
+        assert abs(complex(lk_mass(ev_b2, x2)) - 1) < 1e-12
         x1 = (rng.uniform(-1.5, 1.5),)
-        assert abs(complex(lk_mass(ev_z21, x1, rule1)) - 1) < 1e-12
+        assert abs(complex(lk_mass(ev_z21, x1)) - 1) < 1e-12
 
 
-def test_mass_zero_weight_closed_form(ev_z21_zero, rule1):
+def test_mass_zero_weight_closed_form(ev_z21_zero):
     # integral of e^{x y - x^2/2} dgamma(y) = 1 for every x
-    assert abs(complex(lk_mass(ev_z21_zero, (1.2,), rule1)) - 1) < 1e-12
+    assert abs(complex(lk_mass(ev_z21_zero, (1.2,))) - 1) < 1e-12
 
 
 def test_phi_x_of_constant_is_one(ev_b2, rule2):
@@ -205,35 +205,34 @@ def test_phi_x_positive_on_bump(ev_z21, rule1):
     assert complex(val).real >= -1e-8
 
 
-def test_phi_x_norm_at_origin(ev_b2, rule2):
-    s, q = phi_x_norm(ev_b2, (0.0, 0.0), rule2)
+def test_phi_x_norm_at_origin(ev_b2):
+    s, q = phi_x_norm(ev_b2, (0.0, 0.0))
     assert abs(s - 1.0) < 1e-14
     assert abs(q - 1.0) < 1e-13
 
 
 def test_phi_x_norm_zero_weight_matches_exponential():
     ev = make_ev("Z2^d", Fraction(0), 12, d=1)
-    rule = gauss_rule(1, 40)
-    s, q = phi_x_norm(ev, (1.0,), rule)
+    s, q = phi_x_norm(ev, (1.0,))
     assert abs(s * s - math.e) < 1e-6
     assert abs(q * q - math.e) < 1e-6
     assert abs(s - q) / s < 1e-6
 
 
-def test_phi_x_norm_route_agreement(ev_b2, rule2):
+def test_phi_x_norm_route_agreement(ev_b2):
     rng = np.random.default_rng(2)
     for _ in range(3):
         x = tuple(rng.uniform(-0.7, 0.7, 2))
-        s, q = phi_x_norm(ev_b2, x, rule2)
+        s, q = phi_x_norm(ev_b2, x)
         assert abs(s - q) / s < 1e-6
 
 
-def test_convolution_zero_weight(ev_z21_zero, rule1):
+def test_convolution_zero_weight(ev_z21_zero):
     # both sides are e^{x y}
     from dunkl.operators import evaluate_en
 
     for x, y in ((0.6, 0.3), (-0.9, 0.5)):
-        res = convolution_check(ev_z21_zero, (x,), (y,), rule1)
+        res = convolution_check(ev_z21_zero, (x,), (y,))
         assert res < 1e-10
         lhs = sum(
             complex(evaluate_en(ev_z21_zero.ctx, n, (x,), (y,)))
@@ -242,17 +241,17 @@ def test_convolution_zero_weight(ev_z21_zero, rule1):
         assert abs(lhs - math.exp(x * y)) < 1e-10
 
 
-def test_convolution_at_x_zero(ev_b2, rule2):
-    assert convolution_check(ev_b2, (0.0, 0.0), (0.7, -0.4), rule2) < 1e-13
+def test_convolution_at_x_zero(ev_b2):
+    assert convolution_check(ev_b2, (0.0, 0.0), (0.7, -0.4)) < 1e-13
 
 
-def test_convolution_within_radius(ev_b2, rule2):
+def test_convolution_within_radius(ev_b2):
     radius = certified_radius(ev_b2, 1e-6, 1.0)
     rng = np.random.default_rng(8)
     for _ in range(5):
         x = tuple(rng.uniform(-radius / 2, radius / 2, 2))
         y = tuple(rng.uniform(-0.7, 0.7, 2))
-        assert convolution_check(ev_b2, x, y, rule2) <= 1e-6
+        assert convolution_check(ev_b2, x, y) <= 1e-6
 
 
 def test_gaussian_image_conventions_zero_weight(ev_z21_zero):
@@ -273,22 +272,22 @@ def test_gaussian_image_nonnegative_weight(ev_z21):
     assert res["plus"] >= 1e-3
 
 
-def test_fourier_conventions(ev_z21_zero, ev_z21, rule1):
-    res = fourier_check(ev_z21_zero, (0.7,), (1.1,), rule1)
+def test_fourier_conventions(ev_z21_zero, ev_z21):
+    res = fourier_check(ev_z21_zero, (0.7,), (1.1,))
     assert res["plus"] <= 1e-10
     assert res["minus"] >= 0.1
-    res = fourier_check(ev_z21, (0.5,), (0.8,), rule1)
+    res = fourier_check(ev_z21, (0.5,), (0.8,))
     assert res["plus"] <= 1e-8
 
 
-def test_fourier_at_x_zero(ev_z21, rule1):
-    res = fourier_check(ev_z21, (0.0,), (0.9,), rule1)
+def test_fourier_at_x_zero(ev_z21):
+    res = fourier_check(ev_z21, (0.0,), (0.9,))
     assert res["plus"] < 1e-12 and res["minus"] < 1e-12
 
 
-def test_fourier_matches_convolution_at_y_zero(ev_z21, rule1):
+def test_fourier_matches_convolution_at_y_zero(ev_z21):
     # at y = 0 both conventions integrate E(+-i x, z) dgamma(z) against 1
-    res = fourier_check(ev_z21, (0.6,), (0.0,), rule1)
+    res = fourier_check(ev_z21, (0.6,), (0.0,))
     assert res["plus"] < 1e-10 and res["minus"] < 1e-10
 
 
@@ -385,12 +384,11 @@ def test_float_tables_match_exact_through_fallback_degree():
 def _assert_evaluators_agree(ev_exact, ev_float, x, y, tol):
     """Both kernel paths, both functional-norm routes and the Fourier check
     give the same numbers on exact and float tables."""
-    rule = gauss_rule(len(x), 20)
     for path in (lk_series_value, lk_eval_hermite):
         assert abs(complex(path(ev_exact, x, y)) - complex(path(ev_float, x, y))) < tol
-    for a, b in zip(phi_x_norm(ev_exact, x, rule), phi_x_norm(ev_float, x, rule)):
+    for a, b in zip(phi_x_norm(ev_exact, x), phi_x_norm(ev_float, x)):
         assert abs(a - b) < tol
-    fa, fb = fourier_check(ev_exact, x, y, rule), fourier_check(ev_float, x, y, rule)
+    fa, fb = fourier_check(ev_exact, x, y), fourier_check(ev_float, x, y)
     for side in ("plus", "minus"):
         assert abs(fa[side] - fb[side]) < tol
 

@@ -16,7 +16,7 @@ from dunkl.poly import (
     inverse_heat_half,
 )
 from dunkl.operators import monomial_basis
-from dunkl.quad import QuadratureDegreeError, gauss_rule
+from dunkl.quad import gauss_rule
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -133,21 +133,20 @@ def test_fischer_graded_orthogonality(p, q):
 
 
 def test_fischer_via_gaussian_examples():
-    rule = gauss_rule(2, 12)
     one = Polynomial.constant(2, 1)
-    assert abs(fischer_via_gaussian(one, one, rule) - 1) < 1e-14
+    assert fischer_via_gaussian(one, one) == 1
     x1 = var(2, 0)
-    assert abs(fischer_via_gaussian(x1, x1, rule) - 1) < 1e-13
+    assert fischer_via_gaussian(x1, x1) == 1
     p = Polynomial.monomial(2, (2, 0))
     q = Polynomial.monomial(2, (0, 2))
-    assert abs(fischer_via_gaussian(p, q, rule) - 0) < 1e-12
+    assert fischer_via_gaussian(p, q) == 0
+    assert fischer_via_gaussian(p, p) == 2
 
 
-def test_fischer_via_gaussian_degree_guard():
-    rule = gauss_rule(1, 2)  # exact to degree 3
-    p = Polynomial.monomial(1, (4,))
-    with pytest.raises(QuadratureDegreeError):
-        fischer_via_gaussian(p, p, rule)
+@given(poly_strategy(3, 5), poly_strategy(3, 5))
+@settings(max_examples=40, deadline=None)
+def test_fischer_via_gaussian_is_exact(p, q):
+    assert fischer_via_gaussian(p, q) == fischer(p, q)
 
 
 def test_hermite_examples():

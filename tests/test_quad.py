@@ -1,15 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dunkl.poly import Polynomial, hermite
 from dunkl.quad import (
-    GaussianWeighted,
     QuadratureRule,
-    UncertifiedDecayError,
     fourier_quadrature,
     gauss_rule,
+    gaussian_integral,
     gaussian_moment,
     integrate,
 )
@@ -76,34 +76,58 @@ def test_moment_sweep_and_symmetry():
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def _transform_on_rule(n, y):
+    """integral of z^n e^{-iyz} dgamma(z) on a 40-point rule, a route that
+    does not use the Hermite closed form."""
+    return integrate(lambda z: z[:, 0] ** n * np.exp(-1j * y * z[:, 0]), gauss_rule(1, 40))
+
+
 def test_fourier_gaussian_self_transform():
-    rule = gauss_rule(1, 40)
     one = Polynomial.constant(1, 1.0)
     for y in (0.0, 0.8, 2.5, 4.0):
-        val = fourier_quadrature(GaussianWeighted(one), (y,), rule)
-        assert abs(val - math.exp(-y * y / 2)) < 1e-10
-
-
-def test_fourier_at_zero_is_plain_integral():
-    rule = gauss_rule(1, 20)
-    z1 = Polynomial.monomial(1, (2,), 1.0)
-    val = fourier_quadrature(GaussianWeighted(z1), (0.0,), rule)
-    assert abs(val - 1.0) < 1e-12
+        val = fourier_quadrature(one, (y,))
+        assert abs(val - math.exp(-y * y / 2)) < 1e-15
+        assert abs(val - _transform_on_rule(0, y)) < 1e-13
 
 
 def test_fourier_first_moment():
-    rule = gauss_rule(1, 40)
-    z1 = Polynomial.monomial(1, (1,), 1.0)
-    for y in (0.5, 1.5):
-        val = fourier_quadrature(GaussianWeighted(z1), (y,), rule)
+    # z^n for n <= 5 in one variable, against the rule
+    for y in (0.8, 2.5, 4.0):
+        for n in range(6):
+            val = fourier_quadrature(Polynomial.monomial(1, (n,)), (y,))
+            assert abs(val - _transform_on_rule(n, y)) < 1e-13, (n, y)
         want = -1j * y * math.exp(-y * y / 2)
-        assert abs(val - want) < 1e-10
+        assert abs(fourier_quadrature(Polynomial.monomial(1, (1,)), (y,)) - want) < 1e-15
 
 
-def test_fourier_uncertified_decay_rejected():
-    rule = gauss_rule(1, 10)
-    with pytest.raises(UncertifiedDecayError):
-        fourier_quadrature(lambda z: 1.0, (0.0,), rule)
+def test_fourier_in_three_dimensions():
+    # with y on the first axis, the other coordinates contribute their moments
+    p = Polynomial(3, {(3, 2, 0): 1, (1, 0, 4): Fraction(-2, 3), (2, 1, 1): 5, (0, 2, 2): 0.5})
+    for yv in (0.8, 2.5, 4.0):
+        want = sum(
+            complex(c) * _transform_on_rule(nu[0], yv) * gaussian_moment(nu[1:])
+            for nu, c in p.terms.items()
+        )
+        assert abs(fourier_quadrature(p, (yv, 0.0, 0.0)) - want) < 1e-13, yv
+    # a general y against the product of three one-variable rules
+    y = (0.3, -1.1, 0.7)
+    want = sum(
+        complex(c) * math.prod(_transform_on_rule(e, t) for e, t in zip(nu, y))
+        for nu, c in p.terms.items()
+    )
+    assert abs(fourier_quadrature(p, y) - want) < 1e-13
+
+
+def test_fourier_at_zero_is_plain_integral():
+    p = Polynomial(2, {(2, 0): 1, (2, 2): Fraction(1, 3), (1, 3): 7, (0, 0): -2})
+    assert abs(fourier_quadrature(p, (0.0, 0.0)) - complex(gaussian_integral(p))) < 1e-15
+    assert gaussian_integral(p) == 1 + Fraction(1, 3) - 2
+
+
+def test_gaussian_integral_matches_rule():
+    p = Polynomial(2, {(4, 2): Fraction(3, 7), (3, 1): 2, (0, 6): Fraction(-1, 5), (0, 0): 1})
+    assert gaussian_integral(p) == Fraction(3, 7) * 3 + Fraction(-1, 5) * 15 + 1
+    assert abs(integrate(p.to_float(), gauss_rule(2, 4)) - float(gaussian_integral(p))) < 1e-13
 
 
 def test_rule_is_frozen_dataclass():
