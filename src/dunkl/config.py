@@ -69,8 +69,8 @@ def orbit_labels(system, orbits):
     """
     if len(orbits) == 1:
         return ("all",)
-    norms = [float(dot(system.roots[orb[0]], system.roots[orb[0]])) for orb in orbits]
-    if len(orbits) == 2 and abs(norms[0] - norms[1]) > 1e-9:
+    norms = [dot(system.roots[orb[0]], system.roots[orb[0]]) for orb in orbits]
+    if len(orbits) == 2 and norms[0] != norms[1]:
         return ("short", "long") if norms[0] < norms[1] else ("long", "short")
     return tuple(f"orbit{i}" for i in range(len(orbits)))
 

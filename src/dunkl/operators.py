@@ -106,10 +106,6 @@ class DunklContext:
         return self.k.gamma
 
     @property
-    def is_exact(self):
-        return self.group.arithmetic_mode == "exact"
-
-    @property
     def fallback_degrees(self):
         """The solved degrees whose H_n is a dense inverse, not a lam_n table."""
         return sorted(n for n, h in self.h_cache.items() if h is None)
@@ -188,7 +184,7 @@ def divide_by_root_pairing(p: Polynomial, alpha):
                 lower[key] = lower.get(key, 0) - qc * aj
     residue = [c for c in levels.get(0, {}).values() if c]
     if residue:
-        tol = 1e-10 * max(_coeff_scale(p), 1.0)
+        tol = 1e-10 * max([1.0] + [abs(complex(c)) for c in p.terms.values()])
         if any(not isinstance(c, (float, complex)) or abs(c) > tol for c in residue):
             raise ExactDivisionError(
                 "difference term not divisible by the root pairing (internal bug)"
@@ -217,10 +213,6 @@ def operator_A(ctx: DunklContext, p: Polynomial) -> Polynomial:
     return combination(
         p.dim, ((act_on_polynomial(ctx.group, sidx, p), ka) for _, ka, sidx in ctx.reflections if ka)
     )
-
-
-def _coeff_scale(p):
-    return max((abs(complex(c)) for c in p.terms.values()), default=0.0)
 
 
 def _apply_W(ctx, n, p):
@@ -262,12 +254,11 @@ def solve_H(ctx: DunklContext, n):
         return ctx.h_cache[n]
     group = ctx.group
     reps = group.class_representatives
-    zero = Fraction(0) if ctx.is_exact else 0.0
-    matrix = [[zero] * len(reps) for _ in reps]
+    matrix = [[Fraction(0)] * len(reps) for _ in reps]
     for row, h in zip(matrix, reps):
         for g, coeff in _w_row(ctx, n, h):
             row[group.class_of[g]] += coeff
-    rhs = [zero] * len(reps)
+    rhs = [Fraction(0)] * len(reps)
     rhs[group.class_of[group.identity_index]] += 1
     try:
         sol = solve_columns(matrix, [rhs])[0]
@@ -297,16 +288,14 @@ def _w_row(ctx, n, h):
 
 
 def solves_row_identity(ctx: DunklContext, n, coefficients) -> bool:
-    """Whether lam = coefficients satisfies the row identity of solve_H at
-    every element: exactly in an exact context, within 1e-8 in a floating
-    one.  Costs |G| |R+| multiplications."""
+    """Whether lam = coefficients satisfies the row identity of solve_H
+    exactly at every element.  Costs |G| |R+| multiplications."""
     group = ctx.group
-    for h in range(group.order):
-        value = sum(coeff * coefficients[g] for g, coeff in _w_row(ctx, n, h))
-        gap = value - (1 if h == group.identity_index else 0)
-        if (gap != 0) if ctx.is_exact else (abs(complex(gap)) > 1e-8):
-            return False
-    return True
+    return all(
+        sum(coeff * coefficients[g] for g, coeff in _w_row(ctx, n, h))
+        == (1 if h == group.identity_index else 0)
+        for h in range(group.order)
+    )
 
 
 def _inverse_columns(d, n, image):
@@ -329,17 +318,10 @@ def _columns(ctx, n, h):
 
 
 def _verify_H(ctx, n, columns):
-    """Check W_n H_n x^nu = x^nu on the monomial basis."""
+    """Check W_n H_n x^nu = x^nu exactly on the monomial basis."""
     for nu, column in columns.items():
-        mono = Polynomial.monomial(ctx.dimension, nu)
-        back = _apply_W(ctx, n, column)
-        if ctx.is_exact:
-            if back != mono:
-                raise NotInMStarError(n)
-        else:
-            gap = _coeff_scale(back - mono)
-            if gap > 1e-8:
-                raise NotInMStarError(n)
+        if _apply_W(ctx, n, column) != Polynomial.monomial(ctx.dimension, nu):
+            raise NotInMStarError(n)
 
 
 def columns_of_H(ctx: DunklContext, n):
@@ -374,7 +356,7 @@ def _vk_monomial(ctx: DunklContext, nu):
     d = ctx.dimension
     n = sum(nu)
     if n == 0:
-        result = Polynomial.constant(d, Fraction(1) if ctx.is_exact else 1.0)
+        result = Polynomial.constant(d, Fraction(1))
     else:
         # sum_j x_j V(d_j x^nu) = sum_j nu_j x_j V(x^(nu - e_j)), gathered in one dict
         acc = {}

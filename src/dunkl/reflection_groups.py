@@ -1,24 +1,24 @@
 """Root systems, reflections, and the finite groups they generate.
 
-The standard crystallographic families A, B, D and the coordinate-sign
-system Z2^d are realized with exact rational entries; dihedral systems
-I2(m) fall back to floats except for m in {1, 2, 4} where a rational
-realization exists.  Reflections act by
+Every family has exact rational roots: the crystallographic families A, B,
+D and G2 (in the plane x1 + x2 + x3 = 0 of R^3), the coordinate-sign system
+Z2^d, and the dihedral I2(m) for the m with a rational realization in the
+plane, m in {2, 4}.  Reflections act by
 
     s_a(x) = x - 2 <x, a> a / |a|^2,
 
 and the group is the closure of {s_a : a positive} under composition.  The
 action on functions is (L_g f)(x) = f(g x), so composing actions reverses
-the matrix product: L_g L_h = L_{hg}.  Every exact group is a
+the matrix product: L_g L_h = L_{hg}.  Every group but G2 is a
 signed-permutation group, so L_g sends a monomial to plus or minus one
-monomial, and acting on a polynomial relabels its exponents; only floating
-I2(m) substitutes the matrix.
+monomial, and acting on a polynomial relabels its exponents; G2's long-root
+reflections are not signed permutations, so there the exact matrix is
+substituted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-import math
 
 from .exact import is_real_scalar
 from .poly import Polynomial, combination
@@ -36,16 +36,10 @@ class MultiplicityError(ValueError):
     pass
 
 
-FLOAT_MATCH_TOL = 1e-12
-DEDUP_TOL = 1e-10
-
-
 # -- small tuple-based matrix helpers -----------------------------------------
 
-def mat_identity(d, exact=True):
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
+def mat_identity(d):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
 
 
 def mat_mul(a, b):
@@ -69,12 +63,6 @@ def dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
-def _dedup_key(m, exact):
-    if exact:
-        return m
-    return tuple(tuple(int(round(float(e) / DEDUP_TOL)) for e in row) for row in m)
-
-
 # -- domain types ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -84,10 +72,6 @@ class RootSystem:
     family_tag: str
     # reflections[i][r] = j with s_{roots[i]}(roots[r]) = roots[j]
     reflections: tuple = field(compare=False, repr=False)
-
-    @property
-    def is_exact(self):
-        return _is_exact(self.roots)
 
 
 @dataclass(frozen=True)
@@ -103,10 +87,9 @@ class ReflectionGroup:
     elements: tuple
     identity_index: int
     cayley: tuple
-    arithmetic_mode: str  # "exact" | "floating"
     class_of: tuple  # conjugacy class index of each element, identity's is 0
     # per element (perm, signs) with row j of its matrix signs[j] e_{perm[j]};
-    # None unless every element is a signed permutation (floating I2(m))
+    # None unless every element is a signed permutation (G2's are not)
     signed_permutations: tuple | None = None
 
     @property
@@ -132,12 +115,10 @@ class ReflectionGroup:
         raise GroupClosureError(f"element {i} has no inverse in the table")
 
     def element_index(self, matrix):
-        exact = self.arithmetic_mode == "exact"
-        key = _dedup_key(matrix, exact)
-        for i, g in enumerate(self.elements):
-            if _dedup_key(g, exact) == key:
-                return i
-        raise KeyError("matrix is not a group element")
+        try:
+            return self.elements.index(matrix)
+        except ValueError:
+            raise KeyError("matrix is not a group element") from None
 
 
 @dataclass(eq=False)
@@ -170,8 +151,12 @@ def build_root_system(family_tag, d=None, m=None) -> RootSystem:
     """Standard root list for a family.
 
     A is realized as A_{d-1} inside R^d ({e_i - e_j}); B_d and D_d use the
-    usual signed lists; Z2^d is {+-e_i}; I2(m) gives 2m planar roots at
-    angles j*pi/m (rational only for m in {1, 2, 4}).
+    usual signed lists; Z2^d is {+-e_i}.  G2 lies in the plane
+    x1 + x2 + x3 = 0 of R^3: its short roots are e_i - e_j, its long roots
+    +-(2 e_i - e_j - e_k).  I2(m) is built only for m in {2, 4}, the planar
+    dihedral systems with rational roots (Z2^2 and B2 up to root lengths);
+    any other m raises UnsupportedFamilyError, naming the family that
+    realizes I2(3) = A2 and I2(6) = G2 exactly.
     """
     tag = family_tag.upper() if family_tag.lower() != "z2^d" else "Z2^d"
     if tag in ("Z2^D", "Z2"):
@@ -186,13 +171,7 @@ def build_root_system(family_tag, d=None, m=None) -> RootSystem:
     elif tag == "A":
         if d is None or d < 2:
             raise UnsupportedFamilyError("A needs ambient dimension d >= 2")
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    v = [Fraction(0)] * d
-                    v[i] = Fraction(1)
-                    v[j] = Fraction(-1)
-                    roots.append(tuple(v))
+        roots = _difference_roots(d)
     elif tag == "B":
         if d is None or d < 2:
             raise UnsupportedFamilyError("B needs d >= 2")
@@ -204,20 +183,42 @@ def build_root_system(family_tag, d=None, m=None) -> RootSystem:
         if d is None or d < 2:
             raise UnsupportedFamilyError("D needs d >= 2")
         roots.extend(_pair_roots(d))
+    elif tag == "G2":
+        if d not in (None, 3):
+            raise UnsupportedFamilyError("G2 is realized in R^3 (d = 3)")
+        roots = _difference_roots(3)
+        for i in range(3):
+            long = tuple(Fraction(2 if j == i else -1) for j in range(3))
+            roots += [long, tuple(-e for e in long)]
     elif tag in ("I2", "I2(M)", "I"):
-        if m is None or m < 2:
-            raise UnsupportedFamilyError("I2(m) needs m >= 2")
+        if m not in (2, 4):
+            hint = _EXACT_DIHEDRAL.get(m)
+            raise UnsupportedFamilyError(
+                f"I2(m) has rational roots only for m in {{2, 4}}, not m = {m!r}"
+                + (f"; I2({m}) is {hint}" if hint else "")
+            )
         roots = _dihedral_roots(m)
         tag = "I2(m)"
     else:
         raise UnsupportedFamilyError(f"unknown family {family_tag!r}")
     roots = tuple(roots)
-    table = _reflection_table(roots, _is_exact(roots))
-    return RootSystem(d if d is not None else 2, roots, tag, table)
+    return RootSystem(len(roots[0]), roots, tag, _reflection_table(roots))
 
 
-def _is_exact(roots):
-    return all(isinstance(e, (int, Fraction)) for root in roots for e in root)
+# the dihedral groups that other families realize with rational roots
+_EXACT_DIHEDRAL = {3: 'A2: use {"family": "A", "d": 3}', 6: 'G2: use {"family": "G2"}'}
+
+
+def _difference_roots(d):
+    out = []
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                v = [Fraction(0)] * d
+                v[i] = Fraction(1)
+                v[j] = Fraction(-1)
+                out.append(tuple(v))
+    return out
 
 
 def _axis(d, i, sign):
@@ -240,29 +241,13 @@ def _pair_roots(d):
 
 
 def _dihedral_roots(m):
-    if m == 1:
-        return [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))]
-    if m == 2:
-        return [
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-            (Fraction(-1), Fraction(0)),
-            (Fraction(0), Fraction(-1)),
-        ]
-    if m == 4:
-        # rational realization: the B_2 list, angles j*pi/4 up to root lengths
-        return _pair_roots(2) + [
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-            (Fraction(-1), Fraction(0)),
-            (Fraction(0), Fraction(-1)),
-        ]
-    return [
-        (math.cos(j * math.pi / m), math.sin(j * math.pi / m)) for j in range(2 * m)
-    ]
+    """I2(2) as the coordinate axes; I2(4) as the B_2 list, angles j*pi/4 up
+    to root lengths."""
+    axes = [_axis(2, 0, 1), _axis(2, 1, 1), _axis(2, 0, -1), _axis(2, 1, -1)]
+    return axes if m == 2 else _pair_roots(2) + axes
 
 
-def _reflection_table(roots, exact):
+def _reflection_table(roots):
     """Each root's reflection as a root permutation, checking on the way
     that the list is closed under negation and under every reflection.
 
@@ -272,7 +257,7 @@ def _reflection_table(roots, exact):
     for a in roots:
         if all(e == 0 for e in a):
             raise UnsupportedFamilyError("zero vector among the roots")
-    find = _root_finder(roots, exact)
+    find = _root_finder(roots)
     table = [None] * len(roots)
     for i, a in enumerate(roots):
         neg = find(tuple(-e for e in a))
@@ -282,7 +267,7 @@ def _reflection_table(roots, exact):
             table[i] = table[neg]
             continue
         try:
-            table[i] = _root_permutation(a, roots, exact)
+            table[i] = _root_permutation(a, roots)
         except GroupClosureError:
             raise UnsupportedFamilyError(
                 f"root list not stable under the reflection in {a}"
@@ -306,8 +291,7 @@ def reflection_matrix(alpha):
     nrm2 = dot(alpha, alpha)
     if nrm2 == 0:
         raise ValueError("cannot reflect in the zero vector")
-    exact = all(isinstance(e, (int, Fraction)) for e in alpha)
-    eye = mat_identity(d, exact=exact)
+    eye = mat_identity(d)
     return tuple(
         tuple(eye[i][j] - 2 * alpha[i] * alpha[j] / nrm2 for j in range(d))
         for i in range(d)
@@ -324,24 +308,12 @@ def select_positive(system: RootSystem) -> PositiveSystem:
     """
     d = system.dimension
     eps = Fraction(1, 127)
-    exact = system.is_exact
     for _ in range(128):
         beta = tuple(eps**i for i in range(d))
-        if exact:
-            pairings = [dot(a, beta) for a in system.roots]
-            if all(p != 0 for p in pairings):
-                positives = tuple(
-                    a for a, p in zip(system.roots, pairings) if p > 0
-                )
-                return PositiveSystem(system, beta, positives)
-        else:
-            betaf = tuple(float(b) for b in beta)
-            pairings = [float(dot(a, betaf)) for a in system.roots]
-            if all(abs(p) > FLOAT_MATCH_TOL for p in pairings):
-                positives = tuple(
-                    a for a, p in zip(system.roots, pairings) if p > 0
-                )
-                return PositiveSystem(system, betaf, positives)
+        pairings = [dot(a, beta) for a in system.roots]
+        if all(p != 0 for p in pairings):
+            positives = tuple(a for a, p in zip(system.roots, pairings) if p > 0)
+            return PositiveSystem(system, beta, positives)
         eps = eps / 2
     raise UnsupportedFamilyError("could not separate the roots from a hyperplane")
 
@@ -354,21 +326,19 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
     An element of a reflection group is fixed by how it permutes the roots,
     so closure and the Cayley table compose root-index permutations.  The
     elements are found breadth first as products g s with a generator s, and
-    each new element's matrix is that one product.  Every exact group here
-    (A, B, D, Z2^d, I2(m) for m in {1, 2, 4}) is a signed-permutation
-    group, and each element's signed permutation is read off its matrix.
+    each new element's matrix is that one product.  When every element's
+    matrix has one entry +-1 per row (A, B, D, Z2^d and I2(m); not G2), the
+    group records each element's signed permutation, read off its matrix.
     """
     system = positive.base
     d = system.dimension
-    exact = system.is_exact
-    mode = "exact" if exact else "floating"
     generators = [
         (reflection_matrix(a), system.reflections[system.roots.index(a)])
         for a in positive.positives
     ]
 
     start = tuple(range(len(system.roots)))
-    elements = [mat_identity(d, exact=exact)]
+    elements = [mat_identity(d)]
     perms = [start]
     index = {start: 0}
     frontier = [0]
@@ -381,7 +351,7 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
                 if prod not in index:
                     if len(elements) >= element_cap:
                         raise GroupClosureError(
-                            "not a finite reflection group at this tolerance "
+                            "not a finite reflection group "
                             f"(closure exceeded {element_cap} elements)"
                         )
                     index[prod] = len(elements)
@@ -394,38 +364,26 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
         tuple(index[tuple(pi[r] for r in pj)] for pj in perms) for pi in perms
     )
     class_of = _conjugacy_classes(cayley, [index[ps] for _, ps in generators])
-    signed = [_signed_permutation(g) for g in elements] if exact else [None]
+    signed = [_signed_permutation(g) for g in elements]
     group = ReflectionGroup(
-        d, tuple(elements), 0, cayley, mode, class_of,
-        None if None in signed else tuple(signed),
+        d, tuple(elements), 0, cayley, class_of, None if None in signed else tuple(signed)
     )
     _validate_group(group)
     return group
 
 
-def _root_permutation(alpha, roots, exact):
+def _root_permutation(alpha, roots):
     """The j with s_alpha(roots[i]) = roots[j], for each i."""
-    find = _root_finder(roots, exact)
+    find = _root_finder(roots)
     found = tuple(find(reflect(alpha, r)) for r in roots)
     if None in found:
         raise GroupClosureError(f"the reflection in {alpha} does not permute the roots")
     return found
 
 
-def _root_finder(roots, exact):
-    """A map from a vector to the index of the root equal to it, or None;
-    a float vector is matched to the nearest root within DEDUP_TOL."""
-    if exact:
-        return {r: j for j, r in enumerate(roots)}.get
-
-    def nearest(v):
-        gap, j = min(
-            (max(abs(float(a) - float(b)) for a, b in zip(v, r)), j)
-            for j, r in enumerate(roots)
-        )
-        return j if gap <= DEDUP_TOL else None
-
-    return nearest
+def _root_finder(roots):
+    """A map from a vector to the index of the root equal to it, or None."""
+    return {r: j for j, r in enumerate(roots)}.get
 
 
 def _signed_permutation(g):
@@ -467,19 +425,13 @@ def _validate_group(group: ReflectionGroup):
         if sorted(group.cayley[i]) != list(range(n)):
             raise GroupClosureError("Cayley row is not a permutation")
         group.inverse_index(i)  # raises if missing
-    exact = group.arithmetic_mode == "exact"
+    eye = mat_identity(group.dimension)
     for g in group.elements:
-        gtg = mat_mul(mat_transpose(g), g)
-        eye = mat_identity(group.dimension, exact=exact)
-        for i in range(group.dimension):
-            for j in range(group.dimension):
-                diff = gtg[i][j] - eye[i][j]
-                ok = diff == 0 if exact else abs(float(diff)) <= FLOAT_MATCH_TOL
-                if not ok:
-                    raise GroupClosureError("element is not orthogonal")
+        if mat_mul(mat_transpose(g), g) != eye:
+            raise GroupClosureError("element is not orthogonal")
 
 
-_MONO_IMAGE_CACHE = {}  # (matrix, nu) -> x^nu o g, for groups without signed permutations
+_MONO_IMAGE_CACHE = {}  # (matrix, nu) -> x^nu o g, for G2, the group without signed permutations
 
 
 def act_on_polynomial(group: ReflectionGroup, i, p):
@@ -488,8 +440,8 @@ def act_on_polynomial(group: ReflectionGroup, i, p):
     On a signed-permutation group row j of g is s_j e_{pi(j)}, so x^nu goes
     to the single monomial prod_j s_j^{nu_j} x^mu with mu_{pi(j)} = nu_j, and
     a term c x^nu to +-c x^mu.
-    Floating I2(m) has no signed permutations: there the matrix is
-    substituted, with the monomial images cached in _MONO_IMAGE_CACHE.
+    G2 has no signed permutations: there the exact matrix is substituted,
+    with the monomial images cached in _MONO_IMAGE_CACHE.
     """
     if group.signed_permutations is None:
         g = group.elements[i]
@@ -537,7 +489,7 @@ def root_orbits(system: RootSystem):
                     stack.append(perm[r])
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=lambda orb: (float(dot(roots[orb[0]], roots[orb[0]])), orb))
+    orbits.sort(key=lambda orb: (dot(roots[orb[0]], roots[orb[0]]), orb))
     return tuple(orbits)
 
 
@@ -546,9 +498,10 @@ def validate_multiplicity(positive: PositiveSystem, values, orbits=None) -> Mult
 
     ``values`` may be a single scalar (every orbit), a list with one scalar
     per orbit (canonical orbit order), or a mapping from root tuples to
-    scalars covering at least one root per orbit.  Conflicting values inside
-    an orbit raise MultiplicityError.  ``orbits`` are the root orbits of the
-    system if the caller has them already.
+    scalars covering at least one root per orbit.  Each scalar is exact: an
+    int, Fraction or ComplexRational.  A float or complex value, or
+    conflicting values inside an orbit, raise MultiplicityError.  ``orbits``
+    are the root orbits of the system if the caller has them already.
     """
     system = positive.base
     if orbits is None:
@@ -560,7 +513,7 @@ def validate_multiplicity(positive: PositiveSystem, values, orbits=None) -> Mult
             raise MultiplicityError(
                 f"{len(values)} values supplied for {len(orbits)} orbits"
             )
-        per_orbit = list(values)
+        per_orbit = [_exact_weight(v) for v in values]
     elif isinstance(values, dict):
         root_index = {tuple(r): i for i, r in enumerate(system.roots)}
         orbit_of = {}
@@ -572,16 +525,17 @@ def validate_multiplicity(positive: PositiveSystem, values, orbits=None) -> Mult
             if ri is None:
                 raise MultiplicityError(f"{root} is not a root of the system")
             oi = orbit_of[ri]
+            val = _exact_weight(val)
             if per_orbit[oi] is None:
                 per_orbit[oi] = val
-            elif not _scalars_agree(per_orbit[oi], val):
+            elif per_orbit[oi] != val:
                 raise MultiplicityError(
                     f"conflicting values on one orbit: {per_orbit[oi]} vs {val}"
                 )
         if any(v is None for v in per_orbit):
             raise MultiplicityError("some root orbit received no value")
     else:
-        per_orbit = [values] * len(orbits)
+        per_orbit = [_exact_weight(values)] * len(orbits)
 
     by_root = {}
     for oi, orb in enumerate(orbits):
@@ -593,7 +547,9 @@ def validate_multiplicity(positive: PositiveSystem, values, orbits=None) -> Mult
     return MultiplicityFunction(by_root=by_root, orbits=orbits, gamma=gamma)
 
 
-def _scalars_agree(a, b):
-    if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
-        return abs(complex(a) - complex(b)) <= FLOAT_MATCH_TOL
-    return a == b
+def _exact_weight(v):
+    if isinstance(v, (float, complex)):
+        raise MultiplicityError(
+            f"weight {v!r} is not exact; give it as an int, Fraction or ComplexRational"
+        )
+    return v

@@ -333,6 +333,9 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     good = json.loads(cfg.read_text())
     bad_configs = {"bad_n": {**good, "N": "x"}, "zero_n": {**good, "N": 0}}
+    # I2(m) without a rational realization, refused before any group is built
+    dihedral = {f"i2_{m}": {"family": "I2", "m": m, "k": "1/2", "N": 4} for m in (3, 5, 6)}
+    bad_configs.update(dihedral)
     for name, data in bad_configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     ctx = str(ctx_path)
@@ -359,6 +362,9 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
     ) + tuple(
         ["build", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / "y.json")]
         for name in bad_configs
+    ) + tuple(
+        ["verify", "--context", str(tmp_path / f"{name}.json"), "--suite", "exact"]
+        for name in dihedral
     ) + tuple(
         ["intertwine", "--context", str(tmp_path / f"{name}.json"), "--poly", "x1^3"]
         for name in broken

@@ -36,6 +36,7 @@ from dunkl.operators import (
 )
 from dunkl.poly import Polynomial, fischer
 from dunkl.reflection_groups import (
+    MultiplicityError,
     build_root_system,
     generate_group,
     mat_vec,
@@ -202,23 +203,25 @@ def _group_algebra_solve(ctx, n):
     """Reference: lam_n from the |G| x |G| system with one row identity per
     element, the solve that the class-algebra one replaced."""
     group = ctx.group
-    zero = Fraction(0) if ctx.is_exact else 0.0
-    matrix = [[zero] * group.order for _ in range(group.order)]
+    matrix = [[Fraction(0)] * group.order for _ in range(group.order)]
     for h in range(group.order):
         matrix[h][h] = matrix[h][h] + (n + ctx.gamma)
         for _, ka, sidx in ctx.reflections:
             g = group.multiply(h, sidx)
             matrix[h][g] = matrix[h][g] - ka
-    rhs = [zero] * group.order
+    rhs = [Fraction(0)] * group.order
     rhs[group.identity_index] = rhs[group.identity_index] + 1
     return tuple(solve_columns(matrix, [rhs])[0])
 
 
-@pytest.mark.parametrize("name", ["b2", "a2", "b3"])
+@pytest.mark.parametrize("name", ["b2", "a2", "b3", "g2"])
 def test_class_solve_matches_group_algebra_solve(name, b2, a2):
-    ctx = {"b2": b2, "a2": a2}.get(name) or context(
-        "B", {(1, 0, 0): Fraction(1, 2), (1, 1, 0): Fraction(1)}, d=3
-    )
+    ctx = {
+        "b2": lambda: b2,
+        "a2": lambda: a2,
+        "b3": lambda: context("B", {(1, 0, 0): Fraction(1, 2), (1, 1, 0): Fraction(1)}, d=3),
+        "g2": lambda: context("G2", [Fraction(1, 2), Fraction(1)]),
+    }[name]()
     for n in range(1, 7):
         got = solve_H(ctx, n).coefficients
         want = _group_algebra_solve(ctx, n)
@@ -227,13 +230,29 @@ def test_class_solve_matches_group_algebra_solve(name, b2, a2):
         assert [scalar_to_json(c) for c in got] == [scalar_to_json(c) for c in want]
 
 
-def test_class_solve_matches_group_algebra_solve_floating():
-    ctx = context("I2", 0.5, m=5)
-    assert not ctx.is_exact
-    for n in range(1, 7):
-        got = solve_H(ctx, n).coefficients
-        want = _group_algebra_solve(ctx, n)
-        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+def test_float_weight_refused_where_its_exact_value_prepares():
+    # the exact class solve compares exactly, so a float copy of the
+    # admissible k = 1/2 would read as singular (B2 at degree 2, Z2^1 at 3)
+    b2_floats = (0.5, complex(0.5, 1), [Fraction(1, 2), 0.5],
+                 {(1, 0): Fraction(1, 2), (0, 1): 0.5, (1, 1): Fraction(1)})
+    for family, kw, floats in (("B", dict(d=2), b2_floats), ("Z2^d", dict(d=1), (0.5,))):
+        for values in floats:
+            with pytest.raises(MultiplicityError, match="not exact"):
+                context(family, values, **kw)
+        ctx = context(family, Fraction(1, 2), **kw).prepare(4)
+        assert ctx.fallback_degrees == []
+
+
+def test_g2_short_roots_alone_give_the_a2_intertwiner():
+    # with k = 0 on the long roots only the reflections in e_i - e_j carry
+    # weight, and those are the A2 roots: V and gamma must be A2's exactly
+    g2 = context("G2", [Fraction(1, 2), Fraction(0)])
+    a2 = context("A", Fraction(1, 2), d=3)
+    assert g2.group.order == 12 and a2.group.order == 6
+    assert g2.gamma == a2.gamma == Fraction(3, 2)
+    for n in range(6):
+        for nu in monomial_basis(3, n):
+            assert _vk_monomial(g2, nu) == _vk_monomial(a2, nu)
 
 
 def test_class_solve_falls_back_where_group_algebra_solve_is_singular():

@@ -45,7 +45,7 @@ def test_family_counts():
     assert len(build_root_system("A", d=3).roots) == 6
     assert len(build_root_system("Z2^d", d=3).roots) == 6
     assert len(build_root_system("D", d=3).roots) == 12
-    assert len(build_root_system("I2", m=5).roots) == 10
+    assert len(build_root_system("G2").roots) == 12
 
 
 def test_a_family_roots_are_differences():
@@ -60,7 +60,23 @@ def test_unsupported_family():
     with pytest.raises(UnsupportedFamilyError):
         build_root_system("Z2^d", d=0)
     with pytest.raises(UnsupportedFamilyError):
-        build_root_system("I2", m=1)
+        build_root_system("G2", d=2)
+    for m in (1, 5):
+        with pytest.raises(UnsupportedFamilyError, match="only for m in"):
+            build_root_system("I2", m=m)
+    with pytest.raises(UnsupportedFamilyError, match='"family": "A", "d": 3'):
+        build_root_system("I2", m=3)
+    with pytest.raises(UnsupportedFamilyError, match='"family": "G2"'):
+        build_root_system("I2", m=6)
+
+
+def test_g2_roots_and_orbits():
+    system = build_root_system("G2")
+    assert system.dimension == 3
+    assert all(sum(root) == 0 for root in system.roots)
+    short, long = root_orbits(system)
+    assert sorted(sorted(system.roots[i]) for i in short) == [[-1, 0, 1]] * 6
+    assert sorted(sorted(system.roots[i]) for i in long) == [[-2, 1, 1]] * 3 + [[-1, -1, 2]] * 3
 
 
 def test_bad_root_lists_are_refused():
@@ -72,22 +88,16 @@ def test_bad_root_lists_are_refused():
     }
     for message, roots in cases.items():
         with pytest.raises(UnsupportedFamilyError, match=message):
-            reflection_groups._reflection_table(tuple(roots), exact=True)
-    nudged = list(build_root_system("I2", m=5).roots)
-    nudged[3] = (nudged[3][0] + 1e-6, nudged[3][1])
-    with pytest.raises(UnsupportedFamilyError, match="not stable under the reflection in"):
-        reflection_groups._reflection_table(tuple(nudged), exact=False)
+            reflection_groups._reflection_table(tuple(roots))
 
 
 @pytest.mark.parametrize(
     "family, kw",
-    [("B", dict(d=2)), ("A", dict(d=3)), ("D", dict(d=4)), ("I2", dict(m=4)), ("I2", dict(m=5))],
+    [("B", dict(d=2)), ("A", dict(d=3)), ("D", dict(d=4)), ("I2", dict(m=4)), ("G2", dict())],
 )
 def test_reflection_table_matches_each_root_reflection(family, kw):
     system = build_root_system(family, **kw)
-    assert system.reflections == tuple(
-        _root_permutation(a, system.roots, system.is_exact) for a in system.roots
-    )
+    assert system.reflections == tuple(_root_permutation(a, system.roots) for a in system.roots)
 
 
 def test_reflect_examples():
@@ -132,7 +142,7 @@ def test_group_orders():
     assert make("B", d=2)[2].order == 8
     assert make("A", d=3)[2].order == 6
     assert make("Z2^d", d=2)[2].order == 4
-    assert make("I2", m=5)[2].order == 10
+    assert make("G2")[2].order == 12
 
 
 def test_group_cap():
@@ -159,52 +169,35 @@ def test_cayley_is_group():
 
 
 def _matrix_closure(pos):
-    """Reference: breadth-first closure and Cayley table by exact (or rounded
-    float) matrix products, the algorithm that root permutations replaced."""
-    exact = pos.base.is_exact
-
-    def key(m):
-        return m if exact else tuple(tuple(round(float(e) / 1e-10) for e in r) for r in m)
-
+    """Reference: breadth-first closure and Cayley table by exact matrix
+    products, the algorithm that root permutations replaced."""
     generators = [reflection_matrix(a) for a in pos.positives]
-    elements = [mat_identity(pos.base.dimension, exact=exact)]
-    index = {key(elements[0]): 0}
+    elements = [mat_identity(pos.base.dimension)]
+    index = {elements[0]: 0}
     frontier = list(elements)
     while frontier:
         nxt = []
         for g in frontier:
             for s in generators:
                 prod = mat_mul(g, s)
-                if key(prod) not in index:
-                    index[key(prod)] = len(elements)
+                if prod not in index:
+                    index[prod] = len(elements)
                     elements.append(prod)
                     nxt.append(prod)
         frontier = nxt
-    cayley = tuple(tuple(index[key(mat_mul(a, b))] for b in elements) for a in elements)
+    cayley = tuple(tuple(index[mat_mul(a, b)] for b in elements) for a in elements)
     return tuple(elements), cayley
 
 
 @pytest.mark.parametrize(
     "family, kw",
-    [("B", dict(d=2)), ("A", dict(d=3)), ("B", dict(d=3)), ("Z2^d", dict(d=2)), ("I2", dict(m=5))],
+    [("B", dict(d=2)), ("A", dict(d=3)), ("B", dict(d=3)), ("Z2^d", dict(d=2)), ("G2", dict())],
 )
 def test_permutation_closure_matches_matrix_closure(family, kw):
     _, pos, group = make(family, **kw)
     elements, cayley = _matrix_closure(pos)
     assert group.elements == elements  # same matrices in the same order
     assert group.cayley == cayley
-
-
-def test_float_root_images_matched_within_tolerance():
-    system = build_root_system("I2", m=5)
-    alpha = system.roots[1]
-    perm = _root_permutation(alpha, system.roots, exact=False)
-    assert sorted(perm) == list(range(10))
-    assert perm[1] == 6  # s_alpha(alpha) = -alpha, at angle pi/5 + pi
-    nudged = list(system.roots)
-    nudged[3] = (nudged[3][0] + 1e-6, nudged[3][1])
-    with pytest.raises(GroupClosureError):
-        _root_permutation(alpha, nudged, exact=False)
 
 
 def _conjugacy_classes(group):
@@ -222,7 +215,7 @@ def _conjugacy_classes(group):
 @pytest.mark.parametrize(
     "family, kw, count",
     [("B", dict(d=2), 5), ("A", dict(d=3), 3), ("B", dict(d=3), 10), ("Z2^d", dict(d=2), 4),
-     ("I2", dict(m=5), 4)],
+     ("G2", dict(), 6)],
 )
 def test_class_index_is_conjugacy_class(family, kw, count):
     _, _, group = make(family, **kw)
@@ -309,16 +302,17 @@ def test_signed_permutation_action_matches_substitution(family, kw):
     assert len(reflection_groups._MONO_IMAGE_CACHE) == cached
 
 
-def test_floating_dihedral_group_acts_by_substitution():
-    _, _, group = make("I2", m=5)
+def test_g2_acts_by_exact_substitution():
+    _, _, group = make("G2")
     assert group.signed_permutations is None
     rng = random.Random(3)
-    p = _random_polynomial(rng, 2, COEFFICIENTS["fraction"])
-    point = (0.3, -1.1)
-    for i, g in enumerate(group.elements):
-        got = act_on_polynomial(group, i, p)
-        assert abs(got.evaluate(point) - p.evaluate(mat_vec(g, point))) < 1e-9
-        assert abs(got.evaluate(point) - _substituted(g, p).evaluate(point)) < 1e-9
+    point = (Fraction(3, 10), Fraction(-11, 10), Fraction(2))
+    for coefficient in COEFFICIENTS.values():
+        p = _random_polynomial(rng, 3, coefficient)
+        for i, g in enumerate(group.elements):
+            got = act_on_polynomial(group, i, p)
+            assert got == _substituted(g, p)
+            assert got.evaluate(point) == p.evaluate(mat_vec(g, point))
 
 
 def test_rotation_preserves_fischer_norm():
@@ -358,23 +352,16 @@ def test_orbits():
     assert len(root_orbits(system)) == 2
 
 
-def _root_key(v, exact):
-    if exact:
-        return tuple(Fraction(e) for e in v)
-    return tuple(int(round(float(e) / reflection_groups.FLOAT_MATCH_TOL)) for e in v)
-
-
 def _orbits_under_group(group, system):
     """Reference: orbits from the image of each root under every element,
     the routine that closing under the root reflections replaced."""
-    exact = system.is_exact
-    key_to_idx = {_root_key(r, exact): i for i, r in enumerate(system.roots)}
+    key_to_idx = {r: i for i, r in enumerate(system.roots)}
     seen = set()
     orbits = []
     for i in range(len(system.roots)):
         if i in seen:
             continue
-        orbit = {key_to_idx[_root_key(mat_vec(g, system.roots[i]), exact)] for g in group.elements}
+        orbit = {key_to_idx[mat_vec(g, system.roots[i])] for g in group.elements}
         seen |= orbit
         orbits.append(tuple(sorted(orbit)))
     return sorted(orbits)
@@ -382,9 +369,9 @@ def _orbits_under_group(group, system):
 
 @pytest.mark.parametrize(
     "family, kw",
-    [("B", {"d": 2}), ("B", {"d": 3}), ("A", {"d": 3}), ("D", {"d": 4}), ("I2", {"m": 5}),
+    [("B", {"d": 2}), ("B", {"d": 3}), ("A", {"d": 3}), ("D", {"d": 4}), ("G2", {}),
      ("Z2^d", {"d": 2})],
-    ids=["b2", "b3", "a3", "d4", "i2_5", "z2_2"],
+    ids=["b2", "b3", "a3", "d4", "g2", "z2_2"],
 )
 def test_reflection_closed_orbits_match_group_orbits(family, kw):
     system, pos, group = make(family, **kw)
