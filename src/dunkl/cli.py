@@ -11,6 +11,7 @@ float layer and with it numpy; the exact commands never load it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -168,16 +169,7 @@ def parse_grid(spec: str, d: int):
     pairs = math.prod(len(v) for v in x_axes + y_axes)
     if pairs > GRID_POINT_CAP:
         raise ConfigError(f"grid of {pairs} (x, y) pairs exceeds {GRID_POINT_CAP}")
-    xs = _product(x_axes)
-    ys = _product(y_axes)
-    return xs, ys
-
-
-def _product(axes):
-    out = [()]
-    for vals in axes:
-        out = [p + (v,) for p in out for v in vals]
-    return out
+    return list(itertools.product(*x_axes)), list(itertools.product(*y_axes))
 
 
 def cmd_kernel_grid(args) -> int:
@@ -190,17 +182,13 @@ def cmd_kernel_grid(args) -> int:
     xs, ys = parse_grid(args.grid, d)
     tol = _tolerance(args.tol)
     ev = make_evaluator(bundle.ctx, degree, exact_tables=False)
-    worst = None
-    for x in xs:
-        xn = math.hypot(*x)
-        for y in ys:
-            tb = tail_bound(ev, xn, math.hypot(*y))
-            if worst is None or tb.value > worst.value:
-                worst = tb
+    y_norms = [math.hypot(*y) for y in ys]
+    tails = [[tail_bound(ev, xn, yn) for yn in y_norms] for xn in (math.hypot(*x) for x in xs)]
+    worst = max((tb for row in tails for tb in row), key=lambda tb: tb.value)
     if not worst.value < (math.inf if tol is None else tol):
         reason = "is not finite"
         if tol is not None:
-            radius = certified_radius(ev, tol, max(math.hypot(*y) for y in ys))
+            radius = certified_radius(ev, tol, max(y_norms))
             reason = (
                 f"exceeds tol = {tol:.3g}; certified |x| radius at this truncation is "
                 f"{radius:.4g}"
@@ -219,12 +207,10 @@ def cmd_kernel_grid(args) -> int:
     )
     lines = [header]
     for i, x in enumerate(xs):
-        xn = math.hypot(*x)
         for j, y in enumerate(ys):
-            tb = tail_bound(ev, xn, math.hypot(*y))
             v = values[i, j]
             coords = ",".join(_fmt(t) for t in x) + "," + ",".join(_fmt(t) for t in y)
-            lines.append(f"{coords},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(tb.value)}")
+            lines.append(f"{coords},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(tails[i][j].value)}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

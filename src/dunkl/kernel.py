@@ -25,16 +25,16 @@ group equivariance, and nonnegativity for nonnegative weights.
 
 Truncation error is controlled by the per-term estimate
 
-    |Lap^m E_n(x, .)(y)| <= d^m / (n-2m)! * (delta_hat |G| |x|)^n |y|^{n-2m},
+    |Lap^m E_n(x, .)(y)| <= d^m / (n-2m)! * u^n |y|^{n-2m},
 
-summed over m and over the discarded degrees n.  With u = delta_hat |G| |x|
-the degree-n sum is u^n [t^n] e^{|y| t + d t^2/2}, and these terms obey a
-positive three-term recurrence; operators._recurrence_tail seeds the first
-two discarded terms in logs, runs the recurrence forward, stops with a
-rigorous geometric remainder, and rounds the result outward by one relative
-factor, so the bound is never below the exact sum of the discarded terms.
-The Taylor tail of the Gaussian-image check and the generalized
-exponential's tail are two more cases of the same routine.
+summed over m and over the discarded degrees n, with u = delta_hat |G| |x|
+from operators.growth_envelope.  The degree-n sum is u^n [t^n]
+e^{|y| t + d t^2/2}; operators._recurrence_tail seeds the first two
+discarded terms in logs, runs their positive three-term recurrence forward,
+stops with a rigorous geometric remainder, and rounds the result outward by
+one relative factor, so the bound is never below the exact sum of the
+discarded terms.  The Taylor tail of the Gaussian-image check and the
+generalized exponential's tail are two more cases of the same routine.
 """
 from __future__ import annotations
 
@@ -53,6 +53,7 @@ from .operators import (
     _vk_monomial,
     dunkl_apply,
     evaluate_en,
+    growth_envelope,
     homogeneous_kernel,
     intertwine,
     monomial_basis,
@@ -164,13 +165,6 @@ def hermite_piece(ev: KernelEvaluator, n, x, y):
     return total
 
 
-def lk_eval_hermite(ev: KernelEvaluator, x, y, n_trunc=None):
-    """Hermite path: sum_nu V(phi_nu)(x) H_nu(y)."""
-    if n_trunc is None:
-        n_trunc = ev.n_trunc
-    return sum(hermite_piece(ev, n, x, y) for n in range(n_trunc + 1))
-
-
 @dataclass(frozen=True)
 class LkValue:
     value: complex
@@ -180,9 +174,7 @@ class LkValue:
 def lk_eval(ev: KernelEvaluator, x, y, tol=None) -> LkValue:
     """Kernel value along the series path, with its tail bound; rejects
     points whose bound cannot meet tol at this truncation degree."""
-    xf = [complex(t) for t in x]
-    yf = [complex(t) for t in y]
-    tb = tail_bound(ev, _norm(xf), _norm(yf))
+    tb = tail_bound(ev, _norm(x), _norm(y))
     if tol is not None and not tb.value < tol:
         raise TruncationError(
             f"tail bound {tb.value:.3g} at |x|={tb.x_norm:.3g} exceeds tol={tol:.3g}; "
@@ -196,24 +188,24 @@ def lk_eval(ev: KernelEvaluator, x, y, tol=None) -> LkValue:
 def tail_bound(ev: KernelEvaluator, x_norm, y_norm, n_trunc=None) -> TailBound:
     if n_trunc is None:
         n_trunc = ev.n_trunc
-    ctx = ev.ctx
-    if ctx.delta_hat is None:
-        raise ValueError("estimate_delta must run before tail bounds")
-    key = (n_trunc, x_norm, y_norm, ctx.delta_hat)
+    key = (n_trunc, x_norm, y_norm, ev.ctx.delta_hat)
     cached = ev._tail_cache.get(key)
     if cached is not None:
         return cached
-    u = ctx.delta_hat * ctx.group.order * x_norm
+    u = growth_envelope(ev.ctx, x_norm)
     tb = TailBound(n_trunc, x_norm, y_norm, _recurrence_tail(u, y_norm, ev.dimension, n_trunc))
     ev._tail_cache[key] = tb
     return tb
 
 
-def certified_radius(ev: KernelEvaluator, tol, y_norm, hi=16.0) -> float:
+RADIUS_CAP = 16.0  # certified_radius searches |x| in [0, RADIUS_CAP]
+
+
+def certified_radius(ev: KernelEvaluator, tol, y_norm) -> float:
     """Largest |x| whose tail bound stays below tol at this truncation."""
-    if tail_bound(ev, hi, y_norm).value < tol:
-        return hi
-    lo = 0.0
+    if tail_bound(ev, RADIUS_CAP, y_norm).value < tol:
+        return RADIUS_CAP
+    lo, hi = 0.0, RADIUS_CAP
     for _ in range(60):
         mid = (lo + hi) / 2.0
         if tail_bound(ev, mid, y_norm).value < tol:
@@ -279,30 +271,31 @@ def convolution_check(ev: KernelEvaluator, x, y):
     rule = gauss_rule(ev.dimension, (ev.n_trunc + 2) // 2)
     lhs = 0
     for n in range(ev.n_trunc + 1):
-        lhs = lhs + evaluate_en(ev.ctx, n, x, y)
+        lhs = lhs + evaluate_en(ev.source, n, x, y)
     pts = rule.nodes + np.asarray([float(t) for t in y])[None, :]
     vals = lk_polynomial(ev, x).to_float().evaluate_many(pts)
     rhs = complex(np.dot(rule.weights, vals))
     return abs(complex(lhs) - rhs)
 
 
-def gaussian_taylor(d, y, sign, deg) -> Polynomial:
-    """Degree-``deg`` Taylor polynomial of u -> e^{|y|^2/2} e^{-|u + sign*y|^2/2}.
+def gaussian_taylor(d, y, deg) -> Polynomial:
+    """Degree-``deg`` Taylor polynomial T of u -> e^{|y|^2/2} e^{-|u + y|^2/2}.
 
-    The function is e^{-|u|^2/2 - sign <u, y>}, a product over the
-    coordinates of the Hermite generating function e^{z t - t^2/2} =
+    The function is e^{-|u|^2/2 - <u, y>}, a product over the coordinates
+    of the Hermite generating function e^{z t - t^2/2} =
     sum_n He_n(z) t^n / n!, so the coefficient of u^nu is
 
-        prod_j He_{nu_j}(-sign y_j) / nu_j!,
+        prod_j He_{nu_j}(-y_j) / nu_j!,
 
     with the probabilists' Hermite polynomials He_0 = 1, He_1(z) = z,
-    He_{n+1}(z) = z He_n(z) - n He_{n-1}(z), evaluated exactly.  The
-    constant Gaussian factor e^{-|y|^2/2} is left out so the coefficients
+    He_{n+1}(z) = z He_n(z) - n He_{n-1}(z), evaluated exactly; as
+    He_n(-z) = (-1)^n He_n(z), T(-u) is the expansion of e^{-|u - y|^2/2}.
+    The constant Gaussian factor e^{-|y|^2/2} is left out so the coefficients
     stay rational for rational y; callers multiply it back in float.
     """
-    factors = []  # factors[j][e] = He_e(-sign y_j) / e!
+    factors = []  # factors[j][e] = He_e(-y_j) / e!
     for j in range(d):
-        z = -sign * y[j]
+        z = -y[j]
         he = [Fraction(1), z]
         for n in range(1, deg):
             he.append(z * he[n] - n * he[n - 1])
@@ -322,33 +315,32 @@ def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
 
     Compares V(e^{-|u +- y|^2/2})(x), with the Gaussian expanded as an exact
     Taylor polynomial and the intertwining operator applied degree by degree,
-    against e^{-|y|^2/2} L(x, y).  Returns the two residuals and a truncation
-    indicator; the k = 0 closed form arbitrates which convention validates.
+    against e^{-|y|^2/2} L(x, y); V preserves degree, so the minus side
+    V(T(-.))(x) is V(T)(-x) and one Taylor image T serves both.  Returns the
+    two residuals and a truncation indicator; the k = 0 closed form
+    arbitrates which convention validates.
     """
     d = ev.dimension
     if taylor_degree is None:
         taylor_degree = 2 * ev.n_trunc
     ev.ctx.prepare(max(taylor_degree, ev.n_trunc))
-    y_norm = _norm([complex(t) for t in y])
+    y_norm = _norm(y)
     window = math.exp(-(y_norm**2) / 2.0)
     rhs = window * complex(lk_series_value(ev, x, y))
+    image = intertwine(ev.ctx, gaussian_taylor(d, y, taylor_degree))
     out = {}
-    for label, sign in (("plus", 1), ("minus", -1)):
-        taylor = gaussian_taylor(d, y, sign, taylor_degree)
-        lhs = window * complex(intertwine(ev.ctx, taylor).evaluate(x))
-        out[label] = abs(lhs - rhs)
-    x_norm = _norm([complex(t) for t in x])
-    out["trunc_bound"] = window * _gaussian_taylor_tail(
-        ev, x_norm, y_norm, taylor_degree
-    ) + tail_bound(ev, x_norm, y_norm).value * window
+    for label, point in (("plus", x), ("minus", tuple(-t for t in x))):
+        out[label] = abs(window * complex(image.evaluate(point)) - rhs)
+    x_norm = _norm(x)
+    taylor_tail = _gaussian_taylor_tail(ev, x_norm, y_norm, taylor_degree)
+    out["trunc_bound"] = window * taylor_tail + tail_bound(ev, x_norm, y_norm).value * window
     return out
 
 
 def _gaussian_taylor_tail(ev, x_norm, y_norm, deg):
-    """sum_{n > deg} (delta |G| |x|)^n / n! * s_n with s_n = [t^n] e^{|y| t + t^2/2}
-    the sphere bound of the degree-n Taylor part of the shifted Gaussian."""
-    u = ev.ctx.delta_hat * ev.ctx.group.order * x_norm
-    return _recurrence_tail(u, y_norm, 1, deg, factorial=True)
+    """sum_{n > deg} u^n / n! * s_n with s_n = [t^n] e^{|y| t + t^2/2} the
+    sphere bound of the degree-n Taylor part of the shifted Gaussian."""
+    return _recurrence_tail(growth_envelope(ev.ctx, x_norm), y_norm, 1, deg, factorial=True)
 
 
 def fourier_check(ev: KernelEvaluator, x, y):
@@ -357,7 +349,7 @@ def fourier_check(ev: KernelEvaluator, x, y):
     Compares the transform of e^{-|z|^2/2} E(+-i x, z), the truncated series
     transformed term by term in closed form (quad.fourier_quadrature),
     against e^{-|y|^2/2} L(x, y)."""
-    y_norm = _norm([complex(t) for t in y])
+    y_norm = _norm(y)
     window = math.exp(-(y_norm**2) / 2.0)
     target = window * complex(lk_series_value(ev, x, y))
     pieces = [
@@ -379,7 +371,7 @@ def derivative_relation_check(ev: KernelEvaluator, x, y, j):
     exactly.
     The orientation follows the same convention fork as the Fourier and
     Gaussian-image identities; the k = 0 closed form singles one out."""
-    window = math.exp(-float(_norm([complex(t) for t in y])) ** 2 / 2.0)
+    window = math.exp(-(_norm(y) ** 2) / 2.0)
     deriv = 0
     value = 0
     for n in range(ev.n_trunc + 1):
@@ -458,9 +450,9 @@ def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
     max_imag = 0.0
     max_tail = 0.0
     for i, x in enumerate(xs):
-        xn = _norm([complex(t) for t in x])
+        xn = _norm(x)
         for jj, y in enumerate(ys):
-            tb = tail_bound(ev, xn, _norm([complex(t) for t in y]))
+            tb = tail_bound(ev, xn, _norm(y))
             val = values[i, jj]
             adjusted = val.real - tb.value
             max_tail = max(max_tail, tb.value)

@@ -32,7 +32,7 @@ The homogeneous kernel pieces
     E_n(x, y) = (1/n!) V(<., y>^n)(x) = sum_{|nu|=n} V(x^nu)(x) y^nu / nu!
 
 sum to the generalized exponential E(x, y) = V(e^{<., y>})(x); truncation is
-controlled by the growth envelope delta_hat >= n * max_g |lam_n(g)|.
+controlled by the growth envelope u = delta_hat |G| |x| (growth_envelope).
 """
 from __future__ import annotations
 
@@ -501,45 +501,34 @@ class KernelValue:
 
 
 def _norm(v):
-    """Euclidean norm of a real or complex vector, without overflow."""
-    return math.hypot(*(abs(t) for t in v))
+    """Euclidean norm of a point with real, complex or exact coordinates,
+    without overflow."""
+    return math.hypot(*(abs(complex(t)) for t in v))
 
 
-def _tail_terms(u, v, d, factorial=False):
-    """n -> u^n [t^n] e^{v t + d t^2/2}, divided by n! when factorial, in logs.
+def _tail_term(u, v, d, n, factorial=False):
+    """u^n [t^n] e^{v t + d t^2/2}, divided by n! when factorial, in logs.
 
-    The coefficient is sum_m d^m / (2^m m!) v^{n-2m} / (n-2m)!.  The
-    logarithms and the lgamma table are computed once for all n, and each
-    term takes the same float operations in the same order as a term
-    computed on its own, so its value does not depend on which n came first.
+    The coefficient is sum_m d^m / (2^m m!) v^{n-2m} / (n-2m)!.
     """
     if u == 0.0:
-        return lambda n: 0.0
-    log_u, log_2 = math.log(u), math.log(2.0)
+        return 0.0
+    log_u_n = n * math.log(u)
+    if factorial:
+        log_u_n -= math.lgamma(n + 1)
     log_d = math.log(d) if d else 0.0
-    log_v = math.log(v) if v != 0.0 else None
-    lgammas = []  # lgammas[i] = lgamma(i + 1)
-
-    def term(n):
-        while len(lgammas) <= n:
-            lgammas.append(math.lgamma(len(lgammas) + 1))
-        log_u_n = n * log_u
-        if factorial:
-            log_u_n -= lgammas[n]
-        total = 0.0
-        for m in range(n // 2 + 1 if d else 1):
-            r = n - 2 * m
-            if log_v is None and r > 0:
-                continue
-            lt = log_u_n + m * log_d - m * log_2 - lgammas[m]
-            if r > 0:
-                lt += r * log_v - lgammas[r]
-            if lt > 690.0:
-                return math.inf
-            total += math.exp(lt)
-        return total
-
-    return term
+    total = 0.0
+    for m in range(n // 2 + 1 if d else 1):
+        r = n - 2 * m
+        if v == 0.0 and r > 0:
+            continue
+        lt = log_u_n + m * log_d - m * math.log(2.0) - math.lgamma(m + 1)
+        if r > 0:
+            lt += r * math.log(v) - math.lgamma(r + 1)
+        if lt > 690.0:
+            return math.inf
+        total += math.exp(lt)
+    return total
 
 
 _TAIL_STEPS = 2000  # recurrence steps before a tail that has not settled reads inf
@@ -549,6 +538,7 @@ _EPS = 2.0**-53  # unit roundoff
 def _recurrence_tail(u, v, d, n_trunc, factorial=False):
     """sum_{n > n_trunc} a_n, a_n = u^n [t^n] e^{v t + d t^2/2} (over n! when
     factorial), for u, v >= 0 and an integer d >= 0; never below the exact sum.
+    Every caller passes u = growth_envelope(ctx, |x|) and v = |y|.
 
     Since g = e^{v t + d t^2/2} has g' = (v + d t) g, the terms obey the
     positive three-term recurrence a_n = alpha_n a_{n-1} + beta_n a_{n-2} with
@@ -557,7 +547,7 @@ def _recurrence_tail(u, v, d, n_trunc, factorial=False):
         alpha_n = u v / n^2,   beta_n = u^2 d / (n^2 (n - 1))    (factorial),
 
     coefficients that decrease in n.  The first two discarded terms are
-    seeded in logs (_tail_terms), so a small u does not underflow, and the
+    seeded in logs (_tail_term), so a small u does not underflow, and the
     recurrence runs forward from them: O(n_trunc) for the seeds plus one step
     per summed term.  Once rho = alpha_{n+1} + beta_{n+1} < 1, every later
     term is at most rho times the larger of its two predecessors, so
@@ -584,8 +574,7 @@ def _recurrence_tail(u, v, d, n_trunc, factorial=False):
     if u == 0.0:
         return 0.0
     seed = n = n_trunc + 2
-    term = _tail_terms(u, v, d, factorial)
-    prev, last = term(n - 1), term(n)
+    prev, last = _tail_term(u, v, d, n - 1, factorial), _tail_term(u, v, d, n, factorial)
     total = prev + last
     if not math.isfinite(total):
         return math.inf
@@ -611,25 +600,30 @@ def _recurrence_tail(u, v, d, n_trunc, factorial=False):
     return (total + rest) * (1.0 + _EPS * (16.0 * spread + seed + 9.0 * steps + 64.0))
 
 
-def ek_tail_bound(ctx: DunklContext, x_norm, y_norm, n_trunc) -> float:
-    """Bound sum_{n > N} (delta_hat |G| |x|)^n |y|^n / n!: the d = 0 case of
-    the kernel tail, sum_{n > N} u^n [t^n] e^{|y| t}."""
+def growth_envelope(ctx: DunklContext, x_norm) -> float:
+    """u = delta_hat |G| |x|, from delta_hat >= n max_g |lam_n(g)|; every
+    truncation bound rests on |Lap^m E_n(x, .)(y)| <= d^m u^n |y|^{n-2m} / (n-2m)!."""
     if ctx.delta_hat is None:
         raise ValueError("estimate_delta must run before truncation bounds")
-    return _recurrence_tail(ctx.delta_hat * ctx.group.order * x_norm, y_norm, 0, n_trunc)
+    return ctx.delta_hat * ctx.group.order * x_norm
+
+
+def ek_tail_bound(ctx: DunklContext, x_norm, y_norm, n_trunc) -> float:
+    """Bound sum_{n > N} u^n |y|^n / n! with u = growth_envelope(ctx, |x|):
+    the d = 0 case of the kernel tail, sum_{n > N} u^n [t^n] e^{|y| t}."""
+    return _recurrence_tail(growth_envelope(ctx, x_norm), y_norm, 0, n_trunc)
 
 
 def dunkl_kernel(ctx: DunklContext, x, y, tol, degree_cap=160) -> KernelValue:
     """Truncated generalized exponential sum_{n<=N} E_n(x, y) with a certified
     tail bound below tol; N is the smallest degree achieving the bound."""
-    x_norm = _norm([complex(t) for t in x])
-    y_norm = _norm([complex(t) for t in y])
-    n_trunc = None
-    for n in range(0, degree_cap + 1):
-        if ek_tail_bound(ctx, x_norm, y_norm, n) < tol:
-            n_trunc = n
+    x_norm = _norm(x)
+    y_norm = _norm(y)
+    for n_trunc in range(degree_cap + 1):
+        bound = ek_tail_bound(ctx, x_norm, y_norm, n_trunc)
+        if bound < tol:
             break
-    if n_trunc is None:
+    else:
         raise TruncationError(
             f"tail bound does not reach {tol} within the degree cap {degree_cap}"
         )
@@ -639,7 +633,7 @@ def dunkl_kernel(ctx: DunklContext, x, y, tol, degree_cap=160) -> KernelValue:
         term = evaluate_en(ctx, n, x, y)
         total = total + term
         last = abs(complex(term))
-    return KernelValue(total, ek_tail_bound(ctx, x_norm, y_norm, n_trunc), n_trunc, last)
+    return KernelValue(total, bound, n_trunc, last)
 
 
 def evaluate_en(ctx: DunklContext, n, x, y):

@@ -10,6 +10,7 @@ convention validates rather than silently picking one.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import asdict, dataclass, field
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import SUITES, ContextBundle
+from .exact import real_part
 from .kernel import (
     certified_radius,
     convolution_check,
@@ -26,7 +28,7 @@ from .kernel import (
     gaussian_image_check,
     heat_image,
     hermite_piece,
-    lk_eval_hermite,
+    lk_grid,
     lk_mass,
     lk_series_value,
     make_evaluator,
@@ -41,6 +43,7 @@ from .operators import (
     dunkl_apply,
     dunkl_kernel,
     en_expansion_oracle,
+    growth_envelope,
     homogeneous_kernel,
     homogeneous_kernel_bivariate,
     intertwine,
@@ -341,7 +344,11 @@ def suite_exact(bundle: ContextBundle, seed=0):
 
 # -- series suite -------------------------------------------------------------------
 
-def suite_series(bundle: ContextBundle, seed=0, tol=1e-8):
+SERIES_TOL = 1e-8  # truncation tolerance of the ek-symmetry row
+POSITIVITY_TOL = 1e-8  # how far below 0 the kernel minus its tail may read
+
+
+def suite_series(bundle: ContextBundle, seed=0):
     rng = random.Random(seed)
     ctx = bundle.ctx
     d = ctx.dimension
@@ -358,10 +365,10 @@ def suite_series(bundle: ContextBundle, seed=0, tol=1e-8):
     for _ in range(3):
         xf = tuple(rng.uniform(-0.4, 0.4) for _ in range(d))
         yf = tuple(rng.uniform(-0.9, 0.9) for _ in range(d))
-        a = dunkl_kernel(ctx, xf, yf, tol=tol)
-        b = dunkl_kernel(ctx, yf, xf, tol=tol)
+        a = dunkl_kernel(ctx, xf, yf, tol=SERIES_TOL)
+        b = dunkl_kernel(ctx, yf, xf, tol=SERIES_TOL)
         worst = max(worst, abs(complex(a.value) - complex(b.value)))
-    results.append(CheckResult("ek-symmetry", worst, 2 * tol, worst <= 2 * tol))
+    results.append(CheckResult("ek-symmetry", worst, 2 * SERIES_TOL, worst <= 2 * SERIES_TOL))
 
     if bundle.k.is_zero:
         worst = 0.0
@@ -391,23 +398,17 @@ def suite_series(bundle: ContextBundle, seed=0, tol=1e-8):
     results.append(CheckResult("delta-table-bounded", over, 0.0, over <= 0.0))
 
     worst = 0.0
-    u_scale = ctx.delta_hat * ctx.group.order
     for _ in range(2):
         xf = tuple(rng.uniform(-0.5, 0.5) for _ in range(d))
         yf = tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
         xn = math.sqrt(sum(t * t for t in xf))
         yn = math.sqrt(sum(t * t for t in yf))
+        u = growth_envelope(ctx, xn)
         for n in range(n_trunc + 1):
-            e_n = homogeneous_kernel(ctx, n, xf).to_float()
-            lap = e_n
+            lap = homogeneous_kernel(ctx, n, xf).to_float()
             for m in range(n // 2 + 1):
                 got = abs(lap.evaluate(yf))
-                bound = (
-                    d**m
-                    / math.factorial(n - 2 * m)
-                    * (u_scale * xn) ** n
-                    * yn ** (n - 2 * m)
-                )
+                bound = d**m / math.factorial(n - 2 * m) * u**n * yn ** (n - 2 * m)
                 worst = max(worst, got - bound * (1 + 1e-9) - 1e-300)
                 lap = lap.laplacian()
     results.append(
@@ -444,14 +445,16 @@ def suite_series(bundle: ContextBundle, seed=0, tol=1e-8):
         )
     )
 
-    worst = 0.0
+    # the series path against lk_grid, the Hermite path kernel-grid prints
+    xs, ys = [], []
     for _ in range(6):
-        xf = tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
-        yf = tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
-        diff = abs(
-            complex(lk_series_value(ev, xf, yf)) - complex(lk_eval_hermite(ev, xf, yf))
-        )
-        worst = max(worst, diff)
+        xs.append(tuple(rng.uniform(-1.0, 1.0) for _ in range(d)))
+        ys.append(tuple(rng.uniform(-1.0, 1.0) for _ in range(d)))
+    grid = lk_grid(ev, xs, ys)
+    worst = max(
+        abs(complex(lk_series_value(ev, x, y)) - complex(grid[i, i]))
+        for i, (x, y) in enumerate(zip(xs, ys))
+    )
     results.append(CheckResult("kernel-two-path-float", worst, 1e-9, worst <= 1e-9))
     return results
 
@@ -586,14 +589,7 @@ def suite_signs(bundle: ContextBundle, seed=0):
         y = tuple([Fraction(1, 2)] + [Fraction(1, 4)] * (d - 1))
     ev0 = make_evaluator(zero_ctx, n_trunc)
 
-    re_ok = True
-    try:
-        re_ok = all(
-            (v.re if hasattr(v, "re") else v) >= 0 for v in bundle.k.by_root.values()
-        )
-    except TypeError:
-        re_ok = False
-
+    re_ok = all(real_part(v) >= 0 for v in bundle.k.by_root.values())
     ev_k = make_evaluator(ctx, n_trunc) if re_ok else None
 
     winner_tol = 1e-8 if d <= 2 else 1e-6
@@ -641,7 +637,7 @@ def suite_signs(bundle: ContextBundle, seed=0):
 
 # -- positivity suite ---------------------------------------------------------------------
 
-def suite_positivity(bundle: ContextBundle, seed=0, tol=1e-8):
+def suite_positivity(bundle: ContextBundle, seed=0):
     ctx = bundle.ctx
     d = ctx.dimension
     results = []
@@ -650,7 +646,7 @@ def suite_positivity(bundle: ContextBundle, seed=0, tol=1e-8):
             CheckResult(
                 identity="kernel-nonnegative-on-grid",
                 max_residual=0.0,
-                tolerance=tol,
+                tolerance=POSITIVITY_TOL,
                 passed=True,
                 note="skipped: nonnegativity is only claimed for nonnegative real weights",
             )
@@ -663,7 +659,7 @@ def suite_positivity(bundle: ContextBundle, seed=0, tol=1e-8):
     else:
         n_trunc, x_axis, y_axis = 20, 3, 5
     ev = make_evaluator(ctx, n_trunc, exact_tables=d == 1)
-    radius = certified_radius(ev, tol / 2, 1.5)
+    radius = certified_radius(ev, POSITIVITY_TOL / 2, 1.5)
     span = min(radius * 0.95 / math.sqrt(d), 2.0)
     xs = _grid_points(d, span, x_axis)
     ys = _grid_points(d, min(1.5 / math.sqrt(d), 2.0), y_axis)
@@ -672,8 +668,8 @@ def suite_positivity(bundle: ContextBundle, seed=0, tol=1e-8):
         CheckResult(
             identity="kernel-nonnegative-on-grid",
             max_residual=max(0.0, -rep.min_value),
-            tolerance=tol,
-            passed=rep.min_value >= -tol,
+            tolerance=POSITIVITY_TOL,
+            passed=rep.min_value >= -POSITIVITY_TOL,
             note=(
                 f"min {rep.min_value:.3g} over {rep.points} points, "
                 f"|x| <= {span * math.sqrt(d):.3g} (certified radius {radius:.3g})"
@@ -695,17 +691,7 @@ def _grid_points(d, span, per_axis):
     if span == 0:
         return [(0.0,) * d]
     axis = [(-span + 2 * span * i / (per_axis - 1)) for i in range(per_axis)]
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == d:
-            out.append(tuple(prefix))
-            return
-        for t in axis:
-            rec(prefix + [t])
-
-    rec([])
-    return out
+    return list(itertools.product(axis, repeat=d))
 
 
 # -- driver ----------------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from dunkl.kernel import (
     gaussian_image_check,
     gaussian_taylor,
     heat_image,
+    hermite_piece,
     lk_eval,
-    lk_eval_hermite,
     lk_grid,
     lk_mass,
     lk_polynomial,
@@ -31,7 +31,7 @@ from dunkl.kernel import (
 from dunkl.operators import (
     TruncationError,
     _recurrence_tail,
-    _tail_terms,
+    _tail_term,
     _vk_monomial,
     intertwine,
     make_context,
@@ -44,6 +44,12 @@ from dunkl.reflection_groups import (
     select_positive,
     validate_multiplicity,
 )
+
+
+def hermite_path(ev, x, y, n_trunc=None):
+    """The Hermite path summed over degrees: sum_nu V(phi_nu)(x) H_nu(y)."""
+    top = ev.n_trunc if n_trunc is None else n_trunc
+    return sum(hermite_piece(ev, n, x, y) for n in range(top + 1))
 
 
 def make_ev(family, k_values, n_trunc, exact_tables=True, **kw):
@@ -100,7 +106,7 @@ def test_two_path_exact_agreement(ev_b2):
         ((Fraction(-1, 2), Fraction(1, 4)), (Fraction(2, 3), Fraction(-1))),
     ]
     for x, y in pts:
-        assert lk_series_value(ev_b2, x, y) == lk_eval_hermite(ev_b2, x, y)
+        assert lk_series_value(ev_b2, x, y) == hermite_path(ev_b2, x, y)
 
 
 def test_two_path_float_agreement(ev_b2):
@@ -109,13 +115,13 @@ def test_two_path_float_agreement(ev_b2):
         x = tuple(rng.uniform(-1.5, 1.5, 2))
         y = tuple(rng.uniform(-1.5, 1.5, 2))
         s = complex(lk_series_value(ev_b2, x, y))
-        h = complex(lk_eval_hermite(ev_b2, x, y))
+        h = complex(hermite_path(ev_b2, x, y))
         assert abs(s - h) <= 1e-9
 
 
 def test_hermite_path_at_truncation_zero(ev_b2):
     # only nu = 0 survives at x = 0
-    assert lk_eval_hermite(ev_b2, (0.0, 0.0), (1.0, 2.0), n_trunc=0) == 1.0
+    assert hermite_path(ev_b2, (0.0, 0.0), (1.0, 2.0), n_trunc=0) == 1.0
 
 
 def test_zero_weight_one_dim_degree_one():
@@ -239,6 +245,18 @@ def test_convolution_zero_weight(ev_z21_zero):
             for n in range(ev_z21_zero.n_trunc + 1)
         )
         assert abs(lhs - math.exp(x * y)) < 1e-10
+
+
+def test_convolution_reads_the_float_tables_of_a_float_evaluator():
+    ev_float = make_ev(
+        "B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 12, exact_tables=False, d=2
+    )
+    ev_exact = make_evaluator(ev_float.ctx, 12)
+    before = len(ev_float.ctx.vk_cache)
+    x, y = (0.05, -0.03), (0.4, 0.6)
+    res = convolution_check(ev_float, x, y)
+    assert len(ev_float.ctx.vk_cache) == before
+    assert abs(res - convolution_check(ev_exact, x, y)) < 1e-12
 
 
 def test_convolution_at_x_zero(ev_b2):
@@ -384,7 +402,7 @@ def test_float_tables_match_exact_through_fallback_degree():
 def _assert_evaluators_agree(ev_exact, ev_float, x, y, tol):
     """Both kernel paths, both functional-norm routes and the Fourier check
     give the same numbers on exact and float tables."""
-    for path in (lk_series_value, lk_eval_hermite):
+    for path in (lk_series_value, hermite_path):
         assert abs(complex(path(ev_exact, x, y)) - complex(path(ev_float, x, y))) < tol
     for a, b in zip(phi_x_norm(ev_exact, x), phi_x_norm(ev_float, x)):
         assert abs(a - b) < tol
@@ -435,16 +453,54 @@ TAYLOR_POINTS = [
 ]
 
 
+def _negate_odd_degrees(p):
+    """p(-u) for a polynomial p in u."""
+    return Polynomial(p.dim, {nu: -c if sum(nu) & 1 else c for nu, c in p.terms.items()})
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("y", TAYLOR_POINTS, ids=str)
 def test_gaussian_taylor_matches_series_product(y, sign):
+    # gaussian_taylor gives the plus sign; the minus one is its value at -u
     d = len(y)
     degrees = (0, 1, 2, 20) + ((36,) if d == 2 else ())
     for deg in degrees:
-        got = gaussian_taylor(d, y, sign, deg)
+        got = gaussian_taylor(d, y, deg)
+        if sign == -1:
+            got = _negate_odd_degrees(got)
         want = _gaussian_taylor_by_products(d, y, sign, deg)
         assert got.terms == want.terms
         assert all(type(got.terms[nu]) is type(c) for nu, c in want.terms.items())
+
+
+@pytest.mark.parametrize(
+    "family, k, kw, x, y",
+    [
+        (
+            "B",
+            {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)},
+            {"d": 2},
+            (Fraction(3, 5), Fraction(-1, 4)),
+            (Fraction(9, 10), Fraction(1, 3)),
+        ),
+        (
+            "A",
+            Fraction(1),
+            {"d": 3},
+            (Fraction(2, 5), Fraction(1, 5), Fraction(1, 5)),
+            (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+        ),
+    ],
+    ids=["B2", "A3"],
+)
+def test_minus_taylor_image_is_plus_image_at_minus_x(family, k, kw, x, y):
+    # the identity that lets gaussian_image_check intertwine one Taylor polynomial
+    ctx = make_ev(family, k, 1, **kw).ctx
+    minus_x = tuple(-t for t in x)
+    for deg in range(13):
+        plus = gaussian_taylor(len(x), y, deg)
+        minus = _negate_odd_degrees(plus)
+        assert intertwine(ctx, minus).evaluate(x) == intertwine(ctx, plus).evaluate(minus_x)
 
 
 def _tail_term_per_call(u, v, d, n):
@@ -474,9 +530,8 @@ def test_tail_terms_bit_identical_to_per_call_logs():
         for _ in range(200)
     ]
     for u, v, d, n0 in cases:
-        term = _tail_terms(u, v, d)
         for n in range(n0, n0 + 60):
-            assert term(n) == _tail_term_per_call(u, v, d, n), (u, v, d, n)
+            assert _tail_term(u, v, d, n) == _tail_term_per_call(u, v, d, n), (u, v, d, n)
 
 
 def _exact_tail_terms(u, v, d, n_hi, factorial):
