@@ -29,6 +29,7 @@ from .config import (
 )
 from .exact import format_rational, imag_part, real_part
 from .operators import (
+    DEGREE_CAP,
     NotInMStarError,
     TruncationError,
     dunkl_kernel,
@@ -59,6 +60,13 @@ def _at_least(value, low, option):
     return value
 
 
+def _degree(value, low):
+    """A --degree value, at least low and at most the degree cap."""
+    if not low <= value <= DEGREE_CAP:
+        raise ConfigError(f"--degree must be in {low}..{DEGREE_CAP}, got {value}")
+    return value
+
+
 def _tolerance(value):
     if value is not None and not (value > 0 and math.isfinite(value)):
         raise ConfigError(f"--tol must be positive and finite, got {value}")
@@ -69,7 +77,7 @@ def cmd_build(args) -> int:
     cfg = load_config(args.config)
     bundle = build_bundle(cfg)
     degree = args.degree if args.degree is not None else bundle.degree
-    _at_least(degree, 1, "--degree")
+    _degree(degree, 1)
     try:
         bundle.ctx.prepare(degree)
     except NotInMStarError as exc:
@@ -110,7 +118,7 @@ def cmd_intertwine(args) -> int:
 def cmd_lambda_table(args) -> int:
     bundle = load_context(args.context)
     degree = args.degree if args.degree is not None else bundle.degree
-    _at_least(degree, 0, "--degree")
+    _degree(degree, 0)
     bundle.ctx.prepare(degree)
     lines = ["n,element,re,im"]
     for n in range(1, degree + 1):
@@ -178,7 +186,7 @@ def cmd_kernel_grid(args) -> int:
     bundle = load_context(args.context)
     d = bundle.group.dimension
     degree = args.degree if args.degree is not None else (14 if d <= 2 else 10)
-    _at_least(degree, 0, "--degree")
+    _degree(degree, 0)
     xs, ys = parse_grid(args.grid, d)
     tol = _tolerance(args.tol)
     ev = make_evaluator(bundle.ctx, degree, exact_tables=False)

@@ -23,6 +23,7 @@ from .exact import (
     scalar_to_json,
 )
 from .operators import (
+    DEGREE_CAP,
     DunklContext,
     GroupAlgebraElement,
     estimate_delta,
@@ -127,8 +128,8 @@ def build_bundle(cfg: dict) -> ContextBundle:
         raise ConfigError(str(exc)) from exc
     ctx = make_context(group, positives, k)
     degree = _int_field(cfg, "N", 8)
-    if degree < 1:
-        raise ConfigError(f"config field 'N' must be at least 1, got {degree}")
+    if not 1 <= degree <= DEGREE_CAP:
+        raise ConfigError(f"config field 'N' must be in 1..{DEGREE_CAP}, got {degree}")
     name = cfg.get("name") or f"{system.family_tag}{system.dimension}"
     return ContextBundle(name, cfg, positives, group, k, ctx, degree)
 
@@ -169,8 +170,9 @@ def load_context(path) -> ContextBundle:
     """Load either a raw config or a cached context (detected by 'lambdas').
 
     A cache must carry its config, group order, degree and lambda tables,
-    each lam_n with one entry per group element that satisfies the row
-    identity of solve_H exactly; anything else raises ConfigError.
+    each lam_n with one entry per group element, constant on conjugacy
+    classes, that satisfies the row identity of solve_H exactly at one
+    element per class; anything else raises ConfigError.
     """
     data = load_config(path)
     if not isinstance(data, dict) or "lambdas" not in data:
@@ -193,15 +195,17 @@ def load_context(path) -> ContextBundle:
         fallback = [int(n) for n in data.get("fallback_degrees", [])]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed cached context {path}: {exc}") from None
-    if degree < 1:
-        raise ConfigError(f"cached context {path} has degree {degree}, not >= 1")
+    if not 1 <= degree <= DEGREE_CAP:
+        raise ConfigError(f"cached context {path} has degree {degree}, not in 1..{DEGREE_CAP}")
     for n, coeffs in sorted(tables.items()):
         if n < 1 or len(coeffs) != bundle.group.order:
             raise ConfigError(
                 f"cached lambda_{n} is not a table of |G| = {bundle.group.order} entries"
             )
         if not solves_row_identity(ctx, n, coeffs):
-            raise ConfigError(f"cached lambda_{n} does not invert (n + gamma) e - a")
+            raise ConfigError(
+                f"cached lambda_{n} is not a class function inverting (n + gamma) e - a"
+            )
         ctx.h_cache[n] = GroupAlgebraElement(tuple(coeffs))
     if any(n < 1 for n in fallback):
         raise ConfigError(f"cached fallback degrees {fallback} are not all >= 1")
@@ -248,8 +252,8 @@ def polynomial_to_literal(p: Polynomial) -> str:
 
 
 def literal_to_polynomial(text: str, dim: int) -> Polynomial:
-    """Read a literal as polynomial_to_literal writes it; a malformed one
-    raises ConfigError."""
+    """Read a literal as polynomial_to_literal writes it; a malformed one,
+    or a term of degree above DEGREE_CAP, raises ConfigError."""
     terms = {}
     for sign, chunk in _split_terms(text):
         try:
@@ -258,6 +262,8 @@ def literal_to_polynomial(text: str, dim: int) -> Polynomial:
             raise
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot parse term {chunk!r} of {text!r}: {exc}") from None
+        if sum(nu) > DEGREE_CAP:
+            raise ConfigError(f"term {chunk!r} has degree {sum(nu)}, above the cap {DEGREE_CAP}")
         if sign < 0:
             coeff = -coeff
         terms[nu] = terms.get(nu, 0) + coeff

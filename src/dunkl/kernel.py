@@ -51,6 +51,7 @@ from .operators import (
     _norm,
     _recurrence_tail,
     _vk_monomial,
+    _vk_table,
     dunkl_apply,
     evaluate_en,
     growth_envelope,
@@ -94,7 +95,7 @@ class KernelEvaluator:
     _heat_images: dict = field(default_factory=dict)  # (x, n) -> polynomial in y
     _lk_polys: dict = field(default_factory=dict)  # x -> truncated kernel in y
     _tail_cache: dict = field(default_factory=dict)
-    _float_tables: tuple | None = None
+    _blocks: list | None = None  # per-degree exponent arrays and V blocks, for lk_grid
 
     @property
     def dimension(self):
@@ -120,7 +121,7 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=True) -> KernelEvalu
     heat_mono = {}
     for n in range(n_trunc + 1):
         for nu in monomial_basis(d, n):
-            _vk_monomial(source, nu)
+            _vk_table(source, nu)
             heat_mono[nu] = _hermite_product(nu, table, one)
     return KernelEvaluator(ctx, n_trunc, exact_tables, source, heat_mono)
 
@@ -463,21 +464,45 @@ def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
     return PositivityReport(min_value, min_point, max_imag, max_tail, len(xs) * len(ys))
 
 
-def _float_tables(ev: KernelEvaluator):
-    if ev._float_tables is None:
-        order = list(ev.heat_mono)
-        vk_f = [_vk_monomial(ev.source, nu).to_float() for nu in order]
-        heat_f = [ev.heat_mono[nu].to_float() for nu in order]
-        scales = np.array([1.0 / _multi_factorial(nu) for nu in order])
-        ev._float_tables = (order, vk_f, heat_f, scales)
-    return ev._float_tables
+def _degree_blocks(ev: KernelEvaluator):
+    """Per degree n <= N: the exponents of P_n's basis as a (b_n, d) array and
+    the b_n x b_n block [x^mu] V(x^nu) / nu! of the V table, rounded once
+    (complex where any entry is)."""
+    if ev._blocks is None:
+        d = ev.dimension
+        ev._blocks = []
+        for n in range(ev.n_trunc + 1):
+            basis = monomial_basis(d, n)
+            row = {mu: i for i, mu in enumerate(basis)}
+            block = [[0.0] * len(basis) for _ in basis]
+            for k, nu in enumerate(basis):
+                scale = 1.0 / _multi_factorial(nu)
+                for mu, c in _vk_monomial(ev.source, nu, rounded=True).terms.items():
+                    block[row[mu]][k] = c * scale
+            ev._blocks.append((np.array(basis), np.array(block)))
+    return ev._blocks
 
 
 def lk_grid(ev: KernelEvaluator, xs, ys) -> np.ndarray:
-    """Hermite-path kernel values on a product grid, vectorized."""
-    order, vk_f, heat_f, scales = _float_tables(ev)
-    xs_arr = np.asarray([[float(t) for t in x] for x in xs], dtype=float)
-    ys_arr = np.asarray([[float(t) for t in y] for y in ys], dtype=float)
-    v_vals = np.stack([p.evaluate_many(xs_arr) for p in vk_f], axis=1)  # (nx, T)
-    h_vals = np.stack([p.evaluate_many(ys_arr) for p in heat_f], axis=1)  # (ny, T)
-    return (v_vals * scales[None, :]) @ h_vals.T
+    """Hermite-path kernel values on a product grid, one block product per
+    degree: the monomials x^mu from per-axis power tables, times the block of
+    the V table, times the He_nu(y) = prod_j He_{nu_j}(y_j) from per-axis
+    Hermite recurrence tables."""
+    d = ev.dimension
+    xs_arr = np.asarray([[float(t) for t in x] for x in xs], dtype=float).reshape(len(xs), d)
+    ys_arr = np.asarray([[float(t) for t in y] for y in ys], dtype=float).reshape(len(ys), d)
+    n_max = ev.n_trunc
+    x_pow = np.ones(xs_arr.shape + (n_max + 1,))  # x_pow[p, i, e] = x_i^e
+    he = np.ones(ys_arr.shape + (n_max + 1,))  # he[p, j, e] = He_e(y_j)
+    if n_max:
+        x_pow[:, :, 1], he[:, :, 1] = xs_arr, ys_arr
+    for e in range(2, n_max + 1):
+        x_pow[:, :, e] = x_pow[:, :, e - 1] * xs_arr
+        he[:, :, e] = ys_arr * he[:, :, e - 1] - (e - 1) * he[:, :, e - 2]
+    out = 0
+    axes = range(d)
+    for exps, block in _degree_blocks(ev):
+        x_mono = np.prod([x_pow[:, i, exps[:, i]] for i in axes], axis=0)  # (nx, b_n)
+        he_y = np.prod([he[:, j, exps[:, j]] for j in axes], axis=0)  # (ny, b_n)
+        out = out + (x_mono @ block) @ he_y.T
+    return out

@@ -27,6 +27,12 @@ verified columns H_n x^nu, one per basis monomial of P_n, are kept on the
 context, and H_n is applied to a polynomial through them: a sparse
 column mat-vec over the monomials of its argument.
 
+The columns of each H_n and each V(x^nu) are stored as integer numerators
+(pairs of integers for a complex weight) over one denominator, so the
+recursion, the check of W_n H_n and the sums behind intertwine add and
+multiply integers; Fraction and ComplexRational coefficients are made only
+when a Polynomial leaves this module.
+
 The homogeneous kernel pieces
 
     E_n(x, y) = (1/n!) V(<., y>^n)(x) = sum_{|nu|=n} V(x^nu)(x) y^nu / nu!
@@ -41,7 +47,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .exact import SingularMatrixError, invert_matrix, solve_columns
+from .exact import ComplexRational, SingularMatrixError, invert_matrix, solve_columns
 from .poly import Polynomial, _multi_factorial, combination, directional_derivative
 from .reflection_groups import (
     MultiplicityFunction,
@@ -50,7 +56,11 @@ from .reflection_groups import (
     act_on_polynomial,
     dot,
     reflection_matrix,
+    signed_image,
+    substitution_image,
 )
+
+DEGREE_CAP = 160  # the highest degree a config, option or literal may ask for
 
 
 class NotInMStarError(ValueError):
@@ -89,13 +99,13 @@ class DunklContext:
     k: MultiplicityFunction
     reflections: tuple = field(default=())  # (alpha, k(alpha), group index)
     h_cache: dict = field(default_factory=dict)  # n -> lam_n, or None at a fallback degree
-    vk_cache: dict = field(default_factory=dict)
+    vk_cache: dict = field(default_factory=dict)  # nu -> V(x^nu) as a table
     inverse_cache: dict = field(default_factory=dict)  # n -> {nu: V^{-1} x^nu}
-    h_columns: dict = field(default_factory=dict)  # n -> {nu: H_n x^nu}
+    h_columns: dict = field(default_factory=dict)  # n -> table of the columns H_n x^nu
     delta_hat: float | None = None
     delta_table: list = field(default_factory=list)
     prepared_to: int = 0
-    complex_columns: bool = False  # a float shadow: columns kept as complex floats
+    complex_columns: bool = False  # a float shadow: tables of complex floats over 1
 
     @property
     def dimension(self):
@@ -122,20 +132,19 @@ class DunklContext:
 
     def float_shadow(self, n_max):
         """This context prepared to n_max, with complex-float copies of the
-        columns of each H_n and degree caches of its own.  _vk_monomial on
-        the shadow is the floating V recursion, fallback degrees included.
-        A degree past n_max is solved exactly on the shadow and its columns
-        kept as complex floats too; h_cache is copied so that such a degree
-        never leaves the exact context a fallback entry without its columns."""
+        columns of each H_n (over the denominator 1) and degree caches of its
+        own.  _vk_table on the shadow is the floating V recursion, fallback
+        degrees included.  A degree past n_max is solved exactly on the
+        shadow and its columns kept as complex floats too; h_cache is copied
+        so that such a degree never leaves the exact context a fallback
+        entry without its columns."""
         self.prepare(n_max)
-        h_columns = {n: _complex_columns(columns_of_H(self, n)) for n in range(1, n_max + 1)}
-        d = self.dimension
-        unit = {(0,) * d: Polynomial.constant(d, 1.0)}
+        h_columns = {n: _complex_table(_columns(self, n)) for n in range(1, n_max + 1)}
         return replace(
             self,
             h_cache=dict(self.h_cache),
             h_columns=h_columns,
-            vk_cache=unit,
+            vk_cache={},
             inverse_cache={},
             complex_columns=True,
         )
@@ -246,7 +255,8 @@ def solve_H(ctx: DunklContext, n):
     the group-algebra route fails; then W_n is inverted on the monomial
     basis instead, and the result is None.  If W_n itself is singular the
     weight is inadmissible at this degree.  Either way the columns H_n x^nu
-    are verified to invert W_n on the monomial basis and kept in h_columns.
+    are verified to invert W_n on the monomial basis and kept in h_columns
+    as one integer table.
     """
     if n < 1:
         raise ValueError("H_n is defined for degrees n >= 1")
@@ -271,11 +281,13 @@ def solve_H(ctx: DunklContext, n):
         except SingularMatrixError:
             raise NotInMStarError(n) from None
         result = None
+        den = math.lcm(*(_denominator(c) for col in columns.values() for c in col.terms.values()))
+        table = ({nu: _numerators(col.terms, den) for nu, col in columns.items()}, den)
     else:
         result = GroupAlgebraElement(tuple(sol[c] for c in group.class_of))
-        columns = _columns(ctx, n, result)
-    _verify_H(ctx, n, columns)
-    ctx.h_columns[n] = columns
+        table = _group_columns(ctx, n, result)
+    _verify_H(ctx, n, table)
+    ctx.h_columns[n] = table
     ctx.h_cache[n] = result
     return result
 
@@ -288,13 +300,18 @@ def _w_row(ctx, n, h):
 
 
 def solves_row_identity(ctx: DunklContext, n, coefficients) -> bool:
-    """Whether lam = coefficients satisfies the row identity of solve_H
-    exactly at every element.  Costs |G| |R+| multiplications."""
+    """Whether lam = coefficients is a class function that satisfies the row
+    identity of solve_H exactly.  For a class function lam the row of h is a
+    class function of h too (conjugating h by g permutes the reflections and
+    keeps k), so one row per class covers every element."""
     group = ctx.group
+    reps = group.class_representatives
+    if any(coefficients[g] != coefficients[reps[c]] for g, c in enumerate(group.class_of)):
+        return False
     return all(
         sum(coeff * coefficients[g] for g, coeff in _w_row(ctx, n, h))
         == (1 if h == group.identity_index else 0)
-        for h in range(group.order)
+        for h in reps
     )
 
 
@@ -311,71 +328,290 @@ def _inverse_columns(d, n, image):
     }
 
 
-def _columns(ctx, n, h):
-    """H_n x^nu for each basis monomial nu of P_n."""
+# -- integer tables ---------------------------------------------------------------
+#
+# A table is a pair (numerators, den): a dict from exponents to integers (to
+# Gaussian integers for a complex weight) over one positive integer
+# denominator, standing for the polynomial sum numerators[mu] / den x^mu.
+# The columns of H_n are one table per degree, ({nu: numerators of H_n x^nu},
+# den), and each V(x^nu) is a table of its own.  A float shadow holds the
+# same tables with complex-float numerators over den = 1, so every loop
+# below runs on it unchanged.  Polynomials are made only at the boundary
+# (_polynomial), with Fraction or ComplexRational coefficients.
+
+
+class _Gaussian:
+    """An exact complex integer re + i im: a numerator for a complex weight."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        if isinstance(other, _Gaussian):
+            return _Gaussian(self.re + other.re, self.im + other.im)
+        return _Gaussian(self.re + other, self.im)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, _Gaussian):
+            return _Gaussian(
+                self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+            )
+        return _Gaussian(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, k):
+        return _Gaussian(self.re // k, self.im // k)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, _Gaussian):
+            return self.re == other.re and self.im == other.im
+        return self.im == 0 and self.re == other
+
+
+def _denominator(c):
+    """The least positive integer that makes the exact scalar c integral."""
+    if isinstance(c, ComplexRational):
+        return math.lcm(c.re.denominator, c.im.denominator)
+    return c.denominator
+
+
+def _numerator(c, den):
+    """c * den for an exact scalar c that den makes integral: an int, or a
+    _Gaussian for a ComplexRational."""
+    if isinstance(c, ComplexRational):
+        return _Gaussian(
+            c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
+        )
+    return c.numerator * (den // c.denominator)
+
+
+def _numerators(terms, den):
+    return {mu: _numerator(c, den) for mu, c in terms.items()}
+
+
+def _exact_value(num, den):
+    """num / den as a Fraction or ComplexRational; a float shadow's
+    numerators (over 1) are their own values."""
+    if isinstance(num, _Gaussian):
+        return ComplexRational(Fraction(num.re, den), Fraction(num.im, den))
+    if isinstance(num, int):
+        return Fraction(num, den)
+    return num
+
+
+def _rounded_value(num, den):
+    """num / den rounded once: a float, or a complex for a _Gaussian; the
+    numerators of a float shadow are returned as they are."""
+    if isinstance(num, _Gaussian):
+        return complex(num.re / den, num.im / den)
+    if isinstance(num, int):
+        return num / den
+    return num
+
+
+def _polynomial(dim, table, rounded=False):
+    """The table as a Polynomial with exact coefficients, or with each
+    coefficient rounded to a float once."""
+    nums, den = table
+    value = _rounded_value if rounded else _exact_value
+    return Polynomial(dim, {mu: value(c, den) for mu, c in nums.items()})
+
+
+def _combine(pairs):
+    """sum of w * numerators / den over the (w, (numerators, den)) pairs, as a
+    table over the lcm of the denominators, summed in one dict in order of
+    first appearance, zeros dropped.  Over equal denominators each product
+    is a * w, as a Polynomial combination forms it."""
+    pairs = list(pairs)
+    den = math.lcm(*(table[1] for _, table in pairs))
+    out = {}
+    for w, (nums, d) in pairs:
+        s = w if d == den else w * (den // d)
+        for mu, a in nums.items():
+            prev = out.get(mu)
+            out[mu] = a * s if prev is None else prev + a * s
+    return {mu: c for mu, c in out.items() if c}, den
+
+
+def _reduced(tables, den):
+    """The numerator dicts and their shared denominator divided by their gcd."""
+    if den == 1:
+        return tables, den
+    parts = [den]
+    for nums in tables:
+        for c in nums.values():
+            parts.extend((c.re, c.im) if isinstance(c, _Gaussian) else (c,))
+    g = math.gcd(*parts)
+    if g == 1:
+        return tables, den
+    return [{mu: c // g for mu, c in nums.items()} for nums in tables], den // g
+
+
+def _exact_table(p: Polynomial):
+    """The exact polynomial p as a table over the least common denominator."""
+    den = math.lcm(*(_denominator(c) for c in p.terms.values()))
+    return _numerators(p.terms, den), den
+
+
+def _monomial_image(group, g, nu):
+    """x^nu o g as a table: one +-1 monomial for a signed permutation, the
+    cached substitution image scaled to integers for G2."""
+    if group.signed_permutations is None:
+        return _exact_table(substitution_image(group, g, nu))
+    mu, negative = signed_image(group, g, nu)
+    return {mu: -1 if negative else 1}, 1
+
+
+def _group_columns(ctx, n, h):
+    """The columns H_n x^nu = sum_g lam_n(g) x^nu o g on P_n as one table:
+    integer sums of the monomial images over the elements with lam_n(g) != 0,
+    weighted by lam_n's numerators over their common denominator.  Summing
+    in element order keeps each column's terms in the order that
+    GroupAlgebraElement.apply gives them, and with it the order, and so the
+    float rounding, of every sum that evaluates V."""
+    group = ctx.group
+    lam_den = math.lcm(*(_denominator(c) for c in h.coefficients))
+    active = [(g, _numerator(c, lam_den)) for g, c in enumerate(h.coefficients) if c]
+    nus = monomial_basis(ctx.dimension, n)
+    raw = [_combine((w, _monomial_image(group, g, nu)) for g, w in active) for nu in nus]
+    den = math.lcm(*(d for _, d in raw))
+    scaled = [nums if d == den else {mu: c * (den // d) for mu, c in nums.items()} for nums, d in raw]
+    cols, den = _reduced(scaled, den * lam_den)
+    return dict(zip(nus, cols)), den
+
+
+def _verify_H(ctx, n, table):
+    """Check W_n H_n x^nu = x^nu on the monomial basis, in integers: with K
+    the common denominator of n + gamma and the weights, the numerators c of
+    each column over the table's den must give K (n + gamma) c -
+    sum_a K k(a) L_{s_a} c = K den x^nu.  Each reflection's images of the
+    basis monomials are formed once per degree by act_on_polynomial, the
+    action that GroupAlgebraElement.apply uses, not by the monomial images
+    that built the columns."""
+    cols, den = table
+    weights = [(n + ctx.gamma, None)] + [(-ka, sidx) for _, ka, sidx in ctx.reflections if ka]
+    scale = math.lcm(*(_denominator(w) for w, _ in weights))
+    weights = [(_numerator(w, scale), sidx) for w, sidx in weights]
     d = ctx.dimension
-    return {nu: h.apply(ctx.group, Polynomial.monomial(d, nu)) for nu in monomial_basis(d, n)}
-
-
-def _verify_H(ctx, n, columns):
-    """Check W_n H_n x^nu = x^nu exactly on the monomial basis."""
-    for nu, column in columns.items():
-        if _apply_W(ctx, n, column) != Polynomial.monomial(ctx.dimension, nu):
+    basis = monomial_basis(d, n)
+    terms = [
+        (w, None if sidx is None else {
+            mu: _exact_table(act_on_polynomial(ctx.group, sidx, Polynomial.monomial(d, mu)))
+            for mu in basis
+        })
+        for w, sidx in weights
+    ]
+    for nu in basis:
+        col = cols.get(nu, {})
+        out, delta = _combine(
+            (w, (col, 1) if image is None else _combine((c, image[mu]) for mu, c in col.items()))
+            for w, image in terms
+        )
+        if out != {nu: scale * den * delta}:
             raise NotInMStarError(n)
 
 
-def columns_of_H(ctx: DunklContext, n):
-    """The columns of H_n on P_n: those verified by solve_H, or, for a lam_n
-    loaded from a cache, built the same way on first use.  A fallback degree
-    always has its columns, since no lam_n exists to rebuild them from."""
-    if n not in ctx.h_columns:
-        h = solve_H(ctx, n)  # keeps the columns it verifies
-        if n not in ctx.h_columns:
-            ctx.h_columns[n] = _columns(ctx, n, h)
+def _columns(ctx: DunklContext, n):
+    """The table of H_n's columns on P_n: the one verified by solve_H, or,
+    for a lam_n loaded from a cache, built and verified the same way on
+    first use (a fallback degree always has its table, since no lam_n
+    exists to rebuild it from).  A float shadow keeps complex-float copies
+    over den = 1."""
+    table = ctx.h_columns.get(n)
+    if table is None:
+        h = solve_H(ctx, n)  # keeps the table it verifies
+        table = ctx.h_columns.get(n)
+        if table is None:
+            table = _group_columns(ctx, n, h)
+            _verify_H(ctx, n, table)
         if ctx.complex_columns:
-            ctx.h_columns[n] = _complex_columns(ctx.h_columns[n])
-    return ctx.h_columns[n]
+            table = _complex_table(table)
+        ctx.h_columns[n] = table
+    return table
 
 
-def _complex_columns(columns):
-    return {nu: col.map_coefficients(complex) for nu, col in columns.items()}
+def _complex_table(table):
+    cols, den = table
+    return {
+        nu: {mu: complex(_rounded_value(c, den)) for mu, c in col.items()}
+        for nu, col in cols.items()
+    }, 1
+
+
+_EXACT = (int, Fraction, ComplexRational)
+
+
+def _combination(ctx, dim, pairs):
+    """sum of c * table over the (table, scalar c) pairs, as a Polynomial:
+    in integers over one denominator when every c is exact and the tables
+    are, else term by term on the rounded coefficients, which is what the
+    exact coefficients times a float give."""
+    pairs = list(pairs)
+    if ctx.complex_columns or not all(isinstance(c, _EXACT) for _, c in pairs):
+        return combination(dim, ((_polynomial(dim, t, rounded=True), c) for t, c in pairs))
+    weighted = []
+    for (nums, den), c in pairs:
+        s = _denominator(c)
+        weighted.append((_numerator(c, s), (nums, den * s)))
+    return _polynomial(dim, _combine(weighted))
 
 
 def apply_H(ctx: DunklContext, n, p: Polynomial) -> Polynomial:
     """H_n p for p in P_n, as the sum of p's coefficients times the columns."""
-    columns = columns_of_H(ctx, n)
-    return combination(p.dim, ((columns[nu], c) for nu, c in p.terms.items()))
+    cols, den = _columns(ctx, n)
+    return _combination(ctx, p.dim, (((cols[nu], den), c) for nu, c in p.terms.items()))
 
 
 # -- the intertwining operator -----------------------------------------------------
 
-def _vk_monomial(ctx: DunklContext, nu):
+def _vk_table(ctx: DunklContext, nu):
+    """V(x^nu) as a table, from sum_j x_j V(d_j x^nu) = sum_j nu_j x_j
+    V(x^(nu - e_j)) gathered over the lcm of the lower denominators and
+    mapped by the columns of H_n."""
     cached = ctx.vk_cache.get(nu)
     if cached is not None:
         return cached
-    d = ctx.dimension
     n = sum(nu)
     if n == 0:
-        result = Polynomial.constant(d, Fraction(1))
+        result = {nu: 1.0 if ctx.complex_columns else 1}, 1
     else:
-        # sum_j x_j V(d_j x^nu) = sum_j nu_j x_j V(x^(nu - e_j)), gathered in one dict
+        lower = []
+        for j, e in enumerate(nu):
+            if e:
+                lower.append((j, e, _vk_table(ctx, nu[:j] + (e - 1,) + nu[j + 1 :])))
+        den = math.lcm(*(table[1] for _, _, table in lower))
         acc = {}
-        for j in range(d):
-            if nu[j] == 0:
-                continue
-            lower = nu[:j] + (nu[j] - 1,) + nu[j + 1 :]
-            for mu, a in _vk_monomial(ctx, lower).terms.items():
+        for j, e, (nums, low) in lower:
+            s = e if low == den else e * (den // low)
+            for mu, a in nums.items():
                 raised = mu[:j] + (mu[j] + 1,) + mu[j + 1 :]
                 prev = acc.get(raised)
-                acc[raised] = a * nu[j] if prev is None else prev + a * nu[j]
-        result = apply_H(ctx, n, Polynomial(d, acc))
+                acc[raised] = a * s if prev is None else prev + a * s
+        cols, cden = _columns(ctx, n)
+        nums, _ = _combine((c, (cols[mu], cden)) for mu, c in acc.items() if c)
+        (nums,), den = _reduced([nums], den * cden)
+        result = nums, den
     ctx.vk_cache[nu] = result
     return result
 
 
+def _vk_monomial(ctx: DunklContext, nu, rounded=False):
+    """V(x^nu) as a Polynomial: exact, or with each coefficient rounded once."""
+    return _polynomial(ctx.dimension, _vk_table(ctx, nu), rounded)
+
+
 def intertwine(ctx: DunklContext, p: Polynomial) -> Polynomial:
     """V p, computed degree by degree; exact and degree preserving."""
-    return combination(p.dim, ((_vk_monomial(ctx, nu), c) for nu, c in p.terms.items()))
+    return _combination(ctx, p.dim, ((_vk_table(ctx, nu), c) for nu, c in p.terms.items()))
 
 
 def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:
@@ -614,7 +850,7 @@ def ek_tail_bound(ctx: DunklContext, x_norm, y_norm, n_trunc) -> float:
     return _recurrence_tail(growth_envelope(ctx, x_norm), y_norm, 0, n_trunc)
 
 
-def dunkl_kernel(ctx: DunklContext, x, y, tol, degree_cap=160) -> KernelValue:
+def dunkl_kernel(ctx: DunklContext, x, y, tol, degree_cap=DEGREE_CAP) -> KernelValue:
     """Truncated generalized exponential sum_{n<=N} E_n(x, y) with a certified
     tail bound below tol; N is the smallest degree achieving the bound."""
     x_norm = _norm(x)

@@ -17,6 +17,7 @@ substituted.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -326,19 +327,21 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
     An element of a reflection group is fixed by how it permutes the roots,
     so closure and the Cayley table compose root-index permutations.  The
     elements are found breadth first as products g s with a generator s, and
-    each new element's matrix is that one product.  When every element's
-    matrix has one entry +-1 per row (A, B, D, Z2^d and I2(m); not G2), the
-    group records each element's signed permutation, read off its matrix.
+    each new element's matrix is that one product, formed on an integer copy
+    (numerators over one denominator) and stored as Fractions.  When every
+    element's matrix has one entry +-1 per row (A, B, D, Z2^d and I2(m); not
+    G2), the group records each element's signed permutation, read off its
+    matrix.
     """
     system = positive.base
     d = system.dimension
     generators = [
-        (reflection_matrix(a), system.reflections[system.roots.index(a)])
+        (_integer_matrix(reflection_matrix(a)), system.reflections[system.roots.index(a)])
         for a in positive.positives
     ]
 
     start = tuple(range(len(system.roots)))
-    elements = [mat_identity(d)]
+    elements = [_integer_matrix(mat_identity(d))]
     perms = [start]
     index = {start: 0}
     frontier = [0]
@@ -356,7 +359,7 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
                         )
                     index[prod] = len(elements)
                     nxt.append(len(elements))
-                    elements.append(mat_mul(g, s))
+                    elements.append(_integer_product(g, s))
                     perms.append(prod)
         frontier = nxt
 
@@ -364,12 +367,28 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
         tuple(index[tuple(pi[r] for r in pj)] for pj in perms) for pi in perms
     )
     class_of = _conjugacy_classes(cayley, [index[ps] for _, ps in generators])
-    signed = [_signed_permutation(g) for g in elements]
-    group = ReflectionGroup(
-        d, tuple(elements), 0, cayley, class_of, None if None in signed else tuple(signed)
+    matrices = tuple(
+        tuple(tuple(Fraction(e, den) for e in row) for row in m) for m, den in elements
     )
-    _validate_group(group)
+    signed = [_signed_permutation(g) for g in matrices]
+    group = ReflectionGroup(
+        d, matrices, 0, cayley, class_of, None if None in signed else tuple(signed)
+    )
+    _validate_group(group, elements)
     return group
+
+
+def _integer_matrix(m):
+    """(integer rows, den) with m = rows / den, den the least such."""
+    den = math.lcm(*(e.denominator for row in m for e in row))
+    return tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in m), den
+
+
+def _integer_product(a, b):
+    """The product of two integer matrices (rows, den), reduced."""
+    rows, den = mat_mul(a[0], b[0]), a[1] * b[1]
+    g = math.gcd(den, *(e for row in rows for e in row))
+    return tuple(tuple(e // g for e in row) for row in rows), den // g
 
 
 def _root_permutation(alpha, roots):
@@ -419,48 +438,67 @@ def _conjugacy_classes(cayley, generators):
     return tuple(class_of)
 
 
-def _validate_group(group: ReflectionGroup):
+def _validate_group(group: ReflectionGroup, integer_elements):
+    """Check that each Cayley row is a permutation with an inverse, and that
+    each element m = rows / den is orthogonal: rows^T rows = den^2 I."""
     n = group.order
     for i in range(n):
         if sorted(group.cayley[i]) != list(range(n)):
             raise GroupClosureError("Cayley row is not a permutation")
         group.inverse_index(i)  # raises if missing
     eye = mat_identity(group.dimension)
-    for g in group.elements:
-        if mat_mul(mat_transpose(g), g) != eye:
+    for rows, den in integer_elements:
+        if mat_mul(mat_transpose(rows), rows) != tuple(
+            tuple(e * den * den for e in row) for row in eye
+        ):
             raise GroupClosureError("element is not orthogonal")
 
 
 _MONO_IMAGE_CACHE = {}  # (matrix, nu) -> x^nu o g, for G2, the group without signed permutations
 
 
+def signed_image(group: ReflectionGroup, i, nu):
+    """(mu, negative) with x^nu o g = -x^mu if negative else x^mu, for the
+    signed permutation g = group.elements[i]: row j of g is s_j e_{pi(j)}, so
+    mu_{pi(j)} = nu_j and the sign is prod_j s_j^{nu_j}."""
+    perm, signs = group.signed_permutations[i]
+    mu = [0] * len(nu)
+    odd = 0
+    for e, j, s in zip(nu, perm, signs):
+        mu[j] = e
+        if s < 0:
+            odd ^= e & 1
+    return tuple(mu), bool(odd)
+
+
+def substitution_image(group: ReflectionGroup, i, nu):
+    """x^nu o g for g = group.elements[i], by substituting the exact matrix;
+    cached in _MONO_IMAGE_CACHE."""
+    g = group.elements[i]
+    image = _MONO_IMAGE_CACHE.get((g, nu))
+    if image is None:
+        image = Polynomial.monomial(group.dimension, nu).substitute_linear(g)
+        _MONO_IMAGE_CACHE[g, nu] = image
+    return image
+
+
 def act_on_polynomial(group: ReflectionGroup, i, p):
     """(L_g p)(x) = p(g x) for g = group.elements[i]; degree preserving.
 
-    On a signed-permutation group row j of g is s_j e_{pi(j)}, so x^nu goes
-    to the single monomial prod_j s_j^{nu_j} x^mu with mu_{pi(j)} = nu_j, and
-    a term c x^nu to +-c x^mu.
-    G2 has no signed permutations: there the exact matrix is substituted,
-    with the monomial images cached in _MONO_IMAGE_CACHE.
+    On a signed-permutation group x^nu goes to the single monomial +-x^mu of
+    signed_image, and a term c x^nu to +-c x^mu.  G2 has no signed
+    permutations: there each monomial goes to its substitution_image.
     """
     if group.signed_permutations is None:
-        g = group.elements[i]
-        for nu in p.terms:
-            if (g, nu) not in _MONO_IMAGE_CACHE:
-                _MONO_IMAGE_CACHE[g, nu] = Polynomial.monomial(p.dim, nu).substitute_linear(g)
-        return combination(p.dim, ((_MONO_IMAGE_CACHE[g, nu], c) for nu, c in p.terms.items()))
-    perm, signs = group.signed_permutations[i]
+        return combination(
+            p.dim, ((substitution_image(group, i, nu), c) for nu, c in p.terms.items())
+        )
     terms = {}
     for nu, c in p.terms.items():
-        mu = [0] * p.dim
-        odd = 0
-        for e, j, s in zip(nu, perm, signs):
-            mu[j] = e
-            if s < 0:
-                odd ^= e & 1
+        mu, negative = signed_image(group, i, nu)
         if isinstance(c, int) and any(nu):
             c = Fraction(c)  # an exact unit times c, as substituting g gives
-        terms[tuple(mu)] = -c if odd else c
+        terms[mu] = -c if negative else c
     return Polynomial(p.dim, terms)
 
 

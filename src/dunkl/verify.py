@@ -39,7 +39,7 @@ from .kernel import (
     tail_bound,
 )
 from .operators import (
-    columns_of_H,
+    apply_H,
     dunkl_apply,
     dunkl_kernel,
     en_expansion_oracle,
@@ -224,7 +224,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
         h = solve_H(ctx, n)  # None at a fallback degree: read its stored column
         for nu in monomial_basis(d, n):
             mono = Polynomial.monomial(d, nu)
-            column = columns_of_H(ctx, n)[nu] if h is None else h.apply(group, mono)
+            column = apply_H(ctx, n, mono) if h is None else h.apply(group, mono)
             back = column * (n + ctx.gamma) - operator_A(ctx, column)
             checked += 1
             if back != mono:

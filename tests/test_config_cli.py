@@ -389,6 +389,36 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_degrees_above_the_cap_exit_2(tmp_path, capsys):
+    # every degree that outside input asks for is capped at DEGREE_CAP; the
+    # literal used to run until killed, solving P_n degree after degree
+    from dunkl.operators import DEGREE_CAP
+
+    cfg = write_config(tmp_path)
+    ctx_path = tmp_path / "z21.ctx.json"
+    assert main(["build", "--config", str(cfg), "--out", str(ctx_path)]) == 0
+    capsys.readouterr()
+    above = str(DEGREE_CAP + 1)
+    good = json.loads(cfg.read_text())
+    (tmp_path / "big_n.json").write_text(json.dumps({**good, "N": DEGREE_CAP + 1}))
+    cache = json.loads(ctx_path.read_text())
+    (tmp_path / "big_cache.json").write_text(json.dumps({**cache, "degree": DEGREE_CAP + 1}))
+    ctx = str(ctx_path)
+    for argv in (
+        ["intertwine", "--context", ctx, "--poly", "x1^999999999999"],
+        ["intertwine", "--context", ctx, "--poly", f"x1 + x1^{DEGREE_CAP - 1} x1^2"],
+        ["build", "--config", str(cfg), "--out", str(tmp_path / "x.json"), "--degree", above],
+        ["build", "--config", str(tmp_path / "big_n.json"), "--out", str(tmp_path / "y.json")],
+        ["lambda-table", "--context", ctx, "--degree", above],
+        ["kernel-grid", "--context", ctx, "--grid", "x1:0.1,y1:0.2", "--degree", above],
+        ["intertwine", "--context", str(tmp_path / "big_cache.json"), "--poly", "x1"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert str(DEGREE_CAP) in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys):
     cfg = write_config(tmp_path)
     ctx_path = tmp_path / "z21.ctx.json"

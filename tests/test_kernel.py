@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dunkl.exact import ComplexRational
 from dunkl.kernel import (
     certified_radius,
     convolution_check,
@@ -375,6 +376,33 @@ def test_positivity_grid_matches_pointwise(ev_b2):
         for j, y in enumerate(ys):
             direct = complex(lk_series_value(ev_b2, x, y))
             assert abs(grid[i, j] - direct) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "family, k_values, n_trunc, exact_tables, kw",
+    [
+        ("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 12, False, dict(d=2)),
+        ("B", [ComplexRational(Fraction(1, 2), Fraction(1, 3)), Fraction(1)], 8, False, dict(d=2)),
+        ("A", Fraction(1), 6, False, dict(d=3)),
+        ("G2", [Fraction(1, 2), Fraction(1)], 5, False, {}),
+        ("Z2^d", Fraction(1, 2), 10, True, dict(d=1)),
+        ("Z2^d", Fraction(1, 2), 0, False, dict(d=1)),
+    ],
+)
+def test_lk_grid_blocks_match_termwise_sum(family, k_values, n_trunc, exact_tables, kw):
+    # reference: the term-by-term Hermite path, sum over nu of V(x^nu)(x) / nu!
+    # times the tabled He_nu(y), that the per-degree block products replace
+    ev = make_ev(family, k_values, n_trunc, exact_tables=exact_tables, **kw)
+    d = ev.dimension
+    rng = np.random.default_rng(4)
+    xs = [tuple(rng.uniform(-0.3, 0.3, d)) for _ in range(3)]
+    ys = [tuple(rng.uniform(-1.5, 1.5, d)) for _ in range(4)]
+    grid = lk_grid(ev, xs, ys)
+    assert grid.shape == (3, 4)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            want = sum(complex(hermite_piece(ev, n, x, y)) for n in range(n_trunc + 1))
+            assert abs(grid[i, j] - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_float_tables_match_exact():

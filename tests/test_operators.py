@@ -375,13 +375,18 @@ def test_float_shadow_has_complex_columns_of_its_own():
         shadow = exact.float_shadow(6)
         assert shadow.h_columns is not exact.h_columns
         for n in range(1, 7):
-            for nu, column in shadow.h_columns[n].items():
-                exact_column = exact.h_columns[n][nu]
+            # each degree is one table (numerators, denominator); the shadow's
+            # numerators are the exact columns rounded once, over 1
+            columns, one = shadow.h_columns[n]
+            exact_columns, den = exact.h_columns[n]
+            assert one == 1 and columns.keys() == exact_columns.keys()
+            for nu, column in columns.items():
+                exact_column = exact_columns[nu]
                 assert column is not exact_column
-                assert column.terms.keys() == exact_column.terms.keys()
-                for mu, c in column.terms.items():
+                assert column.keys() == exact_column.keys()
+                for mu, c in column.items():
                     assert type(c) is complex
-                    assert c == complex(exact_column.terms[mu])
+                    assert c == complex(Fraction(exact_column[mu], den))
     assert ctx.fallback_degrees == [2]
 
 
@@ -400,8 +405,10 @@ def test_float_shadow_solves_past_its_degree_in_floats():
             for mu, c in v.terms.items():
                 assert type(c) is complex
                 assert abs(c - complex(exact_v.terms[mu])) < 1e-12
-            for column in shadow.h_columns[sum(nu)].values():
-                assert all(type(c) is complex for c in column.terms.values())
+            columns, one = shadow.h_columns[sum(nu)]
+            assert one == 1
+            for column in columns.values():
+                assert all(type(c) is complex for c in column.values())
 
 
 def test_float_shadow_past_its_degree_leaves_exact_context_whole():
@@ -555,7 +562,7 @@ def test_vk_as_fischer_coefficient(b2):
     for n in (1, 2, 3):
         en = homogeneous_kernel(b2, n, x)
         for nu in monomial_basis(2, n):
-            assert fischer(en, Polynomial.monomial(2, nu)) == b2.vk_cache[nu].evaluate(x)
+            assert fischer(en, Polynomial.monomial(2, nu)) == _vk_monomial(b2, nu).evaluate(x)
 
 
 # -- generalized exponential --------------------------------------------------------------
