@@ -83,6 +83,8 @@ def cmd_build(args) -> int:
     except NotInMStarError as exc:
         print(f"build failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out = args.out or os.path.join(_cache_dir(), f"{bundle.name}.ctx.json")
+    save_context(bundle, out)
     ctx = bundle.ctx
     print(f"context {bundle.name}: |G| = {bundle.group.order}")
     gamma = ctx.gamma
@@ -97,8 +99,6 @@ def cmd_build(args) -> int:
     print("n * max |lambda_n(g)| table:")
     for n, row in ctx.delta_table:
         print(f"  {n:3d}  {_fmt(row)}")
-    out = args.out or os.path.join(_cache_dir(), f"{bundle.name}.ctx.json")
-    save_context(bundle, out)
     print(f"cached exact context to {out}")
     return EXIT_OK
 
@@ -332,10 +332,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MultiplicityError, GroupClosureError, FileNotFoundError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NotInMStarError as exc:
+    except (ConfigError, MultiplicityError, GroupClosureError, NotInMStarError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -274,6 +274,8 @@ def _split_terms(text):
     text = text.strip()
     if not text:
         raise ConfigError("empty polynomial literal")
+    if text[-1] in "+-":
+        raise ConfigError(f"polynomial literal {text!r} ends in a sign with no term after it")
     out = []
     depth = 0
     sign = 1

@@ -23,15 +23,13 @@ H_n = sum_g lam_n(g) L_g; lam_n is a class function, found by one linear
 solve with a row per conjugacy class) whenever that system is nonsingular,
 with a dense inverse on the monomial basis of P_n as fallback; either way
 the composition W_n H_n is verified to be the identity on a basis.  The
-verified columns H_n x^nu, one per basis monomial of P_n, are kept on the
-context, and H_n is applied to a polynomial through them: a sparse
-column mat-vec over the monomials of its argument.
+verified columns H_n x^nu are kept on the context, and H_n is applied to a
+polynomial through them; V^{-1} on P_n, a dense inverse too, likewise.
 
-The columns of each H_n and each V(x^nu) are stored as integer numerators
-(pairs of integers for a complex weight) over one denominator, so the
-recursion, the check of W_n H_n and the sums behind intertwine add and
-multiply integers; Fraction and ComplexRational coefficients are made only
-when a Polynomial leaves this module.
+W_n, the columns of H_n and V^{-1} and each V(x^nu) are tables of integer
+numerators (pairs of integers for a complex weight) over one denominator,
+so every sum and check on them is in integers; Fraction and ComplexRational
+coefficients are made only when a Polynomial leaves this module.
 
 The homogeneous kernel pieces
 
@@ -100,7 +98,7 @@ class DunklContext:
     reflections: tuple = field(default=())  # (alpha, k(alpha), group index)
     h_cache: dict = field(default_factory=dict)  # n -> lam_n, or None at a fallback degree
     vk_cache: dict = field(default_factory=dict)  # nu -> V(x^nu) as a table
-    inverse_cache: dict = field(default_factory=dict)  # n -> {nu: V^{-1} x^nu}
+    inverse_cache: dict = field(default_factory=dict)  # n -> table of the columns V^{-1} x^nu
     h_columns: dict = field(default_factory=dict)  # n -> table of the columns H_n x^nu
     delta_hat: float | None = None
     delta_table: list = field(default_factory=list)
@@ -224,10 +222,6 @@ def operator_A(ctx: DunklContext, p: Polynomial) -> Polynomial:
     )
 
 
-def _apply_W(ctx, n, p):
-    return p * (n + ctx.gamma) - operator_A(ctx, p)
-
-
 def monomial_basis(d, n):
     """Exponent multi-indices of total degree n, lexicographic."""
     if d == 1:
@@ -270,23 +264,19 @@ def solve_H(ctx: DunklContext, n):
             row[group.class_of[g]] += coeff
     rhs = [Fraction(0)] * len(reps)
     rhs[group.class_of[group.identity_index]] += 1
+    w = _w_table(ctx, n)
     try:
         sol = solve_columns(matrix, [rhs])[0]
     except SingularMatrixError:
-        d = ctx.dimension
         try:
-            columns = _inverse_columns(
-                d, n, lambda nu: _apply_W(ctx, n, Polynomial.monomial(d, nu))
-            )
+            table = _inverse_table(w)
         except SingularMatrixError:
             raise NotInMStarError(n) from None
         result = None
-        den = math.lcm(*(_denominator(c) for col in columns.values() for c in col.terms.values()))
-        table = ({nu: _numerators(col.terms, den) for nu, col in columns.items()}, den)
     else:
         result = GroupAlgebraElement(tuple(sol[c] for c in group.class_of))
         table = _group_columns(ctx, n, result)
-    _verify_H(ctx, n, table)
+    _verify_H(n, table, w)
     ctx.h_columns[n] = table
     ctx.h_cache[n] = result
     return result
@@ -315,29 +305,17 @@ def solves_row_identity(ctx: DunklContext, n, coefficients) -> bool:
     )
 
 
-def _inverse_columns(d, n, image):
-    """{nu: M^{-1} x^nu} for the degree-preserving map M: x^nu -> image(nu)
-    on P_n, read off the rows of its inverted dense matrix on the monomial
-    basis (rows index the output monomial)."""
-    basis = monomial_basis(d, n)
-    matrix = [[image(nu).terms.get(mu, 0) for nu in basis] for mu in basis]
-    rows = invert_matrix(matrix)
-    return {
-        nu: Polynomial(d, {mu: row[j] for mu, row in zip(basis, rows)})
-        for j, nu in enumerate(basis)
-    }
-
-
 # -- integer tables ---------------------------------------------------------------
 #
 # A table is a pair (numerators, den): a dict from exponents to integers (to
 # Gaussian integers for a complex weight) over one positive integer
 # denominator, standing for the polynomial sum numerators[mu] / den x^mu.
-# The columns of H_n are one table per degree, ({nu: numerators of H_n x^nu},
-# den), and each V(x^nu) is a table of its own.  A float shadow holds the
-# same tables with complex-float numerators over den = 1, so every loop
-# below runs on it unchanged.  Polynomials are made only at the boundary
-# (_polynomial), with Fraction or ComplexRational coefficients.
+# The columns of a linear map on P_n (W_n, H_n, V^{-1}) are one table per
+# degree, ({nu: numerators of M x^nu}, den), and each V(x^nu) is a table of
+# its own.  A float shadow holds the columns of H_n and V(x^nu) with
+# complex-float numerators over den = 1, so their loops run on it unchanged.
+# Polynomials are made only at the boundary (_polynomial), with Fraction or
+# ComplexRational coefficients.
 
 
 class _Gaussian:
@@ -442,18 +420,29 @@ def _combine(pairs):
     return {mu: c for mu, c in out.items() if c}, den
 
 
-def _reduced(tables, den):
-    """The numerator dicts and their shared denominator divided by their gcd."""
+def _reduced(cols, den):
+    """The columns cols over den, both divided by the gcd of den and every
+    numerator: a table in lowest terms."""
     if den == 1:
-        return tables, den
+        return cols, den
     parts = [den]
-    for nums in tables:
+    for nums in cols.values():
         for c in nums.values():
             parts.extend((c.re, c.im) if isinstance(c, _Gaussian) else (c,))
     g = math.gcd(*parts)
     if g == 1:
-        return tables, den
-    return [{mu: c // g for mu, c in nums.items()} for nums in tables], den // g
+        return cols, den
+    return {nu: {mu: c // g for mu, c in nums.items()} for nu, nums in cols.items()}, den // g
+
+
+def _over_one_denominator(basis, tables):
+    """The tables, one per basis monomial, as the columns of one table over
+    the lcm of their denominators."""
+    den = math.lcm(*(d for _, d in tables))
+    return {
+        nu: nums if d == den else {mu: c * (den // d) for mu, c in nums.items()}
+        for nu, (nums, d) in zip(basis, tables)
+    }, den
 
 
 def _exact_table(p: Polynomial):
@@ -483,40 +472,52 @@ def _group_columns(ctx, n, h):
     active = [(g, _numerator(c, lam_den)) for g, c in enumerate(h.coefficients) if c]
     nus = monomial_basis(ctx.dimension, n)
     raw = [_combine((w, _monomial_image(group, g, nu)) for g, w in active) for nu in nus]
-    den = math.lcm(*(d for _, d in raw))
-    scaled = [nums if d == den else {mu: c * (den // d) for mu, c in nums.items()} for nums, d in raw]
-    cols, den = _reduced(scaled, den * lam_den)
-    return dict(zip(nus, cols)), den
+    cols, den = _over_one_denominator(nus, raw)
+    return _reduced(cols, den * lam_den)
 
 
-def _verify_H(ctx, n, table):
-    """Check W_n H_n x^nu = x^nu on the monomial basis, in integers: with K
-    the common denominator of n + gamma and the weights, the numerators c of
-    each column over the table's den must give K (n + gamma) c -
-    sum_a K k(a) L_{s_a} c = K den x^nu.  Each reflection's images of the
-    basis monomials are formed once per degree by act_on_polynomial, the
-    action that GroupAlgebraElement.apply uses, not by the monomial images
-    that built the columns."""
-    cols, den = table
+def _w_table(ctx, n):
+    """The columns W_n x^mu = (n + gamma) x^mu - sum_a k(a) x^mu o s_a on P_n
+    as one table, with the reflection images of act_on_polynomial (the
+    action of GroupAlgebraElement.apply), not those that build H_n."""
+    d = ctx.dimension
     weights = [(n + ctx.gamma, None)] + [(-ka, sidx) for _, ka, sidx in ctx.reflections if ka]
     scale = math.lcm(*(_denominator(w) for w, _ in weights))
-    weights = [(_numerator(w, scale), sidx) for w, sidx in weights]
-    d = ctx.dimension
     basis = monomial_basis(d, n)
-    terms = [
-        (w, None if sidx is None else {
-            mu: _exact_table(act_on_polynomial(ctx.group, sidx, Polynomial.monomial(d, mu)))
-            for mu in basis
-        })
-        for w, sidx in weights
-    ]
-    for nu in basis:
-        col = cols.get(nu, {})
-        out, delta = _combine(
-            (w, (col, 1) if image is None else _combine((c, image[mu]) for mu, c in col.items()))
-            for w, image in terms
+    images = []
+    for mu in basis:
+        mono = Polynomial.monomial(d, mu)
+        nums, den = _combine(
+            (_numerator(w, scale), ({mu: 1}, 1) if sidx is None
+             else _exact_table(act_on_polynomial(ctx.group, sidx, mono)))
+            for w, sidx in weights
         )
-        if out != {nu: scale * den * delta}:
+        images.append((nums, den * scale))
+    return _over_one_denominator(basis, images)
+
+
+def _inverse_table(images):
+    """The table, in lowest terms, of the inverse of the map on P_n whose
+    columns are the table images: den times the exact inverse of the
+    numerator matrix (rows index the output monomial).  Raises
+    SingularMatrixError when the map is singular."""
+    cols, den = images
+    basis = list(cols)
+    rows = invert_matrix([[_exact_value(cols[nu].get(mu, 0), 1) for nu in basis] for mu in basis])
+    inverse = [{mu: row[j] * den for mu, row in zip(basis, rows) if row[j]} for j in range(len(basis))]
+    common = math.lcm(*(_denominator(c) for col in inverse for c in col.values()))
+    return {nu: _numerators(col, common) for nu, col in zip(basis, inverse)}, common
+
+
+def _verify_H(n, table, w):
+    """Check W_n H_n x^nu = x^nu on the basis in integers: with w =
+    (wcols, wden) W_n's table, each column c over den must give
+    sum_mu c[mu] wcols[mu] = den wden x^nu."""
+    cols, den = table
+    wcols, wden = w
+    for nu in wcols:
+        out, _ = _combine((c, (wcols[mu], 1)) for mu, c in cols[nu].items())
+        if out != {nu: den * wden}:
             raise NotInMStarError(n)
 
 
@@ -532,7 +533,7 @@ def _columns(ctx: DunklContext, n):
         table = ctx.h_columns.get(n)
         if table is None:
             table = _group_columns(ctx, n, h)
-            _verify_H(ctx, n, table)
+            _verify_H(n, table, _w_table(ctx, n))
         if ctx.complex_columns:
             table = _complex_table(table)
         ctx.h_columns[n] = table
@@ -598,8 +599,8 @@ def _vk_table(ctx: DunklContext, nu):
                 acc[raised] = a * s if prev is None else prev + a * s
         cols, cden = _columns(ctx, n)
         nums, _ = _combine((c, (cols[mu], cden)) for mu, c in acc.items() if c)
-        (nums,), den = _reduced([nums], den * cden)
-        result = nums, den
+        reduced, den = _reduced({nu: nums}, den * cden)
+        result = reduced[nu], den
     ctx.vk_cache[nu] = result
     return result
 
@@ -615,18 +616,19 @@ def intertwine(ctx: DunklContext, p: Polynomial) -> Polynomial:
 
 
 def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:
-    """Invert the degree-graded action of V; intertwine o intertwine_inverse = id."""
-    out = Polynomial.zero(q.dim)
-    for n, comp in q.homogeneous_components().items():
-        if n == 0:
-            out = out + comp
-            continue
-        columns = ctx.inverse_cache.get(n)
-        if columns is None:
-            columns = _inverse_columns(q.dim, n, lambda nu: _vk_monomial(ctx, nu))
-            ctx.inverse_cache[n] = columns
-        out = out + combination(q.dim, ((columns[nu], c) for nu, c in comp.terms.items()))
-    return out
+    """V^{-1} q on an exact context, through the table of V^{-1}'s columns on
+    each P_n (V is the identity on P_0); intertwine o intertwine_inverse = id."""
+    pairs = []
+    for nu, c in q.terms.items():
+        n = sum(nu)
+        table = ({nu: {nu: 1}}, 1) if n == 0 else ctx.inverse_cache.get(n)
+        if table is None:
+            basis = monomial_basis(q.dim, n)
+            images = _over_one_denominator(basis, [_vk_table(ctx, mu) for mu in basis])
+            table = ctx.inverse_cache[n] = _inverse_table(images)
+        cols, den = table
+        pairs.append(((cols[nu], den), c))
+    return _combination(ctx, q.dim, pairs)
 
 
 # -- growth estimate -----------------------------------------------------------------

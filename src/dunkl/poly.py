@@ -166,12 +166,6 @@ class Polynomial:
             return -1
         return max(sum(nu) for nu in self.terms)
 
-    def homogeneous_components(self):
-        comps = {}
-        for nu, c in self.terms.items():
-            comps.setdefault(sum(nu), {})[nu] = c
-        return {n: Polynomial(self.dim, t) for n, t in sorted(comps.items())}
-
     def map_coefficients(self, fn):
         return Polynomial(self.dim, {nu: fn(c) for nu, c in self.terms.items()})
 

@@ -359,6 +359,11 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         ["export-quadrature", "--dim", "2000", "--points-per-axis", "2"],
         ["verify", "--context", str(tmp_path / "zero_degree.json"), "--suite", "series"],
         ["verify", "--context", str(tmp_path / "zero_n.json"), "--suite", "series"],
+        # a directory where a file is expected
+        ["intertwine", "--context", str(tmp_path), "--poly", "x1"],
+        ["build", "--config", str(tmp_path)],
+        ["build", "--config", str(cfg), "--out", str(tmp_path)],
+        ["verify", "--context", ctx, "--suite", "exact", "--out", str(tmp_path)],
     ) + tuple(
         ["build", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / "y.json")]
         for name in bad_configs
@@ -371,7 +376,8 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
     ) + tuple(
         ["intertwine", "--context", ctx, "--poly", literal]
         for literal in (
-            "2 x1^2", "x1^a", "x1^", "(1,2", "3/0 * x1", "(1/2) x1", "*x1", "x1 * x2"
+            "2 x1^2", "x1^a", "x1^", "(1,2", "3/0 * x1", "(1/2) x1", "*x1", "x1 * x2",
+            "x1^2 +", "x1 -",
         )
     ):
         assert main(argv) == 2, argv

@@ -2,10 +2,10 @@
 
 The reference keeps every coefficient a Fraction or ComplexRational: H_n x^nu
 is sum_g lam_n(g) x^nu o g through act_on_polynomial (or the dense inverse of
-W_n at a fallback degree), and V is the degree recursion in Polynomial
-arithmetic.  The package stores both as integer numerators over one
-denominator; every value it hands out must equal the reference exactly, with
-the same coefficient types.
+W_n at a fallback degree), V is the degree recursion in Polynomial
+arithmetic, and V^{-1} on P_n is the dense inverse of that V.  The package
+stores each as integer numerators over one denominator; every value it
+hands out must equal the reference exactly, with the same coefficient types.
 """
 import json
 import math
@@ -19,13 +19,14 @@ from dunkl.cli import main
 from dunkl.config import build_bundle, load_context, polynomial_to_literal, save_context
 from dunkl.exact import ComplexRational, invert_matrix
 from dunkl.operators import (
-    _apply_W,
     _vk_monomial,
     apply_H,
     homogeneous_kernel,
     intertwine,
+    intertwine_inverse,
     make_context,
     monomial_basis,
+    operator_A,
     solve_H,
     solves_row_identity,
 )
@@ -82,18 +83,29 @@ def _context(name, kind):
     return make_context(generate_group(pos), pos, k)
 
 
+def _apply_W(ctx, n, p):
+    """W_n p = (n + gamma) p - A p."""
+    return p * (n + ctx.gamma) - operator_A(ctx, p)
+
+
+def _dense_inverse(d, n, image):
+    """{nu: M^{-1} x^nu} in Fractions for the map M: x^nu -> image[nu] on P_n,
+    read off the rows of its inverted matrix on the monomial basis."""
+    basis = monomial_basis(d, n)
+    rows = invert_matrix([[image[nu].terms.get(mu, 0) for nu in basis] for mu in basis])
+    return {
+        nu: Polynomial(d, {mu: row[j] for mu, row in zip(basis, rows)})
+        for j, nu in enumerate(basis)
+    }
+
+
 def _reference_columns(ctx, n):
     """{nu: H_n x^nu} in Fractions, for a degree the package has solved."""
     d = ctx.dimension
     h = ctx.h_cache[n]
     basis = monomial_basis(d, n)
     if h is None:
-        images = [_apply_W(ctx, n, Polynomial.monomial(d, nu)) for nu in basis]
-        rows = invert_matrix([[w.terms.get(mu, 0) for w in images] for mu in basis])
-        return {
-            nu: Polynomial(d, {mu: row[j] for mu, row in zip(basis, rows)})
-            for j, nu in enumerate(basis)
-        }
+        return _dense_inverse(d, n, {nu: _apply_W(ctx, n, Polynomial.monomial(d, nu)) for nu in basis})
     columns = {}
     for nu in basis:
         mono = Polynomial.monomial(d, nu)
@@ -146,6 +158,21 @@ def test_integer_tables_match_fraction_reference(name, kind):
         p = Polynomial(d, {nu: coeff() for nu in reference if rng.random() < 0.5})
         want = combination(d, ((reference[nu], c) for nu, c in p.terms.items()))
         assert _same(intertwine(ctx, p), want)
+        assert intertwine_inverse(ctx, want) == p
+        assert intertwine(ctx, intertwine_inverse(ctx, p)) == p
+    # V^{-1} on each P_n against the dense Fraction inverse of the reference V
+    for n in range(1, top + 1):
+        inverse = _dense_inverse(d, n, reference)
+        for nu, column in inverse.items():
+            assert _same(intertwine_inverse(ctx, Polynomial.monomial(d, nu)), column)
+    assert set(ctx.inverse_cache) == set(range(1, top + 1))
+    # every kept table is in lowest terms
+    for cols, den in [*ctx.h_columns.values(), *ctx.inverse_cache.values()]:
+        parts = [den]
+        for col in cols.values():
+            for c in col.values():
+                parts.extend((getattr(c, "re", c), getattr(c, "im", 0)))
+        assert math.gcd(*parts) == 1
     x = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d))
     for n in range(top + 1):
         for nu, c in homogeneous_kernel(ctx, n, x).terms.items():

@@ -21,7 +21,6 @@ from dunkl.operators import (
     dunkl_apply,
     dunkl_kernel,
     en_expansion_oracle,
-    _apply_W,
     estimate_delta,
     evaluate_en,
     homogeneous_kernel,
@@ -130,6 +129,11 @@ def test_dunkl_commutativity_a2(a2):
 
 
 # -- A and the Euler operator -----------------------------------------------------
+
+def _apply_W(ctx, n, p):
+    """W_n p = (n + gamma) p - A p."""
+    return p * (n + ctx.gamma) - operator_A(ctx, p)
+
 
 def test_operator_a_examples(z21):
     x = x_var()

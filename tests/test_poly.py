@@ -124,8 +124,14 @@ def test_fischer_symmetric_and_adjoint(p, q):
 @settings(max_examples=20)
 @given(poly_strategy(2, 4), poly_strategy(2, 4))
 def test_fischer_graded_orthogonality(p, q):
-    comps_p = p.homogeneous_components()
-    comps_q = q.homogeneous_components()
+    def components(r):
+        comps = {}
+        for nu, c in r.terms.items():
+            comps.setdefault(sum(nu), {})[nu] = c
+        return {n: Polynomial(r.dim, t) for n, t in comps.items()}
+
+    comps_p = components(p)
+    comps_q = components(q)
     for n, pn in comps_p.items():
         for m, qm in comps_q.items():
             if n != m:
