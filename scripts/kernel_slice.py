@@ -38,7 +38,7 @@ def main():
     norm = math.sqrt(sum(t * t for t in u))
     u = tuple(t / norm for t in u)
     degree = args.degree if args.degree is not None else (14 if d <= 2 else 10)
-    ev = make_evaluator(bundle.ctx, degree, exact_tables=False)
+    ev = make_evaluator(bundle.ctx, degree)
     xn = math.sqrt(sum(t * t for t in x))
 
     print("t,kernel,tail_bound,weight_zero_profile")

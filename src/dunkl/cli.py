@@ -147,7 +147,8 @@ GRID_POINT_CAP = 1_000_000  # (x, y) pairs in one --grid
 
 
 def parse_grid(spec: str, d: int):
-    """Grid spec "x1:lo:hi:step,y1:lo:hi:step,x2:0.3"; unlisted coordinates 0."""
+    """Grid spec "x1:lo:hi:step,y1:lo:hi:step,x2:0.3"; each coordinate at most
+    once, unlisted coordinates 0."""
     axes = {}
     for chunk in spec.split(","):
         parts = chunk.strip().split(":")
@@ -171,6 +172,8 @@ def parse_grid(spec: str, d: int):
             values = [lo + i * step for i in range(count)]
         else:
             raise ConfigError(f"bad grid chunk {chunk!r}")
+        if (name[0], idx) in axes:
+            raise ConfigError(f"grid coordinate {name[0]}{idx + 1} is given twice")
         axes[(name[0], idx)] = values
     x_axes = [axes.get(("x", i), [0.0]) for i in range(d)]
     y_axes = [axes.get(("y", i), [0.0]) for i in range(d)]
@@ -189,7 +192,7 @@ def cmd_kernel_grid(args) -> int:
     _degree(degree, 0)
     xs, ys = parse_grid(args.grid, d)
     tol = _tolerance(args.tol)
-    ev = make_evaluator(bundle.ctx, degree, exact_tables=False)
+    ev = make_evaluator(bundle.ctx, degree)
     y_norms = [math.hypot(*y) for y in ys]
     tails = [[tail_bound(ev, xn, yn) for yn in y_norms] for xn in (math.hypot(*x) for x in xs)]
     worst = max((tb for row in tails for tb in row), key=lambda tb: tb.value)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import ComplexRational, SingularMatrixError, invert_matrix, solve_columns
@@ -103,7 +103,6 @@ class DunklContext:
     delta_hat: float | None = None
     delta_table: list = field(default_factory=list)
     prepared_to: int = 0
-    complex_columns: bool = False  # a float shadow: tables of complex floats over 1
 
     @property
     def dimension(self):
@@ -128,25 +127,6 @@ class DunklContext:
         self.prepared_to = n_max
         return self
 
-    def float_shadow(self, n_max):
-        """This context prepared to n_max, with complex-float copies of the
-        columns of each H_n (over the denominator 1) and degree caches of its
-        own.  _vk_table on the shadow is the floating V recursion, fallback
-        degrees included.  A degree past n_max is solved exactly on the
-        shadow and its columns kept as complex floats too; h_cache is copied
-        so that such a degree never leaves the exact context a fallback
-        entry without its columns."""
-        self.prepare(n_max)
-        h_columns = {n: _complex_table(_columns(self, n)) for n in range(1, n_max + 1)}
-        return replace(
-            self,
-            h_cache=dict(self.h_cache),
-            h_columns=h_columns,
-            vk_cache={},
-            inverse_cache={},
-            complex_columns=True,
-        )
-
 
 def make_context(group, positives, k) -> DunklContext:
     refl = []
@@ -164,8 +144,7 @@ def divide_by_root_pairing(p: Polynomial, alpha):
     Terms are eliminated level by level in the exponent of a pivot variable;
     whatever survives at level zero is the remainder.  An exact remainder
     coefficient must be 0; a float or complex one may be up to 1e-10 times
-    the largest coefficient of p (at least 1), so float data divide on an
-    exact context too.
+    the largest coefficient of p (at least 1), so float data divide too.
     """
     d = p.dim
     pivot = next(i for i, a in enumerate(alpha) if a != 0)
@@ -312,10 +291,8 @@ def solves_row_identity(ctx: DunklContext, n, coefficients) -> bool:
 # denominator, standing for the polynomial sum numerators[mu] / den x^mu.
 # The columns of a linear map on P_n (W_n, H_n, V^{-1}) are one table per
 # degree, ({nu: numerators of M x^nu}, den), and each V(x^nu) is a table of
-# its own.  A float shadow holds the columns of H_n and V(x^nu) with
-# complex-float numerators over den = 1, so their loops run on it unchanged.
-# Polynomials are made only at the boundary (_polynomial), with Fraction or
-# ComplexRational coefficients.
+# its own.  Polynomials are made only at the boundary (_polynomial), with
+# Fraction or ComplexRational coefficients.
 
 
 class _Gaussian:
@@ -377,23 +354,17 @@ def _numerators(terms, den):
 
 
 def _exact_value(num, den):
-    """num / den as a Fraction or ComplexRational; a float shadow's
-    numerators (over 1) are their own values."""
+    """num / den as a Fraction or ComplexRational."""
     if isinstance(num, _Gaussian):
         return ComplexRational(Fraction(num.re, den), Fraction(num.im, den))
-    if isinstance(num, int):
-        return Fraction(num, den)
-    return num
+    return Fraction(num, den)
 
 
 def _rounded_value(num, den):
-    """num / den rounded once: a float, or a complex for a _Gaussian; the
-    numerators of a float shadow are returned as they are."""
+    """num / den rounded once: a float, or a complex for a _Gaussian."""
     if isinstance(num, _Gaussian):
         return complex(num.re / den, num.im / den)
-    if isinstance(num, int):
-        return num / den
-    return num
+    return num / den
 
 
 def _polynomial(dim, table, rounded=False):
@@ -525,8 +496,7 @@ def _columns(ctx: DunklContext, n):
     """The table of H_n's columns on P_n: the one verified by solve_H, or,
     for a lam_n loaded from a cache, built and verified the same way on
     first use (a fallback degree always has its table, since no lam_n
-    exists to rebuild it from).  A float shadow keeps complex-float copies
-    over den = 1."""
+    exists to rebuild it from)."""
     table = ctx.h_columns.get(n)
     if table is None:
         h = solve_H(ctx, n)  # keeps the table it verifies
@@ -534,30 +504,20 @@ def _columns(ctx: DunklContext, n):
         if table is None:
             table = _group_columns(ctx, n, h)
             _verify_H(n, table, _w_table(ctx, n))
-        if ctx.complex_columns:
-            table = _complex_table(table)
-        ctx.h_columns[n] = table
+            ctx.h_columns[n] = table
     return table
-
-
-def _complex_table(table):
-    cols, den = table
-    return {
-        nu: {mu: complex(_rounded_value(c, den)) for mu, c in col.items()}
-        for nu, col in cols.items()
-    }, 1
 
 
 _EXACT = (int, Fraction, ComplexRational)
 
 
-def _combination(ctx, dim, pairs):
+def _combination(dim, pairs):
     """sum of c * table over the (table, scalar c) pairs, as a Polynomial:
-    in integers over one denominator when every c is exact and the tables
-    are, else term by term on the rounded coefficients, which is what the
-    exact coefficients times a float give."""
+    in integers over one denominator when every c is exact, else term by
+    term on the rounded coefficients, which is what the exact coefficients
+    times a float give."""
     pairs = list(pairs)
-    if ctx.complex_columns or not all(isinstance(c, _EXACT) for _, c in pairs):
+    if not all(isinstance(c, _EXACT) for _, c in pairs):
         return combination(dim, ((_polynomial(dim, t, rounded=True), c) for t, c in pairs))
     weighted = []
     for (nums, den), c in pairs:
@@ -569,7 +529,7 @@ def _combination(ctx, dim, pairs):
 def apply_H(ctx: DunklContext, n, p: Polynomial) -> Polynomial:
     """H_n p for p in P_n, as the sum of p's coefficients times the columns."""
     cols, den = _columns(ctx, n)
-    return _combination(ctx, p.dim, (((cols[nu], den), c) for nu, c in p.terms.items()))
+    return _combination(p.dim, (((cols[nu], den), c) for nu, c in p.terms.items()))
 
 
 # -- the intertwining operator -----------------------------------------------------
@@ -583,7 +543,7 @@ def _vk_table(ctx: DunklContext, nu):
         return cached
     n = sum(nu)
     if n == 0:
-        result = {nu: 1.0 if ctx.complex_columns else 1}, 1
+        result = {nu: 1}, 1
     else:
         lower = []
         for j, e in enumerate(nu):
@@ -612,12 +572,12 @@ def _vk_monomial(ctx: DunklContext, nu, rounded=False):
 
 def intertwine(ctx: DunklContext, p: Polynomial) -> Polynomial:
     """V p, computed degree by degree; exact and degree preserving."""
-    return _combination(ctx, p.dim, ((_vk_table(ctx, nu), c) for nu, c in p.terms.items()))
+    return _combination(p.dim, ((_vk_table(ctx, nu), c) for nu, c in p.terms.items()))
 
 
 def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:
-    """V^{-1} q on an exact context, through the table of V^{-1}'s columns on
-    each P_n (V is the identity on P_0); intertwine o intertwine_inverse = id."""
+    """V^{-1} q, through the table of V^{-1}'s columns on each P_n (V is the
+    identity on P_0); intertwine o intertwine_inverse = id."""
     pairs = []
     for nu, c in q.terms.items():
         n = sum(nu)
@@ -628,7 +588,7 @@ def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:
             table = ctx.inverse_cache[n] = _inverse_table(images)
         cols, den = table
         pairs.append(((cols[nu], den), c))
-    return _combination(ctx, q.dim, pairs)
+    return _combination(q.dim, pairs)
 
 
 # -- growth estimate -----------------------------------------------------------------
@@ -656,11 +616,15 @@ def estimate_delta(ctx: DunklContext, n_max) -> float:
 # -- homogeneous kernel pieces and the generalized exponential -------------------------
 
 def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
-    """E_n(x, .) as a polynomial in y for fixed numeric x."""
+    """E_n(x, .) as a polynomial in y for fixed numeric x: exact at an exact
+    x, and read from the rounded table at an x with a float coordinate (a
+    Fraction times a float is the rounded Fraction times that float, so no
+    Fraction need be built)."""
     d = ctx.dimension
+    rounded = not all(isinstance(t, _EXACT) for t in x)
     terms = {}
     for nu in monomial_basis(d, n):
-        val = _vk_monomial(ctx, nu).evaluate(x)
+        val = _vk_monomial(ctx, nu, rounded).evaluate(x)
         if val:
             terms[nu] = val * Fraction(1, _multi_factorial(nu))
     return Polynomial(d, terms)

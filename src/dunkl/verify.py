@@ -658,7 +658,7 @@ def suite_positivity(bundle: ContextBundle, seed=0):
         n_trunc, x_axis, y_axis = max(bundle.degree, 30), 5, 7
     else:
         n_trunc, x_axis, y_axis = 20, 3, 5
-    ev = make_evaluator(ctx, n_trunc, exact_tables=d == 1)
+    ev = make_evaluator(ctx, n_trunc)
     radius = certified_radius(ev, POSITIVITY_TOL / 2, 1.5)
     span = min(radius * 0.95 / math.sqrt(d), 2.0)
     xs = _grid_points(d, span, x_axis)

@@ -193,7 +193,7 @@ def test_criterion_04_zero_weight_degeneration():
             n_trunc = n
             break
     assert n_trunc is not None
-    ev = make_evaluator(ctx, n_trunc, exact_tables=False)
+    ev = make_evaluator(ctx, n_trunc)
     pts = [(-1.5, -1.5), (-0.9, 1.2), (0.0, 0.7), (0.6, -0.3), (1.5, 1.5), (1.5, -1.5)]
     worst_e = worst_l = 0.0
     for x, y in pts:
@@ -342,14 +342,14 @@ def test_criterion_10_functional_norm(b2_ev):
 
 def test_criterion_11_positivity():
     ctx1 = make_ctx("Z2^d", Fraction(1, 2), d=1)
-    ev1 = make_evaluator(ctx1, 110, exact_tables=False)
+    ev1 = make_evaluator(ctx1, 110)
     grid = [(round(-2 + 0.1 * i, 10),) for i in range(41)]
     rep1 = positivity_scan(ev1, grid, grid)
     assert rep1.max_tail < 1e-8
     assert rep1.min_value >= -1e-8
 
     ctx2 = make_ctx("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(1)}, d=2)
-    ev2 = make_evaluator(ctx2, 48, exact_tables=False)
+    ev2 = make_evaluator(ctx2, 48)
     radius = certified_radius(ev2, 5e-9, 1.5)
     span = radius * 0.95 / math.sqrt(2)
     xs = [(a, b) for a in np.linspace(-span, span, 5) for b in np.linspace(-span, span, 5)]

@@ -348,6 +348,7 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         ["kernel-grid", "--context", ctx, "--grid", ":1"],
         ["kernel-grid", "--context", ctx, "--grid", "x1:0:1:0.5", "--degree", "-1"],
         ["kernel-grid", "--context", ctx, "--grid", "x1:0:1:0.5", "--tol", "nan"],
+        ["kernel-grid", "--context", ctx, "--grid", "x1:0.01,x1:0.02,y1:0.3"],
         ["ek-eval", "--context", ctx, "--x", "0.5", "--y", "0.25", "--tol", "0"],
         ["ek-eval", "--context", ctx, "--x", "0.5", "--y", "0.25", "--tol=-1e-8"],
         ["ek-eval", "--context", ctx, "--x", "0.5", "--y", "0.25", "--tol", "nan"],

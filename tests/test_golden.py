@@ -2,10 +2,11 @@
 
 For each system below the test builds a context with `dunkl build`, then
 hashes the cache file and the stdout of `build`, `lambda-table`,
-`intertwine`, `ek-eval` and `verify --suite exact`; it also hashes the float
-shadow's V table (the repr of its sorted terms).  The digests were recorded
-from the implementation that stored every table as Fractions, so they pin the
-exact layer's values and the float layer's bits across changes of storage.
+`intertwine`, `ek-eval` and `verify --suite exact`; it also hashes the V
+table with each coefficient rounded once (the repr of its sorted terms), the
+values lk_grid reads.  The digests other than the rounded table's were
+recorded from the implementation that stored every table as Fractions, so
+they pin the exact layer's values across changes of storage.
 
 Print the digests of the current code with
 
@@ -41,7 +42,7 @@ GOLDEN = {
         "intertwine": "0a00a0050d74160a0860da4ebbab1f87c5a533a5ee51b960bea4bcb9afa86544",
         "ek-eval": "7d86f1d68162cb8b5dcb117d9d9a20a720dc1727d8def239e228f86577159cb5",
         "verify-exact": "9d10c9adf8f617021693c8020d9b56b0a3c80b84c462ac3672b05bfc25e05928",
-        "float-shadow": "45de2f30cf99c99a5ced90ea0abda88bf20d107d08367817be30c0f381f32344",
+        "rounded-table": "71f50b8abe28c36ac816eddce5df35fedb39a9c56a89e0c19e7a456786a16c2d",
     },
     "b2": {
         "ctx": "281d079b0917c6ad4bf85ac1ca7a3097d78b3adb4f58cd76bbda08111ab38ac7",
@@ -50,7 +51,7 @@ GOLDEN = {
         "intertwine": "02d7afec05f966c05ac739c4da044e14974cfbdd2ea66ce777ad1feaa831c634",
         "ek-eval": "a6ccb20726acc5caeab9a43aabf9ebf770831b8450cce6dcbb10020820ff81b3",
         "verify-exact": "25ab4137e7c5d36f50ae5eec31aa6fac17961fe7681376392543673fa53f5146",
-        "float-shadow": "76b34eae950d9fc34426686f2969c1eca513f0865581e55b92bb5e1eaa2e9146",
+        "rounded-table": "299dd3dd5486accf08cda3166e4e18e2f345052e29b0b78e4a913a52786744d8",
     },
     "b2c": {
         "ctx": "6a0808c781d01c0d62542f6a4556883c4c2934085496187d1171a9adda5b77d3",
@@ -59,7 +60,7 @@ GOLDEN = {
         "intertwine": "9436678e0d0e6eb2265394166d3bca07e33709086dac96819f5cc8e6267ae01d",
         "ek-eval": "3fe77095e315c190a6913296f639112fa158168b1357dc89d42253df6016b767",
         "verify-exact": "b2e03ee639640073f16171b6b110545a3169c648693f92ca2d092f69498063ac",
-        "float-shadow": "06bb3b9c2e635e57c4003b73318e87ab30ba76f4121fbdaa073ae4a413569607",
+        "rounded-table": "bbbc7c1f1aee84118b2cd9bc733293f4ab61304a3991e85475b4ee74f35cdaf8",
     },
     "z21": {
         "ctx": "09b8e1a40f911b19b03169f2fd179f0b057437904358eb6df9aa80a727988c1b",
@@ -68,7 +69,7 @@ GOLDEN = {
         "intertwine": "7b4eb9f135a481157c3a5f39c0533cadcc4e20423110612a05a27c39e0537607",
         "ek-eval": "d8bf71553d9fcf00ce0e7bfea3cf721edbca2720fdd6c6001db7fb02f5f3f8b1",
         "verify-exact": "0ed9dcb140bb534b316ea50f7e6c0164937171b12144b3ddc0b968a4907939bc",
-        "float-shadow": "e84ccc472e8890a84a21fb97b45c3e9f09fa4e2334873ebaa8ae037b9f081784",
+        "rounded-table": "61f45166d6f35f117b69769011a92b8d031620930008d3a00e012a2b68a0428d",
     },
     "z21neg": {
         "ctx": "86e98c65ef67f24c4f23aef4bf38752b7fd052fd4f4bd637b8908f67c5825438",
@@ -77,7 +78,7 @@ GOLDEN = {
         "intertwine": "e5d8b193e4b029e96c9ef7c96d7642d2e1439e2844813e3e12c00e58fef082e5",
         "ek-eval": "d890a6cb9a8c0b1ab9989272bb40d450c9670df38a41b911d80374d86e33c833",
         "verify-exact": "f6166c3ec7bf6518ff659ab6bdb9e25e356481af8a810b992018253acccba19d",
-        "float-shadow": "3e35a5d214e62aadf68d81ad3e446b7101c0a61fda469c573767414e9e604ca7",
+        "rounded-table": "1619402e95959d476d4f73c334732bbfdf1a12356474cc9c12bea8224f98b7b7",
     },
     "g2": {
         "ctx": "5e86dc3e6e8f8f50e1ff88c38d68fc28e468f8ba4d9eeca773977ae3da48b2d0",
@@ -86,7 +87,7 @@ GOLDEN = {
         "intertwine": "e6741230890eec2d4c4436520bf1b2220ccdda326b8ebbb7d1f4677cdd76d564",
         "ek-eval": "a0626ae9eab26cbb827d81f94dcae11809e82a0c02a04b463d36f02d45edc21c",
         "verify-exact": "da250e098d6b78149fa3e330e3381236444b0fd6b2768f915b3b9d9099f77dd2",
-        "float-shadow": "8e72642a5fe7af0e8e4b8894dda988ecf18735770ff6fabd4ac3e061f3b1c78d",
+        "rounded-table": "0973124056643ae8bf57737f15a8982ad0374069a2e94bbdcffee3cb75060a4d",
     },
     "b3": {
         "ctx": "aef9286781c42f1fb5fcfa2b82e2d40dba207cf219ef6d592e4169709e11caeb",
@@ -95,7 +96,7 @@ GOLDEN = {
         "intertwine": "bd7a1fc89b60b90981ccd12690b2b4483cf3ef8dbc256fcf22f46337c51a6bca",
         "ek-eval": "76c2dd4572d8104ec84d738f22760272adfe8390976e3d6d1ba17ab07eb07b68",
         "verify-exact": "5792e643098acaa1b27b122da8e3fda83a4fb1f1f373f5f83fa38d368110fd13",
-        "float-shadow": "4bca59d7f6599c4d9c3955b596c7103739c236116e4d8610c0cea9a46aff78ef",
+        "rounded-table": "0e40a6146f80e392bf7e0e1e33b5e237d52198c8dec48a63a8d5b872c35a261b",
     },
 }
 
@@ -137,14 +138,13 @@ def digests(name, workdir):
         bundle = load_context(ctx_file)
     finally:
         os.chdir(old)
-    shadow = bundle.ctx.float_shadow(bundle.degree)
     d = bundle.ctx.dimension
     table = [
-        (nu, sorted(_vk_monomial(shadow, nu).terms.items()))
+        (nu, sorted(_vk_monomial(bundle.ctx, nu, rounded=True).terms.items()))
         for n in range(bundle.degree + 1)
         for nu in monomial_basis(d, n)
     ]
-    out["float-shadow"] = _sha(repr(table))
+    out["rounded-table"] = _sha(repr(table))
     return out
 
 

@@ -133,6 +133,14 @@ def _reference_v(ctx, degree):
     return v
 
 
+def _correctly_rounded(c):
+    """The nearest float to a Fraction, or the complex of the nearest floats
+    to a ComplexRational's parts: int / int true division rounds correctly."""
+    if isinstance(c, ComplexRational):
+        return complex(_correctly_rounded(c.re), _correctly_rounded(c.im))
+    return c.numerator / c.denominator
+
+
 def _same(a, b):
     """Equal values with the same coefficient types, as a literal shows them."""
     return a == b and polynomial_to_literal(a) == polynomial_to_literal(b)
@@ -177,14 +185,13 @@ def test_integer_tables_match_fraction_reference(name, kind):
     for n in range(top + 1):
         for nu, c in homogeneous_kernel(ctx, n, x).terms.items():
             assert c == reference[nu].evaluate(x) / math.prod(map(math.factorial, nu))
-    # the float shadow runs the same recursion on the rounded columns; a
-    # coefficient that cancels exactly may leave roundoff there
-    shadow = ctx.float_shadow(top)
+    # the rounded table is the exact one with each coefficient correctly
+    # rounded once (a float, or a complex of two floats)
     for nu, v in reference.items():
-        got = _vk_monomial(shadow, nu).terms
-        scale = max(abs(complex(c)) for c in v.terms.values())
-        for mu in set(got) | set(v.terms):
-            assert abs(got.get(mu, 0) - complex(v.terms.get(mu, 0))) <= 1e-9 * scale
+        want = {mu: _correctly_rounded(c) for mu, c in v.terms.items()}
+        got = _vk_monomial(ctx, nu, rounded=True).terms
+        assert got == want
+        assert all(type(got[mu]) is type(c) for mu, c in want.items())
 
 
 def test_reference_cases_cover_fallback_degrees():

@@ -28,14 +28,17 @@ from dunkl.kernel import (
     positivity_scan,
     symmetry_scan,
     tail_bound,
+    _polys_match,
 )
 from dunkl.operators import (
     TruncationError,
     _recurrence_tail,
     _tail_term,
     _vk_monomial,
+    homogeneous_kernel,
     intertwine,
     make_context,
+    monomial_basis,
 )
 from dunkl.poly import Polynomial, inverse_heat_half
 from dunkl.quad import gauss_rule
@@ -53,13 +56,13 @@ def hermite_path(ev, x, y, n_trunc=None):
     return sum(hermite_piece(ev, n, x, y) for n in range(top + 1))
 
 
-def make_ev(family, k_values, n_trunc, exact_tables=True, **kw):
+def make_ev(family, k_values, n_trunc, **kw):
     system = build_root_system(family, **kw)
     pos = select_positive(system)
     group = generate_group(pos)
     k = validate_multiplicity(pos, k_values)
     ctx = make_context(group, pos, k)
-    return make_evaluator(ctx, n_trunc, exact_tables=exact_tables)
+    return make_evaluator(ctx, n_trunc)
 
 
 @pytest.fixture(scope="module")
@@ -248,16 +251,16 @@ def test_convolution_zero_weight(ev_z21_zero):
         assert abs(lhs - math.exp(x * y)) < 1e-10
 
 
-def test_convolution_reads_the_float_tables_of_a_float_evaluator():
-    ev_float = make_ev(
-        "B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 12, exact_tables=False, d=2
-    )
-    ev_exact = make_evaluator(ev_float.ctx, 12)
-    before = len(ev_float.ctx.vk_cache)
+def test_convolution_at_float_points_reads_the_evaluator_table():
+    # the check reads the V table make_evaluator filled, at float and at
+    # rational points alike, and a second evaluator adds no entry to it
+    ev = make_ev("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 12, d=2)
+    before = len(ev.ctx.vk_cache)
     x, y = (0.05, -0.03), (0.4, 0.6)
-    res = convolution_check(ev_float, x, y)
-    assert len(ev_float.ctx.vk_cache) == before
-    assert abs(res - convolution_check(ev_exact, x, y)) < 1e-12
+    res = convolution_check(ev, x, y)
+    exact_res = convolution_check(make_evaluator(ev.ctx, 12), _rational(x), _rational(y))
+    assert len(ev.ctx.vk_cache) == before
+    assert abs(res - exact_res) < 1e-12
 
 
 def test_convolution_at_x_zero(ev_b2):
@@ -360,6 +363,21 @@ def test_symmetry_scan_exact(ev_b2):
     assert rep.checked == (ev_b2.n_trunc + 1) * (ev_b2.ctx.group.order + 1)
 
 
+def test_symmetry_scan_float_points():
+    # heat images at float points carry roundoff, so they are compared within
+    # 1e-9; an exact difference, however small, is still a failure
+    ev = make_ev("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 8, d=2)
+    rep = symmetry_scan(ev, [(0.31, -0.52), (0.7, 0.11)])
+    assert rep.failures == ()
+    assert rep.checked == 2 * (ev.n_trunc + 1) * (ev.ctx.group.order + 1)
+    p = heat_image(ev, 4, (Fraction(1, 3), Fraction(-1, 2)))
+    assert _polys_match(p, p)
+    assert not _polys_match(p, p + Polynomial.monomial(2, (2, 2), Fraction(1, 10**12)))
+    q = heat_image(ev, 4, (0.31, -0.52))
+    assert _polys_match(q, q + Polynomial.monomial(2, (2, 2), 1e-12))
+    assert not _polys_match(q, q + Polynomial.monomial(2, (2, 2), 1e-6))
+
+
 def test_positivity_zero_weight(ev_z21_zero):
     xs = [(t,) for t in np.linspace(-1.0, 1.0, 9)]
     ys = [(t,) for t in np.linspace(-2.0, 2.0, 9)]
@@ -379,20 +397,20 @@ def test_positivity_grid_matches_pointwise(ev_b2):
 
 
 @pytest.mark.parametrize(
-    "family, k_values, n_trunc, exact_tables, kw",
+    "family, k_values, n_trunc, kw",
     [
-        ("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 12, False, dict(d=2)),
-        ("B", [ComplexRational(Fraction(1, 2), Fraction(1, 3)), Fraction(1)], 8, False, dict(d=2)),
-        ("A", Fraction(1), 6, False, dict(d=3)),
-        ("G2", [Fraction(1, 2), Fraction(1)], 5, False, {}),
-        ("Z2^d", Fraction(1, 2), 10, True, dict(d=1)),
-        ("Z2^d", Fraction(1, 2), 0, False, dict(d=1)),
+        ("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 12, dict(d=2)),
+        ("B", [ComplexRational(Fraction(1, 2), Fraction(1, 3)), Fraction(1)], 8, dict(d=2)),
+        ("A", Fraction(1), 6, dict(d=3)),
+        ("G2", [Fraction(1, 2), Fraction(1)], 5, {}),
+        ("Z2^d", Fraction(1, 2), 10, dict(d=1)),
+        ("Z2^d", Fraction(1, 2), 0, dict(d=1)),
     ],
 )
-def test_lk_grid_blocks_match_termwise_sum(family, k_values, n_trunc, exact_tables, kw):
+def test_lk_grid_blocks_match_termwise_sum(family, k_values, n_trunc, kw):
     # reference: the term-by-term Hermite path, sum over nu of V(x^nu)(x) / nu!
     # times the tabled He_nu(y), that the per-degree block products replace
-    ev = make_ev(family, k_values, n_trunc, exact_tables=exact_tables, **kw)
+    ev = make_ev(family, k_values, n_trunc, **kw)
     d = ev.dimension
     rng = np.random.default_rng(4)
     xs = [tuple(rng.uniform(-0.3, 0.3, d)) for _ in range(3)]
@@ -406,35 +424,60 @@ def test_lk_grid_blocks_match_termwise_sum(family, k_values, n_trunc, exact_tabl
 
 
 def test_float_tables_match_exact():
-    ev_exact = make_ev("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 8, d=2)
-    ev_float = make_ev(
-        "B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 8, exact_tables=False, d=2
-    )
-    assert ev_exact.source is ev_exact.ctx and ev_float.source is not ev_float.ctx
-    _assert_evaluators_agree(ev_exact, ev_float, (0.35, -0.6), (0.8, 0.25), 1e-11)
+    # one V table: the values at float points agree with the exact values at
+    # the same points taken as rationals; at a float point E_n(x, .) is read
+    # from the rounded table and equals bit for bit the exact table there
+    x = (0.35, -0.6)
+    for k in ([Fraction(1, 2), Fraction(3, 2)], [ComplexRational(Fraction(1, 2), Fraction(1, 3)), 1]):
+        ev = make_ev("B", k, 8, d=2)
+        _assert_float_points_agree(ev, x, (0.8, 0.25), 1e-11)
+        for n in range(ev.n_trunc + 1):
+            got = homogeneous_kernel(ev.ctx, n, x).terms
+            want = {}
+            for nu in monomial_basis(2, n):
+                val = _vk_monomial(ev.ctx, nu).evaluate(x)
+                if val:
+                    want[nu] = val * Fraction(1, math.prod(map(math.factorial, nu)))
+            assert got == want
+            assert all(isinstance(c, (float, complex)) for c in got.values())
 
 
 def test_float_tables_match_exact_through_fallback_degree():
     # k = -1 makes the group-algebra system singular at degree 2, so the
-    # float recursion passes through the dense inverse on P_2
-    ev_exact = make_ev("Z2^d", Fraction(-1), 6, d=1)
-    ev_float = make_ev("Z2^d", Fraction(-1), 6, exact_tables=False, d=1)
-    assert ev_float.ctx.fallback_degrees == [2]
+    # table passes through the dense inverse on P_2
+    ev = make_ev("Z2^d", Fraction(-1), 6, d=1)
+    assert ev.ctx.fallback_degrees == [2]
     x = (0.7,)
-    for nu in ev_float.heat_mono:
-        a = _vk_monomial(ev_float.source, nu).evaluate(x)
-        assert abs(complex(a) - complex(_vk_monomial(ev_exact.ctx, nu).evaluate(x))) <= 1e-12
-    _assert_evaluators_agree(ev_exact, ev_float, x, (-0.45,), 1e-12)
+    for nu in ev.heat_mono:
+        a = _vk_monomial(ev.ctx, nu, rounded=True).evaluate(x)
+        assert abs(a - _vk_monomial(ev.ctx, nu).evaluate(_rational(x))) <= 1e-12
+    _assert_float_points_agree(ev, x, (-0.45,), 1e-12)
 
 
-def _assert_evaluators_agree(ev_exact, ev_float, x, y, tol):
-    """Both kernel paths, both functional-norm routes and the Fourier check
-    give the same numbers on exact and float tables."""
+def _rational(point):
+    """The float coordinates as the Fractions of their exact binary values."""
+    return tuple(Fraction(t) for t in point)
+
+
+def _assert_float_points_agree(ev, x, y, tol):
+    """Both kernel paths, lk_grid, both functional-norm routes and the Fourier
+    check give the same numbers at the float points x, y as at the same
+    points taken as rationals, where they are exact up to the final float
+    conversion.  The rational side runs on a second evaluator over the same
+    table: a Fraction equals and hashes like the float it came from, so on
+    one evaluator the float calls would read the exact cached heat images."""
+    xq, yq = _rational(x), _rational(y)
+    evq = make_evaluator(ev.ctx, ev.n_trunc)
     for path in (lk_series_value, hermite_path):
-        assert abs(complex(path(ev_exact, x, y)) - complex(path(ev_float, x, y))) < tol
-    for a, b in zip(phi_x_norm(ev_exact, x), phi_x_norm(ev_float, x)):
+        exact = path(evq, xq, yq)
+        assert isinstance(exact, (Fraction, ComplexRational))
+        value = path(ev, x, y)
+        assert isinstance(value, (float, complex))
+        assert abs(value - complex(exact)) < tol
+    assert abs(lk_grid(ev, [x], [y])[0, 0] - complex(lk_series_value(evq, xq, yq))) < tol
+    for a, b in zip(phi_x_norm(ev, x), phi_x_norm(evq, xq)):
         assert abs(a - b) < tol
-    fa, fb = fourier_check(ev_exact, x, y), fourier_check(ev_float, x, y)
+    fa, fb = fourier_check(ev, x, y), fourier_check(evq, xq, yq)
     for side in ("plus", "minus"):
         assert abs(fa[side] - fb[side]) < tol
 

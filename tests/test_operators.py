@@ -372,60 +372,6 @@ def test_apply_h_columns_match_group_algebra_apply(name, loaded, tmp_path):
             assert polynomial_to_literal(got) == polynomial_to_literal(want)
 
 
-def test_float_shadow_has_complex_columns_of_its_own():
-    ctx = context("Z2^d", Fraction(-1), d=1)
-    b2_ctx = context("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, d=2)
-    for exact in (ctx, b2_ctx):
-        shadow = exact.float_shadow(6)
-        assert shadow.h_columns is not exact.h_columns
-        for n in range(1, 7):
-            # each degree is one table (numerators, denominator); the shadow's
-            # numerators are the exact columns rounded once, over 1
-            columns, one = shadow.h_columns[n]
-            exact_columns, den = exact.h_columns[n]
-            assert one == 1 and columns.keys() == exact_columns.keys()
-            for nu, column in columns.items():
-                exact_column = exact_columns[nu]
-                assert column is not exact_column
-                assert column.keys() == exact_column.keys()
-                for mu, c in column.items():
-                    assert type(c) is complex
-                    assert c == complex(Fraction(exact_column[mu], den))
-    assert ctx.fallback_degrees == [2]
-
-
-def test_float_shadow_solves_past_its_degree_in_floats():
-    # Z2^1 with k = -1 falls back at degree 2; B2 takes its degree 2 from lam_2,
-    # and its degree 3 from the lam_3 that the exact context already holds
-    z21 = context("Z2^d", Fraction(-1), d=1)
-    b2_ctx = context("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, d=2)
-    b2_ctx.prepare(3)
-    for exact, nus in ((z21, [(2,)]), (b2_ctx, [(2, 0), (1, 2)])):
-        shadow = exact.float_shadow(1)
-        for nu in nus:
-            exact_v = _vk_monomial(exact, nu)
-            v = _vk_monomial(shadow, nu)
-            assert v.terms.keys() == exact_v.terms.keys()
-            for mu, c in v.terms.items():
-                assert type(c) is complex
-                assert abs(c - complex(exact_v.terms[mu])) < 1e-12
-            columns, one = shadow.h_columns[sum(nu)]
-            assert one == 1
-            for column in columns.values():
-                assert all(type(c) is complex for c in column.values())
-
-
-def test_float_shadow_past_its_degree_leaves_exact_context_whole():
-    # the shadow solves the fallback degree 2 on its own; the exact context must
-    # still realize it through its own columns afterwards
-    ctx = context("Z2^d", Fraction(-1), d=1)
-    shadow = ctx.float_shadow(1)
-    assert _vk_monomial(shadow, (2,)) == Polynomial.monomial(1, (2,), -1.0)
-    assert 2 not in ctx.h_cache and ctx.fallback_degrees == []
-    assert intertwine(ctx, Polynomial.monomial(1, (2,))) == Polynomial.monomial(1, (2,), -1)
-    assert ctx.fallback_degrees == [2]
-
-
 # -- the intertwining operator --------------------------------------------------------
 
 def test_intertwine_unit(z21, b2):

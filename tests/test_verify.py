@@ -1,6 +1,8 @@
 import pytest
 
 from dunkl.config import build_bundle
+from dunkl.kernel import make_evaluator
+from dunkl.operators import monomial_basis
 from dunkl.verify import run_suite, suite_exact, suite_positivity, suite_signs
 
 
@@ -100,3 +102,16 @@ def test_product_expansion_oracle_names_skipped_degrees():
         "1 exact comparisons; degrees [1, 2, 3] skipped: the expansion multiplies lam_i "
         "for every i <= n, and degree 1 is a fallback degree with no lam table"
     )
+
+
+def test_positivity_fills_and_reuses_the_context_table():
+    # the d = 2 positivity suite reads the context's own V table to degree 30,
+    # so a later evaluator at that degree finds every entry already there
+    bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 12})
+    ctx = bundle.ctx
+    assert all(r.passed for r in suite_positivity(bundle))
+    wanted = {nu for n in range(31) for nu in monomial_basis(2, n)}
+    assert wanted <= set(ctx.vk_cache)
+    before = dict(ctx.vk_cache)
+    make_evaluator(ctx, 30)
+    assert ctx.vk_cache.keys() == before.keys()
