@@ -170,7 +170,8 @@ def load_context(path) -> ContextBundle:
     """Load either a raw config or a cached context (detected by 'lambdas').
 
     A cache must carry its config, group order, degree and lambda tables,
-    each lam_n with one entry per group element, constant on conjugacy
+    every degree, lambda key and fallback degree in 1..DEGREE_CAP, each
+    lam_n with one entry per group element, constant on conjugacy
     classes, that satisfies the row identity of solve_H exactly at one
     element per class; anything else raises ConfigError.
     """
@@ -198,7 +199,9 @@ def load_context(path) -> ContextBundle:
     if not 1 <= degree <= DEGREE_CAP:
         raise ConfigError(f"cached context {path} has degree {degree}, not in 1..{DEGREE_CAP}")
     for n, coeffs in sorted(tables.items()):
-        if n < 1 or len(coeffs) != bundle.group.order:
+        if not 1 <= n <= DEGREE_CAP:
+            raise ConfigError(f"cached lambda_{n} has a degree outside 1..{DEGREE_CAP}")
+        if len(coeffs) != bundle.group.order:
             raise ConfigError(
                 f"cached lambda_{n} is not a table of |G| = {bundle.group.order} entries"
             )
@@ -207,8 +210,8 @@ def load_context(path) -> ContextBundle:
                 f"cached lambda_{n} is not a class function inverting (n + gamma) e - a"
             )
         ctx.h_cache[n] = GroupAlgebraElement(tuple(coeffs))
-    if any(n < 1 for n in fallback):
-        raise ConfigError(f"cached fallback degrees {fallback} are not all >= 1")
+    if any(not 1 <= n <= DEGREE_CAP for n in fallback):
+        raise ConfigError(f"cached fallback degrees {fallback} are not all in 1..{DEGREE_CAP}")
     for n in fallback:
         solve_H(ctx, n)
     estimate_delta(ctx, degree)

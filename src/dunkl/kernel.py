@@ -9,12 +9,12 @@ pieces E_n(x, .),
 two rearrangements of one double sum.  Both read the coefficients of
 E_n(x, .) from operators.homogeneous_kernel, the one place the V table is
 turned into them, and differ only in the heat step (series: heat E_n with
-poly.heat_half; Hermite: contract its coefficients with the tabled heat
-images of the monomials, each the product prod_j He_{nu_j}(y_j) of
-probabilists' Hermite polynomials built from one integer coefficient
-table).  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy
-it represents the composition of the intertwining operator with the inverse
-half-heat flow:
+poly.heat_half; Hermite: contract its coefficients with the heat images of
+the monomials at y, each the product prod_j He_{nu_j}(y_j) of probabilists'
+Hermite values from poly.hermite_values, the package's one Hermite
+recurrence).  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy it represents
+the composition of the intertwining operator with the inverse half-heat
+flow:
 
     integral L(x, y) (e^{-Lap/2} p)(y) dgamma(y) = V(p)(x),
 
@@ -49,6 +49,7 @@ from .operators import (
     DunklContext,
     TruncationError,
     _EXACT,
+    _is_exact_point,
     _norm,
     _recurrence_tail,
     _vk_monomial,
@@ -60,7 +61,7 @@ from .operators import (
     intertwine,
     monomial_basis,
 )
-from .poly import Polynomial, _hermite_product, _multi_factorial, heat_half, hermite_table
+from .poly import Polynomial, _multi_factorial, heat_half, hermite_values
 from .quad import (
     QuadratureRule,
     _node_values,
@@ -90,9 +91,8 @@ class KernelEvaluator:
 
     ctx: DunklContext
     n_trunc: int
-    heat_mono: dict  # nu -> e^{-Lap/2} x^nu, polynomial in y, by degree
-    _heat_images: dict = field(default_factory=dict)  # (x, n) -> polynomial in y
-    _lk_polys: dict = field(default_factory=dict)  # x -> truncated kernel in y
+    _heat_images: dict = field(default_factory=dict)  # (x, exact, n) -> polynomial in y
+    _lk_polys: dict = field(default_factory=dict)  # (x, exact) -> truncated kernel in y
     _tail_cache: dict = field(default_factory=dict)
     _blocks: list | None = None  # per-degree exponent arrays and V blocks, for lk_grid
 
@@ -102,31 +102,33 @@ class KernelEvaluator:
 
 
 def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvaluator:
-    """Precompute the per-degree tables up to the truncation degree.
+    """Fill the context's own exact V table up to the truncation degree.
 
-    The V table is the context's own exact one, filled up to n_trunc; the
-    heat table holds e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j) with integer
-    coefficients.  Whether a value is exact or a float follows from the
-    point: rational points give exact values, float points floats, and
-    lk_grid rounds each table entry once.
+    Whether a value is exact or a float follows from the point: rational
+    points give exact values, float points floats, and lk_grid rounds each
+    table entry once.  The heat step needs no table: e^{-Lap/2} y^nu at y is
+    prod_j He_{nu_j}(y_j), from per-axis poly.hermite_values.
     exact_tables is ignored; the benchmark harness in bench/ still passes it.
     """
     ctx.prepare(n_trunc)
-    d = ctx.dimension
-    table = hermite_table(n_trunc)
-    heat_mono = {}
     for n in range(n_trunc + 1):
-        for nu in monomial_basis(d, n):
+        for nu in monomial_basis(ctx.dimension, n):
             _vk_table(ctx, nu)
-            heat_mono[nu] = _hermite_product(nu, table)
-    return KernelEvaluator(ctx, n_trunc, heat_mono)
+    return KernelEvaluator(ctx, n_trunc)
+
+
+def _point_key(x):
+    """A cache key for the point x that tells an exact point from a float one
+    (Fraction(0.35) == 0.35 and the two hash alike), by the test with which
+    homogeneous_kernel picks the exact or the rounded table."""
+    return tuple(x), _is_exact_point(x)
 
 
 # -- the two evaluation paths ---------------------------------------------------
 
 def heat_image(ev: KernelEvaluator, n, x) -> Polynomial:
     """Series path, degree n: e^{-Lap/2} E_n(x, .) as a polynomial in y."""
-    key = (tuple(x), n)
+    key = (*_point_key(x), n)
     cached = ev._heat_images.get(key)
     if cached is None:
         cached = heat_half(homogeneous_kernel(ev.ctx, n, x))
@@ -136,7 +138,7 @@ def heat_image(ev: KernelEvaluator, n, x) -> Polynomial:
 
 def lk_polynomial(ev: KernelEvaluator, x) -> Polynomial:
     """The truncated kernel L^(N)(x, .) as a polynomial in y (series path)."""
-    key = tuple(x)
+    key = _point_key(x)
     cached = ev._lk_polys.get(key)
     if cached is None:
         cached = Polynomial.zero(ev.dimension)
@@ -155,10 +157,12 @@ def lk_series_value(ev: KernelEvaluator, x, y):
 
 def hermite_piece(ev: KernelEvaluator, n, x, y):
     """Hermite path, degree n: the coefficients V(x^nu)(x) / nu! of E_n(x, .)
-    contracted with the tabled e^{-Lap/2} y^nu, so no square roots enter."""
+    contracted with e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j), so no square
+    roots enter."""
+    he = [hermite_values(t, n) for t in y]
     total = 0
     for nu, c in homogeneous_kernel(ev.ctx, n, x).terms.items():
-        total = total + c * ev.heat_mono[nu].evaluate(y)
+        total = total + c * math.prod(h[e] for h, e in zip(he, nu))
     return total
 
 
@@ -284,19 +288,16 @@ def gaussian_taylor(d, y, deg) -> Polynomial:
 
         prod_j He_{nu_j}(-y_j) / nu_j!,
 
-    with the probabilists' Hermite polynomials He_0 = 1, He_1(z) = z,
-    He_{n+1}(z) = z He_n(z) - n He_{n-1}(z), evaluated exactly; as
-    He_n(-z) = (-1)^n He_n(z), T(-u) is the expansion of e^{-|u - y|^2/2}.
+    with the probabilists' Hermite values of poly.hermite_values, exact at
+    an exact y; as He_n(-z) = (-1)^n He_n(z), T(-u) is the expansion of
+    e^{-|u - y|^2/2}.
     The constant Gaussian factor e^{-|y|^2/2} is left out so the coefficients
     stay rational for rational y; callers multiply it back in float.
     """
-    factors = []  # factors[j][e] = He_e(-y_j) / e!
-    for j in range(d):
-        z = -y[j]
-        he = [Fraction(1), z]
-        for n in range(1, deg):
-            he.append(z * he[n] - n * he[n - 1])
-        factors.append([he[e] * Fraction(1, math.factorial(e)) for e in range(deg + 1)])
+    factors = [  # factors[j][e] = He_e(-y_j) / e!
+        [h * Fraction(1, math.factorial(e)) for e, h in enumerate(hermite_values(-y[j], deg))]
+        for j in range(d)
+    ]
     terms = {}
     for n in range(deg + 1):
         for nu in monomial_basis(d, n):
@@ -376,8 +377,11 @@ def derivative_relation_check(ev: KernelEvaluator, x, y, j):
         deriv = deriv + g_n.partial(j).evaluate(y)
         value = value + g_n.evaluate(y)
     lhs = window * (complex(deriv) - complex(y[j]) * complex(value))
+    he = [hermite_values(t, ev.n_trunc) for t in y]
     weights = {
-        nu: h.evaluate(y) * Fraction(1, _multi_factorial(nu)) for nu, h in ev.heat_mono.items()
+        nu: math.prod(h[e] for h, e in zip(he, nu)) * Fraction(1, _multi_factorial(nu))
+        for n in range(ev.n_trunc + 1)
+        for nu in monomial_basis(ev.dimension, n)
     }
     q = intertwine(ev.ctx, Polynomial(ev.dimension, weights))
     e_j = tuple(1 if i == j else 0 for i in range(ev.dimension))
@@ -486,18 +490,17 @@ def lk_grid(ev: KernelEvaluator, xs, ys) -> np.ndarray:
     """Hermite-path kernel values on a product grid, one block product per
     degree: the monomials x^mu from per-axis power tables, times the block of
     the V table, times the He_nu(y) = prod_j He_{nu_j}(y_j) from per-axis
-    Hermite recurrence tables."""
+    Hermite values (poly.hermite_values)."""
     d = ev.dimension
     xs_arr = np.asarray([[float(t) for t in x] for x in xs], dtype=float).reshape(len(xs), d)
     ys_arr = np.asarray([[float(t) for t in y] for y in ys], dtype=float).reshape(len(ys), d)
     n_max = ev.n_trunc
     x_pow = np.ones(xs_arr.shape + (n_max + 1,))  # x_pow[p, i, e] = x_i^e
-    he = np.ones(ys_arr.shape + (n_max + 1,))  # he[p, j, e] = He_e(y_j)
     if n_max:
-        x_pow[:, :, 1], he[:, :, 1] = xs_arr, ys_arr
+        x_pow[:, :, 1] = xs_arr
     for e in range(2, n_max + 1):
         x_pow[:, :, e] = x_pow[:, :, e - 1] * xs_arr
-        he[:, :, e] = ys_arr * he[:, :, e - 1] - (e - 1) * he[:, :, e - 2]
+    he = np.stack(hermite_values(ys_arr, n_max), axis=-1)  # he[p, j, e] = He_e(y_j)
     out = 0
     axes = range(d)
     for exps, block in _degree_blocks(ev):

@@ -449,8 +449,9 @@ def _group_columns(ctx, n, h):
 
 def _w_table(ctx, n):
     """The columns W_n x^mu = (n + gamma) x^mu - sum_a k(a) x^mu o s_a on P_n
-    as one table, with the reflection images of act_on_polynomial (the
-    action of GroupAlgebraElement.apply), not those that build H_n."""
+    as one table, from act_on_polynomial's reflection images.  They share
+    signed_image and substitution_image with H_n's columns, so _verify_H
+    checks lam_n (or the inverted table) against W_n, not two group actions."""
     d = ctx.dimension
     weights = [(n + ctx.gamma, None)] + [(-ka, sidx) for _, ka, sidx in ctx.reflections if ka]
     scale = math.lcm(*(_denominator(w) for w, _ in weights))
@@ -509,6 +510,11 @@ def _columns(ctx: DunklContext, n):
 
 
 _EXACT = (int, Fraction, ComplexRational)
+
+
+def _is_exact_point(x):
+    """Whether x reads the exact table (every coordinate exact) or the rounded one."""
+    return all(isinstance(t, _EXACT) for t in x)
 
 
 def _combination(dim, pairs):
@@ -621,7 +627,7 @@ def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
     Fraction times a float is the rounded Fraction times that float, so no
     Fraction need be built)."""
     d = ctx.dimension
-    rounded = not all(isinstance(t, _EXACT) for t in x)
+    rounded = not _is_exact_point(x)
     terms = {}
     for nu in monomial_basis(d, n):
         val = _vk_monomial(ctx, nu, rounded).evaluate(x)

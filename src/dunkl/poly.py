@@ -11,9 +11,10 @@ which terminate because L^m p = 0 once 2m exceeds deg p, the Fischer pairing
 
     [p, q] = p(d/dx) q |_{x=0},    [x^a, x^b] = delta_ab * a!,
 
-its Gaussian-integral realization, and the associated Hermite polynomials,
-built as products of one-variable probabilists' Hermite polynomials from an
-integer coefficient table.
+its Gaussian-integral realization, the associated Hermite polynomials
+H_nu = e^{-L/2} x^nu / sqrt(nu!), and the one three-term recurrence for the
+values of the one-variable probabilists' Hermite polynomials He_n, from
+which every product prod_j He_{nu_j}(y_j) in the package is taken.
 """
 from __future__ import annotations
 
@@ -368,33 +369,20 @@ def fischer_via_gaussian(p: Polynomial, q: Polynomial):
 
 def hermite(nu) -> Polynomial:
     """H_nu = e^{-Laplacian/2}(x^nu / sqrt(nu!)) as a float polynomial: the
-    integer product prod_j He_{nu_j}(x_j) times the one square root of 1/nu!."""
+    integer coefficients of e^{-Laplacian/2} x^nu times the one square root
+    of 1/nu!."""
     nu = tuple(nu)
     scale = math.sqrt(float(Fraction(1, _multi_factorial(nu))))
-    return _hermite_product(nu, hermite_table(max(nu, default=0)), 1.0) * scale
+    return heat_half(Polynomial.monomial(len(nu), nu)).to_float() * scale
 
 
-def hermite_table(n_max):
-    """table[n][e] = the integer coefficient of z^e in the probabilists'
-    Hermite polynomial He_n, for n <= n_max, from He_0 = 1, He_1 = z and
-    He_{n+1} = z He_n - n He_{n-1}."""
-    table = [[1], [0, 1]]
-    for n in range(1, n_max):
-        nxt = [0] + table[n]
-        for e, c in enumerate(table[n - 1]):
-            nxt[e] -= n * c
-        table.append(nxt)
-    return table[: n_max + 1]
-
-
-def _hermite_product(nu, table, one=1):
-    """e^{-Laplacian/2} x^nu = prod_j He_{nu_j}(x_j), since the half-heat
-    flow factors over the coordinates and sends z^n to He_n(z) in one
-    variable.  The coefficients are integers from the table, times one
-    (1.0 for a float polynomial), so each is rounded at most once."""
-    terms = {(): 1}
-    for e in nu:
-        terms = {
-            key + (f,): c * a for key, c in terms.items() for f, a in enumerate(table[e]) if a
-        }
-    return Polynomial(len(nu), {key: one * c for key, c in terms.items()})
+def hermite_values(z, n):
+    """[He_0(z), ..., He_n(z)], the probabilists' Hermite polynomials at z,
+    from He_{e+1} = z He_e - e He_{e-1}.  z may be an exact or float scalar
+    or a numpy array; He_0 = z**0 takes its type and shape.  Since the
+    half-heat flow factors over the coordinates and sends z^e to He_e(z),
+    e^{-Laplacian/2} x^nu at y is prod_j He_{nu_j}(y_j)."""
+    he = [z**0, z][: n + 1]
+    for e in range(1, n):
+        he.append(z * he[e] - e * he[e - 1])
+    return he

@@ -2,14 +2,14 @@
 
 Everything targets dgamma = (2 pi)^{-d/2} e^{-|z|^2/2} dz, which has unit
 mass and unit variance per axis.  Polynomials are integrated in closed form,
-from the moments and, for Fourier integrals, from Hermite values.  Tensor
-Gauss-Hermite rules remain for other integrands, for export, and as a second
-route in the checks.  Nodes and weights come from the probabilists'
-Gauss-Hermite rule (weight e^{-t^2/2}); the single conversion from the
-classical e^{-t^2} convention happens inside numpy's hermegauss and nowhere
-else.  A tensor rule with q points per axis integrates every monomial with
-per-axis degree <= 2q - 1 exactly, hence every monomial of total degree
-<= 2q - 1.
+from the moments and, for Fourier integrals, from the Hermite values of
+poly.hermite_values.  Tensor Gauss-Hermite rules remain for other
+integrands, for export, and as a second route in the checks.  Nodes and
+weights come from the probabilists' Gauss-Hermite rule (weight e^{-t^2/2});
+the single conversion from the classical e^{-t^2} convention happens inside
+numpy's hermegauss and nowhere else.  A tensor rule with q points per axis
+integrates every monomial with per-axis degree <= 2q - 1 exactly, hence
+every monomial of total degree <= 2q - 1.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .poly import hermite_table
+from .poly import hermite_values
 
 
 _NODE_CAP = 4_000_000
@@ -90,14 +90,13 @@ def fourier_quadrature(p, y):
 
     z^nu contributes (-i)^{|nu|} prod_j He_{nu_j}(y_j) times e^{-|y|^2/2}, since
     z^n e^{-iyz} = (i d/dy)^n e^{-iyz} and (d/dy)^n e^{-y^2/2} =
-    (-1)^n He_n(y) e^{-y^2/2}.  Evaluated in complex floats.
+    (-1)^n He_n(y) e^{-y^2/2}.  Evaluated in complex floats, with He_e(y_j)
+    from poly.hermite_values.
     """
     y = [float(t) for t in y]
-    he = hermite_table(max(p.degree, 0))
     # phased[j][e] = (-i)^e He_e(y_j)
     phased = [
-        [(-1j) ** e * sum(a * t**k for k, a in enumerate(row)) for e, row in enumerate(he)]
-        for t in y
+        [(-1j) ** e * h for e, h in enumerate(hermite_values(t, max(p.degree, 0)))] for t in y
     ]
     total = sum(
         complex(c) * math.prod(row[e] for row, e in zip(phased, nu)) for nu, c in p.terms.items()

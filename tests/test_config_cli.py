@@ -19,8 +19,8 @@ from dunkl.config import (
     polynomial_to_literal,
     save_context,
 )
-from dunkl.exact import ComplexRational
-from dunkl.operators import GroupAlgebraElement
+from dunkl.exact import ComplexRational, scalar_to_json
+from dunkl.operators import DEGREE_CAP, GroupAlgebraElement, solve_H
 from dunkl.poly import Polynomial
 
 
@@ -321,6 +321,10 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
     def with_lambda(n, table):
         return {**cache, "lambdas": {**cache["lambdas"], n: table}}
 
+    # a true lam_n above the cap: it passes the row identity, so only the cap refuses it
+    above = DEGREE_CAP + 1
+    lam_above = solve_H(load_context(ctx_path).ctx, above).coefficients
+
     broken = {
         "tampered": with_lambda("3", ["1/7"] + lam3[1:]),  # a wrong entry
         "truncated": with_lambda("3", lam3[:-1]),  # fewer than |G| entries
@@ -328,6 +332,8 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         "bare": {"lambdas": {}},
         "no_degree": {key: v for key, v in cache.items() if key != "degree"},
         "zero_degree": {**cache, "degree": 0},
+        "lambda_above_cap": with_lambda(str(above), [scalar_to_json(c) for c in lam_above]),
+        "fallback_above_cap": {**cache, "fallback_degrees": [above]},
     }
     for name, data in broken.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))

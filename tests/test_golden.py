@@ -6,7 +6,9 @@ hashes the cache file and the stdout of `build`, `lambda-table`,
 table with each coefficient rounded once (the repr of its sorted terms), the
 values lk_grid reads.  The digests other than the rounded table's were
 recorded from the implementation that stored every table as Fractions, so
-they pin the exact layer's values across changes of storage.
+they pin the exact layer's values across changes of storage.  It also
+hashes the CSV that `kernel-grid` prints for each grid in GRIDS, which pins
+lk_grid's float operations.
 
 Print the digests of the current code with
 
@@ -32,6 +34,27 @@ SYSTEMS = {
     "z21neg": ("configs/z21neg.json", "x1^5 + x1^2", "0.3", "-0.7"),
     "g2": ("configs/g2.json", "x1^2 x2 + x3^3", "0.05,-0.02,0.01", "0.1,0.2,-0.1"),
     "b3": ("bench/ladder/b3.json", "x1^2 x2 x3 + x3^4", "0.02,0.01,-0.01", "0.1,0.2,0.3"),
+}
+
+# name -> kernel-grid argv after the context
+GRIDS = {
+    "b2-degree-14": (
+        "configs/b2.json", "--grid", "x1:0:0.04:0.02,x2:-0.01,y1:-1:1:0.5,y2:0.3", "--tol", "1e-8"
+    ),
+    "b2-degree-30": (
+        "configs/b2.json", "--grid", "x1:-0.1:0.1:0.05,x2:0.05,y1:-1:1:0.5,y2:0.7",
+        "--degree", "30", "--tol", "1e-8",
+    ),
+    "a2-degree-10": (
+        "configs/a2.json", "--grid", "x1:-0.02:0.02:0.02,x2:0.01,y1:-0.5:0.5:0.5,y3:0.3",
+        "--tol", "1e-8",
+    ),
+}
+
+GRID_GOLDEN = {
+    "b2-degree-14": "db6bdce366b08c66ab4e0e7725dda705fa07c3c3f68c87ca8d9c3e256c1a3b06",
+    "b2-degree-30": "f84e24078d83e0732b92ba9f37b83156144a7eb99c1f2807ff1b5e584fb0453b",
+    "a2-degree-10": "d34f81ad45dd7811171e5ecfbaaed5f2f701759770649d200a192d578110749c",
 }
 
 GOLDEN = {
@@ -153,10 +176,23 @@ def test_outputs_match_golden_digests(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
 
 
+def grid_digest(name):
+    config, *argv = GRIDS[name]
+    code, text = _run("kernel-grid", "--context", str(ROOT / config), *argv)
+    assert code == 0, (name, code)
+    return _sha(text)
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_kernel_grid_matches_golden_digest(name):
+    assert grid_digest(name) == GRID_GOLDEN[name]
+
+
 if __name__ == "__main__":
     import json
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         print(json.dumps({name: digests(name, tmp) for name in SYSTEMS}, indent=1))
+    print(json.dumps({name: grid_digest(name) for name in GRIDS}, indent=1))
     sys.exit(0)

@@ -409,7 +409,7 @@ def test_positivity_grid_matches_pointwise(ev_b2):
 )
 def test_lk_grid_blocks_match_termwise_sum(family, k_values, n_trunc, kw):
     # reference: the term-by-term Hermite path, sum over nu of V(x^nu)(x) / nu!
-    # times the tabled He_nu(y), that the per-degree block products replace
+    # times He_nu(y), that the per-degree block products replace
     ev = make_ev(family, k_values, n_trunc, **kw)
     d = ev.dimension
     rng = np.random.default_rng(4)
@@ -448,7 +448,7 @@ def test_float_tables_match_exact_through_fallback_degree():
     ev = make_ev("Z2^d", Fraction(-1), 6, d=1)
     assert ev.ctx.fallback_degrees == [2]
     x = (0.7,)
-    for nu in ev.heat_mono:
+    for nu in (nu for n in range(ev.n_trunc + 1) for nu in monomial_basis(1, n)):
         a = _vk_monomial(ev.ctx, nu, rounded=True).evaluate(x)
         assert abs(a - _vk_monomial(ev.ctx, nu).evaluate(_rational(x))) <= 1e-12
     _assert_float_points_agree(ev, x, (-0.45,), 1e-12)
@@ -463,23 +463,35 @@ def _assert_float_points_agree(ev, x, y, tol):
     """Both kernel paths, lk_grid, both functional-norm routes and the Fourier
     check give the same numbers at the float points x, y as at the same
     points taken as rationals, where they are exact up to the final float
-    conversion.  The rational side runs on a second evaluator over the same
-    table: a Fraction equals and hashes like the float it came from, so on
-    one evaluator the float calls would read the exact cached heat images."""
+    conversion.  Both sides run on the one evaluator, whose caches keep exact
+    and float points apart."""
     xq, yq = _rational(x), _rational(y)
-    evq = make_evaluator(ev.ctx, ev.n_trunc)
     for path in (lk_series_value, hermite_path):
-        exact = path(evq, xq, yq)
+        exact = path(ev, xq, yq)
         assert isinstance(exact, (Fraction, ComplexRational))
         value = path(ev, x, y)
         assert isinstance(value, (float, complex))
         assert abs(value - complex(exact)) < tol
-    assert abs(lk_grid(ev, [x], [y])[0, 0] - complex(lk_series_value(evq, xq, yq))) < tol
-    for a, b in zip(phi_x_norm(ev, x), phi_x_norm(evq, xq)):
+    assert abs(lk_grid(ev, [x], [y])[0, 0] - complex(lk_series_value(ev, xq, yq))) < tol
+    for a, b in zip(phi_x_norm(ev, x), phi_x_norm(ev, xq)):
         assert abs(a - b) < tol
-    fa, fb = fourier_check(ev, x, y), fourier_check(evq, xq, yq)
+    fa, fb = fourier_check(ev, x, y), fourier_check(ev, xq, yq)
     for side in ("plus", "minus"):
         assert abs(fa[side] - fb[side]) < tol
+
+
+def test_exact_and_float_queries_at_one_point_keep_their_types(ev_b2):
+    # Fraction(0.35) == 0.35 and the two hash alike; the caches must still
+    # return exact coefficients at the rational point and floats at the float
+    # one, in either order of the queries
+    x = (0.35, -0.6)
+    xq = _rational(x)
+    for first, second in ((xq, x), (x, xq)):
+        ev = make_evaluator(ev_b2.ctx, 6)
+        for point in (first, second):
+            want = (Fraction, ComplexRational) if point is xq else (float, complex)
+            for p in [heat_image(ev, n, point) for n in range(7)] + [lk_polynomial(ev, point)]:
+                assert p.terms and all(isinstance(c, want) for c in p.terms.values())
 
 
 def test_lk_polynomial_is_truncated_kernel(ev_b2):

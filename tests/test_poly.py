@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from dunkl.poly import (
     Polynomial,
-    _hermite_product,
     directional_derivative,
     fischer,
     fischer_via_gaussian,
     heat_half,
     hermite,
-    hermite_table,
+    hermite_values,
     inverse_heat_half,
 )
 from dunkl.operators import monomial_basis
@@ -166,15 +165,37 @@ def test_hermite_examples():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_hermite_product_is_heat_half_of_monomial(d):
-    # every degree to 30, up to a dozen monomials of each
-    table = hermite_table(30)
+    # prod_j He_{nu_j}(y_j) from hermite_values is e^{-Laplacian/2} x^nu at y,
+    # exactly at a rational y, for every degree to 30 (up to a dozen monomials
+    # of each); float, complex and array inputs agree within roundoff of the
+    # term sizes
+    import numpy as np
+
+    y = (Fraction(5, 2), Fraction(-7, 3), Fraction(0), Fraction(1))[:d]
+    he = [hermite_values(t, 30) for t in y]
+    assert hermite_values(y[0], 0) == [1] and isinstance(he[0][0], Fraction)
+    assert all(len(h) == 31 and h[1] == t for h, t in zip(he, y))
     for n in range(31):
         basis = monomial_basis(d, n)
         for nu in basis[:: max(1, len(basis) // 12)]:
-            exact = _hermite_product(nu, table)
-            assert exact == heat_half(Polynomial.monomial(d, nu)), nu
-            floats = _hermite_product(nu, table, 1.0)
-            assert floats.terms == {mu: float(c) for mu, c in exact.terms.items()}
+            want = heat_half(Polynomial.monomial(d, nu)).evaluate(y)
+            assert math.prod(h[e] for h, e in zip(he, nu)) == want, nu
+    heat = [heat_half(Polynomial.monomial(1, (n,))) for n in range(31)]
+    # the coefficient identity He_n = e^{-Laplacian/2} x^n, every n <= 30
+    x = Polynomial.monomial(1, (1,))
+    assert hermite_values(x, 30) == heat
+    arr = hermite_values(np.array([[float(t) for t in y]]), 30)
+    assert arr[0].shape == (1, d) and (arr[0] == 1.0).all()
+    for j, t in enumerate(y):
+        w = complex(float(t), 0.5)  # |w| >= |t|, so the tolerance covers both
+        floats, complexes, at_w = (hermite_values(z, 30) for z in (float(t), complex(t), w))
+        for n, h in enumerate(heat):
+            size = sum(abs(c) * abs(w) ** mu[0] for mu, c in h.terms.items())
+            tol = 1e-13 * max(1.0, float(size))
+            want = float(he[j][n])
+            assert abs(floats[n] - want) <= tol and abs(complexes[n] - want) <= tol, (t, n)
+            assert abs(arr[n][0, j] - want) <= tol, (t, n)
+            assert abs(at_w[n] - h.to_float().evaluate((w,))) <= tol, (t, n)
 
 
 def test_hermite_gram_identity_to_degree_five():
