@@ -3,9 +3,11 @@
 Every quantity in the exact layer is a ``Fraction`` or a ``ComplexRational``
 (a pair of Fractions).  Mixing with floats or python complex numbers is the
 one-way door to the floating layer: the result is a plain float/complex.
+Long exact sums run on integer numerators over one denominator instead.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -134,6 +136,115 @@ class ComplexRational:
 
     def __repr__(self):
         return f"ComplexRational({self.re!r}, {self.im!r})"
+
+
+_EXACT = (int, Fraction, ComplexRational)
+
+
+def _all_exact(values):
+    """Whether every value is an exact scalar (int, Fraction or ComplexRational)."""
+    return all(isinstance(c, _EXACT) for c in values)
+
+
+# -- integer numerators --------------------------------------------------------
+
+
+class _Gaussian:
+    """An exact complex integer re + i im: a numerator for a complex value."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        if isinstance(other, _Gaussian):
+            return _Gaussian(self.re + other.re, self.im + other.im)
+        return _Gaussian(self.re + other, self.im)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, _Gaussian):
+            return _Gaussian(
+                self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+            )
+        return _Gaussian(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, k):
+        return _Gaussian(self.re // k, self.im // k)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, _Gaussian):
+            return self.re == other.re and self.im == other.im
+        return self.im == 0 and self.re == other
+
+
+def _denominator(c):
+    """The least positive integer that makes the exact scalar c integral."""
+    if isinstance(c, ComplexRational):
+        return math.lcm(c.re.denominator, c.im.denominator)
+    return c.denominator
+
+
+def _numerator(c, den):
+    """c * den for an exact scalar c that den makes integral: an int, or a
+    _Gaussian for a ComplexRational."""
+    if isinstance(c, ComplexRational):
+        return _Gaussian(
+            c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
+        )
+    return c.numerator * (den // c.denominator)
+
+
+def _numerators(terms, den):
+    return {mu: _numerator(c, den) for mu, c in terms.items()}
+
+
+def _exact_table(terms):
+    """Exact coefficients {mu: c} as (numerators, den) over their least
+    common denominator."""
+    den = math.lcm(*(_denominator(c) for c in terms.values()))
+    return _numerators(terms, den), den
+
+
+def _exact_value(num, den):
+    """num / den as a Fraction or ComplexRational."""
+    if isinstance(num, _Gaussian):
+        return ComplexRational(Fraction(num.re, den), Fraction(num.im, den))
+    return Fraction(num, den)
+
+
+def _table_value(table, point):
+    """sum_nu nums[nu] / den point^nu for table = (nums, den) at an exact
+    point, in integers: with point = a / q over one q and D the top degree,
+    sum_nu nums[nu] a^nu q^(D - |nu|) over den q^D, the degrees joined by
+    Horner's rule in q.  A ComplexRational if anything complex enters."""
+    nums, den = table
+    q = math.lcm(*(_denominator(t) for t in point))
+    a = [_numerator(t, q) for t in point]
+    powers = [[1] for _ in a]
+    sums = {}
+    for nu, c in nums.items():
+        for i, e in enumerate(nu):
+            if e:
+                ps = powers[i]
+                while len(ps) <= e:
+                    ps.append(ps[-1] * a[i])
+                c = c * ps[e]
+        m = sum(nu)
+        sums[m] = sums[m] + c if m in sums else c
+    top = max(sums, default=0)
+    total = 0
+    for m in range(top + 1):
+        total = total * q + sums.get(m, 0)
+    return _exact_value(total, den * q**top)
 
 
 def abs_squared(c):

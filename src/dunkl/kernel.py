@@ -44,12 +44,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import abs_squared
+from .exact import _all_exact, abs_squared
 from .operators import (
     DunklContext,
     TruncationError,
-    _EXACT,
-    _is_exact_point,
     _norm,
     _recurrence_tail,
     _vk_monomial,
@@ -121,7 +119,7 @@ def _point_key(x):
     """A cache key for the point x that tells an exact point from a float one
     (Fraction(0.35) == 0.35 and the two hash alike), by the test with which
     homogeneous_kernel picks the exact or the rounded table."""
-    return tuple(x), _is_exact_point(x)
+    return tuple(x), _all_exact(x)
 
 
 # -- the two evaluation paths ---------------------------------------------------
@@ -431,7 +429,7 @@ def _polys_match(a, b):
     """a == b exactly when every coefficient of a - b is exact, else within
     1e-9 per coefficient: heat images at float points carry roundoff."""
     diff = a - b
-    if all(isinstance(c, _EXACT) for c in diff.terms.values()):
+    if _all_exact(diff.terms.values()):
         return not diff
     return all(abs(complex(c)) <= 1e-9 for c in diff.terms.values())
 

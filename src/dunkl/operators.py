@@ -40,12 +40,12 @@ controlled by the growth envelope u = delta_hat |G| |x| (growth_envelope).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import ComplexRational, SingularMatrixError, invert_matrix, solve_columns
+from .exact import SingularMatrixError, _all_exact, _denominator, _exact_table, _exact_value
+from .exact import _Gaussian, _numerator, _numerators, _table_value, invert_matrix, solve_columns
 from .poly import Polynomial, _multi_factorial, combination, directional_derivative
 from .reflection_groups import (
     MultiplicityFunction,
@@ -53,6 +53,7 @@ from .reflection_groups import (
     ReflectionGroup,
     act_on_polynomial,
     dot,
+    mat_vec,
     reflection_matrix,
     signed_image,
     substitution_image,
@@ -292,72 +293,8 @@ def solves_row_identity(ctx: DunklContext, n, coefficients) -> bool:
 # The columns of a linear map on P_n (W_n, H_n, V^{-1}) are one table per
 # degree, ({nu: numerators of M x^nu}, den), and each V(x^nu) is a table of
 # its own.  Polynomials are made only at the boundary (_polynomial), with
-# Fraction or ComplexRational coefficients.
-
-
-class _Gaussian:
-    """An exact complex integer re + i im: a numerator for a complex weight."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other):
-        if isinstance(other, _Gaussian):
-            return _Gaussian(self.re + other.re, self.im + other.im)
-        return _Gaussian(self.re + other, self.im)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, _Gaussian):
-            return _Gaussian(
-                self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
-            )
-        return _Gaussian(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, k):
-        return _Gaussian(self.re // k, self.im // k)
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, _Gaussian):
-            return self.re == other.re and self.im == other.im
-        return self.im == 0 and self.re == other
-
-
-def _denominator(c):
-    """The least positive integer that makes the exact scalar c integral."""
-    if isinstance(c, ComplexRational):
-        return math.lcm(c.re.denominator, c.im.denominator)
-    return c.denominator
-
-
-def _numerator(c, den):
-    """c * den for an exact scalar c that den makes integral: an int, or a
-    _Gaussian for a ComplexRational."""
-    if isinstance(c, ComplexRational):
-        return _Gaussian(
-            c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
-        )
-    return c.numerator * (den // c.denominator)
-
-
-def _numerators(terms, den):
-    return {mu: _numerator(c, den) for mu, c in terms.items()}
-
-
-def _exact_value(num, den):
-    """num / den as a Fraction or ComplexRational."""
-    if isinstance(num, _Gaussian):
-        return ComplexRational(Fraction(num.re, den), Fraction(num.im, den))
-    return Fraction(num, den)
+# Fraction or ComplexRational coefficients, and a table is evaluated at an
+# exact point in integers (exact._table_value).
 
 
 def _rounded_value(num, den):
@@ -416,17 +353,11 @@ def _over_one_denominator(basis, tables):
     }, den
 
 
-def _exact_table(p: Polynomial):
-    """The exact polynomial p as a table over the least common denominator."""
-    den = math.lcm(*(_denominator(c) for c in p.terms.values()))
-    return _numerators(p.terms, den), den
-
-
 def _monomial_image(group, g, nu):
     """x^nu o g as a table: one +-1 monomial for a signed permutation, the
     cached substitution image scaled to integers for G2."""
     if group.signed_permutations is None:
-        return _exact_table(substitution_image(group, g, nu))
+        return _exact_table(substitution_image(group, g, nu).terms)
     mu, negative = signed_image(group, g, nu)
     return {mu: -1 if negative else 1}, 1
 
@@ -461,7 +392,7 @@ def _w_table(ctx, n):
         mono = Polynomial.monomial(d, mu)
         nums, den = _combine(
             (_numerator(w, scale), ({mu: 1}, 1) if sidx is None
-             else _exact_table(act_on_polynomial(ctx.group, sidx, mono)))
+             else _exact_table(act_on_polynomial(ctx.group, sidx, mono).terms))
             for w, sidx in weights
         )
         images.append((nums, den * scale))
@@ -509,21 +440,13 @@ def _columns(ctx: DunklContext, n):
     return table
 
 
-_EXACT = (int, Fraction, ComplexRational)
-
-
-def _is_exact_point(x):
-    """Whether x reads the exact table (every coordinate exact) or the rounded one."""
-    return all(isinstance(t, _EXACT) for t in x)
-
-
 def _combination(dim, pairs):
     """sum of c * table over the (table, scalar c) pairs, as a Polynomial:
     in integers over one denominator when every c is exact, else term by
     term on the rounded coefficients, which is what the exact coefficients
     times a float give."""
     pairs = list(pairs)
-    if not all(isinstance(c, _EXACT) for _, c in pairs):
+    if not _all_exact(c for _, c in pairs):
         return combination(dim, ((_polynomial(dim, t, rounded=True), c) for t, c in pairs))
     weighted = []
     for (nums, den), c in pairs:
@@ -622,15 +545,16 @@ def estimate_delta(ctx: DunklContext, n_max) -> float:
 # -- homogeneous kernel pieces and the generalized exponential -------------------------
 
 def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
-    """E_n(x, .) as a polynomial in y for fixed numeric x: exact at an exact
-    x, and read from the rounded table at an x with a float coordinate (a
-    Fraction times a float is the rounded Fraction times that float, so no
-    Fraction need be built)."""
+    """E_n(x, .) as a polynomial in y for fixed numeric x: each V(x^nu)(x)
+    summed in integers from its table at an exact x, and read from the
+    rounded table at an x with a float coordinate (a Fraction times a float
+    is the rounded Fraction times that float, so no Fraction need be built)."""
     d = ctx.dimension
-    rounded = not _is_exact_point(x)
+    exact = _all_exact(x)
     terms = {}
     for nu in monomial_basis(d, n):
-        val = _vk_monomial(ctx, nu, rounded).evaluate(x)
+        table = _vk_table(ctx, nu)
+        val = _table_value(table, x) if exact else _polynomial(d, table, rounded=True).evaluate(x)
         if val:
             terms[nu] = val * Fraction(1, _multi_factorial(nu))
     return Polynomial(d, terms)
@@ -650,7 +574,7 @@ def homogeneous_kernel_bivariate(ctx: DunklContext, n) -> Polynomial:
 
 
 def en_expansion_oracle(ctx: DunklContext, n, x) -> Polynomial:
-    """Brute-force E_n(x, .) from the |G|^n product expansion.
+    """E_n(x, .) from the lam tables alone, by the product expansion.
 
     Unrolling the degree recursion gives
 
@@ -660,44 +584,36 @@ def en_expansion_oracle(ctx: DunklContext, n, x) -> Polynomial:
     where the factor at position i carries the degree-i coefficient table
     (the innermost inverse applied is H_n, whose element right-multiplies
     onto x and so appears in every pairing).  The coefficient product obeys
-    |prod lam_i(g_i)| <= delta^n / n!.  Exponential in n; intended as a
-    cross-check for n <= 3 on small groups.
+    |prod lam_i(g_i)| <= delta^n / n!.  The tuples are summed by the suffix
+    recursion E_m(v, .) = sum_g lam_m(g) <g v, .> E_{m-1}(g v, .), E_0 = 1,
+    memoised on (m, v) with v in the orbit of x: O(n |G|^2) polynomial
+    products, not |G|^n.  It reads no V table and no column of H_n.
     """
     d = ctx.dimension
     group = ctx.group
-    if n == 0:
-        return Polynomial.constant(d, Fraction(1))
     tables = []
     for i in range(1, n + 1):
         h = solve_H(ctx, i)
         if h is None:
             raise ValueError("expansion oracle needs the group-algebra realization")
         tables.append(h.coefficients)
-    out = Polynomial.zero(d)
-    from .reflection_groups import mat_vec
+    units = monomial_basis(d, 1)
+    memo = {}
 
-    for combo in itertools.product(range(group.order), repeat=n):
-        coeff = 1
-        for i, gi in enumerate(combo):
-            coeff = coeff * tables[i][gi]
-        if not coeff:
-            continue
-        prod = Polynomial.constant(d, 1)
-        vec = tuple(x)
-        # suffix products g_i ... g_n applied to x, built right to left
-        for gi in reversed(combo):
-            vec = mat_vec(group.elements[gi], vec)
-            linear = Polynomial(
-                d,
-                {
-                    tuple(1 if l == j else 0 for l in range(d)): vec[j]
-                    for j in range(d)
-                    if vec[j]
-                },
-            )
-            prod = prod * linear
-        out = out + prod * coeff
-    return out
+    def expansion(m, v):
+        if m == 0:
+            return Polynomial.constant(d, Fraction(1))
+        if (m, v) not in memo:
+            pairs = []
+            for g, lam in enumerate(tables[m - 1]):
+                if lam:
+                    gv = mat_vec(group.elements[g], v)
+                    linear = Polynomial(d, dict(zip(units, gv)))  # <g v, .>
+                    pairs.append((linear * expansion(m - 1, gv), lam))
+            memo[m, v] = combination(d, pairs)
+        return memo[m, v]
+
+    return expansion(n, tuple(x))
 
 
 @dataclass(frozen=True)

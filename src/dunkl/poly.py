@@ -2,12 +2,14 @@
 
 Polynomials are stored as a map from exponent multi-indices to coefficients
 (Fraction / ComplexRational in the exact layer, float / complex in the
-floating layer); zero coefficients are never stored.  On top of the ring
-operations this module provides the half-heat operators
+floating layer); zero coefficients are never stored.  Exact coefficients
+at an exact point are evaluated in integers over one denominator.  On top of
+the ring operations this module provides the half-heat operators
 
-    e^{-L/2} p = sum_m (-1)^m L^m p / (2^m m!)        (L = Laplacian)
+    e^{-L/2} p = sum_m (-1)^m L^m p / (2^m m!)        (L = Laplacian),
 
-which terminate because L^m p = 0 once 2m exceeds deg p, the Fischer pairing
+taken in closed form monomial by monomial (the flow factors over the
+coordinates with integer coefficients on each), the Fischer pairing
 
     [p, q] = p(d/dx) q |_{x=0},    [x^a, x^b] = delta_ab * a!,
 
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .exact import _all_exact, _exact_table, _exact_value, _table_value
 
 
 def _multi_factorial(nu):
@@ -223,9 +227,14 @@ class Polynomial:
         return out
 
     def evaluate(self, point):
-        """Plain substitution; bilinear in complex arguments (no conjugation)."""
+        """Plain substitution; bilinear in complex arguments (no conjugation).
+        Exact coefficients at an exact point are summed in integers over one
+        denominator (exact._table_value), to a Fraction or ComplexRational;
+        any float coefficient or coordinate makes it a float sum."""
         if len(point) != self.dim:
             raise ValueError("point has wrong dimension")
+        if _all_exact(point) and _all_exact(self.terms.values()):
+            return _table_value(_exact_table(self.terms), point)
         max_exp = [0] * self.dim
         for nu in self.terms:
             for i, e in enumerate(nu):
@@ -323,17 +332,26 @@ def directional_derivative(xi, p: Polynomial) -> Polynomial:
 
 
 def _heat(p: Polynomial, sign: int) -> Polynomial:
-    out = p
-    power = p
-    m = 0
-    while power:
-        m += 1
-        power = power.laplacian()
-        if not power:
-            break
-        coeff = Fraction(sign**m, 2**m * math.factorial(m))
-        out = out + power * coeff
-    return out
+    """e^{sign Laplacian/2} p in closed form: the flow factors over the
+    coordinates and maps x^e to sum_k sign^k e!/(k!(e-2k)!2^k) x^(e-2k), an
+    integer row, applied to the numerators of exact coefficients over their
+    common denominator, or to float and complex coefficients as they are."""
+    exact = _all_exact(p.terms.values())
+    terms, den = _exact_table(p.terms) if exact else (p.terms, 1)
+    rows = [[1], [1]]  # rows[e][k] = sign^k e! / (k! (e-2k)! 2^k), k <= e/2
+    for e in range(2, p.degree + 1):
+        rows.append([1] + [sign * b * e * (e - 1) // (2 * k) for k, b in enumerate(rows[e - 2], 1)])
+    out = {}
+    for nu, c in terms.items():
+        parts = [((), 1)]
+        for e in nu:
+            parts = [(mu + (e - 2 * k,), a * b) for mu, a in parts for k, b in enumerate(rows[e])]
+        for mu, b in parts:
+            prev = out.get(mu)
+            out[mu] = c * b if prev is None else prev + c * b
+    if exact:
+        out = {mu: _exact_value(c, den) for mu, c in out.items()}
+    return Polynomial(p.dim, out)
 
 
 def heat_half(p: Polynomial) -> Polynomial:

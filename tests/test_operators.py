@@ -1,6 +1,9 @@
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -499,11 +502,43 @@ def test_en_bivariate_symmetric(b2):
         assert biv == swapped
 
 
-def test_en_expansion_oracle_matches(b2, z21):
-    for ctx, d in ((z21, 1), (b2, 2)):
-        x = tuple(Fraction(1, 2) for _ in range(d))
+def _en_product_loop(ctx, n, x):
+    """E_n(x, .) by the sum over every tuple (g_1..g_n) of
+    prod_i lam_i(g_i) prod_i <g_i ... g_n x, .>: |G|^n products."""
+    d = ctx.dimension
+    group = ctx.group
+    tables = [solve_H(ctx, i).coefficients for i in range(1, n + 1)]
+    out = Polynomial.constant(d, Fraction(1)) if n == 0 else Polynomial.zero(d)
+    for combo in itertools.product(range(group.order), repeat=n) if n else ():
+        coeff = 1
+        for i, gi in enumerate(combo):
+            coeff = coeff * tables[i][gi]
+        if not coeff:
+            continue
+        prod = Polynomial.constant(d, 1)
+        vec = tuple(x)
+        for gi in reversed(combo):  # suffix products g_i ... g_n x, right to left
+            vec = mat_vec(group.elements[gi], vec)
+            prod = prod * Polynomial(
+                d, {tuple(1 if l == j else 0 for l in range(d)): vec[j] for j in range(d)}
+            )
+        out = out + prod * coeff
+    return out
+
+
+def test_en_expansion_oracle_matches(b2, z21, a2):
+    # the suffix recursion sums the same |G|^n products as the tuple loop,
+    # on real weights and on the complex weight of configs/b2c.json
+    config = Path(__file__).resolve().parents[1] / "configs" / "b2c.json"
+    b2c = build_bundle(json.loads(config.read_text())).ctx
+    points = {1: (Fraction(1, 2),), 2: (Fraction(1, 2), Fraction(-2, 3)),
+              3: (Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4))}
+    for ctx in (z21, b2, a2, b2c):
+        x = points[ctx.dimension]
         for n in range(0, 4):
-            assert en_expansion_oracle(ctx, n, x) == homogeneous_kernel(ctx, n, x)
+            oracle = en_expansion_oracle(ctx, n, x)
+            assert oracle == _en_product_loop(ctx, n, x), (ctx.group.order, n)
+            assert oracle == homogeneous_kernel(ctx, n, x), (ctx.group.order, n)
 
 
 def test_vk_as_fischer_coefficient(b2):

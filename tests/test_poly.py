@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from dunkl.poly import (
     hermite_values,
     inverse_heat_half,
 )
+from dunkl.exact import ComplexRational
 from dunkl.operators import monomial_basis
 from dunkl.quad import gauss_rule
 
@@ -66,6 +68,73 @@ def test_laplacian_examples():
     xi = (Fraction(2), Fraction(-3))
     form = xi[0] * x1 + xi[1] * x2
     assert (form * form).laplacian() == Polynomial.constant(2, 2 * (4 + 9))
+
+
+def _heat_by_laplacians(p, sign):
+    """e^{sign Laplacian/2} p = sum_m sign^m Laplacian^m p / (2^m m!), with
+    the Laplacian applied again for each m: the reference for heat_half and
+    inverse_heat_half."""
+    out = p
+    power = p
+    m = 0
+    while power:
+        m += 1
+        power = power.laplacian()
+        if not power:
+            break
+        coeff = Fraction(sign**m, 2**m * math.factorial(m))
+        out = out + power * coeff
+    return out
+
+
+def _random_terms(rng, d, draw, max_degree, size):
+    """Up to size terms of mixed total degree <= max_degree."""
+    terms = {}
+    for _ in range(size):
+        nu = [0] * d
+        for _ in range(rng.randint(0, max_degree)):
+            nu[rng.randrange(d)] += 1
+        terms[tuple(nu)] = draw()
+    return terms
+
+
+def _draws(rng):
+    return {
+        "int": lambda: rng.randint(-9, 9),
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        "complex-rational": lambda: ComplexRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+        ),
+        "float": lambda: rng.uniform(-9.0, 9.0),
+        "complex": lambda: complex(rng.uniform(-9.0, 9.0), rng.uniform(-9.0, 9.0)),
+    }
+
+
+def test_heat_matches_repeated_laplacians():
+    # the closed-form flow against the Laplacian loop: exactly and exact on
+    # exact coefficients; float ones stay float, within 1e-13 of the sum of
+    # |c b| that forms each coefficient (the flow of |p| with sign +1)
+    rng = random.Random(7)
+    for kind, draw in _draws(rng).items():
+        exact = kind in ("int", "fraction", "complex-rational")
+        for trial in range(8):
+            d = 1 + trial % 3
+            p = Polynomial(d, _random_terms(rng, d, draw, 10, 6))
+            if trial < 2:
+                p = Polynomial.zero(d) if trial == 0 else Polynomial.constant(d, draw())
+            for flow, sign in ((heat_half, -1), (inverse_heat_half, 1)):
+                got, want = flow(p), _heat_by_laplacians(p, sign)
+                if exact:
+                    assert got == want, (kind, p)
+                    exact_types = (Fraction, ComplexRational)
+                    assert all(isinstance(c, exact_types) for c in got.terms.values())
+                    continue
+                size = _heat_by_laplacians(p.map_coefficients(abs), 1).terms
+                for mu in set(got.terms) | set(want.terms):
+                    assert abs(got.terms.get(mu, 0) - want.terms.get(mu, 0)) <= 1e-13 * size[mu]
+                scalar = float if kind == "float" else complex
+                assert all(type(c) is scalar for c in got.terms.values()), kind
 
 
 def test_heat_examples():
@@ -211,12 +280,55 @@ def test_hermite_gram_identity_to_degree_five():
     assert float(np.max(np.abs(gram - np.eye(len(hs))))) < 1e-10
 
 
+def _horner(terms, point):
+    """sum c x^nu by Horner's rule in the first coordinate, recursively, in
+    plain Fraction and ComplexRational arithmetic: the reference for exact
+    evaluation."""
+    if not point:
+        return sum(terms.values(), Fraction(0))
+    by_exponent = {}
+    for nu, c in terms.items():
+        by_exponent.setdefault(nu[0], {})[nu[1:]] = c
+    total = Fraction(0)
+    for e in range(max(by_exponent, default=0), -1, -1):
+        total = total * point[0] + _horner(by_exponent.get(e, {}), point[1:])
+    return total
+
+
 def test_evaluate_examples():
     x1, x2 = var(2, 0), var(2, 1)
     assert (x1 * x2).evaluate((2, 3)) == 6
     p = x1 * x1 + 5
     assert p.evaluate((0, 0)) == 5
     assert var(1, 0).__pow__(2).evaluate((1j,)) == -1  # bilinear, no conjugation
+    got = (x1 * x2 + x2).evaluate((ComplexRational(1, 2), Fraction(1, 3)))
+    assert type(got) is ComplexRational and got == ComplexRational(Fraction(2, 3), Fraction(2, 3))
+    # exact coefficients at exact points, summed in integers, against the
+    # Horner reference: value and type (ComplexRational when a coefficient
+    # is, else Fraction, also for int coefficients at an int point)
+    rng = random.Random(5)
+    points = {
+        1: [(0,), (-3,), (Fraction(-7, 4),)],
+        2: [(3, -2), (Fraction(-1, 3), Fraction(5, 4)), (Fraction(7, 6), -1)],
+        3: [
+            (2, 0, -1),
+            (Fraction(-2, 9), 3, Fraction(5, 6)),
+            (Fraction(1, 8), Fraction(-3, 10), Fraction(4, 7)),
+        ],
+    }
+    for kind, draw in _draws(rng).items():
+        if kind in ("float", "complex"):
+            continue
+        for trial in range(12):
+            d = 1 + trial % 3
+            p = Polynomial(d, _random_terms(rng, d, draw, 9, 7))
+            if trial < 3:
+                p = Polynomial.zero(d) if trial == 0 else Polynomial.constant(d, draw())
+            complex_coeff = any(isinstance(c, ComplexRational) for c in p.terms.values())
+            for x in points[d]:
+                got = p.evaluate(x)
+                assert got == _horner(p.terms, x), (p, x)
+                assert type(got) is (ComplexRational if complex_coeff else Fraction), (p, x)
 
 
 def test_substitute_linear():
