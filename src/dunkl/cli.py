@@ -122,10 +122,10 @@ def cmd_lambda_table(args) -> int:
     bundle.ctx.prepare(degree)
     lines = ["n,element,re,im"]
     for n in range(1, degree + 1):
-        h = bundle.ctx.h_cache[n]
-        if h is None:
+        lam = bundle.ctx.h_cache[n]
+        if lam is None:
             continue
-        for idx, c in enumerate(h.coefficients):
+        for idx, c in enumerate(lam):
             lines.append(
                 f"{n},{idx},{_fmt(float(real_part(c)))},{_fmt(float(imag_part(c)))}"
             )

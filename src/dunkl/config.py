@@ -25,10 +25,9 @@ from .exact import (
 from .operators import (
     DEGREE_CAP,
     DunklContext,
-    GroupAlgebraElement,
+    _class_solve,
     estimate_delta,
     make_context,
-    solve_H,
     solves_row_identity,
 )
 from .poly import Polynomial
@@ -147,9 +146,9 @@ def load_config(path) -> dict:
 def save_context(bundle: ContextBundle, path):
     ctx = bundle.ctx
     lambdas = {}
-    for n, h in sorted(ctx.h_cache.items()):
-        if h is not None:
-            lambdas[str(n)] = [scalar_to_json(c) for c in h.coefficients]
+    for n, lam in sorted(ctx.h_cache.items()):
+        if lam is not None:
+            lambdas[str(n)] = [scalar_to_json(c) for c in lam]
     payload = {
         "config": bundle.config,
         "degree": ctx.prepared_to,
@@ -171,9 +170,12 @@ def load_context(path) -> ContextBundle:
 
     A cache must carry its config, group order, degree and lambda tables,
     every degree, lambda key and fallback degree in 1..DEGREE_CAP, each
-    lam_n with one entry per group element, constant on conjugacy
+    degree in 1..degree a lambda key or a fallback degree and none both,
+    each lam_n with one entry per group element, constant on conjugacy
     classes, that satisfies the row identity of solve_H exactly at one
-    element per class; anything else raises ConfigError.
+    element per class, and a singular class system at each fallback degree;
+    anything else raises ConfigError.  No H_n table is built here: solve_H
+    builds each on first use.
     """
     data = load_config(path)
     if not isinstance(data, dict) or "lambdas" not in data:
@@ -209,11 +211,15 @@ def load_context(path) -> ContextBundle:
             raise ConfigError(
                 f"cached lambda_{n} is not a class function inverting (n + gamma) e - a"
             )
-        ctx.h_cache[n] = GroupAlgebraElement(tuple(coeffs))
+        ctx.h_cache[n] = tuple(coeffs)
     if any(not 1 <= n <= DEGREE_CAP for n in fallback):
         raise ConfigError(f"cached fallback degrees {fallback} are not all in 1..{DEGREE_CAP}")
-    for n in fallback:
-        solve_H(ctx, n)
+    for n in sorted(set(range(1, degree + 1)) | set(fallback)):
+        if (n in tables) == (n in fallback) or n in fallback and _class_solve(ctx, n) is not None:
+            raise ConfigError(
+                f"cached degree {n} needs lambda_{n} or, where there is none, a fallback listing"
+            )
+    ctx.h_cache.update(dict.fromkeys(fallback))
     estimate_delta(ctx, degree)
     ctx.prepared_to = degree
     bundle.degree = degree

@@ -1,4 +1,5 @@
-"""Exact scalar layer: complex rationals and dense linear solves over them.
+"""Exact scalar layer: complex rationals, integer numerators, and
+fraction-free linear solves on them.
 
 Every quantity in the exact layer is a ``Fraction`` or a ``ComplexRational``
 (a pair of Fractions).  Mixing with floats or python complex numbers is the
@@ -174,7 +175,16 @@ class _Gaussian:
 
     __rmul__ = __mul__
 
+    def __sub__(self, other):
+        return _Gaussian(self.re - other.re, self.im - other.im)
+
     def __floordiv__(self, k):
+        """self / k for an int or _Gaussian k that divides self exactly."""
+        if isinstance(k, _Gaussian):
+            norm = k.re * k.re + k.im * k.im
+            return _Gaussian(
+                (self.re * k.re + self.im * k.im) // norm, (self.im * k.re - self.re * k.im) // norm
+            )
         return _Gaussian(self.re // k, self.im // k)
 
     def __bool__(self):
@@ -203,15 +213,11 @@ def _numerator(c, den):
     return c.numerator * (den // c.denominator)
 
 
-def _numerators(terms, den):
-    return {mu: _numerator(c, den) for mu, c in terms.items()}
-
-
 def _exact_table(terms):
     """Exact coefficients {mu: c} as (numerators, den) over their least
     common denominator."""
     den = math.lcm(*(_denominator(c) for c in terms.values()))
-    return _numerators(terms, den), den
+    return {mu: _numerator(c, den) for mu, c in terms.items()}, den
 
 
 def _exact_value(num, den):
@@ -333,50 +339,46 @@ class SingularMatrixError(ValueError):
 
 
 def solve_columns(matrix, rhs_columns):
-    """Solve A x = b for several right-hand sides by Gaussian elimination.
-
-    ``matrix`` is a list of rows, ``rhs_columns`` a list of columns; entries
-    may be Fraction, ComplexRational, float or complex.  Pivots are chosen by
-    largest absolute value, which is exact-safe and float-stable at the sizes
-    used here: the class solve of operators.solve_H is #classes square (13 on
-    D4, 64 on Z2^6), and the dense inverses of W_n and V are dim P_n square.
+    """Solve A x = b for several right-hand sides by fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) on int or
+    _Gaussian entries: each step sets every entry a off the pivot row to
+    (p a - f b) / p', p the pivot, f and b the entries of a's row and column
+    in the pivot column and row, p' the pivot before; the division is exact.
+    ``matrix`` is a list of rows, ``rhs_columns`` a list of columns.
+    Returns (columns, den): the solutions as integer numerators over one
+    positive den, the last pivot (+-det A; a Gaussian one is cleared by its
+    conjugate), not necessarily in lowest terms.  Raises SingularMatrixError
+    when A is singular.
     """
     n = len(matrix)
-    m = len(rhs_columns)
     aug = [list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(n)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if not _nonzero(aug[pivot_row][col]):
-            raise SingularMatrixError(f"singular at column {col}")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        piv = aug[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if _nonzero(factor):
-                ratio = factor / piv
-                row_r = aug[r]
-                row_c = aug[col]
-                for c in range(col, n + m):
-                    row_r[c] = row_r[c] - ratio * row_c[c]
-    solutions = []
-    for j in range(m):
-        solutions.append([aug[i][n + j] / aug[i][i] for i in range(n)])
-    return solutions
+    if any(isinstance(c, _Gaussian) for row in aug for c in row):
+        aug = [[c if isinstance(c, _Gaussian) else _Gaussian(c, 0) for c in row] for row in aug]
+    prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if aug[r][k]), None)
+        if p is None:
+            raise SingularMatrixError(f"singular at column {k}")
+        aug[k], aug[p] = aug[p], aug[k]
+        pivot_row = aug[k]
+        piv = pivot_row[k]
+        tail = pivot_row[k + 1 :]
+        for i, row in enumerate(aug):
+            if i != k:
+                f = row[k]
+                # columns before k are settled: zero off the diagonal, and
+                # each diagonal entry is the latest pivot
+                row[k + 1 :] = [(piv * a - f * b) // prev for a, b in zip(row[k + 1 :], tail)]
+        prev = piv
+    if isinstance(prev, _Gaussian):
+        scale, den = _Gaussian(prev.re, -prev.im), prev.re * prev.re + prev.im * prev.im
+    else:
+        scale, den = (-1 if prev < 0 else 1), abs(prev)
+    return [[aug[i][n + j] * scale for i in range(n)] for j in range(len(rhs_columns))], den
 
 
 def invert_matrix(matrix):
-    """Exact inverse, returned as a list of rows."""
+    """The exact inverse of an integer (or Gaussian integer) matrix, given
+    as its list of rows: (columns, den), the columns of den A^{-1}."""
     n = len(matrix)
-    zero, one = 0, 1
-    eye = [[one if i == j else zero for i in range(n)] for j in range(n)]
-    cols = solve_columns(matrix, eye)
-    # solve_columns returns solution columns of A X = I, i.e. columns of A^-1
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _nonzero(c):
-    if isinstance(c, (float, complex)):
-        return abs(c) > 1e-300
-    return bool(c)
+    return solve_columns(matrix, [[int(i == j) for i in range(n)] for j in range(n)])

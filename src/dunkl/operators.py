@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import SingularMatrixError, _all_exact, _denominator, _exact_table, _exact_value
-from .exact import _Gaussian, _numerator, _numerators, _table_value, invert_matrix, solve_columns
+from .exact import _Gaussian, _numerator, _table_value, invert_matrix, solve_columns
 from .poly import Polynomial, _multi_factorial, combination, directional_derivative
 from .reflection_groups import (
     MultiplicityFunction,
@@ -78,26 +78,13 @@ class TruncationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupAlgebraElement:
-    """A finite combination sum_g coefficients[g] L_g acting on polynomials."""
-
-    coefficients: tuple  # scalar per group element index
-
-    def apply(self, group: ReflectionGroup, p: Polynomial) -> Polynomial:
-        return combination(
-            p.dim,
-            ((act_on_polynomial(group, idx, p), c) for idx, c in enumerate(self.coefficients) if c),
-        )
-
-
 @dataclass(eq=False)
 class DunklContext:
     group: ReflectionGroup
     positives: PositiveSystem
     k: MultiplicityFunction
     reflections: tuple = field(default=())  # (alpha, k(alpha), group index)
-    h_cache: dict = field(default_factory=dict)  # n -> lam_n, or None at a fallback degree
+    h_cache: dict = field(default_factory=dict)  # n -> lam_n (one scalar per element), or None
     vk_cache: dict = field(default_factory=dict)  # nu -> V(x^nu) as a table
     inverse_cache: dict = field(default_factory=dict)  # n -> table of the columns V^{-1} x^nu
     h_columns: dict = field(default_factory=dict)  # n -> table of the columns H_n x^nu
@@ -123,7 +110,8 @@ class DunklContext:
         if self.prepared_to >= n_max:
             return self
         for n in range(1, n_max + 1):
-            solve_H(self, n)
+            if n not in self.h_cache:
+                solve_H(self, n)
         estimate_delta(self, n_max)
         self.prepared_to = n_max
         return self
@@ -214,7 +202,7 @@ def monomial_basis(d, n):
 
 
 def solve_H(ctx: DunklContext, n):
-    """Realize H_n = ((n + gamma) - A)^{-1} on P_n.
+    """Realize H_n = ((n + gamma) - A)^{-1} on P_n and return lam_n.
 
     Primary path: solve ((n+gamma) e - a) h = e in the group algebra, where
     a = sum k(a) s_a.  Since a is central, h is a class function, and the
@@ -223,43 +211,56 @@ def solve_H(ctx: DunklContext, n):
         (n + gamma) lam(h) - sum_{a in R+} k(a) lam(h s_a) = [h = e],
 
     depends only on the conjugacy class of h: one row per class gives a
-    (#classes) x (#classes) system whose solution, spread over the elements,
-    is lam_n.  A central element is invertible in the group algebra iff it
-    is invertible on the centre, so that system is singular exactly when
-    the group-algebra route fails; then W_n is inverted on the monomial
-    basis instead, and the result is None.  If W_n itself is singular the
-    weight is inadmissible at this degree.  Either way the columns H_n x^nu
-    are verified to invert W_n on the monomial basis and kept in h_columns
-    as one integer table.
+    (#classes) x (#classes) system, solved in integers after scaling by the
+    lcm of the denominators of n + gamma and k, whose solution, spread over
+    the elements, is lam_n (a tuple of Fractions, or of ComplexRationals
+    for a complex weight).  A central element is invertible in the group
+    algebra iff it is invertible on the centre, so that system is singular
+    exactly when the group-algebra route fails; then W_n is inverted on the
+    monomial basis instead, and lam_n is None.  If W_n itself is singular
+    the weight is inadmissible at this degree.
+
+    This is the one builder of H_n's table: for a fresh degree, for a lam_n
+    (or a fallback degree) read from a cache, on first use.  Either way the
+    columns H_n x^nu are verified to invert W_n on the monomial basis and
+    kept in h_columns as one integer table.
     """
     if n < 1:
         raise ValueError("H_n is defined for degrees n >= 1")
-    if n in ctx.h_cache:
+    if n in ctx.h_columns:
         return ctx.h_cache[n]
-    group = ctx.group
-    reps = group.class_representatives
-    matrix = [[Fraction(0)] * len(reps) for _ in reps]
-    for row, h in zip(matrix, reps):
-        for g, coeff in _w_row(ctx, n, h):
-            row[group.class_of[g]] += coeff
-    rhs = [Fraction(0)] * len(reps)
-    rhs[group.class_of[group.identity_index]] += 1
     w = _w_table(ctx, n)
-    try:
-        sol = solve_columns(matrix, [rhs])[0]
-    except SingularMatrixError:
+    lam = ctx.h_cache[n] if n in ctx.h_cache else _class_solve(ctx, n)
+    if lam is None:
         try:
             table = _inverse_table(w)
         except SingularMatrixError:
             raise NotInMStarError(n) from None
-        result = None
     else:
-        result = GroupAlgebraElement(tuple(sol[c] for c in group.class_of))
-        table = _group_columns(ctx, n, result)
+        table = _group_columns(ctx, n, lam)
     _verify_H(n, table, w)
     ctx.h_columns[n] = table
-    ctx.h_cache[n] = result
-    return result
+    ctx.h_cache[n] = lam
+    return lam
+
+
+def _class_solve(ctx, n):
+    """lam_n from the class system of solve_H, or None when it is singular."""
+    group = ctx.group
+    reps = group.class_representatives
+    scale = math.lcm(*(_denominator(c) for _, c in _w_row(ctx, n, group.identity_index)))
+    matrix = [[0] * len(reps) for _ in reps]
+    for row, h in zip(matrix, reps):
+        for g, coeff in _w_row(ctx, n, h):
+            row[group.class_of[g]] += _numerator(coeff, scale)
+    rhs = [0] * len(reps)
+    rhs[group.class_of[group.identity_index]] = scale
+    try:
+        (sol,), den = solve_columns(matrix, [rhs])
+    except SingularMatrixError:
+        return None
+    values = [_exact_value(c, den) for c in sol]
+    return tuple(values[c] for c in group.class_of)
 
 
 def _w_row(ctx, n, h):
@@ -362,16 +363,16 @@ def _monomial_image(group, g, nu):
     return {mu: -1 if negative else 1}, 1
 
 
-def _group_columns(ctx, n, h):
+def _group_columns(ctx, n, lam):
     """The columns H_n x^nu = sum_g lam_n(g) x^nu o g on P_n as one table:
     integer sums of the monomial images over the elements with lam_n(g) != 0,
     weighted by lam_n's numerators over their common denominator.  Summing
-    in element order keeps each column's terms in the order that
-    GroupAlgebraElement.apply gives them, and with it the order, and so the
-    float rounding, of every sum that evaluates V."""
+    in element order keeps each column's terms in the order that a
+    Polynomial combination over the elements gives them, and with it the
+    order, and so the float rounding, of every sum that evaluates V."""
     group = ctx.group
-    lam_den = math.lcm(*(_denominator(c) for c in h.coefficients))
-    active = [(g, _numerator(c, lam_den)) for g, c in enumerate(h.coefficients) if c]
+    lam_den = math.lcm(*(_denominator(c) for c in lam))
+    active = [(g, _numerator(c, lam_den)) for g, c in enumerate(lam) if c]
     nus = monomial_basis(ctx.dimension, n)
     raw = [_combine((w, _monomial_image(group, g, nu)) for g, w in active) for nu in nus]
     cols, den = _over_one_denominator(nus, raw)
@@ -401,15 +402,14 @@ def _w_table(ctx, n):
 
 def _inverse_table(images):
     """The table, in lowest terms, of the inverse of the map on P_n whose
-    columns are the table images: den times the exact inverse of the
-    numerator matrix (rows index the output monomial).  Raises
-    SingularMatrixError when the map is singular."""
+    columns are the table images: den times the inverse of the numerator
+    matrix (rows index the output monomial).  Raises SingularMatrixError
+    when the map is singular."""
     cols, den = images
     basis = list(cols)
-    rows = invert_matrix([[_exact_value(cols[nu].get(mu, 0), 1) for nu in basis] for mu in basis])
-    inverse = [{mu: row[j] * den for mu, row in zip(basis, rows) if row[j]} for j in range(len(basis))]
-    common = math.lcm(*(_denominator(c) for col in inverse for c in col.values()))
-    return {nu: _numerators(col, common) for nu, col in zip(basis, inverse)}, common
+    inverse, det = invert_matrix([[cols[nu].get(mu, 0) for nu in basis] for mu in basis])
+    scaled = {nu: {mu: c * den for mu, c in zip(basis, col) if c} for nu, col in zip(basis, inverse)}
+    return _reduced(scaled, det)
 
 
 def _verify_H(n, table, w):
@@ -422,22 +422,6 @@ def _verify_H(n, table, w):
         out, _ = _combine((c, (wcols[mu], 1)) for mu, c in cols[nu].items())
         if out != {nu: den * wden}:
             raise NotInMStarError(n)
-
-
-def _columns(ctx: DunklContext, n):
-    """The table of H_n's columns on P_n: the one verified by solve_H, or,
-    for a lam_n loaded from a cache, built and verified the same way on
-    first use (a fallback degree always has its table, since no lam_n
-    exists to rebuild it from)."""
-    table = ctx.h_columns.get(n)
-    if table is None:
-        h = solve_H(ctx, n)  # keeps the table it verifies
-        table = ctx.h_columns.get(n)
-        if table is None:
-            table = _group_columns(ctx, n, h)
-            _verify_H(n, table, _w_table(ctx, n))
-            ctx.h_columns[n] = table
-    return table
 
 
 def _combination(dim, pairs):
@@ -457,7 +441,8 @@ def _combination(dim, pairs):
 
 def apply_H(ctx: DunklContext, n, p: Polynomial) -> Polynomial:
     """H_n p for p in P_n, as the sum of p's coefficients times the columns."""
-    cols, den = _columns(ctx, n)
+    solve_H(ctx, n)
+    cols, den = ctx.h_columns[n]
     return _combination(p.dim, (((cols[nu], den), c) for nu, c in p.terms.items()))
 
 
@@ -486,7 +471,8 @@ def _vk_table(ctx: DunklContext, nu):
                 raised = mu[:j] + (mu[j] + 1,) + mu[j + 1 :]
                 prev = acc.get(raised)
                 acc[raised] = a * s if prev is None else prev + a * s
-        cols, cden = _columns(ctx, n)
+        solve_H(ctx, n)
+        cols, cden = ctx.h_columns[n]
         nums, _ = _combine((c, (cols[mu], cden)) for mu, c in acc.items() if c)
         reduced, den = _reduced({nu: nums}, den * cden)
         result = reduced[nu], den
@@ -529,14 +515,15 @@ def estimate_delta(ctx: DunklContext, n_max) -> float:
     delta/n; by construction |lam_n(g)| <= delta_hat/n holds for every
     computed degree, so truncation bounds built from delta_hat are valid on
     the computed range.  Fallback degrees carry no lam table and are
-    excluded (ctx.fallback_degrees lists them).  Fills ctx.delta_hat and
+    excluded (ctx.fallback_degrees lists them).  Reads lam_n from h_cache,
+    solving only the degrees that have none yet.  Fills ctx.delta_hat and
     ctx.delta_table and returns delta_hat.
     """
     table = []
     for n in range(1, n_max + 1):
-        h = solve_H(ctx, n)
-        if h is not None:
-            table.append((n, n * max(abs(complex(c)) for c in h.coefficients)))
+        lam = ctx.h_cache[n] if n in ctx.h_cache else solve_H(ctx, n)
+        if lam is not None:
+            table.append((n, n * max(abs(complex(c)) for c in lam)))
     ctx.delta_hat = max((row for _, row in table), default=1.0)
     ctx.delta_table = table
     return ctx.delta_hat
@@ -593,10 +580,10 @@ def en_expansion_oracle(ctx: DunklContext, n, x) -> Polynomial:
     group = ctx.group
     tables = []
     for i in range(1, n + 1):
-        h = solve_H(ctx, i)
-        if h is None:
+        lam = solve_H(ctx, i)
+        if lam is None:
             raise ValueError("expansion oracle needs the group-algebra realization")
-        tables.append(h.coefficients)
+        tables.append(lam)
     units = monomial_basis(d, 1)
     memo = {}
 

@@ -55,6 +55,7 @@ from .operators import (
 )
 from .poly import (
     Polynomial,
+    combination,
     fischer,
     fischer_via_gaussian,
     heat_half,
@@ -221,10 +222,11 @@ def suite_exact(bundle: ContextBundle, seed=0):
 
     fails = checked = 0
     for n in range(1, min(bundle.degree, 8) + 1):
-        h = solve_H(ctx, n)  # None at a fallback degree: read its stored column
+        lam = solve_H(ctx, n)  # None at a fallback degree: read its stored column
         for nu in monomial_basis(d, n):
             mono = Polynomial.monomial(d, nu)
-            column = apply_H(ctx, n, mono) if h is None else h.apply(group, mono)
+            images = ((act_on_polynomial(group, g, mono), c) for g, c in enumerate(lam or ()) if c)
+            column = apply_H(ctx, n, mono) if lam is None else combination(d, images)
             back = column * (n + ctx.gamma) - operator_A(ctx, column)
             checked += 1
             if back != mono:
@@ -293,7 +295,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
 
     fails = checked = 0
     skipped = []
-    if order <= 8:
+    if order <= 48:  # the oracle's O(n |G|^2) products: 0.6 s on B3, 18 s on D4 (|G| = 192)
         for n in range(0, 4):
             # the oracle multiplies the lam tables of every degree up to n
             if any(solve_H(ctx, i) is None for i in range(1, n + 1)):
@@ -303,7 +305,9 @@ def suite_exact(bundle: ContextBundle, seed=0):
             if en_expansion_oracle(ctx, n, x) != homogeneous_kernel(ctx, n, x):
                 fails += 1
     note = ""
-    if skipped:
+    if order > 48:
+        note = f"0 exact comparisons; skipped at |G| = {order} > 48"
+    elif skipped:
         note = (
             f"{checked} exact comparisons; degrees {skipped} skipped: the expansion "
             f"multiplies lam_i for every i <= n, and degree {skipped[0]} is a "

@@ -20,7 +20,7 @@ from dunkl.config import (
     save_context,
 )
 from dunkl.exact import ComplexRational, scalar_to_json
-from dunkl.operators import DEGREE_CAP, GroupAlgebraElement, solve_H
+from dunkl.operators import DEGREE_CAP, solve_H
 from dunkl.poly import Polynomial
 
 
@@ -172,8 +172,8 @@ def test_context_cache_round_trip(tmp_path):
     for n in range(1, 6):
         a = bundle.ctx.h_cache[n]
         b = reloaded.ctx.h_cache[n]
-        assert isinstance(b, GroupAlgebraElement)
-        assert a.coefficients == b.coefficients  # exact equality after the reload
+        assert isinstance(b, tuple)
+        assert a == b  # exact equality after the reload
     assert reloaded.ctx.delta_hat == bundle.ctx.delta_hat
 
 
@@ -186,6 +186,52 @@ def test_cache_file_has_no_float_lambdas(tmp_path):
     for coeffs in data["lambdas"].values():
         for c in coeffs:
             assert isinstance(c, str)  # rational strings, never floats
+
+
+def test_loading_a_cache_builds_no_h_table(tmp_path, capsys):
+    path = tmp_path / "b2.ctx.json"
+    config = Path(__file__).resolve().parent.parent / "configs" / "b2.json"
+    assert main(["build", "--config", str(config), "--out", str(path)]) == 0
+    capsys.readouterr()
+    ctx = load_context(path).ctx
+    assert sorted(ctx.h_cache) == list(range(1, 13))
+    # solve_H builds each column table on first use, not the load
+    assert ctx.h_columns == {} and ctx.vk_cache == {}
+
+
+def test_incomplete_cache_exits_2(tmp_path, capsys):
+    # k = -1 on Z2^1: degree 2 is a fallback degree, every other one has lam_n
+    cfg = tmp_path / "z21neg.json"
+    cfg.write_text(json.dumps({"family": "Z2^d", "d": 1, "k": "-1", "N": 6}))
+    path = tmp_path / "z21neg.ctx.json"
+    assert main(["build", "--config", str(cfg), "--out", str(path)]) == 0
+    cache = json.loads(path.read_text())
+    assert cache["fallback_degrees"] == [2] and sorted(cache["lambdas"], key=int) == [
+        "1", "3", "4", "5", "6"
+    ]
+    lambdas = cache["lambdas"]
+    broken = {
+        "no_lambdas": {**cache, "lambdas": {}},
+        "no_lambda_4": {**cache, "lambdas": {n: t for n, t in lambdas.items() if n != "4"}},
+        "no_fallback": {**cache, "fallback_degrees": []},
+        "lambda_and_fallback": {**cache, "fallback_degrees": [2, 3]},
+        # lam_3 exists, so degree 3 is no fallback degree
+        "false_fallback": {
+            **cache,
+            "lambdas": {n: t for n, t in lambdas.items() if n != "3"},
+            "fallback_degrees": [2, 3],
+        },
+    }
+    capsys.readouterr()
+    for name, data in broken.items():
+        bad = tmp_path / f"{name}.ctx.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ConfigError):
+            load_context(bad)
+        assert main(["lambda-table", "--context", str(bad)]) == 2, name
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 # -- grid specs -----------------------------------------------------------------------
@@ -323,7 +369,7 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
 
     # a true lam_n above the cap: it passes the row identity, so only the cap refuses it
     above = DEGREE_CAP + 1
-    lam_above = solve_H(load_context(ctx_path).ctx, above).coefficients
+    lam_above = solve_H(load_context(ctx_path).ctx, above)
 
     broken = {
         "tampered": with_lambda("3", ["1/7"] + lam3[1:]),  # a wrong entry

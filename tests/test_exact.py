@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from fraction_solve import fraction_invert_matrix, fraction_solve_columns
+from hypothesis import given, settings, strategies as st
 
 from dunkl.exact import (
     ComplexRational,
     SingularMatrixError,
+    _Gaussian,
+    _exact_value,
     abs_squared,
     format_rational,
     invert_matrix,
@@ -62,36 +65,110 @@ def test_parse_and_format():
 
 
 def test_solve_columns_exact():
-    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    (x,) = solve_columns(a, [[Fraction(5), Fraction(10)]])
-    assert x == [Fraction(1), Fraction(3)]
+    a = [[2, 1], [1, 3]]
+    (x,), den = solve_columns(a, [[5, 10]])
+    x = [Fraction(c, den) for c in x]
+    assert x == [1, 3] == fraction_solve_columns(_fractions(a), [_fractions([5, 10])])[0]
 
 
 def test_invert_matrix_roundtrip():
-    a = [
-        [Fraction(1), Fraction(2), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(4)],
-        [Fraction(1), Fraction(0), Fraction(1)],
-    ]
-    inv = invert_matrix(a)
+    a = [[1, 2, 0], [0, 1, 4], [1, 0, 1]]
+    cols, den = invert_matrix(a)
+    inv = [[Fraction(cols[j][i], den) for j in range(3)] for i in range(3)]
     n = 3
     prod = [
         [sum(a[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
     assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    assert inv == fraction_invert_matrix(_fractions(a))
 
 
 def test_singular_matrix_raises():
-    a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    a = [[1, 2], [2, 4]]
     with pytest.raises(SingularMatrixError):
-        solve_columns(a, [[Fraction(1), Fraction(0)]])
+        solve_columns(a, [[1, 0]])
+    with pytest.raises(SingularMatrixError):
+        fraction_solve_columns(_fractions(a), [_fractions([1, 0])])
 
 
 def test_complex_rational_linear_solve():
-    i = ComplexRational(0, 1)
-    a = [[i, ComplexRational(1)], [ComplexRational(1), i]]
-    (x,) = solve_columns(a, [[ComplexRational(1), ComplexRational(0)]])
+    i = _Gaussian(0, 1)
+    a = [[i, 1], [1, i]]
+    (x,), den = solve_columns(a, [[1, 0]])
+    assert isinstance(den, int) and den > 0
+    x = [_exact_value(c, den) for c in x]
     # verify by substitution
-    assert a[0][0] * x[0] + a[0][1] * x[1] == 1
-    assert a[1][0] * x[0] + a[1][1] * x[1] == 0
+    j = ComplexRational(0, 1)
+    assert j * x[0] + x[1] == 1
+    assert x[0] + j * x[1] == 0
+
+
+def _fractions(entries):
+    """Integer or _Gaussian entries (nested lists) as Fractions or ComplexRationals."""
+    if isinstance(entries, list):
+        return [_fractions(e) for e in entries]
+    return _exact_value(entries, 1)
+
+
+def _integers(draw, gaussian, size):
+    entries = st.integers(-4, 4)
+    if gaussian:
+        entries = st.one_of(entries, st.builds(_Gaussian, st.integers(-4, 4), st.integers(-4, 4)))
+    return draw(st.lists(entries, min_size=size, max_size=size))
+
+
+@st.composite
+def _systems(draw):
+    """A square integer or Gaussian-integer system with up to three right-hand
+    sides; in a third of those of order > 1 the last row is made a
+    combination of the first two (a multiple of the first at order 2)."""
+    gaussian = draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    matrix = [_integers(draw, gaussian, n) for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        f = draw(st.integers(-2, 2))
+        second = matrix[1] if n > 2 else [0] * n
+        matrix[-1] = [a * f + b for a, b in zip(matrix[0], second)]
+    rhs = [_integers(draw, gaussian, n) for _ in range(draw(st.integers(1, 3)))]
+    return matrix, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_fraction_free_solve_matches_fraction_reference(system):
+    matrix, rhs = system
+    try:
+        want = fraction_solve_columns(_fractions(matrix), _fractions(rhs))
+    except SingularMatrixError:
+        want = None
+    try:
+        cols, den = solve_columns(matrix, rhs)
+    except SingularMatrixError:
+        assert want is None
+        return
+    assert want is not None
+    # den is a positive integer, also for a negative or complex determinant
+    assert isinstance(den, int) and den > 0
+    assert [[_exact_value(c, den) for c in col] for col in cols] == want
+    inv_cols, inv_den = invert_matrix(matrix)
+    assert isinstance(inv_den, int) and inv_den > 0
+    n = len(matrix)
+    inverse = [[_exact_value(inv_cols[j][i], inv_den) for j in range(n)] for i in range(n)]
+    assert inverse == fraction_invert_matrix(_fractions(matrix))
+
+
+def test_negative_and_complex_determinants_give_a_positive_denominator():
+    i, minus_i = _Gaussian(0, 1), _Gaussian(0, -1)
+    negative = ([[0, 1], [1, 0]], [[-3]], [[minus_i, 2], [1, i]])  # det -1, -3, -1
+    complex_ = ([[i]], [[_Gaussian(-2, 1)]], [[_Gaussian(1, 1), 0], [0, 2]], [[i, 1], [1, 2]])
+    for matrix in negative + complex_:
+        cols, den = invert_matrix(matrix)
+        assert isinstance(den, int) and den > 0
+        n = len(matrix)
+        inverse = [[_exact_value(cols[j][i], den) for j in range(n)] for i in range(n)]
+        assert inverse == fraction_invert_matrix(_fractions(matrix))
+    with pytest.raises(SingularMatrixError):
+        invert_matrix([[i, 1], [1, minus_i]])  # det = -i^2 - 1 = 0
+    with pytest.raises(SingularMatrixError):
+        fraction_invert_matrix(_fractions([[i, 1], [1, minus_i]]))
