@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 
 class ComplexRational:
@@ -227,6 +229,12 @@ def _exact_value(num, den):
     return Fraction(num, den)
 
 
+def _powers(point, n):
+    """[t^0, ..., t^n] for each coordinate t of point, each power the one
+    before times t: the products every evaluation multiplies by."""
+    return [list(accumulate([t] * n, mul, initial=1)) for t in point]
+
+
 def _table_value(table, point):
     """sum_nu nums[nu] / den point^nu for table = (nums, den) at an exact
     point, in integers: with point = a / q over one q and D the top degree,
@@ -234,16 +242,12 @@ def _table_value(table, point):
     Horner's rule in q.  A ComplexRational if anything complex enters."""
     nums, den = table
     q = math.lcm(*(_denominator(t) for t in point))
-    a = [_numerator(t, q) for t in point]
-    powers = [[1] for _ in a]
+    powers = _powers([_numerator(t, q) for t in point], max(map(sum, nums), default=0))
     sums = {}
     for nu, c in nums.items():
         for i, e in enumerate(nu):
             if e:
-                ps = powers[i]
-                while len(ps) <= e:
-                    ps.append(ps[-1] * a[i])
-                c = c * ps[e]
+                c = c * powers[i][e]
         m = sum(nu)
         sums[m] = sums[m] + c if m in sums else c
     top = max(sums, default=0)

@@ -6,22 +6,22 @@ pieces E_n(x, .),
     L(x, y) = sum_n (e^{-Lap/2} E_n(x, .))(y)
             = sum_nu V(phi_nu)(x) H_nu(y),          phi_nu = x^nu / sqrt(nu!),
 
-two rearrangements of one double sum.  Both read the coefficients of
-E_n(x, .) from operators.homogeneous_kernel, the one place the V table is
-turned into them, and differ only in the heat step (series: heat E_n with
-poly.heat_half; Hermite: contract its coefficients with the heat images of
-the monomials at y, each the product prod_j He_{nu_j}(y_j) of probabilists'
-Hermite values from poly.hermite_values, the package's one Hermite
-recurrence).  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy it represents
-the composition of the intertwining operator with the inverse half-heat
-flow:
+two rearrangements of one double sum that differ only in the heat step.
+The series path heats E_n(x, .), whose coefficients homogeneous_kernel reads
+from the V table, with poly.heat_half.  The Hermite path contracts them with
+e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j), from poly.hermite_values, the one
+Hermite recurrence; at many points (lk_grid) it is one block product per
+degree of the V table, rounded once.  Against dgamma = (2 pi)^{-d/2}
+e^{-|y|^2/2} dy, L represents the composition of the intertwining operator
+with the inverse half-heat flow:
 
     integral L(x, y) (e^{-Lap/2} p)(y) dgamma(y) = V(p)(x),
 
 an exact identity per truncation degree, which the checks in this module
-exercise together with the convolution identity for the generalized
-exponential, the Fourier representation, the mixed derivative relation, the
-group equivariance, and nonnegativity for nonnegative weights.
+exercise, with L^(N) read at the quadrature nodes from lk_grid, together
+with the convolution identity for the generalized exponential, the Fourier
+representation, the mixed derivative relation, the group equivariance, and
+nonnegativity for nonnegative weights.
 
 Truncation error is controlled by the per-term estimate
 
@@ -44,10 +44,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import _all_exact, abs_squared
+from .exact import _all_exact, _exact_table, _table_value, abs_squared
 from .operators import (
     DunklContext,
     TruncationError,
+    _combine,
     _norm,
     _recurrence_tail,
     _vk_monomial,
@@ -225,9 +226,10 @@ def lk_mass(ev: KernelEvaluator, x):
 
 def phi_x_apply(ev: KernelEvaluator, x, f, rule: QuadratureRule):
     """The extended functional: integral of L^(N)(x, y) f(y) dgamma(y) on the
-    rule, for any f, polynomial or not (see quad._node_values)."""
-    lk = lk_polynomial(ev, x).to_float()
-    return integrate(lambda nodes: lk.evaluate_many(nodes) * _node_values(f, nodes), rule)
+    rule, for any f, polynomial or not (see quad._node_values), with
+    L^(N)(x, .) read at the rule's nodes from lk_grid."""
+    lk = lk_grid(ev, [x], rule.nodes)[0]
+    return integrate(lambda nodes: lk * _node_values(f, nodes), rule)
 
 
 def phi_x_norm(ev: KernelEvaluator, x):
@@ -264,16 +266,16 @@ def convolution_check(ev: KernelEvaluator, x, y):
     """Residual of E(x, y) = integral of L(x, y + u) dgamma(u).
 
     The right side is integrated on a Gauss-Hermite rule exact to degree N,
-    not in closed form, which would be heat_half undoing the heat step that
-    built L; the residual is truncation tail plus roundoff.
+    with L^(N)(x, .) read at the shifted nodes from lk_grid, not in closed
+    form, which would be heat_half undoing the heat step that built L; the
+    residual is truncation tail plus roundoff.
     """
     rule = gauss_rule(ev.dimension, (ev.n_trunc + 2) // 2)
     lhs = 0
     for n in range(ev.n_trunc + 1):
         lhs = lhs + evaluate_en(ev.ctx, n, x, y)
     pts = rule.nodes + np.asarray([float(t) for t in y])[None, :]
-    vals = lk_polynomial(ev, x).to_float().evaluate_many(pts)
-    rhs = complex(np.dot(rule.weights, vals))
+    rhs = complex(np.dot(rule.weights, lk_grid(ev, [x], pts)[0]))
     return abs(complex(lhs) - rhs)
 
 
@@ -310,23 +312,23 @@ def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
     """Both sign conventions of the Gaussian-image identity.
 
     Compares V(e^{-|u +- y|^2/2})(x), with the Gaussian expanded as an exact
-    Taylor polynomial and the intertwining operator applied degree by degree,
-    against e^{-|y|^2/2} L(x, y); V preserves degree, so the minus side
-    V(T(-.))(x) is V(T)(-x) and one Taylor image T serves both.  Returns the
-    two residuals and a truncation indicator; the k = 0 closed form
-    arbitrates which convention validates.
+    Taylor polynomial T and V(T) summed from the V tables as one integer
+    table, against e^{-|y|^2/2} L(x, y); V preserves degree, so the minus side
+    V(T(-.))(x) is V(T)(-x) and one table serves both, evaluated in integers
+    at +-x (x and y rational).  Returns the two residuals and a truncation
+    indicator; the k = 0 closed form arbitrates which convention validates.
     """
-    d = ev.dimension
     if taylor_degree is None:
         taylor_degree = 2 * ev.n_trunc
     ev.ctx.prepare(max(taylor_degree, ev.n_trunc))
     y_norm = _norm(y)
     window = math.exp(-(y_norm**2) / 2.0)
     rhs = window * complex(lk_series_value(ev, x, y))
-    image = intertwine(ev.ctx, gaussian_taylor(d, y, taylor_degree))
+    tnums, tden = _exact_table(gaussian_taylor(ev.dimension, y, taylor_degree).terms)
+    nums, den = _combine((c, _vk_table(ev.ctx, nu)) for nu, c in tnums.items())
     out = {}
     for label, point in (("plus", x), ("minus", tuple(-t for t in x))):
-        out[label] = abs(window * complex(image.evaluate(point)) - rhs)
+        out[label] = abs(window * complex(_table_value((nums, den * tden), point)) - rhs)
     x_norm = _norm(x)
     taylor_tail = _gaussian_taylor_tail(ev, x_norm, y_norm, taylor_degree)
     out["trunc_bound"] = window * taylor_tail + tail_bound(ev, x_norm, y_norm).value * window
@@ -426,12 +428,11 @@ def symmetry_scan(ev: KernelEvaluator, sample_points) -> SymmetryReport:
 
 
 def _polys_match(a, b):
-    """a == b exactly when every coefficient of a - b is exact, else within
-    1e-9 per coefficient: heat images at float points carry roundoff."""
-    diff = a - b
-    if _all_exact(diff.terms.values()):
-        return not diff
-    return all(abs(complex(c)) <= 1e-9 for c in diff.terms.values())
+    """a == b when every coefficient of both is exact, else within 1e-9 per
+    coefficient of a - b: heat images at float points carry roundoff."""
+    if _all_exact(a.terms.values()) and _all_exact(b.terms.values()):
+        return a.terms == b.terms
+    return all(abs(complex(c)) <= 1e-9 for c in (a - b).terms.values())
 
 
 @dataclass(frozen=True)
@@ -490,8 +491,8 @@ def lk_grid(ev: KernelEvaluator, xs, ys) -> np.ndarray:
     the V table, times the He_nu(y) = prod_j He_{nu_j}(y_j) from per-axis
     Hermite values (poly.hermite_values)."""
     d = ev.dimension
-    xs_arr = np.asarray([[float(t) for t in x] for x in xs], dtype=float).reshape(len(xs), d)
-    ys_arr = np.asarray([[float(t) for t in y] for y in ys], dtype=float).reshape(len(ys), d)
+    xs_arr = np.asarray(xs, dtype=float).reshape(len(xs), d)
+    ys_arr = np.asarray(ys, dtype=float).reshape(len(ys), d)
     n_max = ev.n_trunc
     x_pow = np.ones(xs_arr.shape + (n_max + 1,))  # x_pow[p, i, e] = x_i^e
     if n_max:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import SingularMatrixError, _all_exact, _denominator, _exact_table, _exact_value
-from .exact import _Gaussian, _numerator, _table_value, invert_matrix, solve_columns
+from .exact import _Gaussian, _numerator, _powers, invert_matrix, solve_columns
 from .poly import Polynomial, _multi_factorial, combination, directional_derivative
 from .reflection_groups import (
     MultiplicityFunction,
@@ -532,19 +532,31 @@ def estimate_delta(ctx: DunklContext, n_max) -> float:
 # -- homogeneous kernel pieces and the generalized exponential -------------------------
 
 def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
-    """E_n(x, .) as a polynomial in y for fixed numeric x: each V(x^nu)(x)
-    summed in integers from its table at an exact x, and read from the
-    rounded table at an x with a float coordinate (a Fraction times a float
-    is the rounded Fraction times that float, so no Fraction need be built)."""
-    d = ctx.dimension
+    """E_n(x, .) as a polynomial in y for fixed numeric x: each V(x^nu)(x) / nu!
+    summed from its table over the per-axis powers of x, formed once; in
+    integers over den q^n nu! at an exact x = a / q, else on entries rounded
+    once and multiplied in the order of Polynomial.evaluate's float loop, so
+    bit for bit the rounded table's value."""
     exact = _all_exact(x)
+    if exact:
+        q = math.lcm(*(_denominator(t) for t in x))
+        x = [_numerator(t, q) for t in x]
+    powers = _powers(x, n)
+    basis = monomial_basis(ctx.dimension, n)
+    factors = {mu: [powers[i][e] for i, e in enumerate(mu) if e] for mu in basis}
     terms = {}
-    for nu in monomial_basis(d, n):
-        table = _vk_table(ctx, nu)
-        val = _table_value(table, x) if exact else _polynomial(d, table, rounded=True).evaluate(x)
-        if val:
-            terms[nu] = val * Fraction(1, _multi_factorial(nu))
-    return Polynomial(d, terms)
+    for nu in basis:
+        nums, den = _vk_table(ctx, nu)
+        total = 0
+        for mu, c in nums.items():
+            v = c if exact else _rounded_value(c, den)
+            for p in factors[mu]:
+                v = v * p
+            total = total + v
+        if total:
+            scale = _multi_factorial(nu)
+            terms[nu] = _exact_value(total, den * q**n * scale) if exact else total * Fraction(1, scale)
+    return Polynomial(ctx.dimension, terms)
 
 
 def homogeneous_kernel_bivariate(ctx: DunklContext, n) -> Polynomial:

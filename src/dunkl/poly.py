@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import _all_exact, _exact_table, _exact_value, _table_value
+from .exact import _all_exact, _exact_table, _exact_value, _powers, _table_value
 
 
 def _multi_factorial(nu):
@@ -44,9 +44,8 @@ class Polynomial:
             for nu, c in terms.items():
                 if len(nu) != dim:
                     raise ValueError(f"exponent {nu} has wrong length for dim {dim}")
-                if _is_zero(c):
-                    continue
-                clean[tuple(nu)] = c
+                if c:
+                    clean[nu if type(nu) is tuple else tuple(nu)] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
 
@@ -83,7 +82,7 @@ class Polynomial:
                 terms[nu] = c
             else:
                 s = cur + c
-                if _is_zero(s):
+                if not s:
                     del terms[nu]
                 else:
                     terms[nu] = s
@@ -107,7 +106,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            if _is_zero(other):
+            if not other:
                 return Polynomial.zero(self.dim)
             return self.map_coefficients(lambda c: c * other)
         terms = {}
@@ -206,7 +205,7 @@ class Polynomial:
                 {
                     tuple(1 if l == j else 0 for l in range(self.dim)): matrix[i][j]
                     for j in range(self.dim)
-                    if not _is_zero(matrix[i][j])
+                    if matrix[i][j]
                 },
             )
             for i in range(self.dim)
@@ -235,17 +234,7 @@ class Polynomial:
             raise ValueError("point has wrong dimension")
         if _all_exact(point) and _all_exact(self.terms.values()):
             return _table_value(_exact_table(self.terms), point)
-        max_exp = [0] * self.dim
-        for nu in self.terms:
-            for i, e in enumerate(nu):
-                if e > max_exp[i]:
-                    max_exp[i] = e
-        powers = []
-        for i in range(self.dim):
-            ps = [1]
-            for _ in range(max_exp[i]):
-                ps.append(ps[-1] * point[i])
-            powers.append(ps)
+        powers = _powers(point, self.degree)
         total = 0
         for nu, c in self.terms.items():
             v = c
@@ -294,12 +283,6 @@ def _int_power(x, e):
         x = x * x
 
 
-def _is_zero(c):
-    if isinstance(c, (float, complex)):
-        return c == 0
-    return not bool(c)
-
-
 def _to_float_scalar(c):
     if isinstance(c, Fraction):
         return float(c)
@@ -325,7 +308,7 @@ def directional_derivative(xi, p: Polynomial) -> Polynomial:
     """sum_j xi_j d/dx_j p."""
     out = Polynomial.zero(p.dim)
     for j, w in enumerate(xi):
-        if _is_zero(w):
+        if not w:
             continue
         out = out + p.partial(j) * w
     return out

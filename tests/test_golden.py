@@ -11,7 +11,9 @@ they pin the exact layer's values across changes of storage; the g2 and b3
 `en-product-expansion-oracle` row was extended from |G| <= 8 to |G| <= 48,
 which changed only that row's note.  It also hashes the CSV that
 `kernel-grid` prints for each grid in GRIDS, which pins lk_grid's float
-operations.
+operations, and the rows of `verify --suite all` on each system in
+VERIFY_SYSTEMS without their residuals (identity, tolerance, pass flag,
+convention and note), which pins every verdict the suites reach.
 
 Print the digests of the current code with
 
@@ -20,6 +22,7 @@ Print the digests of the current code with
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -52,6 +55,17 @@ GRIDS = {
         "configs/a2.json", "--grid", "x1:-0.02:0.02:0.02,x2:0.01,y1:-0.5:0.5:0.5,y3:0.3",
         "--tol", "1e-8",
     ),
+}
+
+# the systems whose `verify --suite all` rows are pinned in VERIFY_GOLDEN
+VERIFY_SYSTEMS = ("a2", "b2", "b2c", "z21", "z21neg")
+
+VERIFY_GOLDEN = {
+    "a2": "98495e14fff234548f95cd2f441bd02f4127f5b369ce167aec340d5c3b4f22c9",
+    "b2": "417fdb042d00f3f7d0c70ff283fb789b4570554a22db32bc3666041fd56a3b25",
+    "b2c": "a7f4d4267ff1163733c604fffb0192e6c95cb18801ad1fb44fbc4592e65b0376",
+    "z21": "58180ac094bce80c8f797207c1ee0a66095a83dc7c2c83cbfede3afa319e87ce",
+    "z21neg": "5bb9dd7c4e0198ae37a1503219b42eb0c1b9a2fa631b996facd7c410200df992",
 }
 
 GRID_GOLDEN = {
@@ -191,11 +205,25 @@ def test_kernel_grid_matches_golden_digest(name):
     assert grid_digest(name) == GRID_GOLDEN[name]
 
 
+def verify_rows_digest(name):
+    """The digest of name's `verify --suite all` rows with max_residual left
+    out: residuals may move by roundoff, verdicts and notes may not."""
+    code, text = _run("verify", "--context", str(ROOT / SYSTEMS[name][0]), "--suite", "all")
+    assert code == 0, (name, code)
+    rows = [{k: v for k, v in row.items() if k != "max_residual"} for row in json.loads(text)["results"]]
+    return _sha(json.dumps(rows, sort_keys=True))
+
+
+@pytest.mark.parametrize("name", VERIFY_SYSTEMS)
+def test_verify_rows_match_golden_digest(name):
+    assert verify_rows_digest(name) == VERIFY_GOLDEN[name]
+
+
 if __name__ == "__main__":
-    import json
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         print(json.dumps({name: digests(name, tmp) for name in SYSTEMS}, indent=1))
     print(json.dumps({name: grid_digest(name) for name in GRIDS}, indent=1))
+    print(json.dumps({name: verify_rows_digest(name) for name in VERIFY_SYSTEMS}, indent=1))
     sys.exit(0)

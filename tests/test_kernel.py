@@ -442,6 +442,26 @@ def test_float_tables_match_exact():
             assert all(isinstance(c, (float, complex)) for c in got.values())
 
 
+def test_mixed_points_read_the_rounded_table():
+    # at a point with one Fraction and one float coordinate E_n(x, .) is bit
+    # for bit the rounded V(x^nu) evaluated there, as Polynomial.evaluate
+    # forms it; the exact V(x^nu) is not the reference here, since a Fraction
+    # coordinate's exact powers then multiply the exact coefficient before it
+    # is rounded
+    for k in ([Fraction(1, 2), Fraction(3, 2)], [ComplexRational(Fraction(1, 2), Fraction(1, 3)), 1]):
+        ev = make_ev("B", k, 8, d=2)
+        for x in ((Fraction(7, 20), -0.6), (0.35, Fraction(-3, 5))):
+            for n in range(ev.n_trunc + 1):
+                want = {}
+                for nu in monomial_basis(2, n):
+                    val = _vk_monomial(ev.ctx, nu, rounded=True).evaluate(x)
+                    if val:
+                        want[nu] = val * Fraction(1, math.prod(map(math.factorial, nu)))
+                got = homogeneous_kernel(ev.ctx, n, x).terms
+                assert got == want
+                assert all(isinstance(c, (float, complex)) for c in got.values())
+
+
 def test_float_tables_match_exact_through_fallback_degree():
     # k = -1 makes the group-algebra system singular at degree 2, so the
     # table passes through the dense inverse on P_2
