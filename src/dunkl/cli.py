@@ -34,6 +34,7 @@ from .operators import (
     TruncationError,
     dunkl_kernel,
     intertwine,
+    tail_kind,
 )
 from .reflection_groups import GroupClosureError, MultiplicityError
 
@@ -246,6 +247,7 @@ def cmd_ek_eval(args) -> int:
     print(f"degree used = {val.degree_used}")
     print(f"tail bound = {_fmt(val.tail_bound)}")
     print(f"last term = {_fmt(val.last_term)}")
+    print(f"tail bound kind = {tail_kind(bundle.ctx)}")
     return EXIT_OK
 
 

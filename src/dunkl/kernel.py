@@ -25,16 +25,20 @@ nonnegativity for nonnegative weights.
 
 Truncation error is controlled by the per-term estimate
 
-    |Lap^m E_n(x, .)(y)| <= d^m / (n-2m)! * u^n |y|^{n-2m},
+    |Lap^m E_n(x, .)(y)| <= c^m / (n-2m)! * u^n |y|^{n-2m},
 
-summed over m and over the discarded degrees n, with u = delta_hat |G| |x|
-from operators.growth_envelope.  The degree-n sum is u^n [t^n]
-e^{|y| t + d t^2/2}; operators._recurrence_tail seeds the first two
-discarded terms in logs, runs their positive three-term recurrence forward,
-stops with a rigorous geometric remainder, and rounds the result outward by
-one relative factor, so the bound is never below the exact sum of the
-discarded terms.  The Taylor tail of the Gaussian-image check and the
-generalized exponential's tail are two more cases of the same routine.
+summed over m and over the discarded degrees n, with (u, c) from
+operators.growth_envelope: u = |x| and c = 1 for a real weight k >= 0,
+certified for every degree by Roesler's representing measures for V, and
+the empirical u = delta_hat |G| |x|, c = d for every other weight
+(operators.tail_kind).  The degree-n sum is u^n [t^n] e^{|y| t + c t^2/2};
+operators._recurrence_tail seeds the first two discarded terms in logs, runs
+their positive three-term recurrence forward, stops with a rigorous
+geometric remainder, and rounds the result outward by one relative factor,
+so the bound is never below the exact sum of the discarded terms.  The same
+bound covers the Taylor remainder of the Gaussian-image check, whose
+degree-n part V(T_n)(x) is +-(e^{-Lap/2} E_n(x, .))(y), and the generalized
+exponential's tail is its m = 0 case.
 """
 from __future__ import annotations
 
@@ -192,8 +196,8 @@ def tail_bound(ev: KernelEvaluator, x_norm, y_norm, n_trunc=None) -> TailBound:
     cached = ev._tail_cache.get(key)
     if cached is not None:
         return cached
-    u = growth_envelope(ev.ctx, x_norm)
-    tb = TailBound(n_trunc, x_norm, y_norm, _recurrence_tail(u, y_norm, ev.dimension, n_trunc))
+    u, c = growth_envelope(ev.ctx, x_norm)
+    tb = TailBound(n_trunc, x_norm, y_norm, _recurrence_tail(u, y_norm, c, n_trunc))
     ev._tail_cache[key] = tb
     return tb
 
@@ -224,12 +228,13 @@ def lk_mass(ev: KernelEvaluator, x):
     return gaussian_integral(lk_polynomial(ev, x))
 
 
-def phi_x_apply(ev: KernelEvaluator, x, f, rule: QuadratureRule):
-    """The extended functional: integral of L^(N)(x, y) f(y) dgamma(y) on the
-    rule, for any f, polynomial or not (see quad._node_values), with
-    L^(N)(x, .) read at the rule's nodes from lk_grid."""
+def phi_x_apply(ev: KernelEvaluator, x, fs, rule: QuadratureRule) -> list:
+    """The extended functional on each f in fs: integral of
+    L^(N)(x, y) f(y) dgamma(y) on the rule, for any f, polynomial or not (see
+    quad._node_values), with L^(N)(x, .) read at the rule's nodes from
+    lk_grid once for all of fs."""
     lk = lk_grid(ev, [x], rule.nodes)[0]
-    return integrate(lambda nodes: lk * _node_values(f, nodes), rule)
+    return [integrate(lambda nodes: lk * _node_values(f, nodes), rule) for f in fs]
 
 
 def phi_x_norm(ev: KernelEvaluator, x):
@@ -315,8 +320,10 @@ def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
     Taylor polynomial T and V(T) summed from the V tables as one integer
     table, against e^{-|y|^2/2} L(x, y); V preserves degree, so the minus side
     V(T(-.))(x) is V(T)(-x) and one table serves both, evaluated in integers
-    at +-x (x and y rational).  Returns the two residuals and a truncation
-    indicator; the k = 0 closed form arbitrates which convention validates.
+    at +-x (x and y rational).  Returns the two residuals and trunc_bound,
+    a bound on both truncations: the kernel's tail and the Taylor remainder
+    past taylor_degree, which is the same tail_bound (module docstring).  The
+    k = 0 closed form arbitrates which convention validates.
     """
     if taylor_degree is None:
         taylor_degree = 2 * ev.n_trunc
@@ -330,15 +337,9 @@ def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
     for label, point in (("plus", x), ("minus", tuple(-t for t in x))):
         out[label] = abs(window * complex(_table_value((nums, den * tden), point)) - rhs)
     x_norm = _norm(x)
-    taylor_tail = _gaussian_taylor_tail(ev, x_norm, y_norm, taylor_degree)
-    out["trunc_bound"] = window * taylor_tail + tail_bound(ev, x_norm, y_norm).value * window
+    taylor_tail = tail_bound(ev, x_norm, y_norm, taylor_degree).value
+    out["trunc_bound"] = window * (taylor_tail + tail_bound(ev, x_norm, y_norm).value)
     return out
-
-
-def _gaussian_taylor_tail(ev, x_norm, y_norm, deg):
-    """sum_{n > deg} u^n / n! * s_n with s_n = [t^n] e^{|y| t + t^2/2} the
-    sphere bound of the degree-n Taylor part of the shifted Gaussian."""
-    return _recurrence_tail(growth_envelope(ev.ctx, x_norm), y_norm, 1, deg, factorial=True)
 
 
 def fourier_check(ev: KernelEvaluator, x, y):

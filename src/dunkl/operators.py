@@ -36,7 +36,9 @@ The homogeneous kernel pieces
     E_n(x, y) = (1/n!) V(<., y>^n)(x) = sum_{|nu|=n} V(x^nu)(x) y^nu / nu!
 
 sum to the generalized exponential E(x, y) = V(e^{<., y>})(x); truncation is
-controlled by the growth envelope u = delta_hat |G| |x| (growth_envelope).
+controlled by the growth envelope (growth_envelope): u = |x| for a real
+weight k >= 0, certified by Roesler's representing measures for V, and the
+empirical u = delta_hat |G| |x| for every other weight.
 """
 from __future__ import annotations
 
@@ -629,16 +631,14 @@ def _norm(v):
     return math.hypot(*(abs(complex(t)) for t in v))
 
 
-def _tail_term(u, v, d, n, factorial=False):
-    """u^n [t^n] e^{v t + d t^2/2}, divided by n! when factorial, in logs.
+def _tail_term(u, v, d, n):
+    """u^n [t^n] e^{v t + d t^2/2}, in logs.
 
     The coefficient is sum_m d^m / (2^m m!) v^{n-2m} / (n-2m)!.
     """
     if u == 0.0:
         return 0.0
     log_u_n = n * math.log(u)
-    if factorial:
-        log_u_n -= math.lgamma(n + 1)
     log_d = math.log(d) if d else 0.0
     total = 0.0
     for m in range(n // 2 + 1 if d else 1):
@@ -658,21 +658,18 @@ _TAIL_STEPS = 2000  # recurrence steps before a tail that has not settled reads 
 _EPS = 2.0**-53  # unit roundoff
 
 
-def _recurrence_tail(u, v, d, n_trunc, factorial=False):
-    """sum_{n > n_trunc} a_n, a_n = u^n [t^n] e^{v t + d t^2/2} (over n! when
-    factorial), for u, v >= 0 and an integer d >= 0; never below the exact sum.
-    Every caller passes u = growth_envelope(ctx, |x|) and v = |y|.
+def _recurrence_tail(u, v, d, n_trunc):
+    """sum_{n > n_trunc} a_n, a_n = u^n [t^n] e^{v t + d t^2/2}, for u, v >= 0
+    and an integer d >= 0; never below the exact sum.  Every caller passes
+    v = |y| and u, with d = c or 0, from growth_envelope(ctx, |x|).
 
     Since g = e^{v t + d t^2/2} has g' = (v + d t) g, the terms obey the
-    positive three-term recurrence a_n = alpha_n a_{n-1} + beta_n a_{n-2} with
-
-        alpha_n = u v / n,     beta_n = u^2 d / n                (plain),
-        alpha_n = u v / n^2,   beta_n = u^2 d / (n^2 (n - 1))    (factorial),
-
-    coefficients that decrease in n.  The first two discarded terms are
-    seeded in logs (_tail_term), so a small u does not underflow, and the
-    recurrence runs forward from them: O(n_trunc) for the seeds plus one step
-    per summed term.  Once rho = alpha_{n+1} + beta_{n+1} < 1, every later
+    positive three-term recurrence a_n = alpha_n a_{n-1} + beta_n a_{n-2}
+    with alpha_n = u v / n and beta_n = u^2 d / n, coefficients that
+    decrease in n.  The first two discarded terms are seeded in logs
+    (_tail_term), so a small u does not underflow, and the recurrence runs
+    forward from them: O(n_trunc) for the seeds plus one step per summed
+    term.  Once rho = alpha_{n+1} + beta_{n+1} < 1, every later
     term is at most rho times the larger of its two predecessors, so
     consecutive pairs shrink by rho and
 
@@ -697,21 +694,19 @@ def _recurrence_tail(u, v, d, n_trunc, factorial=False):
     if u == 0.0:
         return 0.0
     seed = n = n_trunc + 2
-    prev, last = _tail_term(u, v, d, n - 1, factorial), _tail_term(u, v, d, n, factorial)
+    prev, last = _tail_term(u, v, d, n - 1), _tail_term(u, v, d, n)
     total = prev + last
     if not math.isfinite(total):
         return math.inf
     uv, uud = u * v, u * u * d
     for steps in range(_TAIL_STEPS):
         k = n + 1
-        beta = uud / (k - 1) if factorial else uud
-        scale = k * k if factorial else k
-        rho = (uv + beta) / scale
+        rho = (uv + uud) / k
         if rho < 1.0:
             rest = 2.0 * max(prev, last) * rho / (1.0 - rho)
             if rest <= total * 1e-17:
                 break
-        prev, last = last, (uv * last + beta * prev) / scale
+        prev, last = last, (uv * last + uud * prev) / k
         total += last
         if total == math.inf:
             return math.inf
@@ -723,18 +718,36 @@ def _recurrence_tail(u, v, d, n_trunc, factorial=False):
     return (total + rest) * (1.0 + _EPS * (16.0 * spread + seed + 9.0 * steps + 64.0))
 
 
-def growth_envelope(ctx: DunklContext, x_norm) -> float:
-    """u = delta_hat |G| |x|, from delta_hat >= n max_g |lam_n(g)|; every
-    truncation bound rests on |Lap^m E_n(x, .)(y)| <= d^m u^n |y|^{n-2m} / (n-2m)!."""
+def tail_kind(ctx: DunklContext) -> str:
+    """"certified" for a real weight k >= 0, where V has probability
+    representing measures (Roesler, Duke Math. J. 98, 1999), so every
+    discarded degree is bounded; "empirical" otherwise, where the envelope
+    extrapolates delta_hat past the computed degrees."""
+    return "certified" if ctx.k.is_nonnegative else "empirical"
+
+
+def growth_envelope(ctx: DunklContext, x_norm):
+    """(u, c) with |Lap_y^m E_n(x, .)(y)| <= c^m u^n |y|^{n-2m} / (n-2m)! for
+    every n and m, the estimate every truncation bound rests on.
+
+    Certified (tail_kind): V f(x) = integral of f dmu_x with mu_x a
+    probability measure on the convex hull of G x, so E_n(x, y) = integral of
+    <xi, y>^n / n! dmu_x(xi), and Lap_y^m <xi, y>^n / n! = |xi|^{2m}
+    <xi, y>^{n-2m} / (n-2m)! with |xi| <= |x|: u = |x| and c = 1, for complex
+    y too.  Empirical: u = delta_hat |G| |x| and c = d, from delta_hat >=
+    n max_g |lam_n(g)| on the computed degrees only.
+    """
+    if tail_kind(ctx) == "certified":
+        return x_norm, 1
     if ctx.delta_hat is None:
         raise ValueError("estimate_delta must run before truncation bounds")
-    return ctx.delta_hat * ctx.group.order * x_norm
+    return ctx.delta_hat * ctx.group.order * x_norm, ctx.dimension
 
 
 def ek_tail_bound(ctx: DunklContext, x_norm, y_norm, n_trunc) -> float:
-    """Bound sum_{n > N} u^n |y|^n / n! with u = growth_envelope(ctx, |x|):
-    the d = 0 case of the kernel tail, sum_{n > N} u^n [t^n] e^{|y| t}."""
-    return _recurrence_tail(growth_envelope(ctx, x_norm), y_norm, 0, n_trunc)
+    """Bound sum_{n > N} u^n |y|^n / n! with u from growth_envelope(ctx, |x|):
+    the m = 0 case of its estimate, sum_{n > N} u^n [t^n] e^{|y| t}."""
+    return _recurrence_tail(growth_envelope(ctx, x_norm)[0], y_norm, 0, n_trunc)
 
 
 def dunkl_kernel(ctx: DunklContext, x, y, tol, degree_cap=DEGREE_CAP) -> KernelValue:

@@ -39,6 +39,7 @@ from .kernel import (
     tail_bound,
 )
 from .operators import (
+    _norm,
     apply_H,
     dunkl_apply,
     dunkl_kernel,
@@ -52,6 +53,7 @@ from .operators import (
     monomial_basis,
     operator_A,
     solve_H,
+    tail_kind,
 )
 from .poly import (
     Polynomial,
@@ -407,12 +409,12 @@ def suite_series(bundle: ContextBundle, seed=0):
         yf = tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
         xn = math.sqrt(sum(t * t for t in xf))
         yn = math.sqrt(sum(t * t for t in yf))
-        u = growth_envelope(ctx, xn)
+        u, c = growth_envelope(ctx, xn)
         for n in range(n_trunc + 1):
             lap = homogeneous_kernel(ctx, n, xf).to_float()
             for m in range(n // 2 + 1):
                 got = abs(lap.evaluate(yf))
-                bound = d**m / math.factorial(n - 2 * m) * u**n * yn ** (n - 2 * m)
+                bound = c**m / math.factorial(n - 2 * m) * u**n * yn ** (n - 2 * m)
                 worst = max(worst, got - bound * (1 + 1e-9) - 1e-300)
                 lap = lap.laplacian()
     results.append(
@@ -523,16 +525,16 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
     results.append(CheckResult("hermite-orthonormality", worst, 1e-10, worst <= 1e-10))
 
     worst = 0.0
+    ps = [
+        Polynomial.monomial(d, nu)
+        for n in range(min(6, n_trunc) + 1)
+        for nu in monomial_basis(d, n)[:3]
+    ]
     for _ in range(3):
         xf = tuple(rng.uniform(-0.8, 0.8) for _ in range(d))
-        for n in range(0, min(6, n_trunc) + 1):
-            for nu in monomial_basis(d, n)[:3]:
-                p = Polynomial.monomial(d, nu)
-                got = phi_x_apply(ev, xf, p, rule)
-                want = complex(
-                    intertwine(ctx, inverse_heat_half(p)).evaluate(xf)
-                )
-                worst = max(worst, abs(complex(got) - want))
+        for p, got in zip(ps, phi_x_apply(ev, xf, ps, rule)):
+            want = complex(intertwine(ctx, inverse_heat_half(p)).evaluate(xf))
+            worst = max(worst, abs(complex(got) - want))
     results.append(
         CheckResult("represents-intertwine-of-heatflow", worst, 1e-9, worst <= 1e-9)
     )
@@ -553,7 +555,7 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
     results.append(
         CheckResult(
             "exponential-convolution", worst, 1e-6, worst <= 1e-6,
-            note=f"certified |x| radius {radius:.4g}",
+            note=f"{tail_kind(ctx)} |x| radius {radius:.4g}",
         )
     )
 
@@ -581,14 +583,14 @@ def suite_signs(bundle: ContextBundle, seed=0):
     zero_ctx = make_context(bundle.group, bundle.positives, zero_k)
     if d <= 2:
         n_trunc = max(bundle.degree, 18)
-        taylor_degree = 2 * n_trunc
+        taylor_cap = 2 * n_trunc
         x = tuple([Fraction(3, 5)] + [Fraction(-1, 4)] * (d - 1))
         y = tuple([Fraction(9, 10)] + [Fraction(1, 3)] * (d - 1))
     else:
-        # exact degree-2N Taylor data grows fast with the dimension; smaller
-        # points keep the truncation decisive at a cheaper degree
+        # exact Taylor data grows fast with the dimension; smaller points keep
+        # the truncation decisive at a cheaper degree
         n_trunc = 10
-        taylor_degree = 20
+        taylor_cap = 20
         x = tuple([Fraction(2, 5)] + [Fraction(1, 5)] * (d - 1))
         y = tuple([Fraction(1, 2)] + [Fraction(1, 4)] * (d - 1))
     ev0 = make_evaluator(zero_ctx, n_trunc)
@@ -598,11 +600,14 @@ def suite_signs(bundle: ContextBundle, seed=0):
 
     winner_tol = 1e-8 if d <= 2 else 1e-6
     for name, runner in (
-        ("gaussian-image", lambda e: gaussian_image_check(e, x, y, taylor_degree)),
-        ("fourier-representation", lambda e: fourier_check(e, x, y)),
-        ("derivative-relation", lambda e: derivative_relation_check(e, x, y, 0)),
+        (
+            "gaussian-image",
+            lambda e, tol: gaussian_image_check(e, x, y, _taylor_degree(e, x, y, tol, taylor_cap)),
+        ),
+        ("fourier-representation", lambda e, tol: fourier_check(e, x, y)),
+        ("derivative-relation", lambda e, tol: derivative_relation_check(e, x, y, 0)),
     ):
-        res0 = runner(ev0)
+        res0 = runner(ev0, winner_tol)
         winner = "plus" if res0["plus"] < res0["minus"] else "minus"
         loser = "minus" if winner == "plus" else "plus"
         decisive = res0[winner] <= winner_tol and res0[loser] >= 0.05
@@ -616,7 +621,7 @@ def suite_signs(bundle: ContextBundle, seed=0):
         )
         results.append(row)
         if ev_k is not None:
-            resk = runner(ev_k)
+            resk = runner(ev_k, 1e-6)
             results.append(
                 CheckResult(
                     identity=f"{name}-convention-at-context-weight",
@@ -639,6 +644,19 @@ def suite_signs(bundle: ContextBundle, seed=0):
     return results
 
 
+def _taylor_degree(ev, x, y, tol, cap):
+    """The Gaussian-image check's Taylor degree: the smallest D <= cap whose
+    Taylor remainder, e^{-|y|^2/2} tail_bound(ev, |x|, |y|, D), is at most
+    1e-3 tol when that bound is certified; cap otherwise."""
+    if tail_kind(ev.ctx) != "certified":
+        return cap
+    xn, yn = _norm(x), _norm(y)
+    window = math.exp(-(yn**2) / 2.0)
+    return next(
+        (n for n in range(cap) if window * tail_bound(ev, xn, yn, n).value <= 1e-3 * tol), cap
+    )
+
+
 # -- positivity suite ---------------------------------------------------------------------
 
 def suite_positivity(bundle: ContextBundle, seed=0):
@@ -656,12 +674,9 @@ def suite_positivity(bundle: ContextBundle, seed=0):
             )
         )
         return results
-    if d == 1:
-        n_trunc, x_axis, y_axis = max(bundle.degree, 24), 5, 7
-    elif d == 2:
-        n_trunc, x_axis, y_axis = max(bundle.degree, 30), 5, 7
-    else:
-        n_trunc, x_axis, y_axis = 20, 3, 5
+    # the signs suite's degree for d <= 2, so the two suites share V tables
+    n_trunc = max(bundle.degree, 18)
+    x_axis, y_axis = (5, 7) if d <= 2 else (3, 5)
     ev = make_evaluator(ctx, n_trunc)
     radius = certified_radius(ev, POSITIVITY_TOL / 2, 1.5)
     span = min(radius * 0.95 / math.sqrt(d), 2.0)

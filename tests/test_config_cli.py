@@ -351,9 +351,15 @@ def test_cli_ek_eval(tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "E(x, y)" in out and "tail bound" in out
+    assert out.splitlines()[-1] == "tail bound kind = certified"
     assert main(
         ["ek-eval", "--context", str(ctx_path), "--x", "0.5,1", "--y", "0.25", "--tol", "1e-10"]
     ) == 2
+    neg = tmp_path / "z21neg.json"
+    neg.write_text(json.dumps({"family": "Z2^d", "d": 1, "k": "-1/4", "N": 6}))
+    capsys.readouterr()
+    assert main(["ek-eval", "--context", str(neg), "--x", "0.5", "--y", "0.25"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "tail bound kind = empirical"
 
 
 def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):

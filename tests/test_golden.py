@@ -9,7 +9,14 @@ recorded from the implementation that stored every table as Fractions, so
 they pin the exact layer's values across changes of storage; the g2 and b3
 `verify --suite exact` digests were recorded again when the
 `en-product-expansion-oracle` row was extended from |G| <= 8 to |G| <= 48,
-which changed only that row's note.  It also hashes the CSV that
+which changed only that row's note.  The ek-eval digests, the three
+kernel-grid digests and the verify-row digests were recorded again when the
+tails of real weights k >= 0 became the certified |x| envelope: ek-eval
+picks a lower degree and prints a last line "tail bound kind = ...", the
+CSVs differ only in their tail_bound column, and the verify rows only in
+the radius notes of exponential-convolution and kernel-nonnegative-on-grid
+(and "certified" -> "empirical" in the first for z21neg and b2c, whose
+tails did not change).  It also hashes the CSV that
 `kernel-grid` prints for each grid in GRIDS, which pins lk_grid's float
 operations, and the rows of `verify --suite all` on each system in
 VERIFY_SYSTEMS without their residuals (identity, tolerance, pass flag,
@@ -61,17 +68,17 @@ GRIDS = {
 VERIFY_SYSTEMS = ("a2", "b2", "b2c", "z21", "z21neg")
 
 VERIFY_GOLDEN = {
-    "a2": "98495e14fff234548f95cd2f441bd02f4127f5b369ce167aec340d5c3b4f22c9",
-    "b2": "417fdb042d00f3f7d0c70ff283fb789b4570554a22db32bc3666041fd56a3b25",
-    "b2c": "a7f4d4267ff1163733c604fffb0192e6c95cb18801ad1fb44fbc4592e65b0376",
-    "z21": "58180ac094bce80c8f797207c1ee0a66095a83dc7c2c83cbfede3afa319e87ce",
-    "z21neg": "5bb9dd7c4e0198ae37a1503219b42eb0c1b9a2fa631b996facd7c410200df992",
+    "a2": "6dc0f651cd54531be480815071bc33f3c601e119a2f85eee1c0d045522a68aa6",
+    "b2": "40c41addf972805cc7e5462b0177e06b52d5dbacf4452f5af5eacad5c4247151",
+    "b2c": "f7a6c5cf0028020670ad3199c004ce62434439d708ae7cf2f58d727bb9ec1ac6",
+    "z21": "81c24e29be2a1ef43e548544c25196a5345a441675e44aa76c67fa565db9d774",
+    "z21neg": "df35436e391874f284f1a96ec63c494ee30bbd57e6d62f84929b8662ead6fcbc",
 }
 
 GRID_GOLDEN = {
-    "b2-degree-14": "db6bdce366b08c66ab4e0e7725dda705fa07c3c3f68c87ca8d9c3e256c1a3b06",
-    "b2-degree-30": "f84e24078d83e0732b92ba9f37b83156144a7eb99c1f2807ff1b5e584fb0453b",
-    "a2-degree-10": "d34f81ad45dd7811171e5ecfbaaed5f2f701759770649d200a192d578110749c",
+    "b2-degree-14": "9c73db76ef251e8e57cc9385ef1dc9edbe0ab8706b794b042d994fcb8d5edbda",
+    "b2-degree-30": "b6285495a5d4cb5fe4c65a41991d2c7649757519292b17b6da7614c266fb169d",
+    "a2-degree-10": "8e10e5df8f55e1d9bba81890a4b6e72dc6f2877fa6498868dc309317fa0317e7",
 }
 
 GOLDEN = {
@@ -80,7 +87,7 @@ GOLDEN = {
         "build": "71d9d932f2a728d30df47523361f6f94dbb5a39ecd7f83991a400428ae96b590",
         "lambda-table": "f574f19b6e85d58ae4e5939e92deb1545dafba8453ef88ba24a0c90cea402b16",
         "intertwine": "0a00a0050d74160a0860da4ebbab1f87c5a533a5ee51b960bea4bcb9afa86544",
-        "ek-eval": "7d86f1d68162cb8b5dcb117d9d9a20a720dc1727d8def239e228f86577159cb5",
+        "ek-eval": "b79481bef8efe9b5de19b12f63f569f27a711abc1e0971c32f3dcf7f5ff41628",
         "verify-exact": "9d10c9adf8f617021693c8020d9b56b0a3c80b84c462ac3672b05bfc25e05928",
         "rounded-table": "71f50b8abe28c36ac816eddce5df35fedb39a9c56a89e0c19e7a456786a16c2d",
     },
@@ -89,7 +96,7 @@ GOLDEN = {
         "build": "8505387856bf1df0f6459b1aef167f4b5ffb52288b91a0b07a2c7a669dbead36",
         "lambda-table": "99629a8a04e63fba81dcff1a0154950409d89675f60ded868e316be5a51fdfd3",
         "intertwine": "02d7afec05f966c05ac739c4da044e14974cfbdd2ea66ce777ad1feaa831c634",
-        "ek-eval": "a6ccb20726acc5caeab9a43aabf9ebf770831b8450cce6dcbb10020820ff81b3",
+        "ek-eval": "e2ac7914727029c326f2b386e56302dee81643b123f8616ebc2880afd719c63b",
         "verify-exact": "25ab4137e7c5d36f50ae5eec31aa6fac17961fe7681376392543673fa53f5146",
         "rounded-table": "299dd3dd5486accf08cda3166e4e18e2f345052e29b0b78e4a913a52786744d8",
     },
@@ -98,7 +105,7 @@ GOLDEN = {
         "build": "de1cf8ac29db4aded18f4d5c1cc76927a4666646f91782796896af6e28c15e6b",
         "lambda-table": "ad0139fb15b197512f7be0cec3436cce0940c7a7712c1917e65ef970eb1c98ff",
         "intertwine": "9436678e0d0e6eb2265394166d3bca07e33709086dac96819f5cc8e6267ae01d",
-        "ek-eval": "3fe77095e315c190a6913296f639112fa158168b1357dc89d42253df6016b767",
+        "ek-eval": "4273ea9f6376ed34250cddf54f4a0caf8284449b4d37390b839b99a6d9cc8667",
         "verify-exact": "b2e03ee639640073f16171b6b110545a3169c648693f92ca2d092f69498063ac",
         "rounded-table": "bbbc7c1f1aee84118b2cd9bc733293f4ab61304a3991e85475b4ee74f35cdaf8",
     },
@@ -107,7 +114,7 @@ GOLDEN = {
         "build": "50f700eef7fbb6a56c2e4aac4b426bc115a699afe3a58aa78a91fc706aea6f8d",
         "lambda-table": "b95fd69b2d6ddea4b67e559109a0dcdba1bfbb6f98ba97404b4616d7c9d1144b",
         "intertwine": "7b4eb9f135a481157c3a5f39c0533cadcc4e20423110612a05a27c39e0537607",
-        "ek-eval": "d8bf71553d9fcf00ce0e7bfea3cf721edbca2720fdd6c6001db7fb02f5f3f8b1",
+        "ek-eval": "84d7106d6217dd95c1a9a9567fcec0d72f0e91ded98131294269b52fd7c4091b",
         "verify-exact": "0ed9dcb140bb534b316ea50f7e6c0164937171b12144b3ddc0b968a4907939bc",
         "rounded-table": "61f45166d6f35f117b69769011a92b8d031620930008d3a00e012a2b68a0428d",
     },
@@ -116,7 +123,7 @@ GOLDEN = {
         "build": "9fca40902132303954fc68d1478492d645ee17df9254a8f4a6bdeab1cac86c1b",
         "lambda-table": "d630697f18e940ad3dfd1d913f23eb87360988fec5f680ce6825919c058a8639",
         "intertwine": "e5d8b193e4b029e96c9ef7c96d7642d2e1439e2844813e3e12c00e58fef082e5",
-        "ek-eval": "d890a6cb9a8c0b1ab9989272bb40d450c9670df38a41b911d80374d86e33c833",
+        "ek-eval": "54c8ecb292128cedf71ce01193399aa348582e861365f25599cfc6482ac3be12",
         "verify-exact": "f6166c3ec7bf6518ff659ab6bdb9e25e356481af8a810b992018253acccba19d",
         "rounded-table": "1619402e95959d476d4f73c334732bbfdf1a12356474cc9c12bea8224f98b7b7",
     },
@@ -125,7 +132,7 @@ GOLDEN = {
         "build": "fd32892513a1dfee25964b5318da5a5c99bf8f664d0387360da82abab2a299cd",
         "lambda-table": "2a09749305c0e5231c8a7146a6012a1dda84d9e188ac005fc5a571fe72ef0de8",
         "intertwine": "e6741230890eec2d4c4436520bf1b2220ccdda326b8ebbb7d1f4677cdd76d564",
-        "ek-eval": "a0626ae9eab26cbb827d81f94dcae11809e82a0c02a04b463d36f02d45edc21c",
+        "ek-eval": "710a1198732be952a6539f84c696cb88ce2f04bf4a2e388f02332caeb55ad4f7",
         "verify-exact": "edbdd1552f862cfc51debc1853f9a9c03a6476ea335aaab6eff1155aa5a3ef1b",
         "rounded-table": "0973124056643ae8bf57737f15a8982ad0374069a2e94bbdcffee3cb75060a4d",
     },
@@ -134,7 +141,7 @@ GOLDEN = {
         "build": "803a454b863d5c92eb6ca9877d21e84b2c0e89fb1c3e2d2acf91bfcea7eb858f",
         "lambda-table": "31543d0c399d038298adb92cbb8dc877a3026967b149a8e85cc1411f89f55ef5",
         "intertwine": "bd7a1fc89b60b90981ccd12690b2b4483cf3ef8dbc256fcf22f46337c51a6bca",
-        "ek-eval": "76c2dd4572d8104ec84d738f22760272adfe8390976e3d6d1ba17ab07eb07b68",
+        "ek-eval": "4f412a444b647d07209c1d20a6b208583f77b257ac2326ca6534faae693b9460",
         "verify-exact": "aa8f72834c5724e5f1d0db1e41b41d281accca1290e2d8dbd0925234edf8a515",
         "rounded-table": "0e40a6146f80e392bf7e0e1e33b5e237d52198c8dec48a63a8d5b872c35a261b",
     },

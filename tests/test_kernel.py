@@ -11,7 +11,6 @@ from dunkl.kernel import (
     certified_radius,
     convolution_check,
     derivative_relation_check,
-    _gaussian_taylor_tail,
     fourier_check,
     gaussian_image_check,
     gaussian_taylor,
@@ -35,6 +34,8 @@ from dunkl.operators import (
     _recurrence_tail,
     _tail_term,
     _vk_monomial,
+    ek_tail_bound,
+    evaluate_en,
     homogeneous_kernel,
     intertwine,
     make_context,
@@ -144,9 +145,9 @@ def test_lk_eval_rejects_outside_certified_radius(ev_z21):
 
 def test_tail_bound_monotone_and_dominates(ev_b2):
     xn, yn = 0.4, 0.9
-    # the whole series sum_n u^n [t^n] e^{|y| t + d t^2/2} is e^{u^2 d/2 + u |y|}
-    u = ev_b2.ctx.delta_hat * ev_b2.ctx.group.order * xn
-    envelope = math.exp(u * u * ev_b2.dimension / 2.0 + u * yn)
+    # for k >= 0 the whole series sum_n |x|^n [t^n] e^{|y| t + t^2/2} is
+    # e^{|x|^2/2 + |x| |y|}: no delta_hat, |G| or d
+    envelope = math.exp(xn * xn / 2.0 + xn * yn)
     prev = math.inf
     for n in range(6, ev_b2.n_trunc + 1):
         tb = tail_bound(ev_b2, xn, yn, n)
@@ -192,16 +193,16 @@ def test_mass_zero_weight_closed_form(ev_z21_zero):
 
 
 def test_phi_x_of_constant_is_one(ev_b2, rule2):
-    assert abs(complex(phi_x_apply(ev_b2, (0.4, -0.2), Polynomial.constant(2, 1.0), rule2)) - 1) < 1e-12
+    [val] = phi_x_apply(ev_b2, (0.4, -0.2), [Polynomial.constant(2, 1.0)], rule2)
+    assert abs(complex(val) - 1) < 1e-12
 
 
 def test_phi_x_reconstructs_intertwine(ev_b2, rule2):
     rng = np.random.default_rng(11)
     for _ in range(3):
         x = tuple(rng.uniform(-0.8, 0.8, 2))
-        for nu in ((0, 0), (1, 0), (2, 1), (3, 3), (0, 4)):
-            p = Polynomial.monomial(2, nu)
-            got = phi_x_apply(ev_b2, x, p, rule2)
+        ps = [Polynomial.monomial(2, nu) for nu in ((0, 0), (1, 0), (2, 1), (3, 3), (0, 4))]
+        for p, got in zip(ps, phi_x_apply(ev_b2, x, ps, rule2)):
             want = intertwine(ev_b2.ctx, inverse_heat_half(p)).evaluate(x)
             bound = tail_bound(ev_b2, math.hypot(*x), 0.0).value + 1e-10
             assert abs(complex(got) - complex(want)) <= max(bound, 1e-10)
@@ -211,7 +212,7 @@ def test_phi_x_positive_on_bump(ev_z21, rule1):
     def bump(z):
         return 1.0 / (1.0 + float(z[0]) ** 2)
 
-    val = phi_x_apply(ev_z21, (0.5,), bump, rule1)
+    [val] = phi_x_apply(ev_z21, (0.5,), [bump], rule1)
     assert complex(val).real >= -1e-8
 
 
@@ -637,18 +638,13 @@ def test_tail_terms_bit_identical_to_per_call_logs():
             assert _tail_term(u, v, d, n) == _tail_term_per_call(u, v, d, n), (u, v, d, n)
 
 
-def _exact_tail_terms(u, v, d, n_hi, factorial):
-    """u^n [t^n] e^{v t + d t^2/2} (over n! when factorial) for n <= n_hi, in
-    Fractions, from n c_n = v c_{n-1} + d c_{n-2}."""
+def _exact_tail_terms(u, v, d, n_hi):
+    """u^n [t^n] e^{v t + d t^2/2} for n <= n_hi, in Fractions, from
+    n c_n = v c_{n-1} + d c_{n-2}."""
     c = [Fraction(1), v]
     for n in range(2, n_hi + 1):
         c.append((v * c[n - 1] + d * c[n - 2]) / n)
-    out = []
-    scale = Fraction(1)
-    for n in range(n_hi + 1):
-        out.append(scale * c[n])
-        scale *= u / (n + 1) if factorial else u
-    return out
+    return [u**n * c[n] for n in range(n_hi + 1)]
 
 
 EIGHTHS = st.integers(0, 24).map(lambda a: Fraction(a, 8))
@@ -660,16 +656,15 @@ EIGHTHS = st.integers(0, 24).map(lambda a: Fraction(a, 8))
     v=EIGHTHS,
     d=st.integers(0, 4),
     n_trunc=st.integers(0, 30),
-    factorial=st.booleans(),
 )
-@example(u=Fraction(3), v=Fraction(0), d=4, n_trunc=13, factorial=False)
-@example(u=Fraction(1, 8), v=Fraction(0), d=1, n_trunc=21, factorial=True)
-def test_recurrence_tail_brackets_exact_sum(u, v, d, n_trunc, factorial):
+@example(u=Fraction(3), v=Fraction(0), d=4, n_trunc=13)
+@example(u=Fraction(1, 8), v=Fraction(0), d=1, n_trunc=21)
+def test_recurrence_tail_brackets_exact_sum(u, v, d, n_trunc):
     # u in (0, 3], v in [0, 3], at eighths: the 200 discarded degrees hold the whole
     # tail to far below 1e-12, so the routine must lie in [S, (1 + 1e-12) S]
-    terms = _exact_tail_terms(u, v, d, n_trunc + 200, factorial)
+    terms = _exact_tail_terms(u, v, d, n_trunc + 200)
     partial = sum(terms[n_trunc + 1 :])
-    got = _recurrence_tail(float(u), float(v), d, n_trunc, factorial)
+    got = _recurrence_tail(float(u), float(v), d, n_trunc)
     assert partial <= Fraction(got) <= partial * (1 + Fraction(1, 10**12)), (got, float(partial))
 
 
@@ -681,12 +676,60 @@ def test_tail_bounds_positive_and_monotone_at_every_parity(ev_b2, y_norm):
     # rounding factors differ by far less than 1e-12.
     tails = [tail_bound(ev_b2, 0.2, y_norm, n).value for n in range(10, 22)]
     assert all(a * (1 + 1e-12) >= b > 0.0 for a, b in zip(tails, tails[1:]))
-    taylor = [_gaussian_taylor_tail(ev_b2, 0.1, y_norm, n) for n in range(10, 26)]
+    # the Gaussian-image check's Taylor remainder is the same bound at its degree
+    taylor = [tail_bound(ev_b2, 0.1, y_norm, n).value for n in range(10, 26)]
     assert all(a * (1 + 1e-12) >= b > 0.0 for a, b in zip(taylor, taylor[1:]))
     if y_norm == 1e-9:
         assert all(
             tail_bound(ev_b2, 0.2, 0.0, n).value <= tb for n, tb in zip(range(10, 22), tails)
         )
         assert all(
-            _gaussian_taylor_tail(ev_b2, 0.1, 0.0, n) <= tb for n, tb in zip(range(10, 26), taylor)
+            tail_bound(ev_b2, 0.1, 0.0, n).value <= tb for n, tb in zip(range(10, 26), taylor)
         )
+
+
+@pytest.mark.parametrize(
+    "family, k_values, kw",
+    [
+        ("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, {"d": 2}),
+        ("A", Fraction(1), {"d": 3}),
+        ("Z2^d", Fraction(1, 2), {"d": 1}),
+    ],
+    ids=["B2", "A-d3", "Z2^1"],
+)
+def test_certified_tail_dominates_the_next_ten_degrees(family, k_values, kw):
+    # for k >= 0 the tails use |x| in place of delta_hat |G| |x|, and d = 1:
+    # degrees N+1..N+10, computed explicitly, must stay under them
+    n0 = 4
+    ev = make_ev(family, k_values, n0 + 10, **kw)
+    d = ev.dimension
+    rng = random.Random(21)
+    for _ in range(3):
+        x = tuple(rng.uniform(-0.9, 0.9) / math.sqrt(d) for _ in range(d))
+        y = tuple(rng.uniform(-1.5, 1.5) / math.sqrt(d) for _ in range(d))
+        xn, yn = math.hypot(*x), math.hypot(*y)
+        kernel_terms = sum(
+            abs(complex(heat_image(ev, n, x).evaluate(y))) for n in range(n0 + 1, n0 + 11)
+        )
+        assert kernel_terms <= tail_bound(ev, xn, yn, n0).value
+        en_terms = sum(
+            abs(complex(evaluate_en(ev.ctx, n, x, y))) for n in range(n0 + 1, n0 + 11)
+        )
+        assert en_terms <= ek_tail_bound(ev.ctx, xn, yn, n0)
+
+
+def test_gaussian_image_remainder_bound_dominates_taylor_remainder():
+    # at weight zero V is the identity, so V(T)(x) is the Taylor polynomial T
+    # of e^{-|u|^2/2 - <u, y>} at u = x, and its remainder past degree D must
+    # stay under the bound the Gaussian-image check reports for it
+    ev0 = make_ev("B", Fraction(0), 30, d=2)
+    x = (Fraction(6, 5), Fraction(-3, 4))
+    y = (Fraction(9, 10), Fraction(1, 3))
+    xn, yn = math.hypot(*x), math.hypot(*y)
+    exact = math.exp(-float(sum(t * t for t in x)) / 2 - float(sum(a * b for a, b in zip(x, y))))
+    for deg in range(6, 21):
+        taylor = float(gaussian_taylor(2, y, deg).evaluate(x))
+        assert abs(taylor - exact) <= tail_bound(ev0, xn, yn, deg).value, deg
+        # and through the check, where the kernel's tail at degree 30 is far smaller
+        res = gaussian_image_check(ev0, x, y, deg)
+        assert res["minus"] <= res["trunc_bound"], deg

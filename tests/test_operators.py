@@ -630,9 +630,9 @@ def test_fallback_degrees_excluded_from_delta():
 
 
 def test_intertwine_norm_bound(b2):
-    # |V p (x)| <= (delta |G| |x|)^n / n! * sup_{|z|=1} |p(z)|, with 5% slack;
+    # for k >= 0, V p (x) is the mean of p over a probability measure on the
+    # convex hull of G x, so |V p (x)| <= |x|^n sup_{|z|=1} |p(z)|;
     # on the unit sphere c z^nu peaks at |c| prod_j (nu_j / n)^(nu_j / 2)
-    estimate_delta(b2, 8)
     x = (0.6, -0.3)
     xn = math.hypot(*x)
     for nu, scale in (((3, 1), Fraction(1)), ((2, 2), Fraction(1, 3)), ((5, 0), Fraction(2))):
@@ -640,5 +640,5 @@ def test_intertwine_norm_bound(b2):
         n = sum(nu)
         got = abs(complex(intertwine(b2, p).evaluate(x)))
         sup = float(scale) * math.prod((e / n) ** (e / 2) for e in nu)
-        bound = (b2.delta_hat * b2.group.order * xn) ** n / math.factorial(n) * sup
-        assert got <= bound * 1.05 + 1e-12
+        bound = xn**n * sup
+        assert got <= bound * (1 + 1e-12)

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from dunkl.config import build_bundle
+from dunkl.config import build_bundle, load_context
 from dunkl.kernel import make_evaluator
 from dunkl.operators import monomial_basis
 from dunkl.verify import run_suite, suite_exact, suite_positivity, suite_signs
@@ -57,6 +59,22 @@ def test_signs_suite_skips_context_rows_for_negative_weight():
     assert all(r.passed for r in zero_rows)
 
 
+def test_positivity_alone_matches_positivity_inside_all():
+    # the certified envelope does not depend on the degrees other suites
+    # prepared; the empirical delta_hat did (radius 0.165 alone, 0.162 in all)
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "b2.json")
+    alone = run_suite(load_context(config), "positivity").to_json()["results"]
+    inside = run_suite(load_context(config), "all").to_json()["results"]
+    assert alone == [row for row in inside if row["identity"] in {r["identity"] for r in alone}]
+
+
+def test_convolution_note_names_the_tail_kind():
+    for k, kind in (("1/2", "certified"), ("-1/4", "empirical")):
+        bundle = build_bundle({"family": "Z2^d", "d": 1, "k": k, "N": 6})
+        rows = {r.identity: r for r in run_suite(bundle, "quadrature").results}
+        assert rows["exponential-convolution"].note.startswith(f"{kind} |x| radius")
+
+
 def test_report_json_shape(z21_bundle):
     report = run_suite(z21_bundle, "positivity")
     data = report.to_json()
@@ -105,13 +123,14 @@ def test_product_expansion_oracle_names_skipped_degrees():
 
 
 def test_positivity_fills_and_reuses_the_context_table():
-    # the d = 2 positivity suite reads the context's own V table to degree 30,
-    # so a later evaluator at that degree finds every entry already there
+    # the positivity suite reads the context's own V table to degree
+    # max(N, 18), so a later evaluator at that degree (the signs suite's for
+    # d <= 2) finds every entry already there
     bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 12})
     ctx = bundle.ctx
     assert all(r.passed for r in suite_positivity(bundle))
-    wanted = {nu for n in range(31) for nu in monomial_basis(2, n)}
+    wanted = {nu for n in range(19) for nu in monomial_basis(2, n)}
     assert wanted <= set(ctx.vk_cache)
     before = dict(ctx.vk_cache)
-    make_evaluator(ctx, 30)
+    make_evaluator(ctx, 18)
     assert ctx.vk_cache.keys() == before.keys()
