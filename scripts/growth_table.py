@@ -3,30 +3,22 @@
 
 The table is the empirical envelope behind every truncation bound in the
 package; watching it flatten toward its supremum is the quickest sanity
-check that a weight is comfortably inside the admissible set.
+check that a weight is comfortably inside the admissible set.  Bad
+arguments and inadmissible weights exit 2, as the dunkl CLI does.
 
     python3 scripts/growth_table.py configs/b2.json --degree 40 --out growth.csv
 """
 import argparse
 import sys
 
+from dunkl.cli import _degree, main as run_guarded
 from dunkl.config import build_bundle, load_config
-from dunkl.operators import NotInMStarError
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("config")
-    parser.add_argument("--degree", type=int, default=30)
-    parser.add_argument("--out", default=None)
-    args = parser.parse_args()
-
+def growth_table(args):
+    degree = _degree(args.degree, 1)
     bundle = build_bundle(load_config(args.config))
-    try:
-        bundle.ctx.prepare(args.degree)
-    except NotInMStarError as exc:
-        print(f"weight is inadmissible: {exc}", file=sys.stderr)
-        return 2
+    bundle.ctx.prepare(degree)
     lines = ["n,growth"]
     for n, row in bundle.ctx.delta_table:
         lines.append(f"{n},{row:.17g}")
@@ -37,7 +29,7 @@ def main():
     else:
         sys.stdout.write(text)
     print(
-        f"# delta_hat = {bundle.ctx.delta_hat:.17g} over degrees 1..{args.degree} "
+        f"# delta_hat = {bundle.ctx.delta_hat:.17g} over degrees 1..{degree} "
         f"(|G| = {bundle.group.order})",
         file=sys.stderr,
     )
@@ -48,6 +40,15 @@ def main():
             file=sys.stderr,
         )
     return 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("config")
+    parser.add_argument("--degree", type=int, default=30)
+    parser.add_argument("--out", default=None)
+    parser.set_defaults(func=growth_table)
+    return run_guarded(argv, parser)
 
 
 if __name__ == "__main__":

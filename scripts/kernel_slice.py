@@ -4,6 +4,8 @@
 For y = t * u with a fixed direction u, prints t, L(x, y), the tail bound,
 and the weight-zero closed form e^{<x,y> - |x|^2/2} evaluated at the same
 points, which makes the deformation produced by the weight easy to plot.
+The tail bound is the one kernel-grid prints on a context built from the
+same config.  Bad arguments exit 2, as the dunkl CLI does.
 
     python3 scripts/kernel_slice.py configs/b2.json --x 0.1,0.05 --steps 25
 """
@@ -11,11 +13,45 @@ import argparse
 import math
 import sys
 
-from dunkl.config import build_bundle, load_config
+from dunkl.cli import _at_least, _degree, _floats, main as run_guarded
+from dunkl.config import ConfigError, build_bundle, load_config
 from dunkl.kernel import lk_series_value, make_evaluator, tail_bound
 
 
-def main():
+def kernel_slice(args):
+    bundle = build_bundle(load_config(args.config))
+    d = bundle.group.dimension
+    x = tuple(_floats(args.x.split(","), args.x))
+    if args.direction:
+        u = tuple(_floats(args.direction.split(","), args.direction))
+    else:
+        u = (1.0,) + (0.0,) * (d - 1)
+    if len(x) != d or len(u) != d:
+        raise ConfigError(f"base point and direction must have dimension {d}")
+    norm = math.sqrt(sum(t * t for t in u))
+    if norm == 0.0:
+        raise ConfigError(f"direction {args.direction!r} is zero")
+    u = tuple(t / norm for t in u)
+    if not math.isfinite(args.radius):
+        raise ConfigError(f"--radius must be finite, got {args.radius}")
+    steps = _at_least(args.steps, 2, "--steps")
+    degree = _degree(args.degree if args.degree is not None else (14 if d <= 2 else 10), 0)
+    bundle.ctx.prepare(bundle.degree)  # delta_hat as a cached context has it
+    ev = make_evaluator(bundle.ctx, degree)
+    xn = math.sqrt(sum(t * t for t in x))
+
+    print("t,kernel,tail_bound,weight_zero_profile")
+    for i in range(steps):
+        t = -args.radius + 2 * args.radius * i / (steps - 1)
+        y = tuple(t * c for c in u)
+        val = complex(lk_series_value(ev, x, y))
+        tb = tail_bound(ev, xn, abs(t))
+        flat = math.exp(sum(a * b for a, b in zip(x, y)) - xn * xn / 2)
+        print(f"{t:.17g},{val.real:.17g},{tb.value:.17g},{flat:.17g}")
+    return 0
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("config")
     parser.add_argument("--x", required=True, help="comma-separated base point")
@@ -23,33 +59,8 @@ def main():
     parser.add_argument("--radius", type=float, default=1.5)
     parser.add_argument("--steps", type=int, default=21)
     parser.add_argument("--degree", type=int, default=None)
-    args = parser.parse_args()
-
-    bundle = build_bundle(load_config(args.config))
-    d = bundle.group.dimension
-    x = tuple(float(t) for t in args.x.split(","))
-    if len(x) != d:
-        print(f"base point must have dimension {d}", file=sys.stderr)
-        return 2
-    if args.direction:
-        u = tuple(float(t) for t in args.direction.split(","))
-    else:
-        u = (1.0,) + (0.0,) * (d - 1)
-    norm = math.sqrt(sum(t * t for t in u))
-    u = tuple(t / norm for t in u)
-    degree = args.degree if args.degree is not None else (14 if d <= 2 else 10)
-    ev = make_evaluator(bundle.ctx, degree)
-    xn = math.sqrt(sum(t * t for t in x))
-
-    print("t,kernel,tail_bound,weight_zero_profile")
-    for i in range(args.steps):
-        t = -args.radius + 2 * args.radius * i / (args.steps - 1)
-        y = tuple(t * c for c in u)
-        val = complex(lk_series_value(ev, x, y))
-        tb = tail_bound(ev, xn, abs(t))
-        flat = math.exp(sum(a * b for a, b in zip(x, y)) - xn * xn / 2)
-        print(f"{t:.17g},{val.real:.17g},{tb.value:.17g},{flat:.17g}")
-    return 0
+    parser.set_defaults(func=kernel_slice)
+    return run_guarded(argv, parser)
 
 
 if __name__ == "__main__":

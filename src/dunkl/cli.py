@@ -332,9 +332,9 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+def main(argv=None, parser=None) -> int:
+    """Run the command argv names under parser (default dunkl's); config errors exit 2."""
+    args = (parser or make_parser()).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, MultiplicityError, GroupClosureError, NotInMStarError, OSError) as exc:

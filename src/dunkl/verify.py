@@ -21,6 +21,7 @@ import numpy as np
 from .config import SUITES, ContextBundle
 from .exact import real_part
 from .kernel import (
+    KernelEvaluator,
     certified_radius,
     convolution_check,
     derivative_relation_check,
@@ -39,6 +40,7 @@ from .kernel import (
     tail_bound,
 )
 from .operators import (
+    DEGREE_CAP,
     _norm,
     apply_H,
     dunkl_apply,
@@ -582,27 +584,23 @@ def suite_signs(bundle: ContextBundle, seed=0):
     zero_k = validate_multiplicity(bundle.positives, Fraction(0), bundle.k.orbits)
     zero_ctx = make_context(bundle.group, bundle.positives, zero_k)
     if d <= 2:
-        n_trunc = max(bundle.degree, 18)
-        taylor_cap = 2 * n_trunc
         x = tuple([Fraction(3, 5)] + [Fraction(-1, 4)] * (d - 1))
         y = tuple([Fraction(9, 10)] + [Fraction(1, 3)] * (d - 1))
     else:
-        # exact Taylor data grows fast with the dimension; smaller points keep
-        # the truncation decisive at a cheaper degree
-        n_trunc = 10
-        taylor_cap = 20
         x = tuple([Fraction(2, 5)] + [Fraction(1, 5)] * (d - 1))
         y = tuple([Fraction(1, 2)] + [Fraction(1, 4)] * (d - 1))
+    winner_tol = 1e-8 if d <= 2 else 1e-6
+    # one truncation degree for both evaluators, from the certified weight-zero bound
+    n_trunc = _tail_degree(KernelEvaluator(zero_ctx, 0), x, y, winner_tol, DEGREE_CAP)
     ev0 = make_evaluator(zero_ctx, n_trunc)
 
     re_ok = all(real_part(v) >= 0 for v in bundle.k.by_root.values())
     ev_k = make_evaluator(ctx, n_trunc) if re_ok else None
 
-    winner_tol = 1e-8 if d <= 2 else 1e-6
     for name, runner in (
         (
             "gaussian-image",
-            lambda e, tol: gaussian_image_check(e, x, y, _taylor_degree(e, x, y, tol, taylor_cap)),
+            lambda e, tol: gaussian_image_check(e, x, y, _tail_degree(e, x, y, tol, 2 * n_trunc)),
         ),
         ("fourier-representation", lambda e, tol: fourier_check(e, x, y)),
         ("derivative-relation", lambda e, tol: derivative_relation_check(e, x, y, 0)),
@@ -644,10 +642,11 @@ def suite_signs(bundle: ContextBundle, seed=0):
     return results
 
 
-def _taylor_degree(ev, x, y, tol, cap):
-    """The Gaussian-image check's Taylor degree: the smallest D <= cap whose
-    Taylor remainder, e^{-|y|^2/2} tail_bound(ev, |x|, |y|, D), is at most
-    1e-3 tol when that bound is certified; cap otherwise."""
+def _tail_degree(ev, x, y, tol, cap):
+    """The smallest D <= cap whose remainder e^{-|y|^2/2} tail_bound(ev, |x|,
+    |y|, D) is at most 1e-3 tol when that bound is certified; cap otherwise.
+    The signs suite takes from it both its truncation degree and the
+    Gaussian-image check's Taylor degree, whose remainder is the same bound."""
     if tail_kind(ev.ctx) != "certified":
         return cap
     xn, yn = _norm(x), _norm(y)
@@ -674,7 +673,7 @@ def suite_positivity(bundle: ContextBundle, seed=0):
             )
         )
         return results
-    # the signs suite's degree for d <= 2, so the two suites share V tables
+    # the degree the signs suite's bound picks in d = 2, so there the two share V tables
     n_trunc = max(bundle.degree, 18)
     x_axis, y_axis = (5, 7) if d <= 2 else (3, 5)
     ev = make_evaluator(ctx, n_trunc)

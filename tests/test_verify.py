@@ -31,6 +31,16 @@ def test_signs_suite_reports_conventions(z21_bundle):
     assert by_name["gaussian-image-convention-at-context-weight"].convention == "minus"
 
 
+def test_signs_suite_passes_on_z2_5():
+    # the truncation degree comes from the certified bound at the suite's
+    # points (14 here); a fixed degree 10 left the weight-zero derivative
+    # relation at 1.2e-6 against its 1e-6 tolerance
+    bundle = build_bundle({"family": "Z2^d", "d": 5, "k": "1/2", "N": 2})
+    report = run_suite(bundle, "signs")
+    assert len(report.results) == 6
+    assert all(r.passed for r in report.results), [r for r in report.results if not r.passed]
+
+
 def test_positivity_skipped_for_complex_weight():
     bundle = build_bundle(
         {"family": "Z2^d", "d": 1, "k": {"re": "1/2", "im": "1/3"}, "N": 4}
