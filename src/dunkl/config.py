@@ -7,8 +7,11 @@ Root-system configs are JSON like
 with scalars as exact rational strings "p/q" (floats are read through their
 decimal repr), complex scalars as {"re": ..., "im": ...}, and k either a
 single scalar, a list with one entry per canonical root orbit, or a mapping
-from orbit labels.  Context caches persist the group-algebra coefficient
-tables as rational strings so a reload is exact.
+from orbit labels.  A context cache holds the config, the group order, the
+degree, and the lambda tables (rational strings) with the fallback degrees
+of degrees 1..degree, as _cache_tables writes them.  A load solves each
+class system again and accepts the cache only if its two entries equal
+that solve's, so the class solve is the one source of lambda_n.
 """
 from __future__ import annotations
 
@@ -16,20 +19,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    ComplexRational,
-    format_rational,
-    parse_scalar,
-    scalar_to_json,
-)
-from .operators import (
-    DEGREE_CAP,
-    DunklContext,
-    _class_solve,
-    estimate_delta,
-    make_context,
-    solves_row_identity,
-)
+from .exact import ComplexRational, format_rational, parse_scalar, scalar_to_json
+from .operators import DEGREE_CAP, DunklContext, _class_solve, estimate_delta, make_context
 from .poly import Polynomial
 from .reflection_groups import (
     MultiplicityFunction,
@@ -96,11 +87,17 @@ def _resolve_k(k_field, system, positives):
     return validate_multiplicity(positives, parse_scalar(k_field), orbits)
 
 
-def _int_field(cfg, key, default):
-    try:
-        return int(cfg.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field {key!r} must be an integer, got {cfg[key]!r}") from None
+def _integer(value, what):
+    """value, an int, an integral float or a decimal string, as an int;
+    anything else, a boolean or 2.7 say, raises ConfigError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def build_bundle(cfg: dict) -> ContextBundle:
@@ -126,7 +123,7 @@ def build_bundle(cfg: dict) -> ContextBundle:
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
     ctx = make_context(group, positives, k)
-    degree = _int_field(cfg, "N", 8)
+    degree = _integer(cfg.get("N", 8), "config field 'N'")
     if not 1 <= degree <= DEGREE_CAP:
         raise ConfigError(f"config field 'N' must be in 1..{DEGREE_CAP}, got {degree}")
     name = cfg.get("name") or f"{system.family_tag}{system.dimension}"
@@ -143,21 +140,25 @@ def load_config(path) -> dict:
 
 # -- context cache ---------------------------------------------------------------
 
+def _cache_tables(ctx: DunklContext, degree):
+    """The lambda tables and fallback degrees of degrees 1..degree, read
+    from ctx.h_cache, in the JSON form a cache stores."""
+    lams = {n: ctx.h_cache[n] for n in range(1, degree + 1)}
+    return {
+        "lambdas": {
+            str(n): [scalar_to_json(c) for c in lam] for n, lam in lams.items() if lam is not None
+        },
+        "fallback_degrees": [n for n, lam in lams.items() if lam is None],
+    }
+
+
 def save_context(bundle: ContextBundle, path):
     ctx = bundle.ctx
-    lambdas = {}
-    for n, lam in sorted(ctx.h_cache.items()):
-        if lam is not None:
-            lambdas[str(n)] = [scalar_to_json(c) for c in lam]
     payload = {
         "config": bundle.config,
         "degree": ctx.prepared_to,
         "group_order": bundle.group.order,
-        "gamma": scalar_to_json(ctx.gamma),
-        "lambdas": lambdas,
-        "fallback_degrees": ctx.fallback_degrees,
-        "delta_hat": ctx.delta_hat,
-        "delta_table": [[n, v] for n, v in ctx.delta_table],
+        **_cache_tables(ctx, ctx.prepared_to),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -168,14 +169,13 @@ def save_context(bundle: ContextBundle, path):
 def load_context(path) -> ContextBundle:
     """Load either a raw config or a cached context (detected by 'lambdas').
 
-    A cache must carry its config, group order, degree and lambda tables,
-    every degree, lambda key and fallback degree in 1..DEGREE_CAP, each
-    degree in 1..degree a lambda key or a fallback degree and none both,
-    each lam_n with one entry per group element, constant on conjugacy
-    classes, that satisfies the row identity of solve_H exactly at one
-    element per class, and a singular class system at each fallback degree;
-    anything else raises ConfigError.  No H_n table is built here: solve_H
-    builds each on first use.
+    A cache must carry its config, group order and a degree in
+    1..DEGREE_CAP.  Each lambda_n is then solved again from the config
+    (_class_solve), and the cache's lambda tables and fallback degrees must
+    equal _cache_tables of that solve (a cache that needs no fallback degree
+    may leave the key out); anything else raises ConfigError, naming the
+    first degree that differs.  No H_n table is built here: solve_H builds
+    each on first use.
     """
     data = load_config(path)
     if not isinstance(data, dict) or "lambdas" not in data:
@@ -189,41 +189,34 @@ def load_context(path) -> ContextBundle:
     ctx = bundle.ctx
     if bundle.group.order != data["group_order"]:
         raise ConfigError("cached context does not match the rebuilt group")
-    try:
-        degree = int(data["degree"])
-        tables = {
-            int(n): [parse_scalar(c) for c in coeffs]
-            for n, coeffs in dict(data["lambdas"]).items()
-        }
-        fallback = [int(n) for n in data.get("fallback_degrees", [])]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"malformed cached context {path}: {exc}") from None
+    degree = _integer(data["degree"], f"the degree of cached context {path}")
     if not 1 <= degree <= DEGREE_CAP:
         raise ConfigError(f"cached context {path} has degree {degree}, not in 1..{DEGREE_CAP}")
-    for n, coeffs in sorted(tables.items()):
-        if not 1 <= n <= DEGREE_CAP:
-            raise ConfigError(f"cached lambda_{n} has a degree outside 1..{DEGREE_CAP}")
-        if len(coeffs) != bundle.group.order:
-            raise ConfigError(
-                f"cached lambda_{n} is not a table of |G| = {bundle.group.order} entries"
-            )
-        if not solves_row_identity(ctx, n, coeffs):
-            raise ConfigError(
-                f"cached lambda_{n} is not a class function inverting (n + gamma) e - a"
-            )
-        ctx.h_cache[n] = tuple(coeffs)
-    if any(not 1 <= n <= DEGREE_CAP for n in fallback):
-        raise ConfigError(f"cached fallback degrees {fallback} are not all in 1..{DEGREE_CAP}")
-    for n in sorted(set(range(1, degree + 1)) | set(fallback)):
-        if (n in tables) == (n in fallback) or n in fallback and _class_solve(ctx, n) is not None:
-            raise ConfigError(
-                f"cached degree {n} needs lambda_{n} or, where there is none, a fallback listing"
-            )
-    ctx.h_cache.update(dict.fromkeys(fallback))
+    for n in range(1, degree + 1):
+        ctx.h_cache[n] = _class_solve(ctx, n)
+    want = _cache_tables(ctx, degree)
+    lambdas, fallback = data["lambdas"], data.get("fallback_degrees", [])
+    if (lambdas, fallback) != (want["lambdas"], want["fallback_degrees"]):
+        raise ConfigError(
+            f"cached context {path} is not the class solve of its config: "
+            + _first_difference(lambdas, fallback, want, degree)
+        )
     estimate_delta(ctx, degree)
     ctx.prepared_to = degree
     bundle.degree = degree
     return bundle
+
+
+def _first_difference(lambdas, fallback, want, degree):
+    """Where a cache's lambda tables or fallback degrees first differ from want."""
+    if not isinstance(lambdas, dict) or not isinstance(fallback, list):
+        return "its lambdas are not a mapping or its fallback degrees not a list"
+    for n in range(1, degree + 1):
+        if lambdas.get(str(n)) != want["lambdas"].get(str(n)):
+            return f"cached lambda_{n} differs"
+        if (n in fallback) != (n in want["fallback_degrees"]):
+            return f"cached fallback listing of degree {n} differs"
+    return f"it lists a degree outside 1..{degree}, or one twice or out of order"
 
 
 # -- polynomial literals ------------------------------------------------------------

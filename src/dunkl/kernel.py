@@ -95,7 +95,6 @@ class KernelEvaluator:
     ctx: DunklContext
     n_trunc: int
     _heat_images: dict = field(default_factory=dict)  # (x, exact, n) -> polynomial in y
-    _lk_polys: dict = field(default_factory=dict)  # (x, exact) -> truncated kernel in y
     _tail_cache: dict = field(default_factory=dict)
     _blocks: list | None = None  # per-degree exponent arrays and V blocks, for lk_grid
 
@@ -141,14 +140,10 @@ def heat_image(ev: KernelEvaluator, n, x) -> Polynomial:
 
 def lk_polynomial(ev: KernelEvaluator, x) -> Polynomial:
     """The truncated kernel L^(N)(x, .) as a polynomial in y (series path)."""
-    key = _point_key(x)
-    cached = ev._lk_polys.get(key)
-    if cached is None:
-        cached = Polynomial.zero(ev.dimension)
-        for n in range(ev.n_trunc + 1):
-            cached = cached + heat_image(ev, n, x)
-        ev._lk_polys[key] = cached
-    return cached
+    total = Polynomial.zero(ev.dimension)
+    for n in range(ev.n_trunc + 1):
+        total = total + heat_image(ev, n, x)
+    return total
 
 
 def lk_series_value(ev: KernelEvaluator, x, y):

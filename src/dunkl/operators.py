@@ -222,8 +222,8 @@ def solve_H(ctx: DunklContext, n):
     monomial basis instead, and lam_n is None.  If W_n itself is singular
     the weight is inadmissible at this degree.
 
-    This is the one builder of H_n's table: for a fresh degree, for a lam_n
-    (or a fallback degree) read from a cache, on first use.  Either way the
+    This is the one builder of H_n's table, on first use, whether lam_n is
+    solved here or was solved when a cache was loaded.  Either way the
     columns H_n x^nu are verified to invert W_n on the monomial basis and
     kept in h_columns as one integer table.
     """
@@ -270,22 +270,6 @@ def _w_row(ctx, n, h):
     yield h, n + ctx.gamma
     for _, ka, sidx in ctx.reflections:
         yield ctx.group.multiply(h, sidx), -ka
-
-
-def solves_row_identity(ctx: DunklContext, n, coefficients) -> bool:
-    """Whether lam = coefficients is a class function that satisfies the row
-    identity of solve_H exactly.  For a class function lam the row of h is a
-    class function of h too (conjugating h by g permutes the reflections and
-    keeps k), so one row per class covers every element."""
-    group = ctx.group
-    reps = group.class_representatives
-    if any(coefficients[g] != coefficients[reps[c]] for g, c in enumerate(group.class_of)):
-        return False
-    return all(
-        sum(coeff * coefficients[g] for g, coeff in _w_row(ctx, n, h))
-        == (1 if h == group.identity_index else 0)
-        for h in reps
-    )
 
 
 # -- integer tables ---------------------------------------------------------------
@@ -750,18 +734,18 @@ def ek_tail_bound(ctx: DunklContext, x_norm, y_norm, n_trunc) -> float:
     return _recurrence_tail(growth_envelope(ctx, x_norm)[0], y_norm, 0, n_trunc)
 
 
-def dunkl_kernel(ctx: DunklContext, x, y, tol, degree_cap=DEGREE_CAP) -> KernelValue:
+def dunkl_kernel(ctx: DunklContext, x, y, tol) -> KernelValue:
     """Truncated generalized exponential sum_{n<=N} E_n(x, y) with a certified
     tail bound below tol; N is the smallest degree achieving the bound."""
     x_norm = _norm(x)
     y_norm = _norm(y)
-    for n_trunc in range(degree_cap + 1):
+    for n_trunc in range(DEGREE_CAP + 1):
         bound = ek_tail_bound(ctx, x_norm, y_norm, n_trunc)
         if bound < tol:
             break
     else:
         raise TruncationError(
-            f"tail bound does not reach {tol} within the degree cap {degree_cap}"
+            f"tail bound does not reach {tol} within the degree cap {DEGREE_CAP}"
         )
     total = 0
     last = 0.0

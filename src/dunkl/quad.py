@@ -34,19 +34,28 @@ class QuadratureRule:
 
 
 def gauss_rule(d: int, q: int) -> QuadratureRule:
-    """Tensor Gauss-Hermite rule with q nodes per axis, exact to degree 2q-1."""
+    """Tensor Gauss-Hermite rule with q nodes per axis, exact to degree 2q-1.
+
+    A q or d at which a weight is not finite and positive in floats raises
+    ValueError (numpy's weights are 0 at q = 371 and NaN from q = 372).
+    """
     if q < 1:
         raise ValueError("need at least one point per axis")
     if q**d > _NODE_CAP:
         raise ValueError(f"{q}^{d} nodes exceed the cap of {_NODE_CAP}")
-    x, w = hermegauss(q)
-    w = w / w.sum()
+    with np.errstate(all="ignore"):  # overflow past q = 370 is refused below
+        x, w = hermegauss(q)
+        w = w / w.sum()
     grids = np.meshgrid(*([x] * d), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
     weights = np.ones(q**d)
     wgrids = np.meshgrid(*([w] * d), indexing="ij")
     for g in wgrids:
         weights = weights * g.ravel()
+    if not (np.isfinite(weights).all() and (weights > 0).all()):
+        raise ValueError(
+            f"{q} points per axis in d = {d} give weights that are not finite and positive"
+        )
     return QuadratureRule(d, nodes, weights, 2 * q - 1)
 
 

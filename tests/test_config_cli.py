@@ -214,6 +214,7 @@ def test_incomplete_cache_exits_2(tmp_path, capsys):
         "no_lambdas": {**cache, "lambdas": {}},
         "no_lambda_4": {**cache, "lambdas": {n: t for n, t in lambdas.items() if n != "4"}},
         "no_fallback": {**cache, "fallback_degrees": []},
+        "no_fallback_key": {key: v for key, v in cache.items() if key != "fallback_degrees"},
         "lambda_and_fallback": {**cache, "fallback_degrees": [2, 3]},
         # lam_3 exists, so degree 3 is no fallback degree
         "false_fallback": {
@@ -222,6 +223,13 @@ def test_incomplete_cache_exits_2(tmp_path, capsys):
             "fallback_degrees": [2, 3],
         },
     }
+    # a cache that needs no fallback degree may leave the key out
+    cfg.write_text(json.dumps({"family": "Z2^d", "d": 1, "k": "1/2", "N": 6}))
+    assert main(["build", "--config", str(cfg), "--out", str(path)]) == 0
+    good = json.loads(path.read_text())
+    assert good.pop("fallback_degrees") == []
+    path.write_text(json.dumps(good))
+    assert load_context(path).ctx.h_cache == load_context(cfg).ctx.h_cache
     capsys.readouterr()
     for name, data in broken.items():
         bad = tmp_path / f"{name}.ctx.json"
@@ -373,7 +381,7 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
     def with_lambda(n, table):
         return {**cache, "lambdas": {**cache["lambdas"], n: table}}
 
-    # a true lam_n above the cap: it passes the row identity, so only the cap refuses it
+    # a true lam_n above the cap, so above the cache's degree too
     above = DEGREE_CAP + 1
     lam_above = solve_H(load_context(ctx_path).ctx, above)
 
@@ -384,13 +392,21 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         "bare": {"lambdas": {}},
         "no_degree": {key: v for key, v in cache.items() if key != "degree"},
         "zero_degree": {**cache, "degree": 0},
+        # int() used to read these as degrees 2 and 1
+        "fractional_degree": {**cache, "degree": 2.7},
+        "boolean_degree": {**cache, "degree": True},
         "lambda_above_cap": with_lambda(str(above), [scalar_to_json(c) for c in lam_above]),
         "fallback_above_cap": {**cache, "fallback_degrees": [above]},
     }
     for name, data in broken.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     good = json.loads(cfg.read_text())
-    bad_configs = {"bad_n": {**good, "N": "x"}, "zero_n": {**good, "N": 0}}
+    bad_configs = {
+        "bad_n": {**good, "N": "x"},
+        "zero_n": {**good, "N": 0},
+        "fractional_n": {**good, "N": 2.7},
+        "boolean_n": {**good, "N": True},
+    }
     # I2(m) without a rational realization, refused before any group is built
     dihedral = {f"i2_{m}": {"family": "I2", "m": m, "k": "1/2", "N": 4} for m in (3, 5, 6)}
     bad_configs.update(dihedral)

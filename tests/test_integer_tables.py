@@ -17,8 +17,14 @@ import pytest
 from fraction_solve import fraction_invert_matrix
 
 from dunkl.cli import main
-from dunkl.config import build_bundle, load_context, polynomial_to_literal, save_context
-from dunkl.exact import ComplexRational
+from dunkl.config import (
+    ConfigError,
+    build_bundle,
+    load_context,
+    polynomial_to_literal,
+    save_context,
+)
+from dunkl.exact import ComplexRational, scalar_to_json
 from dunkl.operators import (
     _vk_monomial,
     apply_H,
@@ -28,8 +34,8 @@ from dunkl.operators import (
     make_context,
     monomial_basis,
     operator_A,
+    _class_solve,
     solve_H,
-    solves_row_identity,
 )
 from dunkl.poly import Polynomial, combination
 from dunkl.reflection_groups import (
@@ -213,22 +219,38 @@ def _all_rows_hold(ctx, n, lam):
 
 
 @pytest.mark.parametrize("name", ["B2", "B3", "G2"])
-def test_row_check_per_class_agrees_with_every_row(name):
-    ctx = _context(name, "real")
-    group = ctx.group
+def test_row_check_per_class_agrees_with_every_row(name, tmp_path):
+    """The class solve, one row per conjugacy class, satisfies the row of
+    every element; a table moved on one class or on one element satisfies
+    some row no longer, and a cache that holds it is refused on load."""
+    family, kw, _ = SYSTEMS[name]
+    bundle = build_bundle({"family": family, **kw, "k": ["1/3", "5/2"], "N": 3})
+    ctx, group = bundle.ctx, bundle.group
+    ctx.prepare(3)
+    path = tmp_path / "c.ctx.json"
+    cache = save_context(bundle, path)
+    assert load_context(path).ctx.h_cache == ctx.h_cache
     for n in (1, 2, 3):
-        lam = list(solve_H(ctx, n))
-        assert solves_row_identity(ctx, n, lam) and _all_rows_hold(ctx, n, lam)
+        lam = list(_class_solve(ctx, n))
+        assert _all_rows_hold(ctx, n, lam) and tuple(lam) == ctx.h_cache[n]
+        to_load = []
         for c in range(len(group.class_representatives)):
             # a class function off by 1/7 on one class
             moved = [v + Fraction(1, 7) if group.class_of[g] == c else v for g, v in enumerate(lam)]
-            assert not solves_row_identity(ctx, n, moved) and not _all_rows_hold(ctx, n, moved)
+            assert not _all_rows_hold(ctx, n, moved)
+            to_load.append(moved)
         for g in range(group.order):
-            if sum(1 for c in group.class_of if c == group.class_of[g]) > 1:
+            if group.class_of.count(group.class_of[g]) > 1:
                 # one element off: no longer a class function
                 moved = lam[:g] + [lam[g] + 1] + lam[g + 1 :]
-                assert not solves_row_identity(ctx, n, moved)
                 assert not _all_rows_hold(ctx, n, moved)
+                if g == group.class_of.index(group.class_of[g]):
+                    to_load.append(moved)  # the first element of each class
+        for moved in to_load:
+            lambdas = {**cache["lambdas"], str(n): [scalar_to_json(c) for c in moved]}
+            path.write_text(json.dumps({**cache, "lambdas": lambdas}))
+            with pytest.raises(ConfigError, match=f"lambda_{n} differs"):
+                load_context(path)
 
 
 def test_cache_with_lambda_that_differs_inside_a_class_exits_2(tmp_path, capsys):
@@ -247,6 +269,21 @@ def test_cache_with_lambda_that_differs_inside_a_class_exits_2(tmp_path, capsys)
     assert main(["intertwine", "--context", str(path), "--poly", "x1^2"]) == 2
     err = capsys.readouterr().err
     assert "lambda_2" in err and "Traceback" not in err
+
+
+def test_cache_whose_weight_was_edited_exits_2(tmp_path, capsys):
+    # the lambda tables of k = (1/2, 3/2) kept under a config with another weight
+    bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 4})
+    bundle.ctx.prepare(4)
+    path = tmp_path / "b2.ctx.json"
+    cache = save_context(bundle, path)
+    config = {**cache["config"], "k": {"short": "1/2", "long": "5/2"}}
+    path.write_text(json.dumps({**cache, "config": config}))
+    capsys.readouterr()
+    assert main(["lambda-table", "--context", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "cached lambda_1 differs" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_columns_rebuilt_from_a_cache_are_checked(tmp_path, monkeypatch):

@@ -581,10 +581,13 @@ def test_dunkl_kernel_symmetry(b2):
 
 def test_dunkl_kernel_reports_unreachable_tolerance(z21):
     z21.prepare(4)
-    from dunkl.operators import TruncationError
+    from dunkl.operators import DEGREE_CAP, TruncationError
 
-    with pytest.raises(TruncationError):
-        dunkl_kernel(z21, (50.0,), (50.0,), tol=1e-10, degree_cap=10)
+    solved = set(z21.h_cache)
+    # the tail bound at degree N is sum_{n > N} 2500^n / n!, far above tol at the cap
+    with pytest.raises(TruncationError, match=f"within the degree cap {DEGREE_CAP}$"):
+        dunkl_kernel(z21, (50.0,), (50.0,), tol=1e-10)
+    assert set(z21.h_cache) == solved  # refused before any E_n is evaluated
 
 
 def test_en_per_degree_symmetry_numeric(b2):

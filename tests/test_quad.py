@@ -22,6 +22,21 @@ def test_single_point_rule():
     assert abs(rule.weights[0] - 1.0) < 1e-15
 
 
+def test_rule_with_weights_out_of_float_range_is_refused(capsys):
+    from dunkl.cli import main
+
+    assert (gauss_rule(1, 370).weights > 0).all()
+    # numpy's weights are 0 at q = 371 and NaN from 372; in d = 2 the
+    # products of q = 200's smallest weights underflow to 0
+    for d, q in ((1, 371), (1, 400), (2, 200)):
+        with pytest.raises(ValueError, match="not finite and positive"):
+            gauss_rule(d, q)
+    assert main(["export-quadrature", "--dim", "1", "--points-per-axis", "400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "configuration error" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_two_point_rule_matches_moments():
     rule = gauss_rule(1, 2)
     assert sorted(round(z, 12) for z in rule.nodes[:, 0]) == [-1.0, 1.0]
