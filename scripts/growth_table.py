@@ -11,12 +11,12 @@ arguments and inadmissible weights exit 2, as the dunkl CLI does.
 import argparse
 import sys
 
-from dunkl.cli import _degree, main as run_guarded
-from dunkl.config import build_bundle, load_config
+from dunkl.cli import main as run_guarded
+from dunkl.config import _degree, build_bundle, load_config
 
 
 def growth_table(args):
-    degree = _degree(args.degree, 1)
+    degree = _degree(args.degree, 1, "--degree")
     bundle = build_bundle(load_config(args.config))
     bundle.ctx.prepare(degree)
     lines = ["n,growth"]

@@ -4,8 +4,9 @@
 For y = t * u with a fixed direction u, prints t, L(x, y), the tail bound,
 and the weight-zero closed form e^{<x,y> - |x|^2/2} evaluated at the same
 points, which makes the deformation produced by the weight easy to plot.
-The tail bound is the one kernel-grid prints on a context built from the
-same config.  Bad arguments exit 2, as the dunkl CLI does.
+The context is a config or a cache that dunkl build wrote, loaded as the
+CLI loads it, so the tail bound is the one kernel-grid prints on the same
+context.  Bad arguments exit 2, as the dunkl CLI does.
 
     python3 scripts/kernel_slice.py configs/b2.json --x 0.1,0.05 --steps 25
 """
@@ -13,13 +14,13 @@ import argparse
 import math
 import sys
 
-from dunkl.cli import _at_least, _degree, _floats, main as run_guarded
-from dunkl.config import ConfigError, build_bundle, load_config
+from dunkl.cli import _at_least, _floats, main as run_guarded
+from dunkl.config import ConfigError, _degree, load_context
 from dunkl.kernel import lk_series_value, make_evaluator, tail_bound
 
 
 def kernel_slice(args):
-    bundle = build_bundle(load_config(args.config))
+    bundle = load_context(args.config)
     d = bundle.group.dimension
     x = tuple(_floats(args.x.split(","), args.x))
     if args.direction:
@@ -35,8 +36,8 @@ def kernel_slice(args):
     if not math.isfinite(args.radius):
         raise ConfigError(f"--radius must be finite, got {args.radius}")
     steps = _at_least(args.steps, 2, "--steps")
-    degree = _degree(args.degree if args.degree is not None else (14 if d <= 2 else 10), 0)
-    bundle.ctx.prepare(bundle.degree)  # delta_hat as a cached context has it
+    default = 14 if d <= 2 else 10
+    degree = _degree(default if args.degree is None else args.degree, 0, "--degree")
     ev = make_evaluator(bundle.ctx, degree)
     xn = math.sqrt(sum(t * t for t in x))
 
@@ -53,7 +54,7 @@ def kernel_slice(args):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("config")
+    parser.add_argument("config", help="a config, or a cache dunkl build wrote")
     parser.add_argument("--x", required=True, help="comma-separated base point")
     parser.add_argument("--direction", default=None, help="ray direction, default e1")
     parser.add_argument("--radius", type=float, default=1.5)

@@ -3,8 +3,9 @@
 Subcommands: build, intertwine, lambda-table, kernel-grid, ek-eval, verify,
 export-quadrature.  Output is plot-ready CSV or JSON on stdout (or --out);
 floats are printed with 17 significant digits so they round-trip.  Exit
-codes: 0 success, 1 verification failure, 2 configuration error.  The
-context cache directory defaults to DUNKL_CACHE_DIR (or the working
+codes: 0 success, 1 verification failure, 2 configuration error: the
+commands raise, and main alone prints the one "configuration error: ..."
+line and returns 2.  The context cache directory defaults to DUNKL_CACHE_DIR (or the working
 directory).  Only kernel-grid, verify and export-quadrature import the
 float layer and with it numpy; the exact commands never load it.
 """
@@ -20,6 +21,7 @@ import sys
 from .config import (
     SUITES,
     ConfigError,
+    _degree,
     build_bundle,
     literal_to_polynomial,
     load_config,
@@ -29,7 +31,6 @@ from .config import (
 )
 from .exact import format_rational, imag_part, real_part
 from .operators import (
-    DEGREE_CAP,
     NotInMStarError,
     TruncationError,
     dunkl_kernel,
@@ -61,13 +62,6 @@ def _at_least(value, low, option):
     return value
 
 
-def _degree(value, low):
-    """A --degree value, at least low and at most the degree cap."""
-    if not low <= value <= DEGREE_CAP:
-        raise ConfigError(f"--degree must be in {low}..{DEGREE_CAP}, got {value}")
-    return value
-
-
 def _tolerance(value):
     if value is not None and not (value > 0 and math.isfinite(value)):
         raise ConfigError(f"--tol must be positive and finite, got {value}")
@@ -77,13 +71,8 @@ def _tolerance(value):
 def cmd_build(args) -> int:
     cfg = load_config(args.config)
     bundle = build_bundle(cfg)
-    degree = args.degree if args.degree is not None else bundle.degree
-    _degree(degree, 1)
-    try:
-        bundle.ctx.prepare(degree)
-    except NotInMStarError as exc:
-        print(f"build failed: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    degree = _degree(args.degree if args.degree is not None else bundle.degree, 1, "--degree")
+    bundle.ctx.prepare(degree)
     out = args.out or os.path.join(_cache_dir(), f"{bundle.name}.ctx.json")
     save_context(bundle, out)
     ctx = bundle.ctx
@@ -111,15 +100,13 @@ def _cache_dir():
 def cmd_intertwine(args) -> int:
     bundle = load_context(args.context)
     p = literal_to_polynomial(args.poly, bundle.group.dimension)
-    bundle.ctx.prepare(max(p.degree, 1))
     print(polynomial_to_literal(intertwine(bundle.ctx, p)))
     return EXIT_OK
 
 
 def cmd_lambda_table(args) -> int:
     bundle = load_context(args.context)
-    degree = args.degree if args.degree is not None else bundle.degree
-    _degree(degree, 0)
+    degree = _degree(args.degree if args.degree is not None else bundle.degree, 0, "--degree")
     bundle.ctx.prepare(degree)
     lines = ["n,element,re,im"]
     for n in range(1, degree + 1):
@@ -189,8 +176,8 @@ def cmd_kernel_grid(args) -> int:
 
     bundle = load_context(args.context)
     d = bundle.group.dimension
-    degree = args.degree if args.degree is not None else (14 if d <= 2 else 10)
-    _degree(degree, 0)
+    default = 14 if d <= 2 else 10
+    degree = _degree(default if args.degree is None else args.degree, 0, "--degree")
     xs, ys = parse_grid(args.grid, d)
     tol = _tolerance(args.tol)
     ev = make_evaluator(bundle.ctx, degree)
@@ -205,11 +192,9 @@ def cmd_kernel_grid(args) -> int:
                 f"exceeds tol = {tol:.3g}; certified |x| radius at this truncation is "
                 f"{radius:.4g}"
             )
-        print(
-            f"refusing grid: tail bound {worst.value:.3g} at |x| = {worst.x_norm:.3g} {reason}",
-            file=sys.stderr,
+        raise ConfigError(
+            f"refusing grid: tail bound {worst.value:.3g} at |x| = {worst.x_norm:.3g} {reason}"
         )
-        return EXIT_CONFIG
     values = lk_grid(ev, xs, ys)
     header = (
         ",".join(f"x{i + 1}" for i in range(d))
@@ -234,14 +219,8 @@ def cmd_ek_eval(args) -> int:
     y = tuple(_floats(args.y.split(","), args.y))
     tol = _tolerance(args.tol)
     if len(x) != d or len(y) != d:
-        print(f"points must have dimension {d}", file=sys.stderr)
-        return EXIT_CONFIG
-    bundle.ctx.prepare(max(bundle.degree, 1))
-    try:
-        val = dunkl_kernel(bundle.ctx, x, y, tol=tol)
-    except TruncationError as exc:
-        print(f"ek-eval failed: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"points must have dimension {d}")
+    val = dunkl_kernel(bundle.ctx, x, y, tol=tol)
     v = complex(val.value)
     print(f"E(x, y) = {_fmt(v.real)} + {_fmt(v.imag)} i")
     print(f"degree used = {val.degree_used}")
@@ -337,7 +316,9 @@ def main(argv=None, parser=None) -> int:
     args = (parser or make_parser()).parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MultiplicityError, GroupClosureError, NotInMStarError, OSError) as exc:
+    except (
+        ConfigError, MultiplicityError, GroupClosureError, NotInMStarError, TruncationError, OSError
+    ) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

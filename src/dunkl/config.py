@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ComplexRational, format_rational, parse_scalar, scalar_to_json
-from .operators import DEGREE_CAP, DunklContext, _class_solve, estimate_delta, make_context
+from .operators import DEGREE_CAP, DunklContext, _class_solve, make_context
 from .poly import Polynomial
 from .reflection_groups import (
     MultiplicityFunction,
@@ -87,17 +87,19 @@ def _resolve_k(k_field, system, positives):
     return validate_multiplicity(positives, parse_scalar(k_field), orbits)
 
 
-def _integer(value, what):
-    """value, an int, an integral float or a decimal string, as an int;
-    anything else, a boolean or 2.7 say, raises ConfigError."""
+def _degree(value, low, what):
+    """value as a degree in low..DEGREE_CAP: an int, an integral float or a
+    decimal string; anything else, a boolean or 2.7 say, raises ConfigError.
+    The one check of a config's N, a cache's degree and every --degree."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return int(value)
+            if low <= int(value) <= DEGREE_CAP:
+                return int(value)
         except ValueError:
             pass
-    raise ConfigError(f"{what} must be an integer, got {value!r}")
+    raise ConfigError(f"{what} must be in {low}..{DEGREE_CAP}, got {value!r}")
 
 
 def build_bundle(cfg: dict) -> ContextBundle:
@@ -123,10 +125,11 @@ def build_bundle(cfg: dict) -> ContextBundle:
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
     ctx = make_context(group, positives, k)
-    degree = _integer(cfg.get("N", 8), "config field 'N'")
-    if not 1 <= degree <= DEGREE_CAP:
-        raise ConfigError(f"config field 'N' must be in 1..{DEGREE_CAP}, got {degree}")
-    name = cfg.get("name") or f"{system.family_tag}{system.dimension}"
+    degree = _degree(cfg.get("N", 8), 1, "config field 'N'")
+    name = cfg.get("name", f"{system.family_tag}{system.dimension}")
+    # build writes <name>.ctx.json: a plain file name, never a path
+    if not isinstance(name, str) or not name.strip(".") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"config field 'name' must be a plain file name, got {name!r}")
     return ContextBundle(name, cfg, positives, group, k, ctx, degree)
 
 
@@ -167,7 +170,8 @@ def save_context(bundle: ContextBundle, path):
 
 
 def load_context(path) -> ContextBundle:
-    """Load either a raw config or a cached context (detected by 'lambdas').
+    """Load either a raw config or a cached context (detected by 'lambdas'),
+    prepared to its degree: the config's N, or the cache's degree.
 
     A cache must carry its config, group order and a degree in
     1..DEGREE_CAP.  Each lambda_n is then solved again from the config
@@ -180,30 +184,24 @@ def load_context(path) -> ContextBundle:
     data = load_config(path)
     if not isinstance(data, dict) or "lambdas" not in data:
         bundle = build_bundle(data)
-        bundle.ctx.prepare(bundle.degree)
-        return bundle
-    missing = [key for key in ("config", "group_order", "degree") if key not in data]
-    if missing:
-        raise ConfigError(f"cached context {path} lacks {', '.join(missing)}")
-    bundle = build_bundle(data["config"])
-    ctx = bundle.ctx
-    if bundle.group.order != data["group_order"]:
-        raise ConfigError("cached context does not match the rebuilt group")
-    degree = _integer(data["degree"], f"the degree of cached context {path}")
-    if not 1 <= degree <= DEGREE_CAP:
-        raise ConfigError(f"cached context {path} has degree {degree}, not in 1..{DEGREE_CAP}")
-    for n in range(1, degree + 1):
-        ctx.h_cache[n] = _class_solve(ctx, n)
-    want = _cache_tables(ctx, degree)
-    lambdas, fallback = data["lambdas"], data.get("fallback_degrees", [])
-    if (lambdas, fallback) != (want["lambdas"], want["fallback_degrees"]):
-        raise ConfigError(
-            f"cached context {path} is not the class solve of its config: "
-            + _first_difference(lambdas, fallback, want, degree)
-        )
-    estimate_delta(ctx, degree)
-    ctx.prepared_to = degree
-    bundle.degree = degree
+    else:
+        missing = [key for key in ("config", "group_order", "degree") if key not in data]
+        if missing:
+            raise ConfigError(f"cached context {path} lacks {', '.join(missing)}")
+        bundle = build_bundle(data["config"])
+        if bundle.group.order != data["group_order"]:
+            raise ConfigError("cached context does not match the rebuilt group")
+        bundle.degree = _degree(data["degree"], 1, f"the degree of cached context {path}")
+        for n in range(1, bundle.degree + 1):
+            bundle.ctx.h_cache[n] = _class_solve(bundle.ctx, n)
+        want = _cache_tables(bundle.ctx, bundle.degree)
+        lambdas, fallback = data["lambdas"], data.get("fallback_degrees", [])
+        if (lambdas, fallback) != (want["lambdas"], want["fallback_degrees"]):
+            raise ConfigError(
+                f"cached context {path} is not the class solve of its config: "
+                + _first_difference(lambdas, fallback, want, bundle.degree)
+            )
+    bundle.ctx.prepare(bundle.degree)
     return bundle
 
 

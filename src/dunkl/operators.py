@@ -108,12 +108,10 @@ class DunklContext:
         return sorted(n for n, h in self.h_cache.items() if h is None)
 
     def prepare(self, n_max):
-        """Fill the degree caches and the growth table up to n_max."""
+        """Fill the degree caches and the growth table up to n_max
+        (estimate_delta solves every degree not yet in h_cache)."""
         if self.prepared_to >= n_max:
             return self
-        for n in range(1, n_max + 1):
-            if n not in self.h_cache:
-                solve_H(self, n)
         estimate_delta(self, n_max)
         self.prepared_to = n_max
         return self

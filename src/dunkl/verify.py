@@ -387,9 +387,11 @@ def suite_series(bundle: ContextBundle, seed=0):
             want = math.exp(sum(a * b for a, b in zip(xf, yf)))
             worst = max(worst, abs(complex(got) - want))
         results.append(CheckResult("ek-weight-zero-exponential", worst, 1e-10, worst <= 1e-10))
+        # x within the radius where L^(N)'s tail is below 1e-10 for |y| <= sqrt(d)
         worst = 0.0
+        side = certified_radius(ev, 1e-10, math.sqrt(d)) / math.sqrt(d)
         for _ in range(4):
-            xf = tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
+            xf = tuple(rng.uniform(-side, side) for _ in range(d))
             yf = tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
             got = lk_series_value(ev, xf, yf)
             want = math.exp(
@@ -577,7 +579,7 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
 
 # -- signs suite ------------------------------------------------------------------------
 
-def suite_signs(bundle: ContextBundle, seed=0):
+def suite_signs(bundle: ContextBundle):
     ctx = bundle.ctx
     d = ctx.dimension
     results = []
@@ -658,7 +660,7 @@ def _tail_degree(ev, x, y, tol, cap):
 
 # -- positivity suite ---------------------------------------------------------------------
 
-def suite_positivity(bundle: ContextBundle, seed=0):
+def suite_positivity(bundle: ContextBundle):
     ctx = bundle.ctx
     d = ctx.dimension
     results = []
@@ -725,7 +727,7 @@ def run_suite(bundle: ContextBundle, suite: str, seed=0) -> SuiteReport:
     if suite in ("quadrature", "all"):
         report.results.extend(suite_quadrature(bundle, seed))
     if suite in ("signs", "all"):
-        report.results.extend(suite_signs(bundle, seed))
+        report.results.extend(suite_signs(bundle))
     if suite in ("positivity", "all"):
-        report.results.extend(suite_positivity(bundle, seed))
+        report.results.extend(suite_positivity(bundle))
     return report

@@ -406,6 +406,8 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         "zero_n": {**good, "N": 0},
         "fractional_n": {**good, "N": 2.7},
         "boolean_n": {**good, "N": True},
+        # W_1 is singular at k = -1/2: refused by build's solve, not by a check
+        "inadmissible_k": {**good, "k": "-1/2"},
     }
     # I2(m) without a rational realization, refused before any group is built
     dihedral = {f"i2_{m}": {"family": "I2", "m": m, "k": "1/2", "N": 4} for m in (3, 5, 6)}
@@ -439,6 +441,12 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         ["build", "--config", str(tmp_path)],
         ["build", "--config", str(cfg), "--out", str(tmp_path)],
         ["verify", "--context", ctx, "--suite", "exact", "--out", str(tmp_path)],
+        # refused by the command after the parse, as main reports every failure
+        ["ek-eval", "--context", ctx, "--x", "0.5,0.5", "--y", "0.25"],
+        ["kernel-grid", "--context", ctx, "--grid", "x1:0:1:0.5,y1:0:1:0.5", "--tol", "1e-8"],
+        # points whose tail bound is not finite are refused, not printed
+        ["ek-eval", "--context", ctx, "--x", "1e200", "--y", "0.25"],
+        ["kernel-grid", "--context", ctx, "--grid", "x1:0:1e200:1e200"],
     ) + tuple(
         ["build", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / "y.json")]
         for name in bad_configs
@@ -458,15 +466,6 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert "configuration error" in captured.err and "Traceback" not in captured.err
-        assert captured.out == ""
-    # points whose tail bound is not finite are refused, not printed
-    for argv in (
-        ["ek-eval", "--context", ctx, "--x", "1e200", "--y", "0.25"],
-        ["kernel-grid", "--context", ctx, "--grid", "x1:0:1e200:1e200"],
-    ):
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
 
@@ -558,6 +557,21 @@ def test_cli_cache_dir_env_var(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     assert main(["build", "--config", str(cfg)]) == 0
     assert (cache / "z21.ctx.json").exists()
+
+
+@pytest.mark.parametrize("name", ["../../x", "sub/x", "x\\y", "", ".", "..", 5, None])
+def test_build_refuses_a_name_that_is_not_a_plain_file_name(tmp_path, monkeypatch, capsys, name):
+    # build writes <name>.ctx.json in the cache directory, so a path would
+    # leave it ("../../x" is tmp_path/x.ctx.json here)
+    cache = tmp_path / "a" / "b"
+    cache.mkdir(parents=True)
+    monkeypatch.setenv("DUNKL_CACHE_DIR", str(cache))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "B", "d": 2, "k": "1/2", "N": 4, "name": name}))
+    assert main(["build", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error: config field 'name'" in captured.err and captured.out == ""
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["cfg.json"]
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

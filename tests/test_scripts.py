@@ -1,9 +1,12 @@
 """The scripts in scripts/: bad arguments exit 2 with a message, as the CLI
-does, and a degree below the script's range is refused, not evaluated."""
+does, a degree below the script's range is refused, not evaluated, and
+kernel_slice reads a cache as it reads a config."""
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from dunkl.cli import main as dunkl
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,6 +71,18 @@ def test_kernel_slice_degree_zero_on_an_empirical_weight(capsys, kernel_slice):
     for row in rows[1:]:
         t, kernel, tail, _ = map(float, row.split(","))
         assert kernel == 1.0 and 0.0 < tail < float("inf")
+
+
+def test_kernel_slice_reads_a_built_cache(tmp_path, capsys, kernel_slice):
+    cache = str(tmp_path / "b2.ctx.json")
+    assert dunkl(["build", "--config", B2, "--out", cache]) == 0
+    capsys.readouterr()
+    argv = ["--x", "0.1,0.05", "--steps", "3"]
+    assert kernel_slice.main([B2, *argv]) == 0
+    from_config = capsys.readouterr().out
+    assert kernel_slice.main([cache, *argv]) == 0
+    assert capsys.readouterr().out == from_config
+    assert len(from_config.splitlines()) == 4
 
 
 @pytest.mark.parametrize("degree", ["0", "-3"])

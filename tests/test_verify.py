@@ -41,6 +41,28 @@ def test_signs_suite_passes_on_z2_5():
     assert all(r.passed for r in report.results), [r for r in report.results if not r.passed]
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"family": "B", "d": 2, "k": "0", "N": 8},
+        {"family": "Z2^d", "d": 1, "k": "0", "N": 6},
+        {"family": "A", "d": 3, "k": "0", "N": 6},
+    ],
+    ids=["B2", "Z2^1", "A3"],
+)
+def test_series_suite_passes_at_weight_zero(config):
+    # lk-weight-zero-closed-form draws x within the certified radius of
+    # L^(N): over the unit cube the truncation error alone reaches 5.9e-3
+    # (B2), 1.7e-3 (Z2^1) and 2.0e-2 (A), against its 1e-8 tolerance
+    bundle = build_bundle(config)
+    bundle.ctx.prepare(bundle.degree)
+    report = run_suite(bundle, "series")
+    rows = {r.identity: r for r in report.results}
+    assert rows["lk-weight-zero-closed-form"].max_residual <= 1e-10
+    assert "ek-weight-zero-exponential" in rows
+    assert all(r.passed for r in report.results), [r for r in report.results if not r.passed]
+
+
 def test_positivity_skipped_for_complex_weight():
     bundle = build_bundle(
         {"family": "Z2^d", "d": 1, "k": {"re": "1/2", "im": "1/3"}, "N": 4}
