@@ -14,8 +14,8 @@ import argparse
 import math
 import sys
 
-from dunkl.cli import _at_least, _floats, main as run_guarded
-from dunkl.config import ConfigError, _degree, load_context
+from dunkl.cli import _at_least, _floats, _truncation_degree, main as run_guarded
+from dunkl.config import ConfigError, load_context
 from dunkl.kernel import lk_series_value, make_evaluator, tail_bound
 
 
@@ -36,8 +36,7 @@ def kernel_slice(args):
     if not math.isfinite(args.radius):
         raise ConfigError(f"--radius must be finite, got {args.radius}")
     steps = _at_least(args.steps, 2, "--steps")
-    default = 14 if d <= 2 else 10
-    degree = _degree(default if args.degree is None else args.degree, 0, "--degree")
+    degree = _truncation_degree(args.degree, d)
     ev = make_evaluator(bundle.ctx, degree)
     xn = math.sqrt(sum(t * t for t in x))
 

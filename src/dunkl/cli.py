@@ -171,13 +171,18 @@ def parse_grid(spec: str, d: int):
     return list(itertools.product(*x_axes)), list(itertools.product(*y_axes))
 
 
+def _truncation_degree(option, d):
+    """--degree if given, else the default truncation degree of kernel-grid
+    (and of scripts/kernel_slice.py): 14 in d <= 2, 10 above."""
+    return _degree((14 if d <= 2 else 10) if option is None else option, 0, "--degree")
+
+
 def cmd_kernel_grid(args) -> int:
     from .kernel import certified_radius, lk_grid, make_evaluator, tail_bound
 
     bundle = load_context(args.context)
     d = bundle.group.dimension
-    default = 14 if d <= 2 else 10
-    degree = _degree(default if args.degree is None else args.degree, 0, "--degree")
+    degree = _truncation_degree(args.degree, d)
     xs, ys = parse_grid(args.grid, d)
     tol = _tolerance(args.tol)
     ev = make_evaluator(bundle.ctx, degree)

@@ -52,7 +52,6 @@ from .exact import _all_exact, _exact_table, _table_value, abs_squared
 from .operators import (
     DunklContext,
     TruncationError,
-    _combine,
     _norm,
     _recurrence_tail,
     _vk_monomial,
@@ -64,7 +63,7 @@ from .operators import (
     intertwine,
     monomial_basis,
 )
-from .poly import Polynomial, _multi_factorial, heat_half, hermite_values
+from .poly import Polynomial, _combine, _multi_factorial, heat_half, hermite_values
 from .quad import (
     QuadratureRule,
     _node_values,

@@ -48,7 +48,8 @@ from fractions import Fraction
 
 from .exact import SingularMatrixError, _all_exact, _denominator, _exact_table, _exact_value
 from .exact import _Gaussian, _numerator, _powers, invert_matrix, solve_columns
-from .poly import Polynomial, _multi_factorial, combination, directional_derivative
+from .poly import Polynomial, _combination, _combine, _multi_factorial, _polynomial, _rounded_value
+from .poly import combination, directional_derivative
 from .reflection_groups import (
     MultiplicityFunction,
     PositiveSystem,
@@ -56,9 +57,8 @@ from .reflection_groups import (
     act_on_polynomial,
     dot,
     mat_vec,
+    monomial_image,
     reflection_matrix,
-    signed_image,
-    substitution_image,
 )
 
 DEGREE_CAP = 160  # the highest degree a config, option or literal may ask for
@@ -272,45 +272,9 @@ def _w_row(ctx, n, h):
 
 # -- integer tables ---------------------------------------------------------------
 #
-# A table is a pair (numerators, den): a dict from exponents to integers (to
-# Gaussian integers for a complex weight) over one positive integer
-# denominator, standing for the polynomial sum numerators[mu] / den x^mu.
-# The columns of a linear map on P_n (W_n, H_n, V^{-1}) are one table per
-# degree, ({nu: numerators of M x^nu}, den), and each V(x^nu) is a table of
-# its own.  Polynomials are made only at the boundary (_polynomial), with
-# Fraction or ComplexRational coefficients, and a table is evaluated at an
-# exact point in integers (exact._table_value).
-
-
-def _rounded_value(num, den):
-    """num / den rounded once: a float, or a complex for a _Gaussian."""
-    if isinstance(num, _Gaussian):
-        return complex(num.re / den, num.im / den)
-    return num / den
-
-
-def _polynomial(dim, table, rounded=False):
-    """The table as a Polynomial with exact coefficients, or with each
-    coefficient rounded to a float once."""
-    nums, den = table
-    value = _rounded_value if rounded else _exact_value
-    return Polynomial(dim, {mu: value(c, den) for mu, c in nums.items()})
-
-
-def _combine(pairs):
-    """sum of w * numerators / den over the (w, (numerators, den)) pairs, as a
-    table over the lcm of the denominators, summed in one dict in order of
-    first appearance, zeros dropped.  Over equal denominators each product
-    is a * w, as a Polynomial combination forms it."""
-    pairs = list(pairs)
-    den = math.lcm(*(table[1] for _, table in pairs))
-    out = {}
-    for w, (nums, d) in pairs:
-        s = w if d == den else w * (den // d)
-        for mu, a in nums.items():
-            prev = out.get(mu)
-            out[mu] = a * s if prev is None else prev + a * s
-    return {mu: c for mu, c in out.items() if c}, den
+# The columns of a linear map on P_n (W_n, H_n, V^{-1}) are one table (poly's
+# integer tables) per degree, ({nu: numerators of M x^nu}, den), and each
+# V(x^nu) is a table of its own.
 
 
 def _reduced(cols, den):
@@ -338,15 +302,6 @@ def _over_one_denominator(basis, tables):
     }, den
 
 
-def _monomial_image(group, g, nu):
-    """x^nu o g as a table: one +-1 monomial for a signed permutation, the
-    cached substitution image scaled to integers for G2."""
-    if group.signed_permutations is None:
-        return _exact_table(substitution_image(group, g, nu).terms)
-    mu, negative = signed_image(group, g, nu)
-    return {mu: -1 if negative else 1}, 1
-
-
 def _group_columns(ctx, n, lam):
     """The columns H_n x^nu = sum_g lam_n(g) x^nu o g on P_n as one table:
     integer sums of the monomial images over the elements with lam_n(g) != 0,
@@ -358,16 +313,17 @@ def _group_columns(ctx, n, lam):
     lam_den = math.lcm(*(_denominator(c) for c in lam))
     active = [(g, _numerator(c, lam_den)) for g, c in enumerate(lam) if c]
     nus = monomial_basis(ctx.dimension, n)
-    raw = [_combine((w, _monomial_image(group, g, nu)) for g, w in active) for nu in nus]
+    raw = [_combine((w, monomial_image(group, g, nu)) for g, w in active) for nu in nus]
     cols, den = _over_one_denominator(nus, raw)
     return _reduced(cols, den * lam_den)
 
 
 def _w_table(ctx, n):
     """The columns W_n x^mu = (n + gamma) x^mu - sum_a k(a) x^mu o s_a on P_n
-    as one table, from act_on_polynomial's reflection images.  They share
-    signed_image and substitution_image with H_n's columns, so _verify_H
-    checks lam_n (or the inverted table) against W_n, not two group actions."""
+    as one table, from act_on_polynomial's reflection images.  Those are
+    H_n's monomial images too (monomial_image, or signed_image, which it
+    reads), so _verify_H checks lam_n (or the inverted table) against W_n,
+    not two group actions."""
     d = ctx.dimension
     weights = [(n + ctx.gamma, None)] + [(-ka, sidx) for _, ka, sidx in ctx.reflections if ka]
     scale = math.lcm(*(_denominator(w) for w, _ in weights))
@@ -406,21 +362,6 @@ def _verify_H(n, table, w):
         out, _ = _combine((c, (wcols[mu], 1)) for mu, c in cols[nu].items())
         if out != {nu: den * wden}:
             raise NotInMStarError(n)
-
-
-def _combination(dim, pairs):
-    """sum of c * table over the (table, scalar c) pairs, as a Polynomial:
-    in integers over one denominator when every c is exact, else term by
-    term on the rounded coefficients, which is what the exact coefficients
-    times a float give."""
-    pairs = list(pairs)
-    if not _all_exact(c for _, c in pairs):
-        return combination(dim, ((_polynomial(dim, t, rounded=True), c) for t, c in pairs))
-    weighted = []
-    for (nums, den), c in pairs:
-        s = _denominator(c)
-        weighted.append((_numerator(c, s), (nums, den * s)))
-    return _polynomial(dim, _combine(weighted))
 
 
 def apply_H(ctx: DunklContext, n, p: Polynomial) -> Polynomial:

@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import _all_exact, _exact_table, _exact_value, _powers, _table_value
+from .exact import _Gaussian, _all_exact, _denominator, _exact_table, _exact_value, _numerator
+from .exact import _powers, _table_value
 
 
 def _multi_factorial(nu):
@@ -196,35 +197,7 @@ class Polynomial:
             out = out + self.partial(j).partial(j)
         return out
 
-    # -- substitution and evaluation ----------------------------------------------
-    def substitute_linear(self, matrix):
-        """p(M x): replace each variable x_i by the linear form sum_j M[i][j] x_j."""
-        forms = [
-            Polynomial(
-                self.dim,
-                {
-                    tuple(1 if l == j else 0 for l in range(self.dim)): matrix[i][j]
-                    for j in range(self.dim)
-                    if matrix[i][j]
-                },
-            )
-            for i in range(self.dim)
-        ]
-        power_cache = [{} for _ in range(self.dim)]
-        out = Polynomial.zero(self.dim)
-        for nu, c in self.terms.items():
-            piece = Polynomial.constant(self.dim, c)
-            for i, e in enumerate(nu):
-                if e == 0:
-                    continue
-                cached = power_cache[i].get(e)
-                if cached is None:
-                    cached = forms[i] ** e
-                    power_cache[i][e] = cached
-                piece = piece * cached
-            out = out + piece
-        return out
-
+    # -- evaluation ------------------------------------------------------------------
     def evaluate(self, point):
         """Plain substitution; bilinear in complex arguments (no conjugation).
         Exact coefficients at an exact point are summed in integers over one
@@ -300,6 +273,59 @@ def combination(dim, pairs):
             prev = terms.get(mu)
             terms[mu] = a * c if prev is None else prev + a * c
     return Polynomial(dim, terms)
+
+
+# -- integer tables --------------------------------------------------------------
+#
+# A table (numerators, den) is a dict from exponents to integers (Gaussian
+# integers for a complex weight) over one positive denominator, standing for
+# sum numerators[mu] / den x^mu; it becomes a Polynomial only in _polynomial.
+
+
+def _rounded_value(num, den):
+    """num / den rounded once: a float, or a complex for a _Gaussian."""
+    if isinstance(num, _Gaussian):
+        return complex(num.re / den, num.im / den)
+    return num / den
+
+
+def _polynomial(dim, table, rounded=False):
+    """The table as a Polynomial with exact coefficients, or with each
+    coefficient rounded to a float once."""
+    nums, den = table
+    value = _rounded_value if rounded else _exact_value
+    return Polynomial(dim, {mu: value(c, den) for mu, c in nums.items()})
+
+
+def _combine(pairs):
+    """sum of w * numerators / den over the (w, (numerators, den)) pairs, as a
+    table over the lcm of the denominators, summed in one dict in order of
+    first appearance, zeros dropped.  Over equal denominators each product
+    is a * w, as a Polynomial combination forms it."""
+    pairs = list(pairs)
+    den = math.lcm(*(table[1] for _, table in pairs))
+    out = {}
+    for w, (nums, d) in pairs:
+        s = w if d == den else w * (den // d)
+        for mu, a in nums.items():
+            prev = out.get(mu)
+            out[mu] = a * s if prev is None else prev + a * s
+    return {mu: c for mu, c in out.items() if c}, den
+
+
+def _combination(dim, pairs):
+    """sum of c * table over the (table, scalar c) pairs, as a Polynomial:
+    in integers over one denominator when every c is exact, else term by
+    term on the rounded coefficients, which is what the exact coefficients
+    times a float give."""
+    pairs = list(pairs)
+    if not _all_exact(c for _, c in pairs):
+        return combination(dim, ((_polynomial(dim, t, rounded=True), c) for t, c in pairs))
+    weighted = []
+    for (nums, den), c in pairs:
+        s = _denominator(c)
+        weighted.append((_numerator(c, s), (nums, den * s)))
+    return _polynomial(dim, _combine(weighted))
 
 
 # -- calculus and pairings on polynomials ------------------------------------------

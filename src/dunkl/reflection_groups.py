@@ -11,18 +11,20 @@ and the group is the closure of {s_a : a positive} under composition.  The
 action on functions is (L_g f)(x) = f(g x), so composing actions reverses
 the matrix product: L_g L_h = L_{hg}.  Every group but G2 is a
 signed-permutation group, so L_g sends a monomial to plus or minus one
-monomial, and acting on a polynomial relabels its exponents; G2's long-root
-reflections are not signed permutations, so there the exact matrix is
-substituted.
+monomial, and acting on a polynomial relabels its exponents.  G2's long-root
+reflections are not signed permutations: there the image of x^nu is an
+integer table, multiplied out from the integer rows of the element, one
+power at a time (monomial_image).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .exact import is_real_scalar
-from .poly import Polynomial, combination
+from .poly import Polynomial, _combination
 
 
 class UnsupportedFamilyError(ValueError):
@@ -364,7 +366,7 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
         frontier = nxt
 
     cayley = tuple(
-        tuple(index[tuple(pi[r] for r in pj)] for pj in perms) for pi in perms
+        tuple(index[tuple(map(pi.__getitem__, pj))] for pj in perms) for pi in perms
     )
     class_of = _conjugacy_classes(cayley, [index[ps] for _, ps in generators])
     matrices = tuple(
@@ -454,7 +456,7 @@ def _validate_group(group: ReflectionGroup, integer_elements):
             raise GroupClosureError("element is not orthogonal")
 
 
-_MONO_IMAGE_CACHE = {}  # (matrix, nu) -> x^nu o g, for G2, the group without signed permutations
+_MONO_IMAGE_CACHE = {}  # (matrix, nu) -> the table of x^nu o g, for G2 (no signed permutations)
 
 
 def signed_image(group: ReflectionGroup, i, nu):
@@ -471,14 +473,41 @@ def signed_image(group: ReflectionGroup, i, nu):
     return tuple(mu), bool(odd)
 
 
-def substitution_image(group: ReflectionGroup, i, nu):
-    """x^nu o g for g = group.elements[i], by substituting the exact matrix;
-    cached in _MONO_IMAGE_CACHE."""
+def monomial_image(group: ReflectionGroup, i, nu):
+    """x^nu o g for g = group.elements[i] as a table (numerators, den) in
+    lowest terms: the one +-1 monomial of signed_image for a signed
+    permutation, else (G2) a product of integer tables cached in
+    _MONO_IMAGE_CACHE.  With j the last nonzero exponent, x_j^e o g is
+    x_j^(e-1) o g times the integer row j of g, and x^nu o g is the image of
+    x^nu without x_j times that of x_j^(nu_j), so the terms come in the order
+    that multiplying out the powers of the forms (g x)_i gives them."""
+    if group.signed_permutations is not None:
+        mu, negative = signed_image(group, i, nu)
+        return {mu: -1 if negative else 1}, 1
+    if not any(nu):
+        return {nu: 1}, 1
     g = group.elements[i]
     image = _MONO_IMAGE_CACHE.get((g, nu))
-    if image is None:
-        image = Polynomial.monomial(group.dimension, nu).substitute_linear(g)
-        _MONO_IMAGE_CACHE[g, nu] = image
+    if image is not None:
+        return image
+    d = len(nu)
+    j = max(l for l, e in enumerate(nu) if e)
+    if any(nu[:j]):
+        left = monomial_image(group, i, nu[:j] + (0,) * (d - j))
+        right = monomial_image(group, i, (0,) * j + nu[j:])
+    else:
+        rows, den = _integer_matrix(g)
+        left = monomial_image(group, i, nu[:j] + (nu[j] - 1,) + nu[j + 1 :])
+        right = {tuple(int(l == m) for m in range(d)): r for l, r in enumerate(rows[j]) if r}, den
+    out = {}
+    for mu, a in left[0].items():
+        for lam, b in right[0].items():
+            key = tuple(map(add, mu, lam))
+            out[key] = out.get(key, 0) + a * b
+    den = left[1] * right[1]
+    common = math.gcd(den, *out.values())
+    image = {mu: c // common for mu, c in out.items() if c}, den // common
+    _MONO_IMAGE_CACHE[g, nu] = image
     return image
 
 
@@ -487,11 +516,12 @@ def act_on_polynomial(group: ReflectionGroup, i, p):
 
     On a signed-permutation group x^nu goes to the single monomial +-x^mu of
     signed_image, and a term c x^nu to +-c x^mu.  G2 has no signed
-    permutations: there each monomial goes to its substitution_image.
+    permutations: there p's coefficients weight the monomial_image tables,
+    summed in integers over one denominator.
     """
     if group.signed_permutations is None:
-        return combination(
-            p.dim, ((substitution_image(group, i, nu), c) for nu, c in p.terms.items())
+        return _combination(
+            p.dim, ((monomial_image(group, i, nu), c) for nu, c in p.terms.items())
         )
     terms = {}
     for nu, c in p.terms.items():

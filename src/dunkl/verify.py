@@ -289,11 +289,8 @@ def suite_exact(bundle: ContextBundle, seed=0):
         if scaled != base * lam**n:
             fails += 1
         checked += 1
-        if base.substitute_linear(
-            tuple(
-                tuple(lam if i == j else 0 for j in range(d)) for i in range(d)
-            )
-        ) != base * lam**n:
+        # E_n(x, lam y): each term c y^nu scaled by lam^|nu|
+        if Polynomial(d, {nu: c * lam ** sum(nu) for nu, c in base.terms.items()}) != base * lam**n:
             fails += 1
     results.append(_exact_row("en-equivariance-homogeneity", fails, checked))
 

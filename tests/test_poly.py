@@ -331,13 +331,6 @@ def test_evaluate_examples():
                 assert type(got) is (ComplexRational if complex_coeff else Fraction), (p, x)
 
 
-def test_substitute_linear():
-    x1, x2 = var(2, 0), var(2, 1)
-    rot = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
-    assert (x1 * x1).substitute_linear(rot) == x2 * x2
-    assert (x1 * x2).substitute_linear(rot) == -(x1 * x2)
-
-
 def test_normalized_monomial_orthonormal():
     from dunkl.poly import _multi_factorial
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dunkl import reflection_groups
-from dunkl.exact import ComplexRational
+from dunkl.exact import ComplexRational, _exact_table
+from dunkl.operators import monomial_basis
 from dunkl.poly import Polynomial, fischer
 from dunkl.reflection_groups import (
     GroupClosureError,
@@ -18,6 +20,7 @@ from dunkl.reflection_groups import (
     mat_identity,
     mat_mul,
     mat_vec,
+    monomial_image,
     reflect,
     reflection_matrix,
     root_orbits,
@@ -240,8 +243,9 @@ def test_act_on_polynomial_examples():
 
 
 def _substituted(g, p):
-    """Reference: p(g x) by multiplying out the linear forms (g x)_i, the
-    matrix substitution that the signed permutations replaced."""
+    """Reference: p(g x) by multiplying out the powers of the linear forms
+    (g x)_i in Fractions, the matrix substitution that the signed
+    permutations and G2's integer images replaced."""
     d = p.dim
     out = Polynomial.zero(d)
     for nu, c in p.terms.items():
@@ -250,10 +254,14 @@ def _substituted(g, p):
             form = Polynomial(
                 d, {tuple(int(l == j) for l in range(d)): g[i][j] for j in range(d) if g[i][j]}
             )
-            for _ in range(e):
-                image = image * form
+            if e:
+                image = image * form**e
         out = out + image * c
     return out
+
+
+def _substituted_table(g, nu):
+    return _exact_table(_substituted(g, Polynomial.monomial(len(nu), nu)).terms)
 
 
 def _random_polynomial(rng, d, coefficient):
@@ -299,7 +307,26 @@ def test_signed_permutation_action_matches_substitution(family, kw):
             assert {mu: type(c) for mu, c in got.terms.items()} == {
                 mu: type(c) for mu, c in want.terms.items()
             }
+        for n in range(4):
+            for nu in monomial_basis(group.dimension, n):
+                nums, den = monomial_image(group, i, nu)
+                assert den == 1 and len(nums) == 1 and set(nums.values()) <= {1, -1}
+                assert (nums, den) == _substituted_table(g, nu)
     assert len(reflection_groups._MONO_IMAGE_CACHE) == cached
+
+
+def test_g2_monomial_image_matches_substitution():
+    # every element, every nu of degree <= 6: the integer table equals the
+    # multiplied-out substitution in lowest terms, with its terms in the same
+    # order, on which the float sums over V's tables depend
+    _, _, group = make("G2")
+    for i, g in enumerate(group.elements):
+        for n in range(7):
+            for nu in monomial_basis(3, n):
+                nums, den = monomial_image(group, i, nu)
+                want = _substituted_table(g, nu)
+                assert (nums, den) == want and list(nums) == list(want[0])
+                assert math.gcd(den, *nums.values()) == 1
 
 
 def test_g2_acts_by_exact_substitution():

@@ -1,6 +1,6 @@
 """The scripts in scripts/: bad arguments exit 2 with a message, as the CLI
 does, a degree below the script's range is refused, not evaluated, and
-kernel_slice reads a cache as it reads a config."""
+both scripts read a cache as they read a config."""
 import importlib.util
 from pathlib import Path
 
@@ -95,3 +95,16 @@ def test_growth_table_lists_every_computed_degree(capsys, growth_table):
     captured = capsys.readouterr()
     assert [row.split(",")[0] for row in captured.out.splitlines()] == list("n13456")
     assert "over degrees 1..6" in captured.err and "fallback" in captured.err
+
+
+def test_growth_table_reads_a_built_cache_to_the_asked_degree(tmp_path, capsys, growth_table):
+    # the cache and its config are prepared to degree 12; --degree 4 prints 1..4
+    cache = str(tmp_path / "b2.ctx.json")
+    assert dunkl(["build", "--config", B2, "--out", cache]) == 0
+    capsys.readouterr()
+    assert growth_table.main([B2, "--degree", "4"]) == 0
+    from_config = capsys.readouterr()
+    assert [row.split(",")[0] for row in from_config.out.splitlines()] == list("n1234")
+    assert "over degrees 1..4" in from_config.err
+    assert growth_table.main([cache, "--degree", "4"]) == 0
+    assert capsys.readouterr() == from_config
