@@ -7,7 +7,9 @@ codes: 0 success, 1 verification failure, 2 configuration error: the
 commands raise, and main alone prints the one "configuration error: ..."
 line and returns 2.  The context cache directory defaults to DUNKL_CACHE_DIR (or the working
 directory).  Only kernel-grid, verify and export-quadrature import the
-float layer and with it numpy; the exact commands never load it.
+float layer and with it numpy; the exact commands never load it.  The
+package's records are collections.namedtuple classes or plain classes, so
+importing this module loads neither inspect nor typing.
 """
 from __future__ import annotations
 

@@ -16,14 +16,12 @@ that solve's, so the class solve is the one source of lambda_n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ComplexRational, format_rational, parse_scalar, scalar_to_json
 from .operators import DEGREE_CAP, DunklContext, _class_solve, make_context
 from .poly import Polynomial
 from .reflection_groups import (
-    MultiplicityFunction,
     build_root_system,
     dot,
     generate_group,
@@ -41,15 +39,15 @@ class ConfigError(ValueError):
 SUITES = ("exact", "series", "quadrature", "signs", "positivity", "all")
 
 
-@dataclass(eq=False)
 class ContextBundle:
-    name: str
-    config: dict
-    positives: object
-    group: object
-    k: MultiplicityFunction
-    ctx: DunklContext
-    degree: int
+    def __init__(self, name, config, positives, group, k, ctx, degree):
+        self.name = name
+        self.config = config
+        self.positives = positives
+        self.group = group
+        self.k = k
+        self.ctx = ctx
+        self.degree = degree
 
 
 def orbit_labels(system, orbits):

@@ -43,7 +43,7 @@ exponential's tail is its m = 0 case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -76,26 +76,20 @@ from .quad import (
 from .reflection_groups import act_on_polynomial, mat_vec
 
 
-@dataclass(frozen=True)
-class TailBound:
-    """Remainder bound for the kernel series truncated after degree n_trunc."""
-
-    n_trunc: int
-    x_norm: float
-    y_norm: float
-    value: float
+# remainder bound for the kernel series truncated after degree n_trunc
+TailBound = namedtuple("TailBound", "n_trunc x_norm y_norm value")
 
 
-@dataclass(eq=False)
 class KernelEvaluator:
     """Per-degree tables for one context and truncation degree, from which
     the truncated kernel L^(N)(x, .) is built as a polynomial in y."""
 
-    ctx: DunklContext
-    n_trunc: int
-    _heat_images: dict = field(default_factory=dict)  # (x, exact, n) -> polynomial in y
-    _tail_cache: dict = field(default_factory=dict)
-    _blocks: list | None = None  # per-degree exponent arrays and V blocks, for lk_grid
+    def __init__(self, ctx: DunklContext, n_trunc):
+        self.ctx = ctx
+        self.n_trunc = n_trunc
+        self._heat_images = {}  # (x, exact, n) -> polynomial in y
+        self._tail_cache = {}
+        self._blocks = None  # per-degree exponent arrays and V blocks, for lk_grid
 
     @property
     def dimension(self):
@@ -163,10 +157,7 @@ def hermite_piece(ev: KernelEvaluator, n, x, y):
     return total
 
 
-@dataclass(frozen=True)
-class LkValue:
-    value: complex
-    tail: TailBound
+LkValue = namedtuple("LkValue", "value tail")
 
 
 def lk_eval(ev: KernelEvaluator, x, y, tol=None) -> LkValue:
@@ -384,10 +375,7 @@ def derivative_relation_check(ev: KernelEvaluator, x, y, j):
     return {"plus": abs(lhs - rhs), "minus": abs(lhs + rhs)}
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    checked: int
-    failures: tuple
+SymmetryReport = namedtuple("SymmetryReport", "checked failures")
 
 
 def symmetry_scan(ev: KernelEvaluator, sample_points) -> SymmetryReport:
@@ -430,13 +418,7 @@ def _polys_match(a, b):
     return all(abs(complex(c)) <= 1e-9 for c in (a - b).terms.values())
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    min_value: float
-    min_point: tuple
-    max_abs_imag: float
-    max_tail: float
-    points: int
+PositivityReport = namedtuple("PositivityReport", "min_value min_point max_abs_imag max_tail points")
 
 
 def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:

@@ -43,23 +43,14 @@ empirical u = delta_hat |G| |x| for every other weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import SingularMatrixError, _all_exact, _denominator, _exact_table, _exact_value
 from .exact import _Gaussian, _numerator, _powers, invert_matrix, solve_columns
 from .poly import Polynomial, _combination, _combine, _multi_factorial, _polynomial, _rounded_value
 from .poly import combination, directional_derivative
-from .reflection_groups import (
-    MultiplicityFunction,
-    PositiveSystem,
-    ReflectionGroup,
-    act_on_polynomial,
-    dot,
-    mat_vec,
-    monomial_image,
-    reflection_matrix,
-)
+from .reflection_groups import act_on_polynomial, dot, mat_vec, monomial_image, reflection_matrix
 
 DEGREE_CAP = 160  # the highest degree a config, option or literal may ask for
 
@@ -80,19 +71,19 @@ class TruncationError(RuntimeError):
     pass
 
 
-@dataclass(eq=False)
 class DunklContext:
-    group: ReflectionGroup
-    positives: PositiveSystem
-    k: MultiplicityFunction
-    reflections: tuple = field(default=())  # (alpha, k(alpha), group index)
-    h_cache: dict = field(default_factory=dict)  # n -> lam_n (one scalar per element), or None
-    vk_cache: dict = field(default_factory=dict)  # nu -> V(x^nu) as a table
-    inverse_cache: dict = field(default_factory=dict)  # n -> table of the columns V^{-1} x^nu
-    h_columns: dict = field(default_factory=dict)  # n -> table of the columns H_n x^nu
-    delta_hat: float | None = None
-    delta_table: list = field(default_factory=list)
-    prepared_to: int = 0
+    def __init__(self, group, positives, k, reflections):
+        self.group = group
+        self.positives = positives
+        self.k = k
+        self.reflections = reflections  # (alpha, k(alpha), group index)
+        self.h_cache = {}  # n -> lam_n (one scalar per element), or None
+        self.vk_cache = {}  # nu -> V(x^nu) as a table
+        self.inverse_cache = {}  # n -> table of the columns V^{-1} x^nu
+        self.h_columns = {}  # n -> table of the columns H_n x^nu
+        self.delta_hat = None
+        self.delta_table = []
+        self.prepared_to = 0
 
     @property
     def dimension(self):
@@ -122,7 +113,7 @@ def make_context(group, positives, k) -> DunklContext:
     for alpha in positives.positives:
         idx = group.element_index(reflection_matrix(alpha))
         refl.append((alpha, k.value(alpha), idx))
-    return DunklContext(group=group, positives=positives, k=k, reflections=tuple(refl))
+    return DunklContext(group, positives, k, tuple(refl))
 
 
 # -- the operators -------------------------------------------------------------
@@ -540,12 +531,7 @@ def en_expansion_oracle(ctx: DunklContext, n, x) -> Polynomial:
     return expansion(n, tuple(x))
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    value: complex
-    tail_bound: float
-    degree_used: int
-    last_term: float
+KernelValue = namedtuple("KernelValue", "value tail_bound degree_used last_term")
 
 
 def _norm(v):

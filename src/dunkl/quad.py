@@ -14,7 +14,7 @@ every monomial of total degree <= 2q - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -25,12 +25,8 @@ from .poly import hermite_values
 _NODE_CAP = 4_000_000
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    dimension: int
-    nodes: np.ndarray  # (n, d)
-    weights: np.ndarray  # (n,), positive, sums to 1
-    exact_degree: int
+# nodes (n, d); weights (n,), positive, sum to 1
+QuadratureRule = namedtuple("QuadratureRule", "dimension nodes weights exact_degree")
 
 
 def gauss_rule(d: int, q: int) -> QuadratureRule:

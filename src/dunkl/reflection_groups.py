@@ -1,9 +1,9 @@
 """Root systems, reflections, and the finite groups they generate.
 
 Every family has exact rational roots: the crystallographic families A, B,
-D and G2 (in the plane x1 + x2 + x3 = 0 of R^3), the coordinate-sign system
-Z2^d, and the dihedral I2(m) for the m with a rational realization in the
-plane, m in {2, 4}.  Reflections act by
+D and G2 (in the plane x1 + x2 + x3 = 0 of R^3) and the coordinate-sign
+system Z2^d.  The dihedral groups with rational roots are among them: I2(2)
+is Z2^2, I2(3) A2, I2(4) B2 and I2(6) G2.  Reflections act by
 
     s_a(x) = x - 2 <x, a> a / |a|^2,
 
@@ -19,7 +19,7 @@ power at a time (monomial_image).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
 
@@ -68,32 +68,20 @@ def dot(x, y):
 
 # -- domain types ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootSystem:
-    dimension: int
-    roots: tuple
-    family_tag: str
-    # reflections[i][r] = j with s_{roots[i]}(roots[r]) = roots[j]
-    reflections: tuple = field(compare=False, repr=False)
+# reflections[i][r] = j with s_{roots[i]}(roots[r]) = roots[j]
+RootSystem = namedtuple("RootSystem", "dimension roots family_tag reflections")
+
+PositiveSystem = namedtuple("PositiveSystem", "base beta positives")
 
 
-@dataclass(frozen=True)
-class PositiveSystem:
-    base: RootSystem
-    beta: tuple
-    positives: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class ReflectionGroup:
-    dimension: int
-    elements: tuple
-    identity_index: int
-    cayley: tuple
-    class_of: tuple  # conjugacy class index of each element, identity's is 0
-    # per element (perm, signs) with row j of its matrix signs[j] e_{perm[j]};
-    # None unless every element is a signed permutation (G2's are not)
-    signed_permutations: tuple | None = None
+class ReflectionGroup(namedtuple(
+    "ReflectionGroup", "dimension elements identity_index cayley class_of signed_permutations"
+)):
+    # class_of: the conjugacy class index of each element, identity's is 0.
+    # signed_permutations: per element (perm, signs) with row j of its matrix
+    # signs[j] e_{perm[j]}; None unless every element is a signed permutation
+    # (G2's are not)
+    __slots__ = ()
 
     @property
     def order(self):
@@ -124,11 +112,11 @@ class ReflectionGroup:
             raise KeyError("matrix is not a group element") from None
 
 
-@dataclass(eq=False)
 class MultiplicityFunction:
-    by_root: dict
-    orbits: tuple  # tuple of tuples of root indices into the system's roots
-    gamma: object = field(default=None)
+    def __init__(self, by_root, orbits, gamma):
+        self.by_root = by_root
+        self.orbits = orbits  # tuple of tuples of root indices into the system's roots
+        self.gamma = gamma
 
     def value(self, root):
         return self.by_root[tuple(root)]
@@ -156,10 +144,10 @@ def build_root_system(family_tag, d=None, m=None) -> RootSystem:
     A is realized as A_{d-1} inside R^d ({e_i - e_j}); B_d and D_d use the
     usual signed lists; Z2^d is {+-e_i}.  G2 lies in the plane
     x1 + x2 + x3 = 0 of R^3: its short roots are e_i - e_j, its long roots
-    +-(2 e_i - e_j - e_k).  I2(m) is built only for m in {2, 4}, the planar
-    dihedral systems with rational roots (Z2^2 and B2 up to root lengths);
-    any other m raises UnsupportedFamilyError, naming the family that
-    realizes I2(3) = A2 and I2(6) = G2 exactly.
+    +-(2 e_i - e_j - e_k).  The dihedral I2(m) is not a family here: it
+    raises UnsupportedFamilyError, naming for m in {2, 3, 4, 6} the family
+    that realizes it with rational roots (Z2^2, A2, B2 up to root lengths,
+    G2).
     """
     tag = family_tag.upper() if family_tag.lower() != "z2^d" else "Z2^d"
     if tag in ("Z2^D", "Z2"):
@@ -194,22 +182,25 @@ def build_root_system(family_tag, d=None, m=None) -> RootSystem:
             long = tuple(Fraction(2 if j == i else -1) for j in range(3))
             roots += [long, tuple(-e for e in long)]
     elif tag in ("I2", "I2(M)", "I"):
-        if m not in (2, 4):
-            hint = _EXACT_DIHEDRAL.get(m)
-            raise UnsupportedFamilyError(
-                f"I2(m) has rational roots only for m in {{2, 4}}, not m = {m!r}"
-                + (f"; I2({m}) is {hint}" if hint else "")
-            )
-        roots = _dihedral_roots(m)
-        tag = "I2(m)"
+        hint = _EXACT_DIHEDRAL.get(m)
+        raise UnsupportedFamilyError(
+            f"I2({m}) is {hint}"
+            if hint
+            else f"I2(m) has rational roots only for m in {{2, 3, 4, 6}}, not m = {m!r}"
+        )
     else:
         raise UnsupportedFamilyError(f"unknown family {family_tag!r}")
     roots = tuple(roots)
     return RootSystem(len(roots[0]), roots, tag, _reflection_table(roots))
 
 
-# the dihedral groups that other families realize with rational roots
-_EXACT_DIHEDRAL = {3: 'A2: use {"family": "A", "d": 3}', 6: 'G2: use {"family": "G2"}'}
+# the dihedral groups I2(m) with rational roots, and the families that realize them
+_EXACT_DIHEDRAL = {
+    2: 'Z2^2: use {"family": "Z2^d", "d": 2}',
+    3: 'A2: use {"family": "A", "d": 3}',
+    4: 'B2: use {"family": "B", "d": 2}',
+    6: 'G2: use {"family": "G2"}',
+}
 
 
 def _difference_roots(d):
@@ -241,13 +232,6 @@ def _pair_roots(d):
                     v[j] = Fraction(sj)
                     out.append(tuple(v))
     return out
-
-
-def _dihedral_roots(m):
-    """I2(2) as the coordinate axes; I2(4) as the B_2 list, angles j*pi/4 up
-    to root lengths."""
-    axes = [_axis(2, 0, 1), _axis(2, 1, 1), _axis(2, 0, -1), _axis(2, 1, -1)]
-    return axes if m == 2 else _pair_roots(2) + axes
 
 
 def _reflection_table(roots):
@@ -331,7 +315,7 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
     elements are found breadth first as products g s with a generator s, and
     each new element's matrix is that one product, formed on an integer copy
     (numerators over one denominator) and stored as Fractions.  When every
-    element's matrix has one entry +-1 per row (A, B, D, Z2^d and I2(m); not
+    element's matrix has one entry +-1 per row (A, B, D and Z2^d; not
     G2), the group records each element's signed permutation, read off its
     matrix.
     """
@@ -612,7 +596,7 @@ def validate_multiplicity(positive: PositiveSystem, values, orbits=None) -> Mult
     gamma = 0
     for a in positive.positives:
         gamma = gamma + by_root[tuple(a)]
-    return MultiplicityFunction(by_root=by_root, orbits=orbits, gamma=gamma)
+    return MultiplicityFunction(by_root, orbits, gamma)
 
 
 def _exact_weight(v):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -80,22 +80,17 @@ from .reflection_groups import (
 )
 
 
-@dataclass
-class CheckResult:
-    identity: str
-    max_residual: float
-    tolerance: float
-    passed: bool
-    convention: str | None = None
-    note: str = ""
+CheckResult = namedtuple(
+    "CheckResult", "identity max_residual tolerance passed convention note", defaults=(None, "")
+)
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    name: str
-    group_order: int
-    results: list = field(default_factory=list)
+    def __init__(self, suite, name, group_order):
+        self.suite = suite
+        self.name = name
+        self.group_order = group_order
+        self.results = []
 
     @property
     def passed(self):
@@ -104,7 +99,7 @@ class SuiteReport:
     def to_json(self):
         rows = []
         for r in self.results:
-            row = asdict(r)
+            row = r._asdict()
             row["max_residual"] = float(row["max_residual"])
             row["tolerance"] = float(row["tolerance"])
             row["passed"] = bool(row["passed"])

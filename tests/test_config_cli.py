@@ -409,8 +409,9 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         # W_1 is singular at k = -1/2: refused by build's solve, not by a check
         "inadmissible_k": {**good, "k": "-1/2"},
     }
-    # I2(m) without a rational realization, refused before any group is built
-    dihedral = {f"i2_{m}": {"family": "I2", "m": m, "k": "1/2", "N": 4} for m in (3, 5, 6)}
+    # I2(m) is no family: refused before any group is built, naming for m in
+    # {2, 3, 4, 6} the family that realizes it
+    dihedral = {f"i2_{m}": {"family": "I2", "m": m, "k": "1/2", "N": 4} for m in (2, 3, 4, 5, 6)}
     bad_configs.update(dihedral)
     for name, data in bad_configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
@@ -467,6 +468,10 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "configuration error" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+    for m, family in ((2, "Z2^d"), (3, "A"), (4, "B"), (6, "G2")):
+        assert main(["build", "--config", str(tmp_path / f"i2_{m}.json")]) == 2
+        err = capsys.readouterr().err
+        assert f'I2({m}) is ' in err and f'"family": "{family}"' in err
 
 
 def test_degrees_above_the_cap_exit_2(tmp_path, capsys):
@@ -591,12 +596,13 @@ B2_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "b2.json"
 NO_NUMPY = "import sys; sys.modules['numpy'] = None; "
 
 
-def _python(code, *args, cwd=None):
+def _python(code, *args, cwd=None, flags=()):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, cwd=cwd, env=env
+        [sys.executable, *flags, "-c", code, *args], capture_output=True, text=True, cwd=cwd,
+        env=env,
     )
 
 
@@ -604,6 +610,19 @@ def test_importing_the_cli_does_not_import_numpy():
     proc = _python("import sys, dunkl.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_set_has_no_numpy_dataclasses_inspect_or_typing():
+    """Importing the CLI loads none of numpy, dataclasses, inspect or typing.
+    It runs under -S, so that no site .pth file preloads typing and hides a
+    new import; dunkl.verify needs site for numpy and still loads no
+    dataclasses."""
+    probe = "import sys, {}; print(sorted(m for m in {!r} if m in sys.modules))"
+    proc = _python(probe.format("dunkl.cli", ("numpy", "dataclasses", "inspect", "typing")),
+                   flags=("-S",))
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+    proc = _python(probe.format("dunkl.verify", ("dataclasses",)))
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
 
 
 def test_exact_commands_run_without_numpy(tmp_path):

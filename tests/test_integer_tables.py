@@ -54,7 +54,6 @@ SYSTEMS = {
     "B3": ("B", dict(d=3), 4),
     "D4": ("D", dict(d=4), 3),
     "Z2^3": ("Z2^d", dict(d=3), 4),
-    "I2(4)": ("I2", dict(m=4), 6),
     "G2": ("G2", {}, 4),
 }
 # negative weights, one per orbit, whose class system is singular at the
@@ -65,7 +64,6 @@ NEGATIVE = {
     "B3": ((Fraction(-1, 4), Fraction(-1, 2)), [3]),
     "D4": ((Fraction(-1, 3),), [2]),
     "Z2^3": ((Fraction(-1, 4),) * 3, [1]),
-    "I2(4)": ((Fraction(-1, 4), Fraction(-1, 3)), [1]),
     "G2": ((Fraction(-1, 4), Fraction(-1, 4)), [3]),
 }
 

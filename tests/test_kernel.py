@@ -34,6 +34,7 @@ from dunkl.operators import (
     _recurrence_tail,
     _tail_term,
     _vk_monomial,
+    dunkl_kernel,
     ek_tail_bound,
     evaluate_en,
     homogeneous_kernel,
@@ -169,6 +170,17 @@ def test_tail_bound_cache_keeps_nearby_norms_apart(ev_b2):
     # the bound at a slightly larger |x| is larger, never a cached smaller one
     near = tail_bound(ev_b2, 0.3, 1.0).value
     assert tail_bound(ev_b2, 0.3 + 4e-13, 1.0).value > near
+
+
+def test_cached_records_are_immutable(ev_b2):
+    # _tail_cache hands the same TailBound to every caller, so none may edit it
+    tb = tail_bound(ev_b2, 0.3, 1.0)
+    with pytest.raises(AttributeError):
+        tb.value = 0.0
+    assert tail_bound(ev_b2, 0.3, 1.0) is tb
+    val = dunkl_kernel(ev_b2.ctx, (Fraction(1, 2), Fraction(1, 3)), (0, 0), tol=1e-12)
+    with pytest.raises(AttributeError):
+        val.value = 0
 
 
 def test_certified_radius_monotone(ev_b2):

@@ -148,5 +148,5 @@ def test_gaussian_integral_matches_rule():
 def test_rule_is_frozen_dataclass():
     rule = gauss_rule(1, 3)
     assert isinstance(rule, QuadratureRule)
-    with pytest.raises(Exception):
+    with pytest.raises(AttributeError):
         rule.exact_degree = 5

@@ -38,6 +38,16 @@ def make(family, **kw):
     return system, pos, group
 
 
+def test_root_system_and_group_are_immutable():
+    system, _, group = make("B", d=2)
+    with pytest.raises(AttributeError):
+        system.roots = ()
+    with pytest.raises(AttributeError):
+        group.elements = ()
+    with pytest.raises(AttributeError):
+        group.cache = {}  # no instance dict to hang a new field on
+
+
 def test_rank_one_system():
     system = build_root_system("Z2^d", d=1)
     assert set(system.roots) == {(Fraction(1),), (Fraction(-1),)}
@@ -67,10 +77,16 @@ def test_unsupported_family():
     for m in (1, 5):
         with pytest.raises(UnsupportedFamilyError, match="only for m in"):
             build_root_system("I2", m=m)
-    with pytest.raises(UnsupportedFamilyError, match='"family": "A", "d": 3'):
-        build_root_system("I2", m=3)
-    with pytest.raises(UnsupportedFamilyError, match='"family": "G2"'):
-        build_root_system("I2", m=6)
+    # every I2(m) with rational roots is refused with the family that realizes it
+    for m, hint in (
+        (2, '"family": "Z2^d", "d": 2'),
+        (3, '"family": "A", "d": 3'),
+        (4, '"family": "B", "d": 2'),
+        (6, '"family": "G2"'),
+    ):
+        with pytest.raises(UnsupportedFamilyError) as refused:
+            build_root_system("I2", m=m)
+        assert str(refused.value).startswith(f"I2({m}) is ") and hint in str(refused.value)
 
 
 def test_g2_roots_and_orbits():
@@ -96,7 +112,7 @@ def test_bad_root_lists_are_refused():
 
 @pytest.mark.parametrize(
     "family, kw",
-    [("B", dict(d=2)), ("A", dict(d=3)), ("D", dict(d=4)), ("I2", dict(m=4)), ("G2", dict())],
+    [("B", dict(d=2)), ("A", dict(d=3)), ("D", dict(d=4)), ("Z2^d", dict(d=3)), ("G2", dict())],
 )
 def test_reflection_table_matches_each_root_reflection(family, kw):
     system = build_root_system(family, **kw)
@@ -284,8 +300,8 @@ COEFFICIENTS = {
 @pytest.mark.parametrize(
     "family, kw",
     [("B", dict(d=2)), ("A", dict(d=3)), ("B", dict(d=3)), ("D", dict(d=4)),
-     ("Z2^d", dict(d=3)), ("I2", dict(m=4))],
-    ids=["b2", "a3", "b3", "d4", "z2_3", "i2_4"],
+     ("Z2^d", dict(d=3))],
+    ids=["b2", "a3", "b3", "d4", "z2_3"],
 )
 def test_signed_permutation_action_matches_substitution(family, kw):
     _, _, group = make(family, **kw)
