@@ -2,7 +2,9 @@
 
 Subcommands: build, intertwine, lambda-table, kernel-grid, ek-eval, verify,
 export-quadrature.  Output is plot-ready CSV or JSON on stdout (or --out);
-floats are printed with 17 significant digits so they round-trip.  Exit
+floats are printed with 17 significant digits so they round-trip.  ek-eval
+prints the correctly rounded truncated sum at the binary values of the
+floats it reads for --x and --y.  Exit
 codes: 0 success, 1 verification failure, 2 configuration error: the
 commands raise, and main alone prints the one "configuration error: ..."
 line and returns 2.  The context cache directory defaults to DUNKL_CACHE_DIR (or the working
@@ -31,7 +33,7 @@ from .config import (
     polynomial_to_literal,
     save_context,
 )
-from .exact import format_rational, imag_part, real_part
+from .exact import format_rational, imag_part, parse_rational, real_part
 from .operators import (
     NotInMStarError,
     TruncationError,
@@ -138,7 +140,8 @@ GRID_POINT_CAP = 1_000_000  # (x, y) pairs in one --grid
 
 def parse_grid(spec: str, d: int):
     """Grid spec "x1:lo:hi:step,y1:lo:hi:step,x2:0.3"; each coordinate at most
-    once, unlisted coordinates 0."""
+    once, unlisted coordinates 0.  A range's points lo + i step are formed
+    in exact decimals (exact.parse_rational) and each rounded once."""
     axes = {}
     for chunk in spec.split(","):
         parts = chunk.strip().split(":")
@@ -152,14 +155,13 @@ def parse_grid(spec: str, d: int):
         if len(parts) == 2:
             values = _floats(parts[1:], chunk)
         elif len(parts) == 4:
-            lo, hi, step = _floats(parts[1:], chunk)
+            lo, hi, step = map(parse_rational, _floats(parts[1:], chunk))
             if step <= 0 or hi < lo:
                 raise ConfigError(f"bad range in {chunk!r}")
-            span = (hi - lo) / step
+            span = (hi - lo) // step
             if not span < GRID_POINT_CAP:
                 raise ConfigError(f"range {chunk!r} has more than {GRID_POINT_CAP} points")
-            count = int(math.floor(span + 1e-9)) + 1
-            values = [lo + i * step for i in range(count)]
+            values = [float(lo + i * step) for i in range(span + 1)]
         else:
             raise ConfigError(f"bad grid chunk {chunk!r}")
         if (name[0], idx) in axes:

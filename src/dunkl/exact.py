@@ -149,6 +149,19 @@ def _all_exact(values):
     return all(isinstance(c, _EXACT) for c in values)
 
 
+def _read_exact(values):
+    """(exact values, rounded): the one rule for float inputs.  A float is
+    read as the dyadic rational it stores and a complex as the
+    ComplexRational of its parts; rounded says whether any value was, and
+    then the caller rounds its exact result once (_rounded_value)."""
+    values = list(values)
+    return [
+        c if isinstance(c, _EXACT)
+        else ComplexRational(c.real, c.imag) if isinstance(c, complex) else Fraction(c)
+        for c in values
+    ], not _all_exact(values)
+
+
 # -- integer numerators --------------------------------------------------------
 
 
@@ -227,6 +240,13 @@ def _exact_value(num, den):
     if isinstance(num, _Gaussian):
         return ComplexRational(Fraction(num.re, den), Fraction(num.im, den))
     return Fraction(num, den)
+
+
+def _rounded_value(num, den):
+    """num / den rounded once: a float, or a complex for a _Gaussian."""
+    if isinstance(num, _Gaussian):
+        return complex(num.re / den, num.im / den)
+    return num / den
 
 
 def _powers(point, n):

@@ -48,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import _all_exact, _exact_table, _table_value, abs_squared
+from .exact import _all_exact, _exact_table, _read_exact, _table_value, abs_squared
 from .operators import (
     DunklContext,
     TruncationError,
@@ -115,7 +115,7 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvalu
 def _point_key(x):
     """A cache key for the point x that tells an exact point from a float one
     (Fraction(0.35) == 0.35 and the two hash alike), by the test with which
-    homogeneous_kernel picks the exact or the rounded table."""
+    exact._read_exact tells homogeneous_kernel to round its coefficients."""
     return tuple(x), _all_exact(x)
 
 
@@ -379,8 +379,8 @@ SymmetryReport = namedtuple("SymmetryReport", "checked failures")
 
 
 def symmetry_scan(ev: KernelEvaluator, sample_points) -> SymmetryReport:
-    """Per-term equivariance and parity of the truncated kernel: exact at
-    rational sample points, within 1e-9 at float ones (_polys_match).
+    """Per-term equivariance and parity of the truncated kernel, compared
+    exactly: a float sample is read as its binary value (exact._read_exact).
 
     For each sample x, group element g and degree n the heat images satisfy
     (e^{-Lap/2} E_n)(g x, y) = (e^{-Lap/2} E_n)(x, g^{-1} y) as polynomials
@@ -390,32 +390,25 @@ def symmetry_scan(ev: KernelEvaluator, sample_points) -> SymmetryReport:
     group = ev.ctx.group
     failures = []
     checked = 0
-    for x in sample_points:
+    for sample in sample_points:
+        x = tuple(_read_exact(sample)[0])
         for n in range(ev.n_trunc + 1):
             base = heat_image(ev, n, x)
             for gi in range(group.order):
                 lhs = heat_image(ev, n, mat_vec(group.elements[gi], x))
                 rhs = act_on_polynomial(group, group.inverse_index(gi), base)
                 checked += 1
-                if not _polys_match(lhs, rhs):
-                    failures.append(("equivariance", tuple(x), gi, n))
+                if lhs != rhs:
+                    failures.append(("equivariance", tuple(sample), gi, n))
             # p(-x): -I need not be a group element
             lhs = heat_image(ev, n, tuple(-t for t in x))
             rhs = Polynomial(
                 ev.dimension, {nu: -c if sum(nu) & 1 else c for nu, c in base.terms.items()}
             )
             checked += 1
-            if not _polys_match(lhs, rhs):
-                failures.append(("parity", tuple(x), None, n))
+            if lhs != rhs:
+                failures.append(("parity", tuple(sample), None, n))
     return SymmetryReport(checked, tuple(failures))
-
-
-def _polys_match(a, b):
-    """a == b when every coefficient of both is exact, else within 1e-9 per
-    coefficient of a - b: heat images at float points carry roundoff."""
-    if _all_exact(a.terms.values()) and _all_exact(b.terms.values()):
-        return a.terms == b.terms
-    return all(abs(complex(c)) <= 1e-9 for c in (a - b).terms.values())
 
 
 PositivityReport = namedtuple("PositivityReport", "min_value min_point max_abs_imag max_tail points")

@@ -46,10 +46,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import SingularMatrixError, _all_exact, _denominator, _exact_table, _exact_value
-from .exact import _Gaussian, _numerator, _powers, invert_matrix, solve_columns
-from .poly import Polynomial, _combination, _combine, _multi_factorial, _polynomial, _rounded_value
-from .poly import combination, directional_derivative
+from .exact import SingularMatrixError, _denominator, _exact_table, _exact_value, _Gaussian
+from .exact import _numerator, _powers, _read_exact, _rounded_value, invert_matrix, solve_columns
+from .poly import Polynomial, _combination, _combine, _multi_factorial, _polynomial
+from .poly import _to_float_scalar, combination, directional_derivative
 from .reflection_groups import act_on_polynomial, dot, mat_vec, monomial_image, reflection_matrix
 
 DEGREE_CAP = 160  # the highest degree a config, option or literal may ask for
@@ -296,10 +296,7 @@ def _over_one_denominator(basis, tables):
 def _group_columns(ctx, n, lam):
     """The columns H_n x^nu = sum_g lam_n(g) x^nu o g on P_n as one table:
     integer sums of the monomial images over the elements with lam_n(g) != 0,
-    weighted by lam_n's numerators over their common denominator.  Summing
-    in element order keeps each column's terms in the order that a
-    Polynomial combination over the elements gives them, and with it the
-    order, and so the float rounding, of every sum that evaluates V."""
+    weighted by lam_n's numerators over their common denominator."""
     group = ctx.group
     lam_den = math.lcm(*(_denominator(c) for c in lam))
     active = [(g, _numerator(c, lam_den)) for g, c in enumerate(lam) if c]
@@ -449,15 +446,15 @@ def estimate_delta(ctx: DunklContext, n_max) -> float:
 
 def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
     """E_n(x, .) as a polynomial in y for fixed numeric x: each V(x^nu)(x) / nu!
-    summed from its table over the per-axis powers of x, formed once; in
-    integers over den q^n nu! at an exact x = a / q, else on entries rounded
-    once and multiplied in the order of Polynomial.evaluate's float loop, so
-    bit for bit the rounded table's value."""
-    exact = _all_exact(x)
-    if exact:
-        q = math.lcm(*(_denominator(t) for t in x))
-        x = [_numerator(t, q) for t in x]
-    powers = _powers(x, n)
+    summed from its table over the per-axis powers of x, formed once, in
+    integers over den q^n nu! at x = a / q, a float coordinate read as its
+    binary value (exact._read_exact).  At a point with a float coordinate
+    each coefficient is then rounded once, so it is the correctly rounded
+    exact value there, whatever the order of the table's terms."""
+    x, rounded = _read_exact(x)
+    q = math.lcm(*(_denominator(t) for t in x))
+    powers = _powers([_numerator(t, q) for t in x], n)
+    value = _rounded_value if rounded else _exact_value
     basis = monomial_basis(ctx.dimension, n)
     factors = {mu: [powers[i][e] for i, e in enumerate(mu) if e] for mu in basis}
     terms = {}
@@ -465,13 +462,11 @@ def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
         nums, den = _vk_table(ctx, nu)
         total = 0
         for mu, c in nums.items():
-            v = c if exact else _rounded_value(c, den)
             for p in factors[mu]:
-                v = v * p
-            total = total + v
+                c = c * p
+            total = total + c
         if total:
-            scale = _multi_factorial(nu)
-            terms[nu] = _exact_value(total, den * q**n * scale) if exact else total * Fraction(1, scale)
+            terms[nu] = value(total, den * q**n * _multi_factorial(nu))
     return Polynomial(ctx.dimension, terms)
 
 
@@ -661,7 +656,10 @@ def ek_tail_bound(ctx: DunklContext, x_norm, y_norm, n_trunc) -> float:
 
 def dunkl_kernel(ctx: DunklContext, x, y, tol) -> KernelValue:
     """Truncated generalized exponential sum_{n<=N} E_n(x, y) with a certified
-    tail bound below tol; N is the smallest degree achieving the bound."""
+    tail bound below tol; N is the smallest degree achieving the bound.  The
+    sum is exact at the points' values, a float coordinate read as its binary
+    value (exact._read_exact), and rounded once if any coordinate is a float."""
+    (x, rx), (y, ry) = _read_exact(x), _read_exact(y)
     x_norm = _norm(x)
     y_norm = _norm(y)
     for n_trunc in range(DEGREE_CAP + 1):
@@ -678,7 +676,7 @@ def dunkl_kernel(ctx: DunklContext, x, y, tol) -> KernelValue:
         term = evaluate_en(ctx, n, x, y)
         total = total + term
         last = abs(complex(term))
-    return KernelValue(total, bound, n_trunc, last)
+    return KernelValue(_to_float_scalar(total) if rx or ry else total, bound, n_trunc, last)
 
 
 def evaluate_en(ctx: DunklContext, n, x, y):

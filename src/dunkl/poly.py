@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import _Gaussian, _all_exact, _denominator, _exact_table, _exact_value, _numerator
-from .exact import _powers, _table_value
+from .exact import _all_exact, _denominator, _exact_table, _exact_value, _numerator, _powers
+from .exact import _read_exact, _rounded_value, _table_value
 
 
 def _multi_factorial(nu):
@@ -282,13 +282,6 @@ def combination(dim, pairs):
 # sum numerators[mu] / den x^mu; it becomes a Polynomial only in _polynomial.
 
 
-def _rounded_value(num, den):
-    """num / den rounded once: a float, or a complex for a _Gaussian."""
-    if isinstance(num, _Gaussian):
-        return complex(num.re / den, num.im / den)
-    return num / den
-
-
 def _polynomial(dim, table, rounded=False):
     """The table as a Polynomial with exact coefficients, or with each
     coefficient rounded to a float once."""
@@ -299,9 +292,8 @@ def _polynomial(dim, table, rounded=False):
 
 def _combine(pairs):
     """sum of w * numerators / den over the (w, (numerators, den)) pairs, as a
-    table over the lcm of the denominators, summed in one dict in order of
-    first appearance, zeros dropped.  Over equal denominators each product
-    is a * w, as a Polynomial combination forms it."""
+    table over the lcm of the denominators, summed in one dict, zeros
+    dropped."""
     pairs = list(pairs)
     den = math.lcm(*(table[1] for _, table in pairs))
     out = {}
@@ -314,18 +306,17 @@ def _combine(pairs):
 
 
 def _combination(dim, pairs):
-    """sum of c * table over the (table, scalar c) pairs, as a Polynomial:
-    in integers over one denominator when every c is exact, else term by
-    term on the rounded coefficients, which is what the exact coefficients
-    times a float give."""
+    """sum of c * table over the (table, scalar c) pairs, as a Polynomial, in
+    integers over one denominator; a float or complex c is read as its
+    binary value (exact._read_exact), and then each coefficient is rounded
+    once."""
     pairs = list(pairs)
-    if not _all_exact(c for _, c in pairs):
-        return combination(dim, ((_polynomial(dim, t, rounded=True), c) for t, c in pairs))
+    scalars, rounded = _read_exact(c for _, c in pairs)
     weighted = []
-    for (nums, den), c in pairs:
+    for ((nums, den), _), c in zip(pairs, scalars):
         s = _denominator(c)
         weighted.append((_numerator(c, s), (nums, den * s)))
-    return _polynomial(dim, _combine(weighted))
+    return _polynomial(dim, _combine(weighted), rounded)
 
 
 # -- calculus and pairings on polynomials ------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import add
 
 from .exact import is_real_scalar
 from .poly import Polynomial, _combination
@@ -460,11 +459,9 @@ def signed_image(group: ReflectionGroup, i, nu):
 def monomial_image(group: ReflectionGroup, i, nu):
     """x^nu o g for g = group.elements[i] as a table (numerators, den) in
     lowest terms: the one +-1 monomial of signed_image for a signed
-    permutation, else (G2) a product of integer tables cached in
-    _MONO_IMAGE_CACHE.  With j the last nonzero exponent, x_j^e o g is
-    x_j^(e-1) o g times the integer row j of g, and x^nu o g is the image of
-    x^nu without x_j times that of x_j^(nu_j), so the terms come in the order
-    that multiplying out the powers of the forms (g x)_i gives them."""
+    permutation, else (G2) an integer table cached in _MONO_IMAGE_CACHE:
+    with j the last nonzero exponent, x^nu o g is x^(nu - e_j) o g times
+    the integer row j of g, the linear form (g x)_j."""
     if group.signed_permutations is not None:
         mu, negative = signed_image(group, i, nu)
         return {mu: -1 if negative else 1}, 1
@@ -474,21 +471,16 @@ def monomial_image(group: ReflectionGroup, i, nu):
     image = _MONO_IMAGE_CACHE.get((g, nu))
     if image is not None:
         return image
-    d = len(nu)
     j = max(l for l, e in enumerate(nu) if e)
-    if any(nu[:j]):
-        left = monomial_image(group, i, nu[:j] + (0,) * (d - j))
-        right = monomial_image(group, i, (0,) * j + nu[j:])
-    else:
-        rows, den = _integer_matrix(g)
-        left = monomial_image(group, i, nu[:j] + (nu[j] - 1,) + nu[j + 1 :])
-        right = {tuple(int(l == m) for m in range(d)): r for l, r in enumerate(rows[j]) if r}, den
+    rows, den = _integer_matrix(g)
+    lower, low_den = monomial_image(group, i, nu[:j] + (nu[j] - 1,) + nu[j + 1 :])
     out = {}
-    for mu, a in left[0].items():
-        for lam, b in right[0].items():
-            key = tuple(map(add, mu, lam))
-            out[key] = out.get(key, 0) + a * b
-    den = left[1] * right[1]
+    for mu, a in lower.items():
+        for l, r in enumerate(rows[j]):
+            if r:
+                key = mu[:l] + (mu[l] + 1,) + mu[l + 1 :]
+                out[key] = out.get(key, 0) + a * r
+    den *= low_den
     common = math.gcd(den, *out.values())
     image = {mu: c // common for mu, c in out.items() if c}, den // common
     _MONO_IMAGE_CACHE[g, nu] = image

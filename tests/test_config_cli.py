@@ -349,6 +349,24 @@ def test_cli_kernel_grid_and_refusal(tmp_path, capsys):
     assert "certified" in err
 
 
+def test_grid_range_points_are_the_decimals_rounded_once(tmp_path):
+    # lo + i step is formed in exact decimals: -0.3 + 3 * 0.1 is 0, not
+    # 5.55e-17, and -0.3 + 6 * 0.1 is the float 0.3, not 0.30000000000000004
+    xs, _ = parse_grid("x1:-0.3:0.3:0.1,y1:0.1", 1)
+    assert xs == [(float(Fraction(i - 3, 10)),) for i in range(7)]
+    xs, _ = parse_grid("x1:-0.1:0.1:0.05,x2:0.05", 2)
+    assert [x[0] for x in xs] == [-0.1, -0.05, 0.0, 0.05, 0.1]
+    assert parse_grid("x1:0:1:0.1", 1)[0][-1] == (1.0,)  # an exact count: 11 points
+    cfg = write_config(tmp_path)
+    ctx_path = tmp_path / "z21.ctx.json"
+    main(["build", "--config", str(cfg), "--out", str(ctx_path)])
+    grid_path = tmp_path / "grid.csv"
+    argv = ["kernel-grid", "--context", str(ctx_path), "--grid", "x1:-0.3:0.3:0.1,y1:0.1"]
+    assert main(argv + ["--out", str(grid_path)]) == 0
+    column = [line.split(",")[0] for line in grid_path.read_text().splitlines()[1:]]
+    assert column[3] == "0" and float(column[6]) == 0.3
+
+
 def test_cli_ek_eval(tmp_path, capsys):
     cfg = write_config(tmp_path)
     ctx_path = tmp_path / "z21.ctx.json"

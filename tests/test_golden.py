@@ -18,7 +18,14 @@ the radius notes of exponential-convolution and kernel-nonnegative-on-grid
 (and "certified" -> "empirical" in the first for z21neg and b2c, whose
 tails did not change).  The seven cache digests were recorded again when
 the cache stopped storing gamma, delta_hat and delta_table, which no load
-read; every other line of each cache file stayed the same.  It also hashes the CSV that
+read; every other line of each cache file stayed the same.  The ek-eval
+digests of a2, b2, b2c, g2 and z21neg and the b2-degree-30 grid were
+recorded again when float inputs began to be read as their binary values:
+ek-eval prints the exact truncated sum there rounded once, and its last
+term likewise, which moved the value (a2, z21neg) or the last term (a2, b2,
+b2c, g2) by an ulp (tests/test_kernel.py checks both against the exact
+sums), and a --grid range is formed in exact decimals, which moved one x1
+of b2-degree-30 from 0.05000000000000002 to 0.05.  It also hashes the CSV that
 `kernel-grid` prints for each grid in GRIDS, which pins lk_grid's float
 operations, and the rows of `verify --suite all` on each system in
 VERIFY_SYSTEMS without their residuals (identity, tolerance, pass flag,
@@ -79,7 +86,7 @@ VERIFY_GOLDEN = {
 
 GRID_GOLDEN = {
     "b2-degree-14": "9c73db76ef251e8e57cc9385ef1dc9edbe0ab8706b794b042d994fcb8d5edbda",
-    "b2-degree-30": "b6285495a5d4cb5fe4c65a41991d2c7649757519292b17b6da7614c266fb169d",
+    "b2-degree-30": "ac337e89abefb7d4c6bded997142f620ffb0a1344645ed38b5d68628d54b1b3d",
     "a2-degree-10": "8e10e5df8f55e1d9bba81890a4b6e72dc6f2877fa6498868dc309317fa0317e7",
 }
 
@@ -89,7 +96,7 @@ GOLDEN = {
         "build": "71d9d932f2a728d30df47523361f6f94dbb5a39ecd7f83991a400428ae96b590",
         "lambda-table": "f574f19b6e85d58ae4e5939e92deb1545dafba8453ef88ba24a0c90cea402b16",
         "intertwine": "0a00a0050d74160a0860da4ebbab1f87c5a533a5ee51b960bea4bcb9afa86544",
-        "ek-eval": "b79481bef8efe9b5de19b12f63f569f27a711abc1e0971c32f3dcf7f5ff41628",
+        "ek-eval": "6189f292c599b79a211f70ecc0050b758da52668f2fd076d045e7926f2e8a6c9",
         "verify-exact": "9d10c9adf8f617021693c8020d9b56b0a3c80b84c462ac3672b05bfc25e05928",
         "rounded-table": "71f50b8abe28c36ac816eddce5df35fedb39a9c56a89e0c19e7a456786a16c2d",
     },
@@ -98,7 +105,7 @@ GOLDEN = {
         "build": "8505387856bf1df0f6459b1aef167f4b5ffb52288b91a0b07a2c7a669dbead36",
         "lambda-table": "99629a8a04e63fba81dcff1a0154950409d89675f60ded868e316be5a51fdfd3",
         "intertwine": "02d7afec05f966c05ac739c4da044e14974cfbdd2ea66ce777ad1feaa831c634",
-        "ek-eval": "e2ac7914727029c326f2b386e56302dee81643b123f8616ebc2880afd719c63b",
+        "ek-eval": "eeff0f1173bb18a9633ed70422c50ea2bd86cc4a5d960b2256122ec36e1b4a28",
         "verify-exact": "25ab4137e7c5d36f50ae5eec31aa6fac17961fe7681376392543673fa53f5146",
         "rounded-table": "299dd3dd5486accf08cda3166e4e18e2f345052e29b0b78e4a913a52786744d8",
     },
@@ -107,7 +114,7 @@ GOLDEN = {
         "build": "de1cf8ac29db4aded18f4d5c1cc76927a4666646f91782796896af6e28c15e6b",
         "lambda-table": "ad0139fb15b197512f7be0cec3436cce0940c7a7712c1917e65ef970eb1c98ff",
         "intertwine": "9436678e0d0e6eb2265394166d3bca07e33709086dac96819f5cc8e6267ae01d",
-        "ek-eval": "4273ea9f6376ed34250cddf54f4a0caf8284449b4d37390b839b99a6d9cc8667",
+        "ek-eval": "eb43f630d18172d04e125593f83e87843d7c89624b16deb490a14f3813744f0f",
         "verify-exact": "b2e03ee639640073f16171b6b110545a3169c648693f92ca2d092f69498063ac",
         "rounded-table": "bbbc7c1f1aee84118b2cd9bc733293f4ab61304a3991e85475b4ee74f35cdaf8",
     },
@@ -125,7 +132,7 @@ GOLDEN = {
         "build": "9fca40902132303954fc68d1478492d645ee17df9254a8f4a6bdeab1cac86c1b",
         "lambda-table": "d630697f18e940ad3dfd1d913f23eb87360988fec5f680ce6825919c058a8639",
         "intertwine": "e5d8b193e4b029e96c9ef7c96d7642d2e1439e2844813e3e12c00e58fef082e5",
-        "ek-eval": "54c8ecb292128cedf71ce01193399aa348582e861365f25599cfc6482ac3be12",
+        "ek-eval": "8bde28dadd361f8b375a15943686684265f968cc6b81bffa1a5f05646baaafd4",
         "verify-exact": "f6166c3ec7bf6518ff659ab6bdb9e25e356481af8a810b992018253acccba19d",
         "rounded-table": "1619402e95959d476d4f73c334732bbfdf1a12356474cc9c12bea8224f98b7b7",
     },
@@ -134,7 +141,7 @@ GOLDEN = {
         "build": "fd32892513a1dfee25964b5318da5a5c99bf8f664d0387360da82abab2a299cd",
         "lambda-table": "2a09749305c0e5231c8a7146a6012a1dda84d9e188ac005fc5a571fe72ef0de8",
         "intertwine": "e6741230890eec2d4c4436520bf1b2220ccdda326b8ebbb7d1f4677cdd76d564",
-        "ek-eval": "710a1198732be952a6539f84c696cb88ce2f04bf4a2e388f02332caeb55ad4f7",
+        "ek-eval": "c4ebde3d5bfeb12b9bd28eaf29f1f55c2d8c0d87d937f4699c765b52bde95579",
         "verify-exact": "edbdd1552f862cfc51debc1853f9a9c03a6476ea335aaab6eff1155aa5a3ef1b",
         "rounded-table": "0973124056643ae8bf57737f15a8982ad0374069a2e94bbdcffee3cb75060a4d",
     },

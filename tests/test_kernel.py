@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dunkl.config import load_context
 from dunkl.exact import ComplexRational
 from dunkl.kernel import (
     certified_radius,
@@ -27,7 +29,6 @@ from dunkl.kernel import (
     positivity_scan,
     symmetry_scan,
     tail_bound,
-    _polys_match,
 )
 from dunkl.operators import (
     TruncationError,
@@ -50,6 +51,9 @@ from dunkl.reflection_groups import (
     select_positive,
     validate_multiplicity,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def hermite_path(ev, x, y, n_trunc=None):
@@ -377,18 +381,22 @@ def test_symmetry_scan_exact(ev_b2):
 
 
 def test_symmetry_scan_float_points():
-    # heat images at float points carry roundoff, so they are compared within
-    # 1e-9; an exact difference, however small, is still a failure
+    # a float sample is read as its binary value, so the heat images the scan
+    # compares are exact and every comparison is an exact equality
     ev = make_ev("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 8, d=2)
-    rep = symmetry_scan(ev, [(0.31, -0.52), (0.7, 0.11)])
+    samples = [(0.31, -0.52), (0.7, 0.11)]
+    rep = symmetry_scan(ev, samples)
     assert rep.failures == ()
     assert rep.checked == 2 * (ev.n_trunc + 1) * (ev.ctx.group.order + 1)
-    p = heat_image(ev, 4, (Fraction(1, 3), Fraction(-1, 2)))
-    assert _polys_match(p, p)
-    assert not _polys_match(p, p + Polynomial.monomial(2, (2, 2), Fraction(1, 10**12)))
-    q = heat_image(ev, 4, (0.31, -0.52))
-    assert _polys_match(q, q + Polynomial.monomial(2, (2, 2), 1e-12))
-    assert not _polys_match(q, q + Polynomial.monomial(2, (2, 2), 1e-6))
+    for x in samples:
+        for n in range(ev.n_trunc + 1):
+            image = ev._heat_images[_rational(x), True, n]
+            assert all(isinstance(c, Fraction) for c in image.terms.values())
+            # the image of -x is exactly the parity flip of the image of x
+            flipped = ev._heat_images[tuple(-t for t in _rational(x)), True, n]
+            assert flipped == Polynomial(
+                2, {nu: -c if sum(nu) & 1 else c for nu, c in image.terms.items()}
+            )
 
 
 def test_positivity_zero_weight(ev_z21_zero):
@@ -436,43 +444,125 @@ def test_lk_grid_blocks_match_termwise_sum(family, k_values, n_trunc, kw):
             assert abs(grid[i, j] - want) <= 1e-13 * max(1.0, abs(want))
 
 
+def _correctly_rounded_kernel(ctx, n, x):
+    """E_n(x, .)'s coefficients V(x^nu)(x) / nu! at the binary value of the
+    point x, exact, each then rounded once."""
+    want = {}
+    for nu in monomial_basis(ctx.dimension, n):
+        val = _vk_monomial(ctx, nu).evaluate(_rational(x))
+        if val:
+            want[nu] = _rounded(val * Fraction(1, math.prod(map(math.factorial, nu))))
+    return want
+
+
+def _rounded(c):
+    """An exact scalar rounded once: a float, or a complex part by part."""
+    return complex(c) if isinstance(c, ComplexRational) else float(c)
+
+
 def test_float_tables_match_exact():
     # one V table: the values at float points agree with the exact values at
-    # the same points taken as rationals; at a float point E_n(x, .) is read
-    # from the rounded table and equals bit for bit the exact table there
+    # the same points taken as rationals; at a float point each coefficient
+    # of E_n(x, .) is the exact one at the point's binary value, rounded once
     x = (0.35, -0.6)
     for k in ([Fraction(1, 2), Fraction(3, 2)], [ComplexRational(Fraction(1, 2), Fraction(1, 3)), 1]):
         ev = make_ev("B", k, 8, d=2)
         _assert_float_points_agree(ev, x, (0.8, 0.25), 1e-11)
         for n in range(ev.n_trunc + 1):
             got = homogeneous_kernel(ev.ctx, n, x).terms
-            want = {}
-            for nu in monomial_basis(2, n):
-                val = _vk_monomial(ev.ctx, nu).evaluate(x)
-                if val:
-                    want[nu] = val * Fraction(1, math.prod(map(math.factorial, nu)))
-            assert got == want
+            assert got == _correctly_rounded_kernel(ev.ctx, n, x)
             assert all(isinstance(c, (float, complex)) for c in got.values())
 
 
 def test_mixed_points_read_the_rounded_table():
-    # at a point with one Fraction and one float coordinate E_n(x, .) is bit
-    # for bit the rounded V(x^nu) evaluated there, as Polynomial.evaluate
-    # forms it; the exact V(x^nu) is not the reference here, since a Fraction
-    # coordinate's exact powers then multiply the exact coefficient before it
-    # is rounded
+    # at a point with one Fraction and one float coordinate the float is
+    # read as its binary value too, and each coefficient of E_n(x, .) is the
+    # exact value at that point, rounded once
     for k in ([Fraction(1, 2), Fraction(3, 2)], [ComplexRational(Fraction(1, 2), Fraction(1, 3)), 1]):
         ev = make_ev("B", k, 8, d=2)
         for x in ((Fraction(7, 20), -0.6), (0.35, Fraction(-3, 5))):
             for n in range(ev.n_trunc + 1):
-                want = {}
-                for nu in monomial_basis(2, n):
-                    val = _vk_monomial(ev.ctx, nu, rounded=True).evaluate(x)
-                    if val:
-                        want[nu] = val * Fraction(1, math.prod(map(math.factorial, nu)))
                 got = homogeneous_kernel(ev.ctx, n, x).terms
-                assert got == want
+                assert got == _correctly_rounded_kernel(ev.ctx, n, x)
                 assert all(isinstance(c, (float, complex)) for c in got.values())
+
+
+# config -> float points x, y at which the ek-eval golden digests are taken
+FLOAT_QUERIES = {
+    "a2": ((0.1, 0.05, -0.02), (0.3, -0.2, 0.1)),
+    "b2": ((0.1, 0.2), (1.0, 0.5)),
+    "b2c": ((0.1, 0.2), (1.0, 0.5)),
+    "g2": ((0.05, -0.02, 0.01), (0.1, 0.2, -0.1)),
+    "z21neg": ((0.3,), (-0.7,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_QUERIES))
+def test_float_queries_are_correctly_rounded(name):
+    # dunkl_kernel at float points, each E_n(x, .) coefficient and a
+    # combination of V tables with float and complex scalars each equal the
+    # exact value at the floats' binary values, rounded once
+    ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    x, y = FLOAT_QUERIES[name]
+    xq, yq = _rational(x), _rational(y)
+    for tol in (1e-6, 1e-12):
+        val = dunkl_kernel(ctx, x, y, tol=tol)
+        terms = [evaluate_en(ctx, n, xq, yq) for n in range(val.degree_used + 1)]
+        assert isinstance(val.value, (float, complex))
+        assert val.value == _rounded(sum(terms))
+        assert val.last_term == abs(_rounded(terms[-1]))
+    for n in range(val.degree_used + 1):
+        assert homogeneous_kernel(ctx, n, x).terms == _correctly_rounded_kernel(ctx, n, x)
+    d = ctx.dimension
+    rng = random.Random(7)
+    for scalars in ((0.1, -0.7, 1 / 3), (0.3 + 0.2j, -1.1, 2.5e-3j)):
+        p = Polynomial(d, {nu: rng.choice(scalars) for nu in monomial_basis(d, 4)})
+        want = intertwine(ctx, Polynomial(d, {nu: _exact(c) for nu, c in p.terms.items()}))
+        got = intertwine(ctx, p)
+        assert got.terms == {mu: _rounded(c) for mu, c in want.terms.items()}
+        assert all(isinstance(c, (float, complex)) for c in got.terms.values())
+
+
+def _exact(c):
+    """The binary value of a float or complex scalar."""
+    if isinstance(c, complex):
+        return ComplexRational(Fraction(c.real), Fraction(c.imag))
+    return Fraction(c)
+
+
+@pytest.mark.parametrize(
+    "family, k_values, kw",
+    [
+        ("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, dict(d=2)),
+        ("B", [ComplexRational(Fraction(1, 2), Fraction(1, 3)), Fraction(1)], dict(d=2)),
+        ("A", Fraction(1), dict(d=3)),
+        ("G2", [Fraction(1, 2), Fraction(1)], {}),
+    ],
+)
+def test_float_values_do_not_depend_on_table_term_order(family, k_values, kw):
+    # reversing the terms of every V table leaves E_n(x, .) at a float point
+    # and the generalized exponential bit for bit the same
+    ev = make_ev(family, k_values, 12, **kw)
+    ctx = ev.ctx
+    d = ctx.dimension
+    rng = random.Random(3)
+    points = [
+        (tuple(rng.uniform(-0.4, 0.4) for _ in range(d)), tuple(rng.uniform(-1, 1) for _ in range(d)))
+        for _ in range(3)
+    ]
+
+    def values():
+        out = []
+        for x, y in points:
+            out.append([homogeneous_kernel(ctx, n, x).terms for n in range(ev.n_trunc + 1)])
+            val = dunkl_kernel(ctx, x, y, tol=1e-12)
+            out.append((val.value, val.last_term))
+        return out
+
+    before = values()
+    for nu, (nums, den) in list(ctx.vk_cache.items()):
+        ctx.vk_cache[nu] = dict(reversed(list(nums.items()))), den
+    assert values() == before
 
 
 def test_float_tables_match_exact_through_fallback_degree():
