@@ -176,7 +176,8 @@ def load_context(path) -> ContextBundle:
     (_class_solve), and the cache's lambda tables and fallback degrees must
     equal _cache_tables of that solve (a cache that needs no fallback degree
     may leave the key out); anything else raises ConfigError, naming the
-    first degree that differs.  No H_n table is built here: solve_H builds
+    first degree that differs.  No H_n table is built here, for a cache or
+    a config, except at a config's fallback degrees (prepare): solve_H builds
     each on first use.
     """
     data = load_config(path)

@@ -99,8 +99,9 @@ class DunklContext:
         return sorted(n for n, h in self.h_cache.items() if h is None)
 
     def prepare(self, n_max):
-        """Fill the degree caches and the growth table up to n_max
-        (estimate_delta solves every degree not yet in h_cache)."""
+        """Solve lam_n for every degree up to n_max not yet in h_cache and fill
+        the growth table (estimate_delta).  Only a fallback degree's H_n table
+        is built here; solve_H builds every other one on first use."""
         if self.prepared_to >= n_max:
             return self
         estimate_delta(self, n_max)
@@ -128,7 +129,7 @@ def divide_by_root_pairing(p: Polynomial, alpha):
     """
     d = p.dim
     pivot = next(i for i, a in enumerate(alpha) if a != 0)
-    apiv = alpha[pivot]
+    apiv = Fraction(alpha[pivot])  # roots are ints, and int c / int apiv is a float
     levels = {}
     for nu, c in p.terms.items():
         levels.setdefault(nu[pivot], {})[nu] = c
@@ -212,8 +213,9 @@ def solve_H(ctx: DunklContext, n):
     the weight is inadmissible at this degree.
 
     This is the one builder of H_n's table, on first use, whether lam_n is
-    solved here or was solved when a cache was loaded.  Either way the
-    columns H_n x^nu are verified to invert W_n on the monomial basis and
+    solved here or was solved before by prepare (estimate_delta) or a cache
+    load, which solve only the class system.  Either way the columns H_n
+    x^nu are verified to invert W_n on the monomial basis before any use and
     kept in h_columns as one integer table.
     """
     if n < 1:
@@ -429,12 +431,22 @@ def estimate_delta(ctx: DunklContext, n_max) -> float:
     computed degree, so truncation bounds built from delta_hat are valid on
     the computed range.  Fallback degrees carry no lam table and are
     excluded (ctx.fallback_degrees lists them).  Reads lam_n from h_cache,
-    solving only the degrees that have none yet.  Fills ctx.delta_hat and
-    ctx.delta_table and returns delta_hat.
+    taking each missing degree from the class system alone (_class_solve);
+    only where that is singular does solve_H build and check H_n's table
+    here, so an inadmissible weight raises NotInMStarError.  Fills
+    ctx.delta_hat and ctx.delta_table and returns delta_hat.
     """
     table = []
     for n in range(1, n_max + 1):
-        lam = ctx.h_cache[n] if n in ctx.h_cache else solve_H(ctx, n)
+        if n not in ctx.h_cache:
+            ctx.h_cache[n] = _class_solve(ctx, n)
+            if ctx.h_cache[n] is None:
+                try:
+                    solve_H(ctx, n)
+                except NotInMStarError:
+                    del ctx.h_cache[n]  # a singular W_n makes no fallback degree
+                    raise
+        lam = ctx.h_cache[n]
         if lam is not None:
             table.append((n, n * max(abs(complex(c)) for c in lam)))
     ctx.delta_hat = max((row for _, row in table), default=1.0)
@@ -444,20 +456,15 @@ def estimate_delta(ctx: DunklContext, n_max) -> float:
 
 # -- homogeneous kernel pieces and the generalized exponential -------------------------
 
-def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
-    """E_n(x, .) as a polynomial in y for fixed numeric x: each V(x^nu)(x) / nu!
-    summed from its table over the per-axis powers of x, formed once, in
-    integers over den q^n nu! at x = a / q, a float coordinate read as its
-    binary value (exact._read_exact).  At a point with a float coordinate
-    each coefficient is then rounded once, so it is the correctly rounded
-    exact value there, whatever the order of the table's terms."""
-    x, rounded = _read_exact(x)
+def _vk_values(ctx: DunklContext, n, x):
+    """(q, rows): V(x^nu)(x) = s / (den q^n) for each row (nu, s, den) with
+    s != 0 and |nu| = n, at an exact point x = a / q: each V table summed in
+    integers over the per-axis powers of a, formed once."""
     q = math.lcm(*(_denominator(t) for t in x))
     powers = _powers([_numerator(t, q) for t in x], n)
-    value = _rounded_value if rounded else _exact_value
     basis = monomial_basis(ctx.dimension, n)
     factors = {mu: [powers[i][e] for i, e in enumerate(mu) if e] for mu in basis}
-    terms = {}
+    rows = []
     for nu in basis:
         nums, den = _vk_table(ctx, nu)
         total = 0
@@ -466,8 +473,23 @@ def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
                 c = c * p
             total = total + c
         if total:
-            terms[nu] = value(total, den * q**n * _multi_factorial(nu))
-    return Polynomial(ctx.dimension, terms)
+            rows.append((nu, total, den))
+    return q, rows
+
+
+def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
+    """E_n(x, .) as a polynomial in y for fixed numeric x: each V(x^nu)(x) / nu!
+    from _vk_values, over den q^n nu! at x = a / q, a float coordinate read
+    as its binary value (exact._read_exact).  At a point with a float
+    coordinate each coefficient is then rounded once, so it is the correctly
+    rounded exact value there, whatever the order of the table's terms."""
+    x, rounded = _read_exact(x)
+    value = _rounded_value if rounded else _exact_value
+    q, rows = _vk_values(ctx, n, x)
+    return Polynomial(
+        ctx.dimension,
+        {nu: value(s, den * q**n * _multi_factorial(nu)) for nu, s, den in rows},
+    )
 
 
 def homogeneous_kernel_bivariate(ctx: DunklContext, n) -> Polynomial:
@@ -680,5 +702,24 @@ def dunkl_kernel(ctx: DunklContext, x, y, tol) -> KernelValue:
 
 
 def evaluate_en(ctx: DunklContext, n, x, y):
-    """E_n(x, y) for numeric (exact or floating) points."""
-    return homogeneous_kernel(ctx, n, x).evaluate(y)
+    """E_n(x, y) = sum_nu V(x^nu)(x) y^nu / nu! at numeric points, in integers
+    over one denominator: with x = a / q, y = b / r and V(x^nu)(x) =
+    s_nu / (den_nu q^n) (_vk_values), the sum of s_nu b^nu L / (den_nu nu!)
+    over L q^n r^n, L the lcm of the den_nu nu!.  A float coordinate is read
+    as its binary value (exact._read_exact), and then the sum is rounded
+    once: the value homogeneous_kernel(ctx, n, x).evaluate(y) has at the
+    exact points, with no polynomial formed."""
+    (x, rx), (y, ry) = _read_exact(x), _read_exact(y)
+    q, rows = _vk_values(ctx, n, x)
+    r = math.lcm(*(_denominator(t) for t in y))
+    powers = _powers([_numerator(t, r) for t in y], n)
+    dens = [den * _multi_factorial(nu) for nu, _, den in rows]
+    common = math.lcm(*dens)
+    total = 0
+    for (nu, s, _), den in zip(rows, dens):
+        for i, e in enumerate(nu):
+            if e:
+                s = s * powers[i][e]
+        total = total + s * (common // den)
+    value = _rounded_value if rx or ry else _exact_value
+    return value(total, common * q**n * r**n)

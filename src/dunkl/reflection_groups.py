@@ -1,15 +1,16 @@
 """Root systems, reflections, and the finite groups they generate.
 
-Every family has exact rational roots: the crystallographic families A, B,
-D and G2 (in the plane x1 + x2 + x3 = 0 of R^3) and the coordinate-sign
-system Z2^d.  The dihedral groups with rational roots are among them: I2(2)
-is Z2^2, I2(3) A2, I2(4) B2 and I2(6) G2.  Reflections act by
+Every family has integer roots: the crystallographic families A, B, D and
+G2 (in the plane x1 + x2 + x3 = 0 of R^3) and the coordinate-sign system
+Z2^d.  The dihedral groups with rational roots are among them: I2(2) is
+Z2^2, I2(3) A2, I2(4) B2 and I2(6) G2.  Reflections act by
 
     s_a(x) = x - 2 <x, a> a / |a|^2,
 
-and the group is the closure of {s_a : a positive} under composition.  The
-action on functions is (L_g f)(x) = f(g x), so composing actions reverses
-the matrix product: L_g L_h = L_{hg}.  Every group but G2 is a
+exactly (G2's long roots, |a|^2 = 6, give matrices with thirds), and the
+group is the closure of {s_a : a positive} under composition.  The action
+on functions is (L_g f)(x) = f(g x), so composing actions reverses the
+matrix product: L_g L_h = L_{hg}.  Every group but G2 is a
 signed-permutation group, so L_g sends a monomial to plus or minus one
 monomial, and acting on a polynomial relabels its exponents.  G2's long-root
 reflections are not signed permutations: there the image of x^nu is an
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .exact import is_real_scalar
 from .poly import Polynomial, _combination
@@ -41,15 +43,12 @@ class MultiplicityError(ValueError):
 # -- small tuple-based matrix helpers -----------------------------------------
 
 def mat_identity(d):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
+    return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
 
 def mat_mul(a, b):
-    d = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-        for i in range(d)
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
 
 
 def mat_vec(m, x):
@@ -63,6 +62,15 @@ def mat_transpose(m):
 
 def dot(x, y):
     return sum(a * b for a, b in zip(x, y))
+
+
+def _quotient(a, b):
+    """a / b, exact for exact a and b: an int where the int b divides the int
+    a, a Fraction for other ints (int / int would be a float)."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 # -- domain types ---------------------------------------------------------------
@@ -98,11 +106,10 @@ class ReflectionGroup(namedtuple(
         return self.cayley[i][j]
 
     def inverse_index(self, i):
-        row = self.cayley[i]
-        for j, prod in enumerate(row):
-            if prod == self.identity_index:
-                return j
-        raise GroupClosureError(f"element {i} has no inverse in the table")
+        try:
+            return self.cayley[i].index(self.identity_index)
+        except ValueError:
+            raise GroupClosureError(f"element {i} has no inverse in the table") from None
 
     def element_index(self, matrix):
         try:
@@ -178,7 +185,7 @@ def build_root_system(family_tag, d=None, m=None) -> RootSystem:
             raise UnsupportedFamilyError("G2 is realized in R^3 (d = 3)")
         roots = _difference_roots(3)
         for i in range(3):
-            long = tuple(Fraction(2 if j == i else -1) for j in range(3))
+            long = tuple(2 if j == i else -1 for j in range(3))
             roots += [long, tuple(-e for e in long)]
     elif tag in ("I2", "I2(M)", "I"):
         hint = _EXACT_DIHEDRAL.get(m)
@@ -207,16 +214,16 @@ def _difference_roots(d):
     for i in range(d):
         for j in range(d):
             if i != j:
-                v = [Fraction(0)] * d
-                v[i] = Fraction(1)
-                v[j] = Fraction(-1)
+                v = [0] * d
+                v[i] = 1
+                v[j] = -1
                 out.append(tuple(v))
     return out
 
 
 def _axis(d, i, sign):
-    v = [Fraction(0)] * d
-    v[i] = Fraction(sign)
+    v = [0] * d
+    v[i] = sign
     return tuple(v)
 
 
@@ -226,9 +233,9 @@ def _pair_roots(d):
         for j in range(i + 1, d):
             for si in (1, -1):
                 for sj in (1, -1):
-                    v = [Fraction(0)] * d
-                    v[i] = Fraction(si)
-                    v[j] = Fraction(sj)
+                    v = [0] * d
+                    v[i] = si
+                    v[j] = sj
                     out.append(tuple(v))
     return out
 
@@ -264,22 +271,25 @@ def _reflection_table(roots):
 # -- reflections -------------------------------------------------------------------
 
 def reflect(alpha, x):
-    """s_alpha(x) = x - 2 <x, alpha> alpha / |alpha|^2."""
+    """s_alpha(x) = x - 2 <x, alpha> alpha / |alpha|^2; exact on exact data
+    (_quotient), so an integer point and root give an integer image."""
     nrm2 = dot(alpha, alpha)
     if nrm2 == 0:
         raise ValueError("cannot reflect in the zero vector")
-    factor = 2 * dot(x, alpha) / nrm2
+    factor = _quotient(2 * dot(x, alpha), nrm2)
     return tuple(xi - factor * ai for xi, ai in zip(x, alpha))
 
 
 def reflection_matrix(alpha):
+    """The matrix of s_alpha, exact: ints for every integer root but G2's
+    long ones, whose entries are thirds."""
     d = len(alpha)
     nrm2 = dot(alpha, alpha)
     if nrm2 == 0:
         raise ValueError("cannot reflect in the zero vector")
     eye = mat_identity(d)
     return tuple(
-        tuple(eye[i][j] - 2 * alpha[i] * alpha[j] / nrm2 for j in range(d))
+        tuple(_quotient(eye[i][j] * nrm2 - 2 * alpha[i] * alpha[j], nrm2) for j in range(d))
         for i in range(d)
     )
 
@@ -310,13 +320,16 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
     """Close the generating reflections under composition and build the table.
 
     An element of a reflection group is fixed by how it permutes the roots,
-    so closure and the Cayley table compose root-index permutations.  The
-    elements are found breadth first as products g s with a generator s, and
-    each new element's matrix is that one product, formed on an integer copy
-    (numerators over one denominator) and stored as Fractions.  When every
-    element's matrix has one entry +-1 per row (A, B, D and Z2^d; not
-    G2), the group records each element's signed permutation, read off its
-    matrix.
+    so the closure runs on root-index permutations.  The elements are found
+    breadth first as products g s with a generator s, and each new element's
+    matrix is that one product, formed on integers (numerators over one
+    denominator; Fraction entries only where that is not 1, G2's thirds).
+    The closure keeps the index of every product g s it forms, and the
+    Cayley table is filled from those alone: with p s the product that found
+    j, h j = (h p) s, so column j is column p mapped by right-multiplication
+    by s.  When every element's matrix has one entry +-1 per row (A, B, D
+    and Z2^d; not G2), the group records each element's signed permutation,
+    read off its matrix.
     """
     system = positive.base
     d = system.dimension
@@ -326,34 +339,40 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
     ]
 
     start = tuple(range(len(system.roots)))
-    elements = [_integer_matrix(mat_identity(d))]
+    elements = [(mat_identity(d), 1)]
     perms = [start]
     index = {start: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for gi in frontier:
-            g, pg = elements[gi], perms[gi]
-            for s, ps in generators:
-                prod = tuple(pg[r] for r in ps)  # (g s)(root_r) = g(s(root_r))
-                if prod not in index:
-                    if len(elements) >= element_cap:
-                        raise GroupClosureError(
-                            "not a finite reflection group "
-                            f"(closure exceeded {element_cap} elements)"
-                        )
-                    index[prod] = len(elements)
-                    nxt.append(len(elements))
-                    elements.append(_integer_product(g, s))
-                    perms.append(prod)
-        frontier = nxt
+    parent = [None]  # (parent element, generator) of each element but the identity
+    right = []  # right[g][s]: the index of g s
+    while len(right) < len(elements):  # breadth first: elements in order of discovery
+        gi = len(right)
+        g, pg = elements[gi], perms[gi]
+        row = []
+        for si, (s, ps) in enumerate(generators):
+            prod = tuple(map(pg.__getitem__, ps))  # (g s)(root_r) = g(s(root_r))
+            j = index.get(prod)
+            if j is None:
+                if len(elements) >= element_cap:
+                    raise GroupClosureError(
+                        "not a finite reflection group "
+                        f"(closure exceeded {element_cap} elements)"
+                    )
+                j = index[prod] = len(elements)
+                elements.append(_integer_product(g, s))
+                perms.append(prod)
+                parent.append((gi, si))
+            row.append(j)
+        right.append(row)
 
-    cayley = tuple(
-        tuple(index[tuple(map(pi.__getitem__, pj))] for pj in perms) for pi in perms
-    )
+    by_generator = [[row[si] for row in right] for si in range(len(generators))]
+    columns = [list(range(len(elements)))]  # column j holds h j for every h
+    for p, si in parent[1:]:
+        columns.append(list(map(by_generator[si].__getitem__, columns[p])))
+    cayley = tuple(zip(*columns))
     class_of = _conjugacy_classes(cayley, [index[ps] for _, ps in generators])
     matrices = tuple(
-        tuple(tuple(Fraction(e, den) for e in row) for row in m) for m, den in elements
+        rows if den == 1 else tuple(tuple(Fraction(e, den) for e in row) for row in rows)
+        for rows, den in elements
     )
     signed = [_signed_permutation(g) for g in matrices]
     group = ReflectionGroup(
@@ -428,7 +447,7 @@ def _validate_group(group: ReflectionGroup, integer_elements):
     each element m = rows / den is orthogonal: rows^T rows = den^2 I."""
     n = group.order
     for i in range(n):
-        if sorted(group.cayley[i]) != list(range(n)):
+        if len(set(group.cayley[i])) != n:  # n distinct element indices
             raise GroupClosureError("Cayley row is not a permutation")
         group.inverse_index(i)  # raises if missing
     eye = mat_identity(group.dimension)
@@ -502,8 +521,6 @@ def act_on_polynomial(group: ReflectionGroup, i, p):
     terms = {}
     for nu, c in p.terms.items():
         mu, negative = signed_image(group, i, nu)
-        if isinstance(c, int) and any(nu):
-            c = Fraction(c)  # an exact unit times c, as substituting g gives
         terms[mu] = -c if negative else c
     return Polynomial(p.dim, terms)
 

@@ -287,9 +287,16 @@ def test_cli_build_and_intertwine(tmp_path, capsys):
 
 
 def test_cli_build_rejects_bad_weight(tmp_path, capsys):
+    # k = -1/2 on Z2^1: the class system and W_1 are both singular, which
+    # prepare finds by inverting W_1 at that fallback degree, before any
+    # cache is written
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"family": "Z2^d", "d": 1, "k": "-1/2", "N": 3}))
-    assert main(["build", "--config", str(cfg)]) == 2
+    out = tmp_path / "bad.ctx.json"
+    assert main(["build", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "W_n is singular at degree 1" in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_cli_lambda_table(tmp_path, capsys):

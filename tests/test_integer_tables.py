@@ -308,3 +308,53 @@ def test_columns_rebuilt_from_a_cache_are_checked(tmp_path, monkeypatch):
     monkeypatch.setattr(operators, "_group_columns", off_by_one)
     with pytest.raises(operators.NotInMStarError):
         apply_H(load_context(path).ctx, 2, x1sq)
+
+
+# configs -> the fallback degrees of degrees 1..N
+PREPARED = {
+    "b2": ({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 6}, []),
+    "b2_fallback": ({"family": "B", "d": 2, "k": {"short": "-3/4", "long": "1/2"}, "N": 5}, [1, 3]),
+    "d4": ({"family": "D", "d": 4, "k": "1/2", "N": 3}, []),
+    "g2": ({"family": "G2", "k": {"short": "1/2", "long": "1"}, "N": 4}, []),
+    "z21_fallback": ({"family": "Z2^d", "d": 1, "k": "-1", "N": 4}, [2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREPARED))
+def test_prepare_builds_tables_only_at_fallback_degrees(name, tmp_path):
+    """prepare solves lam_n from the class system alone; the one H_n table it
+    builds is a fallback degree's dense inverse, which is how a singular W_n
+    is caught there.  A raw config passed as a context is prepared alike."""
+    cfg, fallbacks = PREPARED[name]
+    ctx = build_bundle(cfg).ctx.prepare(cfg["N"])
+    assert sorted(ctx.h_cache) == list(range(1, cfg["N"] + 1))
+    assert ctx.fallback_degrees == fallbacks
+    assert sorted(ctx.h_columns) == fallbacks
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    loaded = load_context(path).ctx
+    assert loaded.h_cache == ctx.h_cache and sorted(loaded.h_columns) == fallbacks
+    # the first use builds the rest, checked
+    intertwine(ctx, Polynomial.monomial(ctx.dimension, (cfg["N"],) + (0,) * (ctx.dimension - 1)))
+    assert sorted(ctx.h_columns) == list(range(1, cfg["N"] + 1))
+
+
+def test_columns_of_a_prepared_config_are_checked_on_first_use(monkeypatch):
+    """prepare leaves H_n's columns to solve_H, which checks W_n H_n = id on
+    them before the first intertwine reads them, as it does for a cache."""
+    from dunkl import operators
+
+    bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 3})
+    bundle.ctx.prepare(3)
+    assert bundle.ctx.h_columns == {}
+    build = operators._group_columns
+
+    def off_by_one(ctx, n, h):
+        cols, den = build(ctx, n, h)
+        nu = min(cols)
+        mu = min(cols[nu])
+        return {**cols, nu: {**cols[nu], mu: cols[nu][mu] + 1}}, den
+
+    monkeypatch.setattr(operators, "_group_columns", off_by_one)
+    with pytest.raises(operators.NotInMStarError):
+        intertwine(bundle.ctx, Polynomial.monomial(2, (2, 0)))

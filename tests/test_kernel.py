@@ -523,6 +523,27 @@ def test_float_queries_are_correctly_rounded(name):
         assert all(isinstance(c, (float, complex)) for c in got.terms.values())
 
 
+@pytest.mark.parametrize("name", sorted(FLOAT_QUERIES))
+def test_evaluate_en_is_the_homogeneous_kernel_at_y(name):
+    # E_n(x, y) summed from the V tables over one denominator is
+    # homogeneous_kernel(x).evaluate(y), with its type, at exact points (a
+    # complex y too), and at float points it is that value at their binary
+    # values rounded once
+    ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    x, y = FLOAT_QUERIES[name]
+    xq, yq = _rational(x), _rational(y)
+    yc = tuple(ComplexRational(t, Fraction(1, 3)) for t in yq)
+    for n in range(7):
+        for point in (yq, yc):
+            want = homogeneous_kernel(ctx, n, xq).evaluate(point)
+            got = evaluate_en(ctx, n, xq, point)
+            assert got == want and type(got) is type(want)
+        want = _rounded(homogeneous_kernel(ctx, n, xq).evaluate(yq))
+        for xs, ys in ((x, y), (xq, y), (x, yq)):
+            got = evaluate_en(ctx, n, xs, ys)
+            assert repr(got) == repr(want) and type(got) is type(want)
+
+
 def _exact(c):
     """The binary value of a float or complex scalar."""
     if isinstance(c, complex):

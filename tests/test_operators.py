@@ -118,6 +118,22 @@ def test_root_pairing_remainder_tolerance_follows_coefficient_type():
         divide_by_root_pairing(p + 1e-3, alpha)
 
 
+def test_root_pairing_division_is_exact_on_integer_data():
+    # int coefficients over an int root whose pivot is 2 (G2's long root):
+    # the quotient holds Fractions, never the float of an int / int
+    alpha = (2, -1, -1)
+    x1, x2, x3 = (Polynomial.variable(3, j) for j in range(3))
+    q = x1 * x1 + x2 * x3 * 3 - x3
+    quotient = divide_by_root_pairing((x1 * 2 - x2 - x3) * q, alpha)
+    assert quotient == q
+    assert all(type(c) is Fraction for c in quotient.terms.values())
+    g2 = context("G2", [Fraction(1, 2), Fraction(1)])
+    p = Polynomial(3, {(2, 1, 0): 1, (0, 0, 3): -2, (1, 1, 1): 5})
+    for xi in ((1, 0, 0), (0, 1, -1)):
+        image = dunkl_apply(g2, xi, p)
+        assert image and not any(isinstance(c, float) for c in image.terms.values())
+
+
 def test_dunkl_commutativity_a2(a2):
     p = Polynomial(3, {(2, 2, 1): Fraction(1), (1, 0, 3): Fraction(-1, 2)})
     dirs = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -280,9 +296,13 @@ def test_d4_class_solve_passes_verification():
     ctx = context("D", Fraction(1, 2), d=4)
     assert ctx.group.order == 192
     assert len(ctx.group.class_representatives) == 13
-    ctx.prepare(3)  # solve_H checks W_n H_n = id on every monomial of P_n
+    ctx.prepare(3)  # lam_n from the class system alone
     assert ctx.fallback_degrees == []
-    assert all(isinstance(ctx.h_cache[n], tuple) for n in (1, 2, 3))
+    for n in (1, 2, 3):
+        # builds H_n's columns and checks W_n H_n = id on every monomial of P_n
+        assert solve_H(ctx, n) is ctx.h_cache[n]
+        assert isinstance(ctx.h_cache[n], tuple)
+    assert sorted(ctx.h_columns) == [1, 2, 3]
 
 
 def test_not_in_m_star_reports_degree():
@@ -290,6 +310,11 @@ def test_not_in_m_star_reports_degree():
     with pytest.raises(NotInMStarError) as err:
         solve_H(ctx, 1)
     assert err.value.degree == 1
+    # prepare finds it too, every time, and records no fallback degree
+    for _ in range(2):
+        with pytest.raises(NotInMStarError):
+            ctx.prepare(2)
+    assert ctx.fallback_degrees == [] and ctx.prepared_to == 0
 
 
 def _dense_H(ctx, n, p):

@@ -219,6 +219,58 @@ def test_permutation_closure_matches_matrix_closure(family, kw):
     assert group.cayley == cayley
 
 
+FAMILIES = [("B", dict(d=2)), ("A", dict(d=3)), ("B", dict(d=3)), ("D", dict(d=4)), ("G2", dict()),
+            ("Z2^d", dict(d=3))]
+FAMILY_IDS = ["b2", "a3", "b3", "d4", "g2", "z2_3"]
+
+
+@pytest.mark.parametrize("family, kw", FAMILIES, ids=FAMILY_IDS)
+def test_cayley_table_is_the_composition_of_root_permutations(family, kw):
+    # the table generate_group fills from the closure's products g s equals
+    # the one composing the root permutation of every pair of elements
+    system, _, group = make(family, **kw)
+    find = {r: j for j, r in enumerate(system.roots)}
+    perms = [tuple(find[mat_vec(g, r)] for r in system.roots) for g in group.elements]
+    index = {perm: i for i, perm in enumerate(perms)}
+    assert len(index) == group.order
+    assert group.cayley == tuple(
+        tuple(index[tuple(pi[r] for r in pj)] for pj in perms) for pi in perms
+    )
+
+
+@pytest.mark.parametrize(
+    "family, kw",
+    FAMILIES + [("A", dict(d=2)), ("D", dict(d=3)), ("Z2^d", dict(d=1)), ("B", dict(d=4))],
+)
+def test_roots_and_elements_are_exact(family, kw):
+    # integer roots, and no float anywhere a root enters a division
+    system, pos, group = make(family, **kw)
+    assert all(type(e) is int for root in system.roots for e in root)
+    assert all(type(e) is Fraction for e in pos.beta)
+    point = tuple(range(1, system.dimension + 1))
+    for a in system.roots:
+        assert all(type(e) in (int, Fraction) for row in reflection_matrix(a) for e in row)
+        assert all(type(e) in (int, Fraction) for e in reflect(a, point))
+    for g in group.elements:
+        assert all(type(e) in (int, Fraction) for row in g for e in row)
+
+
+def test_g2_long_root_reflections_hold_thirds():
+    system = build_root_system("G2")
+    for a in system.roots:
+        entries = [e for row in reflection_matrix(a) for e in row]
+        if sum(e * e for e in a) == 6:
+            assert {Fraction(e).denominator for e in entries} == {3}
+        else:
+            assert all(type(e) is int for e in entries)
+    long = (2, -1, -1)
+    assert reflect(long, (1, 0, 0)) == (Fraction(-1, 3), Fraction(2, 3), Fraction(2, 3))
+    assert reflect(long, (1, 1, 1)) == (1, 1, 1)
+    _, _, group = make("G2")
+    thirds = [g for g in group.elements if any(type(e) is Fraction for row in g for e in row)]
+    assert thirds and all(3 * e == int(3 * e) for g in thirds for row in g for e in row)
+
+
 def _conjugacy_classes(group):
     classes = []
     for x in range(group.order):
@@ -260,7 +312,7 @@ def test_act_on_polynomial_examples():
 
 def _substituted(g, p):
     """Reference: p(g x) by multiplying out the powers of the linear forms
-    (g x)_i in Fractions, the matrix substitution that the signed
+    (g x)_i in exact arithmetic, the matrix substitution that the signed
     permutations and G2's integer images replaced."""
     d = p.dim
     out = Polynomial.zero(d)
