@@ -33,7 +33,7 @@ from .config import (
     polynomial_to_literal,
     save_context,
 )
-from .exact import format_rational, imag_part, parse_rational, real_part
+from .exact import format_rational, parse_rational
 from .operators import (
     NotInMStarError,
     TruncationError,
@@ -82,10 +82,10 @@ def cmd_build(args) -> int:
     ctx = bundle.ctx
     print(f"context {bundle.name}: |G| = {bundle.group.order}")
     gamma = ctx.gamma
-    if imag_part(gamma):
-        print(f"gamma = {format_rational(real_part(gamma))} + {format_rational(imag_part(gamma))} i")
+    if gamma.imag:
+        print(f"gamma = {format_rational(gamma.real)} + {format_rational(gamma.imag)} i")
     else:
-        print(f"gamma = {format_rational(real_part(gamma))}")
+        print(f"gamma = {format_rational(gamma.real)}")
     for n in range(1, degree + 1):
         path = "matrix-fallback" if ctx.h_cache[n] is None else "group-algebra"
         print(f"  degree {n}: invertible ({path})")
@@ -118,9 +118,7 @@ def cmd_lambda_table(args) -> int:
         if lam is None:
             continue
         for idx, c in enumerate(lam):
-            lines.append(
-                f"{n},{idx},{_fmt(float(real_part(c)))},{_fmt(float(imag_part(c)))}"
-            )
+            lines.append(f"{n},{idx},{_fmt(float(c.real))},{_fmt(float(c.imag))}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

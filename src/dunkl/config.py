@@ -228,7 +228,7 @@ def polynomial_to_literal(p: Polynomial) -> str:
             f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in enumerate(nu) if e
         )
         if isinstance(c, ComplexRational):
-            coeff = f"({format_rational(c.re)}, {format_rational(c.im)})"
+            coeff = f"({format_rational(c.real)}, {format_rational(c.imag)})"
             sign = "+"
         elif isinstance(c, complex):
             coeff = f"({c.real!r}, {c.imag!r})"

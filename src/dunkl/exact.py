@@ -1,10 +1,14 @@
 """Exact scalar layer: complex rationals, integer numerators, and
 fraction-free linear solves on them.
 
-Every quantity in the exact layer is a ``Fraction`` or a ``ComplexRational``
-(a pair of Fractions).  Mixing with floats or python complex numbers is the
-one-way door to the floating layer: the result is a plain float/complex.
-Long exact sums run on integer numerators over one denominator instead.
+Every quantity in the exact layer is an int, a Fraction or a
+``ComplexRational``, the one exact complex type.  All of them, like float
+and complex, speak Python's number protocol: ``.real``, ``.imag`` and
+``.conjugate()``, and the exact ones ``.denominator``.  Mixing with floats
+or python complex numbers is the one-way door to the floating layer: the
+result is a plain float/complex.  Long exact sums run on integer numerators
+over one denominator instead; the numerator of a complex value is a
+ComplexRational with int parts, a Gaussian integer.
 """
 from __future__ import annotations
 
@@ -13,99 +17,115 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
+_RATIONAL = (int, Fraction)
+
 
 class ComplexRational:
-    """Complex number with exact rational real and imaginary parts.
+    """Complex number real + i imag with exact rational parts.
 
-    Arithmetic with int/Fraction stays exact; arithmetic with float/complex
-    degrades to python complex.  A ComplexRational with zero imaginary part
-    compares and hashes equal to the corresponding Fraction.
+    A part is an int or a Fraction and is kept as given (any other number
+    is read as a Fraction), so a ComplexRational with int parts is a
+    Gaussian integer, which // divides exactly.  Arithmetic with
+    int/Fraction stays exact; arithmetic with float/complex degrades to
+    python complex.  A ComplexRational with zero imaginary part compares and
+    hashes equal to the corresponding Fraction.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    def __init__(self, real=0, imag=0):
+        _set_real(self, real if isinstance(real, _RATIONAL) else Fraction(real))
+        _set_imag(self, imag if isinstance(imag, _RATIONAL) else Fraction(imag))
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
 
-    # -- coercion helpers -------------------------------------------------
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, ComplexRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(other)
-        return None
+    @property
+    def denominator(self):
+        """The least positive integer that makes both parts integral."""
+        return math.lcm(self.real.denominator, self.imag.denominator)
+
+    def conjugate(self):
+        return _make(self.real, -self.imag)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(float(self.real), float(self.imag))
 
-    # -- ring operations ---------------------------------------------------
+    # -- ring operations: results are built from their parts -----------------
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) + other
-            return NotImplemented
-        return ComplexRational(self.re + o.re, self.im + o.im)
+        if type(other) is ComplexRational:
+            return _make(self.real + other.real, self.imag + other.imag)
+        if isinstance(other, _RATIONAL):
+            return _make(self.real + other, self.imag)
+        if isinstance(other, (float, complex)):
+            return complex(self) + other
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return _make(-self.real, -self.imag)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) - other
-            return NotImplemented
-        return ComplexRational(self.re - o.re, self.im - o.im)
+        if type(other) is ComplexRational:
+            return _make(self.real - other.real, self.imag - other.imag)
+        if isinstance(other, _RATIONAL):
+            return _make(self.real - other, self.imag)
+        if isinstance(other, (float, complex)):
+            return complex(self) - other
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) * other
-            return NotImplemented
-        return ComplexRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        if type(other) is ComplexRational:
+            a, b, c, d = self.real, self.imag, other.real, other.imag
+            return _make(a * c - b * d, a * d + b * c)
+        if isinstance(other, _RATIONAL):
+            return _make(self.real * other, self.imag * other)
+        if isinstance(other, (float, complex)):
+            return complex(self) * other
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if isinstance(other, _RATIONAL):
+            other = _make(other, 0)
+        elif type(other) is not ComplexRational:
             if isinstance(other, (float, complex)):
                 return complex(self) / other
             return NotImplemented
-        den = o.re * o.re + o.im * o.im
-        if den == 0:
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        norm = c * c + d * d
+        if norm == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * o.re + self.im * o.im) / den,
-            (self.im * o.re - self.re * o.im) / den,
-        )
+        return _make(Fraction(a * c + b * d, norm), Fraction(b * c - a * d, norm))
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return other / complex(self)
-            return NotImplemented
-        return o / self
+        if isinstance(other, _RATIONAL):
+            return _make(other, 0) / self
+        if isinstance(other, (float, complex)):
+            return other / complex(self)
+        return NotImplemented
+
+    def __floordiv__(self, other):
+        """self / other for an int or Gaussian integer other that divides the
+        Gaussian integer self exactly."""
+        if type(other) is ComplexRational:
+            a, b, c, d = self.real, self.imag, other.real, other.imag
+            norm = c * c + d * d
+            return _make((a * c + b * d) // norm, (b * c - a * d) // norm)
+        return _make(self.real // other, self.imag // other)
+
+    def __rfloordiv__(self, other):
+        return _make(other, 0) // self
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = ComplexRational(1)
+        out = _make(1, 0)
         base = self
         while n:
             if n & 1:
@@ -116,29 +136,40 @@ class ComplexRational:
 
     # -- comparisons and views ----------------------------------------------
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) == other
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is ComplexRational:
+            return self.real == other.real and self.imag == other.imag
+        if isinstance(other, _RATIONAL):
+            return self.imag == 0 and self.real == other
+        if isinstance(other, (float, complex)):
+            return complex(self) == other
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self.imag == 0:
+            return hash(self.real)
+        return hash((self.real, self.imag))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.real or self.imag)
 
     def __abs__(self):
         return abs(complex(self))
 
-    def conjugate(self):
-        return ComplexRational(self.re, -self.im)
-
     def __repr__(self):
-        return f"ComplexRational({self.re!r}, {self.im!r})"
+        return f"ComplexRational({self.real!r}, {self.imag!r})"
+
+
+_set_real = ComplexRational.real.__set__
+_set_imag = ComplexRational.imag.__set__
+
+
+def _make(real, imag):
+    """The ComplexRational with the given int or Fraction parts, built
+    without __init__'s checks."""
+    z = object.__new__(ComplexRational)
+    _set_real(z, real)
+    _set_imag(z, imag)
+    return z
 
 
 _EXACT = (int, Fraction, ComplexRational)
@@ -162,90 +193,36 @@ def _read_exact(values):
     ], not _all_exact(values)
 
 
-# -- integer numerators --------------------------------------------------------
-
-
-class _Gaussian:
-    """An exact complex integer re + i im: a numerator for a complex value."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
-
-    def __add__(self, other):
-        if isinstance(other, _Gaussian):
-            return _Gaussian(self.re + other.re, self.im + other.im)
-        return _Gaussian(self.re + other, self.im)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, _Gaussian):
-            return _Gaussian(
-                self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
-            )
-        return _Gaussian(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return _Gaussian(self.re - other.re, self.im - other.im)
-
-    def __floordiv__(self, k):
-        """self / k for an int or _Gaussian k that divides self exactly."""
-        if isinstance(k, _Gaussian):
-            norm = k.re * k.re + k.im * k.im
-            return _Gaussian(
-                (self.re * k.re + self.im * k.im) // norm, (self.im * k.re - self.re * k.im) // norm
-            )
-        return _Gaussian(self.re // k, self.im // k)
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, _Gaussian):
-            return self.re == other.re and self.im == other.im
-        return self.im == 0 and self.re == other
-
-
-def _denominator(c):
-    """The least positive integer that makes the exact scalar c integral."""
-    if isinstance(c, ComplexRational):
-        return math.lcm(c.re.denominator, c.im.denominator)
-    return c.denominator
+# -- integer numerators --------------------------------------------------------------
 
 
 def _numerator(c, den):
-    """c * den for an exact scalar c that den makes integral: an int, or a
-    _Gaussian for a ComplexRational."""
+    """c * den for an exact scalar c whose denominator divides den: an int,
+    or a ComplexRational with int parts for a ComplexRational c."""
     if isinstance(c, ComplexRational):
-        return _Gaussian(
-            c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
-        )
+        re, im = c.real, c.imag
+        return _make(re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
     return c.numerator * (den // c.denominator)
 
 
 def _exact_table(terms):
     """Exact coefficients {mu: c} as (numerators, den) over their least
     common denominator."""
-    den = math.lcm(*(_denominator(c) for c in terms.values()))
+    den = math.lcm(*(c.denominator for c in terms.values()))
     return {mu: _numerator(c, den) for mu, c in terms.items()}, den
 
 
 def _exact_value(num, den):
     """num / den as a Fraction or ComplexRational."""
-    if isinstance(num, _Gaussian):
-        return ComplexRational(Fraction(num.re, den), Fraction(num.im, den))
+    if isinstance(num, ComplexRational):
+        return _make(Fraction(num.real, den), Fraction(num.imag, den))
     return Fraction(num, den)
 
 
 def _rounded_value(num, den):
-    """num / den rounded once: a float, or a complex for a _Gaussian."""
-    if isinstance(num, _Gaussian):
-        return complex(num.re / den, num.im / den)
+    """num / den rounded once: a float, or a complex for a Gaussian integer."""
+    if isinstance(num, ComplexRational):
+        return complex(num.real / den, num.imag / den)
     return num / den
 
 
@@ -261,7 +238,7 @@ def _table_value(table, point):
     sum_nu nums[nu] a^nu q^(D - |nu|) over den q^D, the degrees joined by
     Horner's rule in q.  A ComplexRational if anything complex enters."""
     nums, den = table
-    q = math.lcm(*(_denominator(t) for t in point))
+    q = math.lcm(*(t.denominator for t in point))
     powers = _powers([_numerator(t, q) for t in point], max(map(sum, nums), default=0))
     sums = {}
     for nu, c in nums.items():
@@ -275,39 +252,6 @@ def _table_value(table, point):
     for m in range(top + 1):
         total = total * q + sums.get(m, 0)
     return _exact_value(total, den * q**top)
-
-
-def abs_squared(c):
-    """|c|^2, exact (Fraction) for exact inputs."""
-    if isinstance(c, ComplexRational):
-        return c.re * c.re + c.im * c.im
-    if isinstance(c, complex):
-        return c.real * c.real + c.imag * c.imag
-    return c * c
-
-
-def is_real_scalar(c):
-    if isinstance(c, ComplexRational):
-        return c.im == 0
-    if isinstance(c, complex):
-        return c.imag == 0.0
-    return True
-
-
-def real_part(c):
-    if isinstance(c, ComplexRational):
-        return c.re
-    if isinstance(c, complex):
-        return c.real
-    return c
-
-
-def imag_part(c):
-    if isinstance(c, ComplexRational):
-        return c.im
-    if isinstance(c, complex):
-        return c.imag
-    return Fraction(0) if isinstance(c, (int, Fraction)) else 0.0
 
 
 # -- parsing / formatting ----------------------------------------------------
@@ -352,7 +296,7 @@ def format_rational(fr: Fraction) -> str:
 
 def scalar_to_json(c):
     if isinstance(c, ComplexRational):
-        return {"re": format_rational(c.re), "im": format_rational(c.im)}
+        return {"re": format_rational(c.real), "im": format_rational(c.imag)}
     return format_rational(Fraction(c))
 
 
@@ -365,9 +309,10 @@ class SingularMatrixError(ValueError):
 def solve_columns(matrix, rhs_columns):
     """Solve A x = b for several right-hand sides by fraction-free
     Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) on int or
-    _Gaussian entries: each step sets every entry a off the pivot row to
-    (p a - f b) / p', p the pivot, f and b the entries of a's row and column
-    in the pivot column and row, p' the pivot before; the division is exact.
+    Gaussian integer (ComplexRational with int parts) entries, mixed as they
+    come: each step sets every entry a off the pivot row to (p a - f b) / p',
+    p the pivot, f and b the entries of a's row and column in the pivot
+    column and row, p' the pivot before; the division is exact.
     ``matrix`` is a list of rows, ``rhs_columns`` a list of columns.
     Returns (columns, den): the solutions as integer numerators over one
     positive den, the last pivot (+-det A; a Gaussian one is cleared by its
@@ -376,8 +321,6 @@ def solve_columns(matrix, rhs_columns):
     """
     n = len(matrix)
     aug = [list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(n)]
-    if any(isinstance(c, _Gaussian) for row in aug for c in row):
-        aug = [[c if isinstance(c, _Gaussian) else _Gaussian(c, 0) for c in row] for row in aug]
     prev = 1
     for k in range(n):
         p = next((r for r in range(k, n) if aug[r][k]), None)
@@ -394,8 +337,8 @@ def solve_columns(matrix, rhs_columns):
                 # each diagonal entry is the latest pivot
                 row[k + 1 :] = [(piv * a - f * b) // prev for a, b in zip(row[k + 1 :], tail)]
         prev = piv
-    if isinstance(prev, _Gaussian):
-        scale, den = _Gaussian(prev.re, -prev.im), prev.re * prev.re + prev.im * prev.im
+    if isinstance(prev, ComplexRational):
+        scale, den = prev.conjugate(), prev.real * prev.real + prev.imag * prev.imag
     else:
         scale, den = (-1 if prev < 0 else 1), abs(prev)
     return [[aug[i][n + j] * scale for i in range(n)] for j in range(len(rhs_columns))], den

@@ -48,16 +48,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import _all_exact, _exact_table, _read_exact, _table_value, abs_squared
+from .exact import _all_exact, _exact_table, _read_exact, _rounded_value, _table_value
 from .operators import (
     DunklContext,
     TruncationError,
+    _kernel_sum,
     _norm,
     _recurrence_tail,
-    _vk_monomial,
     _vk_table,
     dunkl_apply,
-    evaluate_en,
     growth_envelope,
     homogeneous_kernel,
     intertwine,
@@ -234,7 +233,7 @@ def phi_x_norm(ev: KernelEvaluator, x):
     coeff_sq = 0.0
     for n in range(ev.n_trunc + 1):
         for nu, c in homogeneous_kernel(ev.ctx, n, x).terms.items():
-            coeff_sq += float(abs_squared(c) * _multi_factorial(nu))
+            coeff_sq += float((c.real * c.real + c.imag * c.imag) * _multi_factorial(nu))
     series_route = math.sqrt(coeff_sq)
     lk = lk_polynomial(ev, x)
     moments = np.array([float(gaussian_moment((e,))) for e in range(2 * lk.degree + 1)])
@@ -255,15 +254,15 @@ def phi_x_norm(ev: KernelEvaluator, x):
 def convolution_check(ev: KernelEvaluator, x, y):
     """Residual of E(x, y) = integral of L(x, y + u) dgamma(u).
 
-    The right side is integrated on a Gauss-Hermite rule exact to degree N,
-    with L^(N)(x, .) read at the shifted nodes from lk_grid, not in closed
-    form, which would be heat_half undoing the heat step that built L; the
-    residual is truncation tail plus roundoff.
+    The left side is the truncated sum at the points' binary values
+    (exact._read_exact), exact and rounded once.  The right side is
+    integrated on a Gauss-Hermite rule exact to degree N, with L^(N)(x, .)
+    read at the shifted nodes from lk_grid, not in closed form, which would
+    be heat_half undoing the heat step that built L; the residual is
+    truncation tail plus roundoff.
     """
     rule = gauss_rule(ev.dimension, (ev.n_trunc + 2) // 2)
-    lhs = 0
-    for n in range(ev.n_trunc + 1):
-        lhs = lhs + evaluate_en(ev.ctx, n, x, y)
+    lhs, _ = _kernel_sum(ev.ctx, _read_exact(x)[0], _read_exact(y)[0], ev.n_trunc)
     pts = rule.nodes + np.asarray([float(t) for t in y])[None, :]
     rhs = complex(np.dot(rule.weights, lk_grid(ev, [x], pts)[0]))
     return abs(complex(lhs) - rhs)
@@ -438,8 +437,8 @@ def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
 
 def _degree_blocks(ev: KernelEvaluator):
     """Per degree n <= N: the exponents of P_n's basis as a (b_n, d) array and
-    the b_n x b_n block [x^mu] V(x^nu) / nu! of the V table, rounded once
-    (complex where any entry is)."""
+    the b_n x b_n block [x^mu] V(x^nu) / nu! of the V table, each entry the
+    exact one rounded once (complex where any entry is)."""
     if ev._blocks is None:
         d = ev.dimension
         ev._blocks = []
@@ -448,9 +447,10 @@ def _degree_blocks(ev: KernelEvaluator):
             row = {mu: i for i, mu in enumerate(basis)}
             block = [[0.0] * len(basis) for _ in basis]
             for k, nu in enumerate(basis):
-                scale = 1.0 / _multi_factorial(nu)
-                for mu, c in _vk_monomial(ev.ctx, nu, rounded=True).terms.items():
-                    block[row[mu]][k] = c * scale
+                nums, den = _vk_table(ev.ctx, nu)
+                den *= _multi_factorial(nu)
+                for mu, c in nums.items():
+                    block[row[mu]][k] = _rounded_value(c, den)
             ev._blocks.append((np.array(basis), np.array(block)))
     return ev._blocks
 

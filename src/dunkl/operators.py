@@ -27,9 +27,10 @@ verified columns H_n x^nu are kept on the context, and H_n is applied to a
 polynomial through them; V^{-1} on P_n, a dense inverse too, likewise.
 
 W_n, the columns of H_n and V^{-1} and each V(x^nu) are tables of integer
-numerators (pairs of integers for a complex weight) over one denominator,
-so every sum and check on them is in integers; Fraction and ComplexRational
-coefficients are made only when a Polynomial leaves this module.
+numerators (Gaussian integers, ComplexRationals with int parts, for a
+complex weight) over one denominator, so every sum and check on them is in
+integers; Fraction and ComplexRational coefficients are made only when a
+Polynomial leaves this module.
 
 The homogeneous kernel pieces
 
@@ -46,7 +47,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import SingularMatrixError, _denominator, _exact_table, _exact_value, _Gaussian
+from .exact import ComplexRational, SingularMatrixError, _all_exact, _exact_table, _exact_value
 from .exact import _numerator, _powers, _read_exact, _rounded_value, invert_matrix, solve_columns
 from .poly import Polynomial, _combination, _combine, _multi_factorial, _polynomial
 from .poly import _to_float_scalar, combination, directional_derivative
@@ -123,9 +124,7 @@ def divide_by_root_pairing(p: Polynomial, alpha):
     """Exact division of p by the linear form <alpha, x>.
 
     Terms are eliminated level by level in the exponent of a pivot variable;
-    whatever survives at level zero is the remainder.  An exact remainder
-    coefficient must be 0; a float or complex one may be up to 1e-10 times
-    the largest coefficient of p (at least 1), so float data divide too.
+    whatever survives at level zero is the remainder, which must be 0.
     """
     d = p.dim
     pivot = next(i for i, a in enumerate(alpha) if a != 0)
@@ -149,18 +148,18 @@ def divide_by_root_pairing(p: Polynomial, alpha):
                     continue
                 key = qnu[:j] + (qnu[j] + 1,) + qnu[j + 1 :]
                 lower[key] = lower.get(key, 0) - qc * aj
-    residue = [c for c in levels.get(0, {}).values() if c]
-    if residue:
-        tol = 1e-10 * max([1.0] + [abs(complex(c)) for c in p.terms.values()])
-        if any(not isinstance(c, (float, complex)) or abs(c) > tol for c in residue):
-            raise ExactDivisionError(
-                "difference term not divisible by the root pairing (internal bug)"
-            )
+    if any(levels.get(0, {}).values()):
+        raise ExactDivisionError("difference term not divisible by the root pairing (internal bug)")
     return Polynomial(d, quotient)
 
 
 def dunkl_apply(ctx: DunklContext, xi, p: Polynomial) -> Polynomial:
-    """T_xi p."""
+    """T_xi p, exact.  A float or complex coefficient of p or xi is read as
+    its binary value (exact._read_exact), and then each coefficient of the
+    exact result is rounded once."""
+    if not (_all_exact(xi) and _all_exact(p.terms.values())):
+        xi, coeffs = _read_exact(xi)[0], _read_exact(p.terms.values())[0]
+        return dunkl_apply(ctx, xi, Polynomial(p.dim, dict(zip(p.terms, coeffs)))).to_float()
     out = directional_derivative(xi, p)
     for alpha, ka, sidx in ctx.reflections:
         if ka == 0:
@@ -241,7 +240,7 @@ def _class_solve(ctx, n):
     """lam_n from the class system of solve_H, or None when it is singular."""
     group = ctx.group
     reps = group.class_representatives
-    scale = math.lcm(*(_denominator(c) for _, c in _w_row(ctx, n, group.identity_index)))
+    scale = math.lcm(*(c.denominator for _, c in _w_row(ctx, n, group.identity_index)))
     matrix = [[0] * len(reps) for _ in reps]
     for row, h in zip(matrix, reps):
         for g, coeff in _w_row(ctx, n, h):
@@ -278,7 +277,7 @@ def _reduced(cols, den):
     parts = [den]
     for nums in cols.values():
         for c in nums.values():
-            parts.extend((c.re, c.im) if isinstance(c, _Gaussian) else (c,))
+            parts.extend((c.real, c.imag) if isinstance(c, ComplexRational) else (c,))
     g = math.gcd(*parts)
     if g == 1:
         return cols, den
@@ -300,7 +299,7 @@ def _group_columns(ctx, n, lam):
     integer sums of the monomial images over the elements with lam_n(g) != 0,
     weighted by lam_n's numerators over their common denominator."""
     group = ctx.group
-    lam_den = math.lcm(*(_denominator(c) for c in lam))
+    lam_den = math.lcm(*(c.denominator for c in lam))
     active = [(g, _numerator(c, lam_den)) for g, c in enumerate(lam) if c]
     nus = monomial_basis(ctx.dimension, n)
     raw = [_combine((w, monomial_image(group, g, nu)) for g, w in active) for nu in nus]
@@ -316,7 +315,7 @@ def _w_table(ctx, n):
     not two group actions."""
     d = ctx.dimension
     weights = [(n + ctx.gamma, None)] + [(-ka, sidx) for _, ka, sidx in ctx.reflections if ka]
-    scale = math.lcm(*(_denominator(w) for w, _ in weights))
+    scale = math.lcm(*(w.denominator for w, _ in weights))
     basis = monomial_basis(d, n)
     images = []
     for mu in basis:
@@ -395,9 +394,9 @@ def _vk_table(ctx: DunklContext, nu):
     return result
 
 
-def _vk_monomial(ctx: DunklContext, nu, rounded=False):
-    """V(x^nu) as a Polynomial: exact, or with each coefficient rounded once."""
-    return _polynomial(ctx.dimension, _vk_table(ctx, nu), rounded)
+def _vk_monomial(ctx: DunklContext, nu):
+    """V(x^nu) as a Polynomial with exact coefficients."""
+    return _polynomial(ctx.dimension, _vk_table(ctx, nu))
 
 
 def intertwine(ctx: DunklContext, p: Polynomial) -> Polynomial:
@@ -460,7 +459,7 @@ def _vk_values(ctx: DunklContext, n, x):
     """(q, rows): V(x^nu)(x) = s / (den q^n) for each row (nu, s, den) with
     s != 0 and |nu| = n, at an exact point x = a / q: each V table summed in
     integers over the per-axis powers of a, formed once."""
-    q = math.lcm(*(_denominator(t) for t in x))
+    q = math.lcm(*(t.denominator for t in x))
     powers = _powers([_numerator(t, q) for t in x], n)
     basis = monomial_basis(ctx.dimension, n)
     factors = {mu: [powers[i][e] for i, e in enumerate(mu) if e] for mu in basis}
@@ -692,13 +691,18 @@ def dunkl_kernel(ctx: DunklContext, x, y, tol) -> KernelValue:
         raise TruncationError(
             f"tail bound does not reach {tol} within the degree cap {DEGREE_CAP}"
         )
+    total, last = _kernel_sum(ctx, x, y, n_trunc)
+    return KernelValue(_to_float_scalar(total) if rx or ry else total, bound, n_trunc, last)
+
+
+def _kernel_sum(ctx: DunklContext, x, y, n_trunc):
+    """(sum_{n <= n_trunc} E_n(x, y), |E_{n_trunc}(x, y)|) at exact points x
+    and y: the sum exact, the last term's magnitude a float."""
     total = 0
-    last = 0.0
     for n in range(n_trunc + 1):
         term = evaluate_en(ctx, n, x, y)
         total = total + term
-        last = abs(complex(term))
-    return KernelValue(_to_float_scalar(total) if rx or ry else total, bound, n_trunc, last)
+    return total, abs(complex(term))
 
 
 def evaluate_en(ctx: DunklContext, n, x, y):
@@ -711,7 +715,7 @@ def evaluate_en(ctx: DunklContext, n, x, y):
     exact points, with no polynomial formed."""
     (x, rx), (y, ry) = _read_exact(x), _read_exact(y)
     q, rows = _vk_values(ctx, n, x)
-    r = math.lcm(*(_denominator(t) for t in y))
+    r = math.lcm(*(t.denominator for t in y))
     powers = _powers([_numerator(t, r) for t in y], n)
     dens = [den * _multi_factorial(nu) for nu, _, den in rows]
     common = math.lcm(*dens)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import _all_exact, _denominator, _exact_table, _exact_value, _numerator, _powers
+from .exact import ComplexRational, _all_exact, _exact_table, _exact_value, _numerator, _powers
 from .exact import _read_exact, _rounded_value, _table_value
 
 
@@ -257,11 +257,7 @@ def _int_power(x, e):
 
 
 def _to_float_scalar(c):
-    if isinstance(c, Fraction):
-        return float(c)
-    if isinstance(c, (int, float)):
-        return float(c)
-    return complex(c)
+    return complex(c) if isinstance(c, (complex, ComplexRational)) else float(c)
 
 
 def combination(dim, pairs):
@@ -278,8 +274,9 @@ def combination(dim, pairs):
 # -- integer tables --------------------------------------------------------------
 #
 # A table (numerators, den) is a dict from exponents to integers (Gaussian
-# integers for a complex weight) over one positive denominator, standing for
-# sum numerators[mu] / den x^mu; it becomes a Polynomial only in _polynomial.
+# integers, ComplexRationals with int parts, for a complex weight) over one
+# positive denominator, standing for sum numerators[mu] / den x^mu; it
+# becomes a Polynomial only in _polynomial.
 
 
 def _polynomial(dim, table, rounded=False):
@@ -314,7 +311,7 @@ def _combination(dim, pairs):
     scalars, rounded = _read_exact(c for _, c in pairs)
     weighted = []
     for ((nums, den), _), c in zip(pairs, scalars):
-        s = _denominator(c)
+        s = c.denominator
         weighted.append((_numerator(c, s), (nums, den * s)))
     return _polynomial(dim, _combine(weighted), rounded)
 

@@ -24,7 +24,6 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
-from .exact import is_real_scalar
 from .poly import Polynomial, _combination
 
 
@@ -129,7 +128,7 @@ class MultiplicityFunction:
 
     @property
     def is_real(self):
-        return all(is_real_scalar(v) for v in self.by_root.values())
+        return all(v.imag == 0 for v in self.by_root.values())
 
     @property
     def is_nonnegative(self):

@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from .config import SUITES, ContextBundle
-from .exact import real_part
 from .kernel import (
     KernelEvaluator,
     certified_radius,
@@ -251,11 +250,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
     fails += int(vp.degree != p.degree)
     fails += int(intertwine_inverse(ctx, vp) != p)
     if bundle.k.is_real:
-        fails += sum(
-            1
-            for c in vp.terms.values()
-            if not isinstance(c, (int, Fraction)) and c.im != 0
-        )
+        fails += sum(1 for c in vp.terms.values() if c.imag != 0)
     results.append(_exact_row("intertwine-unit-degree-inverse-real", fails, 4))
 
     fails = checked = 0
@@ -588,7 +583,7 @@ def suite_signs(bundle: ContextBundle):
     n_trunc = _tail_degree(KernelEvaluator(zero_ctx, 0), x, y, winner_tol, DEGREE_CAP)
     ev0 = make_evaluator(zero_ctx, n_trunc)
 
-    re_ok = all(real_part(v) >= 0 for v in bundle.k.by_root.values())
+    re_ok = all(v.real >= 0 for v in bundle.k.by_root.values())
     ev_k = make_evaluator(ctx, n_trunc) if re_ok else None
 
     for name, runner in (

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dunkl.exact import (
     ComplexRational,
     SingularMatrixError,
-    _Gaussian,
     _exact_value,
-    abs_squared,
     format_rational,
     invert_matrix,
     parse_rational,
@@ -35,8 +34,54 @@ def test_complex_rational_pow_and_conj():
     z = ComplexRational(Fraction(1, 2), Fraction(-1, 3))
     assert z**0 == 1
     assert z**3 == z * z * z
-    assert z.conjugate().im == Fraction(1, 3)
-    assert abs_squared(z) == Fraction(1, 4) + Fraction(1, 9)
+    assert z.conjugate().imag == Fraction(1, 3)
+    assert z * z.conjugate() == Fraction(1, 4) + Fraction(1, 9)
+
+
+# each kind of scalar built from its parts (a, b): the number protocol must
+# give back a and b, the conjugate a - ib and, on the exact kinds, the least
+# common denominator of the parts
+SCALARS = {
+    "int": lambda a, b: a.numerator,
+    "fraction": lambda a, b: a,
+    "gaussian": lambda a, b: ComplexRational(a.numerator, b.numerator),
+    "complex-rational": lambda a, b: ComplexRational(a, b),
+    "float": lambda a, b: float(a),
+    "complex": lambda a, b: complex(float(a), float(b)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@given(rationals, rationals)
+def test_every_scalar_speaks_the_number_protocol(kind, a, b):
+    if kind in ("int", "gaussian"):
+        a, b = Fraction(a.numerator), Fraction(b.numerator)
+    if kind in ("int", "fraction", "float"):
+        b = Fraction(0)
+    c = SCALARS[kind](a, b)
+    real, imag = (float(a), float(b)) if kind in ("float", "complex") else (a, b)
+    assert c.real == real and c.imag == imag
+    assert c.conjugate() == SCALARS[kind](a, -b)
+    assert (c * c.conjugate()).real == real * real + imag * imag  # |c|^2
+    assert (c.imag == 0) == (b == 0)
+    if kind in ("int", "fraction", "gaussian", "complex-rational"):
+        assert c.denominator == math.lcm(a.denominator, b.denominator)
+        assert c * c.denominator == ComplexRational(a * c.denominator, b * c.denominator)
+    if kind in ("int", "gaussian"):
+        assert c.denominator == 1
+
+
+gaussians = st.builds(ComplexRational, st.integers(-9, 9), st.integers(-9, 9))
+
+
+@given(gaussians, gaussians, st.integers(-9, 9))
+def test_floor_division_is_exact_on_gaussian_integers(z, w, m):
+    for q, k in ((z, w), (z, m), (m, w)):
+        if k:
+            quotient = (q * k) // k
+            assert quotient == q
+            assert type(quotient) is ComplexRational
+            assert type(quotient.real) is int and type(quotient.imag) is int
 
 
 def test_real_complex_rational_matches_fraction():
@@ -93,7 +138,7 @@ def test_singular_matrix_raises():
 
 
 def test_complex_rational_linear_solve():
-    i = _Gaussian(0, 1)
+    i = ComplexRational(0, 1)
     a = [[i, 1], [1, i]]
     (x,), den = solve_columns(a, [[1, 0]])
     assert isinstance(den, int) and den > 0
@@ -105,7 +150,8 @@ def test_complex_rational_linear_solve():
 
 
 def _fractions(entries):
-    """Integer or _Gaussian entries (nested lists) as Fractions or ComplexRationals."""
+    """Integer or Gaussian integer entries (nested lists) as Fractions or
+    ComplexRationals."""
     if isinstance(entries, list):
         return [_fractions(e) for e in entries]
     return _exact_value(entries, 1)
@@ -114,7 +160,7 @@ def _fractions(entries):
 def _integers(draw, gaussian, size):
     entries = st.integers(-4, 4)
     if gaussian:
-        entries = st.one_of(entries, st.builds(_Gaussian, st.integers(-4, 4), st.integers(-4, 4)))
+        entries = st.one_of(entries, st.builds(ComplexRational, entries, entries))
     return draw(st.lists(entries, min_size=size, max_size=size))
 
 
@@ -159,9 +205,11 @@ def test_fraction_free_solve_matches_fraction_reference(system):
 
 
 def test_negative_and_complex_determinants_give_a_positive_denominator():
-    i, minus_i = _Gaussian(0, 1), _Gaussian(0, -1)
+    i, minus_i = ComplexRational(0, 1), ComplexRational(0, -1)
     negative = ([[0, 1], [1, 0]], [[-3]], [[minus_i, 2], [1, i]])  # det -1, -3, -1
-    complex_ = ([[i]], [[_Gaussian(-2, 1)]], [[_Gaussian(1, 1), 0], [0, 2]], [[i, 1], [1, 2]])
+    complex_ = (
+        [[i]], [[ComplexRational(-2, 1)]], [[ComplexRational(1, 1), 0], [0, 2]], [[i, 1], [1, 2]]
+    )
     for matrix in negative + complex_:
         cols, den = invert_matrix(matrix)
         assert isinstance(den, int) and den > 0

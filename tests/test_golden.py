@@ -3,8 +3,8 @@
 For each system below the test builds a context with `dunkl build`, then
 hashes the cache file and the stdout of `build`, `lambda-table`,
 `intertwine`, `ek-eval` and `verify --suite exact`; it also hashes the V
-table with each coefficient rounded once (the repr of its sorted terms), the
-values lk_grid reads.  The digests other than the rounded table's were
+table with each coefficient rounded once (the repr of its sorted terms).
+The digests other than the rounded table's were
 recorded from the implementation that stored every table as Fractions, so
 they pin the exact layer's values across changes of storage; the g2 and b3
 `verify --suite exact` digests were recorded again when the
@@ -173,7 +173,8 @@ def _run(*argv):
 def digests(name, workdir):
     """name's digests, with the context cache written into workdir."""
     from dunkl.config import load_context
-    from dunkl.operators import _vk_monomial, monomial_basis
+    from dunkl.operators import _vk_table, monomial_basis
+    from dunkl.poly import _polynomial
 
     config, poly, x, y = SYSTEMS[name]
     old = os.getcwd()
@@ -196,7 +197,7 @@ def digests(name, workdir):
         os.chdir(old)
     d = bundle.ctx.dimension
     table = [
-        (nu, sorted(_vk_monomial(bundle.ctx, nu, rounded=True).terms.items()))
+        (nu, sorted(_polynomial(d, _vk_table(bundle.ctx, nu), rounded=True).terms.items()))
         for n in range(bundle.degree + 1)
         for nu in monomial_basis(d, n)
     ]

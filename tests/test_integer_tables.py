@@ -12,6 +12,7 @@ import math
 import random
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from fraction_solve import fraction_invert_matrix
@@ -27,6 +28,7 @@ from dunkl.config import (
 from dunkl.exact import ComplexRational, scalar_to_json
 from dunkl.operators import (
     _vk_monomial,
+    _vk_table,
     apply_H,
     homogeneous_kernel,
     intertwine,
@@ -37,7 +39,7 @@ from dunkl.operators import (
     _class_solve,
     solve_H,
 )
-from dunkl.poly import Polynomial, combination
+from dunkl.poly import Polynomial, _polynomial, combination
 from dunkl.reflection_groups import (
     act_on_polynomial,
     build_root_system,
@@ -142,7 +144,7 @@ def _correctly_rounded(c):
     """The nearest float to a Fraction, or the complex of the nearest floats
     to a ComplexRational's parts: int / int true division rounds correctly."""
     if isinstance(c, ComplexRational):
-        return complex(_correctly_rounded(c.re), _correctly_rounded(c.im))
+        return complex(_correctly_rounded(c.real), _correctly_rounded(c.imag))
     return c.numerator / c.denominator
 
 
@@ -184,7 +186,7 @@ def test_integer_tables_match_fraction_reference(name, kind):
         parts = [den]
         for col in cols.values():
             for c in col.values():
-                parts.extend((getattr(c, "re", c), getattr(c, "im", 0)))
+                parts.extend((c.real, c.imag))
         assert math.gcd(*parts) == 1
     x = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d))
     for n in range(top + 1):
@@ -194,7 +196,7 @@ def test_integer_tables_match_fraction_reference(name, kind):
     # rounded once (a float, or a complex of two floats)
     for nu, v in reference.items():
         want = {mu: _correctly_rounded(c) for mu, c in v.terms.items()}
-        got = _vk_monomial(ctx, nu, rounded=True).terms
+        got = _polynomial(d, _vk_table(ctx, nu), rounded=True).terms
         assert got == want
         assert all(type(got[mu]) is type(c) for mu, c in want.items())
 
@@ -358,3 +360,21 @@ def test_columns_of_a_prepared_config_are_checked_on_first_use(monkeypatch):
     monkeypatch.setattr(operators, "_group_columns", off_by_one)
     with pytest.raises(operators.NotInMStarError):
         intertwine(bundle.ctx, Polynomial.monomial(2, (2, 0)))
+
+
+def test_complex_numerators_are_gaussian_integers():
+    """On b2c (B2, short-root weight 1/2 + i/3) every table numerator of a
+    complex value is a ComplexRational with int parts."""
+    config = Path(__file__).resolve().parent.parent / "configs" / "b2c.json"
+    ctx = load_context(config).ctx
+    for n in range(ctx.prepared_to + 1):
+        for nu in monomial_basis(ctx.dimension, n):
+            _vk_monomial(ctx, nu)
+    assert len(ctx.h_columns) == ctx.prepared_to
+    tables = [nums for nums, _ in ctx.vk_cache.values()]
+    tables += [col for cols, _ in ctx.h_columns.values() for col in cols.values()]
+    numerators = [c for nums in tables for c in nums.values()]
+    complex_ = [c for c in numerators if isinstance(c, ComplexRational)]
+    assert any(c.imag for c in complex_)
+    assert all(type(c.real) is int and type(c.imag) is int for c in complex_)
+    assert all(type(c) is int for c in numerators if not isinstance(c, ComplexRational))

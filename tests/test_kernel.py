@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from dunkl.config import load_context
 from dunkl.exact import ComplexRational
 from dunkl.kernel import (
+    _degree_blocks,
     certified_radius,
     convolution_check,
     derivative_relation_check,
@@ -35,6 +36,7 @@ from dunkl.operators import (
     _recurrence_tail,
     _tail_term,
     _vk_monomial,
+    _vk_table,
     dunkl_kernel,
     ek_tail_bound,
     evaluate_en,
@@ -43,7 +45,7 @@ from dunkl.operators import (
     make_context,
     monomial_basis,
 )
-from dunkl.poly import Polynomial, inverse_heat_half
+from dunkl.poly import Polynomial, _polynomial, inverse_heat_half
 from dunkl.quad import gauss_rule
 from dunkl.reflection_groups import (
     build_root_system,
@@ -417,17 +419,17 @@ def test_positivity_grid_matches_pointwise(ev_b2):
             assert abs(grid[i, j] - direct) < 1e-10
 
 
-@pytest.mark.parametrize(
-    "family, k_values, n_trunc, kw",
-    [
-        ("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 12, dict(d=2)),
-        ("B", [ComplexRational(Fraction(1, 2), Fraction(1, 3)), Fraction(1)], 8, dict(d=2)),
-        ("A", Fraction(1), 6, dict(d=3)),
-        ("G2", [Fraction(1, 2), Fraction(1)], 5, {}),
-        ("Z2^d", Fraction(1, 2), 10, dict(d=1)),
-        ("Z2^d", Fraction(1, 2), 0, dict(d=1)),
-    ],
-)
+GRID_CASES = [
+    ("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 12, dict(d=2)),
+    ("B", [ComplexRational(Fraction(1, 2), Fraction(1, 3)), Fraction(1)], 8, dict(d=2)),
+    ("A", Fraction(1), 6, dict(d=3)),
+    ("G2", [Fraction(1, 2), Fraction(1)], 5, {}),
+    ("Z2^d", Fraction(1, 2), 10, dict(d=1)),
+    ("Z2^d", Fraction(1, 2), 0, dict(d=1)),
+]
+
+
+@pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
 def test_lk_grid_blocks_match_termwise_sum(family, k_values, n_trunc, kw):
     # reference: the term-by-term Hermite path, sum over nu of V(x^nu)(x) / nu!
     # times He_nu(y), that the per-degree block products replace
@@ -442,6 +444,24 @@ def test_lk_grid_blocks_match_termwise_sum(family, k_values, n_trunc, kw):
         for j, y in enumerate(ys):
             want = sum(complex(hermite_piece(ev, n, x, y)) for n in range(n_trunc + 1))
             assert abs(grid[i, j] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
+def test_lk_grid_block_entries_are_rounded_once(family, k_values, n_trunc, kw):
+    # each entry [x^mu] V(x^nu) / nu! of a block is the exact entry rounded
+    # once, and a block is complex exactly when one of its entries is
+    ev = make_ev(family, k_values, n_trunc, **kw)
+    for n, (exps, block) in enumerate(_degree_blocks(ev)):
+        basis = monomial_basis(ev.dimension, n)
+        assert [tuple(e) for e in exps.tolist()] == basis
+        want = [[0.0] * len(basis) for _ in basis]
+        for k, nu in enumerate(basis):
+            scale = Fraction(1, math.prod(map(math.factorial, nu)))
+            for mu, c in _vk_monomial(ev.ctx, nu).terms.items():
+                want[basis.index(mu)][k] = _rounded(c * scale)
+        assert block.tolist() == want
+        is_complex = any(isinstance(c, complex) for row in want for c in row)
+        assert block.dtype.kind == ("c" if is_complex else "f")
 
 
 def _correctly_rounded_kernel(ctx, n, x):
@@ -593,7 +613,7 @@ def test_float_tables_match_exact_through_fallback_degree():
     assert ev.ctx.fallback_degrees == [2]
     x = (0.7,)
     for nu in (nu for n in range(ev.n_trunc + 1) for nu in monomial_basis(1, n)):
-        a = _vk_monomial(ev.ctx, nu, rounded=True).evaluate(x)
+        a = _polynomial(1, _vk_table(ev.ctx, nu), rounded=True).evaluate(x)
         assert abs(a - _vk_monomial(ev.ctx, nu).evaluate(_rational(x))) <= 1e-12
     _assert_float_points_agree(ev, x, (-0.45,), 1e-12)
 

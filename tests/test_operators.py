@@ -101,19 +101,23 @@ def test_dunkl_apply_float_coefficients_on_exact_context(b2):
         (0, 3): Fraction(3, 10),
         (2, 1): Fraction(1, 3),
     }
-    exact = dunkl_apply(b2, (1, 0), Polynomial(2, terms))
-    got = dunkl_apply(b2, (1, 0), Polynomial(2, {nu: float(c) for nu, c in terms.items()}))
-    assert max(abs(complex(c)) for c in (got - exact).terms.values()) <= 1e-12
+    floats = {nu: float(c) for nu, c in terms.items()}
+    # the exact image at the floats' binary values, each coefficient rounded once
+    exact = dunkl_apply(b2, (1, 0), Polynomial(2, {nu: Fraction(c) for nu, c in floats.items()}))
+    got = dunkl_apply(b2, (1, 0), Polynomial(2, floats))
+    assert got.terms == {nu: float(c) for nu, c in exact.terms.items()}
+    assert all(type(c) is float for c in got.terms.values())
 
 
 def test_root_pairing_remainder_tolerance_follows_coefficient_type():
     alpha = (Fraction(1), Fraction(-1))
     p = Polynomial(2, {(1, 0): 1, (0, 1): -1})  # x1 - x2
     assert divide_by_root_pairing(p, alpha) == Polynomial.constant(2, 1)
-    # a remainder of 1e-12: fatal when exact, roundoff when float
+    # any nonzero remainder is fatal, exact or float
     with pytest.raises(ExactDivisionError):
         divide_by_root_pairing(p + Fraction(1, 10**12), alpha)
-    assert divide_by_root_pairing(p + 1e-12, alpha) == Polynomial.constant(2, 1)
+    with pytest.raises(ExactDivisionError):
+        divide_by_root_pairing(p + 1e-12, alpha)
     with pytest.raises(ExactDivisionError):
         divide_by_root_pairing(p + 1e-3, alpha)
 
