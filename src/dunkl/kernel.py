@@ -351,7 +351,9 @@ def derivative_relation_check(ev: KernelEvaluator, x, y, j):
 
     with the y-side differentiated symbolically per term and the x-side
     L(., y) = V(sum_nu He_nu(y) x^nu / nu!) hit with the Dunkl operator
-    exactly.
+    exactly: x and y are read once as exact values (exact._read_exact), a
+    float coordinate as its binary value, so T_j^x [L(., y)](x) is exact
+    until it is rounded once.
     The orientation follows the same convention fork as the Fourier and
     Gaussian-image identities; the k = 0 closed form singles one out."""
     window = math.exp(-(_norm(y) ** 2) / 2.0)
@@ -362,6 +364,7 @@ def derivative_relation_check(ev: KernelEvaluator, x, y, j):
         deriv = deriv + g_n.partial(j).evaluate(y)
         value = value + g_n.evaluate(y)
     lhs = window * (complex(deriv) - complex(y[j]) * complex(value))
+    (x, _), (y, _) = _read_exact(x), _read_exact(y)
     he = [hermite_values(t, ev.n_trunc) for t in y]
     weights = {
         nu: math.prod(h[e] for h, e in zip(he, nu)) * Fraction(1, _multi_factorial(nu))

@@ -28,7 +28,8 @@ polynomial through them; V^{-1} on P_n, a dense inverse too, likewise.
 
 W_n, the columns of H_n and V^{-1} and each V(x^nu) are tables of integer
 numerators (Gaussian integers, ComplexRationals with int parts, for a
-complex weight) over one denominator, so every sum and check on them is in
+complex weight) over one denominator, and T_xi and A read their argument
+as one such table, so every sum, difference quotient and check is in
 integers; Fraction and ComplexRational coefficients are made only when a
 Polynomial leaves this module.
 
@@ -47,10 +48,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import ComplexRational, SingularMatrixError, _all_exact, _exact_table, _exact_value
+from .exact import ComplexRational, SingularMatrixError, _exact_table, _exact_value
 from .exact import _numerator, _powers, _read_exact, _rounded_value, invert_matrix, solve_columns
 from .poly import Polynomial, _combination, _combine, _multi_factorial, _polynomial
-from .poly import _to_float_scalar, combination, directional_derivative
+from .poly import _to_float_scalar, combination
 from .reflection_groups import act_on_polynomial, dot, mat_vec, monomial_image, reflection_matrix
 
 DEGREE_CAP = 160  # the highest degree a config, option or literal may ask for
@@ -120,65 +121,72 @@ def make_context(group, positives, k) -> DunklContext:
 
 # -- the operators -------------------------------------------------------------
 
-def divide_by_root_pairing(p: Polynomial, alpha):
-    """Exact division of p by the linear form <alpha, x>.
+def _reflected(group, sidx, table):
+    """The table of p o s for s = group.elements[sidx] from p's table: the
+    monomial images x^nu o s (monomial_image) weighted by p's numerators."""
+    nums, den = table
+    image, image_den = _combine((c, monomial_image(group, sidx, nu)) for nu, c in nums.items())
+    return image, image_den * den
 
-    Terms are eliminated level by level in the exponent of a pivot variable;
-    whatever survives at level zero is the remainder, which must be 0.
-    """
-    d = p.dim
+
+def divide_by_root_pairing(table, alpha):
+    """The table of p / <alpha, x> for the table of p, in integers: terms are
+    eliminated level by level in the exponent of a pivot variable, each
+    numerator first scaled by |pivot|^top, top the highest level, so that
+    every division by the pivot is exact (the scale is 1 unless the pivot is
+    not +-1, as on G2's root (2, -1, -1)); whatever survives at level zero is
+    the remainder, which must be 0."""
+    nums, den = table
     pivot = next(i for i, a in enumerate(alpha) if a != 0)
-    apiv = Fraction(alpha[pivot])  # roots are ints, and int c / int apiv is a float
+    apiv = alpha[pivot]
+    others = [(j, a) for j, a in enumerate(alpha) if j != pivot and a]
+    top = max((nu[pivot] for nu in nums), default=0)
+    scale = abs(apiv) ** top
     levels = {}
-    for nu, c in p.terms.items():
-        levels.setdefault(nu[pivot], {})[nu] = c
-    if not levels:
-        return Polynomial.zero(d)
+    for nu, c in nums.items():
+        levels.setdefault(nu[pivot], {})[nu] = c * scale
     quotient = {}
-    for m in range(max(levels), 0, -1):
-        for nu, c in list(levels.get(m, {}).items()):
-            if not c:
-                continue
-            qc = c / apiv
+    for m in range(top, 0, -1):
+        lower = levels.setdefault(m - 1, {})
+        for nu, c in levels.get(m, {}).items():
             qnu = nu[:pivot] + (m - 1,) + nu[pivot + 1 :]
-            quotient[qnu] = quotient.get(qnu, 0) + qc
-            lower = levels.setdefault(m - 1, {})
-            for j, aj in enumerate(alpha):
-                if j == pivot or aj == 0:
-                    continue
+            qc = quotient[qnu] = c // apiv
+            for j, aj in others:
                 key = qnu[:j] + (qnu[j] + 1,) + qnu[j + 1 :]
                 lower[key] = lower.get(key, 0) - qc * aj
     if any(levels.get(0, {}).values()):
         raise ExactDivisionError("difference term not divisible by the root pairing (internal bug)")
-    return Polynomial(d, quotient)
+    return quotient, den * scale
 
 
 def dunkl_apply(ctx: DunklContext, xi, p: Polynomial) -> Polynomial:
-    """T_xi p, exact.  A float or complex coefficient of p or xi is read as
-    its binary value (exact._read_exact), and then each coefficient of the
-    exact result is rounded once."""
-    if not (_all_exact(xi) and _all_exact(p.terms.values())):
-        xi, coeffs = _read_exact(xi)[0], _read_exact(p.terms.values())[0]
-        return dunkl_apply(ctx, xi, Polynomial(p.dim, dict(zip(p.terms, coeffs)))).to_float()
-    out = directional_derivative(xi, p)
+    """T_xi p, exact, on p's integer table: d_j p and (p - p o s_a) / <a, x>
+    (divide_by_root_pairing) weighted by xi_j and k(a) <a, xi>, summed in
+    one poly._combination.  A float or complex coefficient of p or xi is
+    read as its binary value (exact._read_exact), and then each coefficient
+    of the exact result is rounded once."""
+    (xi, rx), (coeffs, rp) = _read_exact(xi), _read_exact(p.terms.values())
+    table = nums, den = _exact_table(dict(zip(p.terms, coeffs)))
+    parts = [
+        (({nu[:j] + (nu[j] - 1,) + nu[j + 1 :]: c * nu[j] for nu, c in nums.items() if nu[j]}, den), w)
+        for j, w in enumerate(xi)
+        if w
+    ]
     for alpha, ka, sidx in ctx.reflections:
-        if ka == 0:
-            continue
         pairing = dot(alpha, xi)
-        if pairing == 0:
-            continue
-        diff = p - act_on_polynomial(ctx.group, sidx, p)
-        if not diff:
-            continue
-        out = out + divide_by_root_pairing(diff, alpha) * (ka * pairing)
-    return out
+        if ka and pairing:
+            diff = _combine(((1, table), (-1, _reflected(ctx.group, sidx, table))))
+            parts.append((divide_by_root_pairing(diff, alpha), ka * pairing))
+    return _combination(p.dim, parts, rx or rp)
 
 
 def operator_A(ctx: DunklContext, p: Polynomial) -> Polynomial:
-    """A p = sum over positive roots of k(a) * (p o s_a); degree preserving."""
-    return combination(
-        p.dim, ((act_on_polynomial(ctx.group, sidx, p), ka) for _, ka, sidx in ctx.reflections if ka)
-    )
+    """A p = sum over positive roots of k(a) * (p o s_a); degree preserving,
+    on p's integer table and read like dunkl_apply's."""
+    coeffs, rounded = _read_exact(p.terms.values())
+    table = _exact_table(dict(zip(p.terms, coeffs)))
+    pairs = [(_reflected(ctx.group, sidx, table), ka) for _, ka, sidx in ctx.reflections if ka]
+    return _combination(p.dim, pairs, rounded)
 
 
 def monomial_basis(d, n):
@@ -494,14 +502,11 @@ def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
 def homogeneous_kernel_bivariate(ctx: DunklContext, n) -> Polynomial:
     """E_n as an exact polynomial in the 2d variables (x_1..x_d, y_1..y_d)."""
     d = ctx.dimension
-    out = Polynomial.zero(2 * d)
+    terms = {}
     for nu in monomial_basis(d, n):
-        vk = _vk_monomial(ctx, nu)
-        lifted = {}
-        for mu, c in vk.terms.items():
-            lifted[mu + nu] = c * Fraction(1, _multi_factorial(nu))
-        out = out + Polynomial(2 * d, lifted)
-    return out
+        scale = Fraction(1, _multi_factorial(nu))
+        terms.update((mu + nu, c * scale) for mu, c in _vk_monomial(ctx, nu).terms.items())
+    return Polynomial(2 * d, terms)
 
 
 def en_expansion_oracle(ctx: DunklContext, n, x) -> Polynomial:

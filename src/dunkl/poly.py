@@ -302,31 +302,21 @@ def _combine(pairs):
     return {mu: c for mu, c in out.items() if c}, den
 
 
-def _combination(dim, pairs):
+def _combination(dim, pairs, rounded=False):
     """sum of c * table over the (table, scalar c) pairs, as a Polynomial, in
     integers over one denominator; a float or complex c is read as its
-    binary value (exact._read_exact), and then each coefficient is rounded
-    once."""
+    binary value (exact._read_exact), and then, as when rounded is set, each
+    coefficient is rounded once."""
     pairs = list(pairs)
-    scalars, rounded = _read_exact(c for _, c in pairs)
+    scalars, floats = _read_exact(c for _, c in pairs)
     weighted = []
     for ((nums, den), _), c in zip(pairs, scalars):
         s = c.denominator
         weighted.append((_numerator(c, s), (nums, den * s)))
-    return _polynomial(dim, _combine(weighted), rounded)
+    return _polynomial(dim, _combine(weighted), rounded or floats)
 
 
 # -- calculus and pairings on polynomials ------------------------------------------
-
-def directional_derivative(xi, p: Polynomial) -> Polynomial:
-    """sum_j xi_j d/dx_j p."""
-    out = Polynomial.zero(p.dim)
-    for j, w in enumerate(xi):
-        if not w:
-            continue
-        out = out + p.partial(j) * w
-    return out
-
 
 def _heat(p: Polynomial, sign: int) -> Polynomial:
     """e^{sign Laplacian/2} p in closed form: the flow factors over the

@@ -45,7 +45,7 @@ from dunkl.operators import (
     make_context,
     monomial_basis,
 )
-from dunkl.poly import Polynomial, _polynomial, inverse_heat_half
+from dunkl.poly import Polynomial, _polynomial, hermite_values, inverse_heat_half
 from dunkl.quad import gauss_rule
 from dunkl.reflection_groups import (
     build_root_system,
@@ -357,14 +357,36 @@ def test_derivative_relation_at_x_zero(ev_z21):
 
 
 def test_derivative_relation_float_point_on_exact_evaluator(ev_b2):
-    # float points put float coefficients into T_j on the exact context
-    got = derivative_relation_check(ev_b2, (0.3, -0.2), (0.5, 0.4), 0)
+    x, y = (0.3, -0.2), (0.5, 0.4)
+    got = derivative_relation_check(ev_b2, x, y, 0)
     want = derivative_relation_check(
         ev_b2, (Fraction(3, 10), Fraction(-1, 5)), (Fraction(1, 2), Fraction(2, 5)), 0
     )
     assert want["minus"] < 1e-9
     for side in ("plus", "minus"):
         assert abs(got[side] - want[side]) <= 1e-9
+    # the right side T_1^x [L(., y)](x) is exact at the binary values of x
+    # and y and rounded once: by T_1 V = V d_1 it is the sum of He_nu(y)
+    # nu_1 / nu! V(x^(nu - e_1))(x)
+    ex, ey = _rational(x), _rational(y)
+    he = [hermite_values(t, ev_b2.n_trunc) for t in ey]
+    exact = sum(
+        he[0][nu[0]] * he[1][nu[1]] * Fraction(nu[0], math.factorial(nu[0]) * math.factorial(nu[1]))
+        * _vk_monomial(ev_b2.ctx, (nu[0] - 1, nu[1])).evaluate(ex)
+        for n in range(1, ev_b2.n_trunc + 1)
+        for nu in monomial_basis(2, n)
+        if nu[0]
+    )
+    window = math.exp(-(math.hypot(*y) ** 2) / 2.0)
+    rhs = window * complex(exact)
+    # the left side is the series path at the float points
+    deriv = value = 0
+    for n in range(ev_b2.n_trunc + 1):
+        g_n = heat_image(ev_b2, n, x)
+        deriv = deriv + g_n.partial(0).evaluate(y)
+        value = value + g_n.evaluate(y)
+    lhs = window * (complex(deriv) - complex(y[0]) * complex(value))
+    assert got == {"plus": abs(lhs - rhs), "minus": abs(lhs + rhs)}
 
 
 def test_derivative_relation_b2(ev_b2):

@@ -11,7 +11,8 @@ from dunkl.config import build_bundle, load_context, polynomial_to_literal, save
 from fraction_solve import fraction_invert_matrix, fraction_solve_columns
 from test_reflection_groups import _substituted
 
-from dunkl.exact import ComplexRational, SingularMatrixError, scalar_to_json
+from dunkl.exact import ComplexRational, SingularMatrixError, _exact_table, _read_exact
+from dunkl.exact import scalar_to_json
 from dunkl.operators import (
     ExactDivisionError,
     NotInMStarError,
@@ -32,7 +33,7 @@ from dunkl.operators import (
     solve_H,
     _vk_monomial,
 )
-from dunkl.poly import Polynomial, combination, fischer
+from dunkl.poly import Polynomial, _polynomial, combination, fischer
 from dunkl.reflection_groups import (
     MultiplicityError,
     act_on_polynomial,
@@ -78,6 +79,12 @@ def test_dunkl_reduces_to_derivative_at_zero_weight():
     p = Polynomial(2, {(3, 1): Fraction(2), (0, 2): Fraction(-1, 3)})
     for j, e in ((0, (1, 0)), (1, (0, 1))):
         assert dunkl_apply(ctx, e, p) == p.partial(j)
+    # d_xi = sum_j xi_j d_j on non-unit directions
+    x1, x2 = x_var(2, 0), x_var(2, 1)
+    assert dunkl_apply(ctx, (1, 0), x1 * x1 * x2) == 2 * x1 * x2
+    assert dunkl_apply(ctx, (Fraction(2), -1), p) == p.partial(0) * 2 - p.partial(1)
+    assert dunkl_apply(ctx, (Fraction(2), -1), Polynomial.constant(2, 5)) == Polynomial.zero(2)
+    assert dunkl_apply(ctx, (1, 1), x1 * x2) == x1 + x2
 
 
 def test_dunkl_rank_one_examples(z21):
@@ -109,33 +116,88 @@ def test_dunkl_apply_float_coefficients_on_exact_context(b2):
     assert all(type(c) is float for c in got.terms.values())
 
 
+def _table(p):
+    """p's integer table, a float coefficient read as its binary value."""
+    coeffs, _ = _read_exact(p.terms.values())
+    return _exact_table(dict(zip(p.terms, coeffs)))
+
+
 def test_root_pairing_remainder_tolerance_follows_coefficient_type():
-    alpha = (Fraction(1), Fraction(-1))
+    alpha = (1, -1)
     p = Polynomial(2, {(1, 0): 1, (0, 1): -1})  # x1 - x2
-    assert divide_by_root_pairing(p, alpha) == Polynomial.constant(2, 1)
-    # any nonzero remainder is fatal, exact or float
+    assert divide_by_root_pairing(_table(p), alpha) == ({(0, 0): 1}, 1)
+    # any nonzero remainder is fatal, exact or a float read as its binary value
     with pytest.raises(ExactDivisionError):
-        divide_by_root_pairing(p + Fraction(1, 10**12), alpha)
+        divide_by_root_pairing(_table(p + Fraction(1, 10**12)), alpha)
     with pytest.raises(ExactDivisionError):
-        divide_by_root_pairing(p + 1e-12, alpha)
+        divide_by_root_pairing(_table(p + 1e-12), alpha)
     with pytest.raises(ExactDivisionError):
-        divide_by_root_pairing(p + 1e-3, alpha)
+        divide_by_root_pairing(_table(p + 1e-3), alpha)
 
 
 def test_root_pairing_division_is_exact_on_integer_data():
-    # int coefficients over an int root whose pivot is 2 (G2's long root):
-    # the quotient holds Fractions, never the float of an int / int
+    # int numerators over an int root whose pivot is 2 (G2's long root): the
+    # numerators are scaled by 2^3, 3 the top power of x1, so every division
+    # by the pivot is exact and the quotient stays in integers
     alpha = (2, -1, -1)
     x1, x2, x3 = (Polynomial.variable(3, j) for j in range(3))
     q = x1 * x1 + x2 * x3 * 3 - x3
-    quotient = divide_by_root_pairing((x1 * 2 - x2 - x3) * q, alpha)
-    assert quotient == q
-    assert all(type(c) is Fraction for c in quotient.terms.values())
+    quotient = divide_by_root_pairing(_table((x1 * 2 - x2 - x3) * q), alpha)
+    assert quotient[1] == 2**3
+    assert all(type(c) is int for c in quotient[0].values())
+    assert _polynomial(3, quotient) == q
     g2 = context("G2", [Fraction(1, 2), Fraction(1)])
     p = Polynomial(3, {(2, 1, 0): 1, (0, 0, 3): -2, (1, 1, 1): 5})
     for xi in ((1, 0, 0), (0, 1, -1)):
         image = dunkl_apply(g2, xi, p)
         assert image and not any(isinstance(c, float) for c in image.terms.values())
+
+
+def _fraction_division(p, alpha):
+    """Reference: p / <alpha, x> by long division in Fraction polynomials,
+    eliminating the terms of the pivot variable top level first."""
+    pivot = next(i for i, a in enumerate(alpha) if a)
+    form = Polynomial(p.dim, {tuple(int(l == j) for l in range(p.dim)): a
+                              for j, a in enumerate(alpha) if a})
+    quotient = Polynomial.zero(p.dim)
+    while p:
+        nu = max(p.terms, key=lambda mu: (mu[pivot], mu))
+        assert nu[pivot], "remainder"
+        term = Polynomial.monomial(p.dim, nu[:pivot] + (nu[pivot] - 1,) + nu[pivot + 1 :],
+                                   Fraction(p.terms[nu]) / alpha[pivot])
+        quotient, p = quotient + term, p - term * form
+    return quotient
+
+
+def _dunkl_reference(ctx, xi, p):
+    """Reference: T_xi p = d_xi p + sum k(a) <a, xi> (p - p o s_a) / <a, x> in
+    Fraction polynomials, p o s_a by substituting s_a's matrix."""
+    out = Polynomial.zero(p.dim)
+    for j, w in enumerate(xi):
+        out = out + p.partial(j) * w
+    for alpha, ka, sidx in ctx.reflections:
+        diff = p - _substituted(ctx.group.elements[sidx], p)
+        pairing = sum(a * w for a, w in zip(alpha, xi))
+        out = out + _fraction_division(diff, alpha) * (ka * pairing)
+    return out
+
+
+@pytest.mark.parametrize("name", ["b2", "b2c", "z21neg", "g2", "d4"])
+def test_dunkl_apply_matches_fraction_reference(name):
+    # the integer T_xi against the Fraction formula, on unit and non-unit
+    # rational directions: G2's long roots have pivot 2 and its images sit
+    # over powers of 3, b2c's weight is complex
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    ctx = build_bundle(json.loads(config.read_text())).ctx
+    d = ctx.dimension
+    rng = random.Random(7)
+    directions = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    directions.append(tuple([Fraction(1, 3), -2, Fraction(5, 4), 1][:d]))
+    for _ in range(3):
+        p = Polynomial(d, {tuple(rng.randint(0, 3) for _ in range(d)):
+                           Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(5)})
+        for xi in directions:
+            assert dunkl_apply(ctx, xi, p) == _dunkl_reference(ctx, xi, p), (name, xi, p)
 
 
 def test_dunkl_commutativity_a2(a2):

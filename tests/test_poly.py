@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from dunkl.poly import (
     Polynomial,
-    directional_derivative,
     fischer,
     fischer_via_gaussian,
     heat_half,
@@ -50,14 +49,6 @@ def test_basic_arithmetic():
 def test_ring_commutes(p, q):
     assert p * q == q * p
     assert p + q == q + p
-
-
-def test_directional_derivative_examples():
-    x1, x2 = var(2, 0), var(2, 1)
-    p = x1 * x1 * x2
-    assert directional_derivative((1, 0), p) == 2 * x1 * x2
-    assert directional_derivative((Fraction(2), Fraction(-1)), Polynomial.constant(2, 5)) == Polynomial.zero(2)
-    assert directional_derivative((1, 1), x1 * x2) == x1 + x2
 
 
 def test_laplacian_examples():
