@@ -15,8 +15,14 @@ from dunkl.poly import (
     inverse_heat_half,
 )
 from dunkl.exact import ComplexRational
-from dunkl.operators import monomial_basis
+from dunkl.operators import dunkl_apply, make_context, monomial_basis
 from dunkl.quad import gauss_rule
+from dunkl.reflection_groups import (
+    build_root_system,
+    generate_group,
+    select_positive,
+    validate_multiplicity,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -49,6 +55,17 @@ def test_basic_arithmetic():
 def test_ring_commutes(p, q):
     assert p * q == q * p
     assert p + q == q + p
+
+
+def test_directional_derivative_examples():
+    # d_xi is the Dunkl operator T_xi at multiplicity zero
+    pos = select_positive(build_root_system("B", d=2))
+    ctx = make_context(generate_group(pos), pos, validate_multiplicity(pos, Fraction(0)))
+    x1, x2 = var(2, 0), var(2, 1)
+    p = x1 * x1 * x2
+    assert dunkl_apply(ctx, (1, 0), p) == 2 * x1 * x2
+    assert dunkl_apply(ctx, (Fraction(2), Fraction(-1)), Polynomial.constant(2, 5)) == Polynomial.zero(2)
+    assert dunkl_apply(ctx, (1, 1), x1 * x2) == x1 + x2
 
 
 def test_laplacian_examples():
