@@ -5,9 +5,10 @@ export-quadrature.  Output is plot-ready CSV or JSON on stdout (or --out);
 floats are printed with 17 significant digits so they round-trip.  ek-eval
 prints the correctly rounded truncated sum at the binary values of the
 floats it reads for --x and --y.  Exit
-codes: 0 success, 1 verification failure, 2 configuration error: the
-commands raise, and main alone prints the one "configuration error: ..."
-line and returns 2.  The context cache directory defaults to DUNKL_CACHE_DIR (or the working
+codes: 0 success, 1 verification failure, 2 configuration error, 3 out of
+memory: the commands raise, and main alone prints the one "configuration
+error: ..." line and returns 2, or the one "out of memory: ..." line and
+returns 3.  The context cache directory defaults to DUNKL_CACHE_DIR (or the working
 directory).  Only kernel-grid, verify and export-quadrature import the
 float layer and with it numpy; the exact commands never load it.  The
 package's records are collections.namedtuple classes or plain classes, so
@@ -46,6 +47,7 @@ from .reflection_groups import GroupClosureError, MultiplicityError
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
+EXIT_MEMORY = 3
 
 
 def _fmt(v: float) -> str:
@@ -319,7 +321,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, parser=None) -> int:
-    """Run the command argv names under parser (default dunkl's); config errors exit 2."""
+    """Run the command argv names under parser (default dunkl's); config errors
+    exit 2, and running out of memory exits 3."""
     args = (parser or make_parser()).parse_args(argv)
     try:
         return args.func(args)
@@ -328,6 +331,10 @@ def main(argv=None, parser=None) -> int:
     ) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'the request needs more memory than the process can get'}",
+              file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

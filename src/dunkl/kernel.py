@@ -418,24 +418,16 @@ PositivityReport = namedtuple("PositivityReport", "min_value min_point max_abs_i
 
 def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
     """Minimum of Re L^(N) - tail over a product grid, plus the largest
-    imaginary part (which must vanish for real weights)."""
+    imaginary part (which must vanish for real weights); a NaN grid value
+    makes the minimum, or the largest imaginary part, NaN."""
     values = lk_grid(ev, xs, ys)
-    min_value = math.inf
-    min_point = None
-    max_imag = 0.0
-    max_tail = 0.0
-    for i, x in enumerate(xs):
-        xn = _norm(x)
-        for jj, y in enumerate(ys):
-            tb = tail_bound(ev, xn, _norm(y))
-            val = values[i, jj]
-            adjusted = val.real - tb.value
-            max_tail = max(max_tail, tb.value)
-            max_imag = max(max_imag, abs(val.imag))
-            if adjusted < min_value:
-                min_value = adjusted
-                min_point = (tuple(x), tuple(y))
-    return PositivityReport(min_value, min_point, max_imag, max_tail, len(xs) * len(ys))
+    tails = np.array([[tail_bound(ev, xn, _norm(y)).value for y in ys] for xn in map(_norm, xs)])
+    adjusted = values.real - tails
+    i, j = np.unravel_index(np.argmin(adjusted), adjusted.shape)
+    return PositivityReport(
+        adjusted[i, j], (tuple(xs[i]), tuple(ys[j])), np.max(np.abs(values.imag)), np.max(tails),
+        adjusted.size,
+    )
 
 
 def _degree_blocks(ev: KernelEvaluator):

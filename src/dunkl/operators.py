@@ -131,32 +131,30 @@ def _reflected(group, sidx, table):
 
 def divide_by_root_pairing(table, alpha):
     """The table of p / <alpha, x> for the table of p, in integers: terms are
-    eliminated level by level in the exponent of a pivot variable, each
-    numerator first scaled by |pivot|^top, top the highest level, so that
-    every division by the pivot is exact (the scale is 1 unless the pivot is
-    not +-1, as on G2's root (2, -1, -1)); whatever survives at level zero is
-    the remainder, which must be 0."""
+    eliminated level by level in the exponent of a pivot variable whose
+    entry of alpha is +-1 (every root of every family has one), so every
+    division by the pivot is exact; whatever survives at level zero is the
+    remainder, which must be 0."""
     nums, den = table
-    pivot = next(i for i, a in enumerate(alpha) if a != 0)
+    pivot = next(i for i, a in enumerate(alpha) if abs(a) == 1)
     apiv = alpha[pivot]
     others = [(j, a) for j, a in enumerate(alpha) if j != pivot and a]
     top = max((nu[pivot] for nu in nums), default=0)
-    scale = abs(apiv) ** top
     levels = {}
     for nu, c in nums.items():
-        levels.setdefault(nu[pivot], {})[nu] = c * scale
+        levels.setdefault(nu[pivot], {})[nu] = c
     quotient = {}
     for m in range(top, 0, -1):
         lower = levels.setdefault(m - 1, {})
         for nu, c in levels.get(m, {}).items():
             qnu = nu[:pivot] + (m - 1,) + nu[pivot + 1 :]
-            qc = quotient[qnu] = c // apiv
+            qc = quotient[qnu] = c * apiv  # c / apiv, as apiv is +-1
             for j, aj in others:
                 key = qnu[:j] + (qnu[j] + 1,) + qnu[j + 1 :]
                 lower[key] = lower.get(key, 0) - qc * aj
     if any(levels.get(0, {}).values()):
         raise ExactDivisionError("difference term not divisible by the root pairing (internal bug)")
-    return quotient, den * scale
+    return quotient, den
 
 
 def dunkl_apply(ctx: DunklContext, xi, p: Polynomial) -> Polynomial:

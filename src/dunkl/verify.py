@@ -1,19 +1,28 @@
 """Verification suites: exact identities, series control, quadrature identities,
 sign conventions, and positivity.
 
-Each check produces one result row with the worst residual seen and the
-tolerance it was held to; exact checks carry tolerance 0 and a residual that
-counts failures.  The signs suite runs the convention-forked identities
-(Gaussian image, Fourier representation, derivative relation) under both
-signs, uses the weight-zero closed forms as arbiter, and reports which
-convention validates rather than silently picking one.
+Each check produces one result row, and three constructors own the verdict
+of almost every row:
+- an exact row (`_exact_row`) tallies boolean comparisons: its residual is
+  the number that fail, its tolerance 0, and its note counts the
+  comparisons;
+- a residual row (`_residual_row`) folds its residuals, in draw order, into
+  the largest, starting from 0.0; a NaN sticks once seen, and the row
+  passes iff the result is at most its tolerance, so a NaN fails;
+- a skipped row (`_skipped_row`) passes and keeps its reason as the note.
+Only `ek-at-zero` (the value must equal 1 exactly) and the signs suite's
+convention rows decide by a rule of their own.  The signs suite runs the
+convention-forked identities (Gaussian image, Fourier representation,
+derivative relation) under both signs, uses the weight-zero closed forms as
+arbiter, and reports which convention validates rather than silently
+picking one.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +82,7 @@ from .quad import (
 )
 from .reflection_groups import (
     act_on_polynomial,
+    dot,
     mat_vec,
     reflect,
     validate_multiplicity,
@@ -130,14 +140,40 @@ def _rand_poly(rng, d, max_degree, n_terms=4):
     return Polynomial(d, terms)
 
 
-def _exact_row(name, failures, checked, note=""):
+def _box(rng, d, half):
+    """A point drawn uniformly from the cube [-half, half]^d."""
+    return tuple(rng.uniform(-half, half) for _ in range(d))
+
+
+def _exact_row(identity, comparisons, checked=None, note=""):
+    """The row of a tally of comparisons, each True where the identity holds:
+    its residual is the number that fail and its tolerance 0.  The note
+    counts the comparisons (checked, where the count comes from elsewhere)
+    and goes on with note."""
+    tally = Counter(map(bool, comparisons))
+    failures = tally[False]
+    if checked is None:
+        checked = tally[True] + failures
     return CheckResult(
-        identity=name,
-        max_residual=float(failures),
-        tolerance=0.0,
-        passed=failures == 0,
-        note=note or f"{checked} exact comparisons",
+        identity, float(failures), 0.0, failures == 0, note=f"{checked} exact comparisons{note}"
     )
+
+
+def _residual_row(identity, residuals, tolerance, note=""):
+    """The row of the largest of residuals, folded in draw order from 0.0; a
+    NaN sticks once seen, and the row passes iff the result is at most
+    tolerance, so a NaN fails."""
+    worst = 0.0
+    for r in residuals:
+        if r > worst or r != r:  # r != r: r is NaN
+            worst = r
+    return CheckResult(identity, worst, tolerance, bool(worst <= tolerance), note=note)
+
+
+def _skipped_row(identity, tolerance, reason):
+    """The row of a check that did not run: it passes, and its note gives
+    the reason."""
+    return CheckResult(identity, 0.0, tolerance, True, note=f"skipped: {reason}")
 
 
 # -- exact suite -------------------------------------------------------------------
@@ -147,193 +183,136 @@ def suite_exact(bundle: ContextBundle, seed=0):
     ctx = bundle.ctx
     group = bundle.group
     d = group.dimension
+    order = group.order
+    multiply = group.multiply
+    units = [tuple(int(t == j) for t in range(d)) for j in range(d)]
     results = []
 
-    fails = checked = 0
-    for alpha in bundle.positives.positives:
-        for _ in range(3):
-            x = _rand_point(rng, d)
-            checked += 1
-            if reflect(alpha, reflect(alpha, x)) != x:
-                fails += 1
-    results.append(_exact_row("reflection-involution", fails, checked))
+    results.append(_exact_row("reflection-involution", (
+        reflect(alpha, reflect(alpha, x)) == x
+        for alpha in bundle.positives.positives
+        for x in [_rand_point(rng, d) for _ in range(3)]
+    )))
 
-    fails = checked = 0
-    order = group.order
-    if order <= 48:
-        for a in range(order):
-            for b in range(order):
-                for c in range(order):
-                    checked += 1
-                    if group.multiply(group.multiply(a, b), c) != group.multiply(
-                        a, group.multiply(b, c)
-                    ):
-                        fails += 1
+    triples = itertools.product(range(order), repeat=3) if order <= 48 else ()
     inverses = [group.inverse_index(i) for i in range(order)]
-    checked += order
-    fails += sum(1 for i in inverses if inverses.count(i) != 1)
-    results.append(_exact_row("group-axioms", fails, checked))
+    results.append(_exact_row("group-axioms", itertools.chain(
+        (multiply(multiply(a, b), c) == multiply(a, multiply(b, c)) for a, b, c in triples),
+        (inverses.count(i) == 1 for i in inverses),
+    )))
 
-    fails = checked = 0
     p = _rand_poly(rng, d, 3)
-    for a in range(order):
-        for b in range(order):
-            checked += 1
-            lhs = act_on_polynomial(group, a, act_on_polynomial(group, b, p))
-            rhs = act_on_polynomial(group, group.multiply(b, a), p)
-            if lhs != rhs:
-                fails += 1
-    results.append(_exact_row("action-composition", fails, checked))
+    results.append(_exact_row("action-composition", (
+        act_on_polynomial(group, a, act_on_polynomial(group, b, p))
+        == act_on_polynomial(group, multiply(b, a), p)
+        for a in range(order)
+        for b in range(order)
+    )))
 
-    gamma = 0
-    for alpha in bundle.positives.positives:
-        gamma = gamma + bundle.k.value(alpha)
-    results.append(_exact_row("gamma-is-positive-sum", int(gamma != ctx.gamma), 1))
+    gamma = sum(bundle.k.value(alpha) for alpha in bundle.positives.positives)
+    results.append(_exact_row("gamma-is-positive-sum", [gamma == ctx.gamma]))
 
-    fails = checked = 0
-    for _ in range(3):
-        q = _rand_poly(rng, d, 5)
-        for i in range(d):
-            for j in range(i + 1, d):
-                ei = tuple(1 if t == i else 0 for t in range(d))
-                ej = tuple(1 if t == j else 0 for t in range(d))
-                checked += 1
-                if dunkl_apply(ctx, ei, dunkl_apply(ctx, ej, q)) != dunkl_apply(
-                    ctx, ej, dunkl_apply(ctx, ei, q)
-                ):
-                    fails += 1
-    results.append(_exact_row("dunkl-commutativity", fails, checked))
+    results.append(_exact_row("dunkl-commutativity", (
+        dunkl_apply(ctx, ei, dunkl_apply(ctx, ej, q)) == dunkl_apply(ctx, ej, dunkl_apply(ctx, ei, q))
+        for q in [_rand_poly(rng, d, 5) for _ in range(3)]
+        for i, ei in enumerate(units)
+        for ej in units[i + 1 :]
+    )))
 
-    fails = checked = 0
-    for n in range(1, 6):
-        for nu in monomial_basis(d, n)[: 2 * d]:
-            mono = Polynomial.monomial(d, nu)
-            w1 = mono * (n + ctx.gamma) - operator_A(ctx, mono)
-            w2 = Polynomial.zero(d)
-            for j in range(d):
-                ej = tuple(1 if t == j else 0 for t in range(d))
-                w2 = w2 + Polynomial.variable(d, j) * dunkl_apply(ctx, ej, mono)
-            checked += 1
-            if w1 != w2:
-                fails += 1
-    results.append(_exact_row("euler-operator-identity", fails, checked))
+    results.append(_exact_row("euler-operator-identity", (
+        mono * (n + ctx.gamma) - operator_A(ctx, mono)
+        == sum((Polynomial.variable(d, j) * dunkl_apply(ctx, ej, mono) for j, ej in enumerate(units)),
+               Polynomial.zero(d))
+        for n in range(1, 6)
+        for mono in [Polynomial.monomial(d, nu) for nu in monomial_basis(d, n)[: 2 * d]]
+    )))
 
-    fails = checked = 0
-    for n in range(1, min(bundle.degree, 8) + 1):
-        lam = solve_H(ctx, n)  # None at a fallback degree: read its stored column
-        for nu in monomial_basis(d, n):
-            mono = Polynomial.monomial(d, nu)
-            images = ((act_on_polynomial(group, g, mono), c) for g, c in enumerate(lam or ()) if c)
-            column = apply_H(ctx, n, mono) if lam is None else combination(d, images)
-            back = column * (n + ctx.gamma) - operator_A(ctx, column)
-            checked += 1
-            if back != mono:
-                fails += 1
-    results.append(_exact_row("h-inverts-w", fails, checked))
+    def h_inverts_w():
+        for n in range(1, min(bundle.degree, 8) + 1):
+            lam = solve_H(ctx, n)  # None at a fallback degree: read its stored column
+            for nu in monomial_basis(d, n):
+                mono = Polynomial.monomial(d, nu)
+                images = ((act_on_polynomial(group, g, mono), c) for g, c in enumerate(lam or ()) if c)
+                column = apply_H(ctx, n, mono) if lam is None else combination(d, images)
+                yield column * (n + ctx.gamma) - operator_A(ctx, column) == mono
+    results.append(_exact_row("h-inverts-w", h_inverts_w()))
 
-    fails = checked = 0
-    for n in range(0, 7):
-        for nu in monomial_basis(d, n):
-            mono = Polynomial.monomial(d, nu)
-            vp = intertwine(ctx, mono)
-            for j in range(d):
-                ej = tuple(1 if t == j else 0 for t in range(d))
-                checked += 1
-                if dunkl_apply(ctx, ej, vp) != intertwine(ctx, mono.partial(j)):
-                    fails += 1
-    results.append(_exact_row("intertwining-identity", fails, checked))
+    def intertwining():
+        for n in range(0, 7):
+            for nu in monomial_basis(d, n):
+                mono = Polynomial.monomial(d, nu)
+                vp = intertwine(ctx, mono)
+                for j, ej in enumerate(units):
+                    yield dunkl_apply(ctx, ej, vp) == intertwine(ctx, mono.partial(j))
+    results.append(_exact_row("intertwining-identity", intertwining()))
 
     one = Polynomial.constant(d, Fraction(1))
-    fails = int(intertwine(ctx, one) != one)
+    keeps_one = intertwine(ctx, one) == one
     p = _rand_poly(rng, d, 5)
     vp = intertwine(ctx, p)
-    fails += int(vp.degree != p.degree)
-    fails += int(intertwine_inverse(ctx, vp) != p)
-    if bundle.k.is_real:
-        fails += sum(1 for c in vp.terms.values() if c.imag != 0)
-    results.append(_exact_row("intertwine-unit-degree-inverse-real", fails, 4))
+    # four checks; each non-real coefficient of V p counts as one failure
+    real = (c.imag == 0 for c in vp.terms.values()) if bundle.k.is_real else ()
+    results.append(_exact_row("intertwine-unit-degree-inverse-real", itertools.chain(
+        [keeps_one, vp.degree == p.degree, intertwine_inverse(ctx, vp) == p], real
+    ), checked=4))
 
-    fails = checked = 0
-    for n in range(0, 5):
-        biv = homogeneous_kernel_bivariate(ctx, n)
-        swapped = Polynomial(
-            2 * d, {nu[d:] + nu[:d]: c for nu, c in biv.terms.items()}
-        )
-        checked += 1
-        if biv != swapped:
-            fails += 1
-    results.append(_exact_row("en-symmetry", fails, checked))
+    results.append(_exact_row("en-symmetry", (
+        biv == Polynomial(2 * d, {nu[d:] + nu[:d]: c for nu, c in biv.terms.items()})
+        for biv in (homogeneous_kernel_bivariate(ctx, n) for n in range(0, 5))
+    )))
 
-    fails = checked = 0
     x = _rand_point(rng, d)
-    for n in range(0, 5):
-        base = homogeneous_kernel(ctx, n, x)
-        for gi in range(order):
-            checked += 1
-            moved = homogeneous_kernel(ctx, n, mat_vec(group.elements[gi], x))
-            if moved != act_on_polynomial(group, group.inverse_index(gi), base):
-                fails += 1
-        lam = Fraction(3, 2)
-        checked += 1
-        scaled = homogeneous_kernel(ctx, n, tuple(lam * t for t in x))
-        if scaled != base * lam**n:
-            fails += 1
-        checked += 1
-        # E_n(x, lam y): each term c y^nu scaled by lam^|nu|
-        if Polynomial(d, {nu: c * lam ** sum(nu) for nu, c in base.terms.items()}) != base * lam**n:
-            fails += 1
-    results.append(_exact_row("en-equivariance-homogeneity", fails, checked))
+    lam = Fraction(3, 2)
 
-    fails = checked = 0
-    skipped = []
-    if order <= 48:  # the oracle's O(n |G|^2) products: 0.6 s on B3, 18 s on D4 (|G| = 192)
-        for n in range(0, 4):
-            # the oracle multiplies the lam tables of every degree up to n
-            if any(solve_H(ctx, i) is None for i in range(1, n + 1)):
-                skipped.append(n)
-                continue
-            checked += 1
-            if en_expansion_oracle(ctx, n, x) != homogeneous_kernel(ctx, n, x):
-                fails += 1
-    note = ""
-    if order > 48:
-        note = f"0 exact comparisons; skipped at |G| = {order} > 48"
-    elif skipped:
+    def equivariance_homogeneity():
+        for n in range(0, 5):
+            base = homogeneous_kernel(ctx, n, x)
+            for gi in range(order):
+                moved = homogeneous_kernel(ctx, n, mat_vec(group.elements[gi], x))
+                yield moved == act_on_polynomial(group, group.inverse_index(gi), base)
+            yield homogeneous_kernel(ctx, n, tuple(lam * t for t in x)) == base * lam**n
+            # E_n(x, lam y): each term c y^nu scaled by lam^|nu|
+            yield Polynomial(d, {nu: c * lam ** sum(nu) for nu, c in base.terms.items()}) == base * lam**n
+    results.append(_exact_row("en-equivariance-homogeneity", equivariance_homogeneity()))
+
+    # the oracle's O(n |G|^2) products: 0.6 s on B3, 18 s on D4 (|G| = 192)
+    degrees = range(0, 4) if order <= 48 else ()
+    # the oracle multiplies the lam tables of every degree up to n
+    skipped = [n for n in degrees if any(solve_H(ctx, i) is None for i in range(1, n + 1))]
+    note = f"; skipped at |G| = {order} > 48" if order > 48 else ""
+    if skipped:
         note = (
-            f"{checked} exact comparisons; degrees {skipped} skipped: the expansion "
-            f"multiplies lam_i for every i <= n, and degree {skipped[0]} is a "
-            f"fallback degree with no lam table"
+            f"; degrees {skipped} skipped: the expansion multiplies lam_i for every "
+            f"i <= n, and degree {skipped[0]} is a fallback degree with no lam table"
         )
-    results.append(_exact_row("en-product-expansion-oracle", fails, checked, note))
+    results.append(_exact_row("en-product-expansion-oracle", (
+        en_expansion_oracle(ctx, n, x) == homogeneous_kernel(ctx, n, x)
+        for n in degrees
+        if n not in skipped
+    ), note=note))
 
-    fails = checked = 0
-    for _ in range(4):
-        q = _rand_poly(rng, d, 8)
-        checked += 1
-        if inverse_heat_half(heat_half(q)) != q:
-            fails += 1
-        r = _rand_poly(rng, d, 6)
-        checked += 1
-        if fischer(q, r) != fischer(r, q):
-            fails += 1
-        for i in range(d):
-            checked += 1
-            if fischer(Polynomial.variable(d, i) * q, r) != fischer(q, r.partial(i)):
-                fails += 1
-    results.append(_exact_row("heat-roundtrip-fischer", fails, checked))
+    def heat_fischer():
+        for _ in range(4):
+            q = _rand_poly(rng, d, 8)
+            yield inverse_heat_half(heat_half(q)) == q
+            r = _rand_poly(rng, d, 6)
+            yield fischer(q, r) == fischer(r, q)
+            for i in range(d):
+                yield fischer(Polynomial.variable(d, i) * q, r) == fischer(q, r.partial(i))
+    results.append(_exact_row("heat-roundtrip-fischer", heat_fischer()))
 
-    fails = checked = 0
     xq = _rand_point(rng, d, span=2, den=3)
     yq = _rand_point(rng, d, span=2, den=3)
     ev = make_evaluator(ctx, min(bundle.degree, 8))
-    for n in range(ev.n_trunc + 1):
-        checked += 1
-        if heat_image(ev, n, xq).evaluate(yq) != hermite_piece(ev, n, xq, yq):
-            fails += 1
-    results.append(_exact_row("kernel-two-path-per-degree", fails, checked))
+    results.append(_exact_row("kernel-two-path-per-degree", (
+        heat_image(ev, n, xq).evaluate(yq) == hermite_piece(ev, n, xq, yq)
+        for n in range(ev.n_trunc + 1)
+    )))
 
     rep = symmetry_scan(ev, [xq])
-    results.append(_exact_row("kernel-equivariance-parity", len(rep.failures), rep.checked))
+    results.append(
+        _exact_row("kernel-equivariance-parity", [False] * len(rep.failures), checked=rep.checked)
+    )
     return results
 
 
@@ -341,6 +320,12 @@ def suite_exact(bundle: ContextBundle, seed=0):
 
 SERIES_TOL = 1e-8  # truncation tolerance of the ek-symmetry row
 POSITIVITY_TOL = 1e-8  # how far below 0 the kernel minus its tail may read
+
+
+def _length(v):
+    """|v| as the root of a plain sum of squares, not _norm's hypot, which can
+    round differently."""
+    return math.sqrt(sum(t * t for t in v))
 
 
 def suite_series(bundle: ContextBundle, seed=0):
@@ -356,103 +341,72 @@ def suite_series(bundle: ContextBundle, seed=0):
         CheckResult("ek-at-zero", abs(complex(val.value) - 1.0), 0.0, val.value == 1)
     )
 
-    worst = 0.0
-    for _ in range(3):
-        xf = tuple(rng.uniform(-0.4, 0.4) for _ in range(d))
-        yf = tuple(rng.uniform(-0.9, 0.9) for _ in range(d))
-        a = dunkl_kernel(ctx, xf, yf, tol=SERIES_TOL)
-        b = dunkl_kernel(ctx, yf, xf, tol=SERIES_TOL)
-        worst = max(worst, abs(complex(a.value) - complex(b.value)))
-    results.append(CheckResult("ek-symmetry", worst, 2 * SERIES_TOL, worst <= 2 * SERIES_TOL))
+    pairs = [(_box(rng, d, 0.4), _box(rng, d, 0.9)) for _ in range(3)]
+    results.append(_residual_row("ek-symmetry", (
+        abs(complex(dunkl_kernel(ctx, x, y, tol=SERIES_TOL).value)
+            - complex(dunkl_kernel(ctx, y, x, tol=SERIES_TOL).value))
+        for x, y in pairs
+    ), 2 * SERIES_TOL))
 
     if bundle.k.is_zero:
-        worst = 0.0
-        for _ in range(4):
-            xf = tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
-            yf = tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
-            got = dunkl_kernel(ctx, xf, yf, tol=1e-12).value
-            want = math.exp(sum(a * b for a, b in zip(xf, yf)))
-            worst = max(worst, abs(complex(got) - want))
-        results.append(CheckResult("ek-weight-zero-exponential", worst, 1e-10, worst <= 1e-10))
+        pairs = [(_box(rng, d, 1.0), _box(rng, d, 1.0)) for _ in range(4)]
+        results.append(_residual_row("ek-weight-zero-exponential", (
+            abs(complex(dunkl_kernel(ctx, x, y, tol=1e-12).value) - math.exp(dot(x, y)))
+            for x, y in pairs
+        ), 1e-10))
         # x within the radius where L^(N)'s tail is below 1e-10 for |y| <= sqrt(d)
-        worst = 0.0
         side = certified_radius(ev, 1e-10, math.sqrt(d)) / math.sqrt(d)
-        for _ in range(4):
-            xf = tuple(rng.uniform(-side, side) for _ in range(d))
-            yf = tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
-            got = lk_series_value(ev, xf, yf)
-            want = math.exp(
-                sum(a * b for a, b in zip(xf, yf)) - sum(a * a for a in xf) / 2
-            )
-            worst = max(worst, abs(complex(got) - want))
-        results.append(
-            CheckResult("lk-weight-zero-closed-form", worst, 1e-8, worst <= 1e-8)
-        )
+        pairs = [(_box(rng, d, side), _box(rng, d, 1.0)) for _ in range(4)]
+        results.append(_residual_row("lk-weight-zero-closed-form", (
+            abs(complex(lk_series_value(ev, x, y)) - math.exp(dot(x, y) - sum(a * a for a in x) / 2))
+            for x, y in pairs
+        ), 1e-8))
 
-    over = 0.0
-    for n, row in ctx.delta_table:
-        over = max(over, row - ctx.delta_hat)
-    results.append(CheckResult("delta-table-bounded", over, 0.0, over <= 0.0))
+    results.append(_residual_row(
+        "delta-table-bounded", (row - ctx.delta_hat for _, row in ctx.delta_table), 0.0
+    ))
 
-    worst = 0.0
-    for _ in range(2):
-        xf = tuple(rng.uniform(-0.5, 0.5) for _ in range(d))
-        yf = tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
-        xn = math.sqrt(sum(t * t for t in xf))
-        yn = math.sqrt(sum(t * t for t in yf))
-        u, c = growth_envelope(ctx, xn)
-        for n in range(n_trunc + 1):
-            lap = homogeneous_kernel(ctx, n, xf).to_float()
-            for m in range(n // 2 + 1):
-                got = abs(lap.evaluate(yf))
-                bound = c**m / math.factorial(n - 2 * m) * u**n * yn ** (n - 2 * m)
-                worst = max(worst, got - bound * (1 + 1e-9) - 1e-300)
-                lap = lap.laplacian()
-    results.append(
-        CheckResult("per-term-laplacian-bounds", max(worst, 0.0), 0.0, worst <= 0.0)
-    )
+    def laplacian_excess():
+        for _ in range(2):
+            x, y = _box(rng, d, 0.5), _box(rng, d, 1.0)
+            yn = _length(y)
+            u, c = growth_envelope(ctx, _length(x))
+            for n in range(n_trunc + 1):
+                lap = homogeneous_kernel(ctx, n, x).to_float()
+                for m in range(n // 2 + 1):
+                    bound = c**m / math.factorial(n - 2 * m) * u**n * yn ** (n - 2 * m)
+                    yield abs(lap.evaluate(y)) - bound * (1 + 1e-9) - 1e-300
+                    lap = lap.laplacian()
+    results.append(_residual_row("per-term-laplacian-bounds", laplacian_excess(), 0.0))
 
-    bad = 0.0
-    for _ in range(3):
-        xn = rng.uniform(0.0, 0.5)
-        yn = rng.uniform(0.0, 1.5)
-        prev = math.inf
-        for n in range(max(0, n_trunc - 4), n_trunc + 1):
-            tb = tail_bound(ev, xn, yn, n).value
-            if tb < 0 or tb > prev * (1 + 1e-12):
-                bad += 1
-            prev = tb
-    results.append(CheckResult("tail-monotone-nonnegative", bad, 0.0, bad == 0))
+    def tail_not_monotone():  # True where a tail bound is negative, NaN or grows with the degree
+        for _ in range(3):
+            xn = rng.uniform(0.0, 0.5)
+            yn = rng.uniform(0.0, 1.5)
+            prev = math.inf
+            for n in range(max(0, n_trunc - 4), n_trunc + 1):
+                tb = tail_bound(ev, xn, yn, n).value
+                yield not 0 <= tb <= prev * (1 + 1e-12)
+                prev = tb
+    results.append(_residual_row("tail-monotone-nonnegative", [sum(tail_not_monotone())], 0.0))
 
-    worst = 0.0
-    for _ in range(3):
-        xf = tuple(rng.uniform(-0.3, 0.3) for _ in range(d))
-        yf = tuple(rng.uniform(-0.8, 0.8) for _ in range(d))
-        xn = math.sqrt(sum(t * t for t in xf))
-        yn = math.sqrt(sum(t * t for t in yf))
-        n0 = max(0, n_trunc - 5)
-        computed = 0.0
-        for n in range(n0 + 1, n_trunc + 1):
-            computed += abs(complex(heat_image(ev, n, xf).evaluate(yf)))
-        slack = tail_bound(ev, xn, yn, n0).value - computed
-        worst = min(worst, slack)
-    results.append(
-        CheckResult(
-            "tail-dominates-computed-terms", float(max(-worst, 0.0) + 0.0), 0.0, worst >= 0.0
-        )
-    )
+    def tail_shortfall():  # the computed terms n0 < n <= N less the tail bound from n0
+        for _ in range(3):
+            x, y = _box(rng, d, 0.3), _box(rng, d, 0.8)
+            n0 = max(0, n_trunc - 5)
+            computed = 0.0
+            for n in range(n0 + 1, n_trunc + 1):
+                computed += abs(complex(heat_image(ev, n, x).evaluate(y)))
+            yield computed - tail_bound(ev, _length(x), _length(y), n0).value
+    results.append(_residual_row("tail-dominates-computed-terms", tail_shortfall(), 0.0))
 
     # the series path against lk_grid, the Hermite path kernel-grid prints
-    xs, ys = [], []
-    for _ in range(6):
-        xs.append(tuple(rng.uniform(-1.0, 1.0) for _ in range(d)))
-        ys.append(tuple(rng.uniform(-1.0, 1.0) for _ in range(d)))
-    grid = lk_grid(ev, xs, ys)
-    worst = max(
+    pairs = [(_box(rng, d, 1.0), _box(rng, d, 1.0)) for _ in range(6)]
+    grid = lk_grid(ev, [x for x, _ in pairs], [y for _, y in pairs])
+    results.append(_residual_row("kernel-two-path-float", (
         abs(complex(lk_series_value(ev, x, y)) - complex(grid[i, i]))
-        for i, (x, y) in enumerate(zip(xs, ys))
-    )
-    results.append(CheckResult("kernel-two-path-float", worst, 1e-9, worst <= 1e-9))
+        for i, (x, y) in enumerate(pairs)
+    ), 1e-9))
     return results
 
 
@@ -469,98 +423,69 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
     rule = gauss_rule(d, max(5, (n_trunc + min(6, n_trunc) + 2) // 2))
     results = []
 
-    worst = 0.0
-    for n in range(0, min(rule.exact_degree, 12) + 1):
-        for nu in monomial_basis(d, n)[: 3 * d]:
-            got = integrate(Polynomial.monomial(d, nu, 1.0), rule)
-            want = gaussian_moment(nu)
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    results.append(CheckResult("rule-moment-exactness", worst, 1e-12, worst <= 1e-12))
+    results.append(_residual_row("rule-moment-exactness", (
+        abs(integrate(Polynomial.monomial(d, nu, 1.0), rule) - want) / max(1.0, abs(want))
+        for n in range(0, min(rule.exact_degree, 12) + 1)
+        for nu in monomial_basis(d, n)[: 3 * d]
+        for want in [gaussian_moment(nu)]
+    ), 1e-12))
 
     # rounding to even is odd-symmetric, so the negated keys are the keys of -z
     keys = np.round(rule.nodes, 10)
     node_set = set(map(tuple, keys.tolist()))
     missing = sum(1 for z in (-keys).tolist() if tuple(z) not in node_set)
-    results.append(CheckResult("rule-negation-symmetry", missing, 0.0, missing == 0))
+    results.append(_residual_row("rule-negation-symmetry", [missing], 0.0))
 
-    worst = 0.0
-    for _ in range(10):
-        xf = tuple(rng.uniform(-1.5, 1.5) for _ in range(d))
-        worst = max(worst, abs(complex(lk_mass(ev, xf)) - 1.0))
-    results.append(CheckResult("kernel-unit-mass", worst, 1e-12, worst <= 1e-12))
+    results.append(_residual_row("kernel-unit-mass", (
+        abs(complex(lk_mass(ev, _box(rng, d, 1.5))) - 1.0) for _ in range(10)
+    ), 1e-12))
 
-    worst = 0.0
-    pairs = 0
-    for n in range(0, 5):
-        for nu in monomial_basis(d, n):
-            for mm in range(0, 5 - n):
-                for mu in monomial_basis(d, mm):
-                    p = Polynomial.monomial(d, nu)
-                    qq = Polynomial.monomial(d, mu)
-                    want = fischer(p, qq)
-                    diff = fischer_via_gaussian(p, qq) - want
-                    worst = max(worst, float(abs(diff) / max(1, abs(want))))
-                    pairs += 1
-    results.append(
-        CheckResult(
-            "fischer-gaussian-agreement", worst, 1e-10, worst <= 1e-10,
-            note=f"{pairs} monomial pairs",
-        )
-    )
+    monomials = [[Polynomial.monomial(d, nu) for nu in monomial_basis(d, n)] for n in range(0, 5)]
+    pairs = [(p, q) for n in range(0, 5) for p in monomials[n] for qs in monomials[: 5 - n] for q in qs]
+    results.append(_residual_row("fischer-gaussian-agreement", (
+        float(abs(fischer_via_gaussian(p, q) - want) / max(1, abs(want)))
+        for p, q in pairs
+        for want in [fischer(p, q)]
+    ), 1e-10, note=f"{len(pairs)} monomial pairs"))
 
-    worst = 0.0
     hs = [hermite(nu) for n in range(0, 5) for nu in monomial_basis(d, n)]
     vals = np.stack([h.evaluate_many(rule.nodes) for h in hs])
     gram = (vals * rule.weights[None, :]) @ vals.T
-    worst = float(np.max(np.abs(gram - np.eye(len(hs)))))
-    results.append(CheckResult("hermite-orthonormality", worst, 1e-10, worst <= 1e-10))
+    results.append(_residual_row(
+        "hermite-orthonormality", [float(np.max(np.abs(gram - np.eye(len(hs)))))], 1e-10
+    ))
 
-    worst = 0.0
     ps = [
         Polynomial.monomial(d, nu)
         for n in range(min(6, n_trunc) + 1)
         for nu in monomial_basis(d, n)[:3]
     ]
-    for _ in range(3):
-        xf = tuple(rng.uniform(-0.8, 0.8) for _ in range(d))
-        for p, got in zip(ps, phi_x_apply(ev, xf, ps, rule)):
-            want = complex(intertwine(ctx, inverse_heat_half(p)).evaluate(xf))
-            worst = max(worst, abs(complex(got) - want))
-    results.append(
-        CheckResult("represents-intertwine-of-heatflow", worst, 1e-9, worst <= 1e-9)
-    )
+    results.append(_residual_row("represents-intertwine-of-heatflow", (
+        abs(complex(got) - complex(intertwine(ctx, inverse_heat_half(p)).evaluate(x)))
+        for x in [_box(rng, d, 0.8) for _ in range(3)]
+        for p, got in zip(ps, phi_x_apply(ev, x, ps, rule))
+    ), 1e-9))
 
-    worst = 0.0
-    for _ in range(3):
-        xf = tuple(rng.uniform(-0.8, 0.8) for _ in range(d))
-        s_route, q_route = phi_x_norm(ev, xf)
-        worst = max(worst, abs(s_route - q_route) / max(s_route, 1e-30))
-    results.append(CheckResult("functional-norm-two-routes", worst, 1e-6, worst <= 1e-6))
+    results.append(_residual_row("functional-norm-two-routes", (
+        abs(s_route - q_route) / max(s_route, 1e-30)
+        for s_route, q_route in (phi_x_norm(ev, _box(rng, d, 0.8)) for _ in range(3))
+    ), 1e-6))
 
-    worst = 0.0
     radius = certified_radius(ev, 1e-6, 1.0) * 0.9
-    for _ in range(5):
-        xf = tuple(rng.uniform(-radius / math.sqrt(d), radius / math.sqrt(d)) for _ in range(d))
-        yf = tuple(rng.uniform(-0.7, 0.7) for _ in range(d))
-        worst = max(worst, convolution_check(ev, xf, yf))
-    results.append(
-        CheckResult(
-            "exponential-convolution", worst, 1e-6, worst <= 1e-6,
-            note=f"{tail_kind(ctx)} |x| radius {radius:.4g}",
-        )
-    )
+    results.append(_residual_row("exponential-convolution", (
+        convolution_check(ev, _box(rng, d, radius / math.sqrt(d)), _box(rng, d, 0.7))
+        for _ in range(5)
+    ), 1e-6, note=f"{tail_kind(ctx)} |x| radius {radius:.4g}"))
 
     # the closed-form transform the signs suite's Fourier rows rest on,
     # against a 40-point rule on z^n e^{-iyz}, which is not a polynomial
-    worst = 0.0
     line = gauss_rule(1, 40)
-    for yv in (0.0, 0.7, 1.9):
-        y = (yv,) + (0.0,) * (d - 1)
-        for n in range(6):
-            got = fourier_quadrature(Polynomial.monomial(d, (n,) + (0,) * (d - 1)), y)
-            want = integrate(lambda z: z[:, 0] ** n * np.exp(-1j * yv * z[:, 0]), line)
-            worst = max(worst, abs(got - want))
-    results.append(CheckResult("gaussian-self-transform", worst, 1e-10, worst <= 1e-10))
+    results.append(_residual_row("gaussian-self-transform", (
+        abs(fourier_quadrature(Polynomial.monomial(d, (n,) + (0,) * (d - 1)), (yv,) + (0.0,) * (d - 1))
+            - integrate(lambda z: z[:, 0] ** n * np.exp(-1j * yv * z[:, 0]), line))
+        for yv in (0.0, 0.7, 1.9)
+        for n in range(6)
+    ), 1e-10))
     return results
 
 
@@ -619,15 +544,10 @@ def suite_signs(bundle: ContextBundle):
                 )
             )
         else:
-            results.append(
-                CheckResult(
-                    identity=f"{name}-convention-at-context-weight",
-                    max_residual=0.0,
-                    tolerance=0.0,
-                    passed=True,
-                    note="skipped: weight has entries with negative or complex real part",
-                )
-            )
+            results.append(_skipped_row(
+                f"{name}-convention-at-context-weight", 0.0,
+                "weight has entries with negative or complex real part",
+            ))
     return results
 
 
@@ -650,18 +570,11 @@ def _tail_degree(ev, x, y, tol, cap):
 def suite_positivity(bundle: ContextBundle):
     ctx = bundle.ctx
     d = ctx.dimension
-    results = []
     if not bundle.k.is_nonnegative:
-        results.append(
-            CheckResult(
-                identity="kernel-nonnegative-on-grid",
-                max_residual=0.0,
-                tolerance=POSITIVITY_TOL,
-                passed=True,
-                note="skipped: nonnegativity is only claimed for nonnegative real weights",
-            )
-        )
-        return results
+        return [_skipped_row(
+            "kernel-nonnegative-on-grid", POSITIVITY_TOL,
+            "nonnegativity is only claimed for nonnegative real weights",
+        )]
     # the degree the signs suite's bound picks in d = 2, so there the two share V tables
     n_trunc = max(bundle.degree, 18)
     x_axis, y_axis = (5, 7) if d <= 2 else (3, 5)
@@ -671,27 +584,14 @@ def suite_positivity(bundle: ContextBundle):
     xs = _grid_points(d, span, x_axis)
     ys = _grid_points(d, min(1.5 / math.sqrt(d), 2.0), y_axis)
     rep = positivity_scan(ev, xs, ys)
-    results.append(
-        CheckResult(
-            identity="kernel-nonnegative-on-grid",
-            max_residual=max(0.0, -rep.min_value),
-            tolerance=POSITIVITY_TOL,
-            passed=rep.min_value >= -POSITIVITY_TOL,
-            note=(
-                f"min {rep.min_value:.3g} over {rep.points} points, "
-                f"|x| <= {span * math.sqrt(d):.3g} (certified radius {radius:.3g})"
-            ),
-        )
+    note = (
+        f"min {rep.min_value:.3g} over {rep.points} points, "
+        f"|x| <= {span * math.sqrt(d):.3g} (certified radius {radius:.3g})"
     )
-    results.append(
-        CheckResult(
-            identity="kernel-real-for-real-weight",
-            max_residual=rep.max_abs_imag,
-            tolerance=1e-12,
-            passed=rep.max_abs_imag <= 1e-12,
-        )
-    )
-    return results
+    return [
+        _residual_row("kernel-nonnegative-on-grid", [-rep.min_value], POSITIVITY_TOL, note=note),
+        _residual_row("kernel-real-for-real-weight", [rep.max_abs_imag], 1e-12),
+    ]
 
 
 def _grid_points(d, span, per_axis):

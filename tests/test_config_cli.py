@@ -580,6 +580,23 @@ def test_cli_missing_config_is_config_error(capsys):
     assert main(["build", "--config", "/nonexistent/cfg.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError, "the request needs more memory than the process can get"),
+        (MemoryError("Unable to allocate 1.5 TiB"), "Unable to allocate 1.5 TiB"),
+    ],
+)
+def test_cli_memory_error_exits_3_without_traceback(tmp_path, monkeypatch, capsys, error, line):
+    def cmd_build(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_build", cmd_build)
+    assert main(["build", "--config", str(write_config(tmp_path))]) == cli.EXIT_MEMORY == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"out of memory: {line}\n")
+
+
 def test_cli_cache_dir_env_var(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"
     cache.mkdir()

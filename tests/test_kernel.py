@@ -33,6 +33,7 @@ from dunkl.kernel import (
 )
 from dunkl.operators import (
     TruncationError,
+    _norm,
     _recurrence_tail,
     _tail_term,
     _vk_monomial,
@@ -440,6 +441,25 @@ def test_positivity_grid_matches_pointwise(ev_b2):
             direct = complex(lk_series_value(ev_b2, x, y))
             assert abs(grid[i, j] - direct) < 1e-10
 
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["real-weight", "complex-weight"])
+def test_positivity_scan_matches_a_pointwise_scan(case):
+    # reference: the point-by-point scan, first minimum in row order
+    family, k_values, n_trunc, kw = GRID_CASES[case]
+    ev = make_ev(family, k_values, n_trunc, **kw)
+    xs = [(t, -t / 2) for t in np.linspace(-0.2, 0.2, 5)]
+    ys = [(t, 0.3) for t in np.linspace(-1.0, 1.0, 7)]
+    values = lk_grid(ev, xs, ys)
+    min_value, min_point, max_imag, max_tail = math.inf, None, 0.0, 0.0
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            tb = tail_bound(ev, _norm(x), _norm(y)).value
+            max_tail, max_imag = max(max_tail, tb), max(max_imag, abs(values[i, j].imag))
+            if values[i, j].real - tb < min_value:
+                min_value, min_point = values[i, j].real - tb, (x, y)
+    assert positivity_scan(ev, xs, ys) == (min_value, min_point, max_imag, max_tail, 35)
+    assert (max_imag > 0) == (case == 1)
 
 GRID_CASES = [
     ("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 12, dict(d=2)),

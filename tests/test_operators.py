@@ -131,15 +131,24 @@ def test_root_pairing_remainder_tolerance_follows_coefficient_type():
         divide_by_root_pairing(_table(p + 1e-3), alpha)
 
 
+@pytest.mark.parametrize(
+    "family, d", [("A", 3), ("A", 5), ("B", 2), ("B", 4), ("D", 4), ("Z2^d", 1), ("Z2^d", 3), ("G2", 3)]
+)
+def test_every_root_has_a_unit_entry(family, d):
+    # divide_by_root_pairing pivots on such an entry, so it never scales
+    roots = build_root_system(family, d=d).roots
+    assert all(any(abs(a) == 1 for a in alpha) for alpha in roots)
+
+
 def test_root_pairing_division_is_exact_on_integer_data():
-    # int numerators over an int root whose pivot is 2 (G2's long root): the
-    # numerators are scaled by 2^3, 3 the top power of x1, so every division
-    # by the pivot is exact and the quotient stays in integers
+    # int numerators over G2's long root (2, -1, -1): the pivot is the -1 of
+    # x2, not the 2 of x1, so the quotient keeps the input's denominator 1
+    # and stays in integers
     alpha = (2, -1, -1)
     x1, x2, x3 = (Polynomial.variable(3, j) for j in range(3))
     q = x1 * x1 + x2 * x3 * 3 - x3
     quotient = divide_by_root_pairing(_table((x1 * 2 - x2 - x3) * q), alpha)
-    assert quotient[1] == 2**3
+    assert quotient[1] == 1
     assert all(type(c) is int for c in quotient[0].values())
     assert _polynomial(3, quotient) == q
     g2 = context("G2", [Fraction(1, 2), Fraction(1)])

@@ -1,11 +1,16 @@
+import itertools
+import json
+import math
 from pathlib import Path
 
 import pytest
 
+from dunkl import kernel, verify
+from dunkl.cli import EXIT_VERIFY_FAIL, main
 from dunkl.config import build_bundle, load_context
 from dunkl.kernel import make_evaluator
 from dunkl.operators import monomial_basis
-from dunkl.verify import run_suite, suite_exact, suite_positivity, suite_signs
+from dunkl.verify import run_suite, suite_exact, suite_positivity, suite_quadrature, suite_signs
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +171,68 @@ def test_positivity_fills_and_reuses_the_context_table():
     before = dict(ctx.vk_cache)
     make_evaluator(ctx, 18)
     assert ctx.vk_cache.keys() == before.keys()
+
+
+def test_failing_comparisons_count_in_the_residual(monkeypatch):
+    # B2 has 4 positive roots and draws 3 points for each: corrupting the
+    # outer reflection of the first and the third comparison fails exactly
+    # those two, and nothing else in the suite moves
+    bundle = build_bundle({"family": "B", "d": 2, "k": "1/2", "N": 4})
+    clean = suite_exact(bundle)
+    calls = itertools.count()
+    exact_reflect = verify.reflect
+
+    def reflect(alpha, x):
+        image = exact_reflect(alpha, x)
+        return tuple(t + 1 for t in image) if next(calls) in (1, 5) else image
+
+    monkeypatch.setattr(verify, "reflect", reflect)
+    corrupted = suite_exact(bundle)
+    assert corrupted[0].identity == "reflection-involution"
+    assert (corrupted[0].passed, corrupted[0].max_residual) == (False, 2.0)
+    assert corrupted[0].note == clean[0].note == "12 exact comparisons"
+    assert corrupted[1:] == clean[1:]
+
+
+def test_verify_exits_1_when_a_row_fails(monkeypatch, tmp_path):
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "z21.json")
+    monkeypatch.setattr(verify, "reflect", lambda alpha, x: tuple(t + 1 for t in x))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--context", config, "--suite", "exact", "--out", str(out)]) == EXIT_VERIFY_FAIL
+    report = json.loads(out.read_text())
+    assert not report["passed"]
+    assert [r["identity"] for r in report["results"] if not r["passed"]] == ["reflection-involution"]
+
+
+def test_nan_convolution_residual_fails_its_row(z21_bundle, monkeypatch):
+    # the second of five draws reads NaN; a max fold starting from 0.0 drops it
+    calls = itertools.count()
+    check = verify.convolution_check
+    monkeypatch.setattr(
+        verify, "convolution_check",
+        lambda *args: math.nan if next(calls) == 1 else check(*args),
+    )
+    row = next(r for r in suite_quadrature(z21_bundle) if r.identity == "exponential-convolution")
+    assert not row.passed
+    assert math.isnan(row.max_residual)
+    assert row.note.startswith("certified |x| radius")
+
+
+@pytest.mark.parametrize(
+    "bad, failing",
+    [(math.nan, "kernel-nonnegative-on-grid"), (complex(0.5, math.nan), "kernel-real-for-real-weight")],
+    ids=["real-part", "imaginary-part"],
+)
+def test_nan_grid_value_fails_positivity(z21_bundle, monkeypatch, bad, failing):
+    grid = kernel.lk_grid
+
+    def lk_grid(ev, xs, ys):
+        values = grid(ev, xs, ys).astype(complex)
+        values[1, 2] = bad
+        return values
+
+    monkeypatch.setattr(kernel, "lk_grid", lk_grid)
+    rows = {r.identity: r for r in suite_positivity(z21_bundle)}
+    assert not rows[failing].passed
+    assert math.isnan(rows[failing].max_residual)
+    assert [r.passed for r in rows.values()].count(False) == 1
