@@ -4,15 +4,16 @@ Subcommands: build, intertwine, lambda-table, kernel-grid, ek-eval, verify,
 export-quadrature.  Output is plot-ready CSV or JSON on stdout (or --out);
 floats are printed with 17 significant digits so they round-trip.  ek-eval
 prints the correctly rounded truncated sum at the binary values of the
-floats it reads for --x and --y.  Exit
+floats it reads for --x and --y, and kernel-grid the correctly rounded
+truncated kernel L^(N)(x, y) at the binary values of its grid points.  Exit
 codes: 0 success, 1 verification failure, 2 configuration error, 3 out of
 memory: the commands raise, and main alone prints the one "configuration
 error: ..." line and returns 2, or the one "out of memory: ..." line and
 returns 3.  The context cache directory defaults to DUNKL_CACHE_DIR (or the working
-directory).  Only kernel-grid, verify and export-quadrature import the
-float layer and with it numpy; the exact commands never load it.  The
-package's records are collections.namedtuple classes or plain classes, so
-importing this module loads neither inspect nor typing.
+directory).  Only verify and export-quadrature import the float layer and
+with it numpy; every other command, kernel-grid included, never loads it.
+The package's records are collections.namedtuple classes or plain classes,
+so importing this module loads neither inspect nor typing.
 """
 from __future__ import annotations
 
@@ -182,7 +183,7 @@ def _truncation_degree(option, d):
 
 
 def cmd_kernel_grid(args) -> int:
-    from .kernel import certified_radius, lk_grid, make_evaluator, tail_bound
+    from .kernel import certified_radius, lk_values, make_evaluator, tail_bound
 
     bundle = load_context(args.context)
     d = bundle.group.dimension
@@ -204,7 +205,7 @@ def cmd_kernel_grid(args) -> int:
         raise ConfigError(
             f"refusing grid: tail bound {worst.value:.3g} at |x| = {worst.x_norm:.3g} {reason}"
         )
-    values = lk_grid(ev, xs, ys)
+    values = lk_values(ev, xs, ys)
     header = (
         ",".join(f"x{i + 1}" for i in range(d))
         + ","
@@ -214,7 +215,7 @@ def cmd_kernel_grid(args) -> int:
     lines = [header]
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
-            v = values[i, j]
+            v = values[i][j]
             coords = ",".join(_fmt(t) for t in x) + "," + ",".join(_fmt(t) for t in y)
             lines.append(f"{coords},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(tails[i][j].value)}")
     _write(args.out, "\n".join(lines) + "\n")
@@ -244,7 +245,7 @@ def cmd_verify(args) -> int:
 
     bundle = load_context(args.context)
     report = run_suite(bundle, args.suite, seed=args.seed)
-    text = json.dumps(report.to_json(), indent=1, sort_keys=True) + "\n"
+    text = json.dumps(report.to_json(), indent=1, sort_keys=True, allow_nan=False) + "\n"
     _write(args.out, text)
     if args.out:
         status = "PASS" if report.passed else "FAIL"

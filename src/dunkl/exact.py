@@ -232,25 +232,36 @@ def _powers(point, n):
     return [list(accumulate([t] * n, mul, initial=1)) for t in point]
 
 
-def _table_value(table, point):
-    """sum_nu nums[nu] / den point^nu for table = (nums, den) at an exact
-    point, in integers: with point = a / q over one q and D the top degree,
-    sum_nu nums[nu] a^nu q^(D - |nu|) over den q^D, the degrees joined by
-    Horner's rule in q.  A ComplexRational if anything complex enters."""
-    nums, den = table
-    q = math.lcm(*(t.denominator for t in point))
-    powers = _powers([_numerator(t, q) for t in point], max(map(sum, nums), default=0))
+def _table_sum(nums, axes, q):
+    """(sum_nu nums[nu] prod_i axes[i][nu_i] q^(D - |nu|), D), D the top
+    degree of nums: the one integer sum every evaluation runs.  With
+    axes[i][e] / q^e the value of a per-axis factor of degree e (the powers
+    a_i^e of a point a / q, or Hermite numerators), the sum over q^D is
+    sum_nu nums[nu] prod_i axes[i][nu_i] / q^|nu|, the degrees joined by
+    Horner's rule in q."""
     sums = {}
     for nu, c in nums.items():
         for i, e in enumerate(nu):
             if e:
-                c = c * powers[i][e]
+                c = c * axes[i][e]
         m = sum(nu)
         sums[m] = sums[m] + c if m in sums else c
     top = max(sums, default=0)
     total = 0
     for m in range(top + 1):
         total = total * q + sums.get(m, 0)
+    return total, top
+
+
+def _table_value(table, point):
+    """sum_nu nums[nu] / den point^nu for table = (nums, den) at an exact
+    point, in integers: with point = a / q over one q and D the top degree,
+    sum_nu nums[nu] a^nu q^(D - |nu|) over den q^D (_table_sum).  A
+    ComplexRational if anything complex enters."""
+    nums, den = table
+    q = math.lcm(*(t.denominator for t in point))
+    powers = _powers([_numerator(t, q) for t in point], max(map(sum, nums), default=0))
+    total, top = _table_sum(nums, powers, q)
     return _exact_value(total, den * q**top)
 
 

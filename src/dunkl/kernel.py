@@ -9,11 +9,14 @@ pieces E_n(x, .),
 two rearrangements of one double sum that differ only in the heat step.
 The series path heats E_n(x, .), whose coefficients homogeneous_kernel reads
 from the V table, with poly.heat_half.  The Hermite path contracts them with
-e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j), from poly.hermite_values, the one
-Hermite recurrence; at many points (lk_grid) it is one block product per
-degree of the V table, rounded once.  Against dgamma = (2 pi)^{-d/2}
-e^{-|y|^2/2} dy, L represents the composition of the intertwining operator
-with the inverse half-heat flow:
+e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j).  In integers (hermite_piece, and
+lk_values, which kernel-grid prints) it is evaluate_en's sum with the
+Hermite numerators of y in place of its powers, exact at the binary values
+of the points and rounded once; in floats at many points (lk_grid, which
+the quadrature and positivity checks read) it is one block product per
+degree of the V table, each entry rounded once.  Against
+dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy, L represents the composition of the
+intertwining operator with the inverse half-heat flow:
 
     integral L(x, y) (e^{-Lap/2} p)(y) dgamma(y) = V(p)(x),
 
@@ -46,12 +49,12 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-import numpy as np
-
-from .exact import _all_exact, _exact_table, _read_exact, _rounded_value, _table_value
+from .exact import _all_exact, _exact_table, _exact_value, _numerator, _read_exact
+from .exact import _rounded_value, _table_sum, _table_value
 from .operators import (
     DunklContext,
     TruncationError,
+    _en_table,
     _kernel_sum,
     _norm,
     _recurrence_tail,
@@ -63,15 +66,6 @@ from .operators import (
     monomial_basis,
 )
 from .poly import Polynomial, _combine, _multi_factorial, heat_half, hermite_values
-from .quad import (
-    QuadratureRule,
-    _node_values,
-    fourier_quadrature,
-    gauss_rule,
-    gaussian_integral,
-    gaussian_moment,
-    integrate,
-)
 from .reflection_groups import act_on_polynomial, mat_vec
 
 
@@ -99,9 +93,10 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvalu
     """Fill the context's own exact V table up to the truncation degree.
 
     Whether a value is exact or a float follows from the point: rational
-    points give exact values, float points floats, and lk_grid rounds each
-    table entry once.  The heat step needs no table: e^{-Lap/2} y^nu at y is
-    prod_j He_{nu_j}(y_j), from per-axis poly.hermite_values.
+    points give exact values, float points their exact values rounded once;
+    lk_grid alone rounds each table entry once and sums in floats.  The heat
+    step needs no table: e^{-Lap/2} y^nu at y is prod_j He_{nu_j}(y_j), from
+    per-axis Hermite values.
     exact_tables is ignored; the benchmark harness in bench/ still passes it.
     """
     ctx.prepare(n_trunc)
@@ -145,15 +140,57 @@ def lk_series_value(ev: KernelEvaluator, x, y):
     return total
 
 
+def _hermite_numerators(b, r, n):
+    """[h_0, ..., h_n] with He_e(b / r) = h_e / r^e, in integers (Gaussian
+    integers for a complex b): He_{e+1}(z) = z He_e(z) - e He_{e-1}(z)
+    becomes h_{e+1} = b h_e - e r^2 h_{e-1}."""
+    h = [1, b][: n + 1]
+    r2 = r * r
+    for e in range(1, n):
+        h.append(b * h[e] - e * r2 * h[e - 1])
+    return h
+
+
+def _hermite_axes(y, n):
+    """(axes, r) at an exact point y = b / r: per axis the Hermite numerators
+    to degree n, the y side of the Hermite path (exact._table_sum)."""
+    r = math.lcm(*(t.denominator for t in y))
+    return [_hermite_numerators(_numerator(t, r), r, n) for t in y], r
+
+
+def _hermite_sum(table, axes, rounded):
+    """sum_nu nums[nu] / den He_nu(y) for table = (nums, den) and (axes, r) =
+    _hermite_axes(y, .): exact, or rounded once."""
+    (nums, den), (he, r) = table, axes
+    total, top = _table_sum(nums, he, r)
+    return (_rounded_value if rounded else _exact_value)(total, den * r**top)
+
+
 def hermite_piece(ev: KernelEvaluator, n, x, y):
     """Hermite path, degree n: the coefficients V(x^nu)(x) / nu! of E_n(x, .)
     contracted with e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j), so no square
-    roots enter."""
-    he = [hermite_values(t, n) for t in y]
-    total = 0
-    for nu, c in homogeneous_kernel(ev.ctx, n, x).terms.items():
-        total = total + c * math.prod(h[e] for h, e in zip(he, nu))
-    return total
+    roots enter.  evaluate_en's integer sum with Hermite numerators for the
+    powers of y: exact at the points' binary values (exact._read_exact), and
+    rounded once if a coordinate is a float."""
+    (x, rx), (y, ry) = _read_exact(x), _read_exact(y)
+    return _hermite_sum(_en_table(ev.ctx, n, x), _hermite_axes(y, n), rx or ry)
+
+
+def lk_values(ev: KernelEvaluator, xs, ys) -> list:
+    """Hermite-path kernel values L^(N)(x, y) on a product grid, values[i][j]
+    at (xs[i], ys[j]), each exact at the points' binary values and rounded
+    once if a coordinate is a float.  Per x, the coefficients V(x^nu)(x) /
+    nu! of every degree (_en_table) are put over one denominator once, per
+    y the Hermite numerators are formed once, and each pair is then one
+    integer sum."""
+    sides = [(_hermite_axes(y, ev.n_trunc), ry) for y, ry in map(_read_exact, ys)]
+    out = []
+    for x, rx in map(_read_exact, xs):
+        tables = [_en_table(ev.ctx, n, x) for n in range(ev.n_trunc + 1)]
+        den = math.lcm(*(part_den for _, part_den in tables))
+        nums = {nu: c * (den // part_den) for part, part_den in tables for nu, c in part.items()}
+        out.append([_hermite_sum((nums, den), axes, rx or ry) for axes, ry in sides])
+    return out
 
 
 LkValue = namedtuple("LkValue", "value tail")
@@ -209,14 +246,18 @@ def lk_mass(ev: KernelEvaluator, x):
     """integral of L^(N)(x, .) dgamma, the series-path polynomial integrated
     from the Gaussian moments; the integral of e^{-Lap/2} E_n(x, .) is
     E_n(x, 0), so the value is 1 up to roundoff, and exactly 1 on exact data."""
+    from .quad import gaussian_integral
+
     return gaussian_integral(lk_polynomial(ev, x))
 
 
-def phi_x_apply(ev: KernelEvaluator, x, fs, rule: QuadratureRule) -> list:
+def phi_x_apply(ev: KernelEvaluator, x, fs, rule) -> list:
     """The extended functional on each f in fs: integral of
     L^(N)(x, y) f(y) dgamma(y) on the rule, for any f, polynomial or not (see
     quad._node_values), with L^(N)(x, .) read at the rule's nodes from
     lk_grid once for all of fs."""
+    from .quad import _node_values, integrate
+
     lk = lk_grid(ev, [x], rule.nodes)[0]
     return [integrate(lambda nodes: lk * _node_values(f, nodes), rule) for f in fs]
 
@@ -230,6 +271,10 @@ def phi_x_norm(ev: KernelEvaluator, x):
     in parity in every coordinate (the other moments vanish).  At matching
     truncation the routes agree up to roundoff.
     """
+    import numpy as np
+
+    from .quad import gaussian_moment
+
     coeff_sq = 0.0
     for n in range(ev.n_trunc + 1):
         for nu, c in homogeneous_kernel(ev.ctx, n, x).terms.items():
@@ -261,6 +306,10 @@ def convolution_check(ev: KernelEvaluator, x, y):
     be heat_half undoing the heat step that built L; the residual is
     truncation tail plus roundoff.
     """
+    import numpy as np
+
+    from .quad import gauss_rule
+
     rule = gauss_rule(ev.dimension, (ev.n_trunc + 2) // 2)
     lhs, _ = _kernel_sum(ev.ctx, _read_exact(x)[0], _read_exact(y)[0], ev.n_trunc)
     pts = rule.nodes + np.asarray([float(t) for t in y])[None, :]
@@ -332,6 +381,8 @@ def fourier_check(ev: KernelEvaluator, x, y):
     Compares the transform of e^{-|z|^2/2} E(+-i x, z), the truncated series
     transformed term by term in closed form (quad.fourier_quadrature),
     against e^{-|y|^2/2} L(x, y)."""
+    from .quad import fourier_quadrature
+
     y_norm = _norm(y)
     window = math.exp(-(y_norm**2) / 2.0)
     target = window * complex(lk_series_value(ev, x, y))
@@ -420,6 +471,8 @@ def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
     """Minimum of Re L^(N) - tail over a product grid, plus the largest
     imaginary part (which must vanish for real weights); a NaN grid value
     makes the minimum, or the largest imaginary part, NaN."""
+    import numpy as np
+
     values = lk_grid(ev, xs, ys)
     tails = np.array([[tail_bound(ev, xn, _norm(y)).value for y in ys] for xn in map(_norm, xs)])
     adjusted = values.real - tails
@@ -434,6 +487,8 @@ def _degree_blocks(ev: KernelEvaluator):
     """Per degree n <= N: the exponents of P_n's basis as a (b_n, d) array and
     the b_n x b_n block [x^mu] V(x^nu) / nu! of the V table, each entry the
     exact one rounded once (complex where any entry is)."""
+    import numpy as np
+
     if ev._blocks is None:
         d = ev.dimension
         ev._blocks = []
@@ -450,11 +505,14 @@ def _degree_blocks(ev: KernelEvaluator):
     return ev._blocks
 
 
-def lk_grid(ev: KernelEvaluator, xs, ys) -> np.ndarray:
-    """Hermite-path kernel values on a product grid, one block product per
-    degree: the monomials x^mu from per-axis power tables, times the block of
-    the V table, times the He_nu(y) = prod_j He_{nu_j}(y_j) from per-axis
-    Hermite values (poly.hermite_values)."""
+def lk_grid(ev: KernelEvaluator, xs, ys):
+    """Hermite-path kernel values on a product grid in floats, as a numpy
+    array, one block product per degree: the monomials x^mu from per-axis
+    power tables, times the block of the V table, times the He_nu(y) =
+    prod_j He_{nu_j}(y_j) from per-axis Hermite values
+    (poly.hermite_values).  lk_values gives the exact sums, rounded once."""
+    import numpy as np
+
     d = ev.dimension
     xs_arr = np.asarray(xs, dtype=float).reshape(len(xs), d)
     ys_arr = np.asarray(ys, dtype=float).reshape(len(ys), d)

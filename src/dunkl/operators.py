@@ -48,8 +48,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import ComplexRational, SingularMatrixError, _exact_table, _exact_value
-from .exact import _numerator, _powers, _read_exact, _rounded_value, invert_matrix, solve_columns
+from .exact import ComplexRational, SingularMatrixError, _exact_table, _exact_value, solve_columns
+from .exact import _numerator, _powers, _read_exact, _rounded_value, _table_sum, invert_matrix
 from .poly import Polynomial, _combination, _combine, _multi_factorial, _polynomial
 from .poly import _to_float_scalar, combination
 from .reflection_groups import act_on_polynomial, dot, mat_vec, monomial_image, reflection_matrix
@@ -708,25 +708,26 @@ def _kernel_sum(ctx: DunklContext, x, y, n_trunc):
     return total, abs(complex(term))
 
 
+def _en_table(ctx: DunklContext, n, x):
+    """E_n(x, .)'s coefficients at an exact point x as one table (nums, den):
+    V(x^nu)(x) / nu! = nums[nu] / den for each row of _vk_values, over the
+    lcm of the den_nu q^n nu!."""
+    q, rows = _vk_values(ctx, n, x)
+    dens = [den * _multi_factorial(nu) for nu, _, den in rows]
+    common = math.lcm(*dens)
+    return {nu: s * (common // den) for (nu, s, _), den in zip(rows, dens)}, common * q**n
+
+
 def evaluate_en(ctx: DunklContext, n, x, y):
     """E_n(x, y) = sum_nu V(x^nu)(x) y^nu / nu! at numeric points, in integers
-    over one denominator: with x = a / q, y = b / r and V(x^nu)(x) =
-    s_nu / (den_nu q^n) (_vk_values), the sum of s_nu b^nu L / (den_nu nu!)
-    over L q^n r^n, L the lcm of the den_nu nu!.  A float coordinate is read
+    over one denominator: E_n(x, .)'s table (_en_table) summed at y = b / r
+    over the powers of b (exact._table_sum).  A float coordinate is read
     as its binary value (exact._read_exact), and then the sum is rounded
     once: the value homogeneous_kernel(ctx, n, x).evaluate(y) has at the
     exact points, with no polynomial formed."""
     (x, rx), (y, ry) = _read_exact(x), _read_exact(y)
-    q, rows = _vk_values(ctx, n, x)
+    nums, den = _en_table(ctx, n, x)
     r = math.lcm(*(t.denominator for t in y))
-    powers = _powers([_numerator(t, r) for t in y], n)
-    dens = [den * _multi_factorial(nu) for nu, _, den in rows]
-    common = math.lcm(*dens)
-    total = 0
-    for (nu, s, _), den in zip(rows, dens):
-        for i, e in enumerate(nu):
-            if e:
-                s = s * powers[i][e]
-        total = total + s * (common // den)
+    total, top = _table_sum(nums, _powers([_numerator(t, r) for t in y], n), r)
     value = _rounded_value if rx or ry else _exact_value
-    return value(total, common * q**n * r**n)
+    return value(total, den * r**top)

@@ -106,11 +106,13 @@ class SuiteReport:
         return all(r.passed for r in self.results)
 
     def to_json(self):
+        """The report as strict JSON data: a residual or tolerance that is not
+        finite is the string "nan", "inf" or "-inf"."""
         rows = []
         for r in self.results:
             row = r._asdict()
-            row["max_residual"] = float(row["max_residual"])
-            row["tolerance"] = float(row["tolerance"])
+            row["max_residual"] = _json_float(row["max_residual"])
+            row["tolerance"] = _json_float(row["tolerance"])
             row["passed"] = bool(row["passed"])
             rows.append(row)
         return {
@@ -120,6 +122,11 @@ class SuiteReport:
             "passed": bool(self.passed),
             "results": rows,
         }
+
+
+def _json_float(v):
+    v = float(v)
+    return v if math.isfinite(v) else repr(v)
 
 
 def _rand_fraction(rng, span=3, den=4):
@@ -400,7 +407,8 @@ def suite_series(bundle: ContextBundle, seed=0):
             yield computed - tail_bound(ev, _length(x), _length(y), n0).value
     results.append(_residual_row("tail-dominates-computed-terms", tail_shortfall(), 0.0))
 
-    # the series path against lk_grid, the Hermite path kernel-grid prints
+    # the series path against lk_grid, the float block products of the
+    # Hermite path that the quadrature and positivity rows read
     pairs = [(_box(rng, d, 1.0), _box(rng, d, 1.0)) for _ in range(6)]
     grid = lk_grid(ev, [x for x, _ in pairs], [y for _, y in pairs])
     results.append(_residual_row("kernel-two-path-float", (

@@ -668,26 +668,46 @@ def test_import_set_has_no_numpy_dataclasses_inspect_or_typing():
 
 
 def test_exact_commands_run_without_numpy(tmp_path):
-    """build, intertwine, lambda-table and ek-eval exit 0 with numpy blocked,
-    and print and cache byte for byte what a normal run does."""
+    """build, intertwine, lambda-table, ek-eval and kernel-grid exit 0 with
+    numpy blocked, and print and cache byte for byte what a normal run does;
+    a refused grid exits 2 with one line and no traceback."""
     commands = (
         ["build", "--config", str(B2_CONFIG), "--out", "b2.ctx.json"],
         ["intertwine", "--context", "b2.ctx.json", "--poly", "x1^3 x2 - 2/3 * x2^4 + x1"],
         ["lambda-table", "--context", "b2.ctx.json"],
         ["ek-eval", "--context", "b2.ctx.json", "--x", "0.1,0.2", "--y", "1,0.5"],
+        ["kernel-grid", "--context", "b2.ctx.json", "--grid", "x1:0:0.04:0.02,x2:-0.01,y1:-1:1:1",
+         "--tol", "1e-8"],
     )
+    run = "from dunkl.cli import main; sys.exit(main(sys.argv[1:]))"
     runs = {}
     for label, prefix in (("blocked", NO_NUMPY), ("normal", "import sys; ")):
         cwd = tmp_path / label
         cwd.mkdir()
         outs = []
         for argv in commands:
-            proc = _python(prefix + "from dunkl.cli import main; sys.exit(main(sys.argv[1:]))",
-                           *argv, cwd=cwd)
+            proc = _python(prefix + run, *argv, cwd=cwd)
             assert proc.returncode == 0, (label, argv, proc.stderr)
             outs.append(proc.stdout)
         runs[label] = outs, (cwd / "b2.ctx.json").read_bytes()
     assert runs["blocked"] == runs["normal"]
+    refused = ["kernel-grid", "--context", "b2.ctx.json", "--grid", "x1:0:1:0.5,y1:0:1:0.5",
+               "--tol", "1e-8"]
+    proc = _python(NO_NUMPY + run, *refused, cwd=tmp_path / "blocked")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("configuration error: refusing grid")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_kernel_grid_loads_no_numpy():
+    probe = (
+        "import sys, contextlib, io; from dunkl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
+    proc = _python(probe, "kernel-grid", "--context", str(B2_CONFIG), "--grid", "x1:0.02,y1:-1:1:1")
+    assert (proc.returncode, proc.stdout.strip()) == (0, "0 False"), proc.stderr
 
 
 def test_quadrature_suite_runs_in_six_dimensions():

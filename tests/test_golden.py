@@ -25,11 +25,17 @@ ek-eval prints the exact truncated sum there rounded once, and its last
 term likewise, which moved the value (a2, z21neg) or the last term (a2, b2,
 b2c, g2) by an ulp (tests/test_kernel.py checks both against the exact
 sums), and a --grid range is formed in exact decimals, which moved one x1
-of b2-degree-30 from 0.05000000000000002 to 0.05.  It also hashes the CSV that
-`kernel-grid` prints for each grid in GRIDS, which pins lk_grid's float
-operations, and the rows of `verify --suite all` on each system in
-VERIFY_SYSTEMS without their residuals (identity, tolerance, pass flag,
-convention and note), which pins every verdict the suites reach.
+of b2-degree-30 from 0.05000000000000002 to 0.05.  The three kernel-grid
+digests were recorded again when kernel-grid stopped printing lk_grid's
+float block products and began to print the exact truncated L^(N)(x, y) at
+the binary values of the grid points, rounded once: values moved by a few
+ulps, and test_kernel_grid_prints_the_exact_truncation_rounded_once checks
+every printed value against the exact series-path sum.  It also hashes the
+CSV that `kernel-grid` prints for each grid in GRIDS, which pins the
+Hermite path's values and the tail bounds, and the rows of `verify --suite
+all` on each system in VERIFY_SYSTEMS without their residuals (identity,
+tolerance, pass flag, convention and note), which pins every verdict the
+suites reach.
 
 Print the digests of the current code with
 
@@ -41,6 +47,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -73,6 +80,16 @@ GRIDS = {
     ),
 }
 
+# kernel-grid argv whose printed values are checked against the exact sum:
+# GRIDS, a complex weight and rank one
+ROUNDING_GRIDS = {
+    **GRIDS,
+    "b2c-degree-14": (
+        "configs/b2c.json", "--grid", "x1:-0.04:0.04:0.04,x2:0.02,y1:-1:1:1,y2:0.5", "--tol", "1e-8"
+    ),
+    "z21-degree-14": ("configs/z21.json", "--grid", "x1:-0.3:0.3:0.3,y1:-1:1:0.5", "--tol", "1e-8"),
+}
+
 # the systems whose `verify --suite all` rows are pinned in VERIFY_GOLDEN
 VERIFY_SYSTEMS = ("a2", "b2", "b2c", "z21", "z21neg")
 
@@ -85,9 +102,9 @@ VERIFY_GOLDEN = {
 }
 
 GRID_GOLDEN = {
-    "b2-degree-14": "9c73db76ef251e8e57cc9385ef1dc9edbe0ab8706b794b042d994fcb8d5edbda",
-    "b2-degree-30": "ac337e89abefb7d4c6bded997142f620ffb0a1344645ed38b5d68628d54b1b3d",
-    "a2-degree-10": "8e10e5df8f55e1d9bba81890a4b6e72dc6f2877fa6498868dc309317fa0317e7",
+    "b2-degree-14": "048752f0a11c78af07b2e1de9982ff2417a609d9b0ec3fdefe4e0e83834f7d6b",
+    "b2-degree-30": "e6d436dcab78d483cdbf861a067781fb4c5427062eb36479028a69ab58050eba",
+    "a2-degree-10": "f263231d48f819424edcf49e66cd7567608acc836d0250df2479ce8a3f9f8ed4",
 }
 
 GOLDEN = {
@@ -220,6 +237,35 @@ def grid_digest(name):
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_kernel_grid_matches_golden_digest(name):
     assert grid_digest(name) == GRID_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDING_GRIDS))
+def test_kernel_grid_prints_the_exact_truncation_rounded_once(name):
+    """Each value kernel-grid prints is the exact truncated L^(N)(x, y) at the
+    binary values of the printed point (17 digits round-trip), each part
+    rounded once.  The reference is the series path: lk_polynomial at the
+    exact x, a polynomial in y, evaluated at the exact y."""
+    from dunkl.cli import _truncation_degree
+    from dunkl.config import load_context
+    from dunkl.kernel import lk_polynomial, make_evaluator
+
+    config, *argv = ROUNDING_GRIDS[name]
+    code, text = _run("kernel-grid", "--context", str(ROOT / config), *argv)
+    assert code == 0, (name, code)
+    bundle = load_context(str(ROOT / config))
+    d = bundle.ctx.dimension
+    degree = int(argv[argv.index("--degree") + 1]) if "--degree" in argv else None
+    ev = make_evaluator(bundle.ctx, _truncation_degree(degree, d))
+    series = {}
+    rows = text.splitlines()[1:]
+    for line in rows:
+        fields = [float(t) for t in line.split(",")]
+        x, y = (tuple(map(Fraction, fields[i : i + d])) for i in (0, d))
+        if x not in series:
+            series[x] = lk_polynomial(ev, x)
+        exact = series[x].evaluate(y)
+        assert fields[2 * d : 2 * d + 2] == [float(exact.real), float(exact.imag)], (name, line)
+    assert len(rows) >= 9
 
 
 def verify_rows_digest(name):

@@ -24,6 +24,7 @@ from dunkl.kernel import (
     lk_mass,
     lk_polynomial,
     lk_series_value,
+    lk_values,
     make_evaluator,
     phi_x_apply,
     phi_x_norm,
@@ -504,6 +505,30 @@ def test_lk_grid_block_entries_are_rounded_once(family, k_values, n_trunc, kw):
         assert block.tolist() == want
         is_complex = any(isinstance(c, complex) for row in want for c in row)
         assert block.dtype.kind == ("c" if is_complex else "f")
+
+
+@pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
+def test_lk_values_is_the_series_sum_exact_or_rounded_once(family, k_values, n_trunc, kw):
+    # the integer Hermite path against the series path: equal at exact
+    # points, and at float points the exact value at their binary values
+    # rounded once; hermite_piece is the same sum for one degree
+    ev = make_ev(family, k_values, n_trunc, **kw)
+    d = ev.dimension
+    rng = np.random.default_rng(5)
+    xs = [tuple(rng.uniform(-0.3, 0.3, d)) for _ in range(2)]
+    ys = [tuple(rng.uniform(-1.5, 1.5, d)) for _ in range(3)]
+    exact_xs, exact_ys = [_rational(x) for x in xs], [_rational(y) for y in ys]
+    exact = lk_values(ev, exact_xs, exact_ys)
+    rounded = lk_values(ev, xs, ys)
+    for i, x in enumerate(exact_xs):
+        for j, y in enumerate(exact_ys):
+            want = lk_series_value(ev, x, y)
+            assert exact[i][j] == want == sum(hermite_piece(ev, n, x, y) for n in range(n_trunc + 1))
+            assert rounded[i][j] == _rounded(want)
+            assert isinstance(rounded[i][j], (float, complex))
+    assert hermite_piece(ev, n_trunc, xs[0], ys[0]) == _rounded(
+        hermite_piece(ev, n_trunc, exact_xs[0], exact_ys[0])
+    )
 
 
 def _correctly_rounded_kernel(ctx, n, x):

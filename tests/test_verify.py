@@ -218,6 +218,31 @@ def test_nan_convolution_residual_fails_its_row(z21_bundle, monkeypatch):
     assert row.note.startswith("certified |x| radius")
 
 
+def test_verify_out_writes_strict_json_for_a_nan_residual(monkeypatch, tmp_path, capsys):
+    # the same NaN draw, through `dunkl verify --out`: the residual is the
+    # string "nan", which strict JSON parsers read; bare NaN is not JSON
+    calls = itertools.count()
+    check = verify.convolution_check
+    monkeypatch.setattr(
+        verify, "convolution_check",
+        lambda *args: math.nan if next(calls) == 1 else check(*args),
+    )
+    config = Path(__file__).resolve().parent.parent / "configs" / "z21.json"
+    out = tmp_path / "report.json"
+    argv = ["verify", "--context", str(config), "--suite", "quadrature", "--out", str(out)]
+    assert main(argv) == EXIT_VERIFY_FAIL
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    rows = {row["identity"]: row for row in report["results"]}
+    assert rows["exponential-convolution"]["max_residual"] == "nan"
+    assert not rows["exponential-convolution"]["passed"] and not report["passed"]
+    assert [row["passed"] for row in rows.values()].count(False) == 1
+    assert "quadrature: FAIL" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "bad, failing",
     [(math.nan, "kernel-nonnegative-on-grid"), (complex(0.5, math.nan), "kernel-real-for-real-weight")],
