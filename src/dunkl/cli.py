@@ -137,6 +137,8 @@ def _floats(texts, where):
 
 
 GRID_POINT_CAP = 1_000_000  # (x, y) pairs in one --grid
+# kernel-grid's pairs times C(N + d, d) monomials: 2e7 take 9-16 s on B2
+GRID_TERM_CAP = 20_000_000
 
 
 def parse_grid(spec: str, d: int):
@@ -190,6 +192,10 @@ def cmd_kernel_grid(args) -> int:
     degree = _truncation_degree(args.degree, d)
     xs, ys = parse_grid(args.grid, d)
     tol = _tolerance(args.tol)
+    terms = len(xs) * len(ys) * math.comb(degree + d, d)
+    if terms > GRID_TERM_CAP:
+        raise ConfigError(f"refusing grid: {len(xs) * len(ys)} (x, y) pairs at degree {degree} are "
+                          f"an estimated {terms:.3g} terms, above the cap of {GRID_TERM_CAP:.3g}")
     ev = make_evaluator(bundle.ctx, degree)
     y_norms = [math.hypot(*y) for y in ys]
     tails = [[tail_bound(ev, xn, yn) for yn in y_norms] for xn in (math.hypot(*x) for x in xs)]

@@ -232,13 +232,14 @@ def _powers(point, n):
     return [list(accumulate([t] * n, mul, initial=1)) for t in point]
 
 
-def _table_sum(nums, axes, q):
-    """(sum_nu nums[nu] prod_i axes[i][nu_i] q^(D - |nu|), D), D the top
-    degree of nums: the one integer sum every evaluation runs.  With
-    axes[i][e] / q^e the value of a per-axis factor of degree e (the powers
-    a_i^e of a point a / q, or Hermite numerators), the sum over q^D is
-    sum_nu nums[nu] prod_i axes[i][nu_i] / q^|nu|, the degrees joined by
-    Horner's rule in q."""
+def _table_sum(table, axes, q, rounded=False):
+    """sum_nu nums[nu] / den prod_i axes[i][nu_i] / q^|nu| for table =
+    (nums, den): the one integer sum every evaluation runs, axes[i][e] / q^e
+    being the value of a per-axis factor of degree e (the powers a_i^e of a
+    point a / q, or Hermite numerators).  The degrees are joined by Horner's
+    rule in q over den q^D, D the top degree of nums, and divided once:
+    exact, or rounded once if rounded."""
+    nums, den = table
     sums = {}
     for nu, c in nums.items():
         for i, e in enumerate(nu):
@@ -250,19 +251,16 @@ def _table_sum(nums, axes, q):
     total = 0
     for m in range(top + 1):
         total = total * q + sums.get(m, 0)
-    return total, top
+    return (_rounded_value if rounded else _exact_value)(total, den * q**top)
 
 
-def _table_value(table, point):
+def _table_value(table, point, rounded=False):
     """sum_nu nums[nu] / den point^nu for table = (nums, den) at an exact
-    point, in integers: with point = a / q over one q and D the top degree,
-    sum_nu nums[nu] a^nu q^(D - |nu|) over den q^D (_table_sum).  A
-    ComplexRational if anything complex enters."""
-    nums, den = table
+    point a / q, over one q: _table_sum over the powers of a.  A
+    ComplexRational if anything complex enters; rounded once if rounded."""
     q = math.lcm(*(t.denominator for t in point))
-    powers = _powers([_numerator(t, q) for t in point], max(map(sum, nums), default=0))
-    total, top = _table_sum(nums, powers, q)
-    return _exact_value(total, den * q**top)
+    powers = _powers([_numerator(t, q) for t in point], max(map(sum, table[0]), default=0))
+    return _table_sum(table, powers, q, rounded)
 
 
 # -- parsing / formatting ----------------------------------------------------

@@ -7,8 +7,10 @@ pieces E_n(x, .),
             = sum_nu V(phi_nu)(x) H_nu(y),          phi_nu = x^nu / sqrt(nu!),
 
 two rearrangements of one double sum that differ only in the heat step.
-The series path heats E_n(x, .), whose coefficients homogeneous_kernel reads
-from the V table, with poly.heat_half.  The Hermite path contracts them with
+The series path maps E_n(x, .)'s integer table (operators._en_table) by the
+integer heat rows of poly._heat, per degree and, for L^(N)(x, .), once on
+every degree's table over one denominator (_series_table, cached on the
+exact x).  The Hermite path contracts the same coefficients with
 e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j).  In integers (hermite_piece, and
 lk_values, which kernel-grid prints) it is evaluate_en's sum with the
 Hermite numerators of y in place of its powers, exact at the binary values
@@ -49,8 +51,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import _all_exact, _exact_table, _exact_value, _numerator, _read_exact
-from .exact import _rounded_value, _table_sum, _table_value
+from .exact import _exact_table, _exact_value, _numerator, _read_exact, _rounded_value
+from .exact import _table_sum, _table_value
 from .operators import (
     DunklContext,
     TruncationError,
@@ -65,7 +67,7 @@ from .operators import (
     intertwine,
     monomial_basis,
 )
-from .poly import Polynomial, _combine, _multi_factorial, heat_half, hermite_values
+from .poly import Polynomial, _combine, _heat, _multi_factorial, _polynomial, hermite_values
 from .reflection_groups import act_on_polynomial, mat_vec
 
 
@@ -74,13 +76,14 @@ TailBound = namedtuple("TailBound", "n_trunc x_norm y_norm value")
 
 
 class KernelEvaluator:
-    """Per-degree tables for one context and truncation degree, from which
-    the truncated kernel L^(N)(x, .) is built as a polynomial in y."""
+    """One context and truncation degree N, with the caches of the kernel
+    paths: the series table of L^(N)(x, .) per exact x, the tail bounds, and
+    lk_grid's blocks."""
 
     def __init__(self, ctx: DunklContext, n_trunc):
         self.ctx = ctx
         self.n_trunc = n_trunc
-        self._heat_images = {}  # (x, exact, n) -> polynomial in y
+        self._series_tables = {}  # exact x -> the table of L^(N)(x, .) in y
         self._tail_cache = {}
         self._blocks = None  # per-degree exponent arrays and V blocks, for lk_grid
 
@@ -94,9 +97,7 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvalu
 
     Whether a value is exact or a float follows from the point: rational
     points give exact values, float points their exact values rounded once;
-    lk_grid alone rounds each table entry once and sums in floats.  The heat
-    step needs no table: e^{-Lap/2} y^nu at y is prod_j He_{nu_j}(y_j), from
-    per-axis Hermite values.
+    lk_grid alone rounds each table entry once and sums in floats.
     exact_tables is ignored; the benchmark harness in bench/ still passes it.
     """
     ctx.prepare(n_trunc)
@@ -106,38 +107,50 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvalu
     return KernelEvaluator(ctx, n_trunc)
 
 
-def _point_key(x):
-    """A cache key for the point x that tells an exact point from a float one
-    (Fraction(0.35) == 0.35 and the two hash alike), by the test with which
-    exact._read_exact tells homogeneous_kernel to round its coefficients."""
-    return tuple(x), _all_exact(x)
-
-
 # -- the two evaluation paths ---------------------------------------------------
 
 def heat_image(ev: KernelEvaluator, n, x) -> Polynomial:
-    """Series path, degree n: e^{-Lap/2} E_n(x, .) as a polynomial in y."""
-    key = (*_point_key(x), n)
-    cached = ev._heat_images.get(key)
-    if cached is None:
-        cached = heat_half(homogeneous_kernel(ev.ctx, n, x))
-        ev._heat_images[key] = cached
-    return cached
+    """Series path, degree n: e^{-Lap/2} E_n(x, .) as a polynomial in y, E_n's
+    table heated (poly._heat), exact at the binary value of x and rounded
+    once if a coordinate is a float."""
+    x, rounded = _read_exact(x)
+    return _polynomial(ev.dimension, _heat(_en_table(ev.ctx, n, x), -1), rounded)
+
+
+def heat_piece(ev: KernelEvaluator, n, x, y):
+    """Series path, degree n: (e^{-Lap/2} E_n(x, .))(y), heat_image's table
+    summed at y, exact at the points' binary values or rounded once."""
+    (x, rx), (y, ry) = _read_exact(x), _read_exact(y)
+    return _table_value(_heat(_en_table(ev.ctx, n, x), -1), y, rx or ry)
+
+
+def _en_tables(ev: KernelEvaluator, x):
+    """E_n(x, .)'s tables of every degree n <= N at an exact point x, over
+    one denominator: the coefficients V(x^nu)(x) / nu! of L^(N)'s x side."""
+    return _combine((1, _en_table(ev.ctx, n, x)) for n in range(ev.n_trunc + 1))
+
+
+def _series_table(ev: KernelEvaluator, x):
+    """L^(N)(x, .) at an exact point x as one table in y: _en_tables heated
+    once, cached on the point."""
+    key = tuple(x)
+    if key not in ev._series_tables:
+        ev._series_tables[key] = _heat(_en_tables(ev, x), -1)
+    return ev._series_tables[key]
 
 
 def lk_polynomial(ev: KernelEvaluator, x) -> Polynomial:
-    """The truncated kernel L^(N)(x, .) as a polynomial in y (series path)."""
-    total = Polynomial.zero(ev.dimension)
-    for n in range(ev.n_trunc + 1):
-        total = total + heat_image(ev, n, x)
-    return total
+    """The truncated kernel L^(N)(x, .) as a polynomial in y (series path),
+    exact at the binary value of x or each coefficient rounded once."""
+    x, rounded = _read_exact(x)
+    return _polynomial(ev.dimension, _series_table(ev, x), rounded)
 
 
 def lk_series_value(ev: KernelEvaluator, x, y):
-    total = 0
-    for n in range(ev.n_trunc + 1):
-        total = total + heat_image(ev, n, x).evaluate(y)
-    return total
+    """L^(N)(x, y) along the series path, its table summed at y in integers,
+    exact at the points' binary values or rounded once."""
+    (x, rx), (y, ry) = _read_exact(x), _read_exact(y)
+    return _table_value(_series_table(ev, x), y, rx or ry)
 
 
 def _hermite_numerators(b, r, n):
@@ -158,14 +171,6 @@ def _hermite_axes(y, n):
     return [_hermite_numerators(_numerator(t, r), r, n) for t in y], r
 
 
-def _hermite_sum(table, axes, rounded):
-    """sum_nu nums[nu] / den He_nu(y) for table = (nums, den) and (axes, r) =
-    _hermite_axes(y, .): exact, or rounded once."""
-    (nums, den), (he, r) = table, axes
-    total, top = _table_sum(nums, he, r)
-    return (_rounded_value if rounded else _exact_value)(total, den * r**top)
-
-
 def hermite_piece(ev: KernelEvaluator, n, x, y):
     """Hermite path, degree n: the coefficients V(x^nu)(x) / nu! of E_n(x, .)
     contracted with e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j), so no square
@@ -173,7 +178,7 @@ def hermite_piece(ev: KernelEvaluator, n, x, y):
     powers of y: exact at the points' binary values (exact._read_exact), and
     rounded once if a coordinate is a float."""
     (x, rx), (y, ry) = _read_exact(x), _read_exact(y)
-    return _hermite_sum(_en_table(ev.ctx, n, x), _hermite_axes(y, n), rx or ry)
+    return _table_sum(_en_table(ev.ctx, n, x), *_hermite_axes(y, n), rx or ry)
 
 
 def lk_values(ev: KernelEvaluator, xs, ys) -> list:
@@ -186,10 +191,8 @@ def lk_values(ev: KernelEvaluator, xs, ys) -> list:
     sides = [(_hermite_axes(y, ev.n_trunc), ry) for y, ry in map(_read_exact, ys)]
     out = []
     for x, rx in map(_read_exact, xs):
-        tables = [_en_table(ev.ctx, n, x) for n in range(ev.n_trunc + 1)]
-        den = math.lcm(*(part_den for _, part_den in tables))
-        nums = {nu: c * (den // part_den) for part, part_den in tables for nu, c in part.items()}
-        out.append([_hermite_sum((nums, den), axes, rx or ry) for axes, ry in sides])
+        table = _en_tables(ev, x)
+        out.append([_table_sum(table, *axes, rx or ry) for axes, ry in sides])
     return out
 
 
@@ -243,12 +246,15 @@ def certified_radius(ev: KernelEvaluator, tol, y_norm) -> float:
 # -- integrals against dgamma ---------------------------------------------------------
 
 def lk_mass(ev: KernelEvaluator, x):
-    """integral of L^(N)(x, .) dgamma, the series-path polynomial integrated
-    from the Gaussian moments; the integral of e^{-Lap/2} E_n(x, .) is
-    E_n(x, 0), so the value is 1 up to roundoff, and exactly 1 on exact data."""
-    from .quad import gaussian_integral
+    """integral of L^(N)(x, .) dgamma: the series table's numerators times the
+    Gaussian moments, summed in integers.  As the integral of
+    e^{-Lap/2} E_n(x, .) is E_n(x, 0), the value is 1, rounded at a float x."""
+    from .quad import gaussian_moment
 
-    return gaussian_integral(lk_polynomial(ev, x))
+    x, rounded = _read_exact(x)
+    nums, den = _series_table(ev, x)
+    total = sum(c * gaussian_moment(nu) for nu, c in nums.items())
+    return (_rounded_value if rounded else _exact_value)(total, den)
 
 
 def phi_x_apply(ev: KernelEvaluator, x, fs, rule) -> list:
@@ -266,7 +272,8 @@ def phi_x_norm(ev: KernelEvaluator, x):
     """Norm of the represented functional on L^2(dgamma), by two routes.
 
     Route 1 sums |c_nu|^2 nu! = |V(phi_nu)(x)|^2 over the coefficients c_nu
-    of each E_n(x, .); route 2 integrates L^(N)(x, .) times its conjugate
+    of each E_n(x, .), in integers at the binary value of x, and rounds the
+    sum once; route 2 integrates L^(N)(x, .) times its conjugate
     from the Gaussian moments, pairing only monomials whose exponents agree
     in parity in every coordinate (the other moments vanish).  At matching
     truncation the routes agree up to roundoff.
@@ -275,11 +282,9 @@ def phi_x_norm(ev: KernelEvaluator, x):
 
     from .quad import gaussian_moment
 
-    coeff_sq = 0.0
-    for n in range(ev.n_trunc + 1):
-        for nu, c in homogeneous_kernel(ev.ctx, n, x).terms.items():
-            coeff_sq += float((c.real * c.real + c.imag * c.imag) * _multi_factorial(nu))
-    series_route = math.sqrt(coeff_sq)
+    nums, den = _en_tables(ev, _read_exact(x)[0])
+    coeff_sq = sum((c * c.conjugate()).real * _multi_factorial(nu) for nu, c in nums.items())
+    series_route = math.sqrt(coeff_sq / den**2)
     lk = lk_polynomial(ev, x)
     moments = np.array([float(gaussian_moment((e,))) for e in range(2 * lk.degree + 1)])
     classes = {}
@@ -400,22 +405,18 @@ def derivative_relation_check(ev: KernelEvaluator, x, y, j):
 
         d/dy_j [L(x, y) e^{-|y|^2/2}] = +- T_j^x [L(., y)](x) e^{-|y|^2/2},
 
-    with the y-side differentiated symbolically per term and the x-side
-    L(., y) = V(sum_nu He_nu(y) x^nu / nu!) hit with the Dunkl operator
-    exactly: x and y are read once as exact values (exact._read_exact), a
-    float coordinate as its binary value, so T_j^x [L(., y)](x) is exact
-    until it is rounded once.
+    x and y read once as exact values (exact._read_exact), a float
+    coordinate as its binary value.  The y side differentiates the series
+    table of L^(N)(x, .) on its numerators, and the x side hits
+    L(., y) = V(sum_nu He_nu(y) x^nu / nu!) with the Dunkl operator; each
+    side is exact until it is rounded once.
     The orientation follows the same convention fork as the Fourier and
     Gaussian-image identities; the k = 0 closed form singles one out."""
     window = math.exp(-(_norm(y) ** 2) / 2.0)
-    deriv = 0
-    value = 0
-    for n in range(ev.n_trunc + 1):
-        g_n = heat_image(ev, n, x)
-        deriv = deriv + g_n.partial(j).evaluate(y)
-        value = value + g_n.evaluate(y)
-    lhs = window * (complex(deriv) - complex(y[j]) * complex(value))
     (x, _), (y, _) = _read_exact(x), _read_exact(y)
+    nums, den = _series_table(ev, x)
+    deriv = {nu[:j] + (nu[j] - 1,) + nu[j + 1 :]: c * nu[j] for nu, c in nums.items() if nu[j]}
+    lhs = window * complex(_table_value((deriv, den), y) - y[j] * _table_value((nums, den), y))
     he = [hermite_values(t, ev.n_trunc) for t in y]
     weights = {
         nu: math.prod(h[e] for h, e in zip(he, nu)) * Fraction(1, _multi_factorial(nu))

@@ -49,7 +49,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact import ComplexRational, SingularMatrixError, _exact_table, _exact_value, solve_columns
-from .exact import _numerator, _powers, _read_exact, _rounded_value, _table_sum, invert_matrix
+from .exact import _numerator, _powers, _read_exact, _table_value, invert_matrix
 from .poly import Polynomial, _combination, _combine, _multi_factorial, _polynomial
 from .poly import _to_float_scalar, combination
 from .reflection_groups import act_on_polynomial, dot, mat_vec, monomial_image, reflection_matrix
@@ -461,40 +461,12 @@ def estimate_delta(ctx: DunklContext, n_max) -> float:
 
 # -- homogeneous kernel pieces and the generalized exponential -------------------------
 
-def _vk_values(ctx: DunklContext, n, x):
-    """(q, rows): V(x^nu)(x) = s / (den q^n) for each row (nu, s, den) with
-    s != 0 and |nu| = n, at an exact point x = a / q: each V table summed in
-    integers over the per-axis powers of a, formed once."""
-    q = math.lcm(*(t.denominator for t in x))
-    powers = _powers([_numerator(t, q) for t in x], n)
-    basis = monomial_basis(ctx.dimension, n)
-    factors = {mu: [powers[i][e] for i, e in enumerate(mu) if e] for mu in basis}
-    rows = []
-    for nu in basis:
-        nums, den = _vk_table(ctx, nu)
-        total = 0
-        for mu, c in nums.items():
-            for p in factors[mu]:
-                c = c * p
-            total = total + c
-        if total:
-            rows.append((nu, total, den))
-    return q, rows
-
-
 def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
-    """E_n(x, .) as a polynomial in y for fixed numeric x: each V(x^nu)(x) / nu!
-    from _vk_values, over den q^n nu! at x = a / q, a float coordinate read
-    as its binary value (exact._read_exact).  At a point with a float
-    coordinate each coefficient is then rounded once, so it is the correctly
-    rounded exact value there, whatever the order of the table's terms."""
+    """E_n(x, .) as a polynomial in y for fixed numeric x: _en_table's
+    coefficients V(x^nu)(x) / nu!, a float coordinate read as its binary
+    value (exact._read_exact) and then each coefficient rounded once."""
     x, rounded = _read_exact(x)
-    value = _rounded_value if rounded else _exact_value
-    q, rows = _vk_values(ctx, n, x)
-    return Polynomial(
-        ctx.dimension,
-        {nu: value(s, den * q**n * _multi_factorial(nu)) for nu, s, den in rows},
-    )
+    return _polynomial(ctx.dimension, _en_table(ctx, n, x), rounded)
 
 
 def homogeneous_kernel_bivariate(ctx: DunklContext, n) -> Polynomial:
@@ -709,25 +681,31 @@ def _kernel_sum(ctx: DunklContext, x, y, n_trunc):
 
 
 def _en_table(ctx: DunklContext, n, x):
-    """E_n(x, .)'s coefficients at an exact point x as one table (nums, den):
-    V(x^nu)(x) / nu! = nums[nu] / den for each row of _vk_values, over the
-    lcm of the den_nu q^n nu!."""
-    q, rows = _vk_values(ctx, n, x)
-    dens = [den * _multi_factorial(nu) for nu, _, den in rows]
-    common = math.lcm(*dens)
-    return {nu: s * (common // den) for (nu, s, _), den in zip(rows, dens)}, common * q**n
+    """E_n(x, .)'s coefficients at an exact point x = a / q as one table
+    (nums, den): each V table summed in integers over the per-axis powers of
+    a, formed once, V(x^nu)(x) / nu! = nums[nu] / den over the lcm of the
+    den_nu q^n nu!, zeros dropped."""
+    q = math.lcm(*(t.denominator for t in x))
+    powers = _powers([_numerator(t, q) for t in x], n)
+    basis = monomial_basis(ctx.dimension, n)
+    factors = {mu: [powers[i][e] for i, e in enumerate(mu) if e] for mu in basis}
+    rows = []
+    for nu in basis:
+        nums, den = _vk_table(ctx, nu)
+        total = 0
+        for mu, c in nums.items():
+            for p in factors[mu]:
+                c = c * p
+            total = total + c
+        if total:
+            rows.append((nu, total, den * _multi_factorial(nu)))
+    common = math.lcm(*(den for _, _, den in rows))
+    return {nu: s * (common // den) for nu, s, den in rows}, common * q**n
 
 
 def evaluate_en(ctx: DunklContext, n, x, y):
-    """E_n(x, y) = sum_nu V(x^nu)(x) y^nu / nu! at numeric points, in integers
-    over one denominator: E_n(x, .)'s table (_en_table) summed at y = b / r
-    over the powers of b (exact._table_sum).  A float coordinate is read
-    as its binary value (exact._read_exact), and then the sum is rounded
-    once: the value homogeneous_kernel(ctx, n, x).evaluate(y) has at the
-    exact points, with no polynomial formed."""
+    """E_n(x, y) = sum_nu V(x^nu)(x) y^nu / nu! at numeric points: E_n(x, .)'s
+    table (_en_table) summed at y in integers (exact._table_value), a float
+    coordinate read as its binary value and then the sum rounded once."""
     (x, rx), (y, ry) = _read_exact(x), _read_exact(y)
-    nums, den = _en_table(ctx, n, x)
-    r = math.lcm(*(t.denominator for t in y))
-    total, top = _table_sum(nums, _powers([_numerator(t, r) for t in y], n), r)
-    value = _rounded_value if rx or ry else _exact_value
-    return value(total, den * r**top)
+    return _table_value(_en_table(ctx, n, x), y, rx or ry)

@@ -8,8 +8,9 @@ the ring operations this module provides the half-heat operators
 
     e^{-L/2} p = sum_m (-1)^m L^m p / (2^m m!)        (L = Laplacian),
 
-taken in closed form monomial by monomial (the flow factors over the
-coordinates with integer coefficients on each), the Fischer pairing
+taken in closed form on integer tables, one coordinate at a time (the flow
+factors over the coordinates with integer coefficients on each), the
+Fischer pairing
 
     [p, q] = p(d/dx) q |_{x=0},    [x^a, x^b] = delta_ab * a!,
 
@@ -318,37 +319,51 @@ def _combination(dim, pairs, rounded=False):
 
 # -- calculus and pairings on polynomials ------------------------------------------
 
-def _heat(p: Polynomial, sign: int) -> Polynomial:
-    """e^{sign Laplacian/2} p in closed form: the flow factors over the
-    coordinates and maps x^e to sum_k sign^k e!/(k!(e-2k)!2^k) x^(e-2k), an
-    integer row, applied to the numerators of exact coefficients over their
-    common denominator, or to float and complex coefficients as they are."""
-    exact = _all_exact(p.terms.values())
-    terms, den = _exact_table(p.terms) if exact else (p.terms, 1)
-    rows = [[1], [1]]  # rows[e][k] = sign^k e! / (k! (e-2k)! 2^k), k <= e/2
-    for e in range(2, p.degree + 1):
-        rows.append([1] + [sign * b * e * (e - 1) // (2 * k) for k, b in enumerate(rows[e - 2], 1)])
-    out = {}
-    for nu, c in terms.items():
-        parts = [((), 1)]
-        for e in nu:
-            parts = [(mu + (e - 2 * k,), a * b) for mu, a in parts for k, b in enumerate(rows[e])]
-        for mu, b in parts:
-            prev = out.get(mu)
-            out[mu] = c * b if prev is None else prev + c * b
-    if exact:
-        out = {mu: _exact_value(c, den) for mu, c in out.items()}
-    return Polynomial(p.dim, out)
+_HEAT_ROWS = {-1: [[(0, 1)], [(1, 1)]], 1: [[(0, 1)], [(1, 1)]]}
+
+
+def _heat_row(e, sign):
+    """x^e's image under e^{sign Laplacian/2}, formed once: the integer pairs
+    (e - 2k, sign^k e! / (k! (e-2k)! 2^k)) for k <= e/2."""
+    rows = _HEAT_ROWS[sign]
+    for m in range(len(rows), e + 1):
+        rows.append([(m, 1)] + [(m - 2 * k, sign * b * m * (m - 1) // (2 * k))
+                                for k, (_, b) in enumerate(rows[m - 2], 1)])
+    return rows[e]
+
+
+def _heat(table, sign):
+    """e^{sign Laplacian/2} of the table (nums, den), over the same den, one
+    coordinate i at a time: x^nu goes to sum b x^mu over the pairs (f, b) of
+    nu_i's row (_heat_row), mu being nu with nu_i replaced by f."""
+    nums, den = table
+    for i in range(len(next(iter(nums), ()))):
+        out = {}
+        for nu, c in nums.items():
+            head, tail = nu[:i], nu[i + 1 :]
+            for f, b in _heat_row(nu[i], sign):
+                mu = head + (f,) + tail
+                prev = out.get(mu)
+                out[mu] = c * b if prev is None else prev + c * b
+        nums = out
+    return nums, den
+
+
+def _heat_polynomial(p: Polynomial, sign) -> Polynomial:
+    """_heat on p's coefficients over one denominator, a float read as its
+    binary value (exact._read_exact) and then the image rounded once."""
+    coeffs, rounded = _read_exact(p.terms.values())
+    return _polynomial(p.dim, _heat(_exact_table(dict(zip(p.terms, coeffs))), sign), rounded)
 
 
 def heat_half(p: Polynomial) -> Polynomial:
     """e^{-Laplacian/2} p; maps x^nu to sqrt(nu!) H_nu."""
-    return _heat(p, -1)
+    return _heat_polynomial(p, -1)
 
 
 def inverse_heat_half(p: Polynomial) -> Polynomial:
     """e^{+Laplacian/2} p; exact inverse of heat_half on polynomials."""
-    return _heat(p, +1)
+    return _heat_polynomial(p, +1)
 
 
 def fischer(p: Polynomial, q: Polynomial):

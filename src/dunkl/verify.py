@@ -35,7 +35,7 @@ from .kernel import (
     derivative_relation_check,
     fourier_check,
     gaussian_image_check,
-    heat_image,
+    heat_piece,
     hermite_piece,
     lk_grid,
     lk_mass,
@@ -312,7 +312,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
     yq = _rand_point(rng, d, span=2, den=3)
     ev = make_evaluator(ctx, min(bundle.degree, 8))
     results.append(_exact_row("kernel-two-path-per-degree", (
-        heat_image(ev, n, xq).evaluate(yq) == hermite_piece(ev, n, xq, yq)
+        heat_piece(ev, n, xq, yq) == hermite_piece(ev, n, xq, yq)
         for n in range(ev.n_trunc + 1)
     )))
 
@@ -403,7 +403,7 @@ def suite_series(bundle: ContextBundle, seed=0):
             n0 = max(0, n_trunc - 5)
             computed = 0.0
             for n in range(n0 + 1, n_trunc + 1):
-                computed += abs(complex(heat_image(ev, n, x).evaluate(y)))
+                computed += abs(complex(heat_piece(ev, n, x, y)))
             yield computed - tail_bound(ev, _length(x), _length(y), n0).value
     results.append(_residual_row("tail-dominates-computed-terms", tail_shortfall(), 0.0))
 
@@ -596,10 +596,11 @@ def suite_positivity(bundle: ContextBundle):
         f"min {rep.min_value:.3g} over {rep.points} points, "
         f"|x| <= {span * math.sqrt(d):.3g} (certified radius {radius:.3g})"
     )
-    return [
-        _residual_row("kernel-nonnegative-on-grid", [-rep.min_value], POSITIVITY_TOL, note=note),
-        _residual_row("kernel-real-for-real-weight", [rep.max_abs_imag], 1e-12),
-    ]
+    row = _residual_row("kernel-nonnegative-on-grid", [-rep.min_value], POSITIVITY_TOL, note=note)
+    if not row.passed:
+        x, y = (", ".join(f"{float(t):.6g}" for t in point) for point in rep.min_point)
+        row = row._replace(note=f"{note}; minimum at x = ({x}), y = ({y})")
+    return [row, _residual_row("kernel-real-for-real-weight", [rep.max_abs_imag], 1e-12)]
 
 
 def _grid_points(d, span, per_axis):

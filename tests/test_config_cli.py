@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -720,3 +721,25 @@ def test_quadrature_suite_runs_in_six_dimensions():
     assert "Traceback" not in proc.stderr
     report = json.loads(proc.stdout)
     assert report["passed"] and len(report["results"]) == 9
+
+
+def test_kernel_grid_refuses_work_above_the_term_cap(monkeypatch, capsys):
+    # pairs times C(N + d, d) monomials above GRID_TERM_CAP exit 2 with one
+    # line that states the estimate, before any evaluator is made; the CI and
+    # benchmark grids stay far below the cap
+    from dunkl import kernel
+
+    def refuse(*args):
+        raise AssertionError("make_evaluator called")
+
+    monkeypatch.setattr(kernel, "make_evaluator", refuse)
+    argv = ["kernel-grid", "--context", str(B2_CONFIG), "--grid", "x1:-1:1:0.001,y1:-1:1:0.01",
+            "--degree", "14"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "configuration error: refusing grid: 402201 (x, y) pairs at degree 14 are an estimated "
+        "4.83e+07 terms, above the cap of 2e+07\n"
+    )
+    # CI's 3 x 5 grid on B2 and its one pair on Z2^6, both at degree 14
+    assert 15 * math.comb(16, 2) < cli.GRID_TERM_CAP and math.comb(20, 6) < cli.GRID_TERM_CAP

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,8 +48,8 @@ from dunkl.operators import (
     make_context,
     monomial_basis,
 )
-from dunkl.poly import Polynomial, _polynomial, hermite_values, inverse_heat_half
-from dunkl.quad import gauss_rule
+from dunkl.poly import Polynomial, _polynomial, heat_half, hermite_values, inverse_heat_half
+from dunkl.quad import gauss_rule, gaussian_integral
 from dunkl.reflection_groups import (
     build_root_system,
     generate_group,
@@ -381,13 +382,10 @@ def test_derivative_relation_float_point_on_exact_evaluator(ev_b2):
     )
     window = math.exp(-(math.hypot(*y) ** 2) / 2.0)
     rhs = window * complex(exact)
-    # the left side is the series path at the float points
-    deriv = value = 0
-    for n in range(ev_b2.n_trunc + 1):
-        g_n = heat_image(ev_b2, n, x)
-        deriv = deriv + g_n.partial(0).evaluate(y)
-        value = value + g_n.evaluate(y)
-    lhs = window * (complex(deriv) - complex(y[0]) * complex(value))
+    # the left side d/dy_1 L - y_1 L is the series path's exact sum at the
+    # binary values of x and y, rounded once
+    series = lk_polynomial(ev_b2, ex)
+    lhs = window * complex(series.partial(0).evaluate(ey) - ey[0] * series.evaluate(ey))
     assert got == {"plus": abs(lhs - rhs), "minus": abs(lhs + rhs)}
 
 
@@ -415,11 +413,12 @@ def test_symmetry_scan_float_points():
     assert rep.failures == ()
     assert rep.checked == 2 * (ev.n_trunc + 1) * (ev.ctx.group.order + 1)
     for x in samples:
+        xq = _rational(x)
         for n in range(ev.n_trunc + 1):
-            image = ev._heat_images[_rational(x), True, n]
+            image = heat_image(ev, n, xq)
             assert all(isinstance(c, Fraction) for c in image.terms.values())
             # the image of -x is exactly the parity flip of the image of x
-            flipped = ev._heat_images[tuple(-t for t in _rational(x)), True, n]
+            flipped = heat_image(ev, n, tuple(-t for t in xq))
             assert flipped == Polynomial(
                 2, {nu: -c if sum(nu) & 1 else c for nu, c in image.terms.items()}
             )
@@ -629,6 +628,56 @@ def test_evaluate_en_is_the_homogeneous_kernel_at_y(name):
         for xs, ys in ((x, y), (xq, y), (x, yq)):
             got = evaluate_en(ctx, n, xs, ys)
             assert repr(got) == repr(want) and type(got) is type(want)
+
+
+def _heated_kernels(ctx, x, n_trunc):
+    """The series path's reference images: heat_half of the Fraction
+    polynomial E_n(x, .) of each degree n <= n_trunc at an exact x."""
+    return [heat_half(homogeneous_kernel(ctx, n, x)) for n in range(n_trunc + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_QUERIES))
+def test_heat_tables_are_heat_half_of_the_homogeneous_kernel(name):
+    # the series path heats E_n(x, .)'s integer table with the heat rows: per
+    # degree and summed, that is heat_half of homogeneous_kernel's Fraction
+    # polynomials at the rational x, and those rounded once at the float x
+    ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    x, _ = FLOAT_QUERIES[name]
+    xq = _rational(x)
+    ev = make_evaluator(ctx, 8)
+    images = _heated_kernels(ctx, xq, ev.n_trunc)
+    cases = [(partial(heat_image, ev, n), image) for n, image in enumerate(images)]
+    cases.append((partial(lk_polynomial, ev), sum(images, Polynomial.zero(ctx.dimension))))
+    for image_at, want in cases:
+        for point, terms in ((xq, want.terms), (x, {nu: _rounded(c) for nu, c in want.terms.items()})):
+            got = image_at(point).terms
+            assert got == terms and all(type(got[nu]) is type(c) for nu, c in terms.items())
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_QUERIES))
+def test_series_value_and_mass_at_float_points_are_rounded_once(name):
+    # at float points the series path's value and mass are the exact values
+    # at the points' binary values, rounded once
+    ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    x, y = FLOAT_QUERIES[name]
+    xq, yq = _rational(x), _rational(y)
+    ev = make_evaluator(ctx, 8)
+    series = sum(_heated_kernels(ctx, xq, ev.n_trunc), Polynomial.zero(ctx.dimension))
+    for got, want in (
+        (lk_series_value(ev, x, y), series.evaluate(yq)),
+        (lk_mass(ev, x), gaussian_integral(series)),
+    ):
+        assert repr(got) == repr(_rounded(want))
+
+
+@pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
+def test_mass_is_exactly_one_at_rational_points(family, k_values, n_trunc, kw):
+    ev = make_ev(family, k_values, n_trunc, **kw)
+    rng = random.Random(2)
+    for _ in range(3):
+        x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(ev.dimension))
+        mass = lk_mass(ev, x)
+        assert mass == 1 and isinstance(mass, (Fraction, ComplexRational))
 
 
 def _exact(c):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dunkl import kernel, verify
+from dunkl import kernel, poly, verify
 from dunkl.cli import EXIT_VERIFY_FAIL, main
 from dunkl.config import build_bundle, load_context
 from dunkl.kernel import make_evaluator
@@ -261,3 +261,45 @@ def test_nan_grid_value_fails_positivity(z21_bundle, monkeypatch, bad, failing):
     assert not rows[failing].passed
     assert math.isnan(rows[failing].max_residual)
     assert [r.passed for r in rows.values()].count(False) == 1
+
+
+def test_negative_grid_value_names_its_point(z21_bundle, monkeypatch):
+    # one grid value stubbed negative fails the row, and its note says where;
+    # a passing note does not
+    passing = suite_positivity(z21_bundle)[0]
+    assert passing.passed and "minimum at" not in passing.note
+    grid = kernel.lk_grid
+    seen = {}
+
+    def lk_grid(ev, xs, ys):
+        values = grid(ev, xs, ys)
+        values[3, 1] = -1.0
+        seen["point"] = xs[3], ys[1]
+        return values
+
+    monkeypatch.setattr(kernel, "lk_grid", lk_grid)
+    row = suite_positivity(z21_bundle)[0]
+    assert row.identity == "kernel-nonnegative-on-grid" and not row.passed
+    x, y = ("(" + ", ".join(f"{t:.6g}" for t in point) + ")" for point in seen["point"])
+    assert row.note.startswith("min -1 over 35 points")
+    assert row.note.endswith(f" (certified radius 0.801); minimum at x = {x}, y = {y}")
+
+
+def test_a_perturbed_heat_row_fails_the_two_path_row(monkeypatch):
+    # the series path heats with poly._heat_row's integer rows and the
+    # Hermite path runs the Hermite recurrence, so one wrong row entry shows
+    # as a failing kernel-two-path-per-degree row
+    bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 8})
+
+    def two_path_row():
+        return next(r for r in suite_exact(bundle) if r.identity == "kernel-two-path-per-degree")
+
+    assert two_path_row().passed
+    rows = [list(row) for row in poly._HEAT_ROWS[-1]]
+    while len(rows) <= 8:
+        rows.append(list(poly._heat_row(len(rows), -1)))
+    f, b = rows[4][1]  # x^4 -> ... - 6 x^2 ...
+    rows[4][1] = (f, b + 1)
+    monkeypatch.setitem(poly._HEAT_ROWS, -1, rows)
+    row = two_path_row()
+    assert not row.passed and row.max_residual > 0
