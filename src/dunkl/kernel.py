@@ -56,6 +56,7 @@ from .exact import _table_sum, _table_value
 from .operators import (
     DunklContext,
     TruncationError,
+    _en_block,
     _en_table,
     _kernel_sum,
     _norm,
@@ -93,7 +94,7 @@ class KernelEvaluator:
 
 
 def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvaluator:
-    """Fill the context's own exact V table up to the truncation degree.
+    """Fill the context's V tables and E_n's blocks up to the truncation degree.
 
     Whether a value is exact or a float follows from the point: rational
     points give exact values, float points their exact values rounded once;
@@ -102,8 +103,7 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvalu
     """
     ctx.prepare(n_trunc)
     for n in range(n_trunc + 1):
-        for nu in monomial_basis(ctx.dimension, n):
-            _vk_table(ctx, nu)
+        _en_block(ctx, n)
     return KernelEvaluator(ctx, n_trunc)
 
 
@@ -130,20 +130,21 @@ def _en_tables(ev: KernelEvaluator, x):
     return _combine((1, _en_table(ev.ctx, n, x)) for n in range(ev.n_trunc + 1))
 
 
-def _series_table(ev: KernelEvaluator, x):
-    """L^(N)(x, .) at an exact point x as one table in y: _en_tables heated
-    once, cached on the point."""
+def _series_table(ev: KernelEvaluator, x, joined=None):
+    """L^(N)(x, .) at an exact point x as one table in y: _en_tables, or
+    joined where the caller has built it, heated once, cached on the point."""
     key = tuple(x)
     if key not in ev._series_tables:
-        ev._series_tables[key] = _heat(_en_tables(ev, x), -1)
+        ev._series_tables[key] = _heat(_en_tables(ev, x) if joined is None else joined, -1)
     return ev._series_tables[key]
 
 
-def lk_polynomial(ev: KernelEvaluator, x) -> Polynomial:
+def lk_polynomial(ev: KernelEvaluator, x, joined=None) -> Polynomial:
     """The truncated kernel L^(N)(x, .) as a polynomial in y (series path),
-    exact at the binary value of x or each coefficient rounded once."""
+    exact at the binary value of x or each coefficient rounded once; joined,
+    if the caller has it, is _en_tables at x."""
     x, rounded = _read_exact(x)
-    return _polynomial(ev.dimension, _series_table(ev, x), rounded)
+    return _polynomial(ev.dimension, _series_table(ev, x, joined), rounded)
 
 
 def lk_series_value(ev: KernelEvaluator, x, y):
@@ -282,10 +283,10 @@ def phi_x_norm(ev: KernelEvaluator, x):
 
     from .quad import gaussian_moment
 
-    nums, den = _en_tables(ev, _read_exact(x)[0])
+    joined = nums, den = _en_tables(ev, _read_exact(x)[0])
     coeff_sq = sum((c * c.conjugate()).real * _multi_factorial(nu) for nu, c in nums.items())
     series_route = math.sqrt(coeff_sq / den**2)
-    lk = lk_polynomial(ev, x)
+    lk = lk_polynomial(ev, x, joined)
     moments = np.array([float(gaussian_moment((e,))) for e in range(2 * lk.degree + 1)])
     classes = {}
     for nu, c in lk.terms.items():
@@ -440,22 +441,24 @@ def symmetry_scan(ev: KernelEvaluator, sample_points) -> SymmetryReport:
     (e^{-Lap/2} E_n)(g x, y) = (e^{-Lap/2} E_n)(x, g^{-1} y) as polynomials
     in y, and likewise with (x, y) -> (-x, -y); the half-heat flow commutes
     with orthogonal substitutions so the E_n equivariance passes through.
+    The heat image at each distinct point is formed once per degree.
     """
     group = ev.ctx.group
     failures = []
     checked = 0
     for sample in sample_points:
         x = tuple(_read_exact(sample)[0])
+        moved = [mat_vec(g, x) for g in group.elements]
+        minus = tuple(-t for t in x)  # p(-x): -I need not be a group element
         for n in range(ev.n_trunc + 1):
-            base = heat_image(ev, n, x)
-            for gi in range(group.order):
-                lhs = heat_image(ev, n, mat_vec(group.elements[gi], x))
+            images = {p: heat_image(ev, n, p) for p in dict.fromkeys((x, *moved, minus))}
+            base = images[x]
+            for gi, point in enumerate(moved):
                 rhs = act_on_polynomial(group, group.inverse_index(gi), base)
                 checked += 1
-                if lhs != rhs:
+                if images[point] != rhs:
                     failures.append(("equivariance", tuple(sample), gi, n))
-            # p(-x): -I need not be a group element
-            lhs = heat_image(ev, n, tuple(-t for t in x))
+            lhs = images[minus]
             rhs = Polynomial(
                 ev.dimension, {nu: -c if sum(nu) & 1 else c for nu, c in base.terms.items()}
             )
@@ -475,7 +478,8 @@ def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
     import numpy as np
 
     values = lk_grid(ev, xs, ys)
-    tails = np.array([[tail_bound(ev, xn, _norm(y)).value for y in ys] for xn in map(_norm, xs)])
+    y_norms = [_norm(y) for y in ys]
+    tails = np.array([[tail_bound(ev, xn, yn).value for yn in y_norms] for xn in map(_norm, xs)])
     adjusted = values.real - tails
     i, j = np.unravel_index(np.argmin(adjusted), adjusted.shape)
     return PositivityReport(
@@ -486,23 +490,20 @@ def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
 
 def _degree_blocks(ev: KernelEvaluator):
     """Per degree n <= N: the exponents of P_n's basis as a (b_n, d) array and
-    the b_n x b_n block [x^mu] V(x^nu) / nu! of the V table, each entry the
-    exact one rounded once (complex where any entry is)."""
+    the b_n x b_n block [x^mu] V(x^nu) / nu! (operators._en_block), each
+    entry the exact one rounded once (complex where any entry is)."""
     import numpy as np
 
     if ev._blocks is None:
-        d = ev.dimension
         ev._blocks = []
         for n in range(ev.n_trunc + 1):
-            basis = monomial_basis(d, n)
-            row = {mu: i for i, mu in enumerate(basis)}
-            block = [[0.0] * len(basis) for _ in basis]
-            for k, nu in enumerate(basis):
-                nums, den = _vk_table(ev.ctx, nu)
-                den *= _multi_factorial(nu)
+            rows, den = _en_block(ev.ctx, n)
+            index = {nu: i for i, (nu, _, _) in enumerate(rows)}
+            block = [[0.0] * len(rows) for _ in rows]
+            for k, (_, nums, scale) in enumerate(rows):
                 for mu, c in nums.items():
-                    block[row[mu]][k] = _rounded_value(c, den)
-            ev._blocks.append((np.array(basis), np.array(block)))
+                    block[index[mu]][k] = _rounded_value(c * scale, den)
+            ev._blocks.append((np.array(list(index)), np.array(block)))
     return ev._blocks
 
 

@@ -40,7 +40,10 @@ The homogeneous kernel pieces
 sum to the generalized exponential E(x, y) = V(e^{<., y>})(x); truncation is
 controlled by the growth envelope (growth_envelope): u = |x| for a real
 weight k >= 0, certified by Roesler's representing measures for V, and the
-empirical u = delta_hat |G| |x| for every other weight.
+empirical u = delta_hat |G| |x| for every other weight.  E_n's coefficients
+[x^mu] V(x^nu) / nu! are one block per degree (_en_block), the V tables of
+P_n with an integer scale each, which every x-side evaluation reads: _en_table
+(E_n(x, .) at a point), homogeneous_kernel_bivariate and kernel.lk_grid.
 """
 from __future__ import annotations
 
@@ -81,6 +84,7 @@ class DunklContext:
         self.reflections = reflections  # (alpha, k(alpha), group index)
         self.h_cache = {}  # n -> lam_n (one scalar per element), or None
         self.vk_cache = {}  # nu -> V(x^nu) as a table
+        self.en_blocks = {}  # n -> E_n's coefficients as one block (_en_block)
         self.inverse_cache = {}  # n -> table of the columns V^{-1} x^nu
         self.h_columns = {}  # n -> table of the columns H_n x^nu
         self.delta_hat = None
@@ -400,11 +404,6 @@ def _vk_table(ctx: DunklContext, nu):
     return result
 
 
-def _vk_monomial(ctx: DunklContext, nu):
-    """V(x^nu) as a Polynomial with exact coefficients."""
-    return _polynomial(ctx.dimension, _vk_table(ctx, nu))
-
-
 def intertwine(ctx: DunklContext, p: Polynomial) -> Polynomial:
     """V p, computed degree by degree; exact and degree preserving."""
     return _combination(p.dim, ((_vk_table(ctx, nu), c) for nu, c in p.terms.items()))
@@ -470,13 +469,11 @@ def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
 
 
 def homogeneous_kernel_bivariate(ctx: DunklContext, n) -> Polynomial:
-    """E_n as an exact polynomial in the 2d variables (x_1..x_d, y_1..y_d)."""
-    d = ctx.dimension
-    terms = {}
-    for nu in monomial_basis(d, n):
-        scale = Fraction(1, _multi_factorial(nu))
-        terms.update((mu + nu, c * scale) for mu, c in _vk_monomial(ctx, nu).terms.items())
-    return Polynomial(2 * d, terms)
+    """E_n as an exact polynomial in the 2d variables (x_1..x_d, y_1..y_d),
+    its coefficients [x^mu] V(x^nu) / nu! read from E_n's block."""
+    rows, den = _en_block(ctx, n)
+    terms = {mu + nu: _exact_value(c * scale, den) for nu, nums, scale in rows for mu, c in nums.items()}
+    return Polynomial(2 * ctx.dimension, terms)
 
 
 def en_expansion_oracle(ctx: DunklContext, n, x) -> Polynomial:
@@ -680,27 +677,38 @@ def _kernel_sum(ctx: DunklContext, x, y, n_trunc):
     return total, abs(complex(term))
 
 
+def _en_block(ctx: DunklContext, n):
+    """E_n's coefficients [x^mu] V(x^nu) / nu! = nums[mu] scale / den as
+    (rows, den), a row (nu, nums, scale) per nu of P_n: nums the table in
+    ctx.vk_cache itself, scale an integer, den the lcm of the den_nu nu!.
+    Built once per context and degree."""
+    block = ctx.en_blocks.get(n)
+    if block is None:
+        rows = []
+        for nu in monomial_basis(ctx.dimension, n):
+            nums, den = _vk_table(ctx, nu)
+            rows.append((nu, nums, den * _multi_factorial(nu)))
+        common = math.lcm(*(den for _, _, den in rows))
+        block = ctx.en_blocks[n] = [(nu, nums, common // den) for nu, nums, den in rows], common
+    return block
+
+
 def _en_table(ctx: DunklContext, n, x):
-    """E_n(x, .)'s coefficients at an exact point x = a / q as one table
-    (nums, den): each V table summed in integers over the per-axis powers of
-    a, formed once, V(x^nu)(x) / nu! = nums[nu] / den over the lcm of the
-    den_nu q^n nu!, zeros dropped."""
+    """E_n(x, .)'s table (nums, den), V(x^nu)(x) / nu! = nums[nu] / den, at
+    an exact point x = a / q: each monomial a^mu formed once, each row of
+    _en_block summed over them and scaled, zeros dropped."""
+    rows, den = _en_block(ctx, n)
     q = math.lcm(*(t.denominator for t in x))
     powers = _powers([_numerator(t, q) for t in x], n)
-    basis = monomial_basis(ctx.dimension, n)
-    factors = {mu: [powers[i][e] for i, e in enumerate(mu) if e] for mu in basis}
-    rows = []
-    for nu in basis:
-        nums, den = _vk_table(ctx, nu)
+    monos = {nu: math.prod(map(list.__getitem__, powers, nu)) for nu, _, _ in rows}
+    out = {}
+    for nu, nums, scale in rows:
         total = 0
         for mu, c in nums.items():
-            for p in factors[mu]:
-                c = c * p
-            total = total + c
+            total = total + c * monos[mu]
         if total:
-            rows.append((nu, total, den * _multi_factorial(nu)))
-    common = math.lcm(*(den for _, _, den in rows))
-    return {nu: s * (common // den) for nu, s, den in rows}, common * q**n
+            out[nu] = total * scale
+    return out, den * q**n
 
 
 def evaluate_en(ctx: DunklContext, n, x, y):

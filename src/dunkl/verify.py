@@ -270,12 +270,13 @@ def suite_exact(bundle: ContextBundle, seed=0):
 
     x = _rand_point(rng, d)
     lam = Fraction(3, 2)
+    kernels = [homogeneous_kernel(ctx, n, x) for n in range(0, 5)]  # E_n(x, .), read by two rows
 
     def equivariance_homogeneity():
-        for n in range(0, 5):
-            base = homogeneous_kernel(ctx, n, x)
+        for n, base in enumerate(kernels):
             for gi in range(order):
-                moved = homogeneous_kernel(ctx, n, mat_vec(group.elements[gi], x))
+                gx = mat_vec(group.elements[gi], x)
+                moved = base if gx == x else homogeneous_kernel(ctx, n, gx)
                 yield moved == act_on_polynomial(group, group.inverse_index(gi), base)
             yield homogeneous_kernel(ctx, n, tuple(lam * t for t in x)) == base * lam**n
             # E_n(x, lam y): each term c y^nu scaled by lam^|nu|
@@ -293,7 +294,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
             f"i <= n, and degree {skipped[0]} is a fallback degree with no lam table"
         )
     results.append(_exact_row("en-product-expansion-oracle", (
-        en_expansion_oracle(ctx, n, x) == homogeneous_kernel(ctx, n, x)
+        en_expansion_oracle(ctx, n, x) == kernels[n]
         for n in degrees
         if n not in skipped
     ), note=note))

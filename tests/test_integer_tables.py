@@ -27,7 +27,6 @@ from dunkl.config import (
 )
 from dunkl.exact import ComplexRational, scalar_to_json
 from dunkl.operators import (
-    _vk_monomial,
     _vk_table,
     apply_H,
     homogeneous_kernel,
@@ -167,7 +166,7 @@ def test_integer_tables_match_fraction_reference(name, kind):
         for nu, column in columns.items():
             assert _same(apply_H(ctx, n, Polynomial.monomial(d, nu)), column)
     for nu, v in reference.items():
-        assert _same(_vk_monomial(ctx, nu), v)
+        assert _same(_polynomial(ctx.dimension, _vk_table(ctx, nu)), v)
     z = ComplexRational(Fraction(2, 3), Fraction(-1, 5))
     for coeff in (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7)), lambda: z * rng.randint(1, 3)):
         p = Polynomial(d, {nu: coeff() for nu in reference if rng.random() < 0.5})
@@ -369,7 +368,7 @@ def test_complex_numerators_are_gaussian_integers():
     ctx = load_context(config).ctx
     for n in range(ctx.prepared_to + 1):
         for nu in monomial_basis(ctx.dimension, n):
-            _vk_monomial(ctx, nu)
+            _vk_table(ctx, nu)
     assert len(ctx.h_columns) == ctx.prepared_to
     tables = [nums for nums, _ in ctx.vk_cache.values()]
     tables += [col for cols, _ in ctx.h_columns.values() for col in cols.values()]

@@ -35,10 +35,10 @@ from dunkl.kernel import (
 )
 from dunkl.operators import (
     TruncationError,
+    _en_block,
     _norm,
     _recurrence_tail,
     _tail_term,
-    _vk_monomial,
     _vk_table,
     dunkl_kernel,
     ek_tail_bound,
@@ -375,7 +375,7 @@ def test_derivative_relation_float_point_on_exact_evaluator(ev_b2):
     he = [hermite_values(t, ev_b2.n_trunc) for t in ey]
     exact = sum(
         he[0][nu[0]] * he[1][nu[1]] * Fraction(nu[0], math.factorial(nu[0]) * math.factorial(nu[1]))
-        * _vk_monomial(ev_b2.ctx, (nu[0] - 1, nu[1])).evaluate(ex)
+        * _polynomial(2, _vk_table(ev_b2.ctx, (nu[0] - 1, nu[1]))).evaluate(ex)
         for n in range(1, ev_b2.n_trunc + 1)
         for nu in monomial_basis(2, n)
         if nu[0]
@@ -499,7 +499,7 @@ def test_lk_grid_block_entries_are_rounded_once(family, k_values, n_trunc, kw):
         want = [[0.0] * len(basis) for _ in basis]
         for k, nu in enumerate(basis):
             scale = Fraction(1, math.prod(map(math.factorial, nu)))
-            for mu, c in _vk_monomial(ev.ctx, nu).terms.items():
+            for mu, c in _polynomial(ev.dimension, _vk_table(ev.ctx, nu)).terms.items():
                 want[basis.index(mu)][k] = _rounded(c * scale)
         assert block.tolist() == want
         is_complex = any(isinstance(c, complex) for row in want for c in row)
@@ -535,7 +535,7 @@ def _correctly_rounded_kernel(ctx, n, x):
     point x, exact, each then rounded once."""
     want = {}
     for nu in monomial_basis(ctx.dimension, n):
-        val = _vk_monomial(ctx, nu).evaluate(_rational(x))
+        val = _polynomial(ctx.dimension, _vk_table(ctx, nu)).evaluate(_rational(x))
         if val:
             want[nu] = _rounded(val * Fraction(1, math.prod(map(math.factorial, nu))))
     return want
@@ -717,8 +717,14 @@ def test_float_values_do_not_depend_on_table_term_order(family, k_values, kw):
         return out
 
     before = values()
-    for nu, (nums, den) in list(ctx.vk_cache.items()):
-        ctx.vk_cache[nu] = dict(reversed(list(nums.items()))), den
+    # E_n's blocks hold the V tables themselves, so reversing each table in
+    # place reverses what every evaluation reads
+    rows = [row for n in range(ev.n_trunc + 1) for row in _en_block(ctx, n)[0]]
+    assert all(nums is ctx.vk_cache[nu][0] for nu, nums, _ in rows)
+    for nums, _ in ctx.vk_cache.values():
+        items = list(nums.items())
+        nums.clear()
+        nums.update(reversed(items))
     assert values() == before
 
 
@@ -730,7 +736,7 @@ def test_float_tables_match_exact_through_fallback_degree():
     x = (0.7,)
     for nu in (nu for n in range(ev.n_trunc + 1) for nu in monomial_basis(1, n)):
         a = _polynomial(1, _vk_table(ev.ctx, nu), rounded=True).evaluate(x)
-        assert abs(a - _vk_monomial(ev.ctx, nu).evaluate(_rational(x))) <= 1e-12
+        assert abs(a - _polynomial(1, _vk_table(ev.ctx, nu)).evaluate(_rational(x))) <= 1e-12
     _assert_float_points_agree(ev, x, (-0.45,), 1e-12)
 
 

@@ -31,7 +31,7 @@ from dunkl.operators import (
     monomial_basis,
     operator_A,
     solve_H,
-    _vk_monomial,
+    _vk_table,
 )
 from dunkl.poly import Polynomial, _polynomial, combination, fischer
 from dunkl.reflection_groups import (
@@ -350,7 +350,7 @@ def test_g2_short_roots_alone_give_the_a2_intertwiner():
     assert g2.gamma == a2.gamma == Fraction(3, 2)
     for n in range(6):
         for nu in monomial_basis(3, n):
-            assert _vk_monomial(g2, nu) == _vk_monomial(a2, nu)
+            assert _polynomial(3, _vk_table(g2, nu)) == _polynomial(3, _vk_table(a2, nu))
 
 
 def test_class_solve_falls_back_where_group_algebra_solve_is_singular():
@@ -641,13 +641,34 @@ def test_en_expansion_oracle_matches(b2, z21, a2):
             assert oracle == homogeneous_kernel(ctx, n, x), (ctx.group.order, n)
 
 
-def test_vk_as_fischer_coefficient(b2):
-    # V(x^nu)(x) = [E_n(x, .), y^nu] for |nu| = n
-    x = (Fraction(1, 4), Fraction(-2, 3))
-    for n in (1, 2, 3):
-        en = homogeneous_kernel(b2, n, x)
-        for nu in monomial_basis(2, n):
-            assert fischer(en, Polynomial.monomial(2, nu)) == _vk_monomial(b2, nu).evaluate(x)
+def test_vk_as_fischer_coefficient():
+    # V(x^nu)(x) = [E_n(x, .), y^nu] for |nu| = n at an exact point, which
+    # pins the scale of each row of E_n's block, on a complex weight, on G2
+    # and through z21neg's fallback degree 2; at a float point each
+    # coefficient V(x^nu)(x) / nu! is the exact one at the point's binary
+    # value rounded once
+    cases = {
+        "b2": context("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, d=2),
+        "a2": context("A", Fraction(1), d=3),
+        "b2c": context("B", [ComplexRational(Fraction(1, 2), Fraction(1, 3)), Fraction(1)], d=2),
+        "g2": context("G2", [Fraction(1, 2), Fraction(1)]),
+        "z21neg": context("Z2^d", Fraction(-1), d=1),
+    }
+    for name, ctx in cases.items():
+        d = ctx.dimension
+        exact_x = (Fraction(1, 4), Fraction(-2, 3), Fraction(3, 5))[:d]
+        float_x = (0.3, -0.45, 0.7)[:d]
+        binary_x = tuple(map(Fraction, float_x))
+        for n in range(5):
+            en = homogeneous_kernel(ctx, n, exact_x)
+            rounded = homogeneous_kernel(ctx, n, float_x)
+            for nu in monomial_basis(d, n):
+                v = _polynomial(d, _vk_table(ctx, nu))
+                assert fischer(en, Polynomial.monomial(d, nu)) == v.evaluate(exact_x), (name, nu)
+                want = v.evaluate(binary_x) * Fraction(1, math.prod(map(math.factorial, nu)))
+                want = complex(want) if isinstance(want, ComplexRational) else float(want)
+                assert rounded.terms.get(nu, 0) == want, (name, nu)
+    assert cases["z21neg"].fallback_degrees == [2]
 
 
 # -- generalized exponential --------------------------------------------------------------
