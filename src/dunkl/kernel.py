@@ -7,18 +7,19 @@ pieces E_n(x, .),
             = sum_nu V(phi_nu)(x) H_nu(y),          phi_nu = x^nu / sqrt(nu!),
 
 two rearrangements of one double sum that differ only in the heat step.
-The series path maps E_n(x, .)'s integer table (operators._en_table) by the
-integer heat rows of poly._heat, per degree and, for L^(N)(x, .), once on
-every degree's table over one denominator (_series_table, cached on the
-exact x).  The Hermite path contracts the same coefficients with
-e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j).  In integers (hermite_piece, and
-lk_values, which kernel-grid prints) it is evaluate_en's sum with the
-Hermite numerators of y in place of its powers, exact at the binary values
-of the points and rounded once; in floats at many points (lk_grid, which
-the quadrature and positivity checks read) it is one block product per
-degree of the V table, each entry rounded once.  Against
-dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy, L represents the composition of the
-intertwining operator with the inverse half-heat flow:
+Both read E_n's coefficients V(x^nu) / nu!, one integer table per degree
+(operators._e_table).  The series path maps E_n(x, .)'s table
+(operators._en_table) by the integer heat rows of poly._heat, per degree
+and, for L^(N)(x, .), once on every degree's table over one denominator
+(_series_table, cached on the exact x).  The Hermite path contracts the
+same coefficients with e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j).  In
+integers (hermite_piece, and lk_values, which kernel-grid prints) it is
+evaluate_en's sum with the Hermite numerators of y in place of its powers,
+exact at the binary values of the points and rounded once; in floats at
+many points (lk_grid, which the quadrature and positivity checks read) it
+is one block product per degree of E_n's table, each entry rounded once.
+Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy, L represents the
+composition of the intertwining operator with the inverse half-heat flow:
 
     integral L(x, y) (e^{-Lap/2} p)(y) dgamma(y) = V(p)(x),
 
@@ -51,17 +52,16 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import _exact_table, _exact_value, _numerator, _read_exact, _rounded_value
+from .exact import _exact_value, _numerator, _read_exact, _rounded_value
 from .exact import _table_sum, _table_value
 from .operators import (
     DunklContext,
     TruncationError,
-    _en_block,
+    _e_table,
     _en_table,
     _kernel_sum,
     _norm,
     _recurrence_tail,
-    _vk_table,
     dunkl_apply,
     growth_envelope,
     homogeneous_kernel,
@@ -94,7 +94,7 @@ class KernelEvaluator:
 
 
 def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvaluator:
-    """Fill the context's V tables and E_n's blocks up to the truncation degree.
+    """Fill E_n's tables (operators._e_table) up to the truncation degree.
 
     Whether a value is exact or a float follows from the point: rational
     points give exact values, float points their exact values rounded once;
@@ -102,8 +102,7 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvalu
     exact_tables is ignored; the benchmark harness in bench/ still passes it.
     """
     ctx.prepare(n_trunc)
-    for n in range(n_trunc + 1):
-        _en_block(ctx, n)
+    _e_table(ctx, n_trunc)
     return KernelEvaluator(ctx, n_trunc)
 
 
@@ -323,45 +322,20 @@ def convolution_check(ev: KernelEvaluator, x, y):
     return abs(complex(lhs) - rhs)
 
 
-def gaussian_taylor(d, y, deg) -> Polynomial:
-    """Degree-``deg`` Taylor polynomial T of u -> e^{|y|^2/2} e^{-|u + y|^2/2}.
-
-    The function is e^{-|u|^2/2 - <u, y>}, a product over the coordinates
-    of the Hermite generating function e^{z t - t^2/2} =
-    sum_n He_n(z) t^n / n!, so the coefficient of u^nu is
-
-        prod_j He_{nu_j}(-y_j) / nu_j!,
-
-    with the probabilists' Hermite values of poly.hermite_values, exact at
-    an exact y; as He_n(-z) = (-1)^n He_n(z), T(-u) is the expansion of
-    e^{-|u - y|^2/2}.
-    The constant Gaussian factor e^{-|y|^2/2} is left out so the coefficients
-    stay rational for rational y; callers multiply it back in float.
-    """
-    factors = [  # factors[j][e] = He_e(-y_j) / e!
-        [h * Fraction(1, math.factorial(e)) for e, h in enumerate(hermite_values(-y[j], deg))]
-        for j in range(d)
-    ]
-    terms = {}
-    for n in range(deg + 1):
-        for nu in monomial_basis(d, n):
-            c = factors[0][nu[0]]
-            for j in range(1, d):
-                c = c * factors[j][nu[j]]
-            terms[nu] = c
-    return Polynomial(d, terms)
-
-
 def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
     """Both sign conventions of the Gaussian-image identity.
 
-    Compares V(e^{-|u +- y|^2/2})(x), with the Gaussian expanded as an exact
-    Taylor polynomial T and V(T) summed from the V tables as one integer
-    table, against e^{-|y|^2/2} L(x, y); V preserves degree, so the minus side
-    V(T(-.))(x) is V(T)(-x) and one table serves both, evaluated in integers
-    at +-x (x and y rational).  Returns the two residuals and trunc_bound,
-    a bound on both truncations: the kernel's tail and the Taylor remainder
-    past taylor_degree, which is the same tail_bound (module docstring).  The
+    Compares V(e^{-|u +- y|^2/2})(x) against e^{-|y|^2/2} L(x, y), the
+    Gaussian expanded as its Taylor polynomial T of degree D = taylor_degree.
+    As e^{-|u|^2/2 - <u, y>} is a product of Hermite generating functions
+    e^{z t - t^2/2} = sum_n He_n(z) t^n / n!, T's coefficient of u^nu is
+    He_nu(-y) / nu!, so V(T)(+-x) = sum_{n <= D} (+-1)^n sum_nu e_nu(x)
+    He_nu(-y), e_nu = V(x^nu) / nu!: E_n(x, .)'s tables against the Hermite
+    numerators of -y (exact._table_sum), even and odd degrees apart, exact
+    at rational x and y; the minus side V(T(-.))(x) is V(T)(-x), as V
+    preserves degree.  Returns the two residuals and trunc_bound, a bound on
+    both truncations: the kernel's tail and the Taylor remainder past
+    taylor_degree, which is the same tail_bound (module docstring).  The
     k = 0 closed form arbitrates which convention validates.
     """
     if taylor_degree is None:
@@ -370,11 +344,14 @@ def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
     y_norm = _norm(y)
     window = math.exp(-(y_norm**2) / 2.0)
     rhs = window * complex(lk_series_value(ev, x, y))
-    tnums, tden = _exact_table(gaussian_taylor(ev.dimension, y, taylor_degree).terms)
-    nums, den = _combine((c, _vk_table(ev.ctx, nu)) for nu, c in tnums.items())
+    axes = _hermite_axes([-t for t in y], taylor_degree)
+    even, odd = (
+        _table_sum(_combine((1, _en_table(ev.ctx, n, x)) for n in degrees), *axes)
+        for degrees in (range(0, taylor_degree + 1, 2), range(1, taylor_degree + 1, 2))
+    )
     out = {}
-    for label, point in (("plus", x), ("minus", tuple(-t for t in x))):
-        out[label] = abs(window * complex(_table_value((nums, den * tden), point)) - rhs)
+    for label, value in (("plus", even + odd), ("minus", even - odd)):
+        out[label] = abs(window * complex(value) - rhs)
     x_norm = _norm(x)
     taylor_tail = tail_bound(ev, x_norm, y_norm, taylor_degree).value
     out["trunc_bound"] = window * (taylor_tail + tail_bound(ev, x_norm, y_norm).value)
@@ -490,19 +467,19 @@ def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
 
 def _degree_blocks(ev: KernelEvaluator):
     """Per degree n <= N: the exponents of P_n's basis as a (b_n, d) array and
-    the b_n x b_n block [x^mu] V(x^nu) / nu! (operators._en_block), each
-    entry the exact one rounded once (complex where any entry is)."""
+    the b_n x b_n block [x^mu] e_nu of E_n's table (operators._e_table), each
+    entry c / den rounded once (complex where any entry is)."""
     import numpy as np
 
     if ev._blocks is None:
         ev._blocks = []
         for n in range(ev.n_trunc + 1):
-            rows, den = _en_block(ev.ctx, n)
-            index = {nu: i for i, (nu, _, _) in enumerate(rows)}
-            block = [[0.0] * len(rows) for _ in rows]
-            for k, (_, nums, scale) in enumerate(rows):
+            cols, den = _e_table(ev.ctx, n)
+            index = {nu: i for i, nu in enumerate(cols)}
+            block = [[0.0] * len(cols) for _ in cols]
+            for k, nums in enumerate(cols.values()):
                 for mu, c in nums.items():
-                    block[index[mu]][k] = _rounded_value(c * scale, den)
+                    block[index[mu]][k] = _rounded_value(c, den)
             ev._blocks.append((np.array(list(index)), np.array(block)))
     return ev._blocks
 
@@ -510,7 +487,7 @@ def _degree_blocks(ev: KernelEvaluator):
 def lk_grid(ev: KernelEvaluator, xs, ys):
     """Hermite-path kernel values on a product grid in floats, as a numpy
     array, one block product per degree: the monomials x^mu from per-axis
-    power tables, times the block of the V table, times the He_nu(y) =
+    power tables, times the block of E_n's table, times the He_nu(y) =
     prod_j He_{nu_j}(y_j) from per-axis Hermite values
     (poly.hermite_values).  lk_values gives the exact sums, rounded once."""
     import numpy as np

@@ -26,24 +26,26 @@ the composition W_n H_n is verified to be the identity on a basis.  The
 verified columns H_n x^nu are kept on the context, and H_n is applied to a
 polynomial through them; V^{-1} on P_n, a dense inverse too, likewise.
 
-W_n, the columns of H_n and V^{-1} and each V(x^nu) are tables of integer
-numerators (Gaussian integers, ComplexRationals with int parts, for a
-complex weight) over one denominator, and T_xi and A read their argument
+W_n, the columns of H_n and V^{-1}, and E_n's coefficients are tables of
+integer numerators (Gaussian integers, ComplexRationals with int parts, for
+a complex weight) over one denominator, and T_xi and A read their argument
 as one such table, so every sum, difference quotient and check is in
 integers; Fraction and ComplexRational coefficients are made only when a
 Polynomial leaves this module.
 
 The homogeneous kernel pieces
 
-    E_n(x, y) = (1/n!) V(<., y>^n)(x) = sum_{|nu|=n} V(x^nu)(x) y^nu / nu!
+    E_n(x, y) = (1/n!) V(<., y>^n)(x) = sum_{|nu|=n} e_nu(x) y^nu,   e_nu = V(x^nu) / nu!,
 
 sum to the generalized exponential E(x, y) = V(e^{<., y>})(x); truncation is
 controlled by the growth envelope (growth_envelope): u = |x| for a real
 weight k >= 0, certified by Roesler's representing measures for V, and the
 empirical u = delta_hat |G| |x| for every other weight.  E_n's coefficients
-[x^mu] V(x^nu) / nu! are one block per degree (_en_block), the V tables of
-P_n with an integer scale each, which every x-side evaluation reads: _en_table
-(E_n(x, .) at a point), homogeneous_kernel_bivariate and kernel.lk_grid.
+are the one store of V (_e_table): one table per degree, built by
+e_nu = H_n(sum_j x_j e_{nu - e_j}), the recursion for V divided by nu!, and
+read as it is by _en_table (E_n(x, .) at a point),
+homogeneous_kernel_bivariate, kernel.lk_grid, and intertwine and
+intertwine_inverse (V(x^nu) = nu! e_nu).
 """
 from __future__ import annotations
 
@@ -83,8 +85,7 @@ class DunklContext:
         self.k = k
         self.reflections = reflections  # (alpha, k(alpha), group index)
         self.h_cache = {}  # n -> lam_n (one scalar per element), or None
-        self.vk_cache = {}  # nu -> V(x^nu) as a table
-        self.en_blocks = {}  # n -> E_n's coefficients as one block (_en_block)
+        self.vk_cache = {}  # n -> E_n's coefficients V(x^nu) / nu! as one table (_e_table)
         self.inverse_cache = {}  # n -> table of the columns V^{-1} x^nu
         self.h_columns = {}  # n -> table of the columns H_n x^nu
         self.delta_hat = None
@@ -275,8 +276,8 @@ def _w_row(ctx, n, h):
 # -- integer tables ---------------------------------------------------------------
 #
 # The columns of a linear map on P_n (W_n, H_n, V^{-1}) are one table (poly's
-# integer tables) per degree, ({nu: numerators of M x^nu}, den), and each
-# V(x^nu) is a table of its own.
+# integer tables) per degree, ({nu: numerators of M x^nu}, den), and so are
+# E_n's coefficients (_e_table).
 
 
 def _reduced(cols, den):
@@ -372,36 +373,38 @@ def apply_H(ctx: DunklContext, n, p: Polynomial) -> Polynomial:
 
 # -- the intertwining operator -----------------------------------------------------
 
+def _e_table(ctx: DunklContext, n):
+    """E_n's coefficients as one table in lowest terms, ({nu: numerators of
+    e_nu}, den) with e_nu = V(x^nu) / nu!, kept in ctx.vk_cache; degree m
+    from degree m - 1's as e_nu = H_m(sum_j x_j e_{nu - e_j}), the sum
+    gathered over the lower den and mapped by the columns of H_m."""
+    tables = ctx.vk_cache
+    if not tables:
+        zero = (0,) * ctx.dimension
+        tables[0] = {zero: {zero: 1}}, 1
+    for m in range(len(tables), n + 1):
+        lower, low_den = tables[m - 1]
+        solve_H(ctx, m)
+        hcols, hden = ctx.h_columns[m]
+        cols = {}
+        for nu in monomial_basis(ctx.dimension, m):
+            acc = {}
+            for j, e in enumerate(nu):
+                if e:
+                    for mu, a in lower[nu[:j] + (e - 1,) + nu[j + 1 :]].items():
+                        raised = mu[:j] + (mu[j] + 1,) + mu[j + 1 :]
+                        prev = acc.get(raised)
+                        acc[raised] = a if prev is None else prev + a
+            cols[nu], _ = _combine((c, (hcols[mu], 1)) for mu, c in acc.items() if c)
+        tables[m] = _reduced(cols, low_den * hden)
+    return tables[n]
+
+
 def _vk_table(ctx: DunklContext, nu):
-    """V(x^nu) as a table, from sum_j x_j V(d_j x^nu) = sum_j nu_j x_j
-    V(x^(nu - e_j)) gathered over the lcm of the lower denominators and
-    mapped by the columns of H_n."""
-    cached = ctx.vk_cache.get(nu)
-    if cached is not None:
-        return cached
-    n = sum(nu)
-    if n == 0:
-        result = {nu: 1}, 1
-    else:
-        lower = []
-        for j, e in enumerate(nu):
-            if e:
-                lower.append((j, e, _vk_table(ctx, nu[:j] + (e - 1,) + nu[j + 1 :])))
-        den = math.lcm(*(table[1] for _, _, table in lower))
-        acc = {}
-        for j, e, (nums, low) in lower:
-            s = e if low == den else e * (den // low)
-            for mu, a in nums.items():
-                raised = mu[:j] + (mu[j] + 1,) + mu[j + 1 :]
-                prev = acc.get(raised)
-                acc[raised] = a * s if prev is None else prev + a * s
-        solve_H(ctx, n)
-        cols, cden = ctx.h_columns[n]
-        nums, _ = _combine((c, (cols[mu], cden)) for mu, c in acc.items() if c)
-        reduced, den = _reduced({nu: nums}, den * cden)
-        result = reduced[nu], den
-    ctx.vk_cache[nu] = result
-    return result
+    """V(x^nu) = nu! e_nu as a table, from its column of E_n's table."""
+    cols, den = _e_table(ctx, sum(nu))
+    scale = _multi_factorial(nu)
+    return {mu: c * scale for mu, c in cols[nu].items()}, den
 
 
 def intertwine(ctx: DunklContext, p: Polynomial) -> Polynomial:
@@ -410,15 +413,16 @@ def intertwine(ctx: DunklContext, p: Polynomial) -> Polynomial:
 
 
 def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:
-    """V^{-1} q, through the table of V^{-1}'s columns on each P_n (V is the
-    identity on P_0); intertwine o intertwine_inverse = id."""
+    """V^{-1} q, through the table of V^{-1}'s columns on each P_n, the
+    inverse of E_n's columns scaled by nu! (V is the identity on P_0);
+    intertwine o intertwine_inverse = id."""
     pairs = []
     for nu, c in q.terms.items():
         n = sum(nu)
         table = ({nu: {nu: 1}}, 1) if n == 0 else ctx.inverse_cache.get(n)
         if table is None:
-            basis = monomial_basis(q.dim, n)
-            images = _over_one_denominator(basis, [_vk_table(ctx, mu) for mu in basis])
+            cols, den = _e_table(ctx, n)
+            images = {mu: _vk_table(ctx, mu)[0] for mu in cols}, den
             table = ctx.inverse_cache[n] = _inverse_table(images)
         cols, den = table
         pairs.append(((cols[nu], den), c))
@@ -470,9 +474,9 @@ def homogeneous_kernel(ctx: DunklContext, n, x) -> Polynomial:
 
 def homogeneous_kernel_bivariate(ctx: DunklContext, n) -> Polynomial:
     """E_n as an exact polynomial in the 2d variables (x_1..x_d, y_1..y_d),
-    its coefficients [x^mu] V(x^nu) / nu! read from E_n's block."""
-    rows, den = _en_block(ctx, n)
-    terms = {mu + nu: _exact_value(c * scale, den) for nu, nums, scale in rows for mu, c in nums.items()}
+    its coefficients [x^mu] e_nu read from E_n's table."""
+    cols, den = _e_table(ctx, n)
+    terms = {mu + nu: _exact_value(c, den) for nu, nums in cols.items() for mu, c in nums.items()}
     return Polynomial(2 * ctx.dimension, terms)
 
 
@@ -677,37 +681,21 @@ def _kernel_sum(ctx: DunklContext, x, y, n_trunc):
     return total, abs(complex(term))
 
 
-def _en_block(ctx: DunklContext, n):
-    """E_n's coefficients [x^mu] V(x^nu) / nu! = nums[mu] scale / den as
-    (rows, den), a row (nu, nums, scale) per nu of P_n: nums the table in
-    ctx.vk_cache itself, scale an integer, den the lcm of the den_nu nu!.
-    Built once per context and degree."""
-    block = ctx.en_blocks.get(n)
-    if block is None:
-        rows = []
-        for nu in monomial_basis(ctx.dimension, n):
-            nums, den = _vk_table(ctx, nu)
-            rows.append((nu, nums, den * _multi_factorial(nu)))
-        common = math.lcm(*(den for _, _, den in rows))
-        block = ctx.en_blocks[n] = [(nu, nums, common // den) for nu, nums, den in rows], common
-    return block
-
-
 def _en_table(ctx: DunklContext, n, x):
-    """E_n(x, .)'s table (nums, den), V(x^nu)(x) / nu! = nums[nu] / den, at
-    an exact point x = a / q: each monomial a^mu formed once, each row of
-    _en_block summed over them and scaled, zeros dropped."""
-    rows, den = _en_block(ctx, n)
+    """E_n(x, .)'s table (nums, den), e_nu(x) = nums[nu] / den, at an exact
+    point x = a / q: each monomial a^mu formed once, each column of
+    _e_table summed over them, zeros dropped."""
+    cols, den = _e_table(ctx, n)
     q = math.lcm(*(t.denominator for t in x))
     powers = _powers([_numerator(t, q) for t in x], n)
-    monos = {nu: math.prod(map(list.__getitem__, powers, nu)) for nu, _, _ in rows}
+    monos = {nu: math.prod(map(list.__getitem__, powers, nu)) for nu in cols}
     out = {}
-    for nu, nums, scale in rows:
+    for nu, nums in cols.items():
         total = 0
         for mu, c in nums.items():
             total = total + c * monos[mu]
         if total:
-            out[nu] = total * scale
+            out[nu] = total
     return out, den * q**n
 
 

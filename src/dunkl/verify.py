@@ -584,7 +584,7 @@ def suite_positivity(bundle: ContextBundle):
             "kernel-nonnegative-on-grid", POSITIVITY_TOL,
             "nonnegativity is only claimed for nonnegative real weights",
         )]
-    # the degree the signs suite's bound picks in d = 2, so there the two share V tables
+    # the degree the signs suite's bound picks in d = 2, so there the two share E_n's tables
     n_trunc = max(bundle.degree, 18)
     x_axis, y_axis = (5, 7) if d <= 2 else (3, 5)
     ev = make_evaluator(ctx, n_trunc)

@@ -27,6 +27,7 @@ from dunkl.config import (
 )
 from dunkl.exact import ComplexRational, scalar_to_json
 from dunkl.operators import (
+    _e_table,
     _vk_table,
     apply_H,
     homogeneous_kernel,
@@ -200,6 +201,35 @@ def test_integer_tables_match_fraction_reference(name, kind):
         assert all(type(got[mu]) is type(c) for mu, c in want.items())
 
 
+@pytest.mark.parametrize("kind", ["real", "negative", "complex"])
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_e_tables_are_v_over_nu_factorial_in_lowest_terms(name, kind):
+    # the one store of V: per degree, E_n's columns e_nu = V(x^nu) / nu! over
+    # one denominator in lowest terms, every numerator an int or a Gaussian
+    # integer, each column times nu! the reference V(x^nu)
+    ctx = _context(name, kind)
+    top = SYSTEMS[name][2]
+    ctx.prepare(top)
+    d = ctx.dimension
+    reference = _reference_v(ctx, top)
+    _e_table(ctx, top)
+    assert sorted(ctx.vk_cache) == list(range(top + 1))
+    for n, (cols, den) in ctx.vk_cache.items():
+        assert list(cols) == monomial_basis(d, n)
+        numerators = [c for col in cols.values() for c in col.values()]
+        assert all(
+            type(c) is int or (type(c) is ComplexRational and type(c.real) is type(c.imag) is int)
+            for c in numerators
+        )
+        parts = [den]
+        for c in numerators:
+            parts.extend((c.real, c.imag))
+        assert den > 0 and math.gcd(*parts) == 1
+        for nu, col in cols.items():
+            scale = Fraction(math.prod(map(math.factorial, nu)), den)
+            assert Polynomial(d, {mu: c * scale for mu, c in col.items()}) == reference[nu]
+
+
 def test_reference_cases_cover_fallback_degrees():
     for name, (_, fallbacks) in NEGATIVE.items():
         assert _context(name, "negative").prepare(SYSTEMS[name][2]).fallback_degrees == fallbacks
@@ -366,11 +396,9 @@ def test_complex_numerators_are_gaussian_integers():
     complex value is a ComplexRational with int parts."""
     config = Path(__file__).resolve().parent.parent / "configs" / "b2c.json"
     ctx = load_context(config).ctx
-    for n in range(ctx.prepared_to + 1):
-        for nu in monomial_basis(ctx.dimension, n):
-            _vk_table(ctx, nu)
+    _e_table(ctx, ctx.prepared_to)
     assert len(ctx.h_columns) == ctx.prepared_to
-    tables = [nums for nums, _ in ctx.vk_cache.values()]
+    tables = [col for cols, _ in ctx.vk_cache.values() for col in cols.values()]
     tables += [col for cols, _ in ctx.h_columns.values() for col in cols.values()]
     numerators = [c for nums in tables for c in nums.values()]
     complex_ = [c for c in numerators if isinstance(c, ComplexRational)]

@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dunkl import kernel
 from dunkl.config import load_context
 from dunkl.exact import ComplexRational
 from dunkl.kernel import (
     _degree_blocks,
+    _hermite_axes,
     certified_radius,
     convolution_check,
     derivative_relation_check,
     fourier_check,
     gaussian_image_check,
-    gaussian_taylor,
     heat_image,
     hermite_piece,
     lk_eval,
@@ -35,7 +36,7 @@ from dunkl.kernel import (
 )
 from dunkl.operators import (
     TruncationError,
-    _en_block,
+    _e_table,
     _norm,
     _recurrence_tail,
     _tail_term,
@@ -48,7 +49,14 @@ from dunkl.operators import (
     make_context,
     monomial_basis,
 )
-from dunkl.poly import Polynomial, _polynomial, heat_half, hermite_values, inverse_heat_half
+from dunkl.poly import (
+    Polynomial,
+    _multi_factorial,
+    _polynomial,
+    heat_half,
+    hermite_values,
+    inverse_heat_half,
+)
 from dunkl.quad import gauss_rule, gaussian_integral
 from dunkl.reflection_groups import (
     build_root_system,
@@ -717,14 +725,14 @@ def test_float_values_do_not_depend_on_table_term_order(family, k_values, kw):
         return out
 
     before = values()
-    # E_n's blocks hold the V tables themselves, so reversing each table in
-    # place reverses what every evaluation reads
-    rows = [row for n in range(ev.n_trunc + 1) for row in _en_block(ctx, n)[0]]
-    assert all(nums is ctx.vk_cache[nu][0] for nu, nums, _ in rows)
-    for nums, _ in ctx.vk_cache.values():
-        items = list(nums.items())
-        nums.clear()
-        nums.update(reversed(items))
+    # every evaluation reads E_n's tables as they are kept, so reversing
+    # each column in place reverses what it reads
+    assert all(_e_table(ctx, n) is ctx.vk_cache[n] for n in range(ev.n_trunc + 1))
+    for cols, _ in ctx.vk_cache.values():
+        for nums in cols.values():
+            items = list(nums.items())
+            nums.clear()
+            nums.update(reversed(items))
     assert values() == before
 
 
@@ -830,19 +838,24 @@ def _negate_odd_degrees(p):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("y", TAYLOR_POINTS, ids=str)
 def test_gaussian_taylor_matches_series_product(y, sign):
-    # gaussian_taylor gives the plus sign; the minus one is its value at -u
+    # gaussian_image_check reads T's coefficient of u^nu as He_nu(-y) / nu!
+    # from the Hermite numerators of -y; the minus sign's T is T(-u), whose
+    # coefficients are He_nu(y) / nu!
     d = len(y)
     degrees = (0, 1, 2, 20) + ((36,) if d == 2 else ())
     for deg in degrees:
-        got = gaussian_taylor(d, y, deg)
-        if sign == -1:
-            got = _negate_odd_degrees(got)
+        axes, r = _hermite_axes([-sign * t for t in y], deg)
+        got = Polynomial(d, {
+            nu: Fraction(math.prod(h[e] for h, e in zip(axes, nu)), r**n * _multi_factorial(nu))
+            for n in range(deg + 1)
+            for nu in monomial_basis(d, n)
+        })
         want = _gaussian_taylor_by_products(d, y, sign, deg)
         assert got.terms == want.terms
         assert all(type(got.terms[nu]) is type(c) for nu, c in want.terms.items())
 
 
-@pytest.mark.parametrize(
+TAYLOR_IMAGE_CASES = pytest.mark.parametrize(
     "family, k, kw, x, y",
     [
         (
@@ -862,14 +875,44 @@ def test_gaussian_taylor_matches_series_product(y, sign):
     ],
     ids=["B2", "A3"],
 )
+
+
+@TAYLOR_IMAGE_CASES
 def test_minus_taylor_image_is_plus_image_at_minus_x(family, k, kw, x, y):
     # the identity that lets gaussian_image_check intertwine one Taylor polynomial
     ctx = make_ev(family, k, 1, **kw).ctx
     minus_x = tuple(-t for t in x)
+    top = _gaussian_taylor_by_products(len(x), y, 1, 12)
     for deg in range(13):
-        plus = gaussian_taylor(len(x), y, deg)
+        plus = _truncate_total_degree(top, deg)
         minus = _negate_odd_degrees(plus)
         assert intertwine(ctx, minus).evaluate(x) == intertwine(ctx, plus).evaluate(minus_x)
+
+
+@TAYLOR_IMAGE_CASES
+def test_gaussian_image_check_sums_are_the_intertwined_taylor_polynomial(
+    family, k, kw, x, y, monkeypatch
+):
+    # the check sums E_n(x, .)'s tables against He_nu(-y), the even and the
+    # odd degrees apart; even + odd and even - odd must be V(T)(x) and
+    # V(T)(-x) exactly, T the Taylor polynomial of degree D
+    ev = make_ev(family, k, 1, **kw)
+    sums = []
+    table_sum = kernel._table_sum
+
+    def recorded(*args):
+        sums.append(table_sum(*args))
+        return sums[-1]
+
+    monkeypatch.setattr(kernel, "_table_sum", recorded)
+    top = _gaussian_taylor_by_products(len(x), y, 1, 12)
+    for deg in range(13):
+        sums.clear()
+        gaussian_image_check(ev, x, y, deg)
+        even, odd = sums
+        image = intertwine(ev.ctx, _truncate_total_degree(top, deg))
+        assert even + odd == image.evaluate(x)
+        assert even - odd == image.evaluate(tuple(-t for t in x))
 
 
 def _tail_term_per_call(u, v, d, n):
@@ -992,8 +1035,9 @@ def test_gaussian_image_remainder_bound_dominates_taylor_remainder():
     y = (Fraction(9, 10), Fraction(1, 3))
     xn, yn = math.hypot(*x), math.hypot(*y)
     exact = math.exp(-float(sum(t * t for t in x)) / 2 - float(sum(a * b for a, b in zip(x, y))))
+    top = _gaussian_taylor_by_products(2, y, 1, 20)
     for deg in range(6, 21):
-        taylor = float(gaussian_taylor(2, y, deg).evaluate(x))
+        taylor = float(_truncate_total_degree(top, deg).evaluate(x))
         assert abs(taylor - exact) <= tail_bound(ev0, xn, yn, deg).value, deg
         # and through the check, where the kernel's tail at degree 30 is far smaller
         res = gaussian_image_check(ev0, x, y, deg)

@@ -9,7 +9,6 @@ from dunkl import kernel, poly, verify
 from dunkl.cli import EXIT_VERIFY_FAIL, main
 from dunkl.config import build_bundle, load_context
 from dunkl.kernel import make_evaluator
-from dunkl.operators import monomial_basis
 from dunkl.verify import run_suite, suite_exact, suite_positivity, suite_quadrature, suite_signs
 
 
@@ -160,17 +159,17 @@ def test_product_expansion_oracle_names_skipped_degrees():
 
 
 def test_positivity_fills_and_reuses_the_context_table():
-    # the positivity suite reads the context's own V table to degree
+    # the positivity suite reads the context's own E_n tables to degree
     # max(N, 18), so a later evaluator at that degree (the signs suite's for
-    # d <= 2) finds every entry already there
+    # d <= 2) finds every degree already there and builds none again
     bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 12})
     ctx = bundle.ctx
     assert all(r.passed for r in suite_positivity(bundle))
-    wanted = {nu for n in range(19) for nu in monomial_basis(2, n)}
-    assert wanted <= set(ctx.vk_cache)
+    assert set(range(19)) <= set(ctx.vk_cache)
     before = dict(ctx.vk_cache)
     make_evaluator(ctx, 18)
     assert ctx.vk_cache.keys() == before.keys()
+    assert all(ctx.vk_cache[n] is table for n, table in before.items())
 
 
 def test_failing_comparisons_count_in_the_residual(monkeypatch):
