@@ -11,7 +11,9 @@ memory: the commands raise, and main alone prints the one "configuration
 error: ..." line and returns 2, or the one "out of memory: ..." line and
 returns 3.  The context cache directory defaults to DUNKL_CACHE_DIR (or the working
 directory).  Only verify and export-quadrature import the float layer and
-with it numpy; every other command, kernel-grid included, never loads it.
+with it numpy, inside the error mapping: without numpy they exit 2 with one
+"configuration error: ..." line naming it.  Every other command,
+kernel-grid included, never loads numpy.
 The package's records are collections.namedtuple classes or plain classes,
 so importing this module loads neither inspect nor typing.
 """
@@ -329,7 +331,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, parser=None) -> int:
     """Run the command argv names under parser (default dunkl's); config errors
-    exit 2, and running out of memory exits 3."""
+    and a missing numpy exit 2, and running out of memory exits 3."""
     args = (parser or make_parser()).parse_args(argv)
     try:
         return args.func(args)
@@ -337,6 +339,11 @@ def main(argv=None, parser=None) -> int:
         ConfigError, MultiplicityError, GroupClosureError, NotInMStarError, TruncationError, OSError
     ) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").partition(".")[0] != "numpy":
+            raise
+        print(f"configuration error: the float layer needs numpy: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:
         print(f"out of memory: {str(exc) or 'the request needs more memory than the process can get'}",

@@ -18,6 +18,8 @@ evaluate_en's sum with the Hermite numerators of y in place of its powers,
 exact at the binary values of the points and rounded once; in floats at
 many points (lk_grid, which the quadrature and positivity checks read) it
 is one block product per degree of E_n's table, each entry rounded once.
+The derivative relation's x side L^(N)(., y) = sum_nu He_nu(y) e_nu is E_n's
+columns against y's Hermite numerators, one table in x that T_j reads.
 Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy, L represents the
 composition of the intertwining operator with the inverse half-heat flow:
 
@@ -50,23 +52,20 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .exact import _exact_value, _numerator, _read_exact, _rounded_value
 from .exact import _table_sum, _table_value
 from .operators import (
     DunklContext,
     TruncationError,
+    _dunkl_table,
     _e_table,
     _en_table,
     _kernel_sum,
     _norm,
     _recurrence_tail,
-    dunkl_apply,
     growth_envelope,
     homogeneous_kernel,
-    intertwine,
-    monomial_basis,
 )
 from .poly import Polynomial, _combine, _heat, _multi_factorial, _polynomial, hermite_values
 from .reflection_groups import act_on_polynomial, mat_vec
@@ -378,6 +377,27 @@ def fourier_check(ev: KernelEvaluator, x, y):
     return out
 
 
+def _lk_x_table(ev: KernelEvaluator, y):
+    """L^(N)(., y) = sum_nu He_nu(y) e_nu at an exact point y = b / r as one
+    table in x: E_n's columns e_nu = V(x^nu) / nu! (operators._e_table)
+    weighted by y's Hermite numerators (_hermite_axes), He_nu(y) =
+    prod_j h_{nu_j} r^{N-|nu|} / r^N, over den_n r^N and joined by
+    poly._combine.  It is V(sum_nu He_nu(y) x^nu / nu!), with no nu! put on
+    a column and taken off again."""
+    n_trunc = ev.n_trunc
+    axes, r = _hermite_axes(y, n_trunc)
+    r_top = r**n_trunc
+    pairs = []
+    for n in range(n_trunc + 1):
+        cols, den = _e_table(ev.ctx, n)
+        scale = r ** (n_trunc - n)
+        for nu, nums in cols.items():
+            w = math.prod(map(list.__getitem__, axes, nu))
+            if w:
+                pairs.append((w * scale, (nums, den * r_top)))
+    return _combine(pairs)
+
+
 def derivative_relation_check(ev: KernelEvaluator, x, y, j):
     """Both orientations of the mixed derivative relation
 
@@ -385,9 +405,10 @@ def derivative_relation_check(ev: KernelEvaluator, x, y, j):
 
     x and y read once as exact values (exact._read_exact), a float
     coordinate as its binary value.  The y side differentiates the series
-    table of L^(N)(x, .) on its numerators, and the x side hits
-    L(., y) = V(sum_nu He_nu(y) x^nu / nu!) with the Dunkl operator; each
-    side is exact until it is rounded once.
+    table of L^(N)(x, .) on its numerators.  The x side is E_n's columns
+    against y's Hermite numerators (_lk_x_table), the table of L^(N)(., y),
+    hit by the Dunkl operator on that table (operators._dunkl_table) and
+    summed at x; each side is exact until it is rounded once.
     The orientation follows the same convention fork as the Fourier and
     Gaussian-image identities; the k = 0 closed form singles one out."""
     window = math.exp(-(_norm(y) ** 2) / 2.0)
@@ -395,15 +416,8 @@ def derivative_relation_check(ev: KernelEvaluator, x, y, j):
     nums, den = _series_table(ev, x)
     deriv = {nu[:j] + (nu[j] - 1,) + nu[j + 1 :]: c * nu[j] for nu, c in nums.items() if nu[j]}
     lhs = window * complex(_table_value((deriv, den), y) - y[j] * _table_value((nums, den), y))
-    he = [hermite_values(t, ev.n_trunc) for t in y]
-    weights = {
-        nu: math.prod(h[e] for h, e in zip(he, nu)) * Fraction(1, _multi_factorial(nu))
-        for n in range(ev.n_trunc + 1)
-        for nu in monomial_basis(ev.dimension, n)
-    }
-    q = intertwine(ev.ctx, Polynomial(ev.dimension, weights))
     e_j = tuple(1 if i == j else 0 for i in range(ev.dimension))
-    rhs = window * complex(dunkl_apply(ev.ctx, e_j, q).evaluate(x))
+    rhs = window * complex(_table_value(_dunkl_table(ev.ctx, e_j, _lk_x_table(ev, y)), x))
     return {"plus": abs(lhs - rhs), "minus": abs(lhs + rhs)}
 
 
@@ -456,7 +470,9 @@ def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
 
     values = lk_grid(ev, xs, ys)
     y_norms = [_norm(y) for y in ys]
-    tails = np.array([[tail_bound(ev, xn, yn).value for yn in y_norms] for xn in map(_norm, xs)])
+    x_norms = [_norm(x) for x in xs]
+    rows = {xn: [tail_bound(ev, xn, yn).value for yn in y_norms] for xn in dict.fromkeys(x_norms)}
+    tails = np.array([rows[xn] for xn in x_norms])
     adjusted = values.real - tails
     i, j = np.unravel_index(np.argmin(adjusted), adjusted.shape)
     return PositivityReport(

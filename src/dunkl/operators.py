@@ -55,7 +55,7 @@ from fractions import Fraction
 
 from .exact import ComplexRational, SingularMatrixError, _exact_table, _exact_value, solve_columns
 from .exact import _numerator, _powers, _read_exact, _table_value, invert_matrix
-from .poly import Polynomial, _combination, _combine, _multi_factorial, _polynomial
+from .poly import Polynomial, _combination, _combine, _multi_factorial, _polynomial, _weighted
 from .poly import _to_float_scalar, combination
 from .reflection_groups import act_on_polynomial, dot, mat_vec, monomial_image, reflection_matrix
 
@@ -162,14 +162,11 @@ def divide_by_root_pairing(table, alpha):
     return quotient, den
 
 
-def dunkl_apply(ctx: DunklContext, xi, p: Polynomial) -> Polynomial:
-    """T_xi p, exact, on p's integer table: d_j p and (p - p o s_a) / <a, x>
-    (divide_by_root_pairing) weighted by xi_j and k(a) <a, xi>, summed in
-    one poly._combination.  A float or complex coefficient of p or xi is
-    read as its binary value (exact._read_exact), and then each coefficient
-    of the exact result is rounded once."""
-    (xi, rx), (coeffs, rp) = _read_exact(xi), _read_exact(p.terms.values())
-    table = nums, den = _exact_table(dict(zip(p.terms, coeffs)))
+def _dunkl_table(ctx: DunklContext, xi, table):
+    """T_xi on an integer table at an exact xi: d_j p and (p - p o s_a) /
+    <a, x> (divide_by_root_pairing) weighted by xi_j and k(a) <a, xi>,
+    summed over one denominator (poly._weighted)."""
+    nums, den = table
     parts = [
         (({nu[:j] + (nu[j] - 1,) + nu[j + 1 :]: c * nu[j] for nu, c in nums.items() if nu[j]}, den), w)
         for j, w in enumerate(xi)
@@ -180,7 +177,17 @@ def dunkl_apply(ctx: DunklContext, xi, p: Polynomial) -> Polynomial:
         if ka and pairing:
             diff = _combine(((1, table), (-1, _reflected(ctx.group, sidx, table))))
             parts.append((divide_by_root_pairing(diff, alpha), ka * pairing))
-    return _combination(p.dim, parts, rx or rp)
+    return _weighted(parts)
+
+
+def dunkl_apply(ctx: DunklContext, xi, p: Polynomial) -> Polynomial:
+    """T_xi p, exact, on p's integer table (_dunkl_table).  A float or
+    complex coefficient of p or xi is read as its binary value
+    (exact._read_exact), and then each coefficient of the exact result is
+    rounded once."""
+    (xi, rx), (coeffs, rp) = _read_exact(xi), _read_exact(p.terms.values())
+    table = _exact_table(dict(zip(p.terms, coeffs)))
+    return _polynomial(p.dim, _dunkl_table(ctx, xi, table), rx or rp)
 
 
 def operator_A(ctx: DunklContext, p: Polynomial) -> Polynomial:
@@ -541,14 +548,16 @@ def _tail_term(u, v, d, n):
         return 0.0
     log_u_n = n * math.log(u)
     log_d = math.log(d) if d else 0.0
+    log_v = math.log(v) if v else 0.0
+    log_2 = math.log(2.0)
     total = 0.0
     for m in range(n // 2 + 1 if d else 1):
         r = n - 2 * m
         if v == 0.0 and r > 0:
             continue
-        lt = log_u_n + m * log_d - m * math.log(2.0) - math.lgamma(m + 1)
+        lt = log_u_n + m * log_d - m * log_2 - math.lgamma(m + 1)
         if r > 0:
-            lt += r * math.log(v) - math.lgamma(r + 1)
+            lt += r * log_v - math.lgamma(r + 1)
         if lt > 690.0:
             return math.inf
         total += math.exp(lt)
@@ -673,12 +682,12 @@ def dunkl_kernel(ctx: DunklContext, x, y, tol) -> KernelValue:
 
 def _kernel_sum(ctx: DunklContext, x, y, n_trunc):
     """(sum_{n <= n_trunc} E_n(x, y), |E_{n_trunc}(x, y)|) at exact points x
-    and y: the sum exact, the last term's magnitude a float."""
-    total = 0
-    for n in range(n_trunc + 1):
-        term = evaluate_en(ctx, n, x, y)
-        total = total + term
-    return total, abs(complex(term))
+    and y: the sum exact, the last term's magnitude a float.  E_n(x, .)'s
+    tables for n < n_trunc are joined over one denominator and summed once
+    at y; the last term, evaluate_en's value, is added to that sum."""
+    head = _combine((1, _en_table(ctx, n, x)) for n in range(n_trunc))
+    last = evaluate_en(ctx, n_trunc, x, y)
+    return _table_value(head, y) + last, abs(complex(last))
 
 
 def _en_table(ctx: DunklContext, n, x):

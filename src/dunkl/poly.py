@@ -88,10 +88,7 @@ class Polynomial:
                     del terms[nu]
                 else:
                     terms[nu] = s
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "dim", self.dim)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return _from_terms(self.dim, terms)
 
     __radd__ = __add__
 
@@ -257,6 +254,15 @@ def _int_power(x, e):
         x = x * x
 
 
+def _from_terms(dim, terms):
+    """The Polynomial whose terms are the dict terms as it is: tuple keys of
+    length dim and no zero coefficient, which the caller guarantees."""
+    out = Polynomial.__new__(Polynomial)
+    object.__setattr__(out, "dim", dim)
+    object.__setattr__(out, "terms", terms)
+    return out
+
+
 def _to_float_scalar(c):
     return complex(c) if isinstance(c, (complex, ComplexRational)) else float(c)
 
@@ -282,10 +288,12 @@ def combination(dim, pairs):
 
 def _polynomial(dim, table, rounded=False):
     """The table as a Polynomial with exact coefficients, or with each
-    coefficient rounded to a float once."""
+    coefficient rounded to a float once; a coefficient that is 0, exact or
+    rounded, is dropped.  The table's keys are exponent tuples of length
+    dim, so no other check runs."""
     nums, den = table
     value = _rounded_value if rounded else _exact_value
-    return Polynomial(dim, {mu: value(c, den) for mu, c in nums.items()})
+    return _from_terms(dim, {mu: v for mu, c in nums.items() if (v := value(c, den))})
 
 
 def _combine(pairs):
@@ -303,18 +311,23 @@ def _combine(pairs):
     return {mu: c for mu, c in out.items() if c}, den
 
 
+def _weighted(pairs):
+    """sum of c * table over the (table, exact scalar c) pairs as one table,
+    in integers over one denominator (_combine)."""
+    return _combine(
+        (_numerator(c, c.denominator), (nums, den * c.denominator)) for (nums, den), c in pairs
+    )
+
+
 def _combination(dim, pairs, rounded=False):
-    """sum of c * table over the (table, scalar c) pairs, as a Polynomial, in
-    integers over one denominator; a float or complex c is read as its
-    binary value (exact._read_exact), and then, as when rounded is set, each
-    coefficient is rounded once."""
+    """sum of c * table over the (table, scalar c) pairs, as a Polynomial
+    (_weighted); a float or complex c is read as its binary value
+    (exact._read_exact), and then, as when rounded is set, each coefficient
+    is rounded once."""
     pairs = list(pairs)
     scalars, floats = _read_exact(c for _, c in pairs)
-    weighted = []
-    for ((nums, den), _), c in zip(pairs, scalars):
-        s = c.denominator
-        weighted.append((_numerator(c, s), (nums, den * s)))
-    return _polynomial(dim, _combine(weighted), rounded or floats)
+    table = _weighted(zip((t for t, _ in pairs), scalars))
+    return _polynomial(dim, table, rounded or floats)
 
 
 # -- calculus and pairings on polynomials ------------------------------------------

@@ -13,6 +13,7 @@ every monomial of total degree <= 2q - 1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -29,11 +30,14 @@ _NODE_CAP = 4_000_000
 QuadratureRule = namedtuple("QuadratureRule", "dimension nodes weights exact_degree")
 
 
+@functools.lru_cache(maxsize=16)
 def gauss_rule(d: int, q: int) -> QuadratureRule:
     """Tensor Gauss-Hermite rule with q nodes per axis, exact to degree 2q-1.
 
-    A q or d at which a weight is not finite and positive in floats raises
-    ValueError (numpy's weights are 0 at q = 371 and NaN from q = 372).
+    Built once per (d, q) and kept (the 16 latest), so every caller shares
+    one rule: its node and weight arrays are read-only.  A q or d at which
+    a weight is not finite and positive in floats raises ValueError (numpy's
+    weights are 0 at q = 371 and NaN from q = 372).
     """
     if q < 1:
         raise ValueError("need at least one point per axis")
@@ -52,6 +56,7 @@ def gauss_rule(d: int, q: int) -> QuadratureRule:
         raise ValueError(
             f"{q} points per axis in d = {d} give weights that are not finite and positive"
         )
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(d, nodes, weights, 2 * q - 1)
 
 

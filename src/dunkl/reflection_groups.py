@@ -122,19 +122,12 @@ class MultiplicityFunction:
         self.by_root = by_root
         self.orbits = orbits  # tuple of tuples of root indices into the system's roots
         self.gamma = gamma
+        # read by every tail bound (operators.tail_kind), so set once
+        self.is_real = all(v.imag == 0 for v in by_root.values())
+        self.is_nonnegative = self.is_real and all(v >= 0 for v in by_root.values())
 
     def value(self, root):
         return self.by_root[tuple(root)]
-
-    @property
-    def is_real(self):
-        return all(v.imag == 0 for v in self.by_root.values())
-
-    @property
-    def is_nonnegative(self):
-        if not self.is_real:
-            return False
-        return all(v >= 0 for v in self.by_root.values())
 
     @property
     def is_zero(self):

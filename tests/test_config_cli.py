@@ -668,6 +668,21 @@ def test_import_set_has_no_numpy_dataclasses_inspect_or_typing():
     assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--context", str(B2_CONFIG), "--suite", "exact"],
+    ["export-quadrature", "--dim", "1", "--points-per-axis", "3"],
+], ids=["verify", "export-quadrature"])
+def test_float_layer_commands_without_numpy_exit_2_with_one_line(argv, tmp_path):
+    """verify and export-quadrature import numpy inside main's error mapping:
+    with numpy blocked each exits 2 with one line that names it, not exit 1
+    (a failed verification) and a traceback."""
+    run = "from dunkl.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = _python(NO_NUMPY + run, *argv, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("configuration error: ") and "numpy" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_exact_commands_run_without_numpy(tmp_path):
     """build, intertwine, lambda-table, ek-eval and kernel-grid exit 0 with
     numpy blocked, and print and cache byte for byte what a normal run does;

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dunkl import kernel
 from dunkl.config import load_context
-from dunkl.exact import ComplexRational
+from dunkl.exact import ComplexRational, _read_exact
 from dunkl.kernel import (
     _degree_blocks,
     _hermite_axes,
@@ -37,10 +37,12 @@ from dunkl.kernel import (
 from dunkl.operators import (
     TruncationError,
     _e_table,
+    _kernel_sum,
     _norm,
     _recurrence_tail,
     _tail_term,
     _vk_table,
+    dunkl_apply,
     dunkl_kernel,
     ek_tail_bound,
     evaluate_en,
@@ -1042,3 +1044,100 @@ def test_gaussian_image_remainder_bound_dominates_taylor_remainder():
         # and through the check, where the kernel's tail at degree 30 is far smaller
         res = gaussian_image_check(ev0, x, y, deg)
         assert res["minus"] <= res["trunc_bound"], deg
+
+
+# -- the derivative relation's x side and the joined kernel sum, pinned exactly -------
+
+def _intertwined_hermite_sum(ev, y):
+    """intertwine(ctx, sum_nu He_nu(y) x^nu / nu!) over |nu| <= N: L^(N)(., y)
+    the way the derivative relation once formed it."""
+    he = [hermite_values(t, ev.n_trunc) for t in y]
+    weights = {
+        nu: math.prod(h[e] for h, e in zip(he, nu)) * Fraction(1, _multi_factorial(nu))
+        for n in range(ev.n_trunc + 1)
+        for nu in monomial_basis(ev.dimension, n)
+    }
+    return intertwine(ev.ctx, Polynomial(ev.dimension, weights))
+
+
+def _derivative_relation_by_intertwine(ev, x, y, j):
+    """The derivative relation with its x side through intertwine and
+    dunkl_apply on Polynomials: the reference for derivative_relation_check."""
+    window = math.exp(-(_norm(y) ** 2) / 2.0)
+    (x, _), (y, _) = _read_exact(x), _read_exact(y)
+    lk = lk_polynomial(ev, x)
+    lhs = window * complex(lk.partial(j).evaluate(y) - y[j] * lk.evaluate(y))
+    e_j = tuple(int(i == j) for i in range(ev.dimension))
+    q = dunkl_apply(ev.ctx, e_j, _intertwined_hermite_sum(ev, y))
+    rhs = window * complex(q.evaluate(x))
+    return {"plus": abs(lhs - rhs), "minus": abs(lhs + rhs)}
+
+
+# config -> truncation degree; z21neg (k = -1) has its fallback degree 2 below it
+X_SIDE_DEGREES = {"b2": 8, "a2": 5, "b2c": 6, "z21neg": 5}
+
+
+@pytest.mark.parametrize("name", sorted(X_SIDE_DEGREES))
+def test_derivative_relation_x_table_is_the_intertwined_hermite_sum(name):
+    ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    ev = make_evaluator(ctx, X_SIDE_DEGREES[name])
+    if name == "z21neg":
+        assert ctx.fallback_degrees == [2]
+    d = ev.dimension
+    rational = tuple(Fraction(t, 7) for t in (5, -3, 2)[:d])
+    floats = tuple((0.31, -0.62, 0.17)[:d])
+    for y in (rational, floats):
+        y = tuple(_read_exact(y)[0])
+        table = kernel._lk_x_table(ev, y)
+        assert _polynomial(d, table) == _intertwined_hermite_sum(ev, y), y
+        assert all(table[0].values())
+    x = tuple(Fraction(t, 5) for t in (2, 1, -1)[:d])
+    for point in (rational, floats):
+        for j in range(d):
+            assert derivative_relation_check(ev, x, point, j) == _derivative_relation_by_intertwine(
+                ev, x, point, j
+            )
+
+
+@pytest.mark.parametrize("name", ["b2", "b2c", "z21neg", "a2"])
+def test_kernel_sum_is_the_sum_of_evaluate_en_exactly(name):
+    ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    d = ctx.dimension
+    x = tuple(Fraction(t, 6) for t in (1, -2, 3)[:d])
+    points = [tuple(Fraction(t, 5) for t in (3, 4, -1)[:d])]
+    points.append(tuple(ComplexRational(Fraction(t, 3), Fraction(1, 4)) for t in (1, -1, 2)[:d]))
+    for y in points:
+        for n_trunc in (0, 1, 2, 7):
+            terms = [evaluate_en(ctx, n, x, y) for n in range(n_trunc + 1)]
+            total, last = _kernel_sum(ctx, x, y, n_trunc)
+            assert total == sum(terms) and type(total) is type(sum(terms)), (y, n_trunc)
+            assert last == abs(complex(terms[-1]))
+
+
+def _tail_term_by_per_term_logs(u, v, d, n):
+    """_tail_term as it was, with log 2 and log v taken inside the loop."""
+    if u == 0.0:
+        return 0.0
+    log_u_n = n * math.log(u)
+    log_d = math.log(d) if d else 0.0
+    total = 0.0
+    for m in range(n // 2 + 1 if d else 1):
+        r = n - 2 * m
+        if v == 0.0 and r > 0:
+            continue
+        lt = log_u_n + m * log_d - m * math.log(2.0) - math.lgamma(m + 1)
+        if r > 0:
+            lt += r * math.log(v) - math.lgamma(r + 1)
+        if lt > 690.0:
+            return math.inf
+        total += math.exp(lt)
+    return total
+
+
+def test_tail_term_is_bit_identical_to_the_per_term_logs():
+    rng = random.Random(36)
+    for _ in range(2000):
+        u = rng.choice([0.0, rng.uniform(1e-9, 1e-3), rng.uniform(0.0, 4.0), rng.uniform(4.0, 300.0)])
+        v = rng.choice([0.0, rng.uniform(1e-9, 1e-3), rng.uniform(0.0, 3.0), rng.uniform(3.0, 80.0)])
+        d, n = rng.choice([0, 1, 2, 3, 6]), rng.randint(0, 70)
+        assert _tail_term(u, v, d, n).hex() == _tail_term_by_per_term_logs(u, v, d, n).hex(), (u, v, d, n)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dunkl.poly import (
     Polynomial,
+    _polynomial,
     fischer,
     fischer_via_gaussian,
     heat_half,
@@ -349,3 +350,19 @@ def test_normalized_monomial_orthonormal():
     cross_pair = fischer(phi, psi)
     assert self_pair == 1
     assert cross_pair == 0
+
+
+def test_polynomial_from_a_table_drops_zero_coefficients():
+    table = ({(2, 0): 3, (1, 1): 0, (0, 2): -6, (0, 0): ComplexRational(0, 0), (1, 0): 2}, 4)
+    exact = _polynomial(2, table)
+    assert exact.terms == {(2, 0): Fraction(3, 4), (0, 2): Fraction(-3, 2), (1, 0): Fraction(1, 2)}
+    assert exact == Polynomial(2, {mu: Fraction(c, 4) for mu, c in table[0].items() if c})
+    rounded = _polynomial(2, table, rounded=True)
+    assert rounded.terms == {(2, 0): 0.75, (0, 2): -1.5, (1, 0): 0.5}
+    assert all(type(c) is float for c in rounded.terms.values())
+    # a nonzero numerator whose rounded value underflows to 0.0 is dropped too
+    tiny = _polynomial(1, ({(2,): 1, (1,): 0, (0,): 1 << 100}, 1 << 1100), rounded=True)
+    assert tiny.terms == {(0,): 2.0**-1000}
+    assert _polynomial(1, ({(1,): 1}, 1 << 1100)).terms == {(1,): Fraction(1, 1 << 1100)}
+    gaussian = _polynomial(1, ({(1,): ComplexRational(0, 2), (0,): ComplexRational(0, 0)}, 4), True)
+    assert gaussian.terms == {(1,): 0.5j}

@@ -150,3 +150,16 @@ def test_rule_is_frozen_dataclass():
     assert isinstance(rule, QuadratureRule)
     with pytest.raises(AttributeError):
         rule.exact_degree = 5
+
+
+def test_rule_is_built_once_and_its_arrays_are_read_only():
+    rule = gauss_rule(2, 7)
+    assert gauss_rule(2, 7) is rule
+    for array in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # what callers derive from the shared arrays is theirs to change
+    shifted = rule.nodes + 1.0
+    shifted[0, 0] = 5.0
+    assert rule.nodes[0, 0] != 5.0
+    assert gauss_rule(2, 3) is not rule and gauss_rule(2, 3).nodes.shape == (9, 2)

@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dunkl import reflection_groups
+from dunkl.config import build_bundle, load_config
 from dunkl.exact import ComplexRational, _exact_table
 from dunkl.operators import monomial_basis
 from dunkl.poly import Polynomial, fischer
@@ -28,6 +30,7 @@ from dunkl.reflection_groups import (
     validate_multiplicity,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
@@ -505,3 +508,13 @@ def test_multiplicity_flags():
     assert validate_multiplicity(pos, Fraction(1, 2)).is_nonnegative
     assert not validate_multiplicity(pos, Fraction(-1, 2)).is_nonnegative
     assert validate_multiplicity(pos, Fraction(0)).is_zero
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_weight_flags_set_at_construction_match_their_definitions(path):
+    k = build_bundle(load_config(str(path))).k
+    values = list(k.by_root.values())
+    is_real = all(v.imag == 0 for v in values)
+    assert k.is_real is is_real
+    assert k.is_nonnegative is (is_real and all(v >= 0 for v in values))
+    assert "is_real" in vars(k) and "is_nonnegative" in vars(k)
