@@ -308,6 +308,8 @@ def _parse_term(chunk, dim):
     mono_part = chunk
     if "*" in chunk:
         coeff_part, mono_part = chunk.split("*", 1)
+        if not mono_part.strip():
+            raise ConfigError(f"term {chunk!r} has no monomial after '*'")
     elif chunk.startswith("("):
         close = chunk.index(")")
         coeff_part, mono_part = chunk[: close + 1], chunk[close + 1 :]

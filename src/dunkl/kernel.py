@@ -27,9 +27,14 @@ composition of the intertwining operator with the inverse half-heat flow:
 
 an exact identity per truncation degree, which the checks in this module
 exercise, with L^(N) read at the quadrature nodes from lk_grid, together
-with the convolution identity for the generalized exponential, the Fourier
-representation, the mixed derivative relation, the group equivariance, and
-nonnegativity for nonnegative weights.
+with the convolution identity for the generalized exponential, the Gaussian
+image, the mixed derivative relation, the group equivariance, and
+nonnegativity for nonnegative weights.  The Gaussian image of
+e^{-|u -+ y|^2/2} is the Hermite sum L^(D)(x, -+y) = sum_{|nu| <= D}
+e_nu(x) He_nu(-+y), and the closed-form transform z^nu -> (-i)^{|nu|}
+He_nu(y) e^{-|y|^2/2} (quad.fourier_quadrature) turns E(+-ix, .) into the
+same sum at +-y: the Fourier representation is the Gaussian image with the
+labels exchanged, and has no check of its own.
 
 Truncation error is controlled by the per-term estimate
 
@@ -65,7 +70,6 @@ from .operators import (
     _norm,
     _recurrence_tail,
     growth_envelope,
-    homogeneous_kernel,
 )
 from .poly import Polynomial, _combine, _heat, _multi_factorial, _polynomial, hermite_values
 from .reflection_groups import act_on_polynomial, mat_vec
@@ -122,10 +126,11 @@ def heat_piece(ev: KernelEvaluator, n, x, y):
     return _table_value(_heat(_en_table(ev.ctx, n, x), -1), y, rx or ry)
 
 
-def _en_tables(ev: KernelEvaluator, x):
-    """E_n(x, .)'s tables of every degree n <= N at an exact point x, over
-    one denominator: the coefficients V(x^nu)(x) / nu! of L^(N)'s x side."""
-    return _combine((1, _en_table(ev.ctx, n, x)) for n in range(ev.n_trunc + 1))
+def _en_tables(ev: KernelEvaluator, x, top=None):
+    """E_n(x, .)'s tables of every degree n <= top (default N) at an exact
+    point x, over one denominator: the coefficients V(x^nu)(x) / nu!."""
+    top = ev.n_trunc if top is None else top
+    return _combine((1, _en_table(ev.ctx, n, x)) for n in range(top + 1))
 
 
 def _series_table(ev: KernelEvaluator, x, joined=None):
@@ -152,22 +157,12 @@ def lk_series_value(ev: KernelEvaluator, x, y):
     return _table_value(_series_table(ev, x), y, rx or ry)
 
 
-def _hermite_numerators(b, r, n):
-    """[h_0, ..., h_n] with He_e(b / r) = h_e / r^e, in integers (Gaussian
-    integers for a complex b): He_{e+1}(z) = z He_e(z) - e He_{e-1}(z)
-    becomes h_{e+1} = b h_e - e r^2 h_{e-1}."""
-    h = [1, b][: n + 1]
-    r2 = r * r
-    for e in range(1, n):
-        h.append(b * h[e] - e * r2 * h[e - 1])
-    return h
-
-
 def _hermite_axes(y, n):
-    """(axes, r) at an exact point y = b / r: per axis the Hermite numerators
-    to degree n, the y side of the Hermite path (exact._table_sum)."""
+    """(axes, r) at an exact point y = b / r: per axis the integer Hermite
+    numerators r^e He_e(b_j / r) to degree n (poly.hermite_values of
+    variance r^2), the y side of the Hermite path (exact._table_sum)."""
     r = math.lcm(*(t.denominator for t in y))
-    return [_hermite_numerators(_numerator(t, r), r, n) for t in y], r
+    return [hermite_values(_numerator(t, r), n, r * r) for t in y], r
 
 
 def hermite_piece(ev: KernelEvaluator, n, x, y):
@@ -329,51 +324,38 @@ def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
     As e^{-|u|^2/2 - <u, y>} is a product of Hermite generating functions
     e^{z t - t^2/2} = sum_n He_n(z) t^n / n!, T's coefficient of u^nu is
     He_nu(-y) / nu!, so V(T)(+-x) = sum_{n <= D} (+-1)^n sum_nu e_nu(x)
-    He_nu(-y), e_nu = V(x^nu) / nu!: E_n(x, .)'s tables against the Hermite
-    numerators of -y (exact._table_sum), even and odd degrees apart, exact
-    at rational x and y; the minus side V(T(-.))(x) is V(T)(-x), as V
-    preserves degree.  Returns the two residuals and trunc_bound, a bound on
-    both truncations: the kernel's tail and the Taylor remainder past
-    taylor_degree, which is the same tail_bound (module docstring).  The
-    k = 0 closed form arbitrates which convention validates.
+    He_nu(-y), e_nu = V(x^nu) / nu!; the minus side V(T(-.))(x) is V(T)(-x),
+    as V preserves degree.  At x and y read as exact values, E_n(x, .)'s
+    tables up to degree max(D, N) are joined once: the even and odd degrees
+    up to D against the Hermite numerators of -y (exact._table_sum) give
+    both sides, and the degrees up to N are L^(N)(x, .)'s series table.
+    Returns the two residuals and trunc_bound, a bound on both truncations:
+    the kernel's tail and the Taylor remainder past taylor_degree, which is
+    the same tail_bound (module docstring).  The k = 0 closed form
+    arbitrates which convention validates.
     """
+    n_trunc = ev.n_trunc
     if taylor_degree is None:
-        taylor_degree = 2 * ev.n_trunc
-    ev.ctx.prepare(max(taylor_degree, ev.n_trunc))
-    y_norm = _norm(y)
+        taylor_degree = 2 * n_trunc
+    top = max(taylor_degree, n_trunc)
+    ev.ctx.prepare(top)
+    x_norm, y_norm = _norm(x), _norm(y)
     window = math.exp(-(y_norm**2) / 2.0)
-    rhs = window * complex(lk_series_value(ev, x, y))
+    (x, _), (y, _) = _read_exact(x), _read_exact(y)
+    nums, den = _en_tables(ev, x, top)
+    series = nums if top == n_trunc else {nu: c for nu, c in nums.items() if sum(nu) <= n_trunc}
+    rhs = window * complex(_table_value(_series_table(ev, x, (series, den)), y))
+    parity = {}, {}
+    for nu, c in nums.items():
+        if (n := sum(nu)) <= taylor_degree:
+            parity[n & 1][nu] = c
     axes = _hermite_axes([-t for t in y], taylor_degree)
-    even, odd = (
-        _table_sum(_combine((1, _en_table(ev.ctx, n, x)) for n in degrees), *axes)
-        for degrees in (range(0, taylor_degree + 1, 2), range(1, taylor_degree + 1, 2))
-    )
+    even, odd = (_table_sum((part, den), *axes) for part in parity)
     out = {}
     for label, value in (("plus", even + odd), ("minus", even - odd)):
         out[label] = abs(window * complex(value) - rhs)
-    x_norm = _norm(x)
     taylor_tail = tail_bound(ev, x_norm, y_norm, taylor_degree).value
     out["trunc_bound"] = window * (taylor_tail + tail_bound(ev, x_norm, y_norm).value)
-    return out
-
-
-def fourier_check(ev: KernelEvaluator, x, y):
-    """Both sign conventions of the Fourier representation.
-
-    Compares the transform of e^{-|z|^2/2} E(+-i x, z), the truncated series
-    transformed term by term in closed form (quad.fourier_quadrature),
-    against e^{-|y|^2/2} L(x, y)."""
-    from .quad import fourier_quadrature
-
-    y_norm = _norm(y)
-    window = math.exp(-(y_norm**2) / 2.0)
-    target = window * complex(lk_series_value(ev, x, y))
-    pieces = [
-        fourier_quadrature(homogeneous_kernel(ev.ctx, n, x), y) for n in range(ev.n_trunc + 1)
-    ]
-    out = {}
-    for label, c in (("plus", 1j), ("minus", -1j)):
-        out[label] = abs(sum(c**n * piece for n, piece in enumerate(pieces)) - target)
     return out
 
 

@@ -409,13 +409,14 @@ def hermite(nu) -> Polynomial:
     return heat_half(Polynomial.monomial(len(nu), nu)).to_float() * scale
 
 
-def hermite_values(z, n):
-    """[He_0(z), ..., He_n(z)], the probabilists' Hermite polynomials at z,
-    from He_{e+1} = z He_e - e He_{e-1}.  z may be an exact or float scalar
-    or a numpy array; He_0 = z**0 takes its type and shape.  Since the
-    half-heat flow factors over the coordinates and sends z^e to He_e(z),
-    e^{-Laplacian/2} x^nu at y is prod_j He_{nu_j}(y_j)."""
+def hermite_values(z, n, t=1):
+    """[h_0, ..., h_n], h_e = t^{e/2} He_e(z / sqrt(t)) the probabilists'
+    Hermite polynomials of variance t (He_e(z) at t = 1), from h_{e+1} =
+    z h_e - e t h_{e-1}.  z may be an exact or float scalar or a numpy
+    array; h_0 = z**0 takes its type and shape.  Since the half-heat flow
+    factors over the coordinates and sends z^e to He_e(z), e^{-Laplacian/2}
+    x^nu at y is prod_j He_{nu_j}(y_j)."""
     he = [z**0, z][: n + 1]
     for e in range(1, n):
-        he.append(z * he[e] - e * he[e - 1])
+        he.append(z * he[e] - e * t * he[e - 1])
     return he

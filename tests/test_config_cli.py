@@ -123,6 +123,13 @@ def test_literal_rejects_garbage():
         literal_to_polynomial("1 * x5", 2)
 
 
+def test_literal_rejects_a_star_with_no_monomial_after_it():
+    # a "*" needs a monomial after it: "2 *" is not 2, nor "x1 + 2 *" x1 + 2
+    for text in ("2 *", "x1 + 2 *", "(1/2, 1) *  - x2", "x1 - 3/4 *"):
+        with pytest.raises(ConfigError, match="no monomial after"):
+            literal_to_polynomial(text, 2)
+
+
 # -- configs ------------------------------------------------------------------------
 
 def test_build_bundle_b2():
@@ -487,7 +494,7 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
         ["intertwine", "--context", ctx, "--poly", literal]
         for literal in (
             "2 x1^2", "x1^a", "x1^", "(1,2", "3/0 * x1", "(1/2) x1", "*x1", "x1 * x2",
-            "x1^2 +", "x1 -",
+            "x1^2 +", "x1 -", "2 *", "x1 + 2 *",
         )
     ):
         assert main(argv) == 2, argv

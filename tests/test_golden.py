@@ -2,9 +2,14 @@
 
 For each system below the test builds a context with `dunkl build`, then
 hashes the cache file and the stdout of `build`, `lambda-table`,
-`intertwine`, `ek-eval` and `verify --suite exact`; it also hashes the V
-table with each coefficient rounded once (the repr of its sorted terms).
-The digests other than the rounded table's were
+`intertwine`, `ek-eval` and `verify --suite exact`; it also hashes, as
+"rounded-table", the float blocks of E_n's tables at the system's degree
+(kernel._degree_blocks: per degree the exponents and the entries, each
+rounded once), which lk_grid, the positivity scan and the quadrature rows
+read.  The rounded-table digests were recorded again when they moved to
+these blocks from V's tables with each coefficient rounded once, which no
+output read any more (the blocks were the same at the change).  The
+digests other than the rounded table's were
 recorded from the implementation that stored every table as Fractions, so
 they pin the exact layer's values across changes of storage; the g2 and b3
 `verify --suite exact` digests were recorded again when the
@@ -115,7 +120,7 @@ GOLDEN = {
         "intertwine": "0a00a0050d74160a0860da4ebbab1f87c5a533a5ee51b960bea4bcb9afa86544",
         "ek-eval": "6189f292c599b79a211f70ecc0050b758da52668f2fd076d045e7926f2e8a6c9",
         "verify-exact": "9d10c9adf8f617021693c8020d9b56b0a3c80b84c462ac3672b05bfc25e05928",
-        "rounded-table": "71f50b8abe28c36ac816eddce5df35fedb39a9c56a89e0c19e7a456786a16c2d",
+        "rounded-table": "b37dd4b3af22bf4ed84b6da605c7f4141ac36768e4b627085cc15936c324310f",
     },
     "b2": {
         "ctx": "dd50de5a1edeedefbbadefe782ee9f2a0fbfc8c8b0f6e1feb2e3839c8ddd7778",
@@ -124,7 +129,7 @@ GOLDEN = {
         "intertwine": "02d7afec05f966c05ac739c4da044e14974cfbdd2ea66ce777ad1feaa831c634",
         "ek-eval": "eeff0f1173bb18a9633ed70422c50ea2bd86cc4a5d960b2256122ec36e1b4a28",
         "verify-exact": "25ab4137e7c5d36f50ae5eec31aa6fac17961fe7681376392543673fa53f5146",
-        "rounded-table": "299dd3dd5486accf08cda3166e4e18e2f345052e29b0b78e4a913a52786744d8",
+        "rounded-table": "1d6f9c71c4d49bdb54ef71780bef1af8e5b70aca060b16b1d6335e58ce0f1e03",
     },
     "b2c": {
         "ctx": "7fcfdff69f8e1e9766eb73cd38b50e75f8856e8a43973ff86ddf52ed12f1a325",
@@ -133,7 +138,7 @@ GOLDEN = {
         "intertwine": "9436678e0d0e6eb2265394166d3bca07e33709086dac96819f5cc8e6267ae01d",
         "ek-eval": "eb43f630d18172d04e125593f83e87843d7c89624b16deb490a14f3813744f0f",
         "verify-exact": "b2e03ee639640073f16171b6b110545a3169c648693f92ca2d092f69498063ac",
-        "rounded-table": "bbbc7c1f1aee84118b2cd9bc733293f4ab61304a3991e85475b4ee74f35cdaf8",
+        "rounded-table": "fbce8d9086c19fea1961b20dda447b55c9ffc64dc13d1afb66f2983dac445f7e",
     },
     "z21": {
         "ctx": "b302c1f54b1ffaa563f820e3fa336723dbbf7058150789edc81df668fb285f27",
@@ -142,7 +147,7 @@ GOLDEN = {
         "intertwine": "7b4eb9f135a481157c3a5f39c0533cadcc4e20423110612a05a27c39e0537607",
         "ek-eval": "84d7106d6217dd95c1a9a9567fcec0d72f0e91ded98131294269b52fd7c4091b",
         "verify-exact": "0ed9dcb140bb534b316ea50f7e6c0164937171b12144b3ddc0b968a4907939bc",
-        "rounded-table": "61f45166d6f35f117b69769011a92b8d031620930008d3a00e012a2b68a0428d",
+        "rounded-table": "e8118e0c70bf7b1754845f6fe897dae9b8e58d8878a4adaa5ee3de3e02fe13dc",
     },
     "z21neg": {
         "ctx": "43c1d08b439e4e43f1caf145f90626fedaa206295be65199615c7a4f29cf7d5a",
@@ -151,7 +156,7 @@ GOLDEN = {
         "intertwine": "e5d8b193e4b029e96c9ef7c96d7642d2e1439e2844813e3e12c00e58fef082e5",
         "ek-eval": "8bde28dadd361f8b375a15943686684265f968cc6b81bffa1a5f05646baaafd4",
         "verify-exact": "f6166c3ec7bf6518ff659ab6bdb9e25e356481af8a810b992018253acccba19d",
-        "rounded-table": "1619402e95959d476d4f73c334732bbfdf1a12356474cc9c12bea8224f98b7b7",
+        "rounded-table": "cf546cf75e623e7bcdd589b20d0603e7cafc574704f8f39e0e590ce051c0f866",
     },
     "g2": {
         "ctx": "7a4c6bf13d2bf1bc95ea6ec717365010913abbd278a8890752128ebbf54e197e",
@@ -160,7 +165,7 @@ GOLDEN = {
         "intertwine": "e6741230890eec2d4c4436520bf1b2220ccdda326b8ebbb7d1f4677cdd76d564",
         "ek-eval": "c4ebde3d5bfeb12b9bd28eaf29f1f55c2d8c0d87d937f4699c765b52bde95579",
         "verify-exact": "edbdd1552f862cfc51debc1853f9a9c03a6476ea335aaab6eff1155aa5a3ef1b",
-        "rounded-table": "0973124056643ae8bf57737f15a8982ad0374069a2e94bbdcffee3cb75060a4d",
+        "rounded-table": "3fa524856e81d681013e625e119ed9694b29542cb7cf37030dc54ad92ab55abd",
     },
     "b3": {
         "ctx": "101820b936d178cc90db42193887b26cb441b838cda493a9d56ecc6e5cfcbab7",
@@ -169,7 +174,7 @@ GOLDEN = {
         "intertwine": "bd7a1fc89b60b90981ccd12690b2b4483cf3ef8dbc256fcf22f46337c51a6bca",
         "ek-eval": "4f412a444b647d07209c1d20a6b208583f77b257ac2326ca6534faae693b9460",
         "verify-exact": "aa8f72834c5724e5f1d0db1e41b41d281accca1290e2d8dbd0925234edf8a515",
-        "rounded-table": "0e40a6146f80e392bf7e0e1e33b5e237d52198c8dec48a63a8d5b872c35a261b",
+        "rounded-table": "3ee8894c2f636bbdf10918deb4e17c218142d8cdeeda8915689798e1b41a51a3",
     },
 }
 
@@ -190,8 +195,7 @@ def _run(*argv):
 def digests(name, workdir):
     """name's digests, with the context cache written into workdir."""
     from dunkl.config import load_context
-    from dunkl.operators import _vk_table, monomial_basis
-    from dunkl.poly import _polynomial
+    from dunkl.kernel import _degree_blocks, make_evaluator
 
     config, poly, x, y = SYSTEMS[name]
     old = os.getcwd()
@@ -212,13 +216,8 @@ def digests(name, workdir):
         bundle = load_context(ctx_file)
     finally:
         os.chdir(old)
-    d = bundle.ctx.dimension
-    table = [
-        (nu, sorted(_polynomial(d, _vk_table(bundle.ctx, nu), rounded=True).terms.items()))
-        for n in range(bundle.degree + 1)
-        for nu in monomial_basis(d, n)
-    ]
-    out["rounded-table"] = _sha(repr(table))
+    blocks = _degree_blocks(make_evaluator(bundle.ctx, bundle.degree))
+    out["rounded-table"] = _sha(repr([(exps.tolist(), block.tolist()) for exps, block in blocks]))
     return out
 
 

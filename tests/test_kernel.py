@@ -17,7 +17,6 @@ from dunkl.kernel import (
     certified_radius,
     convolution_check,
     derivative_relation_check,
-    fourier_check,
     gaussian_image_check,
     heat_image,
     hermite_piece,
@@ -59,7 +58,7 @@ from dunkl.poly import (
     hermite_values,
     inverse_heat_half,
 )
-from dunkl.quad import gauss_rule, gaussian_integral
+from dunkl.quad import fourier_quadrature, gauss_rule, gaussian_integral
 from dunkl.reflection_groups import (
     build_root_system,
     generate_group,
@@ -326,23 +325,57 @@ def test_gaussian_image_nonnegative_weight(ev_z21):
     assert res["plus"] >= 1e-3
 
 
+def fourier_sums(ev, x, y, taylor_degree=None):
+    """The Fourier representation's residuals as the signs suite reads them:
+    the Gaussian-image check's, plus and minus exchanged, since the
+    closed-form transform turns E(+-ix, .) into the Gaussian image's sum."""
+    res = gaussian_image_check(ev, x, y, taylor_degree)
+    return {"plus": res["minus"], "minus": res["plus"]}
+
+
 def test_fourier_conventions(ev_z21_zero, ev_z21):
-    res = fourier_check(ev_z21_zero, (0.7,), (1.1,))
+    res = fourier_sums(ev_z21_zero, (0.7,), (1.1,))
     assert res["plus"] <= 1e-10
     assert res["minus"] >= 0.1
-    res = fourier_check(ev_z21, (0.5,), (0.8,))
+    res = fourier_sums(ev_z21, (0.5,), (0.8,))
     assert res["plus"] <= 1e-8
 
 
 def test_fourier_at_x_zero(ev_z21):
-    res = fourier_check(ev_z21, (0.0,), (0.9,))
+    res = fourier_sums(ev_z21, (0.0,), (0.9,))
     assert res["plus"] < 1e-12 and res["minus"] < 1e-12
 
 
 def test_fourier_matches_convolution_at_y_zero(ev_z21):
     # at y = 0 both conventions integrate E(+-i x, z) dgamma(z) against 1
-    res = fourier_check(ev_z21, (0.6,), (0.0,))
+    res = fourier_sums(ev_z21, (0.6,), (0.0,))
     assert res["plus"] < 1e-10 and res["minus"] < 1e-10
+
+
+@pytest.mark.parametrize("name", ["b2", "b2c", "a2", "z21neg", "d4", "g2"])
+def test_fourier_float_route_matches_the_gaussian_image_sums(name):
+    # the reference is the float route: each E_n(x, .) transformed in closed
+    # form (quad.fourier_quadrature) and summed with the weight c^n, c = +-i;
+    # it must give the Gaussian-image sums at Taylor degree N with the labels
+    # exchanged, at the signs suite's points
+    bundle = load_context(str(CONFIGS / f"{name}.json"))
+    d = bundle.ctx.dimension
+    ev = make_evaluator(bundle.ctx, bundle.degree)
+    if d <= 2:
+        x = (Fraction(3, 5),) + (Fraction(-1, 4),) * (d - 1)
+        y = (Fraction(9, 10),) + (Fraction(1, 3),) * (d - 1)
+    else:
+        x = (Fraction(2, 5),) + (Fraction(1, 5),) * (d - 1)
+        y = (Fraction(1, 2),) + (Fraction(1, 4),) * (d - 1)
+    window = math.exp(-(_norm(y) ** 2) / 2.0)
+    target = window * complex(lk_series_value(ev, x, y))
+    pieces = [
+        fourier_quadrature(homogeneous_kernel(ev.ctx, n, x), y) for n in range(ev.n_trunc + 1)
+    ]
+    got = fourier_sums(ev, x, y, ev.n_trunc)
+    for label, c in (("plus", 1j), ("minus", -1j)):
+        float_route = abs(sum(c**n * piece for n, piece in enumerate(pieces)) - target)
+        assert abs(float_route - got[label]) <= 1e-15, (label, float_route, got[label])
 
 
 def test_derivative_relation_zero_weight(ev_z21_zero):
@@ -757,7 +790,7 @@ def _rational(point):
 
 def _assert_float_points_agree(ev, x, y, tol):
     """Both kernel paths, lk_grid, both functional-norm routes and the Fourier
-    check give the same numbers at the float points x, y as at the same
+    sums give the same numbers at the float points x, y as at the same
     points taken as rationals, where they are exact up to the final float
     conversion.  Both sides run on the one evaluator, whose caches keep exact
     and float points apart."""
@@ -771,7 +804,7 @@ def _assert_float_points_agree(ev, x, y, tol):
     assert abs(lk_grid(ev, [x], [y])[0, 0] - complex(lk_series_value(ev, xq, yq))) < tol
     for a, b in zip(phi_x_norm(ev, x), phi_x_norm(ev, xq)):
         assert abs(a - b) < tol
-    fa, fb = fourier_check(ev, x, y), fourier_check(ev, xq, yq)
+    fa, fb = fourier_sums(ev, x, y), fourier_sums(ev, xq, yq)
     for side in ("plus", "minus"):
         assert abs(fa[side] - fb[side]) < tol
 

@@ -1,11 +1,12 @@
 import itertools
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from dunkl import kernel, poly, verify
+from dunkl import kernel, operators, poly, verify
 from dunkl.cli import EXIT_VERIFY_FAIL, main
 from dunkl.config import build_bundle, load_context
 from dunkl.kernel import make_evaluator
@@ -33,6 +34,25 @@ def test_signs_suite_reports_conventions(z21_bundle):
     assert all(r.passed for r in results)
     # the same convention validates at the context weight
     assert by_name["gaussian-image-convention-at-context-weight"].convention == "minus"
+
+
+def test_signs_suite_builds_each_point_table_once(monkeypatch):
+    # the Gaussian-image check joins E_n(x, .)'s tables once per evaluator;
+    # the Fourier rows read its sums and the derivative relation its series
+    # table, so no (context, degree, point) table is built twice
+    bundle = load_context(str(Path(__file__).resolve().parent.parent / "configs" / "b2.json"))
+    built = Counter()
+    original = operators._en_table
+
+    def counted(ctx, n, x):
+        built[id(ctx), n, tuple(x)] += 1
+        return original(ctx, n, x)
+
+    monkeypatch.setattr(operators, "_en_table", counted)
+    monkeypatch.setattr(kernel, "_en_table", counted)
+    results = suite_signs(bundle)
+    assert len(results) == 6 and all(r.passed for r in results)
+    assert built and max(built.values()) == 1, [key for key, c in built.items() if c > 1]
 
 
 def test_signs_suite_passes_on_z2_5():
