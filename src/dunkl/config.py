@@ -177,8 +177,8 @@ def load_context(path) -> ContextBundle:
     equal _cache_tables of that solve (a cache that needs no fallback degree
     may leave the key out); anything else raises ConfigError, naming the
     first degree that differs.  No H_n table is built here, for a cache or
-    a config, except at a config's fallback degrees (prepare): solve_H builds
-    each on first use.
+    a config, except at a config's fallback degrees (prepare), where it is
+    checked and not kept: solve_H builds each for E_n's degree step.
     """
     data = load_config(path)
     if not isinstance(data, dict) or "lambdas" not in data:

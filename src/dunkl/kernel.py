@@ -55,6 +55,7 @@ exponential's tail is its m = 0 case.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 
@@ -328,11 +329,14 @@ def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
     as V preserves degree.  At x and y read as exact values, E_n(x, .)'s
     tables up to degree max(D, N) are joined once: the even and odd degrees
     up to D against the Hermite numerators of -y (exact._table_sum) give
-    both sides, and the degrees up to N are L^(N)(x, .)'s series table.
-    Returns the two residuals and trunc_bound, a bound on both truncations:
-    the kernel's tail and the Taylor remainder past taylor_degree, which is
-    the same tail_bound (module docstring).  The k = 0 closed form
-    arbitrates which convention validates.
+    both sides, and the degrees up to N are L^(N)(x, .)'s series table,
+    which L(x, y) is read from.  At k = 0, where V is the identity, L(x, y)
+    is read from its closed form e^{<x, y> - |x|^2/2} instead, so the sums
+    are not compared with a truncation of themselves.  Returns the two
+    residuals and trunc_bound, a bound on both truncations: the kernel's
+    tail and the Taylor remainder past taylor_degree, which is the same
+    tail_bound (module docstring).  The k = 0 closed form arbitrates which
+    convention validates.
     """
     n_trunc = ev.n_trunc
     if taylor_degree is None:
@@ -344,7 +348,12 @@ def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
     (x, _), (y, _) = _read_exact(x), _read_exact(y)
     nums, den = _en_tables(ev, x, top)
     series = nums if top == n_trunc else {nu: c for nu, c in nums.items() if sum(nu) <= n_trunc}
-    rhs = window * complex(_table_value(_series_table(ev, x, (series, den)), y))
+    table = _series_table(ev, x, (series, den))  # derivative_relation_check reads it too
+    if ev.ctx.k.is_zero:
+        lk = cmath.exp(complex(sum(a * b for a, b in zip(x, y)) - sum(a * a for a in x) / 2))
+    else:
+        lk = complex(_table_value(table, y))
+    rhs = window * lk
     parity = {}, {}
     for nu, c in nums.items():
         if (n := sum(nu)) <= taylor_degree:

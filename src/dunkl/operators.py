@@ -22,9 +22,10 @@ is realized in the group algebra (coefficients lam_n(g) with
 H_n = sum_g lam_n(g) L_g; lam_n is a class function, found by one linear
 solve with a row per conjugacy class) whenever that system is nonsingular,
 with a dense inverse on the monomial basis of P_n as fallback; either way
-the composition W_n H_n is verified to be the identity on a basis.  The
-verified columns H_n x^nu are kept on the context, and H_n is applied to a
-polynomial through them; V^{-1} on P_n, a dense inverse too, likewise.
+the composition W_n H_n is verified to be the identity on a basis.  Only
+lam_n is kept (h_cache); the verified columns H_n x^nu are built by solve_H
+for E_n's degree step alone, and V^{-1} on P_n, the dense inverse of E_n's
+columns, is formed per call.
 
 W_n, the columns of H_n and V^{-1}, and E_n's coefficients are tables of
 integer numerators (Gaussian integers, ComplexRationals with int parts, for
@@ -86,8 +87,6 @@ class DunklContext:
         self.reflections = reflections  # (alpha, k(alpha), group index)
         self.h_cache = {}  # n -> lam_n (one scalar per element), or None
         self.vk_cache = {}  # n -> E_n's coefficients V(x^nu) / nu! as one table (_e_table)
-        self.inverse_cache = {}  # n -> table of the columns V^{-1} x^nu
-        self.h_columns = {}  # n -> table of the columns H_n x^nu
         self.delta_hat = None
         self.delta_table = []
         self.prepared_to = 0
@@ -107,8 +106,9 @@ class DunklContext:
 
     def prepare(self, n_max):
         """Solve lam_n for every degree up to n_max not yet in h_cache and fill
-        the growth table (estimate_delta).  Only a fallback degree's H_n table
-        is built here; solve_H builds every other one on first use."""
+        the growth table (estimate_delta).  Only at a fallback degree is H_n's
+        table built here, to check W_n's admissibility, and it is not kept;
+        every reader of lam_n reads h_cache after this."""
         if self.prepared_to >= n_max:
             return self
         estimate_delta(self, n_max)
@@ -211,7 +211,7 @@ def monomial_basis(d, n):
 
 
 def solve_H(ctx: DunklContext, n):
-    """Realize H_n = ((n + gamma) - A)^{-1} on P_n and return lam_n.
+    """Realize H_n = ((n + gamma) - A)^{-1} on P_n and return its table.
 
     Primary path: solve ((n+gamma) e - a) h = e in the group algebra, where
     a = sum k(a) s_a.  Since a is central, h is a class function, and the
@@ -229,16 +229,15 @@ def solve_H(ctx: DunklContext, n):
     monomial basis instead, and lam_n is None.  If W_n itself is singular
     the weight is inadmissible at this degree.
 
-    This is the one builder of H_n's table, on first use, whether lam_n is
-    solved here or was solved before by prepare (estimate_delta) or a cache
-    load, which solve only the class system.  Either way the columns H_n
-    x^nu are verified to invert W_n on the monomial basis before any use and
-    kept in h_columns as one integer table.
+    This is the one builder of H_n's table, and it keeps none.  lam_n is
+    read from h_cache, where prepare (estimate_delta) or a cache load put it
+    from the class system alone, or solved here and recorded there.  The
+    columns H_n x^nu, sum_g lam_n(g) x^nu o g or the dense inverse, are
+    verified to invert W_n on the monomial basis (_verify_H) and returned
+    as one integer table, which E_n's degree step (_e_table) reads.
     """
     if n < 1:
         raise ValueError("H_n is defined for degrees n >= 1")
-    if n in ctx.h_columns:
-        return ctx.h_cache[n]
     w = _w_table(ctx, n)
     lam = ctx.h_cache[n] if n in ctx.h_cache else _class_solve(ctx, n)
     if lam is None:
@@ -249,9 +248,8 @@ def solve_H(ctx: DunklContext, n):
     else:
         table = _group_columns(ctx, n, lam)
     _verify_H(n, table, w)
-    ctx.h_columns[n] = table
     ctx.h_cache[n] = lam
-    return lam
+    return table
 
 
 def _class_solve(ctx, n):
@@ -371,28 +369,21 @@ def _verify_H(n, table, w):
             raise NotInMStarError(n)
 
 
-def apply_H(ctx: DunklContext, n, p: Polynomial) -> Polynomial:
-    """H_n p for p in P_n, as the sum of p's coefficients times the columns."""
-    solve_H(ctx, n)
-    cols, den = ctx.h_columns[n]
-    return _combination(p.dim, (((cols[nu], den), c) for nu, c in p.terms.items()))
-
-
 # -- the intertwining operator -----------------------------------------------------
 
 def _e_table(ctx: DunklContext, n):
     """E_n's coefficients as one table in lowest terms, ({nu: numerators of
     e_nu}, den) with e_nu = V(x^nu) / nu!, kept in ctx.vk_cache; degree m
     from degree m - 1's as e_nu = H_m(sum_j x_j e_{nu - e_j}), the sum
-    gathered over the lower den and mapped by the columns of H_m."""
+    gathered over the lower den and mapped by the columns of H_m, which
+    solve_H builds and checks for this step alone."""
     tables = ctx.vk_cache
     if not tables:
         zero = (0,) * ctx.dimension
         tables[0] = {zero: {zero: 1}}, 1
     for m in range(len(tables), n + 1):
         lower, low_den = tables[m - 1]
-        solve_H(ctx, m)
-        hcols, hden = ctx.h_columns[m]
+        hcols, hden = solve_H(ctx, m)
         cols = {}
         for nu in monomial_basis(ctx.dimension, m):
             acc = {}
@@ -420,18 +411,17 @@ def intertwine(ctx: DunklContext, p: Polynomial) -> Polynomial:
 
 
 def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:
-    """V^{-1} q, through the table of V^{-1}'s columns on each P_n, the
-    inverse of E_n's columns scaled by nu! (V is the identity on P_0);
-    intertwine o intertwine_inverse = id."""
+    """V^{-1} q, through the table of V^{-1}'s columns on each P_n that q
+    meets, the inverse of E_n's columns scaled by nu!, formed once per call
+    and not kept; intertwine o intertwine_inverse = id."""
+    inverses = {}
     pairs = []
     for nu, c in q.terms.items():
         n = sum(nu)
-        table = ({nu: {nu: 1}}, 1) if n == 0 else ctx.inverse_cache.get(n)
-        if table is None:
+        if n not in inverses:
             cols, den = _e_table(ctx, n)
-            images = {mu: _vk_table(ctx, mu)[0] for mu in cols}, den
-            table = ctx.inverse_cache[n] = _inverse_table(images)
-        cols, den = table
+            inverses[n] = _inverse_table(({mu: _vk_table(ctx, mu)[0] for mu in cols}, den))
+        cols, den = inverses[n]
         pairs.append(((cols[nu], den), c))
     return _combination(q.dim, pairs)
 
@@ -447,9 +437,10 @@ def estimate_delta(ctx: DunklContext, n_max) -> float:
     the computed range.  Fallback degrees carry no lam table and are
     excluded (ctx.fallback_degrees lists them).  Reads lam_n from h_cache,
     taking each missing degree from the class system alone (_class_solve);
-    only where that is singular does solve_H build and check H_n's table
-    here, so an inadmissible weight raises NotInMStarError.  Fills
-    ctx.delta_hat and ctx.delta_table and returns delta_hat.
+    only where that is singular does solve_H build and check H_n's dense
+    inverse here, which is not kept, so an inadmissible weight raises
+    NotInMStarError.  Fills ctx.delta_hat and ctx.delta_table and returns
+    delta_hat.
     """
     table = []
     for n in range(1, n_max + 1):
@@ -501,16 +492,14 @@ def en_expansion_oracle(ctx: DunklContext, n, x) -> Polynomial:
     |prod lam_i(g_i)| <= delta^n / n!.  The tuples are summed by the suffix
     recursion E_m(v, .) = sum_g lam_m(g) <g v, .> E_{m-1}(g v, .), E_0 = 1,
     memoised on (m, v) with v in the orbit of x: O(n |G|^2) polynomial
-    products, not |G|^n.  It reads no V table and no column of H_n.
+    products, not |G|^n.  It reads no V table and no column of H_n, only the
+    lam tables of degrees 1..n in h_cache, which prepare(n) fills.
     """
     d = ctx.dimension
     group = ctx.group
-    tables = []
-    for i in range(1, n + 1):
-        lam = solve_H(ctx, i)
-        if lam is None:
-            raise ValueError("expansion oracle needs the group-algebra realization")
-        tables.append(lam)
+    tables = [ctx.h_cache[i] for i in range(1, n + 1)]
+    if None in tables:
+        raise ValueError("expansion oracle needs the group-algebra realization")
     units = monomial_basis(d, 1)
     memo = {}
 

@@ -308,7 +308,10 @@ def select_positive(system: RootSystem) -> PositiveSystem:
 
 # -- group generation -------------------------------------------------------------------
 
-def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGroup:
+ELEMENT_CAP = 4096  # generate_group refuses a closure with more elements
+
+
+def generate_group(positive: PositiveSystem) -> ReflectionGroup:
     """Close the generating reflections under composition and build the table.
 
     An element of a reflection group is fixed by how it permutes the roots,
@@ -344,10 +347,10 @@ def generate_group(positive: PositiveSystem, element_cap=4096) -> ReflectionGrou
             prod = tuple(map(pg.__getitem__, ps))  # (g s)(root_r) = g(s(root_r))
             j = index.get(prod)
             if j is None:
-                if len(elements) >= element_cap:
+                if len(elements) >= ELEMENT_CAP:
                     raise GroupClosureError(
                         "not a finite reflection group "
-                        f"(closure exceeded {element_cap} elements)"
+                        f"(closure exceeded {ELEMENT_CAP} elements)"
                     )
                 j = index[prod] = len(elements)
                 elements.append(_integer_product(g, s))
@@ -547,46 +550,23 @@ def root_orbits(system: RootSystem):
 
 
 def validate_multiplicity(positive: PositiveSystem, values, orbits=None) -> MultiplicityFunction:
-    """Build a G-invariant weight from per-root, per-orbit, or scalar data.
+    """Build a G-invariant weight from per-orbit or scalar data.
 
-    ``values`` may be a single scalar (every orbit), a list with one scalar
-    per orbit (canonical orbit order), or a mapping from root tuples to
-    scalars covering at least one root per orbit.  Each scalar is exact: an
-    int, Fraction or ComplexRational.  A float or complex value, or
-    conflicting values inside an orbit, raise MultiplicityError.  ``orbits``
-    are the root orbits of the system if the caller has them already.
+    ``values`` may be a single scalar (every orbit) or a list with one
+    scalar per orbit (canonical orbit order).  Each scalar is exact: an
+    int, Fraction or ComplexRational.  A float or complex value, or a list
+    of the wrong length, raise MultiplicityError.  ``orbits`` are the root
+    orbits of the system if the caller has them already.
     """
     system = positive.base
     if orbits is None:
         orbits = root_orbits(system)
-    per_orbit = [None] * len(orbits)
-
     if isinstance(values, (list, tuple)):
         if len(values) != len(orbits):
             raise MultiplicityError(
                 f"{len(values)} values supplied for {len(orbits)} orbits"
             )
         per_orbit = [_exact_weight(v) for v in values]
-    elif isinstance(values, dict):
-        root_index = {tuple(r): i for i, r in enumerate(system.roots)}
-        orbit_of = {}
-        for oi, orb in enumerate(orbits):
-            for ri in orb:
-                orbit_of[ri] = oi
-        for root, val in values.items():
-            ri = root_index.get(tuple(root))
-            if ri is None:
-                raise MultiplicityError(f"{root} is not a root of the system")
-            oi = orbit_of[ri]
-            val = _exact_weight(val)
-            if per_orbit[oi] is None:
-                per_orbit[oi] = val
-            elif per_orbit[oi] != val:
-                raise MultiplicityError(
-                    f"conflicting values on one orbit: {per_orbit[oi]} vs {val}"
-                )
-        if any(v is None for v in per_orbit):
-            raise MultiplicityError("some root orbit received no value")
     else:
         per_orbit = [_exact_weight(values)] * len(orbits)
 

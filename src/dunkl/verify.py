@@ -51,7 +51,6 @@ from .kernel import (
 from .operators import (
     DEGREE_CAP,
     _norm,
-    apply_H,
     dunkl_apply,
     dunkl_kernel,
     en_expansion_oracle,
@@ -68,6 +67,7 @@ from .operators import (
 )
 from .poly import (
     Polynomial,
+    _polynomial,
     combination,
     fischer,
     fischer_via_gaussian,
@@ -236,12 +236,19 @@ def suite_exact(bundle: ContextBundle, seed=0):
     )))
 
     def h_inverts_w():
-        for n in range(1, min(bundle.degree, 8) + 1):
-            lam = solve_H(ctx, n)  # None at a fallback degree: read its stored column
+        top = min(bundle.degree, 8)
+        ctx.prepare(top)
+        for n in range(1, top + 1):
+            lam = ctx.h_cache[n]
+            if lam is None:  # a fallback degree: H_n's dense inverse, built once for the degree
+                cols, den = solve_H(ctx, n)
             for nu in monomial_basis(d, n):
                 mono = Polynomial.monomial(d, nu)
-                images = ((act_on_polynomial(group, g, mono), c) for g, c in enumerate(lam or ()) if c)
-                column = apply_H(ctx, n, mono) if lam is None else combination(d, images)
+                if lam is None:
+                    column = _polynomial(d, (cols[nu], den))
+                else:
+                    images = ((act_on_polynomial(group, g, mono), c) for g, c in enumerate(lam) if c)
+                    column = combination(d, images)
                 yield column * (n + ctx.gamma) - operator_A(ctx, column) == mono
     results.append(_exact_row("h-inverts-w", h_inverts_w()))
 
@@ -286,8 +293,9 @@ def suite_exact(bundle: ContextBundle, seed=0):
 
     # the oracle's O(n |G|^2) products: 0.6 s on B3, 18 s on D4 (|G| = 192)
     degrees = range(0, 4) if order <= 48 else ()
-    # the oracle multiplies the lam tables of every degree up to n
-    skipped = [n for n in degrees if any(solve_H(ctx, i) is None for i in range(1, n + 1))]
+    # the oracle multiplies the lam tables of every degree up to n, which
+    # h_cache holds once E_n's tables are built (kernels above)
+    skipped = [n for n in degrees if None in (ctx.h_cache[i] for i in range(1, n + 1))]
     note = f"; skipped at |G| = {order} > 48" if order > 48 else ""
     if skipped:
         note = (
@@ -331,12 +339,6 @@ SERIES_TOL = 1e-8  # truncation tolerance of the ek-symmetry row
 POSITIVITY_TOL = 1e-8  # how far below 0 the kernel minus its tail may read
 
 
-def _length(v):
-    """|v| as the root of a plain sum of squares, not _norm's hypot, which can
-    round differently."""
-    return math.sqrt(sum(t * t for t in v))
-
-
 def suite_series(bundle: ContextBundle, seed=0):
     rng = random.Random(seed)
     ctx = bundle.ctx
@@ -378,8 +380,8 @@ def suite_series(bundle: ContextBundle, seed=0):
     def laplacian_excess():
         for _ in range(2):
             x, y = _box(rng, d, 0.5), _box(rng, d, 1.0)
-            yn = _length(y)
-            u, c = growth_envelope(ctx, _length(x))
+            yn = _norm(y)
+            u, c = growth_envelope(ctx, _norm(x))
             for n in range(n_trunc + 1):
                 lap = homogeneous_kernel(ctx, n, x).to_float()
                 for m in range(n // 2 + 1):
@@ -406,7 +408,7 @@ def suite_series(bundle: ContextBundle, seed=0):
             computed = 0.0
             for n in range(n0 + 1, n_trunc + 1):
                 computed += abs(complex(heat_piece(ev, n, x, y)))
-            yield computed - tail_bound(ev, _length(x), _length(y), n0).value
+            yield computed - tail_bound(ev, _norm(x), _norm(y), n0).value
     results.append(_residual_row("tail-dominates-computed-terms", tail_shortfall(), 0.0))
 
     # the series path against lk_grid, the float block products of the

@@ -53,7 +53,7 @@ def make_ctx(family, k_values, **kw):
     return make_context(group, pos, k)
 
 
-B2_WEIGHTS = {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}
+B2_WEIGHTS = [Fraction(1, 2), Fraction(3, 2)]
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +124,8 @@ def test_criterion_02_degree_inverse_correctness(b2_ctx):
     for ctx in contexts:
         d = ctx.dimension
         for n in range(1, 9):
-            h = solve_H(ctx, n)
+            solve_H(ctx, n)  # builds and checks H_n, recording lam_n in h_cache
+            h = ctx.h_cache[n]
             for nu in monomial_basis(d, n):
                 mono = Polynomial.monomial(d, nu)
                 hp = combination(
@@ -135,7 +136,8 @@ def test_criterion_02_degree_inverse_correctness(b2_ctx):
                 checks += 1
     for k0 in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
         ctx = make_ctx("Z2^d", k0, d=1)
-        lam = solve_H(ctx, 1)
+        ctx.prepare(1)
+        lam = ctx.h_cache[1]
         assert lam == ((1 + k0) / (1 + 2 * k0), k0 / (1 + 2 * k0))
     report(2, "degree-inverse", f"{checks} basis identities + rank-1 tables exact")
 
@@ -349,7 +351,7 @@ def test_criterion_11_positivity():
     assert rep1.max_tail < 1e-8
     assert rep1.min_value >= -1e-8
 
-    ctx2 = make_ctx("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(1)}, d=2)
+    ctx2 = make_ctx("B", [Fraction(1, 2), Fraction(1)], d=2)
     ev2 = make_evaluator(ctx2, 48)
     radius = certified_radius(ev2, 5e-9, 1.5)
     span = radius * 0.95 / math.sqrt(2)

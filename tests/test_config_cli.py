@@ -21,8 +21,9 @@ from dunkl.config import (
     save_context,
 )
 from dunkl.exact import ComplexRational, scalar_to_json
-from dunkl.operators import DEGREE_CAP, solve_H
+from dunkl.operators import DEGREE_CAP, _class_solve
 from dunkl.poly import Polynomial
+from test_operators import count_builds
 
 
 # -- polynomial literals ----------------------------------------------------------
@@ -196,15 +197,16 @@ def test_cache_file_has_no_float_lambdas(tmp_path):
             assert isinstance(c, str)  # rational strings, never floats
 
 
-def test_loading_a_cache_builds_no_h_table(tmp_path, capsys):
+def test_loading_a_cache_builds_no_h_table(tmp_path, capsys, monkeypatch):
     path = tmp_path / "b2.ctx.json"
     config = Path(__file__).resolve().parent.parent / "configs" / "b2.json"
     assert main(["build", "--config", str(config), "--out", str(path)]) == 0
     capsys.readouterr()
+    built = count_builds(monkeypatch)
     ctx = load_context(path).ctx
     assert sorted(ctx.h_cache) == list(range(1, 13))
-    # solve_H builds each column table on first use, not the load
-    assert ctx.h_columns == {} and ctx.vk_cache == {}
+    # solve_H builds each column table for E_n's degree step, not the load
+    assert built == [] and ctx.vk_cache == {}
 
 
 def test_incomplete_cache_exits_2(tmp_path, capsys):
@@ -416,7 +418,7 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
 
     # a true lam_n above the cap, so above the cache's degree too
     above = DEGREE_CAP + 1
-    lam_above = solve_H(load_context(ctx_path).ctx, above)
+    lam_above = _class_solve(load_context(ctx_path).ctx, above)
 
     broken = {
         "tampered": with_lambda("3", ["1/7"] + lam3[1:]),  # a wrong entry

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 from fraction_solve import fraction_invert_matrix
+from test_operators import _apply_H, count_builds
 
 from dunkl.cli import main
 from dunkl.config import (
@@ -27,9 +28,9 @@ from dunkl.config import (
 )
 from dunkl.exact import ComplexRational, scalar_to_json
 from dunkl.operators import (
+    NotInMStarError,
     _e_table,
     _vk_table,
-    apply_H,
     homogeneous_kernel,
     intertwine,
     intertwine_inverse,
@@ -155,17 +156,29 @@ def _same(a, b):
 
 @pytest.mark.parametrize("kind", ["real", "negative", "complex"])
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
-def test_integer_tables_match_fraction_reference(name, kind):
+def test_integer_tables_match_fraction_reference(name, kind, monkeypatch):
+    from dunkl import operators
+
     ctx = _context(name, kind)
     top = SYSTEMS[name][2]
     ctx.prepare(top)
     d = ctx.dimension
     rng = random.Random(5)
     reference = _reference_v(ctx, top)
-    for n in range(1, top + 1):
+    h_tables = [solve_H(ctx, n) for n in range(1, top + 1)]
+    for n, table in enumerate(h_tables, 1):
         columns = _reference_columns(ctx, n)
         for nu, column in columns.items():
-            assert _same(apply_H(ctx, n, Polynomial.monomial(d, nu)), column)
+            assert _same(_apply_H(table, Polynomial.monomial(d, nu)), column)
+    # the tables of V^{-1} that intertwine_inverse forms, one per degree a call meets
+    inverse_tables = []
+    invert = operators._inverse_table
+
+    def recording(images):
+        inverse_tables.append(invert(images))
+        return inverse_tables[-1]
+
+    monkeypatch.setattr(operators, "_inverse_table", recording)
     for nu, v in reference.items():
         assert _same(_polynomial(ctx.dimension, _vk_table(ctx, nu)), v)
     z = ComplexRational(Fraction(2, 3), Fraction(-1, 5))
@@ -175,14 +188,18 @@ def test_integer_tables_match_fraction_reference(name, kind):
         assert _same(intertwine(ctx, p), want)
         assert intertwine_inverse(ctx, want) == p
         assert intertwine(ctx, intertwine_inverse(ctx, p)) == p
-    # V^{-1} on each P_n against the dense Fraction inverse of the reference V
+    # V^{-1} on each P_n against the dense Fraction inverse of the reference V:
+    # one call per degree, then every column of the table that call formed
     for n in range(1, top + 1):
         inverse = _dense_inverse(d, n, reference)
+        nu = next(iter(inverse))
+        assert _same(intertwine_inverse(ctx, Polynomial.monomial(d, nu)), inverse[nu])
+        cols, den = inverse_tables[-1]
+        assert list(cols) == list(inverse)
         for nu, column in inverse.items():
-            assert _same(intertwine_inverse(ctx, Polynomial.monomial(d, nu)), column)
-    assert set(ctx.inverse_cache) == set(range(1, top + 1))
-    # every kept table is in lowest terms
-    for cols, den in [*ctx.h_columns.values(), *ctx.inverse_cache.values()]:
+            assert _same(_polynomial(d, (cols[nu], den)), column)
+    # every table of H_n and of V^{-1} is in lowest terms
+    for cols, den in [*h_tables, *inverse_tables]:
         parts = [den]
         for col in cols.values():
             for c in col.values():
@@ -316,9 +333,9 @@ def test_cache_whose_weight_was_edited_exits_2(tmp_path, capsys):
 
 
 def test_columns_rebuilt_from_a_cache_are_checked(tmp_path, monkeypatch):
-    """A context loaded from a cache rebuilds H_n's columns from lam_n on
-    first use, in solve_H, which checks W_n H_n = id on them as it does for
-    a fresh solve."""
+    """A context loaded from a cache builds H_n's columns from the lam_n it
+    read in solve_H, which checks W_n H_n = id on them as it does for a
+    fresh solve."""
     from dunkl import operators
 
     bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 3})
@@ -326,7 +343,8 @@ def test_columns_rebuilt_from_a_cache_are_checked(tmp_path, monkeypatch):
     path = tmp_path / "b2.ctx.json"
     save_context(bundle, path)
     x1sq = Polynomial.monomial(2, (2, 0))
-    assert apply_H(load_context(path).ctx, 2, x1sq) == apply_H(bundle.ctx, 2, x1sq)
+    loaded = load_context(path).ctx
+    assert _apply_H(solve_H(loaded, 2), x1sq) == _apply_H(solve_H(bundle.ctx, 2), x1sq)
 
     build = operators._group_columns
 
@@ -338,7 +356,7 @@ def test_columns_rebuilt_from_a_cache_are_checked(tmp_path, monkeypatch):
 
     monkeypatch.setattr(operators, "_group_columns", off_by_one)
     with pytest.raises(operators.NotInMStarError):
-        apply_H(load_context(path).ctx, 2, x1sq)
+        solve_H(load_context(path).ctx, 2)
 
 
 # configs -> the fallback degrees of degrees 1..N
@@ -352,22 +370,28 @@ PREPARED = {
 
 
 @pytest.mark.parametrize("name", sorted(PREPARED))
-def test_prepare_builds_tables_only_at_fallback_degrees(name, tmp_path):
+def test_prepare_builds_tables_only_at_fallback_degrees(name, tmp_path, monkeypatch):
     """prepare solves lam_n from the class system alone; the one H_n table it
     builds is a fallback degree's dense inverse, which is how a singular W_n
-    is caught there.  A raw config passed as a context is prepared alike."""
+    is caught there, and it keeps none.  A raw config passed as a context is
+    prepared alike."""
     cfg, fallbacks = PREPARED[name]
+    built = count_builds(monkeypatch)
     ctx = build_bundle(cfg).ctx.prepare(cfg["N"])
     assert sorted(ctx.h_cache) == list(range(1, cfg["N"] + 1))
     assert ctx.fallback_degrees == fallbacks
-    assert sorted(ctx.h_columns) == fallbacks
+    assert built == fallbacks
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    built.clear()
     loaded = load_context(path).ctx
-    assert loaded.h_cache == ctx.h_cache and sorted(loaded.h_columns) == fallbacks
-    # the first use builds the rest, checked
+    assert loaded.h_cache == ctx.h_cache and built == fallbacks
+    # E_n's degree steps build every degree once more, checked, fallback degrees too
+    built.clear()
     intertwine(ctx, Polynomial.monomial(ctx.dimension, (cfg["N"],) + (0,) * (ctx.dimension - 1)))
-    assert sorted(ctx.h_columns) == list(range(1, cfg["N"] + 1))
+    assert built == list(range(1, cfg["N"] + 1))
+    intertwine(ctx, Polynomial.monomial(ctx.dimension, (cfg["N"],) + (0,) * (ctx.dimension - 1)))
+    assert built == list(range(1, cfg["N"] + 1))
 
 
 def test_columns_of_a_prepared_config_are_checked_on_first_use(monkeypatch):
@@ -376,8 +400,9 @@ def test_columns_of_a_prepared_config_are_checked_on_first_use(monkeypatch):
     from dunkl import operators
 
     bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 3})
+    built = count_builds(monkeypatch)
     bundle.ctx.prepare(3)
-    assert bundle.ctx.h_columns == {}
+    assert built == []
     build = operators._group_columns
 
     def off_by_one(ctx, n, h):
@@ -391,15 +416,33 @@ def test_columns_of_a_prepared_config_are_checked_on_first_use(monkeypatch):
         intertwine(bundle.ctx, Polynomial.monomial(2, (2, 0)))
 
 
+@pytest.mark.parametrize("name", ["b2", "z21_fallback"])
+def test_corrupted_lam_in_h_cache_is_refused_before_e_n_uses_it(name):
+    """solve_H builds H_n from the lam_n in h_cache each time E_n's degree
+    step needs it, so a wrong lam_n (or a made-up one at a fallback degree)
+    raises NotInMStarError there, and E_n's table of that degree is never
+    made."""
+    cfg, _ = PREPARED[name]
+    ctx = build_bundle(cfg).ctx.prepare(cfg["N"])
+    d = ctx.dimension
+    lam = ctx.h_cache[2]
+    # one coefficient of the identity moved: H_n + id / 7, or id at k = -1 where H_2 = id / 2
+    ctx.h_cache[2] = (Fraction(1), Fraction(0)) if lam is None else (lam[0] + Fraction(1, 7), *lam[1:])
+    with pytest.raises(NotInMStarError) as err:
+        intertwine(ctx, Polynomial.monomial(d, (2,) + (0,) * (d - 1)))
+    assert err.value.degree == 2
+    assert sorted(ctx.vk_cache) == [0, 1]
+
+
 def test_complex_numerators_are_gaussian_integers():
     """On b2c (B2, short-root weight 1/2 + i/3) every table numerator of a
     complex value is a ComplexRational with int parts."""
     config = Path(__file__).resolve().parent.parent / "configs" / "b2c.json"
     ctx = load_context(config).ctx
     _e_table(ctx, ctx.prepared_to)
-    assert len(ctx.h_columns) == ctx.prepared_to
+    h_tables = [solve_H(ctx, n) for n in range(1, ctx.prepared_to + 1)]
     tables = [col for cols, _ in ctx.vk_cache.values() for col in cols.values()]
-    tables += [col for cols, _ in ctx.h_columns.values() for col in cols.values()]
+    tables += [col for cols, _ in h_tables for col in cols.values()]
     numerators = [c for nums in tables for c in nums.values()]
     complex_ = [c for c in numerators if isinstance(c, ComplexRational)]
     assert any(c.imag for c in complex_)

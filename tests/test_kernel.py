@@ -98,7 +98,7 @@ def ev_z21():
 @pytest.fixture(scope="module")
 def ev_b2():
     return make_ev(
-        "B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 12, d=2
+        "B", [Fraction(1, 2), Fraction(3, 2)], 12, d=2
     )
 
 
@@ -285,7 +285,7 @@ def test_convolution_zero_weight(ev_z21_zero):
 def test_convolution_at_float_points_reads_the_evaluator_table():
     # the check reads the V table make_evaluator filled, at float and at
     # rational points alike, and a second evaluator adds no entry to it
-    ev = make_ev("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 12, d=2)
+    ev = make_ev("B", [Fraction(1, 2), Fraction(3, 2)], 12, d=2)
     before = len(ev.ctx.vk_cache)
     x, y = (0.05, -0.03), (0.4, 0.6)
     res = convolution_check(ev, x, y)
@@ -450,7 +450,7 @@ def test_symmetry_scan_exact(ev_b2):
 def test_symmetry_scan_float_points():
     # a float sample is read as its binary value, so the heat images the scan
     # compares are exact and every comparison is an exact equality
-    ev = make_ev("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 8, d=2)
+    ev = make_ev("B", [Fraction(1, 2), Fraction(3, 2)], 8, d=2)
     samples = [(0.31, -0.52), (0.7, 0.11)]
     rep = symmetry_scan(ev, samples)
     assert rep.failures == ()
@@ -505,7 +505,7 @@ def test_positivity_scan_matches_a_pointwise_scan(case):
     assert (max_imag > 0) == (case == 1)
 
 GRID_CASES = [
-    ("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, 12, dict(d=2)),
+    ("B", [Fraction(1, 2), Fraction(3, 2)], 12, dict(d=2)),
     ("B", [ComplexRational(Fraction(1, 2), Fraction(1, 3)), Fraction(1)], 8, dict(d=2)),
     ("A", Fraction(1), 6, dict(d=3)),
     ("G2", [Fraction(1, 2), Fraction(1)], 5, {}),
@@ -733,7 +733,7 @@ def _exact(c):
 @pytest.mark.parametrize(
     "family, k_values, kw",
     [
-        ("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, dict(d=2)),
+        ("B", [Fraction(1, 2), Fraction(3, 2)], dict(d=2)),
         ("B", [ComplexRational(Fraction(1, 2), Fraction(1, 3)), Fraction(1)], dict(d=2)),
         ("A", Fraction(1), dict(d=3)),
         ("G2", [Fraction(1, 2), Fraction(1)], {}),
@@ -895,7 +895,7 @@ TAYLOR_IMAGE_CASES = pytest.mark.parametrize(
     [
         (
             "B",
-            {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)},
+            [Fraction(1, 2), Fraction(3, 2)],
             {"d": 2},
             (Fraction(3, 5), Fraction(-1, 4)),
             (Fraction(9, 10), Fraction(1, 3)),
@@ -1034,7 +1034,7 @@ def test_tail_bounds_positive_and_monotone_at_every_parity(ev_b2, y_norm):
 @pytest.mark.parametrize(
     "family, k_values, kw",
     [
-        ("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, {"d": 2}),
+        ("B", [Fraction(1, 2), Fraction(3, 2)], {"d": 2}),
         ("A", Fraction(1), {"d": 3}),
         ("Z2^d", Fraction(1, 2), {"d": 1}),
     ],

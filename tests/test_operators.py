@@ -16,7 +16,6 @@ from dunkl.exact import scalar_to_json
 from dunkl.operators import (
     ExactDivisionError,
     NotInMStarError,
-    apply_H,
     divide_by_root_pairing,
     dunkl_apply,
     dunkl_kernel,
@@ -33,7 +32,7 @@ from dunkl.operators import (
     solve_H,
     _vk_table,
 )
-from dunkl.poly import Polynomial, _polynomial, combination, fischer
+from dunkl.poly import Polynomial, _combination, _polynomial, combination, fischer
 from dunkl.reflection_groups import (
     MultiplicityError,
     act_on_polynomial,
@@ -60,7 +59,7 @@ def z21():
 
 @pytest.fixture(scope="module")
 def b2():
-    return context("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, d=2)
+    return context("B", [Fraction(1, 2), Fraction(3, 2)], d=2)
 
 
 @pytest.fixture(scope="module")
@@ -262,14 +261,43 @@ def _apply_lam(ctx, lam, p):
     )
 
 
+def _lam(ctx, n):
+    """lam_n as solve_H records it in h_cache, once H_n is built and checked."""
+    solve_H(ctx, n)
+    return ctx.h_cache[n]
+
+
+def _apply_H(table, p):
+    """H_n p for p in P_n: p's coefficients times the columns of table, the
+    checked table of H_n that solve_H returns."""
+    cols, den = table
+    return _combination(p.dim, (((cols[nu], den), c) for nu, c in p.terms.items()))
+
+
+def count_builds(monkeypatch):
+    """The degrees of the H_n tables built from here on, one entry per
+    build: every build ends in operators._verify_H, which this wraps."""
+    from dunkl import operators
+
+    built = []
+    check = operators._verify_H
+
+    def counting(n, table, w):
+        built.append(n)
+        return check(n, table, w)
+
+    monkeypatch.setattr(operators, "_verify_H", counting)
+    return built
+
+
 def test_lambda_rank_one_closed_form(z21):
-    h = solve_H(z21, 1)
+    h = _lam(z21, 1)
     assert isinstance(h, tuple)
     assert h == (Fraction(3, 4), Fraction(1, 4))
     # general degree: lam = ((n+k)/(n(n+2k)), k/(n(n+2k)))
     k0 = Fraction(1, 2)
     for n in (2, 3, 7):
-        h = solve_H(z21, n)
+        h = _lam(z21, n)
         den = n * (n + 2 * k0)
         assert h == ((n + k0) / den, k0 / den)
 
@@ -277,7 +305,7 @@ def test_lambda_rank_one_closed_form(z21):
 def test_lambda_zero_weight():
     ctx = context("B", Fraction(0), d=2)
     for n in (1, 2, 5):
-        h = solve_H(ctx, n)
+        h = _lam(ctx, n)
         want = tuple(
             Fraction(1, n) if i == ctx.group.identity_index else Fraction(0)
             for i in range(ctx.group.order)
@@ -288,7 +316,7 @@ def test_lambda_zero_weight():
 def test_h_inverts_w(b2, a2):
     for ctx, d in ((b2, 2), (a2, 3)):
         for n in range(1, 9):
-            h = solve_H(ctx, n)
+            h = _lam(ctx, n)
             for nu in monomial_basis(d, n):
                 mono = Polynomial.monomial(d, nu)
                 back = _apply_lam(ctx, h, mono) * (n + ctx.gamma) - operator_A(
@@ -317,11 +345,11 @@ def test_class_solve_matches_group_algebra_solve(name, b2, a2):
     ctx = {
         "b2": lambda: b2,
         "a2": lambda: a2,
-        "b3": lambda: context("B", {(1, 0, 0): Fraction(1, 2), (1, 1, 0): Fraction(1)}, d=3),
+        "b3": lambda: context("B", [Fraction(1, 2), Fraction(1)], d=3),
         "g2": lambda: context("G2", [Fraction(1, 2), Fraction(1)]),
     }[name]()
     for n in range(1, 7):
-        got = solve_H(ctx, n)
+        got = _lam(ctx, n)
         want = _group_algebra_solve(ctx, n)
         assert got == want
         assert [type(c) for c in got] == [type(c) for c in want]
@@ -331,8 +359,7 @@ def test_class_solve_matches_group_algebra_solve(name, b2, a2):
 def test_float_weight_refused_where_its_exact_value_prepares():
     # the exact class solve compares exactly, so a float copy of the
     # admissible k = 1/2 would read as singular (B2 at degree 2, Z2^1 at 3)
-    b2_floats = (0.5, complex(0.5, 1), [Fraction(1, 2), 0.5],
-                 {(1, 0): Fraction(1, 2), (0, 1): 0.5, (1, 1): Fraction(1)})
+    b2_floats = (0.5, complex(0.5, 1), [Fraction(1, 2), 0.5], [0.5, Fraction(1)])
     for family, kw, floats in (("B", dict(d=2), b2_floats), ("Z2^d", dict(d=1), (0.5,))):
         for values in floats:
             with pytest.raises(MultiplicityError, match="not exact"):
@@ -357,23 +384,27 @@ def test_class_solve_falls_back_where_group_algebra_solve_is_singular():
     ctx = context("Z2^d", Fraction(-1), d=1)
     with pytest.raises(SingularMatrixError):
         _group_algebra_solve(ctx, 2)
-    assert solve_H(ctx, 2) is None
+    assert _lam(ctx, 2) is None
     assert ctx.fallback_degrees == [2]
     for n in (1, 3):
-        assert solve_H(ctx, n) == _group_algebra_solve(ctx, n)
+        assert _lam(ctx, n) == _group_algebra_solve(ctx, n)
 
 
-def test_d4_class_solve_passes_verification():
+def test_d4_class_solve_passes_verification(monkeypatch):
     ctx = context("D", Fraction(1, 2), d=4)
     assert ctx.group.order == 192
     assert len(ctx.group.class_representatives) == 13
+    built = count_builds(monkeypatch)
     ctx.prepare(3)  # lam_n from the class system alone
-    assert ctx.fallback_degrees == []
+    assert ctx.fallback_degrees == [] and built == []
     for n in (1, 2, 3):
-        # builds H_n's columns and checks W_n H_n = id on every monomial of P_n
-        assert solve_H(ctx, n) is ctx.h_cache[n]
-        assert isinstance(ctx.h_cache[n], tuple)
-    assert sorted(ctx.h_columns) == [1, 2, 3]
+        # builds H_n's columns from lam_n and checks W_n H_n = id on every
+        # monomial of P_n; lam_n stays the one in h_cache
+        lam = ctx.h_cache[n]
+        cols, den = solve_H(ctx, n)
+        assert ctx.h_cache[n] is lam and isinstance(lam, tuple)
+        assert list(cols) == monomial_basis(4, n)
+    assert built == [1, 2, 3]
 
 
 def test_not_in_m_star_reports_degree():
@@ -409,15 +440,14 @@ def _dense_H(ctx, n, p):
 def test_group_algebra_singular_falls_back_when_w_invertible():
     # k = -1/2 kills degree 1 but degree 2 is fine: W_2 x^2 = (2 - 1/2) x^2 - (-1/2) x^2 = 2 x^2
     ctx = context("Z2^d", Fraction(-1, 2), d=1)
-    solve_H(ctx, 2)
     mono = Polynomial.monomial(1, (2,))
-    column = apply_H(ctx, 2, mono)
+    column = _apply_H(solve_H(ctx, 2), mono)
     assert column == _dense_H(ctx, 2, mono) == Polynomial.monomial(1, (2,), Fraction(1, 2))
     assert column * (2 + ctx.gamma) - operator_A(ctx, column) == mono
     # and through a fallback degree: k = -1 makes lam_2 singular, W_2 = 2 id
     ctx = context("Z2^d", Fraction(-1), d=1)
-    assert solve_H(ctx, 2) is None
-    column, want = apply_H(ctx, 2, mono), _dense_H(ctx, 2, mono)
+    assert _lam(ctx, 2) is None
+    column, want = _apply_H(solve_H(ctx, 2), mono), _dense_H(ctx, 2, mono)
     assert column == want == Polynomial.monomial(1, (2,), Fraction(1, 2))
     assert polynomial_to_literal(column) == polynomial_to_literal(want)
 
@@ -446,30 +476,31 @@ def _random_homogeneous(rng, d, n, coeff):
 
 @pytest.mark.parametrize("loaded", [False, True], ids=["prepared", "loaded"])
 @pytest.mark.parametrize("name", sorted(APPLY_H_SYSTEMS))
-def test_apply_h_columns_match_group_algebra_apply(name, loaded, tmp_path):
+def test_apply_h_columns_match_group_algebra_apply(name, loaded, tmp_path, monkeypatch):
     cfg, degree = APPLY_H_SYSTEMS[name]
     bundle = build_bundle({**cfg, "N": degree})
     bundle.ctx.prepare(degree)
     if loaded:
         path = tmp_path / f"{name}.ctx.json"
         save_context(bundle, path)
+        built = count_builds(monkeypatch)
         bundle = load_context(path)
-        # degrees read from the file come without columns, fallback degrees too
-        assert bundle.ctx.h_columns == {}
+        # degrees read from the file build no table, fallback degrees neither
+        assert built == []
     ctx = bundle.ctx
     assert ctx.fallback_degrees == FALLBACK_DEGREES.get(name, [])
     rng = random.Random(11)
     z = ComplexRational(Fraction(2, 3), Fraction(-1, 5))
     d = ctx.dimension
     for n in range(1, degree + 1):
-        h = solve_H(ctx, n)
+        h, table = ctx.h_cache[n], solve_H(ctx, n)
         samples = [Polynomial.monomial(d, nu) for nu in monomial_basis(d, n)]
         samples += [
             _random_homogeneous(rng, d, n, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 7))),
             _random_homogeneous(rng, d, n, lambda r: z * r.randint(-3, 3)),
         ]
         for p in samples:
-            got = apply_H(ctx, n, p)
+            got = _apply_H(table, p)
             want = _dense_H(ctx, n, p) if h is None else _apply_lam(ctx, h, p)
             assert got == want
             assert polynomial_to_literal(got) == polynomial_to_literal(want)
@@ -558,7 +589,6 @@ def test_intertwine_inverse_roundtrip_through_fallback_degree(name, loaded, tmp_
         p = p + Polynomial.monomial(d, (n,) + (0,) * (d - 1)) + Fraction(2, 3)
         assert intertwine_inverse(ctx, intertwine(ctx, p)) == p
         assert intertwine(ctx, intertwine_inverse(ctx, p)) == p
-    assert set(ctx.inverse_cache) == set(range(1, degree + 1))
 
 
 # -- homogeneous kernel pieces ----------------------------------------------------------
@@ -607,7 +637,7 @@ def _en_product_loop(ctx, n, x):
     prod_i lam_i(g_i) prod_i <g_i ... g_n x, .>: |G|^n products."""
     d = ctx.dimension
     group = ctx.group
-    tables = [solve_H(ctx, i) for i in range(1, n + 1)]
+    tables = [ctx.h_cache[i] for i in range(1, n + 1)]
     out = Polynomial.constant(d, Fraction(1)) if n == 0 else Polynomial.zero(d)
     for combo in itertools.product(range(group.order), repeat=n) if n else ():
         coeff = 1
@@ -635,10 +665,27 @@ def test_en_expansion_oracle_matches(b2, z21, a2):
               3: (Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4))}
     for ctx in (z21, b2, a2, b2c):
         x = points[ctx.dimension]
+        ctx.prepare(3)  # both read the lam tables from h_cache
         for n in range(0, 4):
             oracle = en_expansion_oracle(ctx, n, x)
             assert oracle == _en_product_loop(ctx, n, x), (ctx.group.order, n)
             assert oracle == homogeneous_kernel(ctx, n, x), (ctx.group.order, n)
+
+
+def test_en_expansion_oracle_reads_lam_from_h_cache(b2, monkeypatch):
+    # the oracle multiplies the lam tables that prepare recorded and builds
+    # no H_n table: solve_H is not called
+    from dunkl import operators
+
+    b2.prepare(3)
+    x = (Fraction(1, 2), Fraction(-2, 3))
+    want = homogeneous_kernel(b2, 3, x)
+
+    def refuse(ctx, n):
+        raise AssertionError(f"solve_H({n}) called")
+
+    monkeypatch.setattr(operators, "solve_H", refuse)
+    assert en_expansion_oracle(b2, 3, x) == want
 
 
 def test_vk_as_fischer_coefficient():
@@ -648,7 +695,7 @@ def test_vk_as_fischer_coefficient():
     # coefficient V(x^nu)(x) / nu! is the exact one at the point's binary
     # value rounded once
     cases = {
-        "b2": context("B", {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}, d=2),
+        "b2": context("B", [Fraction(1, 2), Fraction(3, 2)], d=2),
         "a2": context("A", Fraction(1), d=3),
         "b2c": context("B", [ComplexRational(Fraction(1, 2), Fraction(1, 3)), Fraction(1)], d=2),
         "g2": context("G2", [Fraction(1, 2), Fraction(1)]),
@@ -739,8 +786,8 @@ def test_fallback_degrees_excluded_from_delta():
     # at k = -1 the rank-one group-algebra system is singular at degree 2
     # while W_2 = 2 id is invertible, so the matrix fallback must kick in
     ctx = context("Z2^d", Fraction(-1), d=1)
-    assert solve_H(ctx, 2) is None
-    assert isinstance(solve_H(ctx, 1), tuple)
+    assert _lam(ctx, 2) is None
+    assert isinstance(_lam(ctx, 1), tuple)
     estimate_delta(ctx, 4)
     assert ctx.fallback_degrees == [2]
     assert [n for n, _ in ctx.delta_table] == [1, 3, 4]

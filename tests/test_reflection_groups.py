@@ -167,11 +167,12 @@ def test_group_orders():
     assert make("G2")[2].order == 12
 
 
-def test_group_cap():
+def test_group_cap(monkeypatch):
     system = build_root_system("B", d=2)
     pos = select_positive(system)
-    with pytest.raises(GroupClosureError):
-        generate_group(pos, element_cap=4)
+    monkeypatch.setattr(reflection_groups, "ELEMENT_CAP", 4)
+    with pytest.raises(GroupClosureError, match="exceeded 4 elements"):
+        generate_group(pos)
 
 
 def test_cayley_is_group():
@@ -481,26 +482,17 @@ def test_multiplicity_gamma_examples():
     assert k.gamma == 3 * Fraction(2, 3)
 
     system, pos, group = make("B", d=2)
-    k = validate_multiplicity(
-        pos, {(1, 0): Fraction(1, 2), (1, 1): Fraction(3, 2)}
-    )
+    k = validate_multiplicity(pos, [Fraction(1, 2), Fraction(3, 2)])  # short, then long
     assert k.gamma == 2 * Fraction(1, 2) + 2 * Fraction(3, 2)
     assert k.value((0, 1)) == Fraction(1, 2)
     assert k.value((-1, 1)) == Fraction(3, 2)
 
 
-def test_multiplicity_conflict_rejected():
+def test_multiplicity_list_of_wrong_length_rejected():
     system, pos, group = make("B", d=2)
-    with pytest.raises(MultiplicityError):
-        validate_multiplicity(
-            pos, {(1, 0): Fraction(1), (0, 1): Fraction(2)}
-        )
-
-
-def test_multiplicity_missing_orbit_rejected():
-    system, pos, group = make("B", d=2)
-    with pytest.raises(MultiplicityError):
-        validate_multiplicity(pos, {(1, 0): Fraction(1)})
+    for values in ([Fraction(1)], [Fraction(1)] * 3, []):
+        with pytest.raises(MultiplicityError, match=f"^{len(values)} values supplied for 2 orbits$"):
+            validate_multiplicity(pos, values)
 
 
 def test_multiplicity_flags():

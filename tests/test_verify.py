@@ -1,15 +1,20 @@
+import cmath
 import itertools
 import json
 import math
+import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dunkl import kernel, operators, poly, verify
 from dunkl.cli import EXIT_VERIFY_FAIL, main
-from dunkl.config import build_bundle, load_context
+from dunkl.config import build_bundle, load_context, save_context
 from dunkl.kernel import make_evaluator
+from dunkl.operators import DEGREE_CAP, make_context
+from dunkl.reflection_groups import validate_multiplicity
 from dunkl.verify import run_suite, suite_exact, suite_positivity, suite_quadrature, suite_signs
 
 
@@ -322,3 +327,60 @@ def test_a_perturbed_heat_row_fails_the_two_path_row(monkeypatch):
     monkeypatch.setitem(poly._HEAT_ROWS, -1, rows)
     row = two_path_row()
     assert not row.passed and row.max_residual > 0
+
+
+def test_b2_verify_round_builds_each_h_table_once(tmp_path, monkeypatch):
+    # one round of the five suites on B2's cache: H_n is built only for E_n's
+    # degree steps, once per (context, degree) over the context and the
+    # signs suite's weight-zero one, and every reader of lam_n reads h_cache
+    bundle = load_context(str(Path(__file__).resolve().parent.parent / "configs" / "b2.json"))
+    path = tmp_path / "b2.ctx.json"
+    save_context(bundle, path)
+    bundle = load_context(path)
+    calls, callers = Counter(), Counter()
+    solve = operators.solve_H
+
+    def counting(ctx, n):
+        calls[id(ctx), n] += 1
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return solve(ctx, n)
+
+    monkeypatch.setattr(operators, "solve_H", counting)
+    monkeypatch.setattr(verify, "solve_H", counting)
+    for suite in ("exact", "series", "quadrature", "signs", "positivity"):
+        assert run_suite(bundle, suite).passed
+    assert sum(calls.values()) == len(calls) == 36
+    assert callers == {"_e_table": 36}
+
+
+@pytest.mark.parametrize("name", ["b2", "b2zero", "z21"])
+def test_weight_zero_signs_rows_read_the_closed_form(name):
+    # at k = 0, V is the identity: the Gaussian-image sums at x are
+    # sum_{|nu| <= D} (+-1)^|nu| x^nu He_nu(-y) / nu!, and L(x, y) is
+    # e^{<x, y> - |x|^2/2}; each weight-zero row reads the smaller distance
+    # between the two, the Fourier row under the other label
+    bundle = load_context(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
+    rows = {r.identity: r for r in suite_signs(bundle)}
+    d = bundle.ctx.dimension
+    x = tuple([Fraction(3, 5)] + [Fraction(-1, 4)] * (d - 1))
+    y = tuple([Fraction(9, 10)] + [Fraction(1, 3)] * (d - 1))
+    zero_k = validate_multiplicity(bundle.positives, Fraction(0), bundle.k.orbits)
+    zero_ctx = make_context(bundle.group, bundle.positives, zero_k)
+    n_trunc = verify._tail_degree(kernel.KernelEvaluator(zero_ctx, 0), x, y, 1e-8, DEGREE_CAP)
+    taylor = verify._tail_degree(make_evaluator(zero_ctx, n_trunc), x, y, 1e-8, 2 * n_trunc)
+    he = [poly.hermite_values(-t, taylor) for t in y]
+    sums = {"plus": Fraction(0), "minus": Fraction(0)}
+    for nu in itertools.product(range(taylor + 1), repeat=d):
+        if sum(nu) <= taylor:
+            term = math.prod(t**e * h[e] / math.factorial(e) for t, h, e in zip(x, he, nu))
+            sums["plus"] += term
+            sums["minus"] += (-1) ** sum(nu) * term
+    window = math.exp(-(operators._norm(y) ** 2) / 2.0)
+    closed = window * cmath.exp(complex(sum(a * b for a, b in zip(x, y)) - sum(a * a for a in x) / 2))
+    res = {label: abs(window * complex(s) - closed) for label, s in sums.items()}
+    winner = min(res, key=res.get)
+    image = rows["gaussian-image-convention-at-weight-zero"]
+    fourier = rows["fourier-representation-convention-at-weight-zero"]
+    assert image.convention == winner and image.max_residual == res[winner] > 0
+    assert fourier.convention != winner and fourier.max_residual == res[winner]
+    assert image.passed and fourier.passed
