@@ -16,7 +16,6 @@ that solve's, so the class solve is the one source of lambda_n.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .exact import ComplexRational, format_rational, parse_scalar, scalar_to_json
 from .operators import DEGREE_CAP, DunklContext, _class_solve, make_context
@@ -230,17 +229,9 @@ def polynomial_to_literal(p: Polynomial) -> str:
         if isinstance(c, ComplexRational):
             coeff = f"({format_rational(c.real)}, {format_rational(c.imag)})"
             sign = "+"
-        elif isinstance(c, complex):
-            coeff = f"({c.real!r}, {c.imag!r})"
-            sign = "+"
         else:
-            fr = Fraction(c) if not isinstance(c, float) else None
-            if fr is not None:
-                sign = "-" if fr < 0 else "+"
-                coeff = format_rational(abs(fr))
-            else:
-                sign = "-" if c < 0 else "+"
-                coeff = repr(abs(c))
+            sign = "-" if c < 0 else "+"
+            coeff = format_rational(abs(c))
         body = f"{coeff} * {mono}" if mono else coeff
         parts.append((sign, body))
     first_sign, first_body = parts[0]

@@ -16,12 +16,13 @@ same coefficients with e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j).  In
 integers (hermite_piece, and lk_values, which kernel-grid prints) it is
 evaluate_en's sum with the Hermite numerators of y in place of its powers,
 exact at the binary values of the points and rounded once; in floats at
-many points (lk_grid, which the quadrature and positivity checks read) it
-is one block product per degree of E_n's table, each entry rounded once.
-The derivative relation's x side L^(N)(., y) = sum_nu He_nu(y) e_nu is E_n's
-columns against y's Hermite numerators, one table in x that T_j reads.
-Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy, L represents the
-composition of the intertwining operator with the inverse half-heat flow:
+many points (lk_grid, which the reconstruction and positivity checks
+read) it is one block product per degree of E_n's table, each entry
+rounded once.  The derivative relation's x side L^(N)(., y) = sum_nu
+He_nu(y) e_nu is E_n's columns against y's Hermite numerators, one table in
+x that T_j reads.  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy, L
+represents the composition of the intertwining operator with the inverse
+half-heat flow:
 
     integral L(x, y) (e^{-Lap/2} p)(y) dgamma(y) = V(p)(x),
 
@@ -29,7 +30,11 @@ an exact identity per truncation degree, which the checks in this module
 exercise, with L^(N) read at the quadrature nodes from lk_grid, together
 with the convolution identity for the generalized exponential, the Gaussian
 image, the mixed derivative relation, the group equivariance, and
-nonnegativity for nonnegative weights.  The Gaussian image of
+nonnegativity for nonnegative weights.  Each Gaussian integral of
+L^(N)(x, .) at a point (the unit mass, and the convolution's right side
+integral L^(N)(x, y + u) dgamma(u)) is the flow e^{+Lap/2} summed at that
+point from the shifted moments of poly._heat_axes: exact, with no rule.
+The Gaussian image of
 e^{-|u -+ y|^2/2} is the Hermite sum L^(D)(x, -+y) = sum_{|nu| <= D}
 e_nu(x) He_nu(-+y), and the closed-form transform z^nu -> (-i)^{|nu|}
 He_nu(y) e^{-|y|^2/2} (quad.fourier_quadrature) turns E(+-ix, .) into the
@@ -59,7 +64,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .exact import _exact_value, _numerator, _read_exact, _rounded_value
+from .exact import _read_exact, _rounded_value
 from .exact import _table_sum, _table_value
 from .operators import (
     DunklContext,
@@ -67,12 +72,12 @@ from .operators import (
     _dunkl_table,
     _e_table,
     _en_table,
-    _kernel_sum,
     _norm,
     _recurrence_tail,
     growth_envelope,
 )
-from .poly import Polynomial, _combine, _heat, _multi_factorial, _polynomial, hermite_values
+from .poly import Polynomial, _combine, _heat, _heat_axes, _multi_factorial, _polynomial
+from .poly import hermite_values
 from .reflection_groups import act_on_polynomial, mat_vec
 
 
@@ -158,14 +163,6 @@ def lk_series_value(ev: KernelEvaluator, x, y):
     return _table_value(_series_table(ev, x), y, rx or ry)
 
 
-def _hermite_axes(y, n):
-    """(axes, r) at an exact point y = b / r: per axis the integer Hermite
-    numerators r^e He_e(b_j / r) to degree n (poly.hermite_values of
-    variance r^2), the y side of the Hermite path (exact._table_sum)."""
-    r = math.lcm(*(t.denominator for t in y))
-    return [hermite_values(_numerator(t, r), n, r * r) for t in y], r
-
-
 def hermite_piece(ev: KernelEvaluator, n, x, y):
     """Hermite path, degree n: the coefficients V(x^nu)(x) / nu! of E_n(x, .)
     contracted with e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j), so no square
@@ -173,7 +170,7 @@ def hermite_piece(ev: KernelEvaluator, n, x, y):
     powers of y: exact at the points' binary values (exact._read_exact), and
     rounded once if a coordinate is a float."""
     (x, rx), (y, ry) = _read_exact(x), _read_exact(y)
-    return _table_sum(_en_table(ev.ctx, n, x), *_hermite_axes(y, n), rx or ry)
+    return _table_sum(_en_table(ev.ctx, n, x), *_heat_axes(y, n, -1), rx or ry)
 
 
 def lk_values(ev: KernelEvaluator, xs, ys) -> list:
@@ -183,7 +180,7 @@ def lk_values(ev: KernelEvaluator, xs, ys) -> list:
     nu! of every degree (_en_table) are put over one denominator once, per
     y the Hermite numerators are formed once, and each pair is then one
     integer sum."""
-    sides = [(_hermite_axes(y, ev.n_trunc), ry) for y, ry in map(_read_exact, ys)]
+    sides = [(_heat_axes(y, ev.n_trunc, -1), ry) for y, ry in map(_read_exact, ys)]
     out = []
     for x, rx in map(_read_exact, xs):
         table = _en_tables(ev, x)
@@ -241,15 +238,12 @@ def certified_radius(ev: KernelEvaluator, tol, y_norm) -> float:
 # -- integrals against dgamma ---------------------------------------------------------
 
 def lk_mass(ev: KernelEvaluator, x):
-    """integral of L^(N)(x, .) dgamma: the series table's numerators times the
-    Gaussian moments, summed in integers.  As the integral of
-    e^{-Lap/2} E_n(x, .) is E_n(x, 0), the value is 1, rounded at a float x."""
-    from .quad import gaussian_moment
-
+    """integral of L^(N)(x, .) dgamma = (e^{Lap/2} L^(N)(x, .))(0): the series
+    table summed against the Gaussian moments (poly._heat_axes at 0) in
+    integers.  As the integral of e^{-Lap/2} E_n(x, .) is E_n(x, 0), the
+    value is 1, rounded at a float x."""
     x, rounded = _read_exact(x)
-    nums, den = _series_table(ev, x)
-    total = sum(c * gaussian_moment(nu) for nu, c in nums.items())
-    return (_rounded_value if rounded else _exact_value)(total, den)
+    return _table_sum(_series_table(ev, x), *_heat_axes((0,) * len(x), ev.n_trunc, 1), rounded)
 
 
 def phi_x_apply(ev: KernelEvaluator, x, fs, rule) -> list:
@@ -297,24 +291,18 @@ def phi_x_norm(ev: KernelEvaluator, x):
 # -- identity checks ----------------------------------------------------------------
 
 def convolution_check(ev: KernelEvaluator, x, y):
-    """Residual of E(x, y) = integral of L(x, y + u) dgamma(u).
-
-    The left side is the truncated sum at the points' binary values
-    (exact._read_exact), exact and rounded once.  The right side is
-    integrated on a Gauss-Hermite rule exact to degree N, with L^(N)(x, .)
-    read at the shifted nodes from lk_grid, not in closed form, which would
-    be heat_half undoing the heat step that built L; the residual is
-    truncation tail plus roundoff.
-    """
-    import numpy as np
-
-    from .quad import gauss_rule
-
-    rule = gauss_rule(ev.dimension, (ev.n_trunc + 2) // 2)
-    lhs, _ = _kernel_sum(ev.ctx, _read_exact(x)[0], _read_exact(y)[0], ev.n_trunc)
-    pts = rule.nodes + np.asarray([float(t) for t in y])[None, :]
-    rhs = complex(np.dot(rule.weights, lk_grid(ev, [x], pts)[0]))
-    return abs(complex(lhs) - rhs)
+    """Residual of E(x, y) = integral of L(x, y + u) dgamma(u), both sides
+    exact at the points' binary values (exact._read_exact), from E_n(x, .)'s
+    tables joined once (_en_tables).  The left side is sum_nu e_nu(x) y^nu;
+    the right side is (e^{Lap/2} L^(N)(x, .))(y), the series table summed
+    against the shifted moments of poly._heat_axes, whose recurrence shares
+    no code with the heat rows that built the table.  The identity holds
+    exactly at each truncation degree, so the residual is 0.0."""
+    (x, _), (y, _) = _read_exact(x), _read_exact(y)
+    joined = _en_tables(ev, x)
+    lhs = _table_value(joined, y)
+    rhs = _table_sum(_series_table(ev, x, joined), *_heat_axes(y, ev.n_trunc, 1))
+    return abs(complex(lhs - rhs))
 
 
 def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
@@ -358,7 +346,7 @@ def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
     for nu, c in nums.items():
         if (n := sum(nu)) <= taylor_degree:
             parity[n & 1][nu] = c
-    axes = _hermite_axes([-t for t in y], taylor_degree)
+    axes = _heat_axes([-t for t in y], taylor_degree, -1)
     even, odd = (_table_sum((part, den), *axes) for part in parity)
     out = {}
     for label, value in (("plus", even + odd), ("minus", even - odd)):
@@ -371,12 +359,12 @@ def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
 def _lk_x_table(ev: KernelEvaluator, y):
     """L^(N)(., y) = sum_nu He_nu(y) e_nu at an exact point y = b / r as one
     table in x: E_n's columns e_nu = V(x^nu) / nu! (operators._e_table)
-    weighted by y's Hermite numerators (_hermite_axes), He_nu(y) =
+    weighted by y's Hermite numerators (poly._heat_axes), He_nu(y) =
     prod_j h_{nu_j} r^{N-|nu|} / r^N, over den_n r^N and joined by
     poly._combine.  It is V(sum_nu He_nu(y) x^nu / nu!), with no nu! put on
     a column and taken off again."""
     n_trunc = ev.n_trunc
-    axes, r = _hermite_axes(y, n_trunc)
+    axes, r = _heat_axes(y, n_trunc, -1)
     r_top = r**n_trunc
     pairs = []
     for n in range(n_trunc + 1):

@@ -411,19 +411,25 @@ def intertwine(ctx: DunklContext, p: Polynomial) -> Polynomial:
 
 
 def intertwine_inverse(ctx: DunklContext, q: Polynomial) -> Polynomial:
-    """V^{-1} q, through the table of V^{-1}'s columns on each P_n that q
-    meets, the inverse of E_n's columns scaled by nu!, formed once per call
-    and not kept; intertwine o intertwine_inverse = id."""
-    inverses = {}
-    pairs = []
-    for nu, c in q.terms.items():
-        n = sum(nu)
-        if n not in inverses:
-            cols, den = _e_table(ctx, n)
-            inverses[n] = _inverse_table(({mu: _vk_table(ctx, mu)[0] for mu in cols}, den))
-        cols, den = inverses[n]
-        pairs.append(((cols[nu], den), c))
-    return _combination(q.dim, pairs)
+    """V^{-1} q, one degree n at a time: V's columns nu! e_nu on P_n (E_n's
+    table scaled by nu!) against q's degree-n coefficients, one fraction-free
+    solve (exact.solve_columns) with a single right side, no inverse formed;
+    a float coefficient is read as its binary value and the result rounded
+    once.  intertwine o intertwine_inverse = id."""
+    coeffs, rounded = _read_exact(q.terms.values())
+    parts = {}
+    for nu, c in zip(q.terms, coeffs):
+        parts.setdefault(sum(nu), {})[nu] = c
+    tables = []
+    for n, terms in parts.items():
+        cols, den = _e_table(ctx, n)
+        vk = [_vk_table(ctx, nu)[0] for nu in cols]
+        rhs, q_den = _exact_table(terms)
+        (sol,), det = solve_columns(
+            [[col.get(mu, 0) for col in vk] for mu in cols], [[rhs.get(mu, 0) for mu in cols]]
+        )
+        tables.append((1, ({nu: c * den for nu, c in zip(cols, sol) if c}, det * q_den)))
+    return _polynomial(q.dim, _combine(tables), rounded)
 
 
 # -- growth estimate -----------------------------------------------------------------

@@ -17,7 +17,9 @@ Fischer pairing
 its Gaussian-integral realization, the associated Hermite polynomials
 H_nu = e^{-L/2} x^nu / sqrt(nu!), and the one three-term recurrence for the
 values of the one-variable probabilists' Hermite polynomials He_n, from
-which every product prod_j He_{nu_j}(y_j) in the package is taken.
+which every product prod_j He_{nu_j}(y_j) in the package is taken; at
+variance -1 the same recurrence gives the shifted Gaussian moments, so
+either heat flow is summed at a point without forming its image (_heat_axes).
 """
 from __future__ import annotations
 
@@ -420,3 +422,14 @@ def hermite_values(z, n, t=1):
     for e in range(1, n):
         he.append(z * he[e] - e * t * he[e - 1])
     return he
+
+
+def _heat_axes(y, n, sign):
+    """(axes, r) at an exact point y = b / r: per axis the integer numerators
+    r^e h_e(b_j / r) of hermite_values of variance -sign r^2, to degree n,
+    so that exact._table_sum(table, *axes) is (e^{sign Laplacian/2} p)(y),
+    the point-value twin of _heat.  For sign -1, h_e is He_e; for sign +1
+    it is the shifted moment integral (b_j / r + u)^e dgamma(u), from
+    h_{e+1} = z h_e + e h_{e-1}, which shares no code with _heat's rows."""
+    r = math.lcm(*(t.denominator for t in y))
+    return [hermite_values(_numerator(t, r), n, -sign * r * r) for t in y], r

@@ -2,9 +2,10 @@
 
 Everything targets dgamma = (2 pi)^{-d/2} e^{-|z|^2/2} dz, which has unit
 mass and unit variance per axis.  Polynomials are integrated in closed form,
-from the moments and, for Fourier integrals, from the Hermite values of
-poly.hermite_values.  Tensor Gauss-Hermite rules remain for other
-integrands, for export, and as a second route in the checks.  Nodes and
+from the moments and, for Fourier integrals, from the shifted moments of
+poly.hermite_values at an imaginary point.  Tensor Gauss-Hermite rules
+remain for other integrands, for export, for the checks of the rule itself,
+and as the independent route of the 40-point cross-check.  Nodes and
 weights come from the probabilists' Gauss-Hermite rule (weight e^{-t^2/2});
 the single conversion from the classical e^{-t^2} convention happens inside
 numpy's hermegauss and nowhere else.  A tensor rule with q points per axis
@@ -98,18 +99,16 @@ def gaussian_integral(p):
 def fourier_quadrature(p, y):
     """integral of p(z) e^{-i<y,z>} dgamma(z) for a polynomial p, in closed form.
 
-    z^nu contributes (-i)^{|nu|} prod_j He_{nu_j}(y_j) times e^{-|y|^2/2}, since
-    z^n e^{-iyz} = (i d/dy)^n e^{-iyz} and (d/dy)^n e^{-y^2/2} =
-    (-1)^n He_n(y) e^{-y^2/2}.  Evaluated in complex floats, with He_e(y_j)
-    from poly.hermite_values.
+    Completing the square, it is e^{-|y|^2/2} times the integral of
+    p(u - iy) dgamma(u), the Gaussian integral of p shifted to -iy: z^nu
+    contributes prod_j h_{nu_j}(-i y_j), the shifted moments of
+    poly.hermite_values at variance -1, which are (-i)^e He_e(y_j).
+    Evaluated in complex floats.
     """
     y = [float(t) for t in y]
-    # phased[j][e] = (-i)^e He_e(y_j)
-    phased = [
-        [(-1j) ** e * h for e, h in enumerate(hermite_values(t, max(p.degree, 0)))] for t in y
-    ]
+    moments = [hermite_values(-1j * t, max(p.degree, 0), -1) for t in y]
     total = sum(
-        complex(c) * math.prod(row[e] for row, e in zip(phased, nu)) for nu, c in p.terms.items()
+        complex(c) * math.prod(row[e] for row, e in zip(moments, nu)) for nu, c in p.terms.items()
     )
     return total * math.exp(-sum(t * t for t in y) / 2.0)
 

@@ -13,7 +13,6 @@ from dunkl.config import load_context
 from dunkl.exact import ComplexRational, _read_exact
 from dunkl.kernel import (
     _degree_blocks,
-    _hermite_axes,
     certified_radius,
     convolution_check,
     derivative_relation_check,
@@ -50,15 +49,17 @@ from dunkl.operators import (
     make_context,
     monomial_basis,
 )
+from dunkl import poly
 from dunkl.poly import (
     Polynomial,
+    _heat_axes,
     _multi_factorial,
     _polynomial,
     heat_half,
     hermite_values,
     inverse_heat_half,
 )
-from dunkl.quad import fourier_quadrature, gauss_rule, gaussian_integral
+from dunkl.quad import fourier_quadrature, gauss_rule, gaussian_integral, gaussian_moment
 from dunkl.reflection_groups import (
     build_root_system,
     generate_group,
@@ -305,6 +306,70 @@ def test_convolution_within_radius(ev_b2):
         x = tuple(rng.uniform(-radius / 2, radius / 2, 2))
         y = tuple(rng.uniform(-0.7, 0.7, 2))
         assert convolution_check(ev_b2, x, y) <= 1e-6
+
+
+CONVOLUTION_POINTS = {
+    "b2": ((Fraction(1, 3), Fraction(-2, 5)), (Fraction(1, 2), Fraction(1, 7)), (0.1, 0.2), (1.0, 0.5)),
+    "b2c": ((Fraction(1, 4), Fraction(1, 3)), (Fraction(-2, 3), Fraction(1)), (0.1, 0.2), (1.0, 0.5)),
+    "z21neg": ((Fraction(3, 10),), (Fraction(-7, 10),), (0.3,), (-0.7,)),
+    "g2": (
+        (Fraction(1, 20), Fraction(-1, 50), Fraction(1, 100)),
+        (Fraction(1, 10), Fraction(1, 5), Fraction(-1, 10)),
+        (0.05, -0.02, 0.01),
+        (0.1, 0.2, -0.1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVOLUTION_POINTS))
+def test_convolution_is_exact_at_rational_and_float_points(name):
+    # both sides are exact at the points' binary values, and the identity
+    # holds at every truncation degree (z21neg through its fallback degree 2)
+    bundle = load_context(str(CONFIGS / f"{name}.json"))
+    ev = make_evaluator(bundle.ctx, bundle.degree)
+    xq, yq, x, y = CONVOLUTION_POINTS[name]
+    assert convolution_check(ev, xq, yq) == 0.0
+    assert convolution_check(ev, x, y) == 0.0
+    assert type(convolution_check(ev, x, y)) is float
+
+
+def test_convolution_sees_a_perturbed_heat_row(monkeypatch):
+    # the shifted moments of _heat_axes share no code with _heat's rows, so
+    # one wrong entry in the row of y^2 makes the two sides differ
+    rows = poly._heat_row
+
+    def perturbed(e, sign):
+        row = rows(e, sign)
+        return [(f, b + 1 if (e, f) == (2, 0) else b) for f, b in row]
+
+    monkeypatch.setattr(poly, "_heat_row", perturbed)
+    for name in ("b2", "z21neg"):
+        bundle = load_context(str(CONFIGS / f"{name}.json"))
+        ev = make_evaluator(bundle.ctx, bundle.degree)
+        xq, yq, x, y = CONVOLUTION_POINTS[name]
+        assert convolution_check(ev, xq, yq) > 1e-3
+        assert convolution_check(ev, x, y) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        (Fraction(0),),
+        (Fraction(-3, 4), Fraction(5, 2)),
+        (ComplexRational(Fraction(1, 3), Fraction(-2, 5)), Fraction(1, 6)),
+        (ComplexRational(0, Fraction(3, 2)),),
+    ],
+    ids=str,
+)
+def test_heat_axes_plus_are_the_shifted_gaussian_moments(y):
+    # e^{+Lap/2} y^e = integral (y + u)^e dgamma(u) = sum_m C(e, m) M(m) y^(e - m)
+    axes, r = _heat_axes(y, 9, 1)
+    for t, h in zip(y, axes):
+        assert len(h) == 10
+        for e, num in enumerate(h):
+            want = sum(math.comb(e, m) * gaussian_moment((m,)) * t ** (e - m) for m in range(e + 1))
+            assert num == want * r**e
+            assert type(num) in (int, ComplexRational)
 
 
 def test_gaussian_image_conventions_zero_weight(ev_z21_zero):
@@ -879,7 +944,7 @@ def test_gaussian_taylor_matches_series_product(y, sign):
     d = len(y)
     degrees = (0, 1, 2, 20) + ((36,) if d == 2 else ())
     for deg in degrees:
-        axes, r = _hermite_axes([-sign * t for t in y], deg)
+        axes, r = _heat_axes([-sign * t for t in y], deg, -1)
         got = Polynomial(d, {
             nu: Fraction(math.prod(h[e] for h, e in zip(axes, nu)), r**n * _multi_factorial(nu))
             for n in range(deg + 1)

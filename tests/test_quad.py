@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dunkl.poly import Polynomial, hermite
+from dunkl.poly import Polynomial, hermite, hermite_values
 from dunkl.quad import (
     QuadratureRule,
     fourier_quadrature,
@@ -137,6 +137,26 @@ def test_fourier_at_zero_is_plain_integral():
     p = Polynomial(2, {(2, 0): 1, (2, 2): Fraction(1, 3), (1, 3): 7, (0, 0): -2})
     assert abs(fourier_quadrature(p, (0.0, 0.0)) - complex(gaussian_integral(p))) < 1e-15
     assert gaussian_integral(p) == 1 + Fraction(1, 3) - 2
+
+
+def _phase_table_transform(p, y):
+    """The transform from the phase table (-i)^e He_e(y_j), each Hermite
+    value times its phase."""
+    phased = [[(-1j) ** e * h for e, h in enumerate(hermite_values(t, max(p.degree, 0)))] for t in y]
+    total = sum(complex(c) * math.prod(row[e] for row, e in zip(phased, nu)) for nu, c in p.terms.items())
+    return total * math.exp(-sum(t * t for t in y) / 2.0)
+
+
+def test_shifted_moments_match_the_phase_table():
+    # the cases above: the Gaussian integral of p shifted to -iy against the
+    # phase table it replaces
+    p3 = Polynomial(3, {(3, 2, 0): 1, (1, 0, 4): Fraction(-2, 3), (2, 1, 1): 5, (0, 2, 2): 0.5})
+    p2 = Polynomial(2, {(2, 0): 1, (2, 2): Fraction(1, 3), (1, 3): 7, (0, 0): -2})
+    cases = [(Polynomial.monomial(1, (n,)), (y,)) for n in range(6) for y in (0.0, 0.8, 2.5, 4.0)]
+    cases += [(p3, (yv, 0.0, 0.0)) for yv in (0.8, 2.5, 4.0)]
+    cases += [(p3, (0.3, -1.1, 0.7)), (p2, (0.0, 0.0))]
+    for p, y in cases:
+        assert abs(fourier_quadrature(p, y) - _phase_table_transform(p, y)) < 1e-15, (p, y)
 
 
 def test_gaussian_integral_matches_rule():
