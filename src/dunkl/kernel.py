@@ -17,8 +17,9 @@ integers (hermite_piece, and lk_values, which kernel-grid prints) it is
 evaluate_en's sum with the Hermite numerators of y in place of its powers,
 exact at the binary values of the points and rounded once; in floats at
 many points (lk_grid, which the reconstruction and positivity checks
-read) it is one block product per degree of E_n's table, each entry
-rounded once.  The derivative relation's x side L^(N)(., y) = sum_nu
+read) it is E_n's columns e_nu(x) with each table entry rounded once,
+contracted against He(y) one axis at a time (sum factorization; Orszag,
+J. Comput. Phys. 37, 1980).  The derivative relation's x side L^(N)(., y) = sum_nu
 He_nu(y) e_nu is E_n's columns against y's Hermite numerators, one table in
 x that T_j reads.  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy, L
 represents the composition of the intertwining operator with the inverse
@@ -63,6 +64,8 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from itertools import accumulate, repeat
+from operator import itemgetter, mul
 
 from .exact import _read_exact, _rounded_value
 from .exact import _table_sum, _table_value
@@ -77,7 +80,7 @@ from .operators import (
     growth_envelope,
 )
 from .poly import Polynomial, _combine, _heat, _heat_axes, _multi_factorial, _polynomial
-from .poly import hermite_values
+from .poly import _to_float_scalar, hermite_values
 from .reflection_groups import act_on_polynomial, mat_vec
 
 
@@ -88,14 +91,14 @@ TailBound = namedtuple("TailBound", "n_trunc x_norm y_norm value")
 class KernelEvaluator:
     """One context and truncation degree N, with the caches of the kernel
     paths: the series table of L^(N)(x, .) per exact x, the tail bounds, and
-    lk_grid's blocks."""
+    the float layout of E_n's columns that lk_grid reads."""
 
     def __init__(self, ctx: DunklContext, n_trunc):
         self.ctx = ctx
         self.n_trunc = n_trunc
         self._series_tables = {}  # exact x -> the table of L^(N)(x, .) in y
         self._tail_cache = {}
-        self._blocks = None  # per-degree exponent arrays and V blocks, for lk_grid
+        self._layout = None  # E_n's columns rounded once, and their runs (_float_layout)
 
     @property
     def dimension(self):
@@ -108,7 +111,8 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvalu
     Whether a value is exact or a float follows from the point: rational
     points give exact values, float points their exact values rounded once;
     lk_grid alone rounds each table entry once and sums in floats.
-    exact_tables is ignored; the benchmark harness in bench/ still passes it.
+    exact_tables is ignored: it is kept for bench/worker.py, which passes
+    it, until the benchmark's next revision (ROADMAP item 9).
     """
     ctx.prepare(n_trunc)
     _e_table(ctx, n_trunc)
@@ -247,14 +251,34 @@ def lk_mass(ev: KernelEvaluator, x):
 
 
 def phi_x_apply(ev: KernelEvaluator, x, fs, rule) -> list:
-    """The extended functional on each f in fs: integral of
-    L^(N)(x, y) f(y) dgamma(y) on the rule, for any f, polynomial or not (see
-    quad._node_values), with L^(N)(x, .) read at the rule's nodes from
-    lk_grid once for all of fs."""
-    from .quad import _node_values, integrate
+    """The extended functional on each f in fs: the rule's sum of
+    L^(N)(x, z) f(z) over its nodes z, for any f, from the coefficients
+    e_nu(x) of L^(N)(x, .) = sum_nu e_nu(x) He_nu (_x_coefficients).  For a
+    Polynomial f = sum_mu c_mu z^mu the tensor rule's sum factors over the
+    axes: c_mu times e_nu(x) prod_j A[nu_j][mu_j], A[e][m] = sum_i w_i
+    He_e(z_i) z_i^m over the axis rule (quad._axis_moments), contracted
+    like a grid point with the rows of A in place of He(y).  Any other f
+    is called once per node against L^(N)(x, .) at the nodes
+    (quad.integrate)."""
+    from .quad import _axis_moments, _fsum, integrate
 
-    lk = lk_grid(ev, [x], rule.nodes)[0]
-    return [integrate(lambda nodes: lk * _node_values(f, nodes), rule) for f in fs]
+    coeffs = _x_coefficients(ev, x)
+    runs = _float_layout(ev)[1]
+    top = max((max(mu, default=0) for f in fs if isinstance(f, Polynomial) for mu in f.terms), default=0)
+    moments = _axis_moments(rule, top, ev.n_trunc)
+    rows = {m: [row[m] for row in moments] for m in range(top + 1)}
+    lk = None
+    out = []
+    for f in fs:
+        if isinstance(f, Polynomial):
+            sums = _contract(coeffs, runs, list(f.terms), rows)
+            out.append(_fsum([_to_float_scalar(c) * s for c, s in zip(f.terms.values(), sums)]))
+        else:
+            if lk is None:
+                nodes = rule.nodes
+                lk = dict(zip(nodes, _contract(coeffs, runs, nodes, _hermite_rows(ev, nodes))))
+            out.append(integrate(lambda z: lk[z] * f(z), rule))
+    return out
 
 
 def phi_x_norm(ev: KernelEvaluator, x):
@@ -264,28 +288,35 @@ def phi_x_norm(ev: KernelEvaluator, x):
     of each E_n(x, .), in integers at the binary value of x, and rounds the
     sum once; route 2 integrates L^(N)(x, .) times its conjugate
     from the Gaussian moments, pairing only monomials whose exponents agree
-    in parity in every coordinate (the other moments vanish).  At matching
-    truncation the routes agree up to roundoff.
+    in parity in every coordinate (the other moments vanish), one row of
+    their Gram matrix at a time.  At matching truncation the routes agree
+    up to roundoff.
     """
-    import numpy as np
-
     from .quad import gaussian_moment
 
     joined = nums, den = _en_tables(ev, _read_exact(x)[0])
     coeff_sq = sum((c * c.conjugate()).real * _multi_factorial(nu) for nu, c in nums.items())
     series_route = math.sqrt(coeff_sq / den**2)
     lk = lk_polynomial(ev, x, joined)
-    moments = np.array([float(gaussian_moment((e,))) for e in range(2 * lk.degree + 1)])
+    moments = [float(gaussian_moment((e,))) for e in range(2 * lk.degree + 1)]
     classes = {}
     for nu, c in lk.terms.items():
         classes.setdefault(tuple(e & 1 for e in nu), []).append((nu, complex(c)))
-    sq = 0.0
+    terms = []
     for members in classes.values():
-        exps = np.array([nu for nu, _ in members])
-        coeffs = np.array([c for _, c in members])
-        gram = np.prod(moments[exps[:, None, :] + exps[None, :, :]], axis=2)
-        sq += float((coeffs.conj() @ gram @ coeffs).real)
-    return series_route, math.sqrt(sq)
+        coeffs = [c for _, c in members]
+        # per axis j and exponent e: m(e + mu_j) over the members mu
+        axes = [
+            {e: [moments[e + b] for b in column] for e in set(column)}
+            for column in zip(*(nu for nu, _ in members))
+        ]
+        for nu, a in members:
+            factors = [axis[e] for axis, e in zip(axes, nu)]
+            gram_row = factors[0]  # prod_j m(nu_j + mu_j) over the members mu
+            for factor in factors[1:]:
+                gram_row = list(map(mul, gram_row, factor))
+            terms.append((a.conjugate() * sum(map(mul, gram_row, coeffs))).real)
+    return series_route, math.sqrt(math.fsum(terms))
 
 
 # -- identity checks ----------------------------------------------------------------
@@ -442,65 +473,137 @@ PositivityReport = namedtuple("PositivityReport", "min_value min_point max_abs_i
 
 
 def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
-    """Minimum of Re L^(N) - tail over a product grid, plus the largest
-    imaginary part (which must vanish for real weights); a NaN grid value
-    makes the minimum, or the largest imaginary part, NaN."""
-    import numpy as np
-
+    """Minimum of Re L^(N) - tail over a product grid, at the first pair in
+    row order that reaches it, plus the largest imaginary part (which must
+    vanish for real weights); a NaN grid value makes the minimum, or the
+    largest imaginary part, NaN, and the minimum stays at the first NaN."""
     values = lk_grid(ev, xs, ys)
     y_norms = [_norm(y) for y in ys]
-    x_norms = [_norm(x) for x in xs]
-    rows = {xn: [tail_bound(ev, xn, yn).value for yn in y_norms] for xn in dict.fromkeys(x_norms)}
-    tails = np.array([rows[xn] for xn in x_norms])
-    adjusted = values.real - tails
-    i, j = np.unravel_index(np.argmin(adjusted), adjusted.shape)
-    return PositivityReport(
-        adjusted[i, j], (tuple(xs[i]), tuple(ys[j])), np.max(np.abs(values.imag)), np.max(tails),
-        adjusted.size,
-    )
+    tails = {}
+    min_value, min_point, max_imag, max_tail = math.inf, None, 0.0, 0.0
+    for x, row in zip(xs, values):
+        xn = _norm(x)
+        if xn not in tails:
+            tails[xn] = [tail_bound(ev, xn, yn).value for yn in y_norms]
+        for y, v, tail in zip(ys, row, tails[xn]):
+            adjusted = v.real - tail
+            if min_value == min_value and (adjusted < min_value or adjusted != adjusted):
+                min_value, min_point = adjusted, (tuple(x), tuple(y))
+            imag = abs(v.imag)
+            if imag > max_imag or imag != imag:  # imag != imag: NaN, which sticks
+                max_imag = imag
+        max_tail = max(max_tail, max(tails[xn]))
+    return PositivityReport(min_value, min_point, max_imag, max_tail, len(xs) * len(ys))
 
 
-def _degree_blocks(ev: KernelEvaluator):
-    """Per degree n <= N: the exponents of P_n's basis as a (b_n, d) array and
-    the b_n x b_n block [x^mu] e_nu of E_n's table (operators._e_table), each
-    entry c / den rounded once (complex where any entry is)."""
-    import numpy as np
+# -- the float layer: E_n's columns rounded once, summed one axis at a time ------
 
-    if ev._blocks is None:
-        ev._blocks = []
-        for n in range(ev.n_trunc + 1):
-            cols, den = _e_table(ev.ctx, n)
-            index = {nu: i for i, nu in enumerate(cols)}
-            block = [[0.0] * len(cols) for _ in cols]
-            for k, nums in enumerate(cols.values()):
-                for mu, c in nums.items():
-                    block[index[mu]][k] = _rounded_value(c, den)
-            ev._blocks.append((np.array(list(index)), np.array(block)))
-    return ev._blocks
+class _Rows(list):
+    """lk_grid's rows, with the tolist() of the numpy array they replace:
+    bench/worker.py reads the result that way until the benchmark's next
+    revision (ROADMAP item 9)."""
+
+    def tolist(self):
+        return list(self)
 
 
 def lk_grid(ev: KernelEvaluator, xs, ys):
-    """Hermite-path kernel values on a product grid in floats, as a numpy
-    array, one block product per degree: the monomials x^mu from per-axis
-    power tables, times the block of E_n's table, times the He_nu(y) =
-    prod_j He_{nu_j}(y_j) from per-axis Hermite values
-    (poly.hermite_values).  lk_values gives the exact sums, rounded once."""
-    import numpy as np
+    """Hermite-path kernel values L^(N)(x, y) in floats, rows[i][j] at
+    (xs[i], ys[j]): per x, E_n's columns e_nu(x) from table entries each
+    rounded once (_x_coefficients), contracted against He_e(y_j)
+    (poly.hermite_values) one axis at a time (_contract), which shares the
+    work of the y points that agree in their first coordinates.  lk_values
+    gives the exact sums, rounded once."""
+    ys = [tuple(map(float, y)) for y in ys]
+    rows = _hermite_rows(ev, ys)
+    runs = _float_layout(ev)[1]
+    return _Rows(_contract(_x_coefficients(ev, x), runs, ys, rows) for x in xs)
 
-    d = ev.dimension
-    xs_arr = np.asarray(xs, dtype=float).reshape(len(xs), d)
-    ys_arr = np.asarray(ys, dtype=float).reshape(len(ys), d)
-    n_max = ev.n_trunc
-    x_pow = np.ones(xs_arr.shape + (n_max + 1,))  # x_pow[p, i, e] = x_i^e
-    if n_max:
-        x_pow[:, :, 1] = xs_arr
-    for e in range(2, n_max + 1):
-        x_pow[:, :, e] = x_pow[:, :, e - 1] * xs_arr
-    he = np.stack(hermite_values(ys_arr, n_max), axis=-1)  # he[p, j, e] = He_e(y_j)
-    out = 0
-    axes = range(d)
-    for exps, block in _degree_blocks(ev):
-        x_mono = np.prod([x_pow[:, i, exps[:, i]] for i in axes], axis=0)  # (nx, b_n)
-        he_y = np.prod([he[:, j, exps[:, j]] for j in axes], axis=0)  # (ny, b_n)
-        out = out + (x_mono @ block) @ he_y.T
-    return out
+
+def _grid_basis(d, n):
+    """Every exponent nu in d variables with |nu| <= n, ordered by (nu_d,
+    ..., nu_1), so that for each rest = (nu_2, ..., nu_d) the run nu_1 =
+    0, ..., n - |rest| is contiguous: the layout _contract reads."""
+    basis = [()]
+    for _ in range(d):
+        basis = [(e,) + rest for rest in basis for e in range(n - sum(rest) + 1)]
+    return basis
+
+
+def _float_layout(ev: KernelEvaluator):
+    """(columns, runs, order), built once per evaluator.  order lists the
+    positions in _grid_basis of the monomials x^mu, degree by degree in the
+    order of E_n's table, and columns, in _grid_basis's order of nu, holds
+    for E_n's column e_nu = V(x^nu) / nu! (operators._e_table) a getter of
+    its monomials from that list and its entries c / den, each rounded
+    once (exact._rounded_value).  A column that meets every monomial of its
+    degree, as on A and G2, reads them as one slice.  runs[j] slices the
+    runs of nu_{j+1} once axes 1..j are summed out."""
+    if ev._layout is None:
+        d, top = ev.dimension, ev.n_trunc
+        basis = _grid_basis(d, top)
+        where = {nu: i for i, nu in enumerate(basis)}
+        tables = [_e_table(ev.ctx, n) for n in range(top + 1)]
+        order = [where[mu] for cols, _ in tables for mu in cols]
+        at = {basis[i]: k for k, i in enumerate(order)}
+        columns = [None] * len(basis)
+        start = 0
+        for cols, den in tables:
+            keys = list(cols)
+            degree = itemgetter(slice(start, start + len(keys)))
+            for nu, nums in cols.items():
+                if len(nums) == len(keys):  # every monomial of the degree, in keys' order
+                    take, entries = degree, map(nums.__getitem__, keys)
+                else:
+                    spots = list(map(at.__getitem__, nums))
+                    take = itemgetter(*spots) if len(spots) > 1 else itemgetter(slice(spots[0], spots[0] + 1))
+                    entries = nums.values()
+                columns[where[nu]] = take, list(map(_rounded_value, entries, repeat(den)))
+            start += len(keys)
+        runs = []
+        for k in range(d - 1, -1, -1):
+            ends = list(accumulate(top - sum(rest) + 1 for rest in _grid_basis(k, top)))
+            runs.append([slice(a, b) for a, b in zip([0] + ends, ends)])
+        ev._layout = columns, runs, order
+    return ev._layout
+
+
+def _x_coefficients(ev: KernelEvaluator, x):
+    """e_nu(x) = sum_mu [x^mu] e_nu x^mu in floats for every nu of
+    _grid_basis, in its order: per column, its rounded entries against its
+    monomials of x in one C-level sum(map(mul, ...)).  The monomials are
+    formed a coordinate at a time from the last, each run of powers of x_j
+    scaled by a monomial of the later coordinates, and then put in the
+    layout's order."""
+    top = ev.n_trunc
+    columns, _, order = _float_layout(ev)
+    mono, degrees = [1.0], [0]
+    for t in reversed(x):
+        powers = list(accumulate([float(t)] * top, mul, initial=1.0))
+        mono = [v * p for v, deg in zip(mono, degrees) for p in powers[: top - deg + 1]]
+        degrees = [deg + e for deg in degrees for e in range(top - deg + 1)]
+    mono = list(map(mono.__getitem__, order))
+    return [sum(map(mul, vals, take(mono))) for take, vals in columns]
+
+
+def _hermite_rows(ev: KernelEvaluator, points):
+    """He_0(t), ..., He_N(t) for every coordinate t of the points."""
+    return {t: hermite_values(t, ev.n_trunc) for t in {t for p in points for t in p}}
+
+
+def _contract(coeffs, runs, points, rows):
+    """sum_nu coeffs[nu] prod_j rows[t_j][nu_j] at each point t, one axis at
+    a time: the runs of nu_1 against the row of t_1, once per distinct t_1,
+    then those sums' runs of nu_2 against the row of t_2, once per distinct
+    (t_1, t_2), and so on, so a product grid of m^d points costs about m
+    sums per monomial (sum factorization)."""
+    partial = {(): coeffs}
+    for j, level in enumerate(runs):
+        summed = {}
+        for t in points:
+            key = t[: j + 1]
+            if key not in summed:
+                vec, row = partial[t[:j]], rows[t[j]]
+                summed[key] = [sum(map(mul, vec[s], row)) for s in level]
+        partial = summed
+    return [partial[tuple(t)][0] for t in points]

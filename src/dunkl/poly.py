@@ -218,42 +218,16 @@ class Polynomial:
         return total
 
     def evaluate_many(self, points):
-        """Vectorized float evaluation on an (n, dim) array; the values are
+        """Float evaluation at each point of a sequence: a list of values,
         real when the points and every coefficient are, complex otherwise."""
-        import numpy as np
-
         coeffs = [_to_float_scalar(c) for c in self.terms.values()]
-        pts = np.asarray(points)
-        real = pts.dtype.kind in "biuf" and not any(isinstance(c, complex) for c in coeffs)
-        dtype = float if real else complex
-        pts = np.asarray(pts, dtype=dtype)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        vals = np.zeros(pts.shape[0], dtype=dtype)
-        powers = {}
-        for nu, c in zip(self.terms, coeffs):
-            term = np.full(pts.shape[0], c, dtype=dtype)
-            for i, e in enumerate(nu):
-                if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = _int_power(pts[:, i], e)
-                    term *= powers[i, e]
-            vals += term
-        return vals
-
-
-def _int_power(x, e):
-    """x**e for e >= 1 by repeated squaring, the products numpy's power
-    forms for a complex x, so a real evaluation is bit for bit the real part
-    of the complex one."""
-    out = None
-    while True:
-        if e & 1:
-            out = x if out is None else out * x
-        e >>= 1
-        if not e:
-            return out
-        x = x * x
+        out = []
+        for point in points:
+            powers = _powers([_to_float_scalar(t) for t in point], max(self.degree, 0))
+            out.append(sum(
+                c * math.prod(row[e] for row, e in zip(powers, nu)) for nu, c in zip(self.terms, coeffs)
+            ))
+        return out
 
 
 def _from_terms(dim, terms):
@@ -414,8 +388,8 @@ def hermite(nu) -> Polynomial:
 def hermite_values(z, n, t=1):
     """[h_0, ..., h_n], h_e = t^{e/2} He_e(z / sqrt(t)) the probabilists'
     Hermite polynomials of variance t (He_e(z) at t = 1), from h_{e+1} =
-    z h_e - e t h_{e-1}.  z may be an exact or float scalar or a numpy
-    array; h_0 = z**0 takes its type and shape.  Since the half-heat flow
+    z h_e - e t h_{e-1}.  z may be an exact, float or complex scalar; h_0 =
+    z**0 takes its type.  Since the half-heat flow
     factors over the coordinates and sends z^e to He_e(z), e^{-Laplacian/2}
     x^nu at y is prod_j He_{nu_j}(y_j)."""
     he = [z**0, z][: n + 1]

@@ -20,14 +20,13 @@ once per evaluator, with plus and minus exchanged (kernel module docstring).
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
 import random
 from collections import Counter, namedtuple
 from fractions import Fraction
-
-import numpy as np
 
 from .config import SUITES, ContextBundle
 from .kernel import (
@@ -76,12 +75,14 @@ from .poly import (
     inverse_heat_half,
 )
 from .quad import (
+    _axis_moments,
     fourier_quadrature,
     gauss_rule,
     gaussian_moment,
     integrate,
 )
 from .reflection_groups import (
+    _signed_permutation,
     act_on_polynomial,
     dot,
     mat_vec,
@@ -411,12 +412,12 @@ def suite_series(bundle: ContextBundle, seed=0):
             yield computed - tail_bound(ev, _norm(x), _norm(y), n0).value
     results.append(_residual_row("tail-dominates-computed-terms", tail_shortfall(), 0.0))
 
-    # the series path against lk_grid, the float block products of the
-    # Hermite path that the quadrature and positivity rows read
+    # the series path against lk_grid, the float Hermite path that the
+    # quadrature and positivity rows read
     pairs = [(_box(rng, d, 1.0), _box(rng, d, 1.0)) for _ in range(6)]
     grid = lk_grid(ev, [x for x, _ in pairs], [y for _, y in pairs])
     results.append(_residual_row("kernel-two-path-float", (
-        abs(complex(lk_series_value(ev, x, y)) - complex(grid[i, i]))
+        abs(complex(lk_series_value(ev, x, y)) - complex(grid[i][i]))
         for i, (x, y) in enumerate(pairs)
     ), 1e-9))
     return results
@@ -442,10 +443,9 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
         for want in [gaussian_moment(nu)]
     ), 1e-12))
 
-    # rounding to even is odd-symmetric, so the negated keys are the keys of -z
-    keys = np.round(rule.nodes, 10)
-    node_set = set(map(tuple, keys.tolist()))
-    missing = sum(1 for z in (-keys).tolist() if tuple(z) not in node_set)
+    # round() is odd-symmetric, so the keys of -z are the negated keys of z
+    keys = {tuple(round(t, 10) for t in z) for z in rule.nodes}
+    missing = sum(1 for z in keys if tuple(-t for t in z) not in keys)
     results.append(_residual_row("rule-negation-symmetry", [missing], 0.0))
 
     results.append(_residual_row("kernel-unit-mass", (
@@ -460,12 +460,17 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
         for want in [fischer(p, q)]
     ), 1e-10, note=f"{len(pairs)} monomial pairs"))
 
-    hs = [hermite(nu) for n in range(0, 5) for nu in monomial_basis(d, n)]
-    vals = np.stack([h.evaluate_many(rule.nodes) for h in hs])
-    gram = (vals * rule.weights[None, :]) @ vals.T
-    results.append(_residual_row(
-        "hermite-orthonormality", [float(np.max(np.abs(gram - np.eye(len(hs)))))], 1e-10
-    ))
+    # the Gram matrix of the H_nu on the rule, each entry summed over the
+    # pairs of their terms from the rule's per-axis moments
+    moments = _axis_moments(rule, 8)[0]
+    hs = [list(hermite(nu).terms.items()) for n in range(0, 5) for nu in monomial_basis(d, n)]
+    results.append(_residual_row("hermite-orthonormality", (
+        abs(math.fsum(
+            a * b * math.prod(moments[i + j] for i, j in zip(mu, nu)) for mu, a in hs[r] for nu, b in h
+        ) - (r == c))
+        for r in range(len(hs))
+        for c, h in enumerate(hs[r:], r)
+    ), 1e-10))
 
     ps = [
         Polynomial.monomial(d, nu)
@@ -494,7 +499,7 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
     line = gauss_rule(1, 40)
     results.append(_residual_row("gaussian-self-transform", (
         abs(fourier_quadrature(Polynomial.monomial(d, (n,) + (0,) * (d - 1)), (yv,) + (0.0,) * (d - 1))
-            - integrate(lambda z: z[:, 0] ** n * np.exp(-1j * yv * z[:, 0]), line))
+            - integrate(lambda z: z[0] ** n * cmath.exp(-1j * yv * z[0]), line))
         for yv in (0.0, 0.7, 1.9)
         for n in range(6)
     ), 1e-10))
@@ -600,9 +605,9 @@ def suite_positivity(bundle: ContextBundle):
     span = min(radius * 0.95 / math.sqrt(d), 2.0)
     xs = _grid_points(d, span, x_axis)
     ys = _grid_points(d, min(1.5 / math.sqrt(d), 2.0), y_axis)
-    rep = positivity_scan(ev, xs, ys)
+    rep = positivity_scan(ev, _orbit_representatives(xs, bundle.group), ys)
     note = (
-        f"min {rep.min_value:.3g} over {rep.points} points, "
+        f"min {rep.min_value:.3g} over {len(xs) * len(ys)} points, "
         f"|x| <= {span * math.sqrt(d):.3g} (certified radius {radius:.3g})"
     )
     row = _residual_row("kernel-nonnegative-on-grid", [-rep.min_value], POSITIVITY_TOL, note=note)
@@ -613,10 +618,32 @@ def suite_positivity(bundle: ContextBundle):
 
 
 def _grid_points(d, span, per_axis):
+    """The product grid axis^d in itertools.product's order, axis = span
+    m / (per_axis - 1) for m = 1 - per_axis, 3 - per_axis, ..., per_axis -
+    1: per_axis equally spaced points on [-span, span], symmetric under
+    negation in floats too."""
     if span == 0:
         return [(0.0,) * d]
-    axis = [(-span + 2 * span * i / (per_axis - 1)) for i in range(per_axis)]
+    axis = [span * (m / (per_axis - 1)) for m in range(1 - per_axis, per_axis, 2)]
     return list(itertools.product(axis, repeat=d))
+
+
+def _orbit_representatives(points, group):
+    """The first point, in the order of points, of each orbit of G_grid:
+    the elements of the group that are signed permutations, which map
+    every product grid with a negation-symmetric axis (_grid_points) onto
+    itself, exactly in floats.  As E_n(gx, gy) = E_n(x, y) and the half-heat
+    flow commutes with orthogonal maps, L^(N)(gx, gy) = L^(N)(x, y) at
+    every truncation, and the tail bound reads only |x| and |y|; so the
+    minimum of L^(N) - tail over the grid in x times a product grid in y is
+    its minimum over these representatives times the whole y grid."""
+    signed = [sp for sp in map(_signed_permutation, group.elements) if sp is not None]
+    seen, reps = set(), []
+    for x in points:
+        if x not in seen:
+            reps.append(x)
+            seen.update(tuple(s * x[p] for p, s in zip(perm, signs)) for perm, signs in signed)
+    return reps
 
 
 # -- driver ----------------------------------------------------------------------------------

@@ -228,8 +228,8 @@ def test_criterion_05_gaussian_pairing_formula():
         for n in range(0, 13):
             monos.extend(monomial_basis(d, n))
         heats = [heat_half(Polynomial.monomial(d, nu, 1.0)) for nu in monos]
-        vals = np.stack([h.evaluate_many(rule.nodes).real for h in heats])
-        gram = (vals * rule.weights[None, :]) @ vals.T
+        vals = np.array([h.evaluate_many(rule.nodes) for h in heats]).real
+        gram = (vals * np.array(rule.weights)[None, :]) @ vals.T
         for i, nu in enumerate(monos):
             for j, mu in enumerate(monos):
                 if sum(nu) + sum(mu) > 12:

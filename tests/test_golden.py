@@ -3,12 +3,14 @@
 For each system below the test builds a context with `dunkl build`, then
 hashes the cache file and the stdout of `build`, `lambda-table`,
 `intertwine`, `ek-eval` and `verify --suite exact`; it also hashes, as
-"rounded-table", the float blocks of E_n's tables at the system's degree
-(kernel._degree_blocks: per degree the exponents and the entries, each
-rounded once), which lk_grid, the positivity scan and the quadrature rows
-read.  The rounded-table digests were recorded again when they moved to
-these blocks from V's tables with each coefficient rounded once, which no
-output read any more (the blocks were the same at the change).  The
+"rounded-table", the float entries of E_n's tables at the system's degree
+(kernel._float_layout, each entry rounded once), which lk_grid, the
+positivity scan and the quadrature rows read, laid out per degree as the
+exponents and the dense block of the entries (rounded_blocks).  The
+rounded-table digests were recorded again when they moved to these blocks
+from V's tables with each coefficient rounded once, which no output read
+any more (the blocks were the same at the change); they stayed the same
+when the numpy blocks gave way to the float columns.  The
 digests other than the rounded table's were
 recorded from the implementation that stored every table as Fractions, so
 they pin the exact layer's values across changes of storage; the g2 and b3
@@ -195,7 +197,7 @@ def _run(*argv):
 def digests(name, workdir):
     """name's digests, with the context cache written into workdir."""
     from dunkl.config import load_context
-    from dunkl.kernel import _degree_blocks, make_evaluator
+    from dunkl.kernel import make_evaluator
 
     config, poly, x, y = SYSTEMS[name]
     old = os.getcwd()
@@ -216,8 +218,34 @@ def digests(name, workdir):
         bundle = load_context(ctx_file)
     finally:
         os.chdir(old)
-    blocks = _degree_blocks(make_evaluator(bundle.ctx, bundle.degree))
-    out["rounded-table"] = _sha(repr([(exps.tolist(), block.tolist()) for exps, block in blocks]))
+    out["rounded-table"] = _sha(repr(rounded_blocks(make_evaluator(bundle.ctx, bundle.degree))))
+    return out
+
+
+def rounded_blocks(ev):
+    """Per degree n <= N: the exponents nu of E_n's columns in table order,
+    and the dense block [x^mu] e_nu, row mu and column nu in that order, of
+    the entries of kernel._float_layout, each rounded once.  A block with a
+    complex entry is complex throughout."""
+    from dunkl.kernel import _float_layout, _grid_basis
+    from dunkl.operators import _e_table
+
+    columns, _, order = _float_layout(ev)
+    basis = _grid_basis(ev.dimension, ev.n_trunc)
+    where = {nu: i for i, nu in enumerate(basis)}
+    monomials = [basis[i] for i in order]
+    out = []
+    for n in range(ev.n_trunc + 1):
+        keys = list(_e_table(ev.ctx, n)[0])
+        index = {nu: i for i, nu in enumerate(keys)}
+        block = [[0.0] * len(keys) for _ in keys]
+        for k, nu in enumerate(keys):
+            take, values = columns[where[nu]]
+            for mu, v in zip(take(monomials), values):
+                block[index[mu]][k] = v
+        if any(isinstance(v, complex) for row in block for v in row):
+            block = [[complex(v) for v in row] for row in block]
+        out.append(([list(nu) for nu in keys], block))
     return out
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from functools import partial
@@ -12,7 +13,8 @@ from dunkl import kernel
 from dunkl.config import load_context
 from dunkl.exact import ComplexRational, _read_exact
 from dunkl.kernel import (
-    _degree_blocks,
+    _float_layout,
+    _grid_basis,
     certified_radius,
     convolution_check,
     derivative_relation_check,
@@ -547,7 +549,7 @@ def test_positivity_grid_matches_pointwise(ev_b2):
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             direct = complex(lk_series_value(ev_b2, x, y))
-            assert abs(grid[i, j] - direct) < 1e-10
+            assert abs(grid[i][j] - direct) < 1e-10
 
 
 
@@ -563,9 +565,9 @@ def test_positivity_scan_matches_a_pointwise_scan(case):
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             tb = tail_bound(ev, _norm(x), _norm(y)).value
-            max_tail, max_imag = max(max_tail, tb), max(max_imag, abs(values[i, j].imag))
-            if values[i, j].real - tb < min_value:
-                min_value, min_point = values[i, j].real - tb, (x, y)
+            max_tail, max_imag = max(max_tail, tb), max(max_imag, abs(values[i][j].imag))
+            if values[i][j].real - tb < min_value:
+                min_value, min_point = values[i][j].real - tb, (x, y)
     assert positivity_scan(ev, xs, ys) == (min_value, min_point, max_imag, max_tail, 35)
     assert (max_imag > 0) == (case == 1)
 
@@ -582,36 +584,94 @@ GRID_CASES = [
 @pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
 def test_lk_grid_blocks_match_termwise_sum(family, k_values, n_trunc, kw):
     # reference: the term-by-term Hermite path, sum over nu of V(x^nu)(x) / nu!
-    # times He_nu(y), that the per-degree block products replace
+    # times He_nu(y), that the float columns summed one axis at a time
+    # replace; the rows come back from tolist() as they are
     ev = make_ev(family, k_values, n_trunc, **kw)
     d = ev.dimension
     rng = np.random.default_rng(4)
     xs = [tuple(rng.uniform(-0.3, 0.3, d)) for _ in range(3)]
     ys = [tuple(rng.uniform(-1.5, 1.5, d)) for _ in range(4)]
     grid = lk_grid(ev, xs, ys)
-    assert grid.shape == (3, 4)
+    assert [len(row) for row in grid] == [4, 4, 4] and grid.tolist() == list(grid)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             want = sum(complex(hermite_piece(ev, n, x, y)) for n in range(n_trunc + 1))
-            assert abs(grid[i, j] - want) <= 1e-13 * max(1.0, abs(want))
+            assert abs(grid[i][j] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def _numpy_block_grid(ev, xs, ys):
+    """The float grid as numpy's block products formed it before the
+    package became pure Python, kept as a reference: per degree n, the
+    monomials x^mu from per-axis power tables, times the b_n x b_n block
+    [x^mu] e_nu of E_n's table with each entry rounded once, times He_nu(y)
+    from per-axis Hermite values of the y array."""
+    from dunkl.exact import _rounded_value
+
+    d, top = ev.dimension, ev.n_trunc
+    xs_arr = np.asarray(xs, dtype=float).reshape(len(xs), d)
+    ys_arr = np.asarray(ys, dtype=float).reshape(len(ys), d)
+    x_pow = np.ones(xs_arr.shape + (top + 1,))  # x_pow[p, i, e] = x_i^e
+    for e in range(1, top + 1):
+        x_pow[:, :, e] = x_pow[:, :, e - 1] * xs_arr
+    he = np.stack(hermite_values(ys_arr, top), axis=-1)  # he[p, j, e] = He_e(y_j)
+    out = 0
+    for n in range(top + 1):
+        cols, den = _e_table(ev.ctx, n)
+        index = {nu: i for i, nu in enumerate(cols)}
+        block = [[0.0] * len(cols) for _ in cols]
+        for k, nums in enumerate(cols.values()):
+            for mu, c in nums.items():
+                block[index[mu]][k] = _rounded_value(c, den)
+        exps, block = np.array(list(index)), np.array(block)
+        x_mono = np.prod([x_pow[:, i, exps[:, i]] for i in range(d)], axis=0)
+        he_y = np.prod([he[:, j, exps[:, j]] for j in range(d)], axis=0)
+        out = out + (x_mono @ block) @ he_y.T
+    return out
+
+
+@pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
+def test_lk_grid_matches_the_numpy_block_product(family, k_values, n_trunc, kw):
+    # the same rounded entries summed in another order: within 1e-14 of the
+    # larger of 1 and the value, at random points and on a product grid
+    # that the one-axis-at-a-time sums share work on
+    ev = make_ev(family, k_values, n_trunc, **kw)
+    d = ev.dimension
+    rng = np.random.default_rng(7)
+    axis = [-0.8, -0.1, 0.4]
+    for xs, ys in (
+        ([tuple(rng.uniform(-0.3, 0.3, d)) for _ in range(3)],
+         [tuple(rng.uniform(-1.5, 1.5, d)) for _ in range(5)]),
+        ([tuple(rng.uniform(-0.3, 0.3, d))], list(itertools.product(axis, repeat=d))),
+    ):
+        grid, reference = lk_grid(ev, xs, ys), _numpy_block_grid(ev, xs, ys)
+        for row, want_row in zip(grid, reference.tolist()):
+            for v, want in zip(row, want_row):
+                assert abs(v - want) <= 1e-14 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
 def test_lk_grid_block_entries_are_rounded_once(family, k_values, n_trunc, kw):
-    # each entry [x^mu] V(x^nu) / nu! of a block is the exact entry rounded
-    # once, and a block is complex exactly when one of its entries is
+    # each entry [x^mu] V(x^nu) / nu! of the float columns lk_grid reads is
+    # the exact entry rounded once, at the position of x^mu in the layout,
+    # and a column is complex exactly when one of its exact entries is
     ev = make_ev(family, k_values, n_trunc, **kw)
-    for n, (exps, block) in enumerate(_degree_blocks(ev)):
-        basis = monomial_basis(ev.dimension, n)
-        assert [tuple(e) for e in exps.tolist()] == basis
-        want = [[0.0] * len(basis) for _ in basis]
-        for k, nu in enumerate(basis):
-            scale = Fraction(1, math.prod(map(math.factorial, nu)))
-            for mu, c in _polynomial(ev.dimension, _vk_table(ev.ctx, nu)).terms.items():
-                want[basis.index(mu)][k] = _rounded(c * scale)
-        assert block.tolist() == want
-        is_complex = any(isinstance(c, complex) for row in want for c in row)
-        assert block.dtype.kind == ("c" if is_complex else "f")
+    d = ev.dimension
+    columns, runs, order = _float_layout(ev)
+    basis = _grid_basis(d, n_trunc)
+    assert sorted(basis) == sorted(nu for n in range(n_trunc + 1) for nu in monomial_basis(d, n))
+    assert sorted(order) == list(range(len(basis)))
+    assert len(columns) == len(basis) and len(runs) == d and len(runs[-1]) == 1
+    monomials = [basis[i] for i in order]  # the layout's order of the x^mu
+    for (take, values), nu in zip(columns, basis):
+        scale = Fraction(1, math.prod(map(math.factorial, nu)))
+        want = {
+            mu: _rounded(c * scale)
+            for mu, c in _polynomial(d, _vk_table(ev.ctx, nu)).terms.items()
+        }
+        mus = list(take(monomials))
+        assert dict(zip(mus, values)) == want and len(mus) == len(values) == len(want)
+        is_complex = any(isinstance(c, complex) for c in want.values())
+        assert any(isinstance(v, complex) for v in values) == is_complex
 
 
 @pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
@@ -866,7 +926,7 @@ def _assert_float_points_agree(ev, x, y, tol):
         value = path(ev, x, y)
         assert isinstance(value, (float, complex))
         assert abs(value - complex(exact)) < tol
-    assert abs(lk_grid(ev, [x], [y])[0, 0] - complex(lk_series_value(ev, xq, yq))) < tol
+    assert abs(lk_grid(ev, [x], [y])[0][0] - complex(lk_series_value(ev, xq, yq))) < tol
     for a, b in zip(phi_x_norm(ev, x), phi_x_norm(ev, xq)):
         assert abs(a - b) < tol
     fa, fb = fourier_sums(ev, x, y), fourier_sums(ev, xq, yq)

@@ -284,8 +284,8 @@ def test_hermite_gram_identity_to_degree_five():
     for n in range(6):
         for a in range(n + 1):
             hs.append(hermite((a, n - a)))
-    vals = np.stack([h.evaluate_many(rule.nodes) for h in hs])
-    gram = (vals * rule.weights[None, :]) @ vals.T
+    vals = np.array([h.evaluate_many(rule.nodes) for h in hs])
+    gram = (vals * np.array(rule.weights)[None, :]) @ vals.T
     assert float(np.max(np.abs(gram - np.eye(len(hs))))) < 1e-10
 
 

@@ -276,8 +276,8 @@ def test_nan_grid_value_fails_positivity(z21_bundle, monkeypatch, bad, failing):
     grid = kernel.lk_grid
 
     def lk_grid(ev, xs, ys):
-        values = grid(ev, xs, ys).astype(complex)
-        values[1, 2] = bad
+        values = grid(ev, xs, ys)
+        values[1][2] = bad
         return values
 
     monkeypatch.setattr(kernel, "lk_grid", lk_grid)
@@ -289,7 +289,8 @@ def test_nan_grid_value_fails_positivity(z21_bundle, monkeypatch, bad, failing):
 
 def test_negative_grid_value_names_its_point(z21_bundle, monkeypatch):
     # one grid value stubbed negative fails the row, and its note says where;
-    # a passing note does not
+    # a passing note does not.  The scan reads the three orbit
+    # representatives of the five x points, and the note counts all 35
     passing = suite_positivity(z21_bundle)[0]
     assert passing.passed and "minimum at" not in passing.note
     grid = kernel.lk_grid
@@ -297,8 +298,9 @@ def test_negative_grid_value_names_its_point(z21_bundle, monkeypatch):
 
     def lk_grid(ev, xs, ys):
         values = grid(ev, xs, ys)
-        values[3, 1] = -1.0
-        seen["point"] = xs[3], ys[1]
+        assert len(values) == 3
+        values[2][1] = -1.0
+        seen["point"] = xs[2], ys[1]
         return values
 
     monkeypatch.setattr(kernel, "lk_grid", lk_grid)
@@ -384,3 +386,83 @@ def test_weight_zero_signs_rows_read_the_closed_form(name):
     assert image.convention == winner and image.max_residual == res[winner] > 0
     assert fourier.convention != winner and fourier.max_residual == res[winner]
     assert image.passed and fourier.passed
+
+
+# -- positivity on orbit representatives ---------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _grid_symmetries(group):
+    """G_grid: the group's elements that are signed permutations, as (perm,
+    signs), and the map they give on a point."""
+    from dunkl.reflection_groups import _signed_permutation
+
+    signed = [sp for sp in map(_signed_permutation, group.elements) if sp is not None]
+    return [
+        lambda t, perm=perm, signs=signs: tuple(s * t[p] for p, s in zip(perm, signs))
+        for perm, signs in signed
+    ]
+
+
+def _positivity_grids(d):
+    # the suite's grids, with the x span that the certified radius gives at
+    # degree 18 replaced by a fixed one: G_grid acts the same on every span
+    x_axis, y_axis = (5, 7) if d <= 2 else (3, 5)
+    return (verify._grid_points(d, 0.3, x_axis),
+            verify._grid_points(d, min(1.5 / math.sqrt(d), 2.0), y_axis))
+
+
+@pytest.mark.parametrize("name, order, reps", [("b2", 8, 6), ("a2", 6, 10), ("d4", 192, 6), ("g2", 6, 10)])
+def test_kernel_is_invariant_under_the_grid_symmetries(name, order, reps):
+    # every g in G_grid maps both positivity grids onto themselves, exactly
+    # in floats, and L^(N)(gx, gy) == L^(N)(x, y) exactly (lk_values: the
+    # exact truncated sums at the points' binary values, rounded once), at
+    # the first, a middle and the last x and y of the grids.  On G2, G_grid
+    # is the six coordinate permutations
+    bundle = load_context(str(CONFIGS / f"{name}.json"))
+    d = bundle.ctx.dimension
+    xs, ys = _positivity_grids(d)
+    symmetries = _grid_symmetries(bundle.group)
+    assert len(symmetries) == order
+    assert len(verify._orbit_representatives(xs, bundle.group)) == reps
+    for g in symmetries:
+        assert sorted(map(g, xs)) == sorted(xs) and sorted(map(g, ys)) == sorted(ys)
+    ev = make_evaluator(bundle.ctx, bundle.degree)
+    x_pick = [xs[0], xs[len(xs) // 2 - 1], xs[-1]]
+    y_pick = [ys[0], ys[len(ys) // 2 + 1], ys[-1]]
+    base = kernel.lk_values(ev, x_pick, y_pick)
+    for g in symmetries:
+        assert kernel.lk_values(ev, list(map(g, x_pick)), list(map(g, y_pick))) == base
+
+
+@pytest.mark.parametrize("config, reps", [
+    (CONFIGS / "z26.json", 64), (CONFIGS.parent / "bench" / "ladder" / "b3.json", 4),
+])
+def test_orbit_representative_counts(config, reps):
+    # Z2^6's 729 x points fall into 64 sign orbits, B3's 27 into 4
+    bundle = load_context(str(config))
+    d = bundle.ctx.dimension
+    assert len(verify._orbit_representatives(_positivity_grids(d)[0], bundle.group)) == reps
+
+
+@pytest.mark.parametrize("config, degree", [("b2", 18), ("a2", 10), ("d4", 6), ("g2", 8)])
+def test_orbit_scan_finds_the_full_grid_minimum(config, degree):
+    # the scan over one x per G_grid orbit against the scan over the whole
+    # grid, at the suite's grids: the same minimum within roundoff of the
+    # float sums, and the representatives are the first orbit members in
+    # grid order
+    bundle = load_context(str(CONFIGS / f"{config}.json"))
+    d = bundle.ctx.dimension
+    ev = make_evaluator(bundle.ctx, degree)
+    radius = kernel.certified_radius(ev, verify.POSITIVITY_TOL / 2, 1.5)
+    x_axis, y_axis = (5, 7) if d <= 2 else (3, 5)
+    xs = verify._grid_points(d, min(radius * 0.95 / math.sqrt(d), 2.0), x_axis)
+    ys = verify._grid_points(d, min(1.5 / math.sqrt(d), 2.0), y_axis)
+    reps = verify._orbit_representatives(xs, bundle.group)
+    assert reps == [x for i, x in enumerate(xs) if x in reps and x not in xs[:i]]
+    full = kernel.positivity_scan(ev, xs, ys)
+    orbit = kernel.positivity_scan(ev, reps, ys)
+    assert abs(orbit.min_value - full.min_value) <= 1e-14 * max(1.0, abs(full.min_value))
+    assert orbit.max_tail == full.max_tail and orbit.max_abs_imag == full.max_abs_imag == 0.0
+    assert (orbit.points, full.points) == (len(reps) * len(ys), len(xs) * len(ys))
