@@ -3,9 +3,10 @@
 Subcommands: build, intertwine, lambda-table, kernel-grid, ek-eval, verify,
 export-quadrature.  Output is plot-ready CSV or JSON on stdout (or --out);
 floats are printed with 17 significant digits so they round-trip.  ek-eval
-prints the correctly rounded truncated sum at the binary values of the
-floats it reads for --x and --y, and kernel-grid the correctly rounded
-truncated kernel L^(N)(x, y) at the binary values of its grid points.  Exit
+reads --x and --y as the decimals typed ("0.1" is 1/10) and prints the
+truncated sum there, exact until it is rounded once; kernel-grid prints the
+correctly rounded truncated kernel L^(N)(x, y) at the binary values of its
+grid points.  Exit
 codes: 0 success, 1 verification failure, 2 configuration error, 3 out of
 memory: the commands raise, and main alone prints the one "configuration
 error: ..." line and returns 2, or the one "out of memory: ..." line and
@@ -136,6 +137,16 @@ def _floats(texts, where):
     return values
 
 
+def _decimals(texts, where):
+    """The texts as the exact decimals they spell (exact.parse_rational), as
+    config reads weights: "0.1" is 1/10.  _floats' checks come first."""
+    _floats(texts, where)
+    try:
+        return [parse_rational(t) for t in texts]
+    except ValueError:  # "1_0", which float reads and Fraction before 3.11 does not
+        raise ConfigError(f"bad number in {where!r}") from None
+
+
 GRID_POINT_CAP = 1_000_000  # (x, y) pairs in one --grid
 # kernel-grid's pairs times C(N + d, d) monomials: 2e7 take 9-16 s on B2
 GRID_TERM_CAP = 20_000_000
@@ -231,8 +242,8 @@ def cmd_kernel_grid(args) -> int:
 def cmd_ek_eval(args) -> int:
     bundle = load_context(args.context)
     d = bundle.group.dimension
-    x = tuple(_floats(args.x.split(","), args.x))
-    y = tuple(_floats(args.y.split(","), args.y))
+    x = tuple(_decimals(args.x.split(","), args.x))
+    y = tuple(_decimals(args.y.split(","), args.y))
     tol = _tolerance(args.tol)
     if len(x) != d or len(y) != d:
         raise ConfigError(f"points must have dimension {d}")

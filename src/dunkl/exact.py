@@ -4,11 +4,14 @@ fraction-free linear solves on them.
 Every quantity in the exact layer is an int, a Fraction or a
 ``ComplexRational``, the one exact complex type.  All of them, like float
 and complex, speak Python's number protocol: ``.real``, ``.imag`` and
-``.conjugate()``, and the exact ones ``.denominator``.  Mixing with floats
-or python complex numbers is the one-way door to the floating layer: the
-result is a plain float/complex.  Long exact sums run on integer numerators
-over one denominator instead; the numerator of a complex value is a
-ComplexRational with int parts, a Gaussian integer.
+``.conjugate()``, and the exact ones ``.denominator``.  Floats enter by one
+rule (_read_exact): a float is the dyadic rational it stores, a complex the
+ComplexRational of its parts, and a value computed from them is exact until
+it is rounded once (_rounded_value).  A ComplexRational does no arithmetic
+with a float or complex (TypeError) and compares with one by value, as
+Fraction does.  Long exact sums run on integer numerators over one
+denominator; the numerator of a complex value is a ComplexRational with int
+parts, a Gaussian integer.
 """
 from __future__ import annotations
 
@@ -26,9 +29,9 @@ class ComplexRational:
     A part is an int or a Fraction and is kept as given (any other number
     is read as a Fraction), so a ComplexRational with int parts is a
     Gaussian integer, which // divides exactly.  Arithmetic with
-    int/Fraction stays exact; arithmetic with float/complex degrades to
-    python complex.  A ComplexRational with zero imaginary part compares and
-    hashes equal to the corresponding Fraction.
+    int/Fraction stays exact, and with a float or complex raises TypeError.
+    A ComplexRational with zero imaginary part compares and hashes equal to
+    the corresponding Fraction, and with a float or complex by value.
     """
 
     __slots__ = ("real", "imag")
@@ -57,8 +60,6 @@ class ComplexRational:
             return _make(self.real + other.real, self.imag + other.imag)
         if isinstance(other, _RATIONAL):
             return _make(self.real + other, self.imag)
-        if isinstance(other, (float, complex)):
-            return complex(self) + other
         return NotImplemented
 
     __radd__ = __add__
@@ -71,8 +72,6 @@ class ComplexRational:
             return _make(self.real - other.real, self.imag - other.imag)
         if isinstance(other, _RATIONAL):
             return _make(self.real - other, self.imag)
-        if isinstance(other, (float, complex)):
-            return complex(self) - other
         return NotImplemented
 
     def __rsub__(self, other):
@@ -84,8 +83,6 @@ class ComplexRational:
             return _make(a * c - b * d, a * d + b * c)
         if isinstance(other, _RATIONAL):
             return _make(self.real * other, self.imag * other)
-        if isinstance(other, (float, complex)):
-            return complex(self) * other
         return NotImplemented
 
     __rmul__ = __mul__
@@ -94,8 +91,6 @@ class ComplexRational:
         if isinstance(other, _RATIONAL):
             other = _make(other, 0)
         elif type(other) is not ComplexRational:
-            if isinstance(other, (float, complex)):
-                return complex(self) / other
             return NotImplemented
         a, b, c, d = self.real, self.imag, other.real, other.imag
         norm = c * c + d * d
@@ -106,8 +101,6 @@ class ComplexRational:
     def __rtruediv__(self, other):
         if isinstance(other, _RATIONAL):
             return _make(other, 0) / self
-        if isinstance(other, (float, complex)):
-            return other / complex(self)
         return NotImplemented
 
     def __floordiv__(self, other):
@@ -141,7 +134,7 @@ class ComplexRational:
         if isinstance(other, _RATIONAL):
             return self.imag == 0 and self.real == other
         if isinstance(other, (float, complex)):
-            return complex(self) == other
+            return self.real == other.real and self.imag == other.imag
         return NotImplemented
 
     def __hash__(self):
@@ -175,11 +168,6 @@ def _make(real, imag):
 _EXACT = (int, Fraction, ComplexRational)
 
 
-def _all_exact(values):
-    """Whether every value is an exact scalar (int, Fraction or ComplexRational)."""
-    return all(isinstance(c, _EXACT) for c in values)
-
-
 def _read_exact(values):
     """(exact values, rounded): the one rule for float inputs.  A float is
     read as the dyadic rational it stores and a complex as the
@@ -190,7 +178,7 @@ def _read_exact(values):
         c if isinstance(c, _EXACT)
         else ComplexRational(c.real, c.imag) if isinstance(c, complex) else Fraction(c)
         for c in values
-    ], not _all_exact(values)
+    ], not all(isinstance(c, _EXACT) for c in values)
 
 
 # -- integer numerators --------------------------------------------------------------

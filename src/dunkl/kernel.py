@@ -596,7 +596,9 @@ def _contract(coeffs, runs, points, rows):
     a time: the runs of nu_1 against the row of t_1, once per distinct t_1,
     then those sums' runs of nu_2 against the row of t_2, once per distinct
     (t_1, t_2), and so on, so a product grid of m^d points costs about m
-    sums per monomial (sum factorization)."""
+    sums per monomial (sum factorization).  A run of zeros, as most are on
+    Z2^d at a point with zero coordinates, is summed without its products:
+    against finite rows both give the zero of its type, +0.0 or 0j."""
     partial = {(): coeffs}
     for j, level in enumerate(runs):
         summed = {}
@@ -604,6 +606,7 @@ def _contract(coeffs, runs, points, rows):
             key = t[: j + 1]
             if key not in summed:
                 vec, row = partial[t[:j]], rows[t[j]]
-                summed[key] = [sum(map(mul, vec[s], row)) for s in level]
+                summed[key] = [sum(map(mul, run, row)) if any(run) else sum(run)
+                               for run in map(vec.__getitem__, level)]
         partial = summed
     return [partial[tuple(t)][0] for t in points]

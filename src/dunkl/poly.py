@@ -2,8 +2,9 @@
 
 Polynomials are stored as a map from exponent multi-indices to coefficients
 (Fraction / ComplexRational in the exact layer, float / complex in the
-floating layer); zero coefficients are never stored.  Exact coefficients
-at an exact point are evaluated in integers over one denominator.  On top of
+floating layer); zero coefficients are never stored.  A polynomial is
+evaluated at a point in integers over one denominator, a float read as its
+binary value and the value then rounded once.  On top of
 the ring operations this module provides the half-heat operators
 
     e^{-L/2} p = sum_m (-1)^m L^m p / (2^m m!)        (L = Laplacian),
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import ComplexRational, _all_exact, _exact_table, _exact_value, _numerator, _powers
+from .exact import ComplexRational, _exact_table, _exact_value, _numerator, _powers
 from .exact import _read_exact, _rounded_value, _table_value
 
 
@@ -200,26 +201,20 @@ class Polynomial:
     # -- evaluation ------------------------------------------------------------------
     def evaluate(self, point):
         """Plain substitution; bilinear in complex arguments (no conjugation).
-        Exact coefficients at an exact point are summed in integers over one
-        denominator (exact._table_value), to a Fraction or ComplexRational;
-        any float coefficient or coordinate makes it a float sum."""
+        The coefficients and coordinates are read by exact._read_exact, a
+        float as its binary value, and summed in integers over one
+        denominator (exact._table_value): a Fraction or ComplexRational, or,
+        if any float entered, that exact value rounded once."""
         if len(point) != self.dim:
             raise ValueError("point has wrong dimension")
-        if _all_exact(point) and _all_exact(self.terms.values()):
-            return _table_value(_exact_table(self.terms), point)
-        powers = _powers(point, self.degree)
-        total = 0
-        for nu, c in self.terms.items():
-            v = c
-            for i, e in enumerate(nu):
-                if e:
-                    v = v * powers[i][e]
-            total = total + v
-        return total
+        (point, rx), (coeffs, rc) = _read_exact(point), _read_exact(self.terms.values())
+        return _table_value(_exact_table(dict(zip(self.terms, coeffs))), point, rx or rc)
 
     def evaluate_many(self, points):
-        """Float evaluation at each point of a sequence: a list of values,
-        real when the points and every coefficient are, complex otherwise."""
+        """Float evaluation at each point of a sequence, rounding at every
+        step: a list of values, real when the points and every coefficient
+        are, complex otherwise.  The float rows (per-term-laplacian-bounds)
+        read it where evaluate's one rounding would cost exact sums."""
         coeffs = [_to_float_scalar(c) for c in self.terms.values()]
         out = []
         for point in points:

@@ -15,6 +15,7 @@ from dunkl.exact import (
     parse_scalar,
     solve_columns,
 )
+from dunkl.poly import Polynomial
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -92,9 +93,42 @@ def test_real_complex_rational_matches_fraction():
 
 
 def test_float_boundary():
+    # a ComplexRational does no arithmetic with a float or complex, either
+    # side, and compares with one by its exact value, as Fraction does
     z = ComplexRational(1, 2)
-    assert isinstance(z * 0.5, complex)
-    assert z * 0.5 == (1 + 2j) * 0.5
+    for f in (0.5, 0.5 + 1j):
+        for op in (
+            lambda: z + f, lambda: f + z, lambda: z - f, lambda: f - z,
+            lambda: z * f, lambda: f * z, lambda: z / f, lambda: f / z,
+        ):
+            with pytest.raises(TypeError):
+                op()
+    assert z == 1 + 2j and ComplexRational(Fraction(1, 2)) == 0.5
+    assert ComplexRational(Fraction(1, 10)) != 0.1 and Fraction(1, 10) != 0.1
+    assert ComplexRational(Fraction(0.1)) == 0.1 - 0j
+
+
+def test_evaluate_rounds_the_exact_value_once():
+    # Polynomial.evaluate reads float coordinates and coefficients as their
+    # binary values and rounds the exact sum once, for real and
+    # ComplexRational coefficients
+    def rounded(v):
+        return complex(v) if isinstance(v, ComplexRational) else float(v)
+
+    for c in (Fraction(1, 3), ComplexRational(Fraction(1, 3), Fraction(-2, 7))):
+        terms = {(3, 0): c, (1, 1): 1, (0, 0): Fraction(-5, 11)}
+        binary = (Fraction(0.1), Fraction(0.7))
+        exact = Polynomial(2, terms).evaluate(binary)
+        assert type(exact) is type(c)
+        for x in ((0.1, 0.7), (Fraction(0.1), 0.7), (0.1 + 0j, 0.7)):
+            got = Polynomial(2, terms).evaluate(x)
+            want = complex(exact) if isinstance(x[0], complex) else rounded(exact)
+            assert type(got) is type(want) and got == want
+        cf = rounded(c)
+        cb = Fraction(cf) if isinstance(cf, float) else ComplexRational(cf.real, cf.imag)
+        exact = Polynomial(2, {**terms, (3, 0): cb}).evaluate(binary)
+        got = Polynomial(2, {**terms, (3, 0): cf}).evaluate(binary)
+        assert type(got) is type(cf) and got == rounded(exact)
 
 
 def test_parse_and_format():

@@ -37,7 +37,14 @@ digests were recorded again when kernel-grid stopped printing lk_grid's
 float block products and began to print the exact truncated L^(N)(x, y) at
 the binary values of the grid points, rounded once: values moved by a few
 ulps, and test_kernel_grid_prints_the_exact_truncation_rounded_once checks
-every printed value against the exact series-path sum.  It also hashes the
+every printed value against the exact series-path sum.  The ek-eval
+digests of b2, b2c, z21, z21neg, g2 and b3 were recorded again when ek-eval
+began to read --x and --y as the decimals typed ("0.1" is 1/10): it prints
+the exact truncated sum at the decimal point rounded once, which moved each
+last term by an ulp or two (z21 1.0635679687499995e-06 -> 1.06356796875e-06)
+and the imaginary part of b2c's value by two ulps; degrees and tail bounds
+stayed the same (tests/test_kernel.py checks the printed lines against the
+exact sums).  It also hashes the
 CSV that `kernel-grid` prints for each grid in GRIDS, which pins the
 Hermite path's values and the tail bounds, and the rows of `verify --suite
 all` on each system in VERIFY_SYSTEMS without their residuals (identity,
@@ -129,7 +136,7 @@ GOLDEN = {
         "build": "8505387856bf1df0f6459b1aef167f4b5ffb52288b91a0b07a2c7a669dbead36",
         "lambda-table": "99629a8a04e63fba81dcff1a0154950409d89675f60ded868e316be5a51fdfd3",
         "intertwine": "02d7afec05f966c05ac739c4da044e14974cfbdd2ea66ce777ad1feaa831c634",
-        "ek-eval": "eeff0f1173bb18a9633ed70422c50ea2bd86cc4a5d960b2256122ec36e1b4a28",
+        "ek-eval": "df884b2e39b7abb7e93114f8eafb74591bc7d2337b5ebc5590f4c26815ecc72e",
         "verify-exact": "25ab4137e7c5d36f50ae5eec31aa6fac17961fe7681376392543673fa53f5146",
         "rounded-table": "1d6f9c71c4d49bdb54ef71780bef1af8e5b70aca060b16b1d6335e58ce0f1e03",
     },
@@ -138,7 +145,7 @@ GOLDEN = {
         "build": "de1cf8ac29db4aded18f4d5c1cc76927a4666646f91782796896af6e28c15e6b",
         "lambda-table": "ad0139fb15b197512f7be0cec3436cce0940c7a7712c1917e65ef970eb1c98ff",
         "intertwine": "9436678e0d0e6eb2265394166d3bca07e33709086dac96819f5cc8e6267ae01d",
-        "ek-eval": "eb43f630d18172d04e125593f83e87843d7c89624b16deb490a14f3813744f0f",
+        "ek-eval": "74df1dcff3547018efe9304bfb2d74d802b970077a277aa2139d6670e5c70738",
         "verify-exact": "b2e03ee639640073f16171b6b110545a3169c648693f92ca2d092f69498063ac",
         "rounded-table": "fbce8d9086c19fea1961b20dda447b55c9ffc64dc13d1afb66f2983dac445f7e",
     },
@@ -147,7 +154,7 @@ GOLDEN = {
         "build": "50f700eef7fbb6a56c2e4aac4b426bc115a699afe3a58aa78a91fc706aea6f8d",
         "lambda-table": "b95fd69b2d6ddea4b67e559109a0dcdba1bfbb6f98ba97404b4616d7c9d1144b",
         "intertwine": "7b4eb9f135a481157c3a5f39c0533cadcc4e20423110612a05a27c39e0537607",
-        "ek-eval": "84d7106d6217dd95c1a9a9567fcec0d72f0e91ded98131294269b52fd7c4091b",
+        "ek-eval": "1194ba7bd4444c50245e4bd3447302fb0169659bd804c80d34b2e6251f4a10e0",
         "verify-exact": "0ed9dcb140bb534b316ea50f7e6c0164937171b12144b3ddc0b968a4907939bc",
         "rounded-table": "e8118e0c70bf7b1754845f6fe897dae9b8e58d8878a4adaa5ee3de3e02fe13dc",
     },
@@ -156,7 +163,7 @@ GOLDEN = {
         "build": "9fca40902132303954fc68d1478492d645ee17df9254a8f4a6bdeab1cac86c1b",
         "lambda-table": "d630697f18e940ad3dfd1d913f23eb87360988fec5f680ce6825919c058a8639",
         "intertwine": "e5d8b193e4b029e96c9ef7c96d7642d2e1439e2844813e3e12c00e58fef082e5",
-        "ek-eval": "8bde28dadd361f8b375a15943686684265f968cc6b81bffa1a5f05646baaafd4",
+        "ek-eval": "1e1af2d009ce98ba2b433b13745f21d28d10aeb41e268746ab7c13e79dce7fad",
         "verify-exact": "f6166c3ec7bf6518ff659ab6bdb9e25e356481af8a810b992018253acccba19d",
         "rounded-table": "cf546cf75e623e7bcdd589b20d0603e7cafc574704f8f39e0e590ce051c0f866",
     },
@@ -165,7 +172,7 @@ GOLDEN = {
         "build": "fd32892513a1dfee25964b5318da5a5c99bf8f664d0387360da82abab2a299cd",
         "lambda-table": "2a09749305c0e5231c8a7146a6012a1dda84d9e188ac005fc5a571fe72ef0de8",
         "intertwine": "e6741230890eec2d4c4436520bf1b2220ccdda326b8ebbb7d1f4677cdd76d564",
-        "ek-eval": "c4ebde3d5bfeb12b9bd28eaf29f1f55c2d8c0d87d937f4699c765b52bde95579",
+        "ek-eval": "ba897d3c07481ee7ec102559908160b79ca1d9da6d0949b7d93ac5150d89035d",
         "verify-exact": "edbdd1552f862cfc51debc1853f9a9c03a6476ea335aaab6eff1155aa5a3ef1b",
         "rounded-table": "3fa524856e81d681013e625e119ed9694b29542cb7cf37030dc54ad92ab55abd",
     },
@@ -174,7 +181,7 @@ GOLDEN = {
         "build": "803a454b863d5c92eb6ca9877d21e84b2c0e89fb1c3e2d2acf91bfcea7eb858f",
         "lambda-table": "31543d0c399d038298adb92cbb8dc877a3026967b149a8e85cc1411f89f55ef5",
         "intertwine": "bd7a1fc89b60b90981ccd12690b2b4483cf3ef8dbc256fcf22f46337c51a6bca",
-        "ek-eval": "4f412a444b647d07209c1d20a6b208583f77b257ac2326ca6534faae693b9460",
+        "ek-eval": "ff348a709e9599a8e19e46603c7a109ab6f4282859da9c092a80417511e3b6c1",
         "verify-exact": "aa8f72834c5724e5f1d0db1e41b41d281accca1290e2d8dbd0925234edf8a515",
         "rounded-table": "3ee8894c2f636bbdf10918deb4e17c218142d8cdeeda8915689798e1b41a51a3",
     },

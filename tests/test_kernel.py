@@ -752,10 +752,14 @@ FLOAT_QUERIES = {
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT_QUERIES))
-def test_float_queries_are_correctly_rounded(name):
+def test_float_queries_are_correctly_rounded(name, capsys):
     # dunkl_kernel at float points, each E_n(x, .) coefficient and a
     # combination of V tables with float and complex scalars each equal the
-    # exact value at the floats' binary values, rounded once
+    # exact value at the floats' binary values, rounded once; ek-eval reads
+    # the points as the decimals typed and prints the exact sum there, and
+    # its last term, each rounded once
+    from dunkl.cli import main
+
     ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
     x, y = FLOAT_QUERIES[name]
     xq, yq = _rational(x), _rational(y)
@@ -765,6 +769,16 @@ def test_float_queries_are_correctly_rounded(name):
         assert isinstance(val.value, (float, complex))
         assert val.value == _rounded(sum(terms))
         assert val.last_term == abs(_rounded(terms[-1]))
+    xd, yd = (tuple(Fraction(repr(t)) for t in p) for p in (x, y))
+    val = dunkl_kernel(ctx, xd, yd, tol=1e-6)
+    terms = [evaluate_en(ctx, n, xd, yd) for n in range(val.degree_used + 1)]
+    assert isinstance(val.value, (Fraction, ComplexRational)) and val.value == sum(terms)
+    argv = ["--x", ",".join(map(repr, x)), "--y", ",".join(map(repr, y)), "--tol", "1e-6"]
+    assert main(["ek-eval", "--context", str(CONFIGS / f"{name}.json"), *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    v = complex(_rounded(val.value))
+    assert lines[:2] == [f"E(x, y) = {v.real:.17g} + {v.imag:.17g} i", f"degree used = {val.degree_used}"]
+    assert lines[3] == f"last term = {abs(_rounded(terms[-1])):.17g}"
     for n in range(val.degree_used + 1):
         assert homogeneous_kernel(ctx, n, x).terms == _correctly_rounded_kernel(ctx, n, x)
     d = ctx.dimension

@@ -466,3 +466,25 @@ def test_orbit_scan_finds_the_full_grid_minimum(config, degree):
     assert abs(orbit.min_value - full.min_value) <= 1e-14 * max(1.0, abs(full.min_value))
     assert orbit.max_tail == full.max_tail and orbit.max_abs_imag == full.max_abs_imag == 0.0
     assert (orbit.points, full.points) == (len(reps) * len(ys), len(xs) * len(ys))
+
+
+# -- a row that can fail -------------------------------------------------------------
+
+def test_kernel_equivariance_parity_fails_on_a_corrupted_table():
+    # one numerator of one e_nu at degree 3 of B2 moved by about 0.1 (den //
+    # 10), the degrees above dropped so that they rebuild from it: the scan
+    # reports failures from that degree on and none below, and the row fails
+    bundle = load_context(str(CONFIGS / "b2.json"))
+    ctx, n = bundle.ctx, 3
+    cols, den = operators._e_table(ctx, n)
+    nu = next(iter(cols))
+    mu = next(iter(cols[nu]))
+    assert den // 10
+    ctx.vk_cache[n] = {**cols, nu: {**cols[nu], mu: cols[nu][mu] + den // 10}}, den
+    for m in [m for m in ctx.vk_cache if m > n]:
+        del ctx.vk_cache[m]
+    rep = kernel.symmetry_scan(make_evaluator(ctx, 8), [(Fraction(1, 3), Fraction(-1, 2))])
+    assert rep.failures and min(f[3] for f in rep.failures) == n
+    assert {kind for kind, *_ in rep.failures} == {"equivariance"}  # E_n(-x, y) = (-1)^n E_n(x, y) holds for any table
+    row = {r.identity: r for r in suite_exact(bundle)}["kernel-equivariance-parity"]
+    assert not row.passed and row.max_residual > 0
