@@ -148,7 +148,7 @@ def _decimals(texts, where):
 
 
 GRID_POINT_CAP = 1_000_000  # (x, y) pairs in one --grid
-# kernel-grid's pairs times C(N + d, d) monomials: 2e7 take 9-16 s on B2
+# kernel-grid's pairs times C(N + d, d) monomials: 2e7 take 6-9 s on B2 (one x)
 GRID_TERM_CAP = 20_000_000
 
 

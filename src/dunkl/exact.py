@@ -105,15 +105,17 @@ class ComplexRational:
 
     def __floordiv__(self, other):
         """self / other for an int or Gaussian integer other that divides the
-        Gaussian integer self exactly."""
+        Gaussian integer self exactly; NotImplemented for any other divisor."""
         if type(other) is ComplexRational:
             a, b, c, d = self.real, self.imag, other.real, other.imag
             norm = c * c + d * d
             return _make((a * c + b * d) // norm, (b * c - a * d) // norm)
+        if not isinstance(other, int):
+            return NotImplemented
         return _make(self.real // other, self.imag // other)
 
     def __rfloordiv__(self, other):
-        return _make(other, 0) // self
+        return _make(other, 0) // self if isinstance(other, int) else NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

@@ -12,14 +12,15 @@ Both read E_n's coefficients V(x^nu) / nu!, one integer table per degree
 (operators._en_table) by the integer heat rows of poly._heat, per degree
 and, for L^(N)(x, .), once on every degree's table over one denominator
 (_series_table, cached on the exact x).  The Hermite path contracts the
-same coefficients with e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j).  In
-integers (hermite_piece, and lk_values, which kernel-grid prints) it is
-evaluate_en's sum with the Hermite numerators of y in place of its powers,
-exact at the binary values of the points and rounded once; in floats at
-many points (lk_grid, which the reconstruction and positivity checks
-read) it is E_n's columns e_nu(x) with each table entry rounded once,
-contracted against He(y) one axis at a time (sum factorization; Orszag,
-J. Comput. Phys. 37, 1980).  The derivative relation's x side L^(N)(., y) = sum_nu
+same coefficients with e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j).  At one
+point (hermite_piece) it is evaluate_en's sum with the Hermite numerators
+of y in place of its powers.  On a grid it is one sum: E_n(x, .)'s
+coefficients at the binary value of x, contracted against He(y) one axis
+at a time (_contract; sum factorization, Orszag, J. Comput. Phys. 37,
+1980), in integers against per-axis Hermite numerators and divided once
+(lk_values, which kernel-grid prints), or with each coefficient rounded
+once and the contraction run in floats (lk_grid, which the reconstruction
+and positivity checks read).  The derivative relation's x side L^(N)(., y) = sum_nu
 He_nu(y) e_nu is E_n's columns against y's Hermite numerators, one table in
 x that T_j reads.  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy, L
 represents the composition of the intertwining operator with the inverse
@@ -64,10 +65,10 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from itertools import accumulate, repeat
-from operator import itemgetter, mul
+from itertools import accumulate
+from operator import mul
 
-from .exact import _read_exact, _rounded_value
+from .exact import _EXACT, _exact_value, _read_exact, _rounded_value
 from .exact import _table_sum, _table_value
 from .operators import (
     DunklContext,
@@ -91,14 +92,14 @@ TailBound = namedtuple("TailBound", "n_trunc x_norm y_norm value")
 class KernelEvaluator:
     """One context and truncation degree N, with the caches of the kernel
     paths: the series table of L^(N)(x, .) per exact x, the tail bounds, and
-    the float layout of E_n's columns that lk_grid reads."""
+    the layout of the grid sums (_grid_layout)."""
 
     def __init__(self, ctx: DunklContext, n_trunc):
         self.ctx = ctx
         self.n_trunc = n_trunc
         self._series_tables = {}  # exact x -> the table of L^(N)(x, .) in y
         self._tail_cache = {}
-        self._layout = None  # E_n's columns rounded once, and their runs (_float_layout)
+        self._layout = None  # the exponents and runs that _contract reads (_grid_layout)
 
     @property
     def dimension(self):
@@ -110,7 +111,8 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvalu
 
     Whether a value is exact or a float follows from the point: rational
     points give exact values, float points their exact values rounded once;
-    lk_grid alone rounds each table entry once and sums in floats.
+    lk_grid alone rounds E_n(x, .)'s exact coefficients once and sums them
+    against He(y) in floats.
     exact_tables is ignored: it is kept for bench/worker.py, which passes
     it, until the benchmark's next revision (ROADMAP item 9).
     """
@@ -180,15 +182,27 @@ def hermite_piece(ev: KernelEvaluator, n, x, y):
 def lk_values(ev: KernelEvaluator, xs, ys) -> list:
     """Hermite-path kernel values L^(N)(x, y) on a product grid, values[i][j]
     at (xs[i], ys[j]), each exact at the points' binary values and rounded
-    once if a coordinate is a float.  Per x, the coefficients V(x^nu)(x) /
-    nu! of every degree (_en_table) are put over one denominator once, per
-    y the Hermite numerators are formed once, and each pair is then one
-    integer sum."""
-    sides = [(_heat_axes(y, ev.n_trunc, -1), ry) for y, ry in map(_read_exact, ys)]
+    once if a coordinate is a float.  Per x, _grid_coefficients contracted
+    (_contract) against integer rows, h_e r^{N-e} for a coordinate t = b / r
+    with h_e = r^e He_e(t) (poly._heat_axes), each sum divided once by den
+    prod_j r_j^N.  Rows are keyed by the coordinates as given, which hash
+    faster than exact values, and the rounded flag is _read_exact's."""
+    top = ev.n_trunc
+    ys = [tuple(y) for y in ys]
+    rows, scale = {}, {}
+    for t in {t for y in ys for t in y}:
+        (h,), r = _heat_axes(_read_exact((t,))[0], top, -1)
+        powers = list(accumulate([r] * top, mul, initial=1))  # r^0, ..., r^N
+        rows[t], scale[t] = list(map(mul, h, reversed(powers))), powers[-1]
+    dens = [(math.prod(map(scale.__getitem__, y)), not all(isinstance(t, _EXACT) for t in y))
+            for y in ys]
+    runs = _grid_layout(ev)[1]
     out = []
     for x, rx in map(_read_exact, xs):
-        table = _en_tables(ev, x)
-        out.append([_table_sum(table, *axes, rx or ry) for axes, ry in sides])
+        coeffs, den = _grid_coefficients(ev, x)
+        sums = _contract(coeffs, runs, ys, rows)
+        out.append([(_rounded_value if rx or ry else _exact_value)(s, den * q)
+                    for s, (q, ry) in zip(sums, dens)])
     return out
 
 
@@ -253,7 +267,8 @@ def lk_mass(ev: KernelEvaluator, x):
 def phi_x_apply(ev: KernelEvaluator, x, fs, rule) -> list:
     """The extended functional on each f in fs: the rule's sum of
     L^(N)(x, z) f(z) over its nodes z, for any f, from the coefficients
-    e_nu(x) of L^(N)(x, .) = sum_nu e_nu(x) He_nu (_x_coefficients).  For a
+    e_nu(x) of L^(N)(x, .) = sum_nu e_nu(x) He_nu, each rounded once
+    (_rounded_coefficients).  For a
     Polynomial f = sum_mu c_mu z^mu the tensor rule's sum factors over the
     axes: c_mu times e_nu(x) prod_j A[nu_j][mu_j], A[e][m] = sum_i w_i
     He_e(z_i) z_i^m over the axis rule (quad._axis_moments), contracted
@@ -262,8 +277,8 @@ def phi_x_apply(ev: KernelEvaluator, x, fs, rule) -> list:
     (quad.integrate)."""
     from .quad import _axis_moments, _fsum, integrate
 
-    coeffs = _x_coefficients(ev, x)
-    runs = _float_layout(ev)[1]
+    coeffs = _rounded_coefficients(ev, x)
+    runs = _grid_layout(ev)[1]
     top = max((max(mu, default=0) for f in fs if isinstance(f, Polynomial) for mu in f.terms), default=0)
     moments = _axis_moments(rule, top, ev.n_trunc)
     rows = {m: [row[m] for row in moments] for m in range(top + 1)}
@@ -496,7 +511,7 @@ def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
     return PositivityReport(min_value, min_point, max_imag, max_tail, len(xs) * len(ys))
 
 
-# -- the float layer: E_n's columns rounded once, summed one axis at a time ------
+# -- the grid sum: E_n(x, .)'s coefficients, contracted one axis at a time -------
 
 class _Rows(list):
     """lk_grid's rows, with the tolist() of the numpy array they replace:
@@ -509,15 +524,15 @@ class _Rows(list):
 
 def lk_grid(ev: KernelEvaluator, xs, ys):
     """Hermite-path kernel values L^(N)(x, y) in floats, rows[i][j] at
-    (xs[i], ys[j]): per x, E_n's columns e_nu(x) from table entries each
-    rounded once (_x_coefficients), contracted against He_e(y_j)
+    (xs[i], ys[j]): per x, E_n(x, .)'s exact coefficients each rounded once
+    (_rounded_coefficients), contracted against He_e(y_j)
     (poly.hermite_values) one axis at a time (_contract), which shares the
     work of the y points that agree in their first coordinates.  lk_values
     gives the exact sums, rounded once."""
     ys = [tuple(map(float, y)) for y in ys]
     rows = _hermite_rows(ev, ys)
-    runs = _float_layout(ev)[1]
-    return _Rows(_contract(_x_coefficients(ev, x), runs, ys, rows) for x in xs)
+    runs = _grid_layout(ev)[1]
+    return _Rows(_contract(_rounded_coefficients(ev, x), runs, ys, rows) for x in xs)
 
 
 def _grid_basis(d, n):
@@ -530,60 +545,33 @@ def _grid_basis(d, n):
     return basis
 
 
-def _float_layout(ev: KernelEvaluator):
-    """(columns, runs, order), built once per evaluator.  order lists the
-    positions in _grid_basis of the monomials x^mu, degree by degree in the
-    order of E_n's table, and columns, in _grid_basis's order of nu, holds
-    for E_n's column e_nu = V(x^nu) / nu! (operators._e_table) a getter of
-    its monomials from that list and its entries c / den, each rounded
-    once (exact._rounded_value).  A column that meets every monomial of its
-    degree, as on A and G2, reads them as one slice.  runs[j] slices the
+def _grid_layout(ev: KernelEvaluator):
+    """(basis, runs), built once per evaluator: basis is _grid_basis(d, N),
+    the order of the coefficients _contract reads, and runs[j] slices the
     runs of nu_{j+1} once axes 1..j are summed out."""
     if ev._layout is None:
         d, top = ev.dimension, ev.n_trunc
-        basis = _grid_basis(d, top)
-        where = {nu: i for i, nu in enumerate(basis)}
-        tables = [_e_table(ev.ctx, n) for n in range(top + 1)]
-        order = [where[mu] for cols, _ in tables for mu in cols]
-        at = {basis[i]: k for k, i in enumerate(order)}
-        columns = [None] * len(basis)
-        start = 0
-        for cols, den in tables:
-            keys = list(cols)
-            degree = itemgetter(slice(start, start + len(keys)))
-            for nu, nums in cols.items():
-                if len(nums) == len(keys):  # every monomial of the degree, in keys' order
-                    take, entries = degree, map(nums.__getitem__, keys)
-                else:
-                    spots = list(map(at.__getitem__, nums))
-                    take = itemgetter(*spots) if len(spots) > 1 else itemgetter(slice(spots[0], spots[0] + 1))
-                    entries = nums.values()
-                columns[where[nu]] = take, list(map(_rounded_value, entries, repeat(den)))
-            start += len(keys)
         runs = []
         for k in range(d - 1, -1, -1):
             ends = list(accumulate(top - sum(rest) + 1 for rest in _grid_basis(k, top)))
             runs.append([slice(a, b) for a, b in zip([0] + ends, ends)])
-        ev._layout = columns, runs, order
+        ev._layout = _grid_basis(d, top), runs
     return ev._layout
 
 
-def _x_coefficients(ev: KernelEvaluator, x):
-    """e_nu(x) = sum_mu [x^mu] e_nu x^mu in floats for every nu of
-    _grid_basis, in its order: per column, its rounded entries against its
-    monomials of x in one C-level sum(map(mul, ...)).  The monomials are
-    formed a coordinate at a time from the last, each run of powers of x_j
-    scaled by a monomial of the later coordinates, and then put in the
-    layout's order."""
-    top = ev.n_trunc
-    columns, _, order = _float_layout(ev)
-    mono, degrees = [1.0], [0]
-    for t in reversed(x):
-        powers = list(accumulate([float(t)] * top, mul, initial=1.0))
-        mono = [v * p for v, deg in zip(mono, degrees) for p in powers[: top - deg + 1]]
-        degrees = [deg + e for deg in degrees for e in range(top - deg + 1)]
-    mono = list(map(mono.__getitem__, order))
-    return [sum(map(mul, vals, take(mono))) for take, vals in columns]
+def _grid_coefficients(ev: KernelEvaluator, x):
+    """(numerators, den) of e_nu(x) = V(x^nu)(x) / nu!, |nu| <= N, at an
+    exact point x (_en_tables), in _grid_basis's order, 0 where it vanishes."""
+    nums, den = _en_tables(ev, x)
+    return [nums.get(nu, 0) for nu in _grid_layout(ev)[0]], den
+
+
+def _rounded_coefficients(ev: KernelEvaluator, x):
+    """The float layer's coefficients: each e_nu(x) of _grid_coefficients at
+    the binary value of x, rounded once (exact._rounded_value), a complex
+    where the exact value is a ComplexRational and 0.0 where it vanishes."""
+    coeffs, den = _grid_coefficients(ev, _read_exact(x)[0])
+    return [_rounded_value(c, den) for c in coeffs]
 
 
 def _hermite_rows(ev: KernelEvaluator, points):
@@ -596,9 +584,10 @@ def _contract(coeffs, runs, points, rows):
     a time: the runs of nu_1 against the row of t_1, once per distinct t_1,
     then those sums' runs of nu_2 against the row of t_2, once per distinct
     (t_1, t_2), and so on, so a product grid of m^d points costs about m
-    sums per monomial (sum factorization).  A run of zeros, as most are on
-    Z2^d at a point with zero coordinates, is summed without its products:
-    against finite rows both give the zero of its type, +0.0 or 0j."""
+    sums per monomial (sum factorization), on integers or floats.  A run of
+    zeros, as most are on Z2^d at a point with zero coordinates, is summed
+    without its products: against finite rows both give the zero of its
+    type, 0, +0.0 or 0j."""
     partial = {(): coeffs}
     for j, level in enumerate(runs):
         summed = {}

@@ -44,8 +44,8 @@ weight k >= 0, certified by Roesler's representing measures for V, and the
 empirical u = delta_hat |G| |x| for every other weight.  E_n's coefficients
 are the one store of V (_e_table): one table per degree, built by
 e_nu = H_n(sum_j x_j e_{nu - e_j}), the recursion for V divided by nu!, and
-read as it is by _en_table (E_n(x, .) at a point),
-homogeneous_kernel_bivariate, kernel.lk_grid, and intertwine and
+read as it is by _en_table (E_n(x, .) at a point, which every kernel path
+starts from), homogeneous_kernel_bivariate, and intertwine and
 intertwine_inverse (V(x^nu) = nu! e_nu).
 """
 from __future__ import annotations

@@ -523,6 +523,8 @@ def suite_signs(bundle: ContextBundle):
     winner_tol = 1e-8 if d <= 2 else 1e-6
     # one truncation degree for both evaluators, from the certified weight-zero bound
     n_trunc = _tail_degree(KernelEvaluator(zero_ctx, 0), x, y, winner_tol, DEGREE_CAP)
+    # the context weight's Taylor degree; in d >= 3 below winner_tol, so that D > N
+    taylor_tol = 1e-6 if d <= 2 else winner_tol * 1e-3
     ev0 = make_evaluator(zero_ctx, n_trunc)
 
     re_ok = all(v.real >= 0 for v in bundle.k.by_root.values())
@@ -555,7 +557,7 @@ def suite_signs(bundle: ContextBundle):
         )
         results.append(row)
         if ev_k is not None:
-            resk = runner(ev_k, 1e-6)
+            resk = runner(ev_k, taylor_tol)
             results.append(
                 CheckResult(
                     identity=f"{name}-convention-at-context-weight",

@@ -108,6 +108,20 @@ def test_float_boundary():
     assert ComplexRational(Fraction(0.1)) == 0.1 - 0j
 
 
+def test_floor_division_takes_ints_and_gaussian_integers_only():
+    # // divides a Gaussian integer exactly by an int or a Gaussian integer,
+    # and an int by a Gaussian integer; any other number, on either side,
+    # is a TypeError
+    z = ComplexRational(4, 6)
+    assert z // 2 == ComplexRational(2, 3) and z // ComplexRational(1, 1) == ComplexRational(5, 1)
+    assert 10 // ComplexRational(1, 2) == ComplexRational(2, -4)
+    for other in (0.5, Fraction(1, 2), 1 + 0j):
+        with pytest.raises(TypeError):
+            z // other
+        with pytest.raises(TypeError):
+            other // z
+
+
 def test_evaluate_rounds_the_exact_value_once():
     # Polynomial.evaluate reads float coordinates and coefficients as their
     # binary values and rounds the exact sum once, for real and

@@ -3,14 +3,18 @@
 For each system below the test builds a context with `dunkl build`, then
 hashes the cache file and the stdout of `build`, `lambda-table`,
 `intertwine`, `ek-eval` and `verify --suite exact`; it also hashes, as
-"rounded-table", the float entries of E_n's tables at the system's degree
-(kernel._float_layout, each entry rounded once), which lk_grid, the
-positivity scan and the quadrature rows read, laid out per degree as the
-exponents and the dense block of the entries (rounded_blocks).  The
-rounded-table digests were recorded again when they moved to these blocks
-from V's tables with each coefficient rounded once, which no output read
-any more (the blocks were the same at the change); they stayed the same
-when the numpy blocks gave way to the float columns.  The
+"rounded-table", the float coefficients e_nu(x) of E_n(x, .) at the
+system's degree and its ek-eval point x, each the exact coefficient at the
+binary value of x rounded once (kernel._rounded_coefficients), which
+lk_grid, the positivity scan and the quadrature rows contract
+(rounded_coefficients).  The rounded-table digests were recorded again
+when they moved to dense per-degree blocks of E_n's table entries from V's
+tables with each coefficient rounded once, which no output read any more
+(the blocks were the same at the change); they stayed the same when the
+numpy blocks gave way to the float columns; and they were recorded again
+when lk_grid stopped reading table entries rounded once and began to
+round E_n(x, .)'s exact coefficients once, so that no rounded copy of
+E_n's tables is kept.  The
 digests other than the rounded table's were
 recorded from the implementation that stored every table as Fractions, so
 they pin the exact layer's values across changes of storage; the g2 and b3
@@ -129,7 +133,7 @@ GOLDEN = {
         "intertwine": "0a00a0050d74160a0860da4ebbab1f87c5a533a5ee51b960bea4bcb9afa86544",
         "ek-eval": "6189f292c599b79a211f70ecc0050b758da52668f2fd076d045e7926f2e8a6c9",
         "verify-exact": "9d10c9adf8f617021693c8020d9b56b0a3c80b84c462ac3672b05bfc25e05928",
-        "rounded-table": "b37dd4b3af22bf4ed84b6da605c7f4141ac36768e4b627085cc15936c324310f",
+        "rounded-table": "73232e39806b9bb1e05916efe17636ffba8551e2a394851ad2143e7fdea00240",
     },
     "b2": {
         "ctx": "dd50de5a1edeedefbbadefe782ee9f2a0fbfc8c8b0f6e1feb2e3839c8ddd7778",
@@ -138,7 +142,7 @@ GOLDEN = {
         "intertwine": "02d7afec05f966c05ac739c4da044e14974cfbdd2ea66ce777ad1feaa831c634",
         "ek-eval": "df884b2e39b7abb7e93114f8eafb74591bc7d2337b5ebc5590f4c26815ecc72e",
         "verify-exact": "25ab4137e7c5d36f50ae5eec31aa6fac17961fe7681376392543673fa53f5146",
-        "rounded-table": "1d6f9c71c4d49bdb54ef71780bef1af8e5b70aca060b16b1d6335e58ce0f1e03",
+        "rounded-table": "2b8605632b259d0c958135aa89d33d6d77cb8d26c43c902834ae8dbbd9a0cad2",
     },
     "b2c": {
         "ctx": "7fcfdff69f8e1e9766eb73cd38b50e75f8856e8a43973ff86ddf52ed12f1a325",
@@ -147,7 +151,7 @@ GOLDEN = {
         "intertwine": "9436678e0d0e6eb2265394166d3bca07e33709086dac96819f5cc8e6267ae01d",
         "ek-eval": "74df1dcff3547018efe9304bfb2d74d802b970077a277aa2139d6670e5c70738",
         "verify-exact": "b2e03ee639640073f16171b6b110545a3169c648693f92ca2d092f69498063ac",
-        "rounded-table": "fbce8d9086c19fea1961b20dda447b55c9ffc64dc13d1afb66f2983dac445f7e",
+        "rounded-table": "1280f687acdb4ee72e879bcbaa6d034677ed687a6dabc8e9dbbf53883e5cfc30",
     },
     "z21": {
         "ctx": "b302c1f54b1ffaa563f820e3fa336723dbbf7058150789edc81df668fb285f27",
@@ -156,7 +160,7 @@ GOLDEN = {
         "intertwine": "7b4eb9f135a481157c3a5f39c0533cadcc4e20423110612a05a27c39e0537607",
         "ek-eval": "1194ba7bd4444c50245e4bd3447302fb0169659bd804c80d34b2e6251f4a10e0",
         "verify-exact": "0ed9dcb140bb534b316ea50f7e6c0164937171b12144b3ddc0b968a4907939bc",
-        "rounded-table": "e8118e0c70bf7b1754845f6fe897dae9b8e58d8878a4adaa5ee3de3e02fe13dc",
+        "rounded-table": "05439bd222a9bc7532ab347cbc115738a4dda00b03aefec603d512c6c6e8a98a",
     },
     "z21neg": {
         "ctx": "43c1d08b439e4e43f1caf145f90626fedaa206295be65199615c7a4f29cf7d5a",
@@ -165,7 +169,7 @@ GOLDEN = {
         "intertwine": "e5d8b193e4b029e96c9ef7c96d7642d2e1439e2844813e3e12c00e58fef082e5",
         "ek-eval": "1e1af2d009ce98ba2b433b13745f21d28d10aeb41e268746ab7c13e79dce7fad",
         "verify-exact": "f6166c3ec7bf6518ff659ab6bdb9e25e356481af8a810b992018253acccba19d",
-        "rounded-table": "cf546cf75e623e7bcdd589b20d0603e7cafc574704f8f39e0e590ce051c0f866",
+        "rounded-table": "2674d29abe05c68f3599f38ee01e3a292b120afa7c86afbaf795337e6d29f185",
     },
     "g2": {
         "ctx": "7a4c6bf13d2bf1bc95ea6ec717365010913abbd278a8890752128ebbf54e197e",
@@ -174,7 +178,7 @@ GOLDEN = {
         "intertwine": "e6741230890eec2d4c4436520bf1b2220ccdda326b8ebbb7d1f4677cdd76d564",
         "ek-eval": "ba897d3c07481ee7ec102559908160b79ca1d9da6d0949b7d93ac5150d89035d",
         "verify-exact": "edbdd1552f862cfc51debc1853f9a9c03a6476ea335aaab6eff1155aa5a3ef1b",
-        "rounded-table": "3fa524856e81d681013e625e119ed9694b29542cb7cf37030dc54ad92ab55abd",
+        "rounded-table": "9b80d5a79965a049db723866b799b5696db8b29b2fa44ddd96409e7afb972ca7",
     },
     "b3": {
         "ctx": "101820b936d178cc90db42193887b26cb441b838cda493a9d56ecc6e5cfcbab7",
@@ -183,7 +187,7 @@ GOLDEN = {
         "intertwine": "bd7a1fc89b60b90981ccd12690b2b4483cf3ef8dbc256fcf22f46337c51a6bca",
         "ek-eval": "ff348a709e9599a8e19e46603c7a109ab6f4282859da9c092a80417511e3b6c1",
         "verify-exact": "aa8f72834c5724e5f1d0db1e41b41d281accca1290e2d8dbd0925234edf8a515",
-        "rounded-table": "3ee8894c2f636bbdf10918deb4e17c218142d8cdeeda8915689798e1b41a51a3",
+        "rounded-table": "8ce94b6b548e683c4a63e8aa1ce4ae750902d1f383bad23b02223f65e4f3a051",
     },
 }
 
@@ -225,35 +229,18 @@ def digests(name, workdir):
         bundle = load_context(ctx_file)
     finally:
         os.chdir(old)
-    out["rounded-table"] = _sha(repr(rounded_blocks(make_evaluator(bundle.ctx, bundle.degree))))
+    ev = make_evaluator(bundle.ctx, bundle.degree)
+    out["rounded-table"] = _sha(repr(rounded_coefficients(ev, tuple(map(float, x.split(","))))))
     return out
 
 
-def rounded_blocks(ev):
-    """Per degree n <= N: the exponents nu of E_n's columns in table order,
-    and the dense block [x^mu] e_nu, row mu and column nu in that order, of
-    the entries of kernel._float_layout, each rounded once.  A block with a
-    complex entry is complex throughout."""
-    from dunkl.kernel import _float_layout, _grid_basis
-    from dunkl.operators import _e_table
+def rounded_coefficients(ev, x):
+    """The exponents nu of kernel._grid_basis, each with the coefficient
+    e_nu(x) that lk_grid contracts at the float point x: V(x^nu)(x) / nu!
+    at the binary value of x, rounded once (kernel._rounded_coefficients)."""
+    from dunkl.kernel import _grid_layout, _rounded_coefficients
 
-    columns, _, order = _float_layout(ev)
-    basis = _grid_basis(ev.dimension, ev.n_trunc)
-    where = {nu: i for i, nu in enumerate(basis)}
-    monomials = [basis[i] for i in order]
-    out = []
-    for n in range(ev.n_trunc + 1):
-        keys = list(_e_table(ev.ctx, n)[0])
-        index = {nu: i for i, nu in enumerate(keys)}
-        block = [[0.0] * len(keys) for _ in keys]
-        for k, nu in enumerate(keys):
-            take, values = columns[where[nu]]
-            for mu, v in zip(take(monomials), values):
-                block[index[mu]][k] = v
-        if any(isinstance(v, complex) for row in block for v in row):
-            block = [[complex(v) for v in row] for row in block]
-        out.append(([list(nu) for nu in keys], block))
-    return out
+    return list(zip(_grid_layout(ev)[0], _rounded_coefficients(ev, x)))
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))

@@ -13,8 +13,9 @@ from dunkl import kernel
 from dunkl.config import load_context
 from dunkl.exact import ComplexRational, _read_exact
 from dunkl.kernel import (
-    _float_layout,
     _grid_basis,
+    _grid_layout,
+    _rounded_coefficients,
     certified_radius,
     convolution_check,
     derivative_relation_check,
@@ -584,8 +585,8 @@ GRID_CASES = [
 @pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
 def test_lk_grid_blocks_match_termwise_sum(family, k_values, n_trunc, kw):
     # reference: the term-by-term Hermite path, sum over nu of V(x^nu)(x) / nu!
-    # times He_nu(y), that the float columns summed one axis at a time
-    # replace; the rows come back from tolist() as they are
+    # times He_nu(y), that the rounded coefficients contracted one axis at
+    # a time replace; the rows come back from tolist() as they are
     ev = make_ev(family, k_values, n_trunc, **kw)
     d = ev.dimension
     rng = np.random.default_rng(4)
@@ -631,7 +632,8 @@ def _numpy_block_grid(ev, xs, ys):
 
 @pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
 def test_lk_grid_matches_the_numpy_block_product(family, k_values, n_trunc, kw):
-    # the same rounded entries summed in another order: within 1e-14 of the
+    # the reference rounds each table entry once and sums in another order,
+    # lk_grid rounds each coefficient e_nu(x) once: within 1e-14 of the
     # larger of 1 and the value, at random points and on a product grid
     # that the one-axis-at-a-time sums share work on
     ev = make_ev(family, k_values, n_trunc, **kw)
@@ -651,34 +653,37 @@ def test_lk_grid_matches_the_numpy_block_product(family, k_values, n_trunc, kw):
 
 @pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
 def test_lk_grid_block_entries_are_rounded_once(family, k_values, n_trunc, kw):
-    # each entry [x^mu] V(x^nu) / nu! of the float columns lk_grid reads is
-    # the exact entry rounded once, at the position of x^mu in the layout,
-    # and a column is complex exactly when one of its exact entries is
+    # each coefficient e_nu(x) that lk_grid contracts, in _grid_basis's
+    # order, is V(x^nu)(x) / nu! at the binary value of x rounded once,
+    # complex exactly where the exact value is, and 0.0 where it vanishes
     ev = make_ev(family, k_values, n_trunc, **kw)
     d = ev.dimension
-    columns, runs, order = _float_layout(ev)
-    basis = _grid_basis(d, n_trunc)
+    basis, runs = _grid_layout(ev)
+    assert basis == _grid_basis(d, n_trunc)
     assert sorted(basis) == sorted(nu for n in range(n_trunc + 1) for nu in monomial_basis(d, n))
-    assert sorted(order) == list(range(len(basis)))
-    assert len(columns) == len(basis) and len(runs) == d and len(runs[-1]) == 1
-    monomials = [basis[i] for i in order]  # the layout's order of the x^mu
-    for (take, values), nu in zip(columns, basis):
-        scale = Fraction(1, math.prod(map(math.factorial, nu)))
-        want = {
-            mu: _rounded(c * scale)
-            for mu, c in _polynomial(d, _vk_table(ev.ctx, nu)).terms.items()
-        }
-        mus = list(take(monomials))
-        assert dict(zip(mus, values)) == want and len(mus) == len(values) == len(want)
-        is_complex = any(isinstance(c, complex) for c in want.values())
-        assert any(isinstance(v, complex) for v in values) == is_complex
+    assert len(runs) == d and len(runs[-1]) == 1
+    rng = random.Random(6)
+    points = [tuple(rng.uniform(-0.4, 0.4) for _ in range(d)) for _ in range(2)]
+    points += [(0.3,) + (0.0,) * (d - 1), (Fraction(1, 3),) + (0.25,) * (d - 1)]
+    for x in points:
+        xq = tuple(_read_exact(x)[0])
+        got = _rounded_coefficients(ev, x)
+        assert len(got) == len(basis)
+        for nu, v in zip(basis, got):
+            exact = _polynomial(d, _vk_table(ev.ctx, nu)).evaluate(xq) / _multi_factorial(nu)
+            want = _rounded(exact) if exact else 0.0
+            assert v == want and type(v) is type(want), (x, nu)
 
 
-@pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
+@pytest.mark.parametrize(
+    "family, k_values, n_trunc, kw", GRID_CASES + [("D", Fraction(1, 2), 4, dict(d=4))]
+)
 def test_lk_values_is_the_series_sum_exact_or_rounded_once(family, k_values, n_trunc, kw):
     # the integer Hermite path against the series path: equal at exact
     # points, and at float points the exact value at their binary values
-    # rounded once; hermite_piece is the same sum for one degree
+    # rounded once; hermite_piece is the same sum for one degree.  The
+    # product grid's axes mix denominators, 3, 7, a float's power of 2 and
+    # the 1 of zero, so the coordinates of one point have different ones
     ev = make_ev(family, k_values, n_trunc, **kw)
     d = ev.dimension
     rng = np.random.default_rng(5)
@@ -696,6 +701,15 @@ def test_lk_values_is_the_series_sum_exact_or_rounded_once(family, k_values, n_t
     assert hermite_piece(ev, n_trunc, xs[0], ys[0]) == _rounded(
         hermite_piece(ev, n_trunc, exact_xs[0], exact_ys[0])
     )
+    grid = list(itertools.product([Fraction(1, 3), Fraction(2, 7), -0.45, 0], repeat=d))
+    grid_xs = [exact_xs[0], xs[1]]
+    for x, row in zip(grid_xs, lk_values(ev, grid_xs, grid)):
+        for y, got in zip(grid, row):
+            want = lk_series_value(ev, _read_exact(x)[0], _read_exact(y)[0])
+            if all(isinstance(t, (int, Fraction)) for t in x + y):
+                assert got == want and isinstance(got, (Fraction, ComplexRational))
+            else:
+                assert got == _rounded(want) and type(got) is type(_rounded(want))
 
 
 def _correctly_rounded_kernel(ctx, n, x):

@@ -60,6 +60,31 @@ def test_signs_suite_builds_each_point_table_once(monkeypatch):
     assert built and max(built.values()) == 1, [key for key, c in built.items() if c > 1]
 
 
+@pytest.mark.parametrize("name, degrees", [("a2", (13, 16)), ("b2", (18, 16))])
+def test_context_weight_signs_rows_do_not_read_the_truncation_against_itself(
+    name, degrees, monkeypatch
+):
+    # in d >= 3 the weight-zero tolerance is the rows' own 1e-6, so the
+    # context weight's Taylor degree comes from 1e-9: D > N, and the rows
+    # compare L^(N)(x, y) with a longer Taylor sum, where D = N read 0.0;
+    # d <= 2 keeps its degrees
+    bundle = load_context(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
+    seen = []
+    original = verify.gaussian_image_check
+
+    def recorded(ev, x, y, taylor_degree=None):
+        if ev.ctx is bundle.ctx:
+            seen.append((ev.n_trunc, taylor_degree))
+        return original(ev, x, y, taylor_degree)
+
+    monkeypatch.setattr(verify, "gaussian_image_check", recorded)
+    rows = {r.identity: r for r in suite_signs(bundle)}
+    assert seen == [degrees]
+    for label in ("gaussian-image", "fourier-representation"):
+        row = rows[f"{label}-convention-at-context-weight"]
+        assert row.passed and 0 < row.max_residual <= row.tolerance == 1e-6
+
+
 def test_signs_suite_passes_on_z2_5():
     # the truncation degree comes from the certified bound at the suite's
     # points (14 here); a fixed degree 10 left the weight-zero derivative
