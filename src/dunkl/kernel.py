@@ -19,8 +19,8 @@ coefficients at the binary value of x, contracted against He(y) one axis
 at a time (_contract; sum factorization, Orszag, J. Comput. Phys. 37,
 1980), in integers against per-axis Hermite numerators and divided once
 (lk_values, which kernel-grid prints), or with each coefficient rounded
-once and the contraction run in floats (lk_grid, which the reconstruction
-and positivity checks read).  The derivative relation's x side L^(N)(., y) = sum_nu
+once and the contraction run in floats (lk_grid, which the positivity scan
+reads).  The derivative relation's x side L^(N)(., y) = sum_nu
 He_nu(y) e_nu is E_n's columns against y's Hermite numerators, one table in
 x that T_j reads.  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy, L
 represents the composition of the intertwining operator with the inverse
@@ -28,15 +28,18 @@ half-heat flow:
 
     integral L(x, y) (e^{-Lap/2} p)(y) dgamma(y) = V(p)(x),
 
-an exact identity per truncation degree, which the checks in this module
-exercise, with L^(N) read at the quadrature nodes from lk_grid, together
-with the convolution identity for the generalized exponential, the Gaussian
-image, the mixed derivative relation, the group equivariance, and
-nonnegativity for nonnegative weights.  Each Gaussian integral of
-L^(N)(x, .) at a point (the unit mass, and the convolution's right side
-integral L^(N)(x, y + u) dgamma(u)) is the flow e^{+Lap/2} summed at that
-point from the shifted moments of poly._heat_axes: exact, with no rule.
-The Gaussian image of
+an exact identity per truncation degree N for deg p <= N.  Its Gaussian
+pairings integral L^(N)(x, y) y^mu dgamma(y) are L^(N)(x, .)'s series
+table contracted against the integer moments of quad.gaussian_moment
+(_gaussian_pairings), so the reconstruction V(e^{Lap/2} p)(x), the unit
+mass and the squared norm integral |L^(N)(x, .)|^2 dgamma are exact, with
+no rule; phi_x_apply keeps a Gauss-Hermite rule only for integrands that
+are not polynomials, the functional's bounded extension.  The checks in
+this module also exercise the convolution identity for the generalized
+exponential, whose right side integral L^(N)(x, y + u) dgamma(u) is the
+flow e^{+Lap/2} summed at y from the shifted moments of poly._heat_axes,
+the Gaussian image, the mixed derivative relation, the group equivariance,
+and nonnegativity for nonnegative weights.  The Gaussian image of
 e^{-|u -+ y|^2/2} is the Hermite sum L^(D)(x, -+y) = sum_{|nu| <= D}
 e_nu(x) He_nu(-+y), and the closed-form transform z^nu -> (-i)^{|nu|}
 He_nu(y) e^{-|y|^2/2} (quad.fourier_quadrature) turns E(+-ix, .) into the
@@ -68,7 +71,7 @@ from collections import namedtuple
 from itertools import accumulate
 from operator import mul
 
-from .exact import _EXACT, _exact_value, _read_exact, _rounded_value
+from .exact import _EXACT, _exact_table, _exact_value, _read_exact, _rounded_value
 from .exact import _table_sum, _table_value
 from .operators import (
     DunklContext,
@@ -81,7 +84,7 @@ from .operators import (
     growth_envelope,
 )
 from .poly import Polynomial, _combine, _heat, _heat_axes, _multi_factorial, _polynomial
-from .poly import _to_float_scalar, hermite_values
+from .poly import hermite_values
 from .reflection_groups import act_on_polynomial, mat_vec
 
 
@@ -111,8 +114,8 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvalu
 
     Whether a value is exact or a float follows from the point: rational
     points give exact values, float points their exact values rounded once;
-    lk_grid alone rounds E_n(x, .)'s exact coefficients once and sums them
-    against He(y) in floats.
+    lk_grid, and phi_x_apply on integrands that are not polynomials, alone
+    round E_n(x, .)'s exact coefficients once and sum them in floats.
     exact_tables is ignored: it is kept for bench/worker.py, which passes
     it, until the benchmark's next revision (ROADMAP item 9).
     """
@@ -152,14 +155,6 @@ def _series_table(ev: KernelEvaluator, x, joined=None):
     if key not in ev._series_tables:
         ev._series_tables[key] = _heat(_en_tables(ev, x) if joined is None else joined, -1)
     return ev._series_tables[key]
-
-
-def lk_polynomial(ev: KernelEvaluator, x, joined=None) -> Polynomial:
-    """The truncated kernel L^(N)(x, .) as a polynomial in y (series path),
-    exact at the binary value of x or each coefficient rounded once; joined,
-    if the caller has it, is _en_tables at x."""
-    x, rounded = _read_exact(x)
-    return _polynomial(ev.dimension, _series_table(ev, x, joined), rounded)
 
 
 def lk_series_value(ev: KernelEvaluator, x, y):
@@ -255,83 +250,79 @@ def certified_radius(ev: KernelEvaluator, tol, y_norm) -> float:
 
 # -- integrals against dgamma ---------------------------------------------------------
 
-def lk_mass(ev: KernelEvaluator, x):
-    """integral of L^(N)(x, .) dgamma = (e^{Lap/2} L^(N)(x, .))(0): the series
-    table summed against the Gaussian moments (poly._heat_axes at 0) in
-    integers.  As the integral of e^{-Lap/2} E_n(x, .) is E_n(x, 0), the
-    value is 1, rounded at a float x."""
-    x, rounded = _read_exact(x)
-    return _table_sum(_series_table(ev, x), *_heat_axes((0,) * len(x), ev.n_trunc, 1), rounded)
+def _gaussian_pairings(ev: KernelEvaluator, x, mus):
+    """(sums, den) with sums[i] / den = integral L^(N)(x, y) y^mu dgamma(y)
+    for mu = mus[i], at an exact point x: L^(N)(x, .)'s series table
+    (_series_table), in _grid_basis's order, contracted (_contract) against
+    the integer rows m(e + mu_j), m(e) = quad.gaussian_moment((e,)), as at
+    a grid point mu.  The closed-form moments share no code with the heat
+    rows that built the table, so each pairing is exact and an independent
+    side of the identities it enters."""
+    from .quad import gaussian_moment
+
+    nums, den = _series_table(ev, x)
+    basis, runs = _grid_layout(ev)
+    top = ev.n_trunc
+    exponents = {m for mu in mus for m in mu}
+    moments = [gaussian_moment((e,)) for e in range(top + max(exponents, default=0) + 1)]
+    rows = {m: moments[m : m + top + 1] for m in exponents}
+    return _contract([nums.get(nu, 0) for nu in basis], runs, mus, rows), den
 
 
 def phi_x_apply(ev: KernelEvaluator, x, fs, rule) -> list:
-    """The extended functional on each f in fs: the rule's sum of
-    L^(N)(x, z) f(z) over its nodes z, for any f, from the coefficients
-    e_nu(x) of L^(N)(x, .) = sum_nu e_nu(x) He_nu, each rounded once
-    (_rounded_coefficients).  For a
-    Polynomial f = sum_mu c_mu z^mu the tensor rule's sum factors over the
-    axes: c_mu times e_nu(x) prod_j A[nu_j][mu_j], A[e][m] = sum_i w_i
-    He_e(z_i) z_i^m over the axis rule (quad._axis_moments), contracted
-    like a grid point with the rows of A in place of He(y).  Any other f
-    is called once per node against L^(N)(x, .) at the nodes
-    (quad.integrate)."""
-    from .quad import _axis_moments, _fsum, integrate
+    """The extended functional integral L^(N)(x, z) f(z) dgamma(z) on each f
+    in fs.  A Polynomial f = sum_mu c_mu z^mu is paired exactly:
+    sum_mu c_mu s_mu / den over the Gaussian pairings of L^(N)(x, .)
+    (_gaussian_pairings), one contraction for the mu of every f in fs, x
+    and the coefficients read as exact values (exact._read_exact) and the
+    value rounded once if any was a float.  Any other f is the rule's sum
+    of L^(N)(x, z) f(z) over its nodes z (quad.integrate), L^(N)(x, .) at
+    the nodes from the coefficients e_nu(x) each rounded once
+    (_rounded_coefficients): the bounded extension to functions that are
+    not polynomials."""
+    from .quad import integrate
 
-    coeffs = _rounded_coefficients(ev, x)
-    runs = _grid_layout(ev)[1]
-    top = max((max(mu, default=0) for f in fs if isinstance(f, Polynomial) for mu in f.terms), default=0)
-    moments = _axis_moments(rule, top, ev.n_trunc)
-    rows = {m: [row[m] for row in moments] for m in range(top + 1)}
+    x, rx = _read_exact(x)
+    mus = list(dict.fromkeys(mu for f in fs if isinstance(f, Polynomial) for mu in f.terms))
+    sums, den = _gaussian_pairings(ev, x, mus) if mus else ([], 1)
+    pairing = dict(zip(mus, sums))
     lk = None
     out = []
     for f in fs:
         if isinstance(f, Polynomial):
-            sums = _contract(coeffs, runs, list(f.terms), rows)
-            out.append(_fsum([_to_float_scalar(c) * s for c, s in zip(f.terms.values(), sums)]))
+            coeffs, rc = _read_exact(f.terms.values())
+            nums, c_den = _exact_table(dict(zip(f.terms, coeffs)))
+            total = sum(c * pairing[mu] for mu, c in nums.items())
+            out.append((_rounded_value if rx or rc else _exact_value)(total, den * c_den))
         else:
             if lk is None:
-                nodes = rule.nodes
+                nodes, runs = rule.nodes, _grid_layout(ev)[1]
+                coeffs = _rounded_coefficients(ev, x)
                 lk = dict(zip(nodes, _contract(coeffs, runs, nodes, _hermite_rows(ev, nodes))))
             out.append(integrate(lambda z: lk[z] * f(z), rule))
     return out
 
 
 def phi_x_norm(ev: KernelEvaluator, x):
-    """Norm of the represented functional on L^2(dgamma), by two routes.
+    """Norm of the represented functional on L^2(dgamma), by two routes:
+    each the square root of an exact squared norm at the binary value of x,
+    rounded once.
 
     Route 1 sums |c_nu|^2 nu! = |V(phi_nu)(x)|^2 over the coefficients c_nu
-    of each E_n(x, .), in integers at the binary value of x, and rounds the
-    sum once; route 2 integrates L^(N)(x, .) times its conjugate
-    from the Gaussian moments, pairing only monomials whose exponents agree
-    in parity in every coordinate (the other moments vanish), one row of
-    their Gram matrix at a time.  At matching truncation the routes agree
-    up to roundoff.
+    of each E_n(x, .); route 2 is integral |L^(N)(x, .)|^2 dgamma, the
+    conjugated coefficients l_mu of L^(N)(x, .)'s series table paired with
+    its Gaussian pairings (_gaussian_pairings).  Both read E_n(x, .)'s
+    tables joined once (_en_tables), which the series table is heated from;
+    the routes are equal rationals at each truncation degree, so they
+    return equal floats.
     """
-    from .quad import gaussian_moment
-
-    joined = nums, den = _en_tables(ev, _read_exact(x)[0])
+    x = _read_exact(x)[0]
+    joined = nums, den = _en_tables(ev, x)
     coeff_sq = sum((c * c.conjugate()).real * _multi_factorial(nu) for nu, c in nums.items())
-    series_route = math.sqrt(coeff_sq / den**2)
-    lk = lk_polynomial(ev, x, joined)
-    moments = [float(gaussian_moment((e,))) for e in range(2 * lk.degree + 1)]
-    classes = {}
-    for nu, c in lk.terms.items():
-        classes.setdefault(tuple(e & 1 for e in nu), []).append((nu, complex(c)))
-    terms = []
-    for members in classes.values():
-        coeffs = [c for _, c in members]
-        # per axis j and exponent e: m(e + mu_j) over the members mu
-        axes = [
-            {e: [moments[e + b] for b in column] for e in set(column)}
-            for column in zip(*(nu for nu, _ in members))
-        ]
-        for nu, a in members:
-            factors = [axis[e] for axis, e in zip(axes, nu)]
-            gram_row = factors[0]  # prod_j m(nu_j + mu_j) over the members mu
-            for factor in factors[1:]:
-                gram_row = list(map(mul, gram_row, factor))
-            terms.append((a.conjugate() * sum(map(mul, gram_row, coeffs))).real)
-    return series_route, math.sqrt(math.fsum(terms))
+    series = _series_table(ev, x, joined)[0]
+    sums, _ = _gaussian_pairings(ev, x, list(series))
+    pair_sq = sum((c.conjugate() * s).real for c, s in zip(series.values(), sums))
+    return math.sqrt(coeff_sq / den**2), math.sqrt(pair_sq / den**2)
 
 
 # -- identity checks ----------------------------------------------------------------

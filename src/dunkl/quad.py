@@ -3,9 +3,11 @@
 Everything targets dgamma = (2 pi)^{-d/2} e^{-|z|^2/2} dz, which has unit
 mass and unit variance per axis.  Polynomials are integrated in closed form,
 from the moments and, for Fourier integrals, from the shifted moments of
-poly.hermite_values at an imaginary point.  Tensor Gauss-Hermite rules
-remain for other integrands, for export, for the checks of the rule itself,
-and for the functional kernel.phi_x_apply extends to any integrand.  The
+poly.hermite_values at an imaginary point; kernel.phi_x_apply pairs
+L^(N)(x, .) with a polynomial from the same moments (gaussian_moment).
+Tensor Gauss-Hermite rules remain for other integrands, for export, for the
+checks of the rule itself, and for the extension of kernel.phi_x_apply to
+integrands that are not polynomials.  The
 rule is the probabilists' Gauss-Hermite rule (weight e^{-t^2/2}), built in
 pure Python from the three-term recurrence of the orthonormal Hermite
 polynomials p_k = He_k / sqrt(k!), whose Jacobi matrix has the nodes as its
@@ -168,7 +170,7 @@ def integrate(f, rule: QuadratureRule):
     the rule's per-axis moments, sum_nu c_nu prod_j m(nu_j) with m(e) =
     sum_i w_i z_i^e; any other f is called once per node, a tuple."""
     if isinstance(f, Polynomial):
-        moments = _axis_moments(rule, max(f.degree, 0))[0]
+        moments = _axis_moments(rule, max(f.degree, 0))
         terms = [
             _to_float_scalar(c) * math.prod(map(moments.__getitem__, nu)) for nu, c in f.terms.items()
         ]
@@ -186,18 +188,13 @@ def _fsum(terms):
 
 
 @functools.lru_cache(maxsize=16)
-def _axis_moments(rule: QuadratureRule, top, n=0):
-    """rows[e][m] = sum_i w_i He_e(z_i) z_i^m over the axis rule, for e <= n
-    and m <= top, each correctly rounded: the one-axis factors of the
-    tensor rule's sum of He_nu(z) z^mu.  rows[0] are the moments m(e).
-    Kept per (rule, top, n), as tuples."""
-    he = [hermite_values(z, n) for z in rule.axis_nodes]
-    rows = [[] for _ in range(n + 1)]
-    for m in range(top + 1):
-        weighted = [w * z**m for z, w in zip(rule.axis_nodes, rule.axis_weights)]
-        for e, row in enumerate(rows):
-            row.append(math.fsum(v * h[e] for v, h in zip(weighted, he)))
-    return tuple(map(tuple, rows))
+def _axis_moments(rule: QuadratureRule, top):
+    """The moments m(e) = sum_i w_i z_i^e of the axis rule for e <= top,
+    each correctly rounded: the one-axis factors of the tensor rule's sum
+    of z^mu.  Kept per (rule, top), as a tuple."""
+    return tuple(
+        math.fsum(w * z**m for z, w in zip(rule.axis_nodes, rule.axis_weights)) for m in range(top + 1)
+    )
 
 
 def gaussian_integral(p):

@@ -38,7 +38,6 @@ from .kernel import (
     heat_piece,
     hermite_piece,
     lk_grid,
-    lk_mass,
     lk_series_value,
     make_evaluator,
     phi_x_apply,
@@ -431,8 +430,10 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
     d = ctx.dimension
     n_trunc = bundle.degree
     ev = make_evaluator(ctx, n_trunc)
-    # one rule for the rows that test the rule itself and for phi_x_apply,
-    # whose integrand L^(N) p has degree up to N + min(6, N)
+    # the rule that the rule's own rows test; phi_x_apply reads none of its
+    # nodes for a polynomial.  q integrates L^(N) p exactly for
+    # deg p <= min(6, N), and is kept so that the rule rows keep their
+    # residuals
     rule = gauss_rule(d, max(5, (n_trunc + min(6, n_trunc) + 2) // 2))
     results = []
 
@@ -448,8 +449,9 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
     missing = sum(1 for z in keys if tuple(-t for t in z) not in keys)
     results.append(_residual_row("rule-negation-symmetry", [missing], 0.0))
 
+    one = [Polynomial.constant(d, 1)]
     results.append(_residual_row("kernel-unit-mass", (
-        abs(complex(lk_mass(ev, _box(rng, d, 1.5))) - 1.0) for _ in range(10)
+        abs(complex(phi_x_apply(ev, _box(rng, d, 1.5), one, rule)[0]) - 1.0) for _ in range(10)
     ), 1e-12))
 
     monomials = [[Polynomial.monomial(d, nu) for nu in monomial_basis(d, n)] for n in range(0, 5)]
@@ -462,7 +464,7 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
 
     # the Gram matrix of the H_nu on the rule, each entry summed over the
     # pairs of their terms from the rule's per-axis moments
-    moments = _axis_moments(rule, 8)[0]
+    moments = _axis_moments(rule, 8)
     hs = [list(hermite(nu).terms.items()) for n in range(0, 5) for nu in monomial_basis(d, n)]
     results.append(_residual_row("hermite-orthonormality", (
         abs(math.fsum(

@@ -16,8 +16,6 @@ from dunkl.kernel import (
     gaussian_image_check,
     heat_image,
     hermite_piece,
-    lk_mass,
-    lk_polynomial,
     make_evaluator,
     phi_x_apply,
     phi_x_norm,
@@ -243,16 +241,19 @@ def test_criterion_05_gaussian_pairing_formula():
 
 # -- 6 -----------------------------------------------------------------------------
 
-def test_criterion_06_unit_mass(b2_ev):
+def test_criterion_06_unit_mass(b2_ev, rule2):
+    # the extended functional on the constant 1
+    one2, one1 = [Polynomial.constant(2, 1)], [Polynomial.constant(1, 1)]
     rng = np.random.default_rng(60)
     worst = 0.0
     for _ in range(10):
         x = tuple(rng.uniform(-1.5, 1.5, 2))
-        worst = max(worst, abs(complex(lk_mass(b2_ev, x)) - 1))
+        worst = max(worst, abs(complex(phi_x_apply(b2_ev, x, one2, rule2)[0]) - 1))
     ev1 = make_evaluator(make_ctx("Z2^d", Fraction(1, 2), d=1), 24)
+    rule1 = gauss_rule(1, 40)
     for _ in range(10):
         x = (rng.uniform(-1.5, 1.5),)
-        worst = max(worst, abs(complex(lk_mass(ev1, x)) - 1))
+        worst = max(worst, abs(complex(phi_x_apply(ev1, x, one1, rule1)[0]) - 1))
     assert worst <= 1e-12
     report(6, "unit-mass", f"20 random x, worst |mass - 1| = {worst:.2e}")
 
@@ -266,7 +267,9 @@ def test_criterion_07_two_path_grid(b2_ev):
     worst = 0.0
     for t in ts:
         x = (t * ux[0], t * ux[1])
-        lkp = lk_polynomial(b2_ev, x).to_float()
+        # L^(N)(x, .) in y along the series path, its heat images summed
+        images = (heat_image(b2_ev, n, x) for n in range(b2_ev.n_trunc + 1))
+        lkp = sum(images, Polynomial.zero(2)).to_float()
         for s in ts:
             y = (s * uy[0], s * uy[1])
             series = complex(lkp.evaluate(y))

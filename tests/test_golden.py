@@ -264,11 +264,13 @@ def test_kernel_grid_matches_golden_digest(name):
 def test_kernel_grid_prints_the_exact_truncation_rounded_once(name):
     """Each value kernel-grid prints is the exact truncated L^(N)(x, y) at the
     binary values of the printed point (17 digits round-trip), each part
-    rounded once.  The reference is the series path: lk_polynomial at the
-    exact x, a polynomial in y, evaluated at the exact y."""
+    rounded once.  The reference is the series path: the heat images
+    heat_image(ev, n, x) at the exact x summed over n <= N, a polynomial in
+    y, evaluated at the exact y."""
     from dunkl.cli import _truncation_degree
     from dunkl.config import load_context
-    from dunkl.kernel import lk_polynomial, make_evaluator
+    from dunkl.kernel import heat_image, make_evaluator
+    from dunkl.poly import Polynomial
 
     config, *argv = ROUNDING_GRIDS[name]
     code, text = _run("kernel-grid", "--context", str(ROOT / config), *argv)
@@ -283,7 +285,8 @@ def test_kernel_grid_prints_the_exact_truncation_rounded_once(name):
         fields = [float(t) for t in line.split(",")]
         x, y = (tuple(map(Fraction, fields[i : i + d])) for i in (0, d))
         if x not in series:
-            series[x] = lk_polynomial(ev, x)
+            images = (heat_image(ev, n, x) for n in range(ev.n_trunc + 1))
+            series[x] = sum(images, Polynomial.zero(d))
         exact = series[x].evaluate(y)
         assert fields[2 * d : 2 * d + 2] == [float(exact.real), float(exact.imag)], (name, line)
     assert len(rows) >= 9

@@ -24,8 +24,6 @@ from dunkl.kernel import (
     hermite_piece,
     lk_eval,
     lk_grid,
-    lk_mass,
-    lk_polynomial,
     lk_series_value,
     lk_values,
     make_evaluator,
@@ -78,6 +76,20 @@ def hermite_path(ev, x, y, n_trunc=None):
     """The Hermite path summed over degrees: sum_nu V(phi_nu)(x) H_nu(y)."""
     top = ev.n_trunc if n_trunc is None else n_trunc
     return sum(hermite_piece(ev, n, x, y) for n in range(top + 1))
+
+
+def series_polynomial(ev, x):
+    """L^(N)(x, .) as a polynomial in y along the series path: the heat
+    images of every degree, summed."""
+    images = (heat_image(ev, n, x) for n in range(ev.n_trunc + 1))
+    return sum(images, Polynomial.zero(ev.dimension))
+
+
+def unit_mass(ev, x):
+    """integral L^(N)(x, .) dgamma, the extended functional on the constant 1
+    (a Polynomial, so no rule node is read)."""
+    [mass] = phi_x_apply(ev, x, [Polynomial.constant(ev.dimension, 1)], gauss_rule(ev.dimension, 1))
+    return mass
 
 
 def make_ev(family, k_values, n_trunc, **kw):
@@ -216,30 +228,31 @@ def test_mass_identity(ev_b2, ev_z21):
     rng = np.random.default_rng(3)
     for _ in range(5):
         x2 = tuple(rng.uniform(-1.5, 1.5, 2))
-        assert abs(complex(lk_mass(ev_b2, x2)) - 1) < 1e-12
+        assert abs(complex(unit_mass(ev_b2, x2)) - 1) < 1e-12
         x1 = (rng.uniform(-1.5, 1.5),)
-        assert abs(complex(lk_mass(ev_z21, x1)) - 1) < 1e-12
+        assert abs(complex(unit_mass(ev_z21, x1)) - 1) < 1e-12
 
 
 def test_mass_zero_weight_closed_form(ev_z21_zero):
     # integral of e^{x y - x^2/2} dgamma(y) = 1 for every x
-    assert abs(complex(lk_mass(ev_z21_zero, (1.2,))) - 1) < 1e-12
+    assert abs(complex(unit_mass(ev_z21_zero, (1.2,))) - 1) < 1e-12
 
 
 def test_phi_x_of_constant_is_one(ev_b2, rule2):
     [val] = phi_x_apply(ev_b2, (0.4, -0.2), [Polynomial.constant(2, 1.0)], rule2)
-    assert abs(complex(val) - 1) < 1e-12
+    assert val == 1.0 and type(val) is float
 
 
 def test_phi_x_reconstructs_intertwine(ev_b2, rule2):
+    # for deg p <= N both sides are the same rational at the binary value of
+    # x, each rounded once
     rng = np.random.default_rng(11)
     for _ in range(3):
         x = tuple(rng.uniform(-0.8, 0.8, 2))
         ps = [Polynomial.monomial(2, nu) for nu in ((0, 0), (1, 0), (2, 1), (3, 3), (0, 4))]
         for p, got in zip(ps, phi_x_apply(ev_b2, x, ps, rule2)):
             want = intertwine(ev_b2.ctx, inverse_heat_half(p)).evaluate(x)
-            bound = tail_bound(ev_b2, math.hypot(*x), 0.0).value + 1e-10
-            assert abs(complex(got) - complex(want)) <= max(bound, 1e-10)
+            assert got == want and type(got) is type(want) is float
 
 
 def test_phi_x_positive_on_bump(ev_z21, rule1):
@@ -269,7 +282,7 @@ def test_phi_x_norm_route_agreement(ev_b2):
     for _ in range(3):
         x = tuple(rng.uniform(-0.7, 0.7, 2))
         s, q = phi_x_norm(ev_b2, x)
-        assert abs(s - q) / s < 1e-6
+        assert s == q and type(s) is float
 
 
 def test_convolution_zero_weight(ev_z21_zero):
@@ -352,6 +365,46 @@ def test_convolution_sees_a_perturbed_heat_row(monkeypatch):
         xq, yq, x, y = CONVOLUTION_POINTS[name]
         assert convolution_check(ev, xq, yq) > 1e-3
         assert convolution_check(ev, x, y) > 1e-3
+
+
+PAIRING_ROWS = ("represents-intertwine-of-heatflow", "functional-norm-two-routes", "kernel-unit-mass")
+
+
+# corruption -> the pairing rows it fails
+PAIRING_CORRUPTIONS = {
+    # the series table of L^(N)(x, .), which every pairing reads
+    "heat-row-minus": set(PAIRING_ROWS),
+    # e^{+Lap/2} p on the reconstruction row's right side; the norm and the
+    # unit mass never heat upward, so they cannot see it
+    "heat-row-plus": {"represents-intertwine-of-heatflow"},
+    # the closed-form moments the pairings contract against
+    "moment": set(PAIRING_ROWS),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(PAIRING_CORRUPTIONS))
+def test_pairing_rows_see_a_corrupted_heat_row_or_moment(monkeypatch, corruption):
+    # one wrong entry in the row of y^2 under e^{-Lap/2} or e^{+Lap/2}, or a
+    # wrong m(2), fails exactly the rows of the quadrature suite whose sides
+    # read it
+    from dunkl import quad
+    from dunkl.verify import suite_quadrature
+
+    failing = PAIRING_CORRUPTIONS[corruption]
+    rows, moment = poly._heat_row, quad.gaussian_moment
+    if corruption == "moment":
+        monkeypatch.setattr(quad, "gaussian_moment", lambda nu: moment(nu) + (tuple(nu) == (2,)))
+    else:
+        wrong = -1 if corruption == "heat-row-minus" else 1
+
+        def perturbed(e, sign):
+            return [(f, b + 1 if (e, f, sign) == (2, 0, wrong) else b) for f, b in rows(e, sign)]
+
+        monkeypatch.setattr(poly, "_heat_row", perturbed)
+    for name in ("b2", "z21neg"):
+        report = {r.identity: r for r in suite_quadrature(load_context(str(CONFIGS / f"{name}.json")))}
+        assert {i for i in PAIRING_ROWS if not report[i].passed} == failing, name
+        assert all(report[i].max_residual == 0.0 for i in set(PAIRING_ROWS) - failing)
 
 
 @pytest.mark.parametrize(
@@ -495,7 +548,7 @@ def test_derivative_relation_float_point_on_exact_evaluator(ev_b2):
     rhs = window * complex(exact)
     # the left side d/dy_1 L - y_1 L is the series path's exact sum at the
     # binary values of x and y, rounded once
-    series = lk_polynomial(ev_b2, ex)
+    series = series_polynomial(ev_b2, ex)
     lhs = window * complex(series.partial(0).evaluate(ey) - ey[0] * series.evaluate(ey))
     assert got == {"plus": abs(lhs - rhs), "minus": abs(lhs + rhs)}
 
@@ -835,15 +888,21 @@ def _heated_kernels(ctx, x, n_trunc):
 @pytest.mark.parametrize("name", sorted(FLOAT_QUERIES))
 def test_heat_tables_are_heat_half_of_the_homogeneous_kernel(name):
     # the series path heats E_n(x, .)'s integer table with the heat rows: per
-    # degree and summed, that is heat_half of homogeneous_kernel's Fraction
-    # polynomials at the rational x, and those rounded once at the float x
+    # degree and summed (the series table the Gaussian pairings read), that
+    # is heat_half of homogeneous_kernel's Fraction polynomials at the
+    # rational x, and those rounded once at the float x
     ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
     x, _ = FLOAT_QUERIES[name]
     xq = _rational(x)
     ev = make_evaluator(ctx, 8)
     images = _heated_kernels(ctx, xq, ev.n_trunc)
+
+    def series_table(point):
+        exact, rounded = _read_exact(point)
+        return _polynomial(ctx.dimension, kernel._series_table(ev, exact), rounded)
+
     cases = [(partial(heat_image, ev, n), image) for n, image in enumerate(images)]
-    cases.append((partial(lk_polynomial, ev), sum(images, Polynomial.zero(ctx.dimension))))
+    cases.append((series_table, sum(images, Polynomial.zero(ctx.dimension))))
     for image_at, want in cases:
         for point, terms in ((xq, want.terms), (x, {nu: _rounded(c) for nu, c in want.terms.items()})):
             got = image_at(point).terms
@@ -853,17 +912,29 @@ def test_heat_tables_are_heat_half_of_the_homogeneous_kernel(name):
 @pytest.mark.parametrize("name", sorted(FLOAT_QUERIES))
 def test_series_value_and_mass_at_float_points_are_rounded_once(name):
     # at float points the series path's value and mass are the exact values
-    # at the points' binary values, rounded once
+    # at the points' binary values, rounded once; so is the extended
+    # functional on every monomial p of degree <= N, which at the rational x
+    # is V(e^{Lap/2} p)(x) exactly (z21neg passes its fallback degree 2), and
+    # so are the functional norm's two routes, which agree as floats
     ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    d = ctx.dimension
     x, y = FLOAT_QUERIES[name]
     xq, yq = _rational(x), _rational(y)
     ev = make_evaluator(ctx, 8)
-    series = sum(_heated_kernels(ctx, xq, ev.n_trunc), Polynomial.zero(ctx.dimension))
+    series = sum(_heated_kernels(ctx, xq, ev.n_trunc), Polynomial.zero(d))
     for got, want in (
         (lk_series_value(ev, x, y), series.evaluate(yq)),
-        (lk_mass(ev, x), gaussian_integral(series)),
+        (unit_mass(ev, x), gaussian_integral(series)),
     ):
         assert repr(got) == repr(_rounded(want))
+    rule = gauss_rule(d, 1)
+    ps = [Polynomial.monomial(d, nu) for n in range(ev.n_trunc + 1) for nu in monomial_basis(d, n)]
+    for p, got, got_float in zip(ps, phi_x_apply(ev, xq, ps, rule), phi_x_apply(ev, x, ps, rule)):
+        want = intertwine(ctx, inverse_heat_half(p))
+        assert got == want.evaluate(xq) and isinstance(got, (Fraction, ComplexRational))
+        assert repr(got_float) == repr(_rounded(got)) and got_float == want.evaluate(x)
+    s, q = phi_x_norm(ev, x)
+    assert s == q and type(s) is float and (s, q) == phi_x_norm(ev, xq)
 
 
 @pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
@@ -872,7 +943,7 @@ def test_mass_is_exactly_one_at_rational_points(family, k_values, n_trunc, kw):
     rng = random.Random(2)
     for _ in range(3):
         x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(ev.dimension))
-        mass = lk_mass(ev, x)
+        mass = unit_mass(ev, x)
         assert mass == 1 and isinstance(mass, (Fraction, ComplexRational))
 
 
@@ -965,20 +1036,24 @@ def _assert_float_points_agree(ev, x, y, tol):
 def test_exact_and_float_queries_at_one_point_keep_their_types(ev_b2):
     # Fraction(0.35) == 0.35 and the two hash alike; the caches must still
     # return exact coefficients at the rational point and floats at the float
-    # one, in either order of the queries
+    # one, and the Gaussian pairings read from the cached series table exact
+    # values at the rational point and floats at the float one, in either
+    # order of the queries
     x = (0.35, -0.6)
     xq = _rational(x)
+    ps = [Polynomial.monomial(2, nu) for n in range(7) for nu in monomial_basis(2, n)]
     for first, second in ((xq, x), (x, xq)):
         ev = make_evaluator(ev_b2.ctx, 6)
         for point in (first, second):
             want = (Fraction, ComplexRational) if point is xq else (float, complex)
-            for p in [heat_image(ev, n, point) for n in range(7)] + [lk_polynomial(ev, point)]:
+            for p in [heat_image(ev, n, point) for n in range(7)]:
                 assert p.terms and all(isinstance(c, want) for c in p.terms.values())
+            assert all(isinstance(v, want) for v in phi_x_apply(ev, point, ps, gauss_rule(2, 1)))
 
 
-def test_lk_polynomial_is_truncated_kernel(ev_b2):
+def test_heat_images_sum_to_the_series_value(ev_b2):
     x = (0.3, 0.1)
-    p = lk_polynomial(ev_b2, x)
+    p = series_polynomial(ev_b2, x)
     y = (0.2, -0.6)
     assert abs(complex(p.evaluate(y)) - complex(lk_series_value(ev_b2, x, y))) < 1e-14
 
@@ -1251,7 +1326,7 @@ def _derivative_relation_by_intertwine(ev, x, y, j):
     dunkl_apply on Polynomials: the reference for derivative_relation_check."""
     window = math.exp(-(_norm(y) ** 2) / 2.0)
     (x, _), (y, _) = _read_exact(x), _read_exact(y)
-    lk = lk_polynomial(ev, x)
+    lk = series_polynomial(ev, x)
     lhs = window * complex(lk.partial(j).evaluate(y) - y[j] * lk.evaluate(y))
     e_j = tuple(int(i == j) for i in range(ev.dimension))
     q = dunkl_apply(ev.ctx, e_j, _intertwined_hermite_sum(ev, y))
