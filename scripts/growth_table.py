@@ -19,11 +19,11 @@ from dunkl.operators import estimate_delta
 
 def growth_table(args):
     degree = _degree(args.degree, 1, "--degree")
-    bundle = load_context(args.config)
+    ctx = load_context(args.config)
     # the rows of degrees 1..degree, whatever degree the context came prepared to
-    delta_hat = estimate_delta(bundle.ctx, degree)
+    delta_hat = estimate_delta(ctx, degree)
     lines = ["n,growth"]
-    for n, row in bundle.ctx.delta_table:
+    for n, row in ctx.delta_table:
         lines.append(f"{n},{row:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -32,10 +32,10 @@ def growth_table(args):
     else:
         sys.stdout.write(text)
     print(
-        f"# delta_hat = {delta_hat:.17g} over degrees 1..{degree} (|G| = {bundle.group.order})",
+        f"# delta_hat = {delta_hat:.17g} over degrees 1..{degree} (|G| = {ctx.group.order})",
         file=sys.stderr,
     )
-    fallback = [n for n in bundle.ctx.fallback_degrees if n <= degree]
+    fallback = [n for n in ctx.fallback_degrees if n <= degree]
     if fallback:
         print(
             f"# degrees realized by the matrix fallback (no coefficient table): {fallback}",

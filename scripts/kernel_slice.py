@@ -6,7 +6,8 @@ and the weight-zero closed form e^{<x,y> - |x|^2/2} evaluated at the same
 points, which makes the deformation produced by the weight easy to plot.
 The context is a config or a cache that dunkl build wrote, loaded as the
 CLI loads it, so the tail bound is the one kernel-grid prints on the same
-context.  Bad arguments exit 2, as the dunkl CLI does.
+context, and --x and --direction are the decimals typed, as kernel-grid
+reads its grid.  Bad arguments exit 2, as the dunkl CLI does.
 
     python3 scripts/kernel_slice.py configs/b2.json --x 0.1,0.05 --steps 25
 """
@@ -14,22 +15,22 @@ import argparse
 import math
 import sys
 
-from dunkl.cli import _at_least, _floats, _truncation_degree, main as run_guarded
+from dunkl.cli import _at_least, _decimals, _truncation_degree, main as run_guarded
 from dunkl.config import ConfigError, load_context
 from dunkl.kernel import lk_series_value, make_evaluator, tail_bound
 
 
 def kernel_slice(args):
-    bundle = load_context(args.config)
-    d = bundle.group.dimension
-    x = tuple(_floats(args.x.split(","), args.x))
+    ctx = load_context(args.config)
+    d = ctx.dimension
+    x = tuple(_decimals(args.x.split(","), args.x))
     if args.direction:
-        u = tuple(_floats(args.direction.split(","), args.direction))
+        u = tuple(_decimals(args.direction.split(","), args.direction))
     else:
-        u = (1.0,) + (0.0,) * (d - 1)
+        u = (1,) + (0,) * (d - 1)
     if len(x) != d or len(u) != d:
         raise ConfigError(f"base point and direction must have dimension {d}")
-    norm = math.sqrt(sum(t * t for t in u))
+    norm = math.hypot(*u)
     if norm == 0.0:
         raise ConfigError(f"direction {args.direction!r} is zero")
     u = tuple(t / norm for t in u)
@@ -37,8 +38,8 @@ def kernel_slice(args):
         raise ConfigError(f"--radius must be finite, got {args.radius}")
     steps = _at_least(args.steps, 2, "--steps")
     degree = _truncation_degree(args.degree, d)
-    ev = make_evaluator(bundle.ctx, degree)
-    xn = math.sqrt(sum(t * t for t in x))
+    ev = make_evaluator(ctx, degree)
+    xn = math.hypot(*x)
 
     print("t,kernel,tail_bound,weight_zero_profile")
     for i in range(steps):

@@ -3,15 +3,13 @@
 Subcommands: build, intertwine, lambda-table, kernel-grid, ek-eval, verify,
 export-quadrature.  Output is plot-ready CSV or JSON on stdout (or --out);
 floats are printed with 17 significant digits so they round-trip.  ek-eval
-reads --x and --y as the decimals typed ("0.1" is 1/10) and prints the
-truncated sum there, exact until it is rounded once; kernel-grid prints the
-correctly rounded truncated kernel L^(N)(x, y) at the binary values of its
-grid points.  Exit
+and kernel-grid read their points as the decimals typed ("0.1" is 1/10) and
+print the truncated sums there, exact until each is rounded once.  Exit
 codes: 0 success, 1 verification failure, 2 configuration error, 3 out of
 memory: the commands raise, and main alone prints the one "configuration
 error: ..." line and returns 2, or the one "out of memory: ..." line and
-returns 3.  The context cache directory defaults to DUNKL_CACHE_DIR (or the working
-directory).  The package is pure Python: no command loads numpy or any
+returns 3.  The context cache directory defaults to DUNKL_CACHE_DIR (or the
+working directory).  The package is pure Python: no command loads numpy or any
 other third-party module.  The package's records are collections.namedtuple
 classes or plain classes, so importing this module loads neither inspect
 nor typing.
@@ -22,6 +20,7 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 
@@ -77,14 +76,12 @@ def _tolerance(value):
 
 
 def cmd_build(args) -> int:
-    cfg = load_config(args.config)
-    bundle = build_bundle(cfg)
-    degree = _degree(args.degree if args.degree is not None else bundle.degree, 1, "--degree")
-    bundle.ctx.prepare(degree)
-    out = args.out or os.path.join(_cache_dir(), f"{bundle.name}.ctx.json")
-    save_context(bundle, out)
-    ctx = bundle.ctx
-    print(f"context {bundle.name}: |G| = {bundle.group.order}")
+    ctx = build_bundle(load_config(args.config))
+    degree = _degree(args.degree if args.degree is not None else ctx.degree, 1, "--degree")
+    ctx.prepare(degree)
+    out = args.out or os.path.join(_cache_dir(), f"{ctx.name}.ctx.json")
+    save_context(ctx, out)
+    print(f"context {ctx.name}: |G| = {ctx.group.order}")
     gamma = ctx.gamma
     if gamma.imag:
         print(f"gamma = {format_rational(gamma.real)} + {format_rational(gamma.imag)} i")
@@ -106,19 +103,19 @@ def _cache_dir():
 
 
 def cmd_intertwine(args) -> int:
-    bundle = load_context(args.context)
-    p = literal_to_polynomial(args.poly, bundle.group.dimension)
-    print(polynomial_to_literal(intertwine(bundle.ctx, p)))
+    ctx = load_context(args.context)
+    p = literal_to_polynomial(args.poly, ctx.dimension)
+    print(polynomial_to_literal(intertwine(ctx, p)))
     return EXIT_OK
 
 
 def cmd_lambda_table(args) -> int:
-    bundle = load_context(args.context)
-    degree = _degree(args.degree if args.degree is not None else bundle.degree, 0, "--degree")
-    bundle.ctx.prepare(degree)
+    ctx = load_context(args.context)
+    degree = _degree(args.degree if args.degree is not None else ctx.degree, 0, "--degree")
+    ctx.prepare(degree)
     lines = ["n,element,re,im"]
     for n in range(1, degree + 1):
-        lam = bundle.ctx.h_cache[n]
+        lam = ctx.h_cache[n]
         if lam is None:
             continue
         for idx, c in enumerate(lam):
@@ -127,35 +124,29 @@ def cmd_lambda_table(args) -> int:
     return EXIT_OK
 
 
-def _floats(texts, where):
-    try:
-        values = [float(t) for t in texts]
-    except ValueError:
-        raise ConfigError(f"bad number in {where!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"non-finite number in {where!r}")
-    return values
-
-
 def _decimals(texts, where):
     """The texts as the exact decimals they spell (exact.parse_rational), as
-    config reads weights: "0.1" is 1/10.  _floats' checks come first."""
-    _floats(texts, where)
+    config reads weights: "0.1" is 1/10.  Each must read as a finite float
+    too, so "inf", "nan" and "1e400" are refused."""
     try:
-        return [parse_rational(t) for t in texts]
-    except ValueError:  # "1_0", which float reads and Fraction before 3.11 does not
+        if all(map(math.isfinite, [float(t) for t in texts])):
+            return [parse_rational(t) for t in texts]
+    except ValueError:  # also "1_0", which float reads and Fraction before 3.11 does not
         raise ConfigError(f"bad number in {where!r}") from None
+    raise ConfigError(f"non-finite number in {where!r}")
 
 
 GRID_POINT_CAP = 1_000_000  # (x, y) pairs in one --grid
-# kernel-grid's pairs times C(N + d, d) monomials: 2e7 take 6-9 s on B2 (one x)
-GRID_TERM_CAP = 20_000_000
+# kernel-grid's sum in the products _grid_work counts: 2e6 take about 1 s at
+# a real weight (0.4-0.7 us each on B2, A, B3, D4, G2), 3 s at B2's complex one
+GRID_TERM_CAP = 2_000_000
 
 
 def parse_grid(spec: str, d: int):
-    """Grid spec "x1:lo:hi:step,y1:lo:hi:step,x2:0.3"; each coordinate at most
-    once, unlisted coordinates 0.  A range's points lo + i step are formed
-    in exact decimals (exact.parse_rational) and each rounded once."""
+    """The x and y axes of grid spec "x1:lo:hi:step,y1:lo:hi:step,x2:0.3",
+    d value lists each, whose products are the grid; each coordinate at
+    most once, unlisted coordinates 0.  Values are the decimals typed
+    (_decimals), and a range's points lo + i step are exact too."""
     axes = {}
     for chunk in spec.split(","):
         parts = chunk.strip().split(":")
@@ -167,26 +158,36 @@ def parse_grid(spec: str, d: int):
         if not 0 <= idx < d:
             raise ConfigError(f"coordinate {name} out of range for dimension {d}")
         if len(parts) == 2:
-            values = _floats(parts[1:], chunk)
+            values = _decimals(parts[1:], chunk)
         elif len(parts) == 4:
-            lo, hi, step = map(parse_rational, _floats(parts[1:], chunk))
+            lo, hi, step = _decimals(parts[1:], chunk)
             if step <= 0 or hi < lo:
                 raise ConfigError(f"bad range in {chunk!r}")
             span = (hi - lo) // step
             if not span < GRID_POINT_CAP:
                 raise ConfigError(f"range {chunk!r} has more than {GRID_POINT_CAP} points")
-            values = [float(lo + i * step) for i in range(span + 1)]
+            values = [lo + i * step for i in range(span + 1)]
         else:
             raise ConfigError(f"bad grid chunk {chunk!r}")
         if (name[0], idx) in axes:
             raise ConfigError(f"grid coordinate {name[0]}{idx + 1} is given twice")
         axes[(name[0], idx)] = values
-    x_axes = [axes.get(("x", i), [0.0]) for i in range(d)]
-    y_axes = [axes.get(("y", i), [0.0]) for i in range(d)]
+    x_axes = [axes.get(("x", i), [0]) for i in range(d)]
+    y_axes = [axes.get(("y", i), [0]) for i in range(d)]
     pairs = math.prod(len(v) for v in x_axes + y_axes)
     if pairs > GRID_POINT_CAP:
         raise ConfigError(f"grid of {pairs} (x, y) pairs exceeds {GRID_POINT_CAP}")
-    return list(itertools.product(*x_axes)), list(itertools.product(*y_axes))
+    return x_axes, y_axes
+
+
+def _grid_work(y_axes, degree):
+    """The products kernel._contract takes per x on the product grid of
+    y_axes: at level j, for each distinct prefix (y_1, ..., y_{j+1}), the
+    C(N + d - j, d - j) coefficients left there, every e_nu at the first
+    level and then one per run summed (kernel._grid_layout)."""
+    d = len(y_axes)
+    prefixes = itertools.accumulate(map(len, y_axes), operator.mul)
+    return sum(p * math.comb(degree + d - j, d - j) for j, p in enumerate(prefixes))
 
 
 def _truncation_degree(option, d):
@@ -198,16 +199,17 @@ def _truncation_degree(option, d):
 def cmd_kernel_grid(args) -> int:
     from .kernel import certified_radius, lk_values, make_evaluator, tail_bound
 
-    bundle = load_context(args.context)
-    d = bundle.group.dimension
+    ctx = load_context(args.context)
+    d = ctx.dimension
     degree = _truncation_degree(args.degree, d)
-    xs, ys = parse_grid(args.grid, d)
+    x_axes, y_axes = parse_grid(args.grid, d)
     tol = _tolerance(args.tol)
-    terms = len(xs) * len(ys) * math.comb(degree + d, d)
-    if terms > GRID_TERM_CAP:
+    xs, ys = (list(itertools.product(*axes)) for axes in (x_axes, y_axes))
+    work = len(xs) * _grid_work(y_axes, degree)
+    if work > GRID_TERM_CAP:
         raise ConfigError(f"refusing grid: {len(xs) * len(ys)} (x, y) pairs at degree {degree} are "
-                          f"an estimated {terms:.3g} terms, above the cap of {GRID_TERM_CAP:.3g}")
-    ev = make_evaluator(bundle.ctx, degree)
+                          f"an estimated {work:.3g} products, above the cap of {GRID_TERM_CAP:.3g}")
+    ev = make_evaluator(ctx, degree)
     y_norms = [math.hypot(*y) for y in ys]
     tails = [[tail_bound(ev, xn, yn) for yn in y_norms] for xn in (math.hypot(*x) for x in xs)]
     worst = max((tb for row in tails for tb in row), key=lambda tb: tb.value)
@@ -240,28 +242,27 @@ def cmd_kernel_grid(args) -> int:
 
 
 def cmd_ek_eval(args) -> int:
-    bundle = load_context(args.context)
-    d = bundle.group.dimension
+    ctx = load_context(args.context)
+    d = ctx.dimension
     x = tuple(_decimals(args.x.split(","), args.x))
     y = tuple(_decimals(args.y.split(","), args.y))
     tol = _tolerance(args.tol)
     if len(x) != d or len(y) != d:
         raise ConfigError(f"points must have dimension {d}")
-    val = dunkl_kernel(bundle.ctx, x, y, tol=tol)
+    val = dunkl_kernel(ctx, x, y, tol=tol)
     v = complex(val.value)
     print(f"E(x, y) = {_fmt(v.real)} + {_fmt(v.imag)} i")
     print(f"degree used = {val.degree_used}")
     print(f"tail bound = {_fmt(val.tail_bound)}")
     print(f"last term = {_fmt(val.last_term)}")
-    print(f"tail bound kind = {tail_kind(bundle.ctx)}")
+    print(f"tail bound kind = {tail_kind(ctx)}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    bundle = load_context(args.context)
-    report = run_suite(bundle, args.suite, seed=args.seed)
+    report = run_suite(load_context(args.context), args.suite, seed=args.seed)
     text = json.dumps(report.to_json(), indent=1, sort_keys=True, allow_nan=False) + "\n"
     _write(args.out, text)
     if args.out:

@@ -38,17 +38,6 @@ class ConfigError(ValueError):
 SUITES = ("exact", "series", "quadrature", "signs", "positivity", "all")
 
 
-class ContextBundle:
-    def __init__(self, name, config, positives, group, k, ctx, degree):
-        self.name = name
-        self.config = config
-        self.positives = positives
-        self.group = group
-        self.k = k
-        self.ctx = ctx
-        self.degree = degree
-
-
 def orbit_labels(system, orbits):
     """Canonical names for the root orbits.
 
@@ -99,7 +88,8 @@ def _degree(value, low, what):
     raise ConfigError(f"{what} must be in {low}..{DEGREE_CAP}, got {value!r}")
 
 
-def build_bundle(cfg: dict) -> ContextBundle:
+def build_bundle(cfg: dict) -> DunklContext:
+    """The context cfg describes, with its name and N; nothing is solved yet."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     family = cfg.get("family")
@@ -121,13 +111,12 @@ def build_bundle(cfg: dict) -> ContextBundle:
         raise
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
-    ctx = make_context(group, positives, k)
     degree = _degree(cfg.get("N", 8), 1, "config field 'N'")
     name = cfg.get("name", f"{system.family_tag}{system.dimension}")
     # build writes <name>.ctx.json: a plain file name, never a path
     if not isinstance(name, str) or not name.strip(".") or any(c in name for c in "/\\\0"):
         raise ConfigError(f"config field 'name' must be a plain file name, got {name!r}")
-    return ContextBundle(name, cfg, positives, group, k, ctx, degree)
+    return make_context(group, positives, k, name, cfg, degree)
 
 
 def load_config(path) -> dict:
@@ -152,12 +141,11 @@ def _cache_tables(ctx: DunklContext, degree):
     }
 
 
-def save_context(bundle: ContextBundle, path):
-    ctx = bundle.ctx
+def save_context(ctx: DunklContext, path):
     payload = {
-        "config": bundle.config,
+        "config": ctx.config,
         "degree": ctx.prepared_to,
-        "group_order": bundle.group.order,
+        "group_order": ctx.group.order,
         **_cache_tables(ctx, ctx.prepared_to),
     }
     with open(path, "w") as fh:
@@ -166,7 +154,7 @@ def save_context(bundle: ContextBundle, path):
     return payload
 
 
-def load_context(path) -> ContextBundle:
+def load_context(path) -> DunklContext:
     """Load either a raw config or a cached context (detected by 'lambdas'),
     prepared to its degree: the config's N, or the cache's degree.
 
@@ -181,26 +169,25 @@ def load_context(path) -> ContextBundle:
     """
     data = load_config(path)
     if not isinstance(data, dict) or "lambdas" not in data:
-        bundle = build_bundle(data)
+        ctx = build_bundle(data)
     else:
         missing = [key for key in ("config", "group_order", "degree") if key not in data]
         if missing:
             raise ConfigError(f"cached context {path} lacks {', '.join(missing)}")
-        bundle = build_bundle(data["config"])
-        if bundle.group.order != data["group_order"]:
+        ctx = build_bundle(data["config"])
+        if ctx.group.order != data["group_order"]:
             raise ConfigError("cached context does not match the rebuilt group")
-        bundle.degree = _degree(data["degree"], 1, f"the degree of cached context {path}")
-        for n in range(1, bundle.degree + 1):
-            bundle.ctx.h_cache[n] = _class_solve(bundle.ctx, n)
-        want = _cache_tables(bundle.ctx, bundle.degree)
+        ctx.degree = _degree(data["degree"], 1, f"the degree of cached context {path}")
+        for n in range(1, ctx.degree + 1):
+            ctx.h_cache[n] = _class_solve(ctx, n)
+        want = _cache_tables(ctx, ctx.degree)
         lambdas, fallback = data["lambdas"], data.get("fallback_degrees", [])
         if (lambdas, fallback) != (want["lambdas"], want["fallback_degrees"]):
             raise ConfigError(
                 f"cached context {path} is not the class solve of its config: "
-                + _first_difference(lambdas, fallback, want, bundle.degree)
+                + _first_difference(lambdas, fallback, want, ctx.degree)
             )
-    bundle.ctx.prepare(bundle.degree)
-    return bundle
+    return ctx.prepare(ctx.degree)
 
 
 def _first_difference(lambdas, fallback, want, degree):

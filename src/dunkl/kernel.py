@@ -180,22 +180,25 @@ def lk_values(ev: KernelEvaluator, xs, ys) -> list:
     once if a coordinate is a float.  Per x, _grid_coefficients contracted
     (_contract) against integer rows, h_e r^{N-e} for a coordinate t = b / r
     with h_e = r^e He_e(t) (poly._heat_axes), each sum divided once by den
-    prod_j r_j^N.  Rows are keyed by the coordinates as given, which hash
-    faster than exact values, and the rounded flag is _read_exact's."""
+    prod_j r_j^N.  The sums key each distinct coordinate by its index, as
+    an int hashes faster than a Fraction, and the rounded flag is
+    _read_exact's."""
     top = ev.n_trunc
-    ys = [tuple(y) for y in ys]
-    rows, scale = {}, {}
-    for t in {t for y in ys for t in y}:
+    index = {}  # each distinct coordinate -> its row
+    keys = [tuple(index.setdefault(t, len(index)) for t in y) for y in ys]
+    rows, scale = [], []
+    for t in index:
         (h,), r = _heat_axes(_read_exact((t,))[0], top, -1)
         powers = list(accumulate([r] * top, mul, initial=1))  # r^0, ..., r^N
-        rows[t], scale[t] = list(map(mul, h, reversed(powers))), powers[-1]
-    dens = [(math.prod(map(scale.__getitem__, y)), not all(isinstance(t, _EXACT) for t in y))
-            for y in ys]
+        rows.append(list(map(mul, h, reversed(powers))))
+        scale.append(powers[-1])
+    dens = [(math.prod(map(scale.__getitem__, key)), not all(isinstance(t, _EXACT) for t in y))
+            for key, y in zip(keys, ys)]
     runs = _grid_layout(ev)[1]
     out = []
     for x, rx in map(_read_exact, xs):
         coeffs, den = _grid_coefficients(ev, x)
-        sums = _contract(coeffs, runs, ys, rows)
+        sums = _contract(coeffs, runs, keys, rows)
         out.append([(_rounded_value if rx or ry else _exact_value)(s, den * q)
                     for s, (q, ry) in zip(sums, dens)])
     return out

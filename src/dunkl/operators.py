@@ -80,16 +80,30 @@ class TruncationError(RuntimeError):
 
 
 class DunklContext:
-    def __init__(self, group, positives, k, reflections):
+    """One group, positive system and weight, with the tables solved so far.
+    name, config and degree are what its config or cache declares
+    (config.build_bundle): the cache's file name, the config, and N or the
+    cache's degree; prepared_to, the degree solved so far, may pass it."""
+
+    def __init__(self, group, positives, k, reflections, name=None, config=None, degree=0):
         self.group = group
         self.positives = positives
         self.k = k
         self.reflections = reflections  # (alpha, k(alpha), group index)
+        self.name = name
+        self.config = config
+        self.degree = degree
         self.h_cache = {}  # n -> lam_n (one scalar per element), or None
         self.vk_cache = {}  # n -> E_n's coefficients V(x^nu) / nu! as one table (_e_table)
         self.delta_hat = None
         self.delta_table = []
         self.prepared_to = 0
+
+    @property
+    def ctx(self):
+        """The context itself: bench/worker.py, bench/make_oracle.py and
+        bench/tracing.py read .ctx on it until ROADMAP item 9 revises them."""
+        return self
 
     @property
     def dimension(self):
@@ -116,12 +130,12 @@ class DunklContext:
         return self
 
 
-def make_context(group, positives, k) -> DunklContext:
+def make_context(group, positives, k, name=None, config=None, degree=0) -> DunklContext:
     refl = []
     for alpha in positives.positives:
         idx = group.element_index(reflection_matrix(alpha))
         refl.append((alpha, k.value(alpha), idx))
-    return DunklContext(group, positives, k, tuple(refl))
+    return DunklContext(group, positives, k, tuple(refl), name, config, degree)
 
 
 # -- the operators -------------------------------------------------------------

@@ -10,8 +10,8 @@ Z2^2, I2(3) A2, I2(4) B2 and I2(6) G2.  Reflections act by
 exactly (G2's long roots, |a|^2 = 6, give matrices with thirds), and the
 group is the closure of {s_a : a positive} under composition.  The action
 on functions is (L_g f)(x) = f(g x), so composing actions reverses the
-matrix product: L_g L_h = L_{hg}.  Every group but G2 is a
-signed-permutation group, so L_g sends a monomial to plus or minus one
+matrix product: L_g L_h = L_{hg}.  Where g is a signed permutation, as
+every element is but six of G2's, L_g sends a monomial to plus or minus one
 monomial, and acting on a polynomial relabels its exponents.  G2's long-root
 reflections are not signed permutations: there the image of x^nu is an
 integer table, multiplied out from the integer rows of the element, one
@@ -85,8 +85,8 @@ class ReflectionGroup(namedtuple(
 )):
     # class_of: the conjugacy class index of each element, identity's is 0.
     # signed_permutations: per element (perm, signs) with row j of its matrix
-    # signs[j] e_{perm[j]}; None unless every element is a signed permutation
-    # (G2's are not)
+    # signs[j] e_{perm[j]}, or None for an element that is not a signed
+    # permutation (six of G2's twelve)
     __slots__ = ()
 
     @property
@@ -322,9 +322,9 @@ def generate_group(positive: PositiveSystem) -> ReflectionGroup:
     The closure keeps the index of every product g s it forms, and the
     Cayley table is filled from those alone: with p s the product that found
     j, h j = (h p) s, so column j is column p mapped by right-multiplication
-    by s.  When every element's matrix has one entry +-1 per row (A, B, D
-    and Z2^d; not G2), the group records each element's signed permutation,
-    read off its matrix.
+    by s.  The group records each element's signed permutation, read off
+    its matrix, or None where a row has more than one nonzero entry (G2's
+    six elements outside its permutations of the coordinates).
     """
     system = positive.base
     d = system.dimension
@@ -369,10 +369,8 @@ def generate_group(positive: PositiveSystem) -> ReflectionGroup:
         rows if den == 1 else tuple(tuple(Fraction(e, den) for e in row) for row in rows)
         for rows, den in elements
     )
-    signed = [_signed_permutation(g) for g in matrices]
-    group = ReflectionGroup(
-        d, matrices, 0, cayley, class_of, None if None in signed else tuple(signed)
-    )
+    signed = tuple(map(_signed_permutation, matrices))
+    group = ReflectionGroup(d, matrices, 0, cayley, class_of, signed)
     _validate_group(group, elements)
     return group
 
@@ -453,7 +451,7 @@ def _validate_group(group: ReflectionGroup, integer_elements):
             raise GroupClosureError("element is not orthogonal")
 
 
-_MONO_IMAGE_CACHE = {}  # (matrix, nu) -> the table of x^nu o g, for G2 (no signed permutations)
+_MONO_IMAGE_CACHE = {}  # (matrix, nu) -> the table of x^nu o g, for g not a signed permutation
 
 
 def signed_image(group: ReflectionGroup, i, nu):
@@ -473,10 +471,11 @@ def signed_image(group: ReflectionGroup, i, nu):
 def monomial_image(group: ReflectionGroup, i, nu):
     """x^nu o g for g = group.elements[i] as a table (numerators, den) in
     lowest terms: the one +-1 monomial of signed_image for a signed
-    permutation, else (G2) an integer table cached in _MONO_IMAGE_CACHE:
+    permutation, else (six of G2's elements) an integer table cached in
+    _MONO_IMAGE_CACHE:
     with j the last nonzero exponent, x^nu o g is x^(nu - e_j) o g times
     the integer row j of g, the linear form (g x)_j."""
-    if group.signed_permutations is not None:
+    if group.signed_permutations[i] is not None:
         mu, negative = signed_image(group, i, nu)
         return {mu: -1 if negative else 1}, 1
     if not any(nu):
@@ -504,12 +503,12 @@ def monomial_image(group: ReflectionGroup, i, nu):
 def act_on_polynomial(group: ReflectionGroup, i, p):
     """(L_g p)(x) = p(g x) for g = group.elements[i]; degree preserving.
 
-    On a signed-permutation group x^nu goes to the single monomial +-x^mu of
-    signed_image, and a term c x^nu to +-c x^mu.  G2 has no signed
-    permutations: there p's coefficients weight the monomial_image tables,
-    summed in integers over one denominator.
+    For a signed permutation x^nu goes to the single monomial +-x^mu of
+    signed_image, and a term c x^nu to +-c x^mu.  For any other element
+    (six of G2's) p's coefficients weight the monomial_image tables, summed
+    in integers over one denominator.
     """
-    if group.signed_permutations is None:
+    if group.signed_permutations[i] is None:
         return _combination(
             p.dim, ((monomial_image(group, i, nu), c) for nu, c in p.terms.items())
         )

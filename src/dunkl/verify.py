@@ -28,7 +28,7 @@ import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .config import SUITES, ContextBundle
+from .config import SUITES
 from .kernel import (
     KernelEvaluator,
     certified_radius,
@@ -48,6 +48,7 @@ from .kernel import (
 )
 from .operators import (
     DEGREE_CAP,
+    DunklContext,
     _norm,
     dunkl_apply,
     dunkl_kernel,
@@ -81,7 +82,6 @@ from .quad import (
     integrate,
 )
 from .reflection_groups import (
-    _signed_permutation,
     act_on_polynomial,
     dot,
     mat_vec,
@@ -186,10 +186,9 @@ def _skipped_row(identity, tolerance, reason):
 
 # -- exact suite -------------------------------------------------------------------
 
-def suite_exact(bundle: ContextBundle, seed=0):
+def suite_exact(ctx: DunklContext, seed=0):
     rng = random.Random(seed)
-    ctx = bundle.ctx
-    group = bundle.group
+    group = ctx.group
     d = group.dimension
     order = group.order
     multiply = group.multiply
@@ -198,7 +197,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
 
     results.append(_exact_row("reflection-involution", (
         reflect(alpha, reflect(alpha, x)) == x
-        for alpha in bundle.positives.positives
+        for alpha in ctx.positives.positives
         for x in [_rand_point(rng, d) for _ in range(3)]
     )))
 
@@ -217,7 +216,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
         for b in range(order)
     )))
 
-    gamma = sum(bundle.k.value(alpha) for alpha in bundle.positives.positives)
+    gamma = sum(ctx.k.value(alpha) for alpha in ctx.positives.positives)
     results.append(_exact_row("gamma-is-positive-sum", [gamma == ctx.gamma]))
 
     results.append(_exact_row("dunkl-commutativity", (
@@ -236,7 +235,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
     )))
 
     def h_inverts_w():
-        top = min(bundle.degree, 8)
+        top = min(ctx.degree, 8)
         ctx.prepare(top)
         for n in range(1, top + 1):
             lam = ctx.h_cache[n]
@@ -266,7 +265,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
     p = _rand_poly(rng, d, 5)
     vp = intertwine(ctx, p)
     # four checks; each non-real coefficient of V p counts as one failure
-    real = (c.imag == 0 for c in vp.terms.values()) if bundle.k.is_real else ()
+    real = (c.imag == 0 for c in vp.terms.values()) if ctx.k.is_real else ()
     results.append(_exact_row("intertwine-unit-degree-inverse-real", itertools.chain(
         [keeps_one, vp.degree == p.degree, intertwine_inverse(ctx, vp) == p], real
     ), checked=4))
@@ -320,7 +319,7 @@ def suite_exact(bundle: ContextBundle, seed=0):
 
     xq = _rand_point(rng, d, span=2, den=3)
     yq = _rand_point(rng, d, span=2, den=3)
-    ev = make_evaluator(ctx, min(bundle.degree, 8))
+    ev = make_evaluator(ctx, min(ctx.degree, 8))
     results.append(_exact_row("kernel-two-path-per-degree", (
         heat_piece(ev, n, xq, yq) == hermite_piece(ev, n, xq, yq)
         for n in range(ev.n_trunc + 1)
@@ -339,11 +338,10 @@ SERIES_TOL = 1e-8  # truncation tolerance of the ek-symmetry row
 POSITIVITY_TOL = 1e-8  # how far below 0 the kernel minus its tail may read
 
 
-def suite_series(bundle: ContextBundle, seed=0):
+def suite_series(ctx: DunklContext, seed=0):
     rng = random.Random(seed)
-    ctx = bundle.ctx
     d = ctx.dimension
-    n_trunc = bundle.degree
+    n_trunc = ctx.degree
     ev = make_evaluator(ctx, n_trunc)
     results = []
 
@@ -359,7 +357,7 @@ def suite_series(bundle: ContextBundle, seed=0):
         for x, y in pairs
     ), 2 * SERIES_TOL))
 
-    if bundle.k.is_zero:
+    if ctx.k.is_zero:
         pairs = [(_box(rng, d, 1.0), _box(rng, d, 1.0)) for _ in range(4)]
         results.append(_residual_row("ek-weight-zero-exponential", (
             abs(complex(dunkl_kernel(ctx, x, y, tol=1e-12).value) - math.exp(dot(x, y)))
@@ -424,11 +422,10 @@ def suite_series(bundle: ContextBundle, seed=0):
 
 # -- quadrature suite ------------------------------------------------------------------
 
-def suite_quadrature(bundle: ContextBundle, seed=0):
+def suite_quadrature(ctx: DunklContext, seed=0):
     rng = random.Random(seed)
-    ctx = bundle.ctx
     d = ctx.dimension
-    n_trunc = bundle.degree
+    n_trunc = ctx.degree
     ev = make_evaluator(ctx, n_trunc)
     # the rule that the rule's own rows test; phi_x_apply reads none of its
     # nodes for a polynomial.  q integrates L^(N) p exactly for
@@ -510,12 +507,11 @@ def suite_quadrature(bundle: ContextBundle, seed=0):
 
 # -- signs suite ------------------------------------------------------------------------
 
-def suite_signs(bundle: ContextBundle):
-    ctx = bundle.ctx
+def suite_signs(ctx: DunklContext):
     d = ctx.dimension
     results = []
-    zero_k = validate_multiplicity(bundle.positives, Fraction(0), bundle.k.orbits)
-    zero_ctx = make_context(bundle.group, bundle.positives, zero_k)
+    zero_k = validate_multiplicity(ctx.positives, Fraction(0), ctx.k.orbits)
+    zero_ctx = make_context(ctx.group, ctx.positives, zero_k)
     if d <= 2:
         x = tuple([Fraction(3, 5)] + [Fraction(-1, 4)] * (d - 1))
         y = tuple([Fraction(9, 10)] + [Fraction(1, 3)] * (d - 1))
@@ -529,7 +525,7 @@ def suite_signs(bundle: ContextBundle):
     taylor_tol = 1e-6 if d <= 2 else winner_tol * 1e-3
     ev0 = make_evaluator(zero_ctx, n_trunc)
 
-    re_ok = all(v.real >= 0 for v in bundle.k.by_root.values())
+    re_ok = all(v.real >= 0 for v in ctx.k.by_root.values())
     ev_k = make_evaluator(ctx, n_trunc) if re_ok else None
 
     @functools.cache  # one Gaussian-image check per evaluator, which the Fourier rows read too
@@ -593,23 +589,22 @@ def _tail_degree(ev, x, y, tol, cap):
 
 # -- positivity suite ---------------------------------------------------------------------
 
-def suite_positivity(bundle: ContextBundle):
-    ctx = bundle.ctx
+def suite_positivity(ctx: DunklContext):
     d = ctx.dimension
-    if not bundle.k.is_nonnegative:
+    if not ctx.k.is_nonnegative:
         return [_skipped_row(
             "kernel-nonnegative-on-grid", POSITIVITY_TOL,
             "nonnegativity is only claimed for nonnegative real weights",
         )]
     # the degree the signs suite's bound picks in d = 2, so there the two share E_n's tables
-    n_trunc = max(bundle.degree, 18)
+    n_trunc = max(ctx.degree, 18)
     x_axis, y_axis = (5, 7) if d <= 2 else (3, 5)
     ev = make_evaluator(ctx, n_trunc)
     radius = certified_radius(ev, POSITIVITY_TOL / 2, 1.5)
     span = min(radius * 0.95 / math.sqrt(d), 2.0)
     xs = _grid_points(d, span, x_axis)
     ys = _grid_points(d, min(1.5 / math.sqrt(d), 2.0), y_axis)
-    rep = positivity_scan(ev, _orbit_representatives(xs, bundle.group), ys)
+    rep = positivity_scan(ev, _orbit_representatives(xs, ctx.group), ys)
     note = (
         f"min {rep.min_value:.3g} over {len(xs) * len(ys)} points, "
         f"|x| <= {span * math.sqrt(d):.3g} (certified radius {radius:.3g})"
@@ -641,7 +636,7 @@ def _orbit_representatives(points, group):
     every truncation, and the tail bound reads only |x| and |y|; so the
     minimum of L^(N) - tail over the grid in x times a product grid in y is
     its minimum over these representatives times the whole y grid."""
-    signed = [sp for sp in map(_signed_permutation, group.elements) if sp is not None]
+    signed = [sp for sp in group.signed_permutations if sp is not None]
     seen, reps = set(), []
     for x in points:
         if x not in seen:
@@ -652,18 +647,18 @@ def _orbit_representatives(points, group):
 
 # -- driver ----------------------------------------------------------------------------------
 
-def run_suite(bundle: ContextBundle, suite: str, seed=0) -> SuiteReport:
+def run_suite(ctx: DunklContext, suite: str, seed=0) -> SuiteReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    report = SuiteReport(suite, bundle.name, bundle.group.order)
+    report = SuiteReport(suite, ctx.name, ctx.group.order)
     if suite in ("exact", "all"):
-        report.results.extend(suite_exact(bundle, seed))
+        report.results.extend(suite_exact(ctx, seed))
     if suite in ("series", "all"):
-        report.results.extend(suite_series(bundle, seed))
+        report.results.extend(suite_series(ctx, seed))
     if suite in ("quadrature", "all"):
-        report.results.extend(suite_quadrature(bundle, seed))
+        report.results.extend(suite_quadrature(ctx, seed))
     if suite in ("signs", "all"):
-        report.results.extend(suite_signs(bundle))
+        report.results.extend(suite_signs(ctx))
     if suite in ("positivity", "all"):
-        report.results.extend(suite_positivity(bundle))
+        report.results.extend(suite_positivity(ctx))
     return report

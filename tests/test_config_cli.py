@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dunkl import cli
-from dunkl.cli import main, parse_grid
+from dunkl.cli import _grid_work, main, parse_grid
 from dunkl.config import (
     ConfigError,
     build_bundle,
@@ -109,7 +110,7 @@ def test_grid_parser_raises_only_config_error(text, d):
     # a small cap keeps the grids that do parse small
     try:
         with mock.patch.object(cli, "GRID_POINT_CAP", 1000):
-            xs, ys = parse_grid(text, d)
+            xs, ys = grid_points(text, d)
     except ConfigError:
         return
     assert all(len(x) == d for x in xs) and all(len(y) == d for y in ys)
@@ -134,28 +135,28 @@ def test_literal_rejects_a_star_with_no_monomial_after_it():
 # -- configs ------------------------------------------------------------------------
 
 def test_build_bundle_b2():
-    bundle = build_bundle(
+    ctx = build_bundle(
         {"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 6}
     )
-    assert bundle.group.order == 8
-    assert bundle.ctx.gamma == 4
-    assert bundle.degree == 6
+    assert ctx.group.order == 8
+    assert ctx.gamma == 4
+    assert ctx.degree == 6
 
 
 def test_build_bundle_scalar_and_orbit_keys():
-    bundle = build_bundle({"family": "Z2^d", "d": 2, "k": "1/2"})
-    assert bundle.ctx.gamma == 1
-    bundle = build_bundle(
+    ctx = build_bundle({"family": "Z2^d", "d": 2, "k": "1/2"})
+    assert ctx.gamma == 1
+    ctx = build_bundle(
         {"family": "Z2^d", "d": 2, "k": {"orbit0": "1/2", "orbit1": "1"}}
     )
-    assert bundle.ctx.gamma == Fraction(3, 2)
+    assert ctx.gamma == Fraction(3, 2)
 
 
 def test_build_bundle_complex_weight():
-    bundle = build_bundle(
+    ctx = build_bundle(
         {"family": "Z2^d", "d": 1, "k": {"re": "1/2", "im": "1/3"}}
     )
-    assert bundle.ctx.gamma == ComplexRational(Fraction(1, 2), Fraction(1, 3))
+    assert ctx.gamma == ComplexRational(Fraction(1, 2), Fraction(1, 3))
 
 
 def test_build_bundle_errors():
@@ -170,27 +171,27 @@ def test_build_bundle_errors():
 
 
 def test_context_cache_round_trip(tmp_path):
-    bundle = build_bundle(
+    ctx = build_bundle(
         {"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 5}
     )
-    bundle.ctx.prepare(5)
+    ctx.prepare(5)
     path = tmp_path / "b2.ctx.json"
-    save_context(bundle, path)
+    save_context(ctx, path)
     reloaded = load_context(path)
     assert reloaded.group.order == 8
     for n in range(1, 6):
-        a = bundle.ctx.h_cache[n]
-        b = reloaded.ctx.h_cache[n]
+        a = ctx.h_cache[n]
+        b = reloaded.h_cache[n]
         assert isinstance(b, tuple)
         assert a == b  # exact equality after the reload
-    assert reloaded.ctx.delta_hat == bundle.ctx.delta_hat
+    assert reloaded.delta_hat == ctx.delta_hat
 
 
 def test_cache_file_has_no_float_lambdas(tmp_path):
-    bundle = build_bundle({"family": "Z2^d", "d": 1, "k": "1/2", "N": 4})
-    bundle.ctx.prepare(4)
+    ctx = build_bundle({"family": "Z2^d", "d": 1, "k": "1/2", "N": 4})
+    ctx.prepare(4)
     path = tmp_path / "z.ctx.json"
-    save_context(bundle, path)
+    save_context(ctx, path)
     data = json.loads(path.read_text())
     for coeffs in data["lambdas"].values():
         for c in coeffs:
@@ -203,7 +204,7 @@ def test_loading_a_cache_builds_no_h_table(tmp_path, capsys, monkeypatch):
     assert main(["build", "--config", str(config), "--out", str(path)]) == 0
     capsys.readouterr()
     built = count_builds(monkeypatch)
-    ctx = load_context(path).ctx
+    ctx = load_context(path)
     assert sorted(ctx.h_cache) == list(range(1, 13))
     # solve_H builds each column table for E_n's degree step, not the load
     assert built == [] and ctx.vk_cache == {}
@@ -239,7 +240,7 @@ def test_incomplete_cache_exits_2(tmp_path, capsys):
     good = json.loads(path.read_text())
     assert good.pop("fallback_degrees") == []
     path.write_text(json.dumps(good))
-    assert load_context(path).ctx.h_cache == load_context(cfg).ctx.h_cache
+    assert load_context(path).h_cache == load_context(cfg).h_cache
     capsys.readouterr()
     for name, data in broken.items():
         bad = tmp_path / f"{name}.ctx.json"
@@ -254,11 +255,16 @@ def test_incomplete_cache_exits_2(tmp_path, capsys):
 
 # -- grid specs -----------------------------------------------------------------------
 
+def grid_points(spec, d):
+    """The x and y points of a --grid spec: the products of parse_grid's axes."""
+    return [list(itertools.product(*axes)) for axes in parse_grid(spec, d)]
+
+
 def test_parse_grid():
-    xs, ys = parse_grid("x1:-1:1:1,y1:0:1:0.5", 1)
+    xs, ys = grid_points("x1:-1:1:1,y1:0:1:0.5", 1)
     assert xs == [(-1.0,), (0.0,), (1.0,)]
     assert ys == [(0.0,), (0.5,), (1.0,)]
-    xs, ys = parse_grid("x1:-1:1:1,x2:0.25,y2:1:2:1", 2)
+    xs, ys = grid_points("x1:-1:1:1,x2:0.25,y2:1:2:1", 2)
     assert xs == [(-1.0, 0.25), (0.0, 0.25), (1.0, 0.25)]
     assert ys == [(0.0, 1.0), (0.0, 2.0)]
     with pytest.raises(ConfigError):
@@ -367,21 +373,31 @@ def test_cli_kernel_grid_and_refusal(tmp_path, capsys):
 
 
 def test_grid_range_points_are_the_decimals_rounded_once(tmp_path):
-    # lo + i step is formed in exact decimals: -0.3 + 3 * 0.1 is 0, not
-    # 5.55e-17, and -0.3 + 6 * 0.1 is the float 0.3, not 0.30000000000000004
-    xs, _ = parse_grid("x1:-0.3:0.3:0.1,y1:0.1", 1)
-    assert xs == [(float(Fraction(i - 3, 10)),) for i in range(7)]
-    xs, _ = parse_grid("x1:-0.1:0.1:0.05,x2:0.05", 2)
-    assert [x[0] for x in xs] == [-0.1, -0.05, 0.0, 0.05, 0.1]
-    assert parse_grid("x1:0:1:0.1", 1)[0][-1] == (1.0,)  # an exact count: 11 points
+    # every grid value is the decimal typed, as ek-eval reads --x, and a
+    # range's points lo + i step are exact: -0.3 + 3 * 0.1 is 0, and
+    # -0.3 + 6 * 0.1 is 3/10.  Each is rounded once, where kernel-grid
+    # prints it and where it prints the kernel at the exact point
+    from dunkl.kernel import heat_image, make_evaluator
+
+    xs, ys = grid_points("x1:-0.3:0.3:0.1,y1:0.1", 1)
+    assert xs == [(Fraction(i - 3, 10),) for i in range(7)] and ys == [(Fraction(1, 10),)]
+    assert all(type(t) is Fraction for x in xs + ys for t in x)
+    xs, ys = grid_points("x1:-0.1:0.1:0.05,x2:0.05", 2)
+    assert xs == [(Fraction(i - 2, 20), Fraction(1, 20)) for i in range(5)] and ys == [(0, 0)]
+    assert grid_points("x1:0:1:0.1", 1)[0][-1] == (1,)  # an exact count: 11 points
     cfg = write_config(tmp_path)
     ctx_path = tmp_path / "z21.ctx.json"
     main(["build", "--config", str(cfg), "--out", str(ctx_path)])
     grid_path = tmp_path / "grid.csv"
     argv = ["kernel-grid", "--context", str(ctx_path), "--grid", "x1:-0.3:0.3:0.1,y1:0.1"]
     assert main(argv + ["--out", str(grid_path)]) == 0
-    column = [line.split(",")[0] for line in grid_path.read_text().splitlines()[1:]]
-    assert column[3] == "0" and float(column[6]) == 0.3
+    rows = [line.split(",") for line in grid_path.read_text().splitlines()[1:]]
+    assert rows[3][0] == "0" and rows[6][0] == "0.29999999999999999"
+    ev = make_evaluator(load_context(ctx_path), 14)
+    for i, row in enumerate(rows):
+        x = (Fraction(i - 3, 10),)
+        exact = sum(heat_image(ev, n, x).evaluate((Fraction(1, 10),)) for n in range(15))
+        assert float(row[2]) == float(exact), row
 
 
 def test_cli_ek_eval(tmp_path, capsys):
@@ -418,7 +434,7 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys):
 
     # a true lam_n above the cap, so above the cache's degree too
     above = DEGREE_CAP + 1
-    lam_above = _class_solve(load_context(ctx_path).ctx, above)
+    lam_above = _class_solve(load_context(ctx_path), above)
 
     broken = {
         "tampered": with_lambda("3", ["1/7"] + lam3[1:]),  # a wrong entry
@@ -749,22 +765,36 @@ def test_quadrature_suite_runs_in_six_dimensions():
 
 
 def test_kernel_grid_refuses_work_above_the_term_cap(monkeypatch, capsys):
-    # pairs times C(N + d, d) monomials above GRID_TERM_CAP exit 2 with one
-    # line that states the estimate, before any evaluator is made; the CI and
-    # benchmark grids stay far below the cap
+    # the estimate is kernel._contract's products: per x and level, the
+    # distinct y prefixes times the coefficients left there.  A grid above
+    # GRID_TERM_CAP exits 2 with one line that states it, before any
+    # evaluator is made: one x on B2 with 408^2 y points at degree 14, whose
+    # sum takes 1.7 s, is 408 * 120 + 408^2 * 15 products
     from dunkl import kernel
 
     def refuse(*args):
         raise AssertionError("make_evaluator called")
 
     monkeypatch.setattr(kernel, "make_evaluator", refuse)
-    argv = ["kernel-grid", "--context", str(B2_CONFIG), "--grid", "x1:-1:1:0.001,y1:-1:1:0.01",
+    argv = ["kernel-grid", "--context", str(B2_CONFIG), "--grid", "x1:0.1,y1:0:4.07:0.01,y2:0:4.07:0.01",
             "--degree", "14"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == (
-        "configuration error: refusing grid: 402201 (x, y) pairs at degree 14 are an estimated "
-        "4.83e+07 terms, above the cap of 2e+07\n"
+        "configuration error: refusing grid: 166464 (x, y) pairs at degree 14 are an estimated "
+        "2.55e+06 products, above the cap of 2e+06\n"
     )
-    # CI's 3 x 5 grid on B2 and its one pair on Z2^6, both at degree 14
-    assert 15 * math.comb(16, 2) < cli.GRID_TERM_CAP and math.comb(20, 6) < cli.GRID_TERM_CAP
+    assert _grid_work(parse_grid(argv[4], 2)[1], 14) == 408 * 120 + 408**2 * 15
+
+
+@pytest.mark.parametrize("config, spec, degree, work", [
+    # two x on D4 with 11^4 y points at degree 10, whose sum takes 0.23 s
+    (4, "x1:0:0.01:0.01," + ",".join(f"y{i}:-0.5:0.5:0.1" for i in range(1, 5)), 10,
+     2 * (11 * 1001 + 11**2 * 286 + 11**3 * 66 + 11**4 * 11)),
+    # CI's grids: 3 x 5 on B2 at degree 14, one pair on Z2^6 at degree 14
+    (2, "x1:0:0.04:0.02,x2:-0.01,y1:-1:1:0.5,y2:0.3", 14, 3 * (5 * 120 + 5 * 15)),
+    (6, "x1:0.01,y1:0.1", 14, sum(math.comb(20 - j, 6 - j) for j in range(6))),
+], ids=["d4", "b2-ci", "z26-ci"])
+def test_kernel_grid_admits_work_below_the_term_cap(config, spec, degree, work):
+    x_axes, y_axes = parse_grid(spec, config)
+    assert math.prod(map(len, x_axes)) * _grid_work(y_axes, degree) == work < cli.GRID_TERM_CAP

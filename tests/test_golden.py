@@ -226,10 +226,10 @@ def digests(name, workdir):
         for key, (code, text) in runs.items():
             assert code == 0, (name, key, code)
             out[key] = _sha(text)
-        bundle = load_context(ctx_file)
+        ctx = load_context(ctx_file)
     finally:
         os.chdir(old)
-    ev = make_evaluator(bundle.ctx, bundle.degree)
+    ev = make_evaluator(ctx, ctx.degree)
     out["rounded-table"] = _sha(repr(rounded_coefficients(ev, tuple(map(float, x.split(","))))))
     return out
 
@@ -275,10 +275,10 @@ def test_kernel_grid_prints_the_exact_truncation_rounded_once(name):
     config, *argv = ROUNDING_GRIDS[name]
     code, text = _run("kernel-grid", "--context", str(ROOT / config), *argv)
     assert code == 0, (name, code)
-    bundle = load_context(str(ROOT / config))
-    d = bundle.ctx.dimension
+    ctx = load_context(str(ROOT / config))
+    d = ctx.dimension
     degree = int(argv[argv.index("--degree") + 1]) if "--degree" in argv else None
-    ev = make_evaluator(bundle.ctx, _truncation_degree(degree, d))
+    ev = make_evaluator(ctx, _truncation_degree(degree, d))
     series = {}
     rows = text.splitlines()[1:]
     for line in rows:

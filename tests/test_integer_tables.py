@@ -257,12 +257,12 @@ def test_row_check_per_class_agrees_with_every_row(name, tmp_path):
     every element; a table moved on one class or on one element satisfies
     some row no longer, and a cache that holds it is refused on load."""
     family, kw, _ = SYSTEMS[name]
-    bundle = build_bundle({"family": family, **kw, "k": ["1/3", "5/2"], "N": 3})
-    ctx, group = bundle.ctx, bundle.group
+    ctx = build_bundle({"family": family, **kw, "k": ["1/3", "5/2"], "N": 3})
+    group = ctx.group
     ctx.prepare(3)
     path = tmp_path / "c.ctx.json"
-    cache = save_context(bundle, path)
-    assert load_context(path).ctx.h_cache == ctx.h_cache
+    cache = save_context(ctx, path)
+    assert load_context(path).h_cache == ctx.h_cache
     for n in (1, 2, 3):
         lam = list(_class_solve(ctx, n))
         assert _all_rows_hold(ctx, n, lam) and tuple(lam) == ctx.h_cache[n]
@@ -287,12 +287,12 @@ def test_row_check_per_class_agrees_with_every_row(name, tmp_path):
 
 
 def test_cache_with_lambda_that_differs_inside_a_class_exits_2(tmp_path, capsys):
-    bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 4})
-    bundle.ctx.prepare(4)
+    ctx = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 4})
+    ctx.prepare(4)
     path = tmp_path / "b2.ctx.json"
-    save_context(bundle, path)
-    assert load_context(path).ctx.h_cache[2] == bundle.ctx.h_cache[2]
-    group = bundle.group
+    save_context(ctx, path)
+    assert load_context(path).h_cache[2] == ctx.h_cache[2]
+    group = ctx.group
     # the last element of a class with more than one member
     g = max(g for g, c in enumerate(group.class_of) if group.class_of.count(c) > 1)
     cache = json.loads(path.read_text())
@@ -306,10 +306,10 @@ def test_cache_with_lambda_that_differs_inside_a_class_exits_2(tmp_path, capsys)
 
 def test_cache_whose_weight_was_edited_exits_2(tmp_path, capsys):
     # the lambda tables of k = (1/2, 3/2) kept under a config with another weight
-    bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 4})
-    bundle.ctx.prepare(4)
+    ctx = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 4})
+    ctx.prepare(4)
     path = tmp_path / "b2.ctx.json"
-    cache = save_context(bundle, path)
+    cache = save_context(ctx, path)
     config = {**cache["config"], "k": {"short": "1/2", "long": "5/2"}}
     path.write_text(json.dumps({**cache, "config": config}))
     capsys.readouterr()
@@ -325,13 +325,13 @@ def test_columns_rebuilt_from_a_cache_are_checked(tmp_path, monkeypatch):
     fresh solve."""
     from dunkl import operators
 
-    bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 3})
-    bundle.ctx.prepare(3)
+    ctx = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 3})
+    ctx.prepare(3)
     path = tmp_path / "b2.ctx.json"
-    save_context(bundle, path)
+    save_context(ctx, path)
     x1sq = Polynomial.monomial(2, (2, 0))
-    loaded = load_context(path).ctx
-    assert _apply_H(solve_H(loaded, 2), x1sq) == _apply_H(solve_H(bundle.ctx, 2), x1sq)
+    loaded = load_context(path)
+    assert _apply_H(solve_H(loaded, 2), x1sq) == _apply_H(solve_H(ctx, 2), x1sq)
 
     build = operators._group_columns
 
@@ -343,7 +343,7 @@ def test_columns_rebuilt_from_a_cache_are_checked(tmp_path, monkeypatch):
 
     monkeypatch.setattr(operators, "_group_columns", off_by_one)
     with pytest.raises(operators.NotInMStarError):
-        solve_H(load_context(path).ctx, 2)
+        solve_H(load_context(path), 2)
 
 
 # configs -> the fallback degrees of degrees 1..N
@@ -364,14 +364,14 @@ def test_prepare_builds_tables_only_at_fallback_degrees(name, tmp_path, monkeypa
     prepared alike."""
     cfg, fallbacks = PREPARED[name]
     built = count_builds(monkeypatch)
-    ctx = build_bundle(cfg).ctx.prepare(cfg["N"])
+    ctx = build_bundle(cfg).prepare(cfg["N"])
     assert sorted(ctx.h_cache) == list(range(1, cfg["N"] + 1))
     assert ctx.fallback_degrees == fallbacks
     assert built == fallbacks
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     built.clear()
-    loaded = load_context(path).ctx
+    loaded = load_context(path)
     assert loaded.h_cache == ctx.h_cache and built == fallbacks
     # E_n's degree steps build every degree once more, checked, fallback degrees too
     built.clear()
@@ -386,9 +386,9 @@ def test_columns_of_a_prepared_config_are_checked_on_first_use(monkeypatch):
     them before the first intertwine reads them, as it does for a cache."""
     from dunkl import operators
 
-    bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 3})
+    ctx = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 3})
     built = count_builds(monkeypatch)
-    bundle.ctx.prepare(3)
+    ctx.prepare(3)
     assert built == []
     build = operators._group_columns
 
@@ -400,7 +400,7 @@ def test_columns_of_a_prepared_config_are_checked_on_first_use(monkeypatch):
 
     monkeypatch.setattr(operators, "_group_columns", off_by_one)
     with pytest.raises(operators.NotInMStarError):
-        intertwine(bundle.ctx, Polynomial.monomial(2, (2, 0)))
+        intertwine(ctx, Polynomial.monomial(2, (2, 0)))
 
 
 @pytest.mark.parametrize("name", ["b2", "z21_fallback"])
@@ -410,7 +410,7 @@ def test_corrupted_lam_in_h_cache_is_refused_before_e_n_uses_it(name):
     raises NotInMStarError there, and E_n's table of that degree is never
     made."""
     cfg, _ = PREPARED[name]
-    ctx = build_bundle(cfg).ctx.prepare(cfg["N"])
+    ctx = build_bundle(cfg).prepare(cfg["N"])
     d = ctx.dimension
     lam = ctx.h_cache[2]
     # one coefficient of the identity moved: H_n + id / 7, or id at k = -1 where H_2 = id / 2
@@ -425,7 +425,7 @@ def test_complex_numerators_are_gaussian_integers():
     """On b2c (B2, short-root weight 1/2 + i/3) every table numerator of a
     complex value is a ComplexRational with int parts."""
     config = Path(__file__).resolve().parent.parent / "configs" / "b2c.json"
-    ctx = load_context(config).ctx
+    ctx = load_context(config)
     _e_table(ctx, ctx.prepared_to)
     h_tables = [solve_H(ctx, n) for n in range(1, ctx.prepared_to + 1)]
     tables = [col for cols, _ in ctx.vk_cache.values() for col in cols.values()]

@@ -341,8 +341,8 @@ CONVOLUTION_POINTS = {
 def test_convolution_is_exact_at_rational_and_float_points(name):
     # both sides are exact at the points' binary values, and the identity
     # holds at every truncation degree (z21neg through its fallback degree 2)
-    bundle = load_context(str(CONFIGS / f"{name}.json"))
-    ev = make_evaluator(bundle.ctx, bundle.degree)
+    ctx = load_context(str(CONFIGS / f"{name}.json"))
+    ev = make_evaluator(ctx, ctx.degree)
     xq, yq, x, y = CONVOLUTION_POINTS[name]
     assert convolution_check(ev, xq, yq) == 0.0
     assert convolution_check(ev, x, y) == 0.0
@@ -360,8 +360,8 @@ def test_convolution_sees_a_perturbed_heat_row(monkeypatch):
 
     monkeypatch.setattr(poly, "_heat_row", perturbed)
     for name in ("b2", "z21neg"):
-        bundle = load_context(str(CONFIGS / f"{name}.json"))
-        ev = make_evaluator(bundle.ctx, bundle.degree)
+        ctx = load_context(str(CONFIGS / f"{name}.json"))
+        ev = make_evaluator(ctx, ctx.degree)
         xq, yq, x, y = CONVOLUTION_POINTS[name]
         assert convolution_check(ev, xq, yq) > 1e-3
         assert convolution_check(ev, x, y) > 1e-3
@@ -479,9 +479,9 @@ def test_fourier_float_route_matches_the_gaussian_image_sums(name):
     # form (quad.fourier_quadrature) and summed with the weight c^n, c = +-i;
     # it must give the Gaussian-image sums at Taylor degree N with the labels
     # exchanged, at the signs suite's points
-    bundle = load_context(str(CONFIGS / f"{name}.json"))
-    d = bundle.ctx.dimension
-    ev = make_evaluator(bundle.ctx, bundle.degree)
+    ctx = load_context(str(CONFIGS / f"{name}.json"))
+    d = ctx.dimension
+    ev = make_evaluator(ctx, ctx.degree)
     if d <= 2:
         x = (Fraction(3, 5),) + (Fraction(-1, 4),) * (d - 1)
         y = (Fraction(9, 10),) + (Fraction(1, 3),) * (d - 1)
@@ -827,7 +827,7 @@ def test_float_queries_are_correctly_rounded(name, capsys):
     # its last term, each rounded once
     from dunkl.cli import main
 
-    ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    ctx = load_context(str(CONFIGS / f"{name}.json"))
     x, y = FLOAT_QUERIES[name]
     xq, yq = _rational(x), _rational(y)
     for tol in (1e-6, 1e-12):
@@ -864,7 +864,7 @@ def test_evaluate_en_is_the_homogeneous_kernel_at_y(name):
     # homogeneous_kernel(x).evaluate(y), with its type, at exact points (a
     # complex y too), and at float points it is that value at their binary
     # values rounded once
-    ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    ctx = load_context(str(CONFIGS / f"{name}.json"))
     x, y = FLOAT_QUERIES[name]
     xq, yq = _rational(x), _rational(y)
     yc = tuple(ComplexRational(t, Fraction(1, 3)) for t in yq)
@@ -891,7 +891,7 @@ def test_heat_tables_are_heat_half_of_the_homogeneous_kernel(name):
     # degree and summed (the series table the Gaussian pairings read), that
     # is heat_half of homogeneous_kernel's Fraction polynomials at the
     # rational x, and those rounded once at the float x
-    ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    ctx = load_context(str(CONFIGS / f"{name}.json"))
     x, _ = FLOAT_QUERIES[name]
     xq = _rational(x)
     ev = make_evaluator(ctx, 8)
@@ -916,7 +916,7 @@ def test_series_value_and_mass_at_float_points_are_rounded_once(name):
     # functional on every monomial p of degree <= N, which at the rational x
     # is V(e^{Lap/2} p)(x) exactly (z21neg passes its fallback degree 2), and
     # so are the functional norm's two routes, which agree as floats
-    ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    ctx = load_context(str(CONFIGS / f"{name}.json"))
     d = ctx.dimension
     x, y = FLOAT_QUERIES[name]
     xq, yq = _rational(x), _rational(y)
@@ -1340,7 +1340,7 @@ X_SIDE_DEGREES = {"b2": 8, "a2": 5, "b2c": 6, "z21neg": 5}
 
 @pytest.mark.parametrize("name", sorted(X_SIDE_DEGREES))
 def test_derivative_relation_x_table_is_the_intertwined_hermite_sum(name):
-    ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    ctx = load_context(str(CONFIGS / f"{name}.json"))
     ev = make_evaluator(ctx, X_SIDE_DEGREES[name])
     if name == "z21neg":
         assert ctx.fallback_degrees == [2]
@@ -1362,7 +1362,7 @@ def test_derivative_relation_x_table_is_the_intertwined_hermite_sum(name):
 
 @pytest.mark.parametrize("name", ["b2", "b2c", "z21neg", "a2"])
 def test_kernel_sum_is_the_sum_of_evaluate_en_exactly(name):
-    ctx = load_context(str(CONFIGS / f"{name}.json")).ctx
+    ctx = load_context(str(CONFIGS / f"{name}.json"))
     d = ctx.dimension
     x = tuple(Fraction(t, 6) for t in (1, -2, 3)[:d])
     points = [tuple(Fraction(t, 5) for t in (3, 4, -1)[:d])]

@@ -192,7 +192,7 @@ def test_dunkl_apply_matches_fraction_reference(name):
     # rational directions: G2's long roots have pivot 2 and its images sit
     # over powers of 3, b2c's weight is complex
     config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
-    ctx = build_bundle(json.loads(config.read_text())).ctx
+    ctx = build_bundle(json.loads(config.read_text()))
     d = ctx.dimension
     rng = random.Random(7)
     directions = [tuple(int(i == j) for i in range(d)) for j in range(d)]
@@ -478,16 +478,15 @@ def _random_homogeneous(rng, d, n, coeff):
 @pytest.mark.parametrize("name", sorted(APPLY_H_SYSTEMS))
 def test_apply_h_columns_match_group_algebra_apply(name, loaded, tmp_path, monkeypatch):
     cfg, degree = APPLY_H_SYSTEMS[name]
-    bundle = build_bundle({**cfg, "N": degree})
-    bundle.ctx.prepare(degree)
+    ctx = build_bundle({**cfg, "N": degree})
+    ctx.prepare(degree)
     if loaded:
         path = tmp_path / f"{name}.ctx.json"
-        save_context(bundle, path)
+        save_context(ctx, path)
         built = count_builds(monkeypatch)
-        bundle = load_context(path)
+        ctx = load_context(path)
         # degrees read from the file build no table, fallback degrees neither
         assert built == []
-    ctx = bundle.ctx
     assert ctx.fallback_degrees == FALLBACK_DEGREES.get(name, [])
     rng = random.Random(11)
     z = ComplexRational(Fraction(2, 3), Fraction(-1, 5))
@@ -574,13 +573,12 @@ def test_intertwine_inverse_rank_one(z21):
 @pytest.mark.parametrize("name", sorted(FALLBACK_DEGREES))
 def test_intertwine_inverse_roundtrip_through_fallback_degree(name, loaded, tmp_path):
     cfg, degree = APPLY_H_SYSTEMS[name]
-    bundle = build_bundle({**cfg, "N": degree})
-    bundle.ctx.prepare(degree)
+    ctx = build_bundle({**cfg, "N": degree})
+    ctx.prepare(degree)
     if loaded:
         path = tmp_path / f"{name}.ctx.json"
-        save_context(bundle, path)
-        bundle = load_context(path)
-    ctx = bundle.ctx
+        save_context(ctx, path)
+        ctx = load_context(path)
     assert ctx.fallback_degrees == FALLBACK_DEGREES[name]
     d = ctx.dimension
     rng = random.Random(5)
@@ -660,7 +658,7 @@ def test_en_expansion_oracle_matches(b2, z21, a2):
     # the suffix recursion sums the same |G|^n products as the tuple loop,
     # on real weights and on the complex weight of configs/b2c.json
     config = Path(__file__).resolve().parents[1] / "configs" / "b2c.json"
-    b2c = build_bundle(json.loads(config.read_text())).ctx
+    b2c = build_bundle(json.loads(config.read_text()))
     points = {1: (Fraction(1, 2),), 2: (Fraction(1, 2), Fraction(-2, 3)),
               3: (Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4))}
     for ctx in (z21, b2, a2, b2c):

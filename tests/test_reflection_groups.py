@@ -361,7 +361,7 @@ COEFFICIENTS = {
 )
 def test_signed_permutation_action_matches_substitution(family, kw):
     _, _, group = make(family, **kw)
-    assert group.signed_permutations is not None
+    assert None not in group.signed_permutations
     rng = random.Random(7)
     polys = [
         _random_polynomial(rng, group.dimension, coefficient)
@@ -402,7 +402,11 @@ def test_g2_monomial_image_matches_substitution():
 
 def test_g2_acts_by_exact_substitution():
     _, _, group = make("G2")
-    assert group.signed_permutations is None
+    # the six permutations of the coordinates have a signed permutation;
+    # the other six elements, with entries -1/3 and 2/3, have None
+    permutations = [all(set(row) <= {0, 1} for row in g) for g in group.elements]
+    assert [sp is not None for sp in group.signed_permutations] == permutations
+    assert permutations.count(True) == 6
     rng = random.Random(3)
     point = (Fraction(3, 10), Fraction(-11, 10), Fraction(2))
     for coefficient in COEFFICIENTS.values():

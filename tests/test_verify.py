@@ -19,19 +19,19 @@ from dunkl.verify import run_suite, suite_exact, suite_positivity, suite_quadrat
 
 
 @pytest.fixture(scope="module")
-def z21_bundle():
-    bundle = build_bundle({"family": "Z2^d", "d": 1, "k": "1/2", "N": 8})
-    bundle.ctx.prepare(8)
-    return bundle
+def z21_ctx():
+    ctx = build_bundle({"family": "Z2^d", "d": 1, "k": "1/2", "N": 8})
+    ctx.prepare(8)
+    return ctx
 
 
-def test_unknown_suite_rejected(z21_bundle):
+def test_unknown_suite_rejected(z21_ctx):
     with pytest.raises(ValueError):
-        run_suite(z21_bundle, "bogus")
+        run_suite(z21_ctx, "bogus")
 
 
-def test_signs_suite_reports_conventions(z21_bundle):
-    results = suite_signs(z21_bundle)
+def test_signs_suite_reports_conventions(z21_ctx):
+    results = suite_signs(z21_ctx)
     by_name = {r.identity: r for r in results}
     assert by_name["gaussian-image-convention-at-weight-zero"].convention == "minus"
     assert by_name["fourier-representation-convention-at-weight-zero"].convention == "plus"
@@ -45,7 +45,7 @@ def test_signs_suite_builds_each_point_table_once(monkeypatch):
     # the Gaussian-image check joins E_n(x, .)'s tables once per evaluator;
     # the Fourier rows read its sums and the derivative relation its series
     # table, so no (context, degree, point) table is built twice
-    bundle = load_context(str(Path(__file__).resolve().parent.parent / "configs" / "b2.json"))
+    ctx = load_context(str(Path(__file__).resolve().parent.parent / "configs" / "b2.json"))
     built = Counter()
     original = operators._en_table
 
@@ -55,7 +55,7 @@ def test_signs_suite_builds_each_point_table_once(monkeypatch):
 
     monkeypatch.setattr(operators, "_en_table", counted)
     monkeypatch.setattr(kernel, "_en_table", counted)
-    results = suite_signs(bundle)
+    results = suite_signs(ctx)
     assert len(results) == 6 and all(r.passed for r in results)
     assert built and max(built.values()) == 1, [key for key, c in built.items() if c > 1]
 
@@ -68,17 +68,17 @@ def test_context_weight_signs_rows_do_not_read_the_truncation_against_itself(
     # context weight's Taylor degree comes from 1e-9: D > N, and the rows
     # compare L^(N)(x, y) with a longer Taylor sum, where D = N read 0.0;
     # d <= 2 keeps its degrees
-    bundle = load_context(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
+    ctx = load_context(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
     seen = []
     original = verify.gaussian_image_check
 
     def recorded(ev, x, y, taylor_degree=None):
-        if ev.ctx is bundle.ctx:
+        if ev.ctx is ctx:
             seen.append((ev.n_trunc, taylor_degree))
         return original(ev, x, y, taylor_degree)
 
     monkeypatch.setattr(verify, "gaussian_image_check", recorded)
-    rows = {r.identity: r for r in suite_signs(bundle)}
+    rows = {r.identity: r for r in suite_signs(ctx)}
     assert seen == [degrees]
     for label in ("gaussian-image", "fourier-representation"):
         row = rows[f"{label}-convention-at-context-weight"]
@@ -89,8 +89,8 @@ def test_signs_suite_passes_on_z2_5():
     # the truncation degree comes from the certified bound at the suite's
     # points (14 here); a fixed degree 10 left the weight-zero derivative
     # relation at 1.2e-6 against its 1e-6 tolerance
-    bundle = build_bundle({"family": "Z2^d", "d": 5, "k": "1/2", "N": 2})
-    report = run_suite(bundle, "signs")
+    ctx = build_bundle({"family": "Z2^d", "d": 5, "k": "1/2", "N": 2})
+    report = run_suite(ctx, "signs")
     assert len(report.results) == 6
     assert all(r.passed for r in report.results), [r for r in report.results if not r.passed]
 
@@ -108,9 +108,9 @@ def test_series_suite_passes_at_weight_zero(config):
     # lk-weight-zero-closed-form draws x within the certified radius of
     # L^(N): over the unit cube the truncation error alone reaches 5.9e-3
     # (B2), 1.7e-3 (Z2^1) and 2.0e-2 (A), against its 1e-8 tolerance
-    bundle = build_bundle(config)
-    bundle.ctx.prepare(bundle.degree)
-    report = run_suite(bundle, "series")
+    ctx = build_bundle(config)
+    ctx.prepare(ctx.degree)
+    report = run_suite(ctx, "series")
     rows = {r.identity: r for r in report.results}
     assert rows["lk-weight-zero-closed-form"].max_residual <= 1e-10
     assert "ek-weight-zero-exponential" in rows
@@ -118,27 +118,27 @@ def test_series_suite_passes_at_weight_zero(config):
 
 
 def test_positivity_skipped_for_complex_weight():
-    bundle = build_bundle(
+    ctx = build_bundle(
         {"family": "Z2^d", "d": 1, "k": {"re": "1/2", "im": "1/3"}, "N": 4}
     )
-    bundle.ctx.prepare(4)
-    results = suite_positivity(bundle)
+    ctx.prepare(4)
+    results = suite_positivity(ctx)
     assert len(results) == 1
     assert results[0].passed
     assert "skipped" in results[0].note
 
 
 def test_positivity_skipped_for_negative_weight():
-    bundle = build_bundle({"family": "Z2^d", "d": 1, "k": "-1/4", "N": 4})
-    bundle.ctx.prepare(4)
-    results = suite_positivity(bundle)
+    ctx = build_bundle({"family": "Z2^d", "d": 1, "k": "-1/4", "N": 4})
+    ctx.prepare(4)
+    results = suite_positivity(ctx)
     assert "skipped" in results[0].note
 
 
 def test_signs_suite_skips_context_rows_for_negative_weight():
-    bundle = build_bundle({"family": "Z2^d", "d": 1, "k": "-1/4", "N": 6})
-    bundle.ctx.prepare(6)
-    results = suite_signs(bundle)
+    ctx = build_bundle({"family": "Z2^d", "d": 1, "k": "-1/4", "N": 6})
+    ctx.prepare(6)
+    results = suite_signs(ctx)
     ctx_rows = [r for r in results if r.identity.endswith("context-weight")]
     assert all("skipped" in r.note for r in ctx_rows)
     zero_rows = [r for r in results if r.identity.endswith("weight-zero")]
@@ -156,13 +156,13 @@ def test_positivity_alone_matches_positivity_inside_all():
 
 def test_convolution_note_names_the_tail_kind():
     for k, kind in (("1/2", "certified"), ("-1/4", "empirical")):
-        bundle = build_bundle({"family": "Z2^d", "d": 1, "k": k, "N": 6})
-        rows = {r.identity: r for r in run_suite(bundle, "quadrature").results}
+        ctx = build_bundle({"family": "Z2^d", "d": 1, "k": k, "N": 6})
+        rows = {r.identity: r for r in run_suite(ctx, "quadrature").results}
         assert rows["exponential-convolution"].note.startswith(f"{kind} |x| radius")
 
 
-def test_report_json_shape(z21_bundle):
-    report = run_suite(z21_bundle, "positivity")
+def test_report_json_shape(z21_ctx):
+    report = run_suite(z21_ctx, "positivity")
     data = report.to_json()
     assert set(data) == {"suite", "context", "group_order", "passed", "results"}
     for row in data["results"]:
@@ -180,10 +180,10 @@ def test_report_json_shape(z21_bundle):
 
 def test_all_suites_pass_through_fallback_degree():
     # k = -1 on Z2^1: lam_2 is singular, so degree 2 is realized by the matrix fallback
-    bundle = build_bundle({"family": "Z2^d", "d": 1, "k": "-1", "N": 6})
-    bundle.ctx.prepare(6)
-    assert bundle.ctx.fallback_degrees == [2]
-    report = run_suite(bundle, "all")
+    ctx = build_bundle({"family": "Z2^d", "d": 1, "k": "-1", "N": 6})
+    ctx.prepare(6)
+    assert ctx.fallback_degrees == [2]
+    report = run_suite(ctx, "all")
     assert report.passed, [r.identity for r in report.results if not r.passed]
     by_name = {r.identity: r for r in report.results}
     # the product-expansion oracle needs lam_i for every i <= n: only n = 0, 1 qualify
@@ -197,10 +197,10 @@ def test_all_suites_pass_through_fallback_degree():
 def test_product_expansion_oracle_names_skipped_degrees():
     # B2 with k short -3/4, long 1/2 falls back at degrees 1 and 3, so the
     # oracle compares degree 0 only and has to say so
-    bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "-3/4", "long": "1/2"}, "N": 5})
-    bundle.ctx.prepare(5)
-    assert bundle.ctx.fallback_degrees == [1, 3]
-    row = next(r for r in suite_exact(bundle) if r.identity == "en-product-expansion-oracle")
+    ctx = build_bundle({"family": "B", "d": 2, "k": {"short": "-3/4", "long": "1/2"}, "N": 5})
+    ctx.prepare(5)
+    assert ctx.fallback_degrees == [1, 3]
+    row = next(r for r in suite_exact(ctx) if r.identity == "en-product-expansion-oracle")
     assert (row.passed, row.tolerance, row.max_residual) == (True, 0.0, 0.0)
     assert row.note == (
         "1 exact comparisons; degrees [1, 2, 3] skipped: the expansion multiplies lam_i "
@@ -212,9 +212,8 @@ def test_positivity_fills_and_reuses_the_context_table():
     # the positivity suite reads the context's own E_n tables to degree
     # max(N, 18), so a later evaluator at that degree (the signs suite's for
     # d <= 2) finds every degree already there and builds none again
-    bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 12})
-    ctx = bundle.ctx
-    assert all(r.passed for r in suite_positivity(bundle))
+    ctx = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 12})
+    assert all(r.passed for r in suite_positivity(ctx))
     assert set(range(19)) <= set(ctx.vk_cache)
     before = dict(ctx.vk_cache)
     make_evaluator(ctx, 18)
@@ -226,8 +225,8 @@ def test_failing_comparisons_count_in_the_residual(monkeypatch):
     # B2 has 4 positive roots and draws 3 points for each: corrupting the
     # outer reflection of the first and the third comparison fails exactly
     # those two, and nothing else in the suite moves
-    bundle = build_bundle({"family": "B", "d": 2, "k": "1/2", "N": 4})
-    clean = suite_exact(bundle)
+    ctx = build_bundle({"family": "B", "d": 2, "k": "1/2", "N": 4})
+    clean = suite_exact(ctx)
     calls = itertools.count()
     exact_reflect = verify.reflect
 
@@ -236,7 +235,7 @@ def test_failing_comparisons_count_in_the_residual(monkeypatch):
         return tuple(t + 1 for t in image) if next(calls) in (1, 5) else image
 
     monkeypatch.setattr(verify, "reflect", reflect)
-    corrupted = suite_exact(bundle)
+    corrupted = suite_exact(ctx)
     assert corrupted[0].identity == "reflection-involution"
     assert (corrupted[0].passed, corrupted[0].max_residual) == (False, 2.0)
     assert corrupted[0].note == clean[0].note == "12 exact comparisons"
@@ -253,7 +252,7 @@ def test_verify_exits_1_when_a_row_fails(monkeypatch, tmp_path):
     assert [r["identity"] for r in report["results"] if not r["passed"]] == ["reflection-involution"]
 
 
-def test_nan_convolution_residual_fails_its_row(z21_bundle, monkeypatch):
+def test_nan_convolution_residual_fails_its_row(z21_ctx, monkeypatch):
     # the second of five draws reads NaN; a max fold starting from 0.0 drops it
     calls = itertools.count()
     check = verify.convolution_check
@@ -261,7 +260,7 @@ def test_nan_convolution_residual_fails_its_row(z21_bundle, monkeypatch):
         verify, "convolution_check",
         lambda *args: math.nan if next(calls) == 1 else check(*args),
     )
-    row = next(r for r in suite_quadrature(z21_bundle) if r.identity == "exponential-convolution")
+    row = next(r for r in suite_quadrature(z21_ctx) if r.identity == "exponential-convolution")
     assert not row.passed
     assert math.isnan(row.max_residual)
     assert row.note.startswith("certified |x| radius")
@@ -297,7 +296,7 @@ def test_verify_out_writes_strict_json_for_a_nan_residual(monkeypatch, tmp_path,
     [(math.nan, "kernel-nonnegative-on-grid"), (complex(0.5, math.nan), "kernel-real-for-real-weight")],
     ids=["real-part", "imaginary-part"],
 )
-def test_nan_grid_value_fails_positivity(z21_bundle, monkeypatch, bad, failing):
+def test_nan_grid_value_fails_positivity(z21_ctx, monkeypatch, bad, failing):
     grid = kernel.lk_grid
 
     def lk_grid(ev, xs, ys):
@@ -306,17 +305,17 @@ def test_nan_grid_value_fails_positivity(z21_bundle, monkeypatch, bad, failing):
         return values
 
     monkeypatch.setattr(kernel, "lk_grid", lk_grid)
-    rows = {r.identity: r for r in suite_positivity(z21_bundle)}
+    rows = {r.identity: r for r in suite_positivity(z21_ctx)}
     assert not rows[failing].passed
     assert math.isnan(rows[failing].max_residual)
     assert [r.passed for r in rows.values()].count(False) == 1
 
 
-def test_negative_grid_value_names_its_point(z21_bundle, monkeypatch):
+def test_negative_grid_value_names_its_point(z21_ctx, monkeypatch):
     # one grid value stubbed negative fails the row, and its note says where;
     # a passing note does not.  The scan reads the three orbit
     # representatives of the five x points, and the note counts all 35
-    passing = suite_positivity(z21_bundle)[0]
+    passing = suite_positivity(z21_ctx)[0]
     assert passing.passed and "minimum at" not in passing.note
     grid = kernel.lk_grid
     seen = {}
@@ -329,7 +328,7 @@ def test_negative_grid_value_names_its_point(z21_bundle, monkeypatch):
         return values
 
     monkeypatch.setattr(kernel, "lk_grid", lk_grid)
-    row = suite_positivity(z21_bundle)[0]
+    row = suite_positivity(z21_ctx)[0]
     assert row.identity == "kernel-nonnegative-on-grid" and not row.passed
     x, y = ("(" + ", ".join(f"{t:.6g}" for t in point) + ")" for point in seen["point"])
     assert row.note.startswith("min -1 over 35 points")
@@ -340,10 +339,10 @@ def test_a_perturbed_heat_row_fails_the_two_path_row(monkeypatch):
     # the series path heats with poly._heat_row's integer rows and the
     # Hermite path runs the Hermite recurrence, so one wrong row entry shows
     # as a failing kernel-two-path-per-degree row
-    bundle = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 8})
+    ctx = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 8})
 
     def two_path_row():
-        return next(r for r in suite_exact(bundle) if r.identity == "kernel-two-path-per-degree")
+        return next(r for r in suite_exact(ctx) if r.identity == "kernel-two-path-per-degree")
 
     assert two_path_row().passed
     rows = [list(row) for row in poly._HEAT_ROWS[-1]]
@@ -360,10 +359,10 @@ def test_b2_verify_round_builds_each_h_table_once(tmp_path, monkeypatch):
     # one round of the five suites on B2's cache: H_n is built only for E_n's
     # degree steps, once per (context, degree) over the context and the
     # signs suite's weight-zero one, and every reader of lam_n reads h_cache
-    bundle = load_context(str(Path(__file__).resolve().parent.parent / "configs" / "b2.json"))
+    ctx = load_context(str(Path(__file__).resolve().parent.parent / "configs" / "b2.json"))
     path = tmp_path / "b2.ctx.json"
-    save_context(bundle, path)
-    bundle = load_context(path)
+    save_context(ctx, path)
+    ctx = load_context(path)
     calls, callers = Counter(), Counter()
     solve = operators.solve_H
 
@@ -375,7 +374,7 @@ def test_b2_verify_round_builds_each_h_table_once(tmp_path, monkeypatch):
     monkeypatch.setattr(operators, "solve_H", counting)
     monkeypatch.setattr(verify, "solve_H", counting)
     for suite in ("exact", "series", "quadrature", "signs", "positivity"):
-        assert run_suite(bundle, suite).passed
+        assert run_suite(ctx, suite).passed
     assert sum(calls.values()) == len(calls) == 36
     assert callers == {"_e_table": 36}
 
@@ -386,13 +385,13 @@ def test_weight_zero_signs_rows_read_the_closed_form(name):
     # sum_{|nu| <= D} (+-1)^|nu| x^nu He_nu(-y) / nu!, and L(x, y) is
     # e^{<x, y> - |x|^2/2}; each weight-zero row reads the smaller distance
     # between the two, the Fourier row under the other label
-    bundle = load_context(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
-    rows = {r.identity: r for r in suite_signs(bundle)}
-    d = bundle.ctx.dimension
+    ctx = load_context(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
+    rows = {r.identity: r for r in suite_signs(ctx)}
+    d = ctx.dimension
     x = tuple([Fraction(3, 5)] + [Fraction(-1, 4)] * (d - 1))
     y = tuple([Fraction(9, 10)] + [Fraction(1, 3)] * (d - 1))
-    zero_k = validate_multiplicity(bundle.positives, Fraction(0), bundle.k.orbits)
-    zero_ctx = make_context(bundle.group, bundle.positives, zero_k)
+    zero_k = validate_multiplicity(ctx.positives, Fraction(0), ctx.k.orbits)
+    zero_ctx = make_context(ctx.group, ctx.positives, zero_k)
     n_trunc = verify._tail_degree(kernel.KernelEvaluator(zero_ctx, 0), x, y, 1e-8, DEGREE_CAP)
     taylor = verify._tail_degree(make_evaluator(zero_ctx, n_trunc), x, y, 1e-8, 2 * n_trunc)
     he = [poly.hermite_values(-t, taylor) for t in y]
@@ -445,15 +444,15 @@ def test_kernel_is_invariant_under_the_grid_symmetries(name, order, reps):
     # exact truncated sums at the points' binary values, rounded once), at
     # the first, a middle and the last x and y of the grids.  On G2, G_grid
     # is the six coordinate permutations
-    bundle = load_context(str(CONFIGS / f"{name}.json"))
-    d = bundle.ctx.dimension
+    ctx = load_context(str(CONFIGS / f"{name}.json"))
+    d = ctx.dimension
     xs, ys = _positivity_grids(d)
-    symmetries = _grid_symmetries(bundle.group)
+    symmetries = _grid_symmetries(ctx.group)
     assert len(symmetries) == order
-    assert len(verify._orbit_representatives(xs, bundle.group)) == reps
+    assert len(verify._orbit_representatives(xs, ctx.group)) == reps
     for g in symmetries:
         assert sorted(map(g, xs)) == sorted(xs) and sorted(map(g, ys)) == sorted(ys)
-    ev = make_evaluator(bundle.ctx, bundle.degree)
+    ev = make_evaluator(ctx, ctx.degree)
     x_pick = [xs[0], xs[len(xs) // 2 - 1], xs[-1]]
     y_pick = [ys[0], ys[len(ys) // 2 + 1], ys[-1]]
     base = kernel.lk_values(ev, x_pick, y_pick)
@@ -466,9 +465,9 @@ def test_kernel_is_invariant_under_the_grid_symmetries(name, order, reps):
 ])
 def test_orbit_representative_counts(config, reps):
     # Z2^6's 729 x points fall into 64 sign orbits, B3's 27 into 4
-    bundle = load_context(str(config))
-    d = bundle.ctx.dimension
-    assert len(verify._orbit_representatives(_positivity_grids(d)[0], bundle.group)) == reps
+    ctx = load_context(str(config))
+    d = ctx.dimension
+    assert len(verify._orbit_representatives(_positivity_grids(d)[0], ctx.group)) == reps
 
 
 @pytest.mark.parametrize("config, degree", [("b2", 18), ("a2", 10), ("d4", 6), ("g2", 8)])
@@ -477,14 +476,14 @@ def test_orbit_scan_finds_the_full_grid_minimum(config, degree):
     # grid, at the suite's grids: the same minimum within roundoff of the
     # float sums, and the representatives are the first orbit members in
     # grid order
-    bundle = load_context(str(CONFIGS / f"{config}.json"))
-    d = bundle.ctx.dimension
-    ev = make_evaluator(bundle.ctx, degree)
+    ctx = load_context(str(CONFIGS / f"{config}.json"))
+    d = ctx.dimension
+    ev = make_evaluator(ctx, degree)
     radius = kernel.certified_radius(ev, verify.POSITIVITY_TOL / 2, 1.5)
     x_axis, y_axis = (5, 7) if d <= 2 else (3, 5)
     xs = verify._grid_points(d, min(radius * 0.95 / math.sqrt(d), 2.0), x_axis)
     ys = verify._grid_points(d, min(1.5 / math.sqrt(d), 2.0), y_axis)
-    reps = verify._orbit_representatives(xs, bundle.group)
+    reps = verify._orbit_representatives(xs, ctx.group)
     assert reps == [x for i, x in enumerate(xs) if x in reps and x not in xs[:i]]
     full = kernel.positivity_scan(ev, xs, ys)
     orbit = kernel.positivity_scan(ev, reps, ys)
@@ -499,8 +498,8 @@ def test_kernel_equivariance_parity_fails_on_a_corrupted_table():
     # one numerator of one e_nu at degree 3 of B2 moved by about 0.1 (den //
     # 10), the degrees above dropped so that they rebuild from it: the scan
     # reports failures from that degree on and none below, and the row fails
-    bundle = load_context(str(CONFIGS / "b2.json"))
-    ctx, n = bundle.ctx, 3
+    ctx = load_context(str(CONFIGS / "b2.json"))
+    n = 3
     cols, den = operators._e_table(ctx, n)
     nu = next(iter(cols))
     mu = next(iter(cols[nu]))
@@ -511,5 +510,5 @@ def test_kernel_equivariance_parity_fails_on_a_corrupted_table():
     rep = kernel.symmetry_scan(make_evaluator(ctx, 8), [(Fraction(1, 3), Fraction(-1, 2))])
     assert rep.failures and min(f[3] for f in rep.failures) == n
     assert {kind for kind, *_ in rep.failures} == {"equivariance"}  # E_n(-x, y) = (-1)^n E_n(x, y) holds for any table
-    row = {r.identity: r for r in suite_exact(bundle)}["kernel-equivariance-parity"]
+    row = {r.identity: r for r in suite_exact(ctx)}["kernel-equivariance-parity"]
     assert not row.passed and row.max_residual > 0
