@@ -17,10 +17,10 @@ point (hermite_piece) it is evaluate_en's sum with the Hermite numerators
 of y in place of its powers.  On a grid it is one sum: E_n(x, .)'s
 coefficients at the binary value of x, contracted against He(y) one axis
 at a time (_contract; sum factorization, Orszag, J. Comput. Phys. 37,
-1980), in integers against per-axis Hermite numerators and divided once
-(lk_values, which kernel-grid prints), or with each coefficient rounded
-once and the contraction run in floats (lk_grid, which the positivity scan
-reads).  The derivative relation's x side L^(N)(., y) = sum_nu
+1980) in integers against per-axis Hermite numerators (_grid_sums), each
+sum divided once: exact at exact points, rounded once otherwise
+(lk_values, which kernel-grid prints), and rounded once by the positivity
+scan.  The derivative relation's x side L^(N)(., y) = sum_nu
 He_nu(y) e_nu is E_n's columns against y's Hermite numerators, one table in
 x that T_j reads.  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy, L
 represents the composition of the intertwining operator with the inverse
@@ -84,7 +84,6 @@ from .operators import (
     growth_envelope,
 )
 from .poly import Polynomial, _combine, _heat, _heat_axes, _multi_factorial, _polynomial
-from .poly import hermite_values
 from .reflection_groups import act_on_polynomial, mat_vec
 
 
@@ -113,9 +112,7 @@ def make_evaluator(ctx: DunklContext, n_trunc, exact_tables=None) -> KernelEvalu
     """Fill E_n's tables (operators._e_table) up to the truncation degree.
 
     Whether a value is exact or a float follows from the point: rational
-    points give exact values, float points their exact values rounded once;
-    lk_grid, and phi_x_apply on integrands that are not polynomials, alone
-    round E_n(x, .)'s exact coefficients once and sum them in floats.
+    points give exact values, float points their exact values rounded once.
     exact_tables is ignored: it is kept for bench/worker.py, which passes
     it, until the benchmark's next revision (ROADMAP item 9).
     """
@@ -176,32 +173,10 @@ def hermite_piece(ev: KernelEvaluator, n, x, y):
 
 def lk_values(ev: KernelEvaluator, xs, ys) -> list:
     """Hermite-path kernel values L^(N)(x, y) on a product grid, values[i][j]
-    at (xs[i], ys[j]), each exact at the points' binary values and rounded
-    once if a coordinate is a float.  Per x, _grid_coefficients contracted
-    (_contract) against integer rows, h_e r^{N-e} for a coordinate t = b / r
-    with h_e = r^e He_e(t) (poly._heat_axes), each sum divided once by den
-    prod_j r_j^N.  The sums key each distinct coordinate by its index, as
-    an int hashes faster than a Fraction, and the rounded flag is
-    _read_exact's."""
-    top = ev.n_trunc
-    index = {}  # each distinct coordinate -> its row
-    keys = [tuple(index.setdefault(t, len(index)) for t in y) for y in ys]
-    rows, scale = [], []
-    for t in index:
-        (h,), r = _heat_axes(_read_exact((t,))[0], top, -1)
-        powers = list(accumulate([r] * top, mul, initial=1))  # r^0, ..., r^N
-        rows.append(list(map(mul, h, reversed(powers))))
-        scale.append(powers[-1])
-    dens = [(math.prod(map(scale.__getitem__, key)), not all(isinstance(t, _EXACT) for t in y))
-            for key, y in zip(keys, ys)]
-    runs = _grid_layout(ev)[1]
-    out = []
-    for x, rx in map(_read_exact, xs):
-        coeffs, den = _grid_coefficients(ev, x)
-        sums = _contract(coeffs, runs, keys, rows)
-        out.append([(_rounded_value if rx or ry else _exact_value)(s, den * q)
-                    for s, (q, ry) in zip(sums, dens)])
-    return out
+    at (xs[i], ys[j]): _grid_sums' sums, each exact at the points' binary
+    values and rounded once if a coordinate is a float."""
+    return [[(_rounded_value if r else _exact_value)(s, q) for s, q, r in row]
+            for row in _grid_sums(ev, xs, ys)]
 
 
 LkValue = namedtuple("LkValue", "value tail")
@@ -280,9 +255,8 @@ def phi_x_apply(ev: KernelEvaluator, x, fs, rule) -> list:
     and the coefficients read as exact values (exact._read_exact) and the
     value rounded once if any was a float.  Any other f is the rule's sum
     of L^(N)(x, z) f(z) over its nodes z (quad.integrate), L^(N)(x, .) at
-    the nodes from the coefficients e_nu(x) each rounded once
-    (_rounded_coefficients): the bounded extension to functions that are
-    not polynomials."""
+    the nodes the exact grid sums rounded once (lk_values): the bounded
+    extension to functions that are not polynomials."""
     from .quad import integrate
 
     x, rx = _read_exact(x)
@@ -299,9 +273,7 @@ def phi_x_apply(ev: KernelEvaluator, x, fs, rule) -> list:
             out.append((_rounded_value if rx or rc else _exact_value)(total, den * c_den))
         else:
             if lk is None:
-                nodes, runs = rule.nodes, _grid_layout(ev)[1]
-                coeffs = _rounded_coefficients(ev, x)
-                lk = dict(zip(nodes, _contract(coeffs, runs, nodes, _hermite_rows(ev, nodes))))
+                lk = dict(zip(rule.nodes, lk_values(ev, [x], rule.nodes)[0]))
             out.append(integrate(lambda z: lk[z] * f(z), rule))
     return out
 
@@ -484,17 +456,19 @@ PositivityReport = namedtuple("PositivityReport", "min_value min_point max_abs_i
 def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
     """Minimum of Re L^(N) - tail over a product grid, at the first pair in
     row order that reaches it, plus the largest imaginary part (which must
-    vanish for real weights); a NaN grid value makes the minimum, or the
-    largest imaginary part, NaN, and the minimum stays at the first NaN."""
-    values = lk_grid(ev, xs, ys)
+    vanish for real weights).  Each value L^(N)(x, y) is _grid_sums' exact
+    sum rounded once, so its rounding error is at most half an ulp.  A NaN
+    grid value makes the minimum, or the largest imaginary part, NaN, and
+    the minimum stays at the first NaN."""
     y_norms = [_norm(y) for y in ys]
     tails = {}
     min_value, min_point, max_imag, max_tail = math.inf, None, 0.0, 0.0
-    for x, row in zip(xs, values):
+    for x, row in zip(xs, _grid_sums(ev, xs, ys)):
         xn = _norm(x)
         if xn not in tails:
             tails[xn] = [tail_bound(ev, xn, yn).value for yn in y_norms]
-        for y, v, tail in zip(ys, row, tails[xn]):
+        for y, (s, q, _), tail in zip(ys, row, tails[xn]):
+            v = _rounded_value(s, q)
             adjusted = v.real - tail
             if min_value == min_value and (adjusted < min_value or adjusted != adjusted):
                 min_value, min_point = adjusted, (tuple(x), tuple(y))
@@ -508,25 +482,46 @@ def positivity_scan(ev: KernelEvaluator, xs, ys) -> PositivityReport:
 # -- the grid sum: E_n(x, .)'s coefficients, contracted one axis at a time -------
 
 class _Rows(list):
-    """lk_grid's rows, with the tolist() of the numpy array they replace:
-    bench/worker.py reads the result that way until the benchmark's next
-    revision (ROADMAP item 9)."""
+    """lk_grid's rows, with the tolist() of the numpy array they replace."""
 
     def tolist(self):
         return list(self)
 
 
 def lk_grid(ev: KernelEvaluator, xs, ys):
-    """Hermite-path kernel values L^(N)(x, y) in floats, rows[i][j] at
-    (xs[i], ys[j]): per x, E_n(x, .)'s exact coefficients each rounded once
-    (_rounded_coefficients), contracted against He_e(y_j)
-    (poly.hermite_values) one axis at a time (_contract), which shares the
-    work of the y points that agree in their first coordinates.  lk_values
-    gives the exact sums, rounded once."""
-    ys = [tuple(map(float, y)) for y in ys]
-    rows = _hermite_rows(ev, ys)
+    """lk_values' rows as a _Rows.  Nothing in the package calls it: it, _Rows
+    and lk_eval are kept for bench/worker.py and bench/tracing.py, which
+    read them by name, until the benchmark's next revision (ROADMAP item
+    9)."""
+    return _Rows(lk_values(ev, xs, ys))
+
+
+def _grid_sums(ev: KernelEvaluator, xs, ys):
+    """Per x in xs, in order, the row [(num, den, rounded)] over ys: num /
+    den is L^(N)(x, y) exact at the points' binary values, and rounded
+    says whether a coordinate of x or y is a float (exact._read_exact).
+    The one grid sum of every kernel value on a grid.  Per x,
+    _grid_coefficients contracted (_contract) against integer rows,
+    h_e r^{N-e} for a coordinate t = b / r with h_e = r^e He_e(t)
+    (poly._heat_axes), each sum over den prod_j r_j^N.  The sums key each distinct coordinate by its
+    index, as an int hashes faster than a Fraction.  A generator, so a scan
+    holds one row at a time."""
+    top = ev.n_trunc
+    index = {}  # each distinct coordinate -> its row
+    keys = [tuple(index.setdefault(t, len(index)) for t in y) for y in ys]
+    rows, scale = [], []
+    for t in index:
+        (h,), r = _heat_axes(_read_exact((t,))[0], top, -1)
+        powers = list(accumulate([r] * top, mul, initial=1))  # r^0, ..., r^N
+        rows.append(list(map(mul, h, reversed(powers))))
+        scale.append(powers[-1])
+    dens = [(math.prod(map(scale.__getitem__, key)), not all(isinstance(t, _EXACT) for t in y))
+            for key, y in zip(keys, ys)]
     runs = _grid_layout(ev)[1]
-    return _Rows(_contract(_rounded_coefficients(ev, x), runs, ys, rows) for x in xs)
+    for x, rx in map(_read_exact, xs):
+        coeffs, den = _grid_coefficients(ev, x)
+        sums = _contract(coeffs, runs, keys, rows)
+        yield [(s, den * q, rx or ry) for s, (q, ry) in zip(sums, dens)]
 
 
 def _grid_basis(d, n):
@@ -560,28 +555,15 @@ def _grid_coefficients(ev: KernelEvaluator, x):
     return [nums.get(nu, 0) for nu in _grid_layout(ev)[0]], den
 
 
-def _rounded_coefficients(ev: KernelEvaluator, x):
-    """The float layer's coefficients: each e_nu(x) of _grid_coefficients at
-    the binary value of x, rounded once (exact._rounded_value), a complex
-    where the exact value is a ComplexRational and 0.0 where it vanishes."""
-    coeffs, den = _grid_coefficients(ev, _read_exact(x)[0])
-    return [_rounded_value(c, den) for c in coeffs]
-
-
-def _hermite_rows(ev: KernelEvaluator, points):
-    """He_0(t), ..., He_N(t) for every coordinate t of the points."""
-    return {t: hermite_values(t, ev.n_trunc) for t in {t for p in points for t in p}}
-
-
 def _contract(coeffs, runs, points, rows):
     """sum_nu coeffs[nu] prod_j rows[t_j][nu_j] at each point t, one axis at
     a time: the runs of nu_1 against the row of t_1, once per distinct t_1,
     then those sums' runs of nu_2 against the row of t_2, once per distinct
     (t_1, t_2), and so on, so a product grid of m^d points costs about m
-    sums per monomial (sum factorization), on integers or floats.  A run of
-    zeros, as most are on Z2^d at a point with zero coordinates, is summed
-    without its products: against finite rows both give the zero of its
-    type, 0, +0.0 or 0j."""
+    sums per monomial (sum factorization), on integer rows and integer or
+    Gaussian-integer coefficients.  A run of zeros, as most are on Z2^d at
+    a point with zero coordinates, is summed without its products, which
+    gives the same zero."""
     partial = {(): coeffs}
     for j, level in enumerate(runs):
         summed = {}

@@ -37,8 +37,8 @@ from .kernel import (
     gaussian_image_check,
     heat_piece,
     hermite_piece,
-    lk_grid,
     lk_series_value,
+    lk_values,
     make_evaluator,
     phi_x_apply,
     phi_x_norm,
@@ -409,13 +409,13 @@ def suite_series(ctx: DunklContext, seed=0):
             yield computed - tail_bound(ev, _norm(x), _norm(y), n0).value
     results.append(_residual_row("tail-dominates-computed-terms", tail_shortfall(), 0.0))
 
-    # the series path against lk_grid, the float Hermite path that the
-    # quadrature and positivity rows read
+    # the series path against the Hermite path's grid sum (lk_values) that
+    # the positivity scan reads, at float points: both are the exact sum at
+    # the points' binary values rounded once, so the row reads 0.0
     pairs = [(_box(rng, d, 1.0), _box(rng, d, 1.0)) for _ in range(6)]
-    grid = lk_grid(ev, [x for x, _ in pairs], [y for _, y in pairs])
     results.append(_residual_row("kernel-two-path-float", (
-        abs(complex(lk_series_value(ev, x, y)) - complex(grid[i][i]))
-        for i, (x, y) in enumerate(pairs)
+        abs(complex(lk_series_value(ev, x, y)) - complex(lk_values(ev, [x], [y])[0][0]))
+        for x, y in pairs
     ), 1e-9))
     return results
 
@@ -601,9 +601,11 @@ def suite_positivity(ctx: DunklContext):
     x_axis, y_axis = (5, 7) if d <= 2 else (3, 5)
     ev = make_evaluator(ctx, n_trunc)
     radius = certified_radius(ev, POSITIVITY_TOL / 2, 1.5)
-    span = min(radius * 0.95 / math.sqrt(d), 2.0)
+    # exact 3-digit decimal spans keep the grid sums' denominators small; the
+    # rounding moves a span by at most 0.5%, inside the 0.95 margin
+    span = Fraction(f"{min(radius * 0.95 / math.sqrt(d), 2.0):.3g}")
     xs = _grid_points(d, span, x_axis)
-    ys = _grid_points(d, min(1.5 / math.sqrt(d), 2.0), y_axis)
+    ys = _grid_points(d, Fraction(f"{min(1.5 / math.sqrt(d), 2.0):.3g}"), y_axis)
     rep = positivity_scan(ev, _orbit_representatives(xs, ctx.group), ys)
     note = (
         f"min {rep.min_value:.3g} over {len(xs) * len(ys)} points, "
@@ -619,11 +621,11 @@ def suite_positivity(ctx: DunklContext):
 def _grid_points(d, span, per_axis):
     """The product grid axis^d in itertools.product's order, axis = span
     m / (per_axis - 1) for m = 1 - per_axis, 3 - per_axis, ..., per_axis -
-    1: per_axis equally spaced points on [-span, span], symmetric under
-    negation in floats too."""
+    1: per_axis equally spaced points on [-span, span], exact for an exact
+    span, and so symmetric under negation exactly."""
     if span == 0:
-        return [(0.0,) * d]
-    axis = [span * (m / (per_axis - 1)) for m in range(1 - per_axis, per_axis, 2)]
+        return [(0,) * d]
+    axis = [span * Fraction(m, per_axis - 1) for m in range(1 - per_axis, per_axis, 2)]
     return list(itertools.product(axis, repeat=d))
 
 
@@ -631,7 +633,7 @@ def _orbit_representatives(points, group):
     """The first point, in the order of points, of each orbit of G_grid:
     the elements of the group that are signed permutations, which map
     every product grid with a negation-symmetric axis (_grid_points) onto
-    itself, exactly in floats.  As E_n(gx, gy) = E_n(x, y) and the half-heat
+    itself, exactly.  As E_n(gx, gy) = E_n(x, y) and the half-heat
     flow commutes with orthogonal maps, L^(N)(gx, gy) = L^(N)(x, y) at
     every truncation, and the tail bound reads only |x| and |y|; so the
     minimum of L^(N) - tail over the grid in x times a product grid in y is

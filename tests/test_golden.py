@@ -5,16 +5,17 @@ hashes the cache file and the stdout of `build`, `lambda-table`,
 `intertwine`, `ek-eval` and `verify --suite exact`; it also hashes, as
 "rounded-table", the float coefficients e_nu(x) of E_n(x, .) at the
 system's degree and its ek-eval point x, each the exact coefficient at the
-binary value of x rounded once (kernel._rounded_coefficients), which
-lk_grid, the positivity scan and the quadrature rows contract
-(rounded_coefficients).  The rounded-table digests were recorded again
+binary value of x rounded once (rounded_coefficients, from
+kernel._grid_coefficients, the exact coefficients that every grid sum
+contracts).  The rounded-table digests were recorded again
 when they moved to dense per-degree blocks of E_n's table entries from V's
 tables with each coefficient rounded once, which no output read any more
 (the blocks were the same at the change); they stayed the same when the
 numpy blocks gave way to the float columns; and they were recorded again
 when lk_grid stopped reading table entries rounded once and began to
 round E_n(x, .)'s exact coefficients once, so that no rounded copy of
-E_n's tables is kept.  The
+E_n's tables is kept.  They stayed the same when the float contraction
+went and the helper began to round _grid_coefficients itself.  The
 digests other than the rounded table's were
 recorded from the implementation that stored every table as Fractions, so
 they pin the exact layer's values across changes of storage; the g2 and b3
@@ -48,7 +49,13 @@ the exact truncated sum at the decimal point rounded once, which moved each
 last term by an ulp or two (z21 1.0635679687499995e-06 -> 1.06356796875e-06)
 and the imaginary part of b2c's value by two ulps; degrees and tail bounds
 stayed the same (tests/test_kernel.py checks the printed lines against the
-exact sums).  It also hashes the
+exact sums).  The a2 and b2 verify-row digests were recorded again when
+the positivity scan moved to exact grids with 3-digit decimal spans and
+each value became the exact truncated sum rounded once: only the
+kernel-nonnegative-on-grid notes moved, a2 "|x| <= 0.761" -> "0.76" (the
+span rounded down) and b2 "min 0.815" -> "0.816"
+(tests/test_verify.py checks each scanned value and the minimum against
+the exact series sums).  It also hashes the
 CSV that `kernel-grid` prints for each grid in GRIDS, which pins the
 Hermite path's values and the tail bounds, and the rows of `verify --suite
 all` on each system in VERIFY_SYSTEMS without their residuals (identity,
@@ -112,8 +119,8 @@ ROUNDING_GRIDS = {
 VERIFY_SYSTEMS = ("a2", "b2", "b2c", "z21", "z21neg")
 
 VERIFY_GOLDEN = {
-    "a2": "6dc0f651cd54531be480815071bc33f3c601e119a2f85eee1c0d045522a68aa6",
-    "b2": "40c41addf972805cc7e5462b0177e06b52d5dbacf4452f5af5eacad5c4247151",
+    "a2": "5efb3ac6d9cce2a415154adb372b2b5052d0586caf685f5d7c242a4f4a749ba6",
+    "b2": "07805c6d2203ff03bab22f6293d0f79ff466b355628f092e90f4d9550b76dee8",
     "b2c": "f7a6c5cf0028020670ad3199c004ce62434439d708ae7cf2f58d727bb9ec1ac6",
     "z21": "81c24e29be2a1ef43e548544c25196a5345a441675e44aa76c67fa565db9d774",
     "z21neg": "df35436e391874f284f1a96ec63c494ee30bbd57e6d62f84929b8662ead6fcbc",
@@ -236,11 +243,23 @@ def digests(name, workdir):
 
 def rounded_coefficients(ev, x):
     """The exponents nu of kernel._grid_basis, each with the coefficient
-    e_nu(x) that lk_grid contracts at the float point x: V(x^nu)(x) / nu!
-    at the binary value of x, rounded once (kernel._rounded_coefficients)."""
-    from dunkl.kernel import _grid_layout, _rounded_coefficients
+    e_nu(x) = V(x^nu)(x) / nu! at the binary value of the float point x,
+    rounded once: a float, a complex where the exact value is a
+    ComplexRational, and 0.0 where it vanishes.  Each is checked against
+    V's table of x^nu evaluated at that value."""
+    from dunkl.exact import ComplexRational, _read_exact, _rounded_value
+    from dunkl.kernel import _grid_coefficients, _grid_layout
+    from dunkl.operators import _vk_table
+    from dunkl.poly import _multi_factorial, _polynomial
 
-    return list(zip(_grid_layout(ev)[0], _rounded_coefficients(ev, x)))
+    xq = _read_exact(x)[0]
+    coeffs, den = _grid_coefficients(ev, xq)
+    out = list(zip(_grid_layout(ev)[0], (_rounded_value(c, den) for c in coeffs)))
+    for nu, v in out:
+        exact = _polynomial(ev.dimension, _vk_table(ev.ctx, nu)).evaluate(xq) / _multi_factorial(nu)
+        want = (complex if isinstance(exact, ComplexRational) else float)(exact) if exact else 0.0
+        assert v == want and type(v) is type(want), (x, nu)
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))

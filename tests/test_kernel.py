@@ -15,7 +15,6 @@ from dunkl.exact import ComplexRational, _read_exact
 from dunkl.kernel import (
     _grid_basis,
     _grid_layout,
-    _rounded_coefficients,
     certified_radius,
     convolution_check,
     derivative_relation_check,
@@ -597,13 +596,13 @@ def test_positivity_zero_weight(ev_z21_zero):
 
 
 def test_positivity_grid_matches_pointwise(ev_b2):
+    # both paths give the exact sum at the points' binary values rounded once
     xs = [(0.1, -0.05), (0.0, 0.2)]
     ys = [(0.5, 0.1), (-0.3, 0.4), (1.0, -1.0)]
-    grid = lk_grid(ev_b2, xs, ys)
+    grid = lk_values(ev_b2, xs, ys)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
-            direct = complex(lk_series_value(ev_b2, x, y))
-            assert abs(grid[i][j] - direct) < 1e-10
+            assert grid[i][j] == lk_series_value(ev_b2, x, y)
 
 
 
@@ -614,7 +613,7 @@ def test_positivity_scan_matches_a_pointwise_scan(case):
     ev = make_ev(family, k_values, n_trunc, **kw)
     xs = [(t, -t / 2) for t in np.linspace(-0.2, 0.2, 5)]
     ys = [(t, 0.3) for t in np.linspace(-1.0, 1.0, 7)]
-    values = lk_grid(ev, xs, ys)
+    values = lk_values(ev, xs, ys)
     min_value, min_point, max_imag, max_tail = math.inf, None, 0.0, 0.0
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
@@ -638,8 +637,9 @@ GRID_CASES = [
 @pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
 def test_lk_grid_blocks_match_termwise_sum(family, k_values, n_trunc, kw):
     # reference: the term-by-term Hermite path, sum over nu of V(x^nu)(x) / nu!
-    # times He_nu(y), that the rounded coefficients contracted one axis at
-    # a time replace; the rows come back from tolist() as they are
+    # times He_nu(y), that the grid sums contracted one axis at a time
+    # replace; lk_grid, the benchmark's name for lk_values, returns rows
+    # that come back from tolist() as they are
     ev = make_ev(family, k_values, n_trunc, **kw)
     d = ev.dimension
     rng = np.random.default_rng(4)
@@ -685,9 +685,9 @@ def _numpy_block_grid(ev, xs, ys):
 
 @pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
 def test_lk_grid_matches_the_numpy_block_product(family, k_values, n_trunc, kw):
-    # the reference rounds each table entry once and sums in another order,
-    # lk_grid rounds each coefficient e_nu(x) once: within 1e-14 of the
-    # larger of 1 and the value, at random points and on a product grid
+    # the reference rounds each table entry once and sums in floats in
+    # another order, lk_values rounds the exact sum once: within 1e-14 of
+    # the larger of 1 and the value, at random points and on a product grid
     # that the one-axis-at-a-time sums share work on
     ev = make_ev(family, k_values, n_trunc, **kw)
     d = ev.dimension
@@ -698,7 +698,7 @@ def test_lk_grid_matches_the_numpy_block_product(family, k_values, n_trunc, kw):
          [tuple(rng.uniform(-1.5, 1.5, d)) for _ in range(5)]),
         ([tuple(rng.uniform(-0.3, 0.3, d))], list(itertools.product(axis, repeat=d))),
     ):
-        grid, reference = lk_grid(ev, xs, ys), _numpy_block_grid(ev, xs, ys)
+        grid, reference = lk_values(ev, xs, ys), _numpy_block_grid(ev, xs, ys)
         for row, want_row in zip(grid, reference.tolist()):
             for v, want in zip(row, want_row):
                 assert abs(v - want) <= 1e-14 * max(1.0, abs(want))
@@ -706,26 +706,16 @@ def test_lk_grid_matches_the_numpy_block_product(family, k_values, n_trunc, kw):
 
 @pytest.mark.parametrize("family, k_values, n_trunc, kw", GRID_CASES)
 def test_lk_grid_block_entries_are_rounded_once(family, k_values, n_trunc, kw):
-    # each coefficient e_nu(x) that lk_grid contracts, in _grid_basis's
-    # order, is V(x^nu)(x) / nu! at the binary value of x rounded once,
-    # complex exactly where the exact value is, and 0.0 where it vanishes
+    # the layout of the coefficients e_nu(x) that the grid sums contract:
+    # every exponent of degree <= N once, in _grid_basis's order, with one
+    # level of runs per axis; tests/test_golden.py's rounded_coefficients
+    # checks each coefficient, rounded once, against V(x^nu)(x) / nu!
     ev = make_ev(family, k_values, n_trunc, **kw)
     d = ev.dimension
     basis, runs = _grid_layout(ev)
     assert basis == _grid_basis(d, n_trunc)
     assert sorted(basis) == sorted(nu for n in range(n_trunc + 1) for nu in monomial_basis(d, n))
     assert len(runs) == d and len(runs[-1]) == 1
-    rng = random.Random(6)
-    points = [tuple(rng.uniform(-0.4, 0.4) for _ in range(d)) for _ in range(2)]
-    points += [(0.3,) + (0.0,) * (d - 1), (Fraction(1, 3),) + (0.25,) * (d - 1)]
-    for x in points:
-        xq = tuple(_read_exact(x)[0])
-        got = _rounded_coefficients(ev, x)
-        assert len(got) == len(basis)
-        for nu, v in zip(basis, got):
-            exact = _polynomial(d, _vk_table(ev.ctx, nu)).evaluate(xq) / _multi_factorial(nu)
-            want = _rounded(exact) if exact else 0.0
-            assert v == want and type(v) is type(want), (x, nu)
 
 
 @pytest.mark.parametrize(
@@ -1013,7 +1003,7 @@ def _rational(point):
 
 
 def _assert_float_points_agree(ev, x, y, tol):
-    """Both kernel paths, lk_grid, both functional-norm routes and the Fourier
+    """Both kernel paths, lk_values, both functional-norm routes and the Fourier
     sums give the same numbers at the float points x, y as at the same
     points taken as rationals, where they are exact up to the final float
     conversion.  Both sides run on the one evaluator, whose caches keep exact
@@ -1025,7 +1015,7 @@ def _assert_float_points_agree(ev, x, y, tol):
         value = path(ev, x, y)
         assert isinstance(value, (float, complex))
         assert abs(value - complex(exact)) < tol
-    assert abs(lk_grid(ev, [x], [y])[0][0] - complex(lk_series_value(ev, xq, yq))) < tol
+    assert abs(lk_values(ev, [x], [y])[0][0] - complex(lk_series_value(ev, xq, yq))) < tol
     for a, b in zip(phi_x_norm(ev, x), phi_x_norm(ev, xq)):
         assert abs(a - b) < tol
     fa, fb = fourier_sums(ev, x, y), fourier_sums(ev, xq, yq)

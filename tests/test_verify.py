@@ -291,20 +291,31 @@ def test_verify_out_writes_strict_json_for_a_nan_residual(monkeypatch, tmp_path,
     assert "quadrature: FAIL" in capsys.readouterr().out
 
 
+class _Sum:
+    """A stand-in grid sum that any division turns into value: the scan
+    rounds each sum once by dividing it by its denominator."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __truediv__(self, den):
+        return self.value
+
+
 @pytest.mark.parametrize(
     "bad, failing",
     [(math.nan, "kernel-nonnegative-on-grid"), (complex(0.5, math.nan), "kernel-real-for-real-weight")],
     ids=["real-part", "imaginary-part"],
 )
 def test_nan_grid_value_fails_positivity(z21_ctx, monkeypatch, bad, failing):
-    grid = kernel.lk_grid
+    grid_sums = kernel._grid_sums
 
-    def lk_grid(ev, xs, ys):
-        values = grid(ev, xs, ys)
-        values[1][2] = bad
-        return values
+    def stub(ev, xs, ys):
+        rows = list(grid_sums(ev, xs, ys))
+        rows[1][2] = (_Sum(bad), 1, True)
+        return rows
 
-    monkeypatch.setattr(kernel, "lk_grid", lk_grid)
+    monkeypatch.setattr(kernel, "_grid_sums", stub)
     rows = {r.identity: r for r in suite_positivity(z21_ctx)}
     assert not rows[failing].passed
     assert math.isnan(rows[failing].max_residual)
@@ -317,32 +328,79 @@ def test_negative_grid_value_names_its_point(z21_ctx, monkeypatch):
     # representatives of the five x points, and the note counts all 35
     passing = suite_positivity(z21_ctx)[0]
     assert passing.passed and "minimum at" not in passing.note
-    grid = kernel.lk_grid
+    grid_sums = kernel._grid_sums
     seen = {}
 
-    def lk_grid(ev, xs, ys):
-        values = grid(ev, xs, ys)
-        assert len(values) == 3
-        values[2][1] = -1.0
+    def stub(ev, xs, ys):
+        rows = list(grid_sums(ev, xs, ys))
+        assert len(rows) == 3
+        rows[2][1] = (_Sum(-1.0), 1, True)
         seen["point"] = xs[2], ys[1]
-        return values
+        return rows
 
-    monkeypatch.setattr(kernel, "lk_grid", lk_grid)
+    monkeypatch.setattr(kernel, "_grid_sums", stub)
     row = suite_positivity(z21_ctx)[0]
     assert row.identity == "kernel-nonnegative-on-grid" and not row.passed
-    x, y = ("(" + ", ".join(f"{t:.6g}" for t in point) + ")" for point in seen["point"])
+    x, y = ("(" + ", ".join(f"{float(t):.6g}" for t in point) + ")" for point in seen["point"])
     assert row.note.startswith("min -1 over 35 points")
     assert row.note.endswith(f" (certified radius 0.801); minimum at x = {x}, y = {y}")
 
 
-def test_a_perturbed_heat_row_fails_the_two_path_row(monkeypatch):
+@pytest.mark.parametrize("name", ["a2", "b2", "z21"])
+def test_positivity_scans_exact_grids_rounded_once(name, monkeypatch):
+    # both grids are exact decimals, each maps onto itself under negation,
+    # and |x| stays within the certified radius; each scanned value is the
+    # series path's exact L^(N)(x, y) (the heat images summed) rounded once,
+    # and the row's minimum is the least value - tail over the orbit
+    # representatives times the y grid
+    from dunkl.exact import _exact_table, _table_value
+    from dunkl.kernel import certified_radius, heat_image, tail_bound
+    from dunkl.operators import _norm
+
+    ctx = load_context(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
+    grids, scans, sums = [], [], []
+    grid_points, scan, grid_sums = verify._grid_points, verify.positivity_scan, kernel._grid_sums
+
+    def scanned(ev, xs, ys):
+        scans.append((ev, xs, ys, scan(ev, xs, ys)))
+        return scans[-1][-1]
+
+    monkeypatch.setattr(verify, "_grid_points", lambda *args: grids.append(grid_points(*args)) or grids[-1])
+    monkeypatch.setattr(verify, "positivity_scan", scanned)
+    monkeypatch.setattr(kernel, "_grid_sums", lambda *args: sums.append(list(grid_sums(*args))) or sums[-1])
+    row = suite_positivity(ctx)[0]
+    assert row.passed
+    [(ev, reps, ys, report)] = scans
+    assert len(grids) == 2 and grids[1] == ys and set(reps) <= set(grids[0])
+    for grid in grids:
+        assert all(type(t) is Fraction for point in grid for t in point)
+        assert {tuple(-t for t in point) for point in grid} == set(grid)
+    radius = certified_radius(ev, verify.POSITIVITY_TOL / 2, 1.5)
+    assert max(sum(t * t for t in x) for x in grids[0]) <= Fraction(radius) ** 2
+    [rows] = sums
+    adjusted = []
+    for x, row_sums in zip(reps, rows):
+        images = (heat_image(ev, n, x) for n in range(ev.n_trunc + 1))
+        series = _exact_table(sum(images, poly.Polynomial.zero(ctx.dimension)).terms)
+        for y, (s, q, _) in zip(ys, row_sums):
+            exact = _table_value(series, y)
+            assert Fraction(s, q) == exact
+            adjusted.append(float(exact) - tail_bound(ev, _norm(x), _norm(y)).value)
+    assert len(adjusted) == len(reps) * len(ys)
+    assert report.min_value == min(adjusted)
+    assert row.note.startswith(f"min {min(adjusted):.3g} over {len(grids[0]) * len(ys)} points")
+
+
+@pytest.mark.parametrize("identity", ["kernel-two-path-per-degree", "kernel-two-path-float"])
+def test_a_perturbed_heat_row_fails_the_two_path_row(monkeypatch, identity):
     # the series path heats with poly._heat_row's integer rows and the
     # Hermite path runs the Hermite recurrence, so one wrong row entry shows
-    # as a failing kernel-two-path-per-degree row
+    # as a failing two-path row: the exact per-degree one and the float one
     ctx = build_bundle({"family": "B", "d": 2, "k": {"short": "1/2", "long": "3/2"}, "N": 8})
+    suite = suite_exact if identity == "kernel-two-path-per-degree" else verify.suite_series
 
     def two_path_row():
-        return next(r for r in suite_exact(ctx) if r.identity == "kernel-two-path-per-degree")
+        return next(r for r in suite(ctx) if r.identity == identity)
 
     assert two_path_row().passed
     rows = [list(row) for row in poly._HEAT_ROWS[-1]]
