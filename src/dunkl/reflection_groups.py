@@ -137,7 +137,7 @@ class MultiplicityFunction:
 # -- root system construction -----------------------------------------------------
 
 def build_root_system(family_tag, d=None, m=None) -> RootSystem:
-    """Standard root list for a family.
+    """Standard root list for a family (_FAMILIES).
 
     A is realized as A_{d-1} inside R^d ({e_i - e_j}); B_d and D_d use the
     usual signed lists; Z2^d is {+-e_i}.  G2 lies in the plane
@@ -147,50 +147,56 @@ def build_root_system(family_tag, d=None, m=None) -> RootSystem:
     that realizes it with rational roots (Z2^2, A2, B2 up to root lengths,
     G2).
     """
-    tag = family_tag.upper() if family_tag.lower() != "z2^d" else "Z2^d"
-    if tag in ("Z2^D", "Z2"):
-        tag = "Z2^d"
-    roots = []
-    if tag == "Z2^d":
-        if d is None or d < 1:
-            raise UnsupportedFamilyError("Z2^d needs d >= 1")
-        for i in range(d):
-            roots.append(_axis(d, i, 1))
-            roots.append(_axis(d, i, -1))
-    elif tag == "A":
-        if d is None or d < 2:
-            raise UnsupportedFamilyError("A needs ambient dimension d >= 2")
-        roots = _difference_roots(d)
-    elif tag == "B":
-        if d is None or d < 2:
-            raise UnsupportedFamilyError("B needs d >= 2")
-        for i in range(d):
-            roots.append(_axis(d, i, 1))
-            roots.append(_axis(d, i, -1))
-        roots.extend(_pair_roots(d))
-    elif tag == "D":
-        if d is None or d < 2:
-            raise UnsupportedFamilyError("D needs d >= 2")
-        roots.extend(_pair_roots(d))
-    elif tag == "G2":
-        if d not in (None, 3):
-            raise UnsupportedFamilyError("G2 is realized in R^3 (d = 3)")
-        roots = _difference_roots(3)
-        for i in range(3):
-            long = tuple(2 if j == i else -1 for j in range(3))
-            roots += [long, tuple(-e for e in long)]
-    elif tag in ("I2", "I2(M)", "I"):
+    tag = family_tag.upper()
+    tag = "Z2^d" if tag in ("Z2^D", "Z2") else tag
+    if tag in ("I2", "I2(M)", "I"):
         hint = _EXACT_DIHEDRAL.get(m)
         raise UnsupportedFamilyError(
             f"I2({m}) is {hint}"
             if hint
             else f"I2(m) has rational roots only for m in {{2, 3, 4, 6}}, not m = {m!r}"
         )
-    else:
+    if tag not in _FAMILIES:
         raise UnsupportedFamilyError(f"unknown family {family_tag!r}")
-    roots = tuple(roots)
+    least, most, refusal, root_list = _FAMILIES[tag]
+    if d is None and least == most:
+        d = least  # a family realized in one dimension may leave d out
+    if d is None or not least <= d <= most:
+        raise UnsupportedFamilyError(refusal)
+    roots = tuple(root_list(d))
     return RootSystem(len(roots[0]), roots, tag, _reflection_table(roots))
 
+
+def _signed_axes(d):
+    return [tuple(s * (j == i) for j in range(d)) for i in range(d) for s in (1, -1)]
+
+
+def _differences(d):
+    return [
+        tuple((l == i) - (l == j) for l in range(d)) for i in range(d) for j in range(d) if i != j
+    ]
+
+
+def _signed_pairs(d):
+    return [
+        tuple(si * (l == i) + sj * (l == j) for l in range(d))
+        for i in range(d) for j in range(i + 1, d) for si in (1, -1) for sj in (1, -1)
+    ]
+
+
+def _g2_roots(d):
+    longs = [tuple(3 * (j == i) - 1 for j in range(d)) for i in range(d)]
+    return _differences(d) + [r for a in longs for r in (a, tuple(-e for e in a))]
+
+
+# family -> (least d, greatest d, the refusal of any other d, its roots in R^d)
+_FAMILIES = {
+    "Z2^d": (1, math.inf, "Z2^d needs d >= 1", _signed_axes),
+    "A": (2, math.inf, "A needs ambient dimension d >= 2", _differences),
+    "B": (2, math.inf, "B needs d >= 2", lambda d: _signed_axes(d) + _signed_pairs(d)),
+    "D": (2, math.inf, "D needs d >= 2", _signed_pairs),
+    "G2": (3, 3, "G2 is realized in R^3 (d = 3)", _g2_roots),
+}
 
 # the dihedral groups I2(m) with rational roots, and the families that realize them
 _EXACT_DIHEDRAL = {
@@ -199,37 +205,6 @@ _EXACT_DIHEDRAL = {
     4: 'B2: use {"family": "B", "d": 2}',
     6: 'G2: use {"family": "G2"}',
 }
-
-
-def _difference_roots(d):
-    out = []
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                v = [0] * d
-                v[i] = 1
-                v[j] = -1
-                out.append(tuple(v))
-    return out
-
-
-def _axis(d, i, sign):
-    v = [0] * d
-    v[i] = sign
-    return tuple(v)
-
-
-def _pair_roots(d):
-    out = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [0] * d
-                    v[i] = si
-                    v[j] = sj
-                    out.append(tuple(v))
-    return out
 
 
 def _reflection_table(roots):
@@ -242,7 +217,7 @@ def _reflection_table(roots):
     for a in roots:
         if all(e == 0 for e in a):
             raise UnsupportedFamilyError("zero vector among the roots")
-    find = _root_finder(roots)
+    find = {r: j for j, r in enumerate(roots)}.get  # a vector's root index, or None
     table = [None] * len(roots)
     for i, a in enumerate(roots):
         neg = find(tuple(-e for e in a))
@@ -252,7 +227,7 @@ def _reflection_table(roots):
             table[i] = table[neg]
             continue
         try:
-            table[i] = _root_permutation(a, roots)
+            table[i] = _root_permutation(a, roots, find)
         except GroupClosureError:
             raise UnsupportedFamilyError(
                 f"root list not stable under the reflection in {a}"
@@ -388,18 +363,13 @@ def _integer_product(a, b):
     return tuple(tuple(e // g for e in row) for row in rows), den // g
 
 
-def _root_permutation(alpha, roots):
-    """The j with s_alpha(roots[i]) = roots[j], for each i."""
-    find = _root_finder(roots)
+def _root_permutation(alpha, roots, find):
+    """The j with s_alpha(roots[i]) = roots[j], for each i; find(v) is the
+    index of the root v."""
     found = tuple(find(reflect(alpha, r)) for r in roots)
     if None in found:
         raise GroupClosureError(f"the reflection in {alpha} does not permute the roots")
     return found
-
-
-def _root_finder(roots):
-    """A map from a vector to the index of the root equal to it, or None."""
-    return {r: j for j, r in enumerate(roots)}.get
 
 
 def _signed_permutation(g):
@@ -415,24 +385,31 @@ def _signed_permutation(g):
 
 
 def _conjugacy_classes(cayley, generators):
-    """Class index of each element: orbits under conjugation by the
-    generating reflections (each its own inverse), numbered by first member."""
-    class_of = [None] * len(cayley)
+    """Class index of each element: its orbit under conjugation by the
+    generating reflections (each its own inverse)."""
+    # conjugation by s as an index map: s y s = cayley[s y][s]
+    return tuple(_orbit_labels([[cayley[sy][s] for sy in cayley[s]] for s in generators]))
+
+
+def _orbit_labels(maps):
+    """The orbit index of each of 0..n-1 under the maps (maps[m][i] the image
+    of i), orbits numbered in the order of their least members."""
+    label = [None] * len(maps[0])
     count = 0
-    for x in range(len(cayley)):
-        if class_of[x] is not None:
+    for i in range(len(label)):
+        if label[i] is not None:
             continue
-        class_of[x] = count
-        stack = [x]
+        label[i] = count
+        stack = [i]
         while stack:
             y = stack.pop()
-            for s in generators:
-                z = cayley[cayley[s][y]][s]
-                if class_of[z] is None:
-                    class_of[z] = count
+            for m in maps:
+                z = m[y]
+                if label[z] is None:
+                    label[z] = count
                     stack.append(z)
         count += 1
-    return tuple(class_of)
+    return label
 
 
 def _validate_group(group: ReflectionGroup, integer_elements):
@@ -522,29 +499,16 @@ def act_on_polynomial(group: ReflectionGroup, i, p):
 # -- multiplicity functions -----------------------------------------------------------------
 
 def root_orbits(system: RootSystem):
-    """Orbits of the root list under the group, as tuples of root indices.
+    """Orbits of the root list under the group, as tuples of root indices,
+    ordered by norm, then by least member.
 
     The group is generated by the root reflections, so the orbit of a root
     is its closure under the root permutations of the reflections.
     """
     roots = system.roots
-    perms = system.reflections
-    seen = set()
-    orbits = []
-    for i in range(len(roots)):
-        if i in seen:
-            continue
-        orbit = {i}
-        stack = [i]
-        while stack:
-            r = stack.pop()
-            for perm in perms:
-                if perm[r] not in orbit:
-                    orbit.add(perm[r])
-                    stack.append(perm[r])
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=lambda orb: (dot(roots[orb[0]], roots[orb[0]]), orb))
+    label = _orbit_labels(system.reflections)
+    orbits = [tuple(i for i, c in enumerate(label) if c == o) for o in range(max(label) + 1)]
+    orbits.sort(key=lambda orb: dot(roots[orb[0]], roots[orb[0]]))
     return tuple(orbits)
 
 

@@ -5,10 +5,12 @@ one table ({nu: {mu: numerator}}, den) in lowest terms, so it has one
 canonical text: each degree's denominator, then every column in sorted nu,
 each entry in sorted mu, integers in decimal.  The digest of a system to a
 degree is the sha256 of that text for every degree 0..degree.  Tier 1
-checks degree 12 on B3, D4 and G2 (about 0.07, 0.85 and 1.3 s); CI checks
-degree 18 on D4 and G2 (about 5 and 13 s) with
+checks degree 12 on B3, B4, D4 and G2 (about 0.1, 2.3, 0.9 and 1.3 s) and
+degree 6 on D5 (about 2.5 s); CI checks degree 18 on D4 and G2 (about 5
+and 13 s) and degree 8 on D5 (about 6 s) with
 
     PYTHONPATH=src python tests/test_en_tables.py 18 d4 g2
+    PYTHONPATH=src python tests/test_en_tables.py 8 d5
 
 which prints each digest and exits 1 if one differs from its pin.  The
 digests were recorded from the implementation that built E_n's tables from
@@ -22,13 +24,22 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CONFIGS = {"b3": "bench/ladder/b3.json", "d4": "configs/d4.json", "g2": "configs/g2.json"}
+CONFIGS = {
+    "b3": "bench/ladder/b3.json",
+    "b4": "configs/b4.json",
+    "d4": "configs/d4.json",
+    "d5": "configs/d5.json",
+    "g2": "configs/g2.json",
+}
 
 # (system, degree) -> the sha256 of E_n's tables for n = 0..degree
 EN_GOLDEN = {
     ("b3", 12): "5061a016effa7248bf827f5a131c3f9aaad2f04afc5a42277c7454551daf00d0",
     ("d4", 12): "cb705d19a3b36edf62e49ce352abc337436a367e9e5166839400d4c3b862c613",
     ("g2", 12): "fffe1660abd6182004aa9e39d23a4b5c383e65f5b0eaa7a796cc67545e99c103",
+    ("b4", 12): "2dcb7fac870e71600f74e4182cdbd6696644b34edf354c5f7dab4f6e36c2ce66",
+    ("d5", 6): "1817a0d77c90afb18f62a1a30ef15e07f2f51bc3c292aecb7abaeb9438a95d35",
+    ("d5", 8): "782c8350a05310aad966d55e71e54f4f668cb2bafc534736634f52acd90c45eb",
     ("d4", 18): "3b4fad0115f62131a34fd7af518809bd0b01bd6f59b8e5f4c5a7fa7bb8726059",
     ("g2", 18): "08abcb2872b2f1cfdea05a2696d1ff1983e8a1d2d4bdba5a1b156267e94e4ed3",
 }
@@ -56,9 +67,13 @@ def digest(name, top):
     return table_digest(load_context(str(ROOT / CONFIGS[name])), top)
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", ["b3", "b4", "d4", "g2"])
 def test_en_tables_to_degree_12_match_their_digests(name):
     assert digest(name, 12) == EN_GOLDEN[name, 12]
+
+
+def test_d5_en_tables_to_degree_6_match_their_digest():
+    assert digest("d5", 6) == EN_GOLDEN["d5", 6]
 
 
 def main(argv):

@@ -55,7 +55,9 @@ each value became the exact truncated sum rounded once: only the
 kernel-nonnegative-on-grid notes moved, a2 "|x| <= 0.761" -> "0.76" (the
 span rounded down) and b2 "min 0.815" -> "0.816"
 (tests/test_verify.py checks each scanned value and the minimum against
-the exact series sums).  It also hashes the
+the exact series sums).  The d4 digests were recorded from the
+build_root_system that had one branch per family; d4's ek-eval point lies
+far enough out that ek-eval uses degree 6.  It also hashes the
 CSV that `kernel-grid` prints for each grid in GRIDS, which pins the
 Hermite path's values and the tail bounds, and the rows of `verify --suite
 all` on each system in VERIFY_SYSTEMS without their residuals (identity,
@@ -88,6 +90,7 @@ SYSTEMS = {
     "z21neg": ("configs/z21neg.json", "x1^5 + x1^2", "0.3", "-0.7"),
     "g2": ("configs/g2.json", "x1^2 x2 + x3^3", "0.05,-0.02,0.01", "0.1,0.2,-0.1"),
     "b3": ("bench/ladder/b3.json", "x1^2 x2 x3 + x3^4", "0.02,0.01,-0.01", "0.1,0.2,0.3"),
+    "d4": ("configs/d4.json", "x1^2 x2 + x4^3", "0.3,-0.2,0.1,0.2", "0.5,0.25,-0.5,0.1"),
 }
 
 # name -> kernel-grid argv after the context
@@ -195,6 +198,15 @@ GOLDEN = {
         "ek-eval": "ff348a709e9599a8e19e46603c7a109ab6f4282859da9c092a80417511e3b6c1",
         "verify-exact": "aa8f72834c5724e5f1d0db1e41b41d281accca1290e2d8dbd0925234edf8a515",
         "rounded-table": "8ce94b6b548e683c4a63e8aa1ce4ae750902d1f383bad23b02223f65e4f3a051",
+    },
+    "d4": {
+        "ctx": "8978c34c663cd8d79e8fff4a943b4724e7cb9fc1b5a0e0d1a19adca552632b4e",
+        "build": "bf4420a2b4c42f45a6c7deb757907a311d7e3f9f1d63512cec54571ea5b5a916",
+        "lambda-table": "ba5b6e731e214a51b97a9ef2607f98a45d05148c7de1525167d63260d7dff964",
+        "intertwine": "1348745fe2f72761ee69fb38472aa50e35b235e3ca365b3916776350d7f5083c",
+        "ek-eval": "56ed1dce9e005faa7defae541aa0acea5cc8a48007533252da6205d878e2960b",
+        "verify-exact": "82cde95ac5c9ed4e3d83021dd70a9e051ddec99fd918a3af134d3c6e5bf12129",
+        "rounded-table": "752f0c2b01e83b81de6c33ef1bcde4c77c9904b1e10aa4e0a2199ee80c7a1120",
     },
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -92,6 +93,24 @@ def test_unsupported_family():
         assert str(refused.value).startswith(f"I2({m}) is ") and hint in str(refused.value)
 
 
+@pytest.mark.parametrize(
+    "family, d, message",
+    [
+        ("Z2^d", 0, "Z2^d needs d >= 1"),
+        ("z2", None, "Z2^d needs d >= 1"),
+        ("A", 1, "A needs ambient dimension d >= 2"),
+        ("B", None, "B needs d >= 2"),
+        ("D", 1, "D needs d >= 2"),
+        ("G2", 2, "G2 is realized in R^3 (d = 3)"),
+        ("F4", 4, "unknown family 'F4'"),
+    ],
+)
+def test_refusals_keep_their_text(family, d, message):
+    with pytest.raises(UnsupportedFamilyError) as refused:
+        build_root_system(family, d=d)
+    assert str(refused.value) == message
+
+
 def test_g2_roots_and_orbits():
     system = build_root_system("G2")
     assert system.dimension == 3
@@ -119,7 +138,68 @@ def test_bad_root_lists_are_refused():
 )
 def test_reflection_table_matches_each_root_reflection(family, kw):
     system = build_root_system(family, **kw)
-    assert system.reflections == tuple(_root_permutation(a, system.roots) for a in system.roots)
+    find = {r: j for j, r in enumerate(system.roots)}.get
+    assert system.reflections == tuple(
+        _root_permutation(a, system.roots, find) for a in system.roots
+    )
+
+
+# every family up to d = 6: (family, d) -> whether its group (|G| <= 1 920) is closed too
+CONSTRUCTIONS = {
+    **{("Z2^d", d): True for d in range(1, 7)},
+    **{("A", d): True for d in range(2, 7)},
+    **{("B", d): d <= 4 for d in range(2, 7)},
+    **{("D", d): d <= 5 for d in range(2, 7)},
+    ("G2", 3): True,
+}
+
+# sha256 of construction_text, recorded from the build_root_system that had
+# one branch per family
+CONSTRUCTION_GOLDEN = {
+    ("A", 2): "7482efba5be4a592212cba485c0a96c3b0799515f229e239a87f9f1ff181c478",
+    ("A", 3): "9af3562b8dbc83c15a7b0b70614d25f8f720096209f49c6a967f61d8bf86147f",
+    ("A", 4): "15d2f63d3322a21ad0c44139babb604462cef1805ec31f31d05ed093d88febb0",
+    ("A", 5): "3f69a61357387cc9f703c05fe3dee5bbe9ff6c76c50c3c0fd04760387ab8b30b",
+    ("A", 6): "36618b4c66e6f667184c57bdaab45b796b69e18fd79a27f5304b529e2bf617eb",
+    ("B", 2): "deed5abbd1b81235a5cb9424ff296bb9f1dacff49b40526a14a7069258bf73ab",
+    ("B", 3): "42a8d5b9362b1a59056148d776e39188d68ce784f496049837aa3738a95b9063",
+    ("B", 4): "6674bebf8598aac490f5e9abced6787527f1459f18534f21552c39e98560ae2e",
+    ("B", 5): "a09528dd6d15b86d522c59496daee537e02f4cc6b7b8a5c520def7ae3bcd0246",
+    ("B", 6): "34159729aebc01e7ed003eb543a8c4f1891c71fff0595cec0b00f7087dc61058",
+    ("D", 2): "10b4d89299b999400be92f72e31ee72c61f7991dab447d446fe0f306856cf644",
+    ("D", 3): "226568aab37cb5983e824022a8b7182fe6b45d75c45a4d4ed3a68ffb8267d113",
+    ("D", 4): "355cc5a099dcce24ab05d51c976da2457fb1f3d48730329de29c0e7b71bf866b",
+    ("D", 5): "bb55b53170884f36759329ea2eb8ea01bbe87c7dcf8eac4cc5045197a7ecee74",
+    ("D", 6): "d207d7b0b0be253207c782c9de3be5b3e49f64ab9976f86858cd373d00ef3875",
+    ("G2", 3): "98ef6295848f11829f75620e7c980124b10f69b04e95893350fbf5a0a9a5cb8a",
+    ("Z2^d", 1): "de0175c3b84490575fc563d9efa0c4e3b353880f3f51c0d4e2fb058a16849502",
+    ("Z2^d", 2): "36b73dde8256a6f52041eb08c69c1a6629faefcccd6bca376fa8651a3557bd3a",
+    ("Z2^d", 3): "d93b92e0f3e79f722244e98f62b8194487e330992eb29bd3f757df7b35eb875a",
+    ("Z2^d", 4): "ed95760d782e5dc14b274c248ba8fcbebfd821229448a9859a6e07b6d11dda23",
+    ("Z2^d", 5): "96e686a3cd85cf7aaf62ed9ba325c04dc91de8e9b230e0ae9d87f3872ebe9927",
+    ("Z2^d", 6): "b0138429b96aff47385f4570c0eda7ba83e370f0bdba9d5359458c2d51c58b5e",
+}
+
+
+def construction_text(family, d, closed):
+    """Each root in order, the reflection table, beta and the positive roots
+    in order; where closed, also the group order, every element's class
+    index and the root orbits."""
+    system = build_root_system(family, d=d)
+    pos = select_positive(system)
+    text = repr((system.family_tag, system.roots, system.reflections, pos.beta, pos.positives))
+    if closed:
+        group = generate_group(pos)
+        text += repr((group.order, group.class_of, root_orbits(system)))
+    return text
+
+
+@pytest.mark.parametrize(
+    "family, d", sorted(CONSTRUCTIONS), ids=[f"{f}-{d}" for f, d in sorted(CONSTRUCTIONS)]
+)
+def test_root_lists_positive_systems_classes_and_orbits_match_their_digests(family, d):
+    text = construction_text(family, d, CONSTRUCTIONS[family, d])
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCTION_GOLDEN[family, d]
 
 
 def test_reflect_examples():
