@@ -10,17 +10,17 @@ two rearrangements of one double sum that differ only in the heat step.
 Both read E_n's coefficients V(x^nu) / nu!, one integer table per degree
 (operators._e_table).  The series path maps E_n(x, .)'s table
 (operators._en_table) by the integer heat rows of poly._heat, per degree
-and, for L^(N)(x, .), once on every degree's table over one denominator
-(_series_table, cached on the exact x).  The Hermite path contracts the
-same coefficients with e^{-Lap/2} y^nu = prod_j He_{nu_j}(y_j).  At one
-point (hermite_piece) it is evaluate_en's sum with the Hermite numerators
-of y in place of its powers.  On a grid it is one sum: E_n(x, .)'s
-coefficients at the binary value of x, contracted against He(y) one axis
-at a time (_contract; sum factorization, Orszag, J. Comput. Phys. 37,
-1980) in integers against per-axis Hermite numerators (_grid_sums), each
-sum divided once: exact at exact points, rounded once otherwise
-(lk_values, which kernel-grid prints), and rounded once by the positivity
-scan.  The derivative relation's x side L^(N)(., y) = sum_nu
+and, for L^(N)(x, .), once on every degree's table joined over one
+denominator (operators._en_tables), cached on the exact x (_series_table).
+The Hermite path contracts the same coefficients with e^{-Lap/2} y^nu =
+prod_j He_{nu_j}(y_j).  At one point (hermite_piece) it is evaluate_en's
+sum with the Hermite numerators of y in place of its powers.  On a grid it
+is one sum: E_n(x, .)'s coefficients at the binary value of x, contracted
+against He(y) one axis at a time (_contract; sum factorization, Orszag, J.
+Comput. Phys. 37, 1980) in integers against per-axis Hermite numerators
+(_grid_sums), each sum divided once: exact at exact points, rounded once
+otherwise (lk_values, which kernel-grid prints), and rounded once by the
+positivity scan.  The derivative relation's x side L^(N)(., y) = sum_nu
 He_nu(y) e_nu is E_n's columns against y's Hermite numerators, one table in
 x that T_j reads.  Against dgamma = (2 pi)^{-d/2} e^{-|y|^2/2} dy, L
 represents the composition of the intertwining operator with the inverse
@@ -79,6 +79,7 @@ from .operators import (
     _dunkl_table,
     _e_table,
     _en_table,
+    _en_tables,
     _norm,
     _recurrence_tail,
     growth_envelope,
@@ -138,19 +139,12 @@ def heat_piece(ev: KernelEvaluator, n, x, y):
     return _table_value(_heat(_en_table(ev.ctx, n, x), -1), y, rx or ry)
 
 
-def _en_tables(ev: KernelEvaluator, x, top=None):
-    """E_n(x, .)'s tables of every degree n <= top (default N) at an exact
-    point x, over one denominator: the coefficients V(x^nu)(x) / nu!."""
-    top = ev.n_trunc if top is None else top
-    return _combine((1, _en_table(ev.ctx, n, x)) for n in range(top + 1))
-
-
 def _series_table(ev: KernelEvaluator, x, joined=None):
     """L^(N)(x, .) at an exact point x as one table in y: _en_tables, or
     joined where the caller has built it, heated once, cached on the point."""
     key = tuple(x)
     if key not in ev._series_tables:
-        ev._series_tables[key] = _heat(_en_tables(ev, x) if joined is None else joined, -1)
+        ev._series_tables[key] = _heat(joined or _en_tables(ev.ctx, x, ev.n_trunc), -1)
     return ev._series_tables[key]
 
 
@@ -292,7 +286,7 @@ def phi_x_norm(ev: KernelEvaluator, x):
     return equal floats.
     """
     x = _read_exact(x)[0]
-    joined = nums, den = _en_tables(ev, x)
+    joined = nums, den = _en_tables(ev.ctx, x, ev.n_trunc)
     coeff_sq = sum((c * c.conjugate()).real * _multi_factorial(nu) for nu, c in nums.items())
     series = _series_table(ev, x, joined)[0]
     sums, _ = _gaussian_pairings(ev, x, list(series))
@@ -311,7 +305,7 @@ def convolution_check(ev: KernelEvaluator, x, y):
     no code with the heat rows that built the table.  The identity holds
     exactly at each truncation degree, so the residual is 0.0."""
     (x, _), (y, _) = _read_exact(x), _read_exact(y)
-    joined = _en_tables(ev, x)
+    joined = _en_tables(ev.ctx, x, ev.n_trunc)
     lhs = _table_value(joined, y)
     rhs = _table_sum(_series_table(ev, x, joined), *_heat_axes(y, ev.n_trunc, 1))
     return abs(complex(lhs - rhs))
@@ -346,7 +340,7 @@ def gaussian_image_check(ev: KernelEvaluator, x, y, taylor_degree=None):
     x_norm, y_norm = _norm(x), _norm(y)
     window = math.exp(-(y_norm**2) / 2.0)
     (x, _), (y, _) = _read_exact(x), _read_exact(y)
-    nums, den = _en_tables(ev, x, top)
+    nums, den = _en_tables(ev.ctx, x, top)
     series = nums if top == n_trunc else {nu: c for nu, c in nums.items() if sum(nu) <= n_trunc}
     table = _series_table(ev, x, (series, den))  # derivative_relation_check reads it too
     if ev.ctx.k.is_zero:
@@ -551,7 +545,7 @@ def _grid_layout(ev: KernelEvaluator):
 def _grid_coefficients(ev: KernelEvaluator, x):
     """(numerators, den) of e_nu(x) = V(x^nu)(x) / nu!, |nu| <= N, at an
     exact point x (_en_tables), in _grid_basis's order, 0 where it vanishes."""
-    nums, den = _en_tables(ev, x)
+    nums, den = _en_tables(ev.ctx, x, ev.n_trunc)
     return [nums.get(nu, 0) for nu in _grid_layout(ev)[0]], den
 
 

@@ -45,8 +45,8 @@ empirical u = delta_hat |G| |x| for every other weight.  E_n's coefficients
 are the one store of V (_e_table): one table per degree, built by
 e_nu = H_n(sum_j x_j e_{nu - e_j}), the recursion for V divided by nu!, and
 read as it is by _en_table (E_n(x, .) at a point, which every kernel path
-starts from), homogeneous_kernel_bivariate, and intertwine and
-intertwine_inverse (V(x^nu) = nu! e_nu).
+starts from; _en_tables joins it over degrees), homogeneous_kernel_bivariate,
+and intertwine and intertwine_inverse (V(x^nu) = nu! e_nu).
 """
 from __future__ import annotations
 
@@ -121,8 +121,8 @@ class DunklContext:
     def prepare(self, n_max):
         """Solve lam_n for every degree up to n_max not yet in h_cache and fill
         the growth table (estimate_delta).  Only at a fallback degree is H_n's
-        table built here, to check W_n's admissibility, and it is not kept;
-        every reader of lam_n reads h_cache after this."""
+        table built here (solve_H), to check W_n's admissibility, and not
+        kept; every reader of lam_n reads h_cache after this."""
         if self.prepared_to >= n_max:
             return self
         estimate_delta(self, n_max)
@@ -241,7 +241,8 @@ def solve_H(ctx: DunklContext, n):
     algebra iff it is invertible on the centre, so that system is singular
     exactly when the group-algebra route fails; then W_n is inverted on the
     monomial basis instead, and lam_n is None.  If W_n itself is singular
-    the weight is inadmissible at this degree.
+    the weight is inadmissible at this degree: its h_cache entry, if any, is
+    dropped and NotInMStarError raised.
 
     This is the one builder of H_n's table, and it keeps none.  lam_n is
     read from h_cache, where prepare (estimate_delta) or a cache load put it
@@ -258,6 +259,7 @@ def solve_H(ctx: DunklContext, n):
         try:
             table = _inverse_table(w)
         except SingularMatrixError:
+            ctx.h_cache.pop(n, None)  # a singular W_n makes no fallback degree
             raise NotInMStarError(n) from None
     else:
         table = _group_columns(ctx, n, lam)
@@ -457,21 +459,17 @@ def estimate_delta(ctx: DunklContext, n_max) -> float:
     the computed range.  Fallback degrees carry no lam table and are
     excluded (ctx.fallback_degrees lists them).  Reads lam_n from h_cache,
     taking each missing degree from the class system alone (_class_solve);
-    only where that is singular does solve_H build and check H_n's dense
-    inverse here, which is not kept, so an inadmissible weight raises
-    NotInMStarError.  Fills ctx.delta_hat and ctx.delta_table and returns
-    delta_hat.
+    only where that is singular is solve_H asked, which builds and checks
+    H_n's dense inverse, keeps none, and raises NotInMStarError with the
+    degree unrecorded for an inadmissible weight.  Fills ctx.delta_hat and
+    ctx.delta_table and returns delta_hat.
     """
     table = []
     for n in range(1, n_max + 1):
         if n not in ctx.h_cache:
             ctx.h_cache[n] = _class_solve(ctx, n)
             if ctx.h_cache[n] is None:
-                try:
-                    solve_H(ctx, n)
-                except NotInMStarError:
-                    del ctx.h_cache[n]  # a singular W_n makes no fallback degree
-                    raise
+                solve_H(ctx, n)
         lam = ctx.h_cache[n]
         if lam is not None:
             table.append((n, n * max(abs(complex(c)) for c in lam)))
@@ -692,9 +690,9 @@ def dunkl_kernel(ctx: DunklContext, x, y, tol) -> KernelValue:
 def _kernel_sum(ctx: DunklContext, x, y, n_trunc):
     """(sum_{n <= n_trunc} E_n(x, y), |E_{n_trunc}(x, y)|) at exact points x
     and y: the sum exact, the last term's magnitude a float.  E_n(x, .)'s
-    tables for n < n_trunc are joined over one denominator and summed once
-    at y; the last term, evaluate_en's value, is added to that sum."""
-    head = _combine((1, _en_table(ctx, n, x)) for n in range(n_trunc))
+    tables joined to degree n_trunc - 1 (_en_tables) are summed once at y;
+    the last term, evaluate_en's value, is added to that sum."""
+    head = _en_tables(ctx, x, n_trunc - 1)
     last = evaluate_en(ctx, n_trunc, x, y)
     return _table_value(head, y) + last, abs(complex(last))
 
@@ -715,6 +713,13 @@ def _en_table(ctx: DunklContext, n, x):
         if total:
             out[nu] = total
     return out, den * q**n
+
+
+def _en_tables(ctx: DunklContext, x, top):
+    """E_n(x, .)'s tables for n <= top at an exact point x over one denominator,
+    e_nu(x) = V(x^nu)(x) / nu!: the one join over degrees, which _kernel_sum
+    reads to n_trunc - 1 and the kernel module to N or a check's top."""
+    return _combine((1, _en_table(ctx, n, x)) for n in range(top + 1))
 
 
 def evaluate_en(ctx: DunklContext, n, x, y):

@@ -15,6 +15,11 @@ and 13 s) and degree 8 on D5 (about 6 s) with
 which prints each digest and exits 1 if one differs from its pin.  The
 digests were recorded from the implementation that built E_n's tables from
 the class solve's H_n columns on every element of the group.
+
+The tables also relabel under the group's coordinate permutations (V(p o g)
+= V(p) o g), the invariant that building one column per orbit of exponents
+rests on; tier 1 checks it on A (d = 3), B3 and G2 to degree 8 and on D4
+and B4 to degree 6, about 0.75 s in all.
 """
 import hashlib
 import sys
@@ -25,6 +30,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 CONFIGS = {
+    "a": "configs/a2.json",
     "b3": "bench/ladder/b3.json",
     "b4": "configs/b4.json",
     "d4": "configs/d4.json",
@@ -74,6 +80,35 @@ def test_en_tables_to_degree_12_match_their_digests(name):
 
 def test_d5_en_tables_to_degree_6_match_their_digest():
     assert digest("d5", 6) == EN_GOLDEN["d5", 6]
+
+
+@pytest.mark.parametrize(
+    "name, top, checks", [("a", 8, 990), ("b3", 8, 990), ("g2", 8, 990), ("d4", 6, 5040), ("b4", 6, 5040)]
+)
+def test_en_tables_relabel_under_the_groups_coordinate_permutations(name, top, checks):
+    """V(p o g) = V(p) o g (Dunkl, Canad. J. Math. 43, 1991), so for g a
+    permutation pi of the coordinates, e_{pi nu} = e_nu o g: column pi nu of
+    E_n's table is column nu with each mu relabelled pi mu, over the same den.
+    Every permutation of the group (G2's six in R^3 too) and every nu to the
+    degree: 990 checks on A, B3 and G2, 5 040 on D4 and B4 (0.04-0.27 s
+    each, building the tables included)."""
+    from dunkl.config import load_context
+    from dunkl.operators import _e_table
+    from dunkl.reflection_groups import signed_image
+
+    ctx = load_context(str(ROOT / CONFIGS[name]))
+    ctx.prepare(top)
+    group = ctx.group
+    perms = [i for i, sp in enumerate(group.signed_permutations) if sp and all(s > 0 for s in sp[1])]
+    checked = 0
+    for n in range(top + 1):
+        cols, den = _e_table(ctx, n)
+        for i in perms:
+            for nu, col in cols.items():
+                image = {signed_image(group, i, mu)[0]: c for mu, c in col.items()}
+                assert cols[signed_image(group, i, nu)[0]] == image, (name, i, nu)
+                checked += 1
+    assert checked == checks
 
 
 def main(argv):
